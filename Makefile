@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench fuzz run-deshd
+.PHONY: build test vet race verify bench bench-smoke fuzz run-deshd
 
 build:
 	$(GO) build ./...
@@ -31,13 +31,23 @@ verify: build test vet race
 bench: verify
 	$(GO) test -bench=. -benchmem -count=5 | tee bench.txt
 
-# fuzz exercises the network-facing line parser and the event-time
-# reorder buffer beyond their committed seed corpora (which `test`
-# already replays as regular cases).
+# bench-smoke proves the repository's benchmark (bench/, its own
+# module) still builds against the cluster and stream API and that
+# every workload's alert-multiset check passes: all four workloads at
+# 1/20 scale (~5 s, timings indicative only), then the benchmark's own
+# tests. Everything it writes stays under .bench_build/.
+bench-smoke:
+	bash bench/run.sh -smoke
+	cd bench && $(GO) test ./...
+
+# fuzz exercises the network-facing line parser, the event-time reorder
+# buffer and the instance's record /ingest beyond their committed seed
+# corpora (which `test` already replays as regular cases).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
 
 # run-deshd is the daemon smoke test: generate a log, train a small
 # model, replay the log through deshd, and assert it raises at least

@@ -87,7 +87,7 @@ func run() error {
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe failures before a peer is ejected")
 	readmitThreshold := flag.Int("readmit-threshold", 3, "consecutive probe successes before an ejected peer rejoins")
 	drainEvery := flag.Duration("drain-interval", 250*time.Millisecond, "spill WAL redelivery period")
-	batchMax := flag.Int("batch-max", 256, "max lines per forwarded batch")
+	batchMax := flag.Int("batch-max", 0, "max events per forwarded POST (0 = default 1024; a sender never waits to fill one)")
 	sendQueue := flag.Int("send-queue", 4096, "per-peer in-memory send queue; overflow spills")
 	name := flag.String("name", "", "router name; enables coordinator election for replicated routers")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "coordinator lease TTL (with -name); bounds failover time")

@@ -29,7 +29,6 @@ import (
 // well inside the TTL. On graceful shutdown the lease is released so
 // the successor takes over immediately instead of waiting out the TTL.
 func (r *Router) electLoop() {
-	defer r.wg.Done()
 	r.electOnce()
 	t := time.NewTicker(r.cfg.ElectionInterval)
 	defer t.Stop()
@@ -211,11 +210,29 @@ func (r *Router) pushView(v persist.ViewRecord) {
 	}
 }
 
+// commitView installs v here, then on every member, then pushes the
+// ownership its ring implies.
+func (r *Router) commitView(v persist.ViewRecord) {
+	r.installView(v)
+	r.pushView(v)
+	r.pushOwnershipView(v)
+}
+
 // pushOwnershipView pushes ring-derived ownership at v's epoch to
 // every in-ring member of v.
 func (r *Router) pushOwnershipView(v persist.ViewRecord) {
 	names := v.RingMembers()
-	r.pushOwnership(v.Epoch, NewRing(names, r.cfg.Vnodes), names)
+	ring := NewRing(names, r.cfg.Vnodes)
+	for _, name := range names {
+		ps := r.peerByName(name)
+		if ps == nil {
+			continue
+		}
+		req := ownershipRequest{Gen: r.genFor(name), Epoch: v.Epoch, Ranges: ring.Ranges(name)}
+		if err := postJSON(r.client, ps.URL+"/cluster/ownership", req, nil); err != nil {
+			r.diagf("cluster: ownership push to %s: %v", name, err)
+		}
+	}
 }
 
 // RebalanceRequest is one administrative membership change posted to
@@ -263,7 +280,7 @@ func (r *Router) StartRebalance(req RebalanceRequest) error {
 	if err := req.validate(); err != nil {
 		return err
 	}
-	if !r.isCoordinator() {
+	if !r.IsCoordinator() {
 		return fmt.Errorf("cluster: not the coordinator — post the rebalance to the coordinator router")
 	}
 	r.rebalStMu.Lock()
@@ -357,26 +374,10 @@ func (r *Router) addMember(req RebalanceRequest) error {
 	oldRing := r.ring
 	r.mu.RUnlock()
 	newRing := NewRing(append(view.RingMembers(), req.Name), r.cfg.Vnodes)
-	gained := newRing.Ranges(req.Name)
-	for _, owner := range view.RingMembers() {
-		src := r.peerByName(owner)
-		if src == nil || !src.healthy.Load() {
-			continue
-		}
-		moved := Intersect(oldRing.Ranges(owner), gained)
-		if len(moved) == 0 {
-			continue
-		}
-		if err := r.step("add-handoff"); err != nil {
-			return err
-		}
-		if err := postJSON(r.client, src.URL+"/cluster/handoff",
-			handoffRequest{Gen: r.genFor(owner), Epoch: epoch, Target: req.URL, Ranges: moved}, nil); err != nil {
-			// The newcomer serves these ranges cold; rerouted events still
-			// flow once the grown view commits.
-			r.met.HandoffErrors.Add(1)
-			r.diagf("cluster: add handoff %s -> %s failed: %v", owner, req.Name, err)
-		}
+	// A failed handoff leaves the newcomer serving that range cold;
+	// rerouted events still flow once the grown view commits.
+	if err := r.handoffGained(oldRing, newRing.Ranges(req.Name), epoch, Peer{Name: req.Name, URL: req.URL}, "add-handoff"); err != nil {
+		return err
 	}
 	if err := r.step("add-commit"); err != nil {
 		return err
@@ -384,9 +385,7 @@ func (r *Router) addMember(req RebalanceRequest) error {
 	v2 := view.Clone()
 	v2.Members = append(v2.Members, persist.ViewMember{Name: req.Name, URL: req.URL, Dir: req.Dir, State: persist.StateIn})
 	v2.Epoch = epoch
-	r.installView(v2)
-	r.pushView(v2)
-	r.pushOwnershipView(v2)
+	r.commitView(v2)
 	return nil
 }
 
@@ -498,9 +497,7 @@ func (r *Router) finishDrainLocked(view persist.ViewRecord, m persist.ViewMember
 			v2.Members = append(v2.Members, vm)
 		}
 	}
-	r.installView(v2)
-	r.pushView(v2)
-	r.pushOwnershipView(v2)
+	r.commitView(v2)
 	r.diagf("cluster: drained %s out at epoch %d (%d members remain)", m.Name, epoch, len(v2.Members))
 	return nil
 }
@@ -532,30 +529,12 @@ func (r *Router) removeMember(name string) error {
 			v2.Members = append(v2.Members, vm)
 		}
 	}
-	if m.InRing() && m.Dir != "" {
-		deadRanges := oldRing.Ranges(name)
-		newRing := NewRing(v2.RingMembers(), r.cfg.Vnodes)
-		for _, survivor := range v2.RingMembers() {
-			moved := Intersect(deadRanges, newRing.Ranges(survivor))
-			if len(moved) == 0 {
-				continue
-			}
-			sp := r.peerByName(survivor)
-			if sp == nil {
-				continue
-			}
-			if err := postJSON(r.client, sp.URL+"/cluster/takeover",
-				takeoverRequest{Gen: r.genFor(survivor), Epoch: v2.Epoch, Dir: m.Dir, Ranges: moved}, nil); err != nil {
-				r.met.TakeoverErrors.Add(1)
-				r.diagf("cluster: remove takeover by %s failed: %v", survivor, err)
-			}
-		}
+	if m.InRing() {
+		r.takeover(oldRing.Ranges(name), m.Dir, v2)
 	}
 	if err := r.step("remove-commit"); err != nil {
 		return err
 	}
-	r.installView(v2)
-	r.pushView(v2)
-	r.pushOwnershipView(v2)
+	r.commitView(v2)
 	return nil
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -59,9 +58,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/cluster/status", r.handleStatus)
 	mux.HandleFunc("/cluster/rebalance", r.handleRebalance)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
+	mux.HandleFunc("/healthz", healthz)
 	return mux
 }
 
@@ -87,23 +84,22 @@ func (r *Router) handleRebalance(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	body, ok := ingestBody(w, req)
+	if !ok {
 		return
 	}
-	sc := bufio.NewScanner(req.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	lines, err := splitLines(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	accepted, malformed := 0, 0
-	for sc.Scan() {
-		if err := r.IngestLine(sc.Text()); err != nil {
+	for _, line := range lines {
+		if err := r.IngestLine(line); err != nil {
 			malformed++
 			continue
 		}
 		accepted++
-	}
-	if err := sc.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
 	}
 	writeJSON(w, map[string]int{"accepted": accepted, "malformed": malformed})
 }
@@ -189,7 +185,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		Coordinator bool         `json:"coordinator"`
 		Epoch       uint64       `json:"epoch"`
 		Peers       []peerStatus `json:"peers"`
-	}{Router: r.cfg.Name, Coordinator: r.isCoordinator(), Epoch: r.epoch, Peers: rows})
+	}{Router: r.cfg.Name, Coordinator: r.IsCoordinator(), Epoch: r.epoch, Peers: rows})
 }
 
 // getJSON fetches url and decodes the JSON body into reply.

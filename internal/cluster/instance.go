@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
@@ -11,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"desh/internal/logparse"
@@ -18,17 +18,17 @@ import (
 	"desh/internal/stream"
 )
 
+// parseEvent is the cluster tier's one way into logparse.ParseLine — a
+// variable only so a test can count the calls.
+var parseEvent = logparse.ParseLine
+
 // parseLine parses one raw line; blank lines return a zero Event (no
 // error) so callers can skip them the way single-instance ingest does.
 func parseLine(line string) (logparse.Event, error) {
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return logparse.ParseLine(line)
-		}
+	if logparse.IsBlank(line) {
+		return logparse.Event{}, nil
 	}
-	return logparse.Event{}, nil
+	return parseEvent(line)
 }
 
 // Instance is one deshd process's membership in a cluster: it wraps
@@ -41,6 +41,9 @@ type Instance struct {
 	s      *stream.Streamer
 	client *http.Client
 	diag   func(format string, args ...any)
+
+	// batches counts ingestBatch calls (ingest_batches on /metrics).
+	batches atomic.Int64
 
 	mu     sync.RWMutex
 	epoch  uint64
@@ -113,16 +116,6 @@ func (inst *Instance) Ownership() (uint64, []persist.HashRange) {
 	return inst.epoch, append([]persist.HashRange(nil), inst.ranges...)
 }
 
-// owns reports whether the instance currently serves the node.
-func (inst *Instance) owns(node string) bool {
-	inst.mu.RLock()
-	defer inst.mu.RUnlock()
-	if inst.standalone {
-		return true
-	}
-	return persist.RangesContain(inst.ranges, persist.NodeHash(node))
-}
-
 // AdoptOwnership journals and installs a router-pushed ownership set.
 // A stale epoch (older than the current one) is rejected — the caller
 // is behind a newer coordinator decision.
@@ -147,33 +140,48 @@ func (inst *Instance) AdoptOwnership(epoch uint64, ranges []persist.HashRange) e
 // malformed lines are consumed (counted) exactly as single-instance
 // ingest consumes them.
 func (inst *Instance) IngestLines(lines []string) (rejected []int, err error) {
+	batch := make([]stream.Admission, len(lines))
 	for i, line := range lines {
 		ev, perr := parseLine(line)
 		if perr != nil {
 			inst.s.Metrics().Malformed.Add(1)
-			continue
 		}
-		if ev.Node == "" { // blank line
-			continue
-		}
-		if !inst.owns(ev.Node) {
+		// No node: a blank or malformed line, consumed here and now.
+		batch[i] = stream.Admission{Event: ev, Refused: ev.Node == ""}
+	}
+	return inst.ingestBatch(batch)
+}
+
+// ingestBatch admits one batch — a POST, either content type — as a
+// unit and returns the positions of the events refused: not owned, or
+// frozen mid-handoff. An error means none of it was admitted (the
+// streamer is closed); the router's failure handling respools it whole.
+func (inst *Instance) ingestBatch(batch []stream.Admission) (rejected []int, err error) {
+	inst.batches.Add(1)
+	inst.mu.RLock()
+	for i := range batch {
+		a := &batch[i]
+		a.Refused = a.Refused || !(inst.standalone || persist.RangesContain(inst.ranges, persist.NodeHash(a.Event.Node)))
+	}
+	inst.mu.RUnlock()
+	if err := inst.s.IngestBatch(batch); err != nil {
+		return nil, err
+	}
+	for i := range batch {
+		if batch[i].Refused && batch[i].Event.Node != "" { // nodeless: a line IngestLines consumed
 			rejected = append(rejected, i)
-			continue
-		}
-		switch ierr := inst.s.IngestEvent(ev); {
-		case ierr == nil:
-		case errors.Is(ierr, stream.ErrFrozen):
-			rejected = append(rejected, i)
-		case errors.Is(ierr, stream.ErrClosed):
-			// Everything from here on is undeliverable; the router's
-			// failure handling respools the whole batch.
-			return nil, ierr
-		default:
-			return nil, ierr
 		}
 	}
 	return rejected, nil
 }
+
+// recordContentType marks a /ingest body of wire records (persist's
+// EventBatch format) rather than text lines.
+const recordContentType = "application/x-desh-records"
+
+// maxIngestBody caps a /ingest body of either content type (413 over
+// it); a router keeps its batches under it (maxWireBody).
+const maxIngestBody = 8 << 20
 
 // ownershipRequest pushes an epoch-stamped ownership set.
 type ownershipRequest struct {
@@ -267,6 +275,9 @@ type instanceMetrics struct {
 	stream.MetricsSnapshot
 	ClusterEpoch uint64 `json:"cluster_epoch"`
 	OwnedRanges  int    `json:"owned_ranges"`
+	// IngestBatches counts the batches /ingest admitted (one per POST):
+	// against wal_batch_appends and ingested it gives records per write.
+	IngestBatches int64 `json:"ingest_batches"`
 }
 
 // HandoffTo runs the full live-handoff protocol against a target
@@ -352,15 +363,20 @@ func (inst *Instance) Import(req importRequest) error {
 	if err := inst.s.ImportState(req.Epoch, req.Source, req.Ranges, &st); err != nil {
 		return err
 	}
-	inst.mu.Lock()
-	if req.Epoch > inst.epoch {
-		inst.epoch = req.Epoch
-	}
-	inst.ranges = append(inst.ranges, req.Ranges...)
-	inst.standalone = false
-	inst.mu.Unlock()
+	inst.extendOwnership(req.Epoch, req.Ranges)
 	inst.diagf("cluster: imported %d node(s), %d pending event(s) from %s", len(st.Nodes), len(st.Pending), req.Source)
 	return nil
+}
+
+// extendOwnership adds imported ranges to what the instance serves.
+func (inst *Instance) extendOwnership(epoch uint64, ranges []persist.HashRange) {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	if epoch > inst.epoch {
+		inst.epoch = epoch
+	}
+	inst.ranges = append(inst.ranges, ranges...)
+	inst.standalone = false
 }
 
 // Takeover rebuilds the requested ranges from a dead peer's state
@@ -373,13 +389,7 @@ func (inst *Instance) Takeover(req takeoverRequest) error {
 	if err := inst.s.ImportState(req.Epoch, "takeover:"+req.Dir, req.Ranges, st); err != nil {
 		return err
 	}
-	inst.mu.Lock()
-	if req.Epoch > inst.epoch {
-		inst.epoch = req.Epoch
-	}
-	inst.ranges = append(inst.ranges, req.Ranges...)
-	inst.standalone = false
-	inst.mu.Unlock()
+	inst.extendOwnership(req.Epoch, req.Ranges)
 	inst.diagf("cluster: took over %d node(s), %d pending event(s) from %s", len(st.Nodes), len(st.Pending), req.Dir)
 	return nil
 }
@@ -400,9 +410,7 @@ func (inst *Instance) Handler() http.Handler {
 	mux.HandleFunc("/cluster/resolve", inst.handleResolve)
 	mux.HandleFunc("/cluster/imported", inst.handleImported)
 	mux.HandleFunc("/metrics", inst.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
+	mux.HandleFunc("/healthz", healthz)
 	return mux
 }
 
@@ -413,28 +421,41 @@ type ingestReply struct {
 	Rejected []int  `json:"rejected,omitempty"`
 }
 
+// handleIngest admits one POST as one batch. Text lines are the edge
+// entry; a recordContentType body is what a router sends, decoded whole
+// before any of it is admitted. Replies: ingestBody's 405 and 413, 400
+// for a damaged body, 503 from a closed streamer, else 200.
 func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	body, ok := ingestBody(w, r)
+	if !ok {
 		return
 	}
-	var lines []string
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
+	var n int
+	var rejected []int
+	var err error
+	if r.Header.Get("Content-Type") == recordContentType {
+		var batch []stream.Admission
+		err = persist.DecodeEventBatch(body, func(ev logparse.Event, record []byte) {
+			batch = append(batch, stream.Admission{Event: ev, Record: record})
+		})
+		if n = len(batch); err == nil {
+			rejected, err = inst.ingestBatch(batch)
+		}
+	} else if lines, lerr := splitLines(body); lerr != nil {
+		err = lerr
+	} else {
+		n = len(lines)
+		rejected, err = inst.IngestLines(lines)
 	}
-	if err := sc.Err(); err != nil {
+	if errors.Is(err, stream.ErrClosed) {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	} else if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rejected, err := inst.IngestLines(lines)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
 	epoch, _ := inst.Ownership()
-	writeJSON(w, ingestReply{Epoch: epoch, Accepted: len(lines) - len(rejected), Rejected: rejected})
+	writeJSON(w, ingestReply{Epoch: epoch, Accepted: n - len(rejected), Rejected: rejected})
 }
 
 func (inst *Instance) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -460,100 +481,54 @@ func (inst *Instance) fence(gen uint64) error {
 }
 
 func (inst *Instance) handleOwnership(w http.ResponseWriter, r *http.Request) {
-	var req ownershipRequest
-	if !readJSON(w, r, &req, maxControlBody) {
-		return
-	}
-	if err := inst.fence(req.Gen); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if err := inst.AdoptOwnership(req.Epoch, req.Ranges); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	writeJSON(w, map[string]any{"epoch": req.Epoch})
+	control(w, r, maxControlBody, http.StatusConflict, func(req ownershipRequest) (any, error) {
+		if err := inst.fence(req.Gen); err != nil {
+			return nil, err
+		}
+		return map[string]any{"epoch": req.Epoch}, inst.AdoptOwnership(req.Epoch, req.Ranges)
+	})
 }
 
 func (inst *Instance) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	var req handoffRequest
-	if !readJSON(w, r, &req, maxControlBody) {
-		return
-	}
-	if err := inst.fence(req.Gen); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if err := inst.HandoffTo(req.Epoch, req.Target, req.Ranges); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]any{"epoch": req.Epoch})
+	control(w, r, maxControlBody, http.StatusInternalServerError, func(req handoffRequest) (any, error) {
+		if err := inst.fence(req.Gen); err != nil {
+			return nil, err
+		}
+		return map[string]any{"epoch": req.Epoch}, inst.HandoffTo(req.Epoch, req.Target, req.Ranges)
+	})
 }
 
 func (inst *Instance) handleImport(w http.ResponseWriter, r *http.Request) {
-	var req importRequest
-	if !readJSON(w, r, &req, maxStateBody) {
-		return
-	}
-	if err := inst.Import(req); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]any{"epoch": req.Epoch})
+	control(w, r, maxStateBody, http.StatusInternalServerError, func(req importRequest) (any, error) {
+		return map[string]any{"epoch": req.Epoch}, inst.Import(req)
+	})
 }
 
 func (inst *Instance) handleTakeover(w http.ResponseWriter, r *http.Request) {
-	var req takeoverRequest
-	if !readJSON(w, r, &req, maxControlBody) {
-		return
-	}
-	if err := inst.fence(req.Gen); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if err := inst.Takeover(req); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]any{"epoch": req.Epoch})
+	control(w, r, maxControlBody, http.StatusInternalServerError, func(req takeoverRequest) (any, error) {
+		if err := inst.fence(req.Gen); err != nil {
+			return nil, err
+		}
+		return map[string]any{"epoch": req.Epoch}, inst.Takeover(req)
+	})
 }
 
 func (inst *Instance) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !readJSON(w, r, &req, maxControlBody) {
-		return
-	}
-	rep, err := inst.Lease(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, rep)
+	control(w, r, maxControlBody, http.StatusInternalServerError, func(req leaseRequest) (any, error) {
+		return inst.Lease(req)
+	})
 }
 
 func (inst *Instance) handleView(w http.ResponseWriter, r *http.Request) {
-	var req viewRequest
-	if !readJSON(w, r, &req, maxControlBody) {
-		return
-	}
-	if err := inst.InstallView(req); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	writeJSON(w, map[string]any{"epoch": req.View.Epoch})
+	control(w, r, maxControlBody, http.StatusConflict, func(req viewRequest) (any, error) {
+		return map[string]any{"epoch": req.View.Epoch}, inst.InstallView(req)
+	})
 }
 
 func (inst *Instance) handleResolve(w http.ResponseWriter, r *http.Request) {
-	var req resolveRequest
-	if !readJSON(w, r, &req, maxControlBody) {
-		return
-	}
-	if err := inst.Resolve(req); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	writeJSON(w, map[string]any{"epoch": req.Epoch, "commit": req.Commit})
+	control(w, r, maxControlBody, http.StatusConflict, func(req resolveRequest) (any, error) {
+		return map[string]any{"epoch": req.Epoch, "commit": req.Commit}, inst.Resolve(req)
+	})
 }
 
 // handleImported answers the successor coordinator's intent-resolution
@@ -579,13 +554,16 @@ func (inst *Instance) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		MetricsSnapshot: inst.s.SnapshotMetrics(),
 		ClusterEpoch:    epoch,
 		OwnedRanges:     len(ranges),
+		IngestBatches:   inst.batches.Load(),
 	})
 }
 
+// healthz is the liveness reply of both cluster tiers.
+func healthz(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, `{"status":"ok"}`) }
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func postJSON(client *http.Client, url string, req, reply any) error {

@@ -15,8 +15,8 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"desh/internal/persist"
@@ -55,19 +55,15 @@ type leaseReply struct {
 // lowestCandidate returns the lexically-lowest router name seen
 // polling recently enough to be considered live. Caller holds inst.mu.
 func (inst *Instance) lowestCandidate(now time.Time, ttl time.Duration) string {
-	names := make([]string, 0, len(inst.candidates))
+	lowest := ""
 	for name, seen := range inst.candidates {
 		if now.Sub(seen) > 3*ttl {
 			delete(inst.candidates, name)
-			continue
+		} else if lowest == "" || name < lowest {
+			lowest = name
 		}
-		names = append(names, name)
 	}
-	if len(names) == 0 {
-		return ""
-	}
-	sort.Strings(names)
-	return names[0]
+	return lowest
 }
 
 // Lease processes one acquire/renew/release poll. The grant rule:
@@ -148,10 +144,13 @@ func (inst *Instance) leaseReplyLocked(granted bool) leaseReply {
 // and always passes. Caller holds inst.mu (any mode).
 func (inst *Instance) fencedLocked(gen uint64) error {
 	if gen > 0 && gen < inst.leaseGen {
-		return fmt.Errorf("cluster: stale coordinator generation %d < %d", gen, inst.leaseGen)
+		return fmt.Errorf("%w %d < %d", errFenced, gen, inst.leaseGen)
 	}
 	return nil
 }
+
+// errFenced marks a control call the fence refused.
+var errFenced = errors.New("cluster: stale coordinator generation")
 
 // viewRequest installs a coordinator-pushed cluster view.
 type viewRequest struct {

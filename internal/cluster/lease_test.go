@@ -9,7 +9,7 @@ import (
 	"desh/internal/stream"
 )
 
-func newLeaseInstance(t *testing.T, dir string) *Instance {
+func newLeaseInstance(t testing.TB, dir string) *Instance {
 	t.Helper()
 	s, err := stream.New(freshPipeline(t), equivOpts(64, dir)...)
 	if err != nil {

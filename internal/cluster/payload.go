@@ -6,6 +6,8 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,4 +89,61 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 		return false
 	}
 	return true
+}
+
+// control serves one control-plane POST: the body decodes through
+// readJSON into a T, do applies it, and its reply goes back as JSON. A
+// failure answers failStatus — or 409 if the lease fence refused it.
+func control[T any](w http.ResponseWriter, r *http.Request, limit int64, failStatus int, do func(req T) (any, error)) {
+	var req T
+	if !readJSON(w, r, &req, limit) {
+		return
+	}
+	reply, err := do(req)
+	if errors.Is(err, errFenced) {
+		failStatus = http.StatusConflict
+	}
+	if err != nil {
+		http.Error(w, err.Error(), failStatus)
+		return
+	}
+	writeJSON(w, reply)
+}
+
+// maxLineBytes caps one raw log line at the cluster's text entries.
+const maxLineBytes = 1 << 20
+
+// ingestBody reads a /ingest POST under maxIngestBody, itself answering
+// a non-POST (405), an oversized body (413) and a failed read (400).
+func ingestBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	// Sized up front: growing to a router's ~100 KB body by doubling
+	// allocates several times the body per POST.
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxIngestBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	} else if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return buf.Bytes(), err == nil
+}
+
+// splitLines splits a text /ingest body into lines, refusing one over
+// maxLineBytes.
+func splitLines(body []byte) ([]string, error) {
+	var lines []string
+	sc := bufio.NewScanner(bytes.NewReader(body))
+	sc.Buffer(nil, maxLineBytes)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	return lines, sc.Err()
 }

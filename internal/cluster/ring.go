@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"desh/internal/persist"
@@ -43,7 +44,7 @@ func NewRing(members []string, vnodes int) *Ring {
 	}
 	ms := append([]string(nil), members...)
 	sort.Strings(ms)
-	ms = dedupeSorted(ms)
+	ms = slices.Compact(ms)
 	r := &Ring{members: ms, vnodes: vnodes}
 	r.points = make([]ringPoint, 0, len(ms)*vnodes)
 	for _, m := range ms {
@@ -136,17 +137,6 @@ func (r *Ring) Ranges(member string) []persist.HashRange {
 		merged = merged[:len(merged)-1]
 	}
 	return merged
-}
-
-func dedupeSorted(ms []string) []string {
-	out := ms[:0]
-	for i, m := range ms {
-		if i > 0 && m == out[len(out)-1] {
-			continue
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 // Intersect returns the arcs covered by both range sets — the ranges

@@ -1,16 +1,17 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"desh/internal/logparse"
 	"desh/internal/persist"
 	"desh/internal/persist/faultfs"
 	"desh/internal/retry"
@@ -59,7 +60,8 @@ type RouterConfig struct {
 	// Retry is the per-batch forward backoff (default: 10ms base, 1s
 	// cap, 4 attempts).
 	Retry retry.Policy
-	// BatchMax caps lines per forwarded POST (default 256).
+	// BatchMax caps events per forwarded POST (default 1024); a sender
+	// never waits for a batch to fill.
 	BatchMax int
 	// SendQueue bounds each peer's in-memory sender queue; overflow
 	// spills (default 4096).
@@ -90,9 +92,12 @@ type RouterConfig struct {
 // RouterMetrics is the router's own counter registry.
 type RouterMetrics struct {
 	// Forwarded counts lines accepted by an owner; ForwardErrors counts
-	// batches that exhausted their retries.
+	// batches that exhausted their retries; Posts counts the /ingest
+	// POSTs an owner answered 200 and WireBytes their bodies.
 	Forwarded     atomic.Int64
 	ForwardErrors atomic.Int64
+	Posts         atomic.Int64
+	WireBytes     atomic.Int64
 	// Malformed counts lines the router could not parse a node from.
 	Malformed atomic.Int64
 	// Spilled counts lines written to the spill WAL; Drained counts
@@ -123,6 +128,8 @@ type RouterMetricsSnapshot struct {
 	Epoch          uint64 `json:"cluster_epoch"`
 	Forwarded      int64  `json:"forwarded"`
 	ForwardErrors  int64  `json:"forward_errors"`
+	Posts          int64  `json:"posts"`
+	WireBytes      int64  `json:"wire_bytes"`
 	Malformed      int64  `json:"malformed"`
 	Spilled        int64  `json:"spilled"`
 	Drained        int64  `json:"drained"`
@@ -139,7 +146,7 @@ type RouterMetricsSnapshot struct {
 
 type peerState struct {
 	Peer
-	ch       chan string
+	ch       chan logparse.Event
 	healthy  atomic.Bool
 	inflight atomic.Int64
 	// stop ends this peer's sender/health goroutines when the member
@@ -154,6 +161,13 @@ type peerState struct {
 	oks   int
 	// inRing is guarded by Router.mu.
 	inRing bool
+}
+
+// newPeerState builds a peer's state; healthy starts as inRing.
+func newPeerState(p Peer, queue int, inRing bool) *peerState {
+	ps := &peerState{Peer: p, ch: make(chan logparse.Event, queue), stop: make(chan struct{}), inRing: inRing}
+	ps.healthy.Store(inRing)
+	return ps
 }
 
 // Router is the fault-tolerant ingest tier: it parses incoming lines,
@@ -222,44 +236,22 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.SpillDir == "" {
 		return nil, fmt.Errorf("cluster: router needs a spill dir")
 	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = defaultVnodes
-	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 250 * time.Millisecond
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.ReadmitThreshold <= 0 {
-		cfg.ReadmitThreshold = 3
-	}
-	if cfg.DrainInterval <= 0 {
-		cfg.DrainInterval = 250 * time.Millisecond
-	}
+	orDefault(&cfg.Vnodes, defaultVnodes)
+	orDefault(&cfg.HealthInterval, 250*time.Millisecond)
+	orDefault(&cfg.HealthTimeout, time.Second)
+	orDefault(&cfg.FailThreshold, 3)
+	orDefault(&cfg.ReadmitThreshold, 3)
+	orDefault(&cfg.DrainInterval, 250*time.Millisecond)
 	if cfg.Retry.Attempts == 0 {
 		cfg.Retry.Attempts = 4
 	}
-	if cfg.Retry.MaxElapsed <= 0 {
-		cfg.Retry.MaxElapsed = 15 * time.Second
-	}
+	orDefault(&cfg.Retry.MaxElapsed, 15*time.Second)
 	if cfg.Name != "" {
-		if cfg.LeaseTTL <= 0 {
-			cfg.LeaseTTL = 2 * time.Second
-		}
-		if cfg.ElectionInterval <= 0 {
-			cfg.ElectionInterval = cfg.LeaseTTL / 3
-		}
+		orDefault(&cfg.LeaseTTL, 2*time.Second)
+		orDefault(&cfg.ElectionInterval, cfg.LeaseTTL/3)
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 256
-	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = 4096
-	}
+	orDefault(&cfg.BatchMax, 1024)
+	orDefault(&cfg.SendQueue, 4096)
 	fsys := faultfs.OS()
 	if err := fsys.MkdirAll(cfg.SpillDir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: spill dir: %w", err)
@@ -285,8 +277,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			spill.Close()
 			return nil, fmt.Errorf("cluster: duplicate peer name %q", p.Name)
 		}
-		ps := &peerState{Peer: p, ch: make(chan string, cfg.SendQueue), stop: make(chan struct{}), inRing: true}
-		ps.healthy.Store(true)
+		ps := newPeerState(p, cfg.SendQueue, true)
 		peers[p.Name] = ps
 		names = append(names, p.Name)
 		members = append(members, persist.ViewMember{Name: p.Name, URL: p.URL, Dir: p.Dir, State: persist.StateIn})
@@ -315,18 +306,23 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		// Replicated deployment: ownership and views converge through the
 		// elected coordinator, never through every router's boot — two
 		// routers pushing epoch 1 concurrently would be two authorities.
-		r.wg.Add(1)
-		go r.electLoop()
+		r.goTracked(r.electLoop)
 	} else {
 		r.coordinator.Store(true)
-		r.pushOwnership(1, r.ring, names)
+		r.pushOwnershipView(r.view)
 	}
 	for _, ps := range peers {
 		r.startPeer(ps)
 	}
-	r.wg.Add(1)
-	go r.drainLoop()
+	r.goTracked(r.drainLoop)
 	return r, nil
+}
+
+// orDefault replaces a setting left at zero (or below) by its default.
+func orDefault[T int | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
 }
 
 func (r *Router) diagf(format string, args ...any) {
@@ -342,15 +338,20 @@ func (r *Router) Epoch() uint64 {
 	return r.epoch
 }
 
-// IngestLine routes one raw log line to its node's owner. Lines that
-// cannot be delivered right now spill durably and redeliver later;
-// only parse failures are returned.
+// IngestLine routes one raw log line to its node's owner, parsing it
+// here and nowhere after: the event is what is queued, spilled and sent.
+// Lines that cannot be delivered right now spill durably and redeliver
+// later; only parse failures are returned.
 func (r *Router) IngestLine(line string) error {
 	r.closeMu.Lock()
 	closed := r.closed
 	r.closeMu.Unlock()
 	if closed {
 		return ErrRouterClosed
+	}
+	if len(line) > maxLineBytes {
+		r.met.Malformed.Add(1)
+		return fmt.Errorf("cluster: line of %d bytes exceeds %d", len(line), maxLineBytes)
 	}
 	ev, err := parseLine(line)
 	if err != nil {
@@ -360,31 +361,31 @@ func (r *Router) IngestLine(line string) error {
 	if ev.Node == "" { // blank
 		return nil
 	}
-	r.route(line, ev.Node)
+	r.route(ev)
 	return nil
 }
 
-// route enqueues a line for its owner's sender, spilling when the
+// route enqueues an event for its owner's sender, spilling when the
 // owner is unknown, unhealthy, or backlogged.
-func (r *Router) route(line, node string) {
+func (r *Router) route(ev logparse.Event) {
 	r.mu.RLock()
-	owner := r.ring.Owner(persist.NodeHash(node))
+	owner := r.ring.Owner(persist.NodeHash(ev.Node))
 	ps := r.peers[owner]
 	r.mu.RUnlock()
-	if ps == nil || !ps.healthy.Load() {
-		r.spillLine(line)
-		return
+	if ps != nil && ps.healthy.Load() {
+		select {
+		case ps.ch <- ev:
+			return
+		default:
+		}
 	}
-	select {
-	case ps.ch <- line:
-	default:
-		r.spillLine(line)
-	}
+	r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
 }
 
-func (r *Router) spillLine(line string) {
+// spillRecord appends one event record to the spill WAL.
+func (r *Router) spillRecord(rec []byte) {
 	r.spillMu.Lock()
-	_, err := r.spill.Append([]byte(line))
+	_, err := r.spill.Append(rec)
 	if err == nil {
 		r.spillN++
 	}
@@ -397,45 +398,52 @@ func (r *Router) spillLine(line string) {
 	r.met.Spilled.Add(1)
 }
 
-// sender is one peer's delivery goroutine: it coalesces queued lines
+// maxWireBody is where a sender cuts a body short of BatchMax events:
+// far enough under maxIngestBody that the record which crosses it (a
+// line is at most maxLineBytes, its record under three times that)
+// still fits, so a full batch never trips its own peer's cap.
+const maxWireBody = maxIngestBody - 3*maxLineBytes
+
+// sender is one peer's delivery goroutine: it coalesces queued events
 // into batches and POSTs them with bounded retry, spilling what it
 // cannot deliver. One goroutine per peer keeps per-peer delivery FIFO.
 func (r *Router) sender(ps *peerState) {
-	defer r.wg.Done()
+	var batch persist.EventBatch
 	for {
 		select {
 		case <-r.ctx.Done():
 			return
 		case <-ps.stop:
 			return
-		case line := <-ps.ch:
-			batch := append(make([]string, 0, r.cfg.BatchMax), line)
+		case ev := <-ps.ch:
+			batch.Reset()
+			batch.Add(ev)
 		fill:
-			for len(batch) < r.cfg.BatchMax {
+			for batch.Len() < r.cfg.BatchMax && len(batch.Bytes()) < maxWireBody {
 				select {
 				case more := <-ps.ch:
-					batch = append(batch, more)
+					batch.Add(more)
 				default:
 					break fill
 				}
 			}
 			ps.inflight.Add(1)
-			r.sendBatch(ps, batch)
+			r.sendBatch(ps, &batch)
 			ps.inflight.Add(-1)
 		}
 	}
 }
 
-func (r *Router) sendBatch(ps *peerState, batch []string) {
-	body := strings.Join(batch, "\n")
+func (r *Router) sendBatch(ps *peerState, batch *persist.EventBatch) {
+	n := batch.Len()
 	var reply ingestReply
 	err := r.cfg.Retry.DoCtx(r.ctx, func(ctx context.Context) error {
 		reply = ingestReply{}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.URL+"/ingest", strings.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.URL+"/ingest", bytes.NewReader(batch.Bytes()))
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "text/plain")
+		req.Header.Set("Content-Type", recordContentType)
 		resp, err := r.client.Do(req)
 		if err != nil {
 			return err
@@ -447,22 +455,24 @@ func (r *Router) sendBatch(ps *peerState, batch []string) {
 		return json.NewDecoder(resp.Body).Decode(&reply)
 	})
 	if err != nil {
-		// Undeliverable for now: every line in the batch spills, the
+		// Undeliverable for now: every event in the batch spills, the
 		// health loop decides the peer's fate.
 		r.met.ForwardErrors.Add(1)
-		for _, line := range batch {
-			r.spillLine(line)
+		for i := 0; i < n; i++ {
+			r.spillRecord(batch.Record(i))
 		}
 		return
 	}
-	r.met.Forwarded.Add(int64(len(batch) - len(reply.Rejected)))
+	r.met.Posts.Add(1)
+	r.met.WireBytes.Add(int64(len(batch.Bytes())))
+	r.met.Forwarded.Add(int64(n - len(reply.Rejected)))
 	if len(reply.Rejected) > 0 {
-		// Bounced lines (not owned / frozen) respool in order; the drain
+		// Bounced events (not owned / frozen) respool in order; the drain
 		// redelivers them to whoever owns the range by then.
 		r.met.RejectedLines.Add(int64(len(reply.Rejected)))
 		for _, i := range reply.Rejected {
-			if i >= 0 && i < len(batch) {
-				r.spillLine(batch[i])
+			if i >= 0 && i < n {
+				r.spillRecord(batch.Record(i))
 			}
 		}
 	}
@@ -470,7 +480,6 @@ func (r *Router) sendBatch(ps *peerState, batch []string) {
 
 // drainLoop periodically redelivers the spill WAL.
 func (r *Router) drainLoop() {
-	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.DrainInterval)
 	defer t.Stop()
 	for {
@@ -504,10 +513,22 @@ func (r *Router) drainSpill() {
 	}
 	r.spillN = 0
 	r.spillMu.Unlock()
-	var lines []string
+	var evs []logparse.Event
 	_, rerr := persist.ReplayWAL(r.fsys, r.cfg.SpillDir, 0, func(seq uint64, payload []byte) error {
-		if seq < boundary {
-			lines = append(lines, string(payload))
+		if seq >= boundary || len(payload) == 0 {
+			return nil
+		}
+		if payload[0] == persist.RecEvent {
+			if rec, err := persist.DecodeEvent(payload[1:]); err == nil {
+				evs = append(evs, rec.Event())
+			}
+			return nil
+		}
+		// A spill dir written before records went on the wire holds raw
+		// lines (first byte a timestamp digit, never RecEvent); they
+		// drain through the parser one last time.
+		if ev, err := parseLine(string(payload)); err == nil && ev.Node != "" {
+			evs = append(evs, ev)
 		}
 		return nil
 	})
@@ -517,20 +538,15 @@ func (r *Router) drainSpill() {
 		r.met.SpillErrors.Add(1)
 		r.diagf("cluster: spill replay: %v", rerr)
 	}
-	for _, line := range lines {
-		ev, err := parseLine(line)
-		if err != nil || ev.Node == "" {
-			continue
-		}
-		r.route(line, ev.Node)
+	for _, ev := range evs {
+		r.route(ev)
 	}
 	_ = r.spill.RemoveSegmentsBelow(boundary)
-	r.met.Drained.Add(int64(len(lines)))
+	r.met.Drained.Add(int64(len(evs)))
 }
 
 // healthLoop probes one peer until shutdown.
 func (r *Router) healthLoop(ps *peerState) {
-	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.HealthInterval)
 	defer t.Stop()
 	for {
@@ -563,7 +579,7 @@ func (r *Router) probe(ps *peerState) {
 	if ok {
 		ps.fails = 0
 		ps.oks++
-		if !inRing && ps.oks >= r.cfg.ReadmitThreshold && r.isCoordinator() {
+		if !inRing && ps.oks >= r.cfg.ReadmitThreshold && r.IsCoordinator() {
 			r.readmit(ps)
 		} else if inRing && !ps.healthy.Load() && ps.oks >= r.cfg.ReadmitThreshold {
 			// A router that locally marked an in-ring peer down resumes
@@ -575,7 +591,7 @@ func (r *Router) probe(ps *peerState) {
 	ps.oks = 0
 	ps.fails++
 	if inRing && ps.fails >= r.cfg.FailThreshold {
-		if r.isCoordinator() {
+		if r.IsCoordinator() {
 			r.eject(ps)
 		} else if ps.healthy.Load() {
 			// Only the coordinator mutates the cluster view; every other
@@ -614,29 +630,58 @@ func (r *Router) eject(dead *peerState) {
 	if len(alive) == 0 {
 		return // everything spills until someone comes back
 	}
-	deadRanges := oldRing.Ranges(dead.Name)
-	if dead.Dir != "" {
-		newRing := NewRing(alive, r.cfg.Vnodes)
-		for _, name := range alive {
-			moved := Intersect(deadRanges, newRing.Ranges(name))
-			if len(moved) == 0 {
-				continue
-			}
-			sp := r.peerByName(name)
-			if sp == nil {
-				continue
-			}
-			if err := postJSON(r.client, sp.URL+"/cluster/takeover",
-				takeoverRequest{Gen: r.genFor(name), Epoch: v2.Epoch, Dir: dead.Dir, Ranges: moved}, nil); err != nil {
-				// The survivor serves these ranges cold: state continuity is
-				// lost but rerouted events still flow once ownership lands.
-				r.met.TakeoverErrors.Add(1)
-				r.diagf("cluster: takeover by %s from %s failed: %v", name, dead.Dir, err)
-			}
-		}
-	}
+	r.takeover(oldRing.Ranges(dead.Name), dead.Dir, v2)
 	r.pushView(v2)
 	r.pushOwnershipView(v2)
+}
+
+// takeover has v2's in-ring members rebuild, from the state directory
+// dir, the parts of a departed member's ranges that v2's ring gives
+// them. A survivor whose takeover fails serves those ranges cold: state
+// continuity is lost, rerouted events still flow. No-op without a dir.
+func (r *Router) takeover(deadRanges []persist.HashRange, dir string, v2 persist.ViewRecord) {
+	if dir == "" {
+		return
+	}
+	survivors := v2.RingMembers()
+	newRing := NewRing(survivors, r.cfg.Vnodes)
+	for _, name := range survivors {
+		sp := r.peerByName(name)
+		moved := Intersect(deadRanges, newRing.Ranges(name))
+		if sp == nil || len(moved) == 0 {
+			continue
+		}
+		if err := postJSON(r.client, sp.URL+"/cluster/takeover",
+			takeoverRequest{Gen: r.genFor(name), Epoch: v2.Epoch, Dir: dir, Ranges: moved}, nil); err != nil {
+			r.met.TakeoverErrors.Add(1)
+			r.diagf("cluster: takeover by %s from %s failed: %v", name, dir, err)
+		}
+	}
+}
+
+// handoffGained has the healthy current owners live-hand-off to target
+// the ranges it gains at epoch; a failed handoff is counted and the
+// range served cold. A non-empty step is the rebalance step boundary
+// crossed before each handoff, and the only source of an error.
+func (r *Router) handoffGained(oldRing *Ring, gained []persist.HashRange, epoch uint64, target Peer, step string) error {
+	for _, owner := range oldRing.Members() {
+		src := r.peerByName(owner)
+		moved := Intersect(oldRing.Ranges(owner), gained)
+		if owner == target.Name || src == nil || !src.healthy.Load() || len(moved) == 0 {
+			continue
+		}
+		if step != "" {
+			if err := r.step(step); err != nil {
+				return err
+			}
+		}
+		if err := postJSON(r.client, src.URL+"/cluster/handoff",
+			handoffRequest{Gen: r.genFor(owner), Epoch: epoch, Target: target.URL, Ranges: moved}, nil); err != nil {
+			r.met.HandoffErrors.Add(1)
+			r.diagf("cluster: handoff %s -> %s failed: %v", owner, target.Name, err)
+		}
+	}
+	return nil
 }
 
 // readmit returns a recovered peer to the ring after probation: the
@@ -664,28 +709,8 @@ func (r *Router) readmit(ps *peerState) {
 	v2.Epoch++
 	newRing := NewRing(v2.RingMembers(), r.cfg.Vnodes)
 	r.diagf("cluster: peer %s rejoining at epoch %d", ps.Name, v2.Epoch)
-	gained := newRing.Ranges(ps.Name)
-	for _, owner := range oldRing.Members() {
-		if owner == ps.Name {
-			continue
-		}
-		src := r.peerByName(owner)
-		if src == nil || !src.healthy.Load() {
-			continue
-		}
-		moved := Intersect(oldRing.Ranges(owner), gained)
-		if len(moved) == 0 {
-			continue
-		}
-		if err := postJSON(r.client, src.URL+"/cluster/handoff",
-			handoffRequest{Gen: r.genFor(owner), Epoch: v2.Epoch, Target: ps.URL, Ranges: moved}, nil); err != nil {
-			r.met.HandoffErrors.Add(1)
-			r.diagf("cluster: handoff %s -> %s failed: %v", owner, ps.Name, err)
-		}
-	}
-	r.installView(v2) // the ejected→in transition flips healthy back on
-	r.pushView(v2)
-	r.pushOwnershipView(v2)
+	_ = r.handoffGained(oldRing, newRing.Ranges(ps.Name), v2.Epoch, ps.Peer, "")
+	r.commitView(v2) // installing the ejected→in transition flips healthy back on
 	r.met.Readmits.Add(1)
 	r.met.Rebalances.Add(1)
 	r.diagf("cluster: peer %s readmitted at epoch %d", ps.Name, v2.Epoch)
@@ -714,12 +739,7 @@ func (r *Router) installView(v persist.ViewRecord) bool {
 		seen[m.Name] = true
 		ps := r.peers[m.Name]
 		if ps == nil {
-			ps = &peerState{
-				Peer: Peer{Name: m.Name, URL: m.URL, Dir: m.Dir},
-				ch:   make(chan string, r.cfg.SendQueue),
-				stop: make(chan struct{}),
-			}
-			ps.healthy.Store(m.InRing())
+			ps = newPeerState(Peer{Name: m.Name, URL: m.URL, Dir: m.Dir}, r.cfg.SendQueue, m.InRing())
 			r.peers[m.Name] = ps
 			started = append(started, ps)
 		} else if om, ok := old.Member(m.Name); ok && om.InRing() != m.InRing() {
@@ -753,29 +773,22 @@ func setMemberState(v *persist.ViewRecord, name, state string) {
 	}
 }
 
-// startPeer launches a peer's sender and health goroutines, refusing
-// quietly once shutdown has begun.
+// startPeer launches a peer's sender and health goroutines (neither
+// starts once shutdown has begun).
 func (r *Router) startPeer(ps *peerState) {
-	r.closeMu.Lock()
-	if r.closed {
-		r.closeMu.Unlock()
-		return
-	}
-	r.wg.Add(2)
-	r.closeMu.Unlock()
-	go r.sender(ps)
-	go r.healthLoop(ps)
+	r.goTracked(func() { r.sender(ps) })
+	r.goTracked(func() { r.healthLoop(ps) })
 }
 
 // stopPeer ends a departed member's goroutines and respills whatever
-// was queued for it — the next drain re-routes those lines to the
+// was queued for it — the next drain re-routes those events to the
 // ranges' new owners.
 func (r *Router) stopPeer(ps *peerState) {
 	close(ps.stop)
 	for {
 		select {
-		case line := <-ps.ch:
-			r.spillLine(line)
+		case ev := <-ps.ch:
+			r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
 		default:
 			return
 		}
@@ -816,20 +829,6 @@ func (r *Router) genFor(name string) uint64 {
 		return ps.leaseGen.Load()
 	}
 	return 0
-}
-
-// pushOwnership installs the ring's assignment on every named peer.
-func (r *Router) pushOwnership(epoch uint64, ring *Ring, names []string) {
-	for _, name := range names {
-		ps := r.peerByName(name)
-		if ps == nil {
-			continue
-		}
-		req := ownershipRequest{Gen: r.genFor(name), Epoch: epoch, Ranges: ring.Ranges(name)}
-		if err := postJSON(r.client, ps.URL+"/cluster/ownership", req, nil); err != nil {
-			r.diagf("cluster: ownership push to %s: %v", name, err)
-		}
-	}
 }
 
 // Flush drives the router to quiescence: every queued, in-flight and
@@ -882,28 +881,29 @@ func (r *Router) quiescent() bool {
 // WaitGroup goroutine Close waits for).
 func (r *Router) Kill() {
 	r.killed.Store(true)
+	r.shut()
+}
+
+// shut stops ingest and cancels every background goroutine, reporting
+// whether this call was the one that did.
+func (r *Router) shut() bool {
 	r.closeMu.Lock()
+	defer r.closeMu.Unlock()
 	if r.closed {
-		r.closeMu.Unlock()
-		return
+		return false
 	}
 	r.closed = true
-	r.closeMu.Unlock()
 	r.cancel()
+	return true
 }
 
 // Close stops ingest and every background goroutine, then closes the
 // spill WAL. Undelivered spill records stay on disk and redeliver on
 // the next start.
 func (r *Router) Close() error {
-	r.closeMu.Lock()
-	if r.closed {
-		r.closeMu.Unlock()
+	if !r.shut() {
 		return nil
 	}
-	r.closed = true
-	r.closeMu.Unlock()
-	r.cancel()
 	r.wg.Wait()
 	r.spillMu.Lock()
 	defer r.spillMu.Unlock()
@@ -916,6 +916,8 @@ func (r *Router) Metrics() RouterMetricsSnapshot {
 		Epoch:          r.Epoch(),
 		Forwarded:      r.met.Forwarded.Load(),
 		ForwardErrors:  r.met.ForwardErrors.Load(),
+		Posts:          r.met.Posts.Load(),
+		WireBytes:      r.met.WireBytes.Load(),
 		Malformed:      r.met.Malformed.Load(),
 		Spilled:        r.met.Spilled.Load(),
 		Drained:        r.met.Drained.Load(),
@@ -926,7 +928,7 @@ func (r *Router) Metrics() RouterMetricsSnapshot {
 		Rebalances:     r.met.Rebalances.Load(),
 		HandoffErrors:  r.met.HandoffErrors.Load(),
 		TakeoverErrors: r.met.TakeoverErrors.Load(),
-		Coordinator:    r.isCoordinator(),
+		Coordinator:    r.IsCoordinator(),
 		Elections:      r.met.Elections.Load(),
 	}
 }
@@ -940,8 +942,4 @@ func (r *Router) View() persist.ViewRecord {
 
 // IsCoordinator reports whether this router currently holds the
 // coordinator role (always true when election is disabled).
-func (r *Router) IsCoordinator() bool { return r.isCoordinator() }
-
-func (r *Router) isCoordinator() bool {
-	return !r.election || r.coordinator.Load()
-}
+func (r *Router) IsCoordinator() bool { return !r.election || r.coordinator.Load() }

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,12 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"desh/internal/logparse"
 	"desh/internal/logsim"
+	"desh/internal/persist"
 )
 
-// fakePeer is a scripted cluster instance: it records delivered lines
-// and can play dead (everything 503s) or bounce lines (rejected
-// indices) on command.
+// fakePeer is a scripted cluster instance: it decodes the record
+// batches a router sends, records each delivered event as the line it
+// was parsed from, and can play dead (everything 503s) or bounce
+// events (rejected indices) on command.
 type fakePeer struct {
 	down      atomic.Bool
 	rejectAll atomic.Bool
@@ -39,10 +42,21 @@ func newFakePeer() *fakePeer {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
 		}
+		if ct := r.Header.Get("Content-Type"); ct != recordContentType {
+			http.Error(w, "router sent "+ct, http.StatusUnsupportedMediaType)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		var batch []string
-		sc := bufio.NewScanner(r.Body)
-		for sc.Scan() {
-			batch = append(batch, sc.Text())
+		if err := persist.DecodeEventBatch(body, func(ev logparse.Event, _ []byte) {
+			batch = append(batch, ev.Time.Format(logparse.TimeLayout)+" "+ev.Node+" "+ev.Message)
+		}); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		reply := ingestReply{}
 		if p.rejectAll.Load() {
@@ -81,7 +95,7 @@ func (p *fakePeer) snapshot() map[string]int {
 }
 
 // testLines generates parseable log lines cheaply (no training).
-func testLines(t *testing.T, nodes int, seed int64) []string {
+func testLines(t testing.TB, nodes int, seed int64) []string {
 	t.Helper()
 	run, err := logsim.Generate(logsim.Config{
 		Profile: logsim.Profiles()[2], Nodes: nodes, Hours: 1, Failures: 2, Seed: seed,

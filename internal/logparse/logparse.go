@@ -91,6 +91,19 @@ func ParseLine(line string) (Event, error) {
 	return Event{Time: ts, Node: node, Message: msg, Key: catalog.Mask(msg)}, nil
 }
 
+// IsBlank reports whether line holds nothing but whitespace — what
+// every ingest entry point skips instead of handing to ParseLine.
+func IsBlank(line string) bool {
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // ParseReader parses every line from r, skipping blank lines. It stops
 // at the first malformed line and returns the events parsed so far
 // together with the error.

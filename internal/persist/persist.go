@@ -29,6 +29,8 @@ import (
 	"hash/crc32"
 	"math"
 	"time"
+
+	"desh/internal/logparse"
 )
 
 // ErrCorrupt reports framing damage: bad magic, impossible length, or a
@@ -60,6 +62,18 @@ type EventRecord struct {
 	Node     string
 	Message  string
 	Key      string
+}
+
+// RecordOf is the event's record; Event is its inverse. Together they
+// are the one mapping between a parsed event and what the WAL, the
+// router's spill WAL and the router→instance hop all carry.
+func RecordOf(ev logparse.Event) EventRecord {
+	return EventRecord{TimeNano: ev.Time.UnixNano(), Node: ev.Node, Message: ev.Message, Key: ev.Key}
+}
+
+// Event rebuilds the parsed event a record was made from.
+func (r EventRecord) Event() logparse.Event {
+	return logparse.Event{Time: time.Unix(0, r.TimeNano).UTC(), Node: r.Node, Message: r.Message, Key: r.Key}
 }
 
 // AlertRecord is the WAL payload of one delivered alert. The tuple
@@ -116,17 +130,24 @@ func readString(b []byte) (string, []byte, error) {
 
 // EncodeEvent frames an event record (type byte included).
 func EncodeEvent(rec EventRecord) []byte {
-	b := make([]byte, 0, 1+10+len(rec.Node)+len(rec.Message)+len(rec.Key)+6)
-	b = append(b, RecEvent)
-	b = binary.AppendVarint(b, rec.TimeNano)
-	b = appendString(b, rec.Node)
-	b = appendString(b, rec.Message)
-	b = appendString(b, rec.Key)
-	return b
+	return AppendEvent(make([]byte, 0, 1+10+len(rec.Node)+len(rec.Message)+len(rec.Key)+6), rec)
+}
+
+// AppendEvent appends EncodeEvent(rec) to dst — the allocation-free
+// form for callers that frame many records into one reused buffer.
+func AppendEvent(dst []byte, rec EventRecord) []byte {
+	dst = append(dst, RecEvent)
+	dst = binary.AppendVarint(dst, rec.TimeNano)
+	dst = appendString(dst, rec.Node)
+	dst = appendString(dst, rec.Message)
+	dst = appendString(dst, rec.Key)
+	return dst
 }
 
 // DecodeEvent parses a record produced by EncodeEvent (after the type
-// byte has been consumed by the caller's dispatch).
+// byte has been consumed by the caller's dispatch). The three strings
+// are substrings of one copy of b — one allocation per record — so the
+// record never aliases the caller's buffer.
 func DecodeEvent(b []byte) (EventRecord, error) {
 	var rec EventRecord
 	t, k := binary.Varint(b)
@@ -134,18 +155,30 @@ func DecodeEvent(b []byte) (EventRecord, error) {
 		return rec, ErrCorrupt
 	}
 	rec.TimeNano = t
-	var err error
 	b = b[k:]
-	if rec.Node, b, err = readString(b); err != nil {
+	s := string(b)
+	var err error
+	if rec.Node, s, b, err = cutString(s, b); err != nil {
 		return rec, err
 	}
-	if rec.Message, b, err = readString(b); err != nil {
+	if rec.Message, s, b, err = cutString(s, b); err != nil {
 		return rec, err
 	}
-	if rec.Key, _, err = readString(b); err != nil {
+	if rec.Key, _, _, err = cutString(s, b); err != nil {
 		return rec, err
 	}
 	return rec, nil
+}
+
+// cutString is readString with s a string copy of b: the field comes
+// out as a substring of s, and both advance past it.
+func cutString(s string, b []byte) (field, srest string, brest []byte, err error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || uint64(len(b)-k) < n {
+		return "", "", nil, ErrCorrupt
+	}
+	end := k + int(n)
+	return s[k:end], s[end:], b[end:], nil
 }
 
 // EncodeAlert frames an alert record.

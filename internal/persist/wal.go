@@ -37,17 +37,22 @@ const (
 const DefaultSegmentBytes = 64 << 20
 
 // WAL is the append side of the write-ahead log. Appends are
-// serialized internally and written through to the OS on every record
-// (a process kill loses nothing); fsync happens every SyncEvery
-// records and on Rotate/Close, so an OS crash loses at most the last
-// SyncEvery records.
+// serialized internally and written through to the OS — one write per
+// Append or AppendBatch call (a process kill loses nothing the call
+// returned for); fsync happens every SyncEvery records and on
+// Rotate/Close, so an OS crash loses at most the last SyncEvery
+// records (rounded up to a whole batch).
 type WAL struct {
 	fs  faultfs.FS
 	dir string
 
-	mu          sync.Mutex
-	f           faultfs.File
-	w           *bufio.Writer
+	mu  sync.Mutex
+	f   faultfs.File
+	buf []byte // the frames of the call in progress, reused
+	// err is the first failed write. The segment may end in a partial
+	// frame from then on, so every later append is refused with the same
+	// error rather than written behind a tear replay would stop at.
+	err         error
 	seq         uint64 // next sequence number to assign
 	segBytes    int64
 	maxBytes    int64
@@ -118,40 +123,62 @@ func (w *WAL) openSegment() error {
 		return fmt.Errorf("persist: wal segment: %w", err)
 	}
 	w.f = f
-	w.w = bufio.NewWriterSize(f, 32*1024)
 	w.segBytes = 0
 	return nil
 }
 
+// maxRetainedBuf caps the frame buffer kept between calls: one huge
+// record (a shipped handoff state) must not pin its size forever.
+const maxRetainedBuf = 1 << 20
+
 // Append frames and writes one record, returning its sequence number.
 // The record reaches the OS before Append returns.
 func (w *WAL) Append(payload []byte) (uint64, error) {
+	one := [1][]byte{payload}
+	return w.AppendBatch(one[:])
+}
+
+// AppendBatch frames the payloads as consecutive records and hands
+// them to the OS in one write, returning the first record's sequence
+// number (the rest follow contiguously). All of them reach the OS
+// before it returns; a crash inside the write leaves a prefix of whole
+// records and at most one torn one, which replay drops. The fsync
+// cadence advances by the batch as one step, and a segment rotates
+// only between batches.
+func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, fmt.Errorf("persist: wal is closed")
 	}
-	if len(payload) > MaxRecord {
-		return 0, fmt.Errorf("persist: wal record %d bytes exceeds MaxRecord", len(payload))
+	if w.err != nil {
+		return 0, w.err
 	}
-	var hdr [walHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], Checksum(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return 0, err
-	}
-	// Flush through to the OS: a killed process loses nothing already
-	// appended; fsync cadence below covers machine crashes.
-	if err := w.w.Flush(); err != nil {
-		return 0, err
+	for _, payload := range payloads {
+		if len(payload) > MaxRecord {
+			return 0, fmt.Errorf("persist: wal record %d bytes exceeds MaxRecord", len(payload))
+		}
 	}
 	seq := w.seq
-	w.seq++
-	w.segBytes += int64(walHeaderLen + len(payload))
-	w.unsynced++
+	if len(payloads) == 0 {
+		return seq, nil
+	}
+	buf := w.buf[:0]
+	for _, payload := range payloads {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, Checksum(payload))
+		buf = append(buf, payload...)
+	}
+	if cap(buf) <= maxRetainedBuf {
+		w.buf = buf
+	}
+	if _, err := w.f.Write(buf); err != nil {
+		w.err = fmt.Errorf("persist: wal write: %w", err)
+		return 0, w.err
+	}
+	w.seq += uint64(len(payloads))
+	w.segBytes += int64(len(buf))
+	w.unsynced += len(payloads)
 	if w.unsynced >= w.syncEvery {
 		if err := w.f.Sync(); err != nil {
 			return seq, err
@@ -190,8 +217,8 @@ func (w *WAL) Rotate() (uint64, error) {
 }
 
 func (w *WAL) rotateLocked() error {
-	if err := w.w.Flush(); err != nil {
-		return err
+	if w.err != nil {
+		return w.err // a new segment must not follow a torn one
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
@@ -246,9 +273,6 @@ func (w *WAL) Sync() error {
 	if w.closed {
 		return nil
 	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
 	w.unsynced = 0
 	return w.f.Sync()
 }
@@ -261,10 +285,6 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return err

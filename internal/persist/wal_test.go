@@ -1,11 +1,15 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
+	"desh/internal/logparse"
 	"desh/internal/persist/faultfs"
 )
 
@@ -229,5 +233,193 @@ func TestRecordCodecs(t *testing.T) {
 	}
 	if _, err := DecodeAlert([]byte{2}); err == nil {
 		t.Fatal("truncated alert must fail")
+	}
+}
+
+// TestWALAppendBatch: a batch is one write of contiguous records — the
+// bytes on disk are exactly what appending them one at a time leaves —
+// and the fsync cadence counts the batch's records, not the call.
+func TestWALAppendBatch(t *testing.T) {
+	recs := [][]byte{[]byte("alpha"), []byte("be"), []byte("gamma-gamma")}
+	segment := func(batch bool) []byte {
+		dir := t.TempDir()
+		fault := faultfs.NewFault(faultfs.OS())
+		w, err := OpenWAL(fault, dir, 7, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fault.Mutations()
+		if batch {
+			first, err := w.AppendBatch(recs)
+			if err != nil || first != 7 {
+				t.Fatalf("AppendBatch: first seq %d, err %v", first, err)
+			}
+			// One write plus the fsync the third record makes due.
+			if got := fault.Mutations() - before; got != 2 {
+				t.Fatalf("batch of 3 at syncEvery 3 made %d mutations, want 2 (write + sync)", got)
+			}
+		} else {
+			appendAll(t, w, recs...)
+		}
+		if got := w.NextSeq(); got != 10 {
+			t.Fatalf("NextSeq %d want 10", got)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(segPath(dir, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if batched, single := segment(true), segment(false); !bytes.Equal(batched, single) {
+		t.Fatalf("batched segment differs from record-at-a-time segment:\n%x\n%x", batched, single)
+	}
+	// An empty batch writes nothing and consumes no sequence number.
+	dir := t.TempDir()
+	w, err := OpenWAL(faultfs.OS(), dir, 0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if first, err := w.AppendBatch(nil); err != nil || first != 0 || w.NextSeq() != 0 {
+		t.Fatalf("empty batch: first %d next %d err %v", first, w.NextSeq(), err)
+	}
+	if _, err := w.AppendBatch([][]byte{[]byte("ok"), make([]byte, MaxRecord+1)}); err == nil {
+		t.Fatal("oversized record in a batch must fail the batch")
+	}
+	if w.NextSeq() != 0 {
+		t.Fatal("a refused batch must not write its valid prefix")
+	}
+}
+
+// TestWALAppendBatchTornTail: a crash inside a batch's one write leaves
+// whole records followed by a torn one. Replay delivers the whole
+// prefix, drops only the torn record, and the WAL refuses further
+// appends rather than write behind the tear.
+func TestWALAppendBatchTornTail(t *testing.T) {
+	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte("delta")}
+	frame := func(i int) int { return walHeaderLen + len(recs[i]) }
+	for _, tc := range []struct {
+		name string
+		torn int // bytes of the batch write that land
+		want int // batch records that replay
+	}{
+		{"inside the first header", 3, 0},
+		{"inside the second payload", frame(0) + walHeaderLen + 2, 1},
+		{"on a record boundary", frame(0) + frame(1), 2},
+		{"inside the last payload", frame(0) + frame(1) + frame(2) + walHeaderLen + 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := faultfs.OS()
+			fault := faultfs.NewFault(base)
+			w, err := OpenWAL(fault, dir, 0, 100, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, w, []byte("before"))
+			fault.CrashAfter(0)
+			fault.TornWriteBytes(tc.torn)
+			if _, err := w.AppendBatch(recs); !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("expected injected crash, got %v", err)
+			}
+			if _, err := w.Append([]byte("after")); !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("append after a failed write: %v, want the first error", err)
+			}
+			got, stats := replayAll(t, base, dir, 0)
+			if len(got) != 1+tc.want {
+				t.Fatalf("replayed %v, want the pre-batch record + %d of the batch", got, tc.want)
+			}
+			for i := 0; i < tc.want; i++ {
+				if want := fmt.Sprintf("%d:%s", i+1, recs[i]); got[i+1] != want {
+					t.Fatalf("record %d replayed as %q, want %q", i+1, got[i+1], want)
+				}
+			}
+			// A tear exactly on a record boundary is indistinguishable from
+			// a clean end: nothing to repair.
+			if wantTorn := tc.name != "on a record boundary"; stats.Torn != wantTorn {
+				t.Fatalf("Torn %v, want %v", stats.Torn, wantTorn)
+			}
+			if stats.NextSeq != uint64(1+tc.want) {
+				t.Fatalf("NextSeq %d want %d", stats.NextSeq, 1+tc.want)
+			}
+			if err := RepairTail(base, dir, stats); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := OpenWAL(base, dir, stats.NextSeq, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first, err := w2.AppendBatch(recs[tc.want:]); err != nil || first != stats.NextSeq {
+				t.Fatalf("redelivered tail: first %d err %v", first, err)
+			}
+			if err := w2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, stats := replayAll(t, base, dir, 0); len(got) != 1+len(recs) || stats.Torn {
+				t.Fatalf("after repair and redelivery got %v (stats %+v)", got, stats)
+			}
+		})
+	}
+}
+
+// TestEventRecordWire: a wire body round-trips, AppendEvent is
+// EncodeEvent, a decoded record costs one allocation and shares no
+// memory with the buffer it came from, and a damaged body is
+// ErrCorrupt wherever the damage sits.
+func TestEventRecordWire(t *testing.T) {
+	ev := logparse.Event{Time: time.Unix(1767225600, 123456000).UTC(), Node: "c0-0c0s0n0", Message: "link failed x=3", Key: "link failed *"}
+	ev2 := logparse.Event{Time: ev.Time.Add(time.Second), Node: "c0-0c0s0n1", Message: "nscd: nss_ldap reconnected", Key: "nscd: nss_ldap reconnected"}
+	rec := RecordOf(ev)
+	if got := rec.Event(); got != ev {
+		t.Fatalf("RecordOf/Event round trip: %+v want %+v", got, ev)
+	}
+	payload := EncodeEvent(rec)
+	if got := AppendEvent([]byte("prefix"), rec); !bytes.Equal(got[6:], payload) {
+		t.Fatalf("AppendEvent %x differs from EncodeEvent %x", got[6:], payload)
+	}
+	var b EventBatch
+	b.Add(ev2) // a reused batch must not leak its previous body
+	b.Reset()
+	b.Add(ev)
+	b.Add(ev2)
+	if b.Len() != 2 || !bytes.Equal(b.Record(0), payload) || !bytes.Equal(b.Record(1), EncodeEvent(RecordOf(ev2))) {
+		t.Fatalf("batch of 2: len %d, records %x / %x", b.Len(), b.Record(0), b.Record(1))
+	}
+	body := append([]byte(nil), b.Bytes()...)
+	var got []logparse.Event
+	var recs [][]byte
+	collect := func(ev logparse.Event, record []byte) { got, recs = append(got, ev), append(recs, record) }
+	if err := DecodeEventBatch(body, collect); err != nil || len(got) != 2 || got[0] != ev || got[1] != ev2 || !bytes.Equal(recs[0], payload) {
+		t.Fatalf("decode: %+v, %v", got, err)
+	}
+	for i := range body {
+		body[i] = 0xAA
+	}
+	if got[0] != ev || got[1] != ev2 {
+		t.Fatalf("decoded events alias the wire buffer: %+v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeEvent(payload[1:]) }); n > 1 {
+		t.Fatalf("DecodeEvent made %v allocations, want at most 1", n)
+	}
+	if err := DecodeEventBatch(nil, collect); err != nil {
+		t.Fatalf("empty body: %v", err)
+	}
+	whole := b.Bytes()
+	for name, bad := range map[string][]byte{
+		"zero-length frame":     {0},
+		"length past the body":  {5, RecEvent, 2},
+		"length over MaxRecord": binary.AppendUvarint(nil, MaxRecord+1),
+		"unterminated varint":   {0x80},
+		"truncated frame":       whole[:len(whole)-3],
+		"trailing garbage":      append(append([]byte(nil), whole...), 0xde, 0xad),
+		"not an event":          {3, RecAlert, 1, 2},
+		"event cut short":       {2, RecEvent, 0x80},
+	} {
+		if err := DecodeEventBatch(bad, collect); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeEventBatch(%s): %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"desh/internal/logparse"
 	"desh/internal/persist"
@@ -332,9 +331,7 @@ func (s *Streamer) buildImport(st *HandoffState) []*importBarrier {
 		if st.Quarantined[persist.QuarantineRecord{TimeNano: rec.TimeNano, Node: rec.Node, Key: rec.Key}.LedgerKey()] {
 			continue
 		}
-		ev := logparse.Event{
-			Time: time.Unix(0, rec.TimeNano).UTC(), Node: rec.Node, Message: rec.Message, Key: rec.Key,
-		}
+		ev := rec.Event()
 		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}
 		b := out[s.shardOf(ev.Node)]
 		b.pending = append(b.pending, enc)

@@ -175,6 +175,10 @@ type Metrics struct {
 	// WALErrors counts write-ahead-log appends that failed (the event was
 	// still processed in memory).
 	WALErrors atomic.Int64
+	// WALBatchAppends counts the event writes to the WAL, one per admitted
+	// ingest batch: journaled events / WALBatchAppends is the records a
+	// write carries.
+	WALBatchAppends atomic.Int64
 	// ReplayedEvents counts events re-fed from the WAL tail during boot
 	// recovery (also counted in Ingested).
 	ReplayedEvents atomic.Int64
@@ -279,6 +283,7 @@ type MetricsSnapshot struct {
 	Snapshots        int64 `json:"snapshots"`
 	SnapshotErrors   int64 `json:"snapshot_errors"`
 	WALErrors        int64 `json:"wal_errors"`
+	WALBatchAppends  int64 `json:"wal_batch_appends"`
 	ReplayedEvents   int64 `json:"replayed_events"`
 	ReplaySuppressed int64 `json:"replay_suppressed"`
 	ConnRejected     int64 `json:"conn_rejected"`

@@ -76,12 +76,28 @@ func alertRecordOf(a Alert) persist.AlertRecord {
 	}
 }
 
-// appendEvent makes an ingested event durable. Failure degrades to
-// in-memory operation for this event and is counted — the stream keeps
+// appendEvents makes the n admitted events of a batch durable with one
+// WAL write. An event that arrived with its record is journaled as
+// those bytes; the rest are encoded here. Failure degrades to
+// in-memory operation for this batch and is counted — the stream keeps
 // alerting even with a dead disk.
-func (p *persister) appendEvent(s *Streamer, ev logparse.Event) {
-	rec := persist.EventRecord{TimeNano: ev.Time.UnixNano(), Node: ev.Node, Message: ev.Message, Key: ev.Key}
-	if _, err := p.wal.Append(persist.EncodeEvent(rec)); err != nil {
+func (p *persister) appendEvents(s *Streamer, batch []Admission, n int) {
+	var one [1][]byte
+	recs := one[:0]
+	if n > 1 {
+		recs = make([][]byte, 0, n)
+	}
+	for i := range batch {
+		if a := &batch[i]; a.admitted {
+			rec := a.Record
+			if rec == nil {
+				rec = persist.EncodeEvent(persist.RecordOf(a.Event))
+			}
+			recs = append(recs, rec)
+		}
+	}
+	s.met.WALBatchAppends.Add(1)
+	if _, err := p.wal.AppendBatch(recs); err != nil {
 		s.met.WALErrors.Add(1)
 	}
 }
@@ -351,12 +367,7 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 // replayEvent re-feeds one WAL event through its shard, synchronously
 // (New's goroutine is the only one running).
 func (s *Streamer) replayEvent(rec persist.EventRecord) {
-	ev := logparse.Event{
-		Time:    time.Unix(0, rec.TimeNano).UTC(),
-		Node:    rec.Node,
-		Message: rec.Message,
-		Key:     rec.Key,
-	}
+	ev := rec.Event()
 	s.met.Ingested.Add(1)
 	s.met.ReplayedEvents.Add(1)
 	enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -407,4 +409,98 @@ func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+2
 	})
+}
+
+// TestIngestBatchOneWALWrite: a batch is journaled as one contiguous run
+// of records by one WAL write — taking an event's wire record as it
+// came, encoding the rest — and leaves on disk exactly the bytes the
+// same events leave when ingested one at a time. Events the caller
+// withholds are skipped untouched; a frozen range is refused per event.
+func TestIngestBatchOneWALWrite(t *testing.T) {
+	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 152)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(dir string) []Option {
+		return handoffOpts(WithStateDir(dir), WithAllowedLateness(1000*time.Hour), WithReorderDepth(len(events)))
+	}
+	segment := func(dir string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000000.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	oneDir := t.TempDir()
+	one, err := New(freshPipeline(t), opts(oneDir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, waitOne := collectAlerts(one)
+	for _, ev := range events {
+		if err := one.IngestEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := segment(oneDir)
+	wantAppends := one.SnapshotMetrics().WALBatchAppends
+	one.Kill()
+	waitOne()
+
+	dir := t.TempDir()
+	s, err := New(freshPipeline(t), opts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wait := collectAlerts(s)
+	// Every other event carries its wire record; one foreign event rides
+	// in the middle, withheld by the caller.
+	batch := make([]Admission, 0, len(events)+1)
+	for i, ev := range events {
+		a := Admission{Event: ev}
+		if i%2 == 0 {
+			a.Record = persist.EncodeEvent(persist.RecordOf(ev))
+		}
+		batch = append(batch, a)
+		if i == len(events)/2 {
+			batch = append(batch, Admission{Event: ev, Refused: true})
+		}
+	}
+	if err := s.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range batch {
+		if a.Refused != (i == len(events)/2+1) {
+			t.Fatalf("batch[%d].Refused = %v", i, a.Refused)
+		}
+	}
+	m := s.SnapshotMetrics()
+	if m.Ingested != int64(len(events)) || m.WALBatchAppends != 1 || m.WALErrors != 0 {
+		t.Fatalf("ingested %d (want %d) with %d WAL writes (want 1, one at a time took %d), %d errors",
+			m.Ingested, len(events), m.WALBatchAppends, wantAppends, m.WALErrors)
+	}
+	if got := segment(dir); !bytes.Equal(got, want) {
+		t.Fatalf("batched WAL (%d bytes) differs from the one-at-a-time WAL (%d bytes)", len(got), len(want))
+	}
+
+	// A frozen range refuses per event, counting and journaling nothing.
+	if _, err := s.BeginHandoff(2, "http://target", fullCircle); err != nil {
+		t.Fatal(err)
+	}
+	frozen := []Admission{{Event: events[0]}, {Event: events[1]}}
+	if err := s.IngestBatch(frozen); err != nil {
+		t.Fatal(err)
+	}
+	if !frozen[0].Refused || !frozen[1].Refused {
+		t.Fatalf("frozen batch not refused: %+v", frozen)
+	}
+	if got := s.SnapshotMetrics(); got.Ingested != m.Ingested || got.WALBatchAppends != 1 {
+		t.Fatalf("frozen batch was counted: ingested %d, WAL writes %d", got.Ingested, got.WALBatchAppends)
+	}
+	s.Kill()
+	wait()
+	if err := s.IngestBatch(frozen[:1]); err != ErrClosed {
+		t.Fatalf("batch after kill: %v, want ErrClosed", err)
+	}
 }

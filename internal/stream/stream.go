@@ -611,6 +611,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		Snapshots:            s.met.Snapshots.Load(),
 		SnapshotErrors:       s.met.SnapshotErrors.Load(),
 		WALErrors:            s.met.WALErrors.Load(),
+		WALBatchAppends:      s.met.WALBatchAppends.Load(),
 		ReplayedEvents:       s.met.ReplayedEvents.Load(),
 		ReplaySuppressed:     s.met.ReplaySuppressed.Load(),
 		ConnRejected:         s.met.ConnRejected.Load(),
@@ -677,7 +678,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 // counted and reported but do not affect streamer state. Blank lines
 // are ignored.
 func (s *Streamer) IngestLine(line string) error {
-	if isBlank(line) {
+	if logparse.IsBlank(line) {
 		return nil
 	}
 	ev, err := logparse.ParseLine(line)
@@ -688,8 +689,42 @@ func (s *Streamer) IngestLine(line string) error {
 	return s.IngestEvent(ev)
 }
 
-// IngestEvent routes one parsed event to its node's shard.
+// IngestEvent routes one parsed event to its node's shard: an
+// IngestBatch of one.
 func (s *Streamer) IngestEvent(ev logparse.Event) error {
+	one := [1]Admission{{Event: ev}}
+	if err := s.IngestBatch(one[:]); err != nil {
+		return err
+	}
+	if one[0].Refused {
+		return ErrFrozen
+	}
+	return nil
+}
+
+// Admission is one event of an IngestBatch.
+type Admission struct {
+	Event logparse.Event
+	// Record, when set, is the event's persist.EncodeEvent payload as it
+	// arrived off the wire: the WAL takes these bytes as they are instead
+	// of encoding the event again. It is read only during the call.
+	Record []byte
+	// Refused withholds the event when the caller sets it (a node the
+	// cluster instance does not own), and is set by IngestBatch on an
+	// event whose range is frozen mid-handoff. Either way the event was
+	// neither counted nor journaled.
+	Refused bool
+	// admitted marks an event that passed every ingest filter.
+	admitted bool
+}
+
+// IngestBatch admits a batch of parsed events as one unit: the ingest
+// filters run per event, every admitted event is then journaled by a
+// single WAL write, and only after that write has reached the OS is the
+// first of them queued for its shard. A caller that acknowledges the
+// batch after IngestBatch returns therefore never acknowledges an event
+// a process kill could lose.
+func (s *Streamer) IngestBatch(batch []Admission) error {
 	// The RLock pins "not closed" for the duration of the call: Close
 	// takes the write lock, so it cannot close the shard channels while
 	// any send is in flight — which is what makes "every event counted
@@ -699,61 +734,81 @@ func (s *Streamer) IngestEvent(ev logparse.Event) error {
 	if s.closed {
 		return ErrClosed
 	}
-	// A range frozen mid-handoff rejects before anything is counted or
-	// journaled: the router respools the event for the new owner, so
-	// accepting it here would double-deliver.
-	if fr := s.frozen; len(fr) > 0 && persist.RangesContain(fr, persist.NodeHash(ev.Node)) {
-		return ErrFrozen
+	admitted := 0
+	for i := range batch {
+		a := &batch[i]
+		a.admitted = false
+		if a.Refused {
+			continue
+		}
+		// A range frozen mid-handoff rejects before anything is counted or
+		// journaled: the router respools the event for the new owner, so
+		// accepting it here would double-deliver.
+		if fr := s.frozen; len(fr) > 0 && persist.RangesContain(fr, persist.NodeHash(a.Event.Node)) {
+			a.Refused = true
+			continue
+		}
+		s.met.Ingested.Add(1)
+		// The §3.1 Safe filter runs before the queue so bursts of benign
+		// chatter never consume queue slots or shard time.
+		if s.lab.Label(a.Event.Key) == catalog.Safe {
+			s.met.SafeFiltered.Add(1)
+			continue
+		}
+		// Skew guard: a timestamp leading the local clock beyond tolerance
+		// would poison the node's watermark (every honest event after it
+		// turns late), so it is quarantined here — before the WAL append, so
+		// replay never resurrects it and recovery stays deterministic.
+		if tol := s.opts.SkewTolerance; tol > 0 && a.Event.Time.After(time.Now().Add(tol)) {
+			s.met.SkewQuarantined.Add(1)
+			s.skewDiag(a.Event, tol)
+			continue
+		}
+		// Degradation levels >= 2 shed at ingest, also before the WAL append:
+		// shed events are never durable, so crash replay sees exactly the
+		// admitted stream.
+		if s.shed != nil && !s.shed.admit(a.Event) {
+			s.met.Shed.Add(1)
+			continue
+		}
+		a.admitted = true
+		admitted++
 	}
-	s.met.Ingested.Add(1)
-	// The §3.1 Safe filter runs before the queue so bursts of benign
-	// chatter never consume queue slots or shard time.
-	if s.lab.Label(ev.Key) == catalog.Safe {
-		s.met.SafeFiltered.Add(1)
+	if admitted == 0 {
 		return nil
 	}
-	// Skew guard: a timestamp leading the local clock beyond tolerance
-	// would poison the node's watermark (every honest event after it
-	// turns late), so it is quarantined here — before the WAL append, so
-	// replay never resurrects it and recovery stays deterministic.
-	if tol := s.opts.SkewTolerance; tol > 0 && ev.Time.After(time.Now().Add(tol)) {
-		s.met.SkewQuarantined.Add(1)
-		s.skewDiag(ev, tol)
-		return nil
-	}
-	// Degradation levels >= 2 shed at ingest, also before the WAL append:
-	// shed events are never durable, so crash replay sees exactly the
-	// admitted stream.
-	if s.shed != nil && !s.shed.admit(ev) {
-		s.met.Shed.Add(1)
-		return nil
-	}
-	// Write-ahead: the event is durable before it is queued, so a crash
-	// between here and processing replays it. A failed append degrades
-	// to in-memory operation for this event (alerting now beats
+	// Write-ahead: the events are durable before any is queued, so a crash
+	// between here and processing replays them. A failed append degrades
+	// to in-memory operation for this batch (alerting now beats
 	// durability later) and is counted.
 	if s.pst != nil {
-		s.pst.appendEvent(s, ev)
+		s.pst.appendEvents(s, batch, admitted)
 	}
-	enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}
-	// Drift tap: a phrase id at or beyond the active model's training
-	// vocabulary is a phrase the model has never seen.
-	if int64(enc.ID) >= s.vocabN.Load() {
-		s.met.UnseenPhrases.Add(1)
-	}
-	// The enqueue stamp anchors the detect-latency histogram: observed at
-	// verdict time, it measures queue wait + processing + any batched
-	// scoring the event waited on — the latency a subscriber experiences.
-	msg := shardMsg{ev: enc, at: time.Now()}
-	sh := s.shards[s.shardOf(ev.Node)]
-	if s.opts.Policy == Block {
-		sh.ch <- msg
-		return nil
-	}
-	select {
-	case sh.ch <- msg:
-	default:
-		s.met.Dropped.Add(1)
+	for i := range batch {
+		if !batch[i].admitted {
+			continue
+		}
+		ev := batch[i].Event
+		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}
+		// Drift tap: a phrase id at or beyond the active model's training
+		// vocabulary is a phrase the model has never seen.
+		if int64(enc.ID) >= s.vocabN.Load() {
+			s.met.UnseenPhrases.Add(1)
+		}
+		// The enqueue stamp anchors the detect-latency histogram: observed at
+		// verdict time, it measures queue wait + processing + any batched
+		// scoring the event waited on — the latency a subscriber experiences.
+		msg := shardMsg{ev: enc, at: time.Now()}
+		sh := s.shards[s.shardOf(ev.Node)]
+		if s.opts.Policy == Block {
+			sh.ch <- msg
+			continue
+		}
+		select {
+		case sh.ch <- msg:
+		default:
+			s.met.Dropped.Add(1)
+		}
 	}
 	return nil
 }
@@ -868,17 +923,6 @@ func (s *Streamer) idleFlushLoop() {
 			}
 		}
 	}
-}
-
-func isBlank(line string) bool {
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // shardMsg is one unit of shard work: an event to process, or — when
