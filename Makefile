@@ -40,12 +40,15 @@ bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test ./...
 
-# fuzz exercises the network-facing line parser, the event-time reorder
-# buffer and the instance's record /ingest beyond their committed seed
-# corpora (which `test` already replays as regular cases).
+# fuzz exercises the network-facing line parser (against its time.Parse
+# + Fields/Join oracle), the single-scan masker (against the same
+# oracle), the event-time reorder buffer and the instance's record
+# /ingest beyond their committed seed corpora (which `test` already
+# replays as regular cases).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
 

@@ -84,7 +84,7 @@ type Phrase struct {
 	// generator fills with a digit-bearing fragment.
 	Template string
 	// Key is the canonical static phrase: Mask(Template). Computed at
-	// package init.
+	// package init; Mask returns this very string for a known phrase.
 	Key string
 	// Label is the Table-3 category.
 	Label Label
@@ -188,7 +188,8 @@ var Catalog = []Phrase{
 var index = func() map[string]int {
 	m := make(map[string]int, len(Catalog))
 	for i := range Catalog {
-		Catalog[i].Key = Mask(Catalog[i].Template)
+		// Not Mask: Mask interns against this very map.
+		Catalog[i].Key = string(appendMasked(nil, Catalog[i].Template))
 		key := Catalog[i].Key
 		if key == "" || key == "*" {
 			panic("catalog: template masks to a degenerate key: " + Catalog[i].Template)

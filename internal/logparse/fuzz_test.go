@@ -13,7 +13,9 @@ import (
 // HTTP bodies), so it must never panic, and every accepted line must
 // satisfy the parser's own contract: a "c"-prefixed node id, a key
 // matching the catalog mask of the message, and a render/re-parse
-// round trip that reproduces the event exactly.
+// round trip that reproduces the event exactly. Accepted or rejected,
+// every line must also get the verdict of the time.Parse + Fields/Join
+// oracle the hand-decoding, single-scan ParseLine replaced.
 func FuzzParseLine(f *testing.F) {
 	seeds := []string{
 		"2026-01-01T00:00:22.001362 c0-0c0s7n0 DVS: mount point established for pid=3468",
@@ -35,12 +37,22 @@ func FuzzParseLine(f *testing.F) {
 		"0001-01-01T00:00:00.000000 c0-0c0s7n0 zero-value timestamp",
 		"1999-12-31T23:59:59.999999 c0-0c0s7n0 pre-2000 reset RTC",
 		"2999-01-01T00:00:00.000000 c0-0c0s7n0 absurd future timestamp",
+		"2024-02-29T00:00:00.000000 c0-0c0s7n0 leap day",
+		"2023-02-29T00:00:00.000000 c0-0c0s7n0 no leap day",
+		"2026-04-31T00:00:00.000000 c0-0c0s7n0 day 31 of a 30-day month",
+		"2026-01-01T24:00:00.000000 c0-0c0s7n0 hour 24",
+		"2026-01-01T00:00:60.000000 c0-0c0s7n0 second 60",
+		"2026-01-01T00:00:29,001362 c0-0c0s7n0 comma fraction",
+		"2026-01-01T7:00:29.001362 c0-0c0s7n0 one-digit hour",
+		"2026-01-01T00:00:29.0013621 c0-0c0s7n0 7-digit fraction",
+		"2026-01-01T00:00:29.001362 c0-0c0s7n0 nextline\u0085sep 4 no\u00a0break em\u2003space\u30007",
+		"2026-01-01T00:00:29.001362 c0-0c0s7n0 * 1 2 *",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		ev, err := ParseLine(line)
+		ev, err := checkAgainstOracle(t, line)
 		if err != nil {
 			return
 		}

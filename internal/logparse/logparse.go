@@ -68,27 +68,110 @@ type Event struct {
 // masks the message into its static phrase key. Lines whose timestamp
 // parses but is absurd — the zero value, pre-2000, or more than 24h
 // ahead of the local clock — are rejected with a *TimestampError.
+// A line whose phrase the static catalog knows costs no allocation: the
+// event's strings are substrings of line and the catalog's own key.
 func ParseLine(line string) (Event, error) {
 	line = strings.TrimRight(line, "\r\n")
 	tsStr, rest, ok := strings.Cut(line, " ")
 	if !ok {
-		return Event{}, fmt.Errorf("logparse: malformed line %q", line)
+		return Event{}, fmt.Errorf("logparse: malformed line %q", clip(line, maxQuoted))
 	}
 	node, msg, ok := strings.Cut(rest, " ")
 	if !ok {
-		return Event{}, fmt.Errorf("logparse: line %q missing message", line)
+		return Event{}, fmt.Errorf("logparse: line %q missing message", clip(line, maxQuoted))
 	}
-	ts, err := time.Parse(TimeLayout, tsStr)
+	ts, err := parseTimestamp(tsStr)
 	if err != nil {
-		return Event{}, fmt.Errorf("logparse: bad timestamp in %q: %w", line, err)
+		return Event{}, fmt.Errorf("logparse: bad timestamp in %q: %w", clip(line, maxQuoted), err)
 	}
 	if err := validTimestamp(ts); err != nil {
-		return Event{}, fmt.Errorf("in %q: %w", line, err)
+		return Event{}, fmt.Errorf("in %q: %w", clip(line, maxQuoted), err)
 	}
 	if !strings.HasPrefix(node, "c") {
-		return Event{}, fmt.Errorf("logparse: bad node id %q", node)
+		return Event{}, fmt.Errorf("logparse: bad node id %q", clip(node, maxQuoted))
 	}
 	return Event{Time: ts, Node: node, Message: msg, Key: catalog.Mask(msg)}, nil
+}
+
+// maxQuoted bounds how much of a rejected line an error quotes: lines
+// run to the 1 MiB scanner cap, %q can quadruple them, and the ingest
+// paths count the error and drop it. maxStamp is the same bound for the
+// timestamp token, which time.Parse's error quotes twice more; it only
+// has to exceed len(TimeLayout), past which nothing parses.
+const (
+	maxQuoted = 128
+	maxStamp  = 32
+)
+
+// clip cuts s to max bytes, marking the cut with an ellipsis.
+func clip(s string, max int) string {
+	if len(s) <= max {
+		return s
+	}
+	return s[:max] + "..."
+}
+
+// parseTimestamp is time.Parse(TimeLayout, s) — same accepted set, same
+// time.Time, same errors — with the canonical 26-byte stamp decoded by
+// hand: the layout never changes, and interpreting it per line was a
+// fifth of ParseLine. Anything the decode does not accept outright goes
+// to time.Parse for its verdict (a shorter hour, a comma before the
+// fraction, and every error). A token too long to quote is cut first:
+// nothing longer than the layout parses, so only the error text moves.
+func parseTimestamp(s string) (time.Time, error) {
+	if t, ok := decodeStamp(s); ok {
+		return t, nil
+	}
+	return time.Parse(TimeLayout, clip(s, maxStamp))
+}
+
+// decodeStamp decodes s if it is exactly "YYYY-MM-DDThh:mm:ss.ffffff"
+// with every field in the range time.Parse allows.
+func decodeStamp(s string) (time.Time, bool) {
+	if len(s) != len(TimeLayout) ||
+		s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' || s[19] != '.' {
+		return time.Time{}, false
+	}
+	year, ok1 := digits(s[0:4])
+	month, ok2 := digits(s[5:7])
+	day, ok3 := digits(s[8:10])
+	hour, ok4 := digits(s[11:13])
+	min, ok5 := digits(s[14:16])
+	sec, ok6 := digits(s[17:19])
+	usec, ok7 := digits(s[20:26])
+	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) ||
+		month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour > 23 || min > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	return time.Date(year, time.Month(month), day, hour, min, sec, usec*1000, time.UTC), true
+}
+
+// digits reads s as a decimal number; false if any byte is not a digit.
+func digits(s string) (n int, ok bool) {
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int(d)
+	}
+	return n, true
+}
+
+// daysIn is the length of a month of the proleptic Gregorian calendar,
+// as time.Parse judges day-of-month.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // IsBlank reports whether line holds nothing but whitespace — what

@@ -88,6 +88,11 @@ type nodeEventTime struct {
 	released time.Time
 	dedup    []dedupEntry
 	dedupPos int
+	// rel is the scratch add releases into: the owning shard lends its
+	// own for the length of one call and drains it before the next, so
+	// releasing costs no allocation and no node keeps released events
+	// alive. A node on its own (nil) releases into a fresh slice.
+	rel []logparse.EncodedEvent
 }
 
 // dup reports whether ev was already seen within the dedup window, and
@@ -119,8 +124,10 @@ func (n *nodeEventTime) dup(ev logparse.EncodedEvent, window int) bool {
 // may still be reordered relative to events yet to arrive. The release
 // cursor advances to cover everything returned, and to the watermark
 // itself even when nothing releases, so late classification depends
-// only on the event sequence, never on call timing.
+// only on the event sequence, never on call timing. out is built on
+// n.rel and valid until the next add that is lent the same scratch.
 func (n *nodeEventTime) add(ev logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
+	out = n.rel[:0]
 	n.heap.push(etItem{ev: ev, seq: n.seq})
 	n.seq++
 	if ev.Time.After(n.maxSeen) {

@@ -995,6 +995,10 @@ type shard struct {
 	chbuf     []chain.Chain
 	verd      []core.Verdict
 
+	// rel is the event-time release scratch, lent to a node's reorder
+	// buffer for one add and drained by handleEventTime before the next.
+	rel []logparse.EncodedEvent
+
 	// imp is non-nil only while this shard replays an imported range's
 	// pending tail inside an import barrier: emit consults its shared
 	// ledger to suppress alerts the handoff source already delivered.
@@ -1285,7 +1289,9 @@ func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent) {
 		sh.feed(ns, ev) // the tracker clamps the stale timestamp forward
 		return
 	}
+	ns.et.rel = sh.rel
 	out, overflow := ns.et.add(ev, et.effective(), et.depth)
+	sh.rel, ns.et.rel = out, nil // keep what add grew; every feed below is done before the next add
 	if overflow > 0 {
 		sh.s.met.ReorderOverflow.Add(int64(overflow))
 	}
