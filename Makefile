@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-smoke fuzz run-deshd
+.PHONY: build test vet race kernel-parity verify bench bench-smoke fuzz run-deshd
 
 build:
 	$(GO) build ./...
@@ -22,9 +22,21 @@ vet:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/embed/... ./internal/nn/... ./internal/par/... ./internal/stream/... ./internal/chain/... ./internal/persist/... ./internal/adapt/... ./internal/cluster/... ./internal/retry/... ./internal/chaos/... ./internal/tensor/...
 
-# verify is the tier-1 gate: build + full tests, plus vet and the race
-# detector over the concurrent packages.
-verify: build test vet race
+# kernel-parity exercises both sides of the one build fork in the
+# serving path: the packages on top of the LSTM gate kernel run under
+# the race detector as built by default (the AVX2 assembly kernel where
+# CPUID reports it) and with -tags purego (tensor.GateMatVec), and
+# every bitwise parity suite must hold on both. The arm64 vet only
+# cross-compiles: it keeps the non-amd64 file set building and lets
+# asmdecl check the stubs.
+kernel-parity:
+	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/core/
+	GOARCH=arm64 $(GO) vet ./...
+
+# verify is the tier-1 gate: build + full tests, plus vet, the race
+# detector over the concurrent packages and the kernel parity runs.
+verify: build test vet race kernel-parity
 
 # bench verifies first, then runs the full per-table/figure benchmark
 # suite with allocation reporting; results land in bench.txt.
@@ -42,15 +54,17 @@ bench-smoke:
 
 # fuzz exercises the network-facing line parser (against its time.Parse
 # + Fields/Join oracle), the single-scan masker (against the same
-# oracle), the event-time reorder buffer and the instance's record
-# /ingest beyond their committed seed corpora (which `test` already
-# replays as regular cases).
+# oracle), the event-time reorder buffer, the instance's record
+# /ingest and the gate kernel (assembly against GateMatVec, bit for bit)
+# beyond their committed seed corpora (which `test` already replays as
+# regular cases).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
 
 # run-deshd is the daemon smoke test: generate a log, train a small
 # model, replay the log through deshd, and assert it raises at least

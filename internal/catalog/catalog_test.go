@@ -8,13 +8,13 @@ import (
 
 func TestMaskBasics(t *testing.T) {
 	cases := map[string]string{
-		"Setting flag":                        "Setting flag",
-		"hwerr[28451]: Correctable error":     "* Correctable error",
-		"CPU 12: Machine Check Exception:":    "CPU * Machine Check Exception:",
-		"pid 4411 killed":                     "pid * killed",
-		"a 1 2 3 b":                           "a * b",
-		"0x6624":                              "*",
-		"":                                    "",
+		"Setting flag":                         "Setting flag",
+		"hwerr[28451]: Correctable error":      "* Correctable error",
+		"CPU 12: Machine Check Exception:":     "CPU * Machine Check Exception:",
+		"pid 4411 killed":                      "pid * killed",
+		"a 1 2 3 b":                            "a * b",
+		"0x6624":                               "*",
+		"":                                     "",
 		"LNet: hardware quiesce 20141216t162,": "LNet: hardware quiesce *",
 	}
 	for in, want := range cases {

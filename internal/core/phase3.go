@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -130,21 +131,25 @@ func (p *Pipeline) DetectWith(c chain.Chain, threshold float64, minMatches int) 
 }
 
 // Detector is a reusable Phase-3 scoring context: one Phase-2 LSTM
-// stream plus vectorization scratch. Detectors make per-chain scoring
-// allocation-light and are the unit of parallelism — each worker in
-// Predict or the Figure-8 sweep owns one, and a Detector must not be
-// shared between goroutines.
+// stream plus vectorization scratch. Detectors are the unit of
+// parallelism — each worker in Predict or the Figure-8 sweep owns one,
+// and a Detector must not be shared between goroutines. All scratch is
+// grow-only, so Detect and DetectBatch allocate nothing in steady
+// state.
 type Detector struct {
 	p       *Pipeline
 	stream  *nn.Stream
 	predRaw [2]float64
 
-	// Batched scoring scratch, lazily grown by DetectBatch and reused
-	// across calls so steady-state batch scoring allocates only what
-	// Vectorize itself allocates.
+	// Vectorization scratch (vectorize): the 2-state vectors of the
+	// chains being scored, two floats per entry, in Pipeline.Vectorize's
+	// raw view and VectorizeInput's LSTM-facing view.
+	raw, in []float64
+
+	// Batched scoring scratch, lazily grown by DetectBatch. bOff[i] is
+	// the index of chain i's first vector in raw/in.
 	batch   *nn.StreamBatch
-	bRaw    [][][]float64
-	bIn     [][][]float64
+	bOff    []int
 	bPerm   []int
 	bConsec []int
 
@@ -156,6 +161,64 @@ type Detector struct {
 	stream32 *nn.Stream32
 	batch32  *nn.StreamBatch32
 	in32     []float32
+}
+
+// vectorize appends c's vectors to the detector's scratch and returns
+// the index of the first: per entry, exactly the values
+// Pipeline.Vectorize (raw) and Pipeline.VectorizeInput (in) compute,
+// without their slice per vector.
+func (d *Detector) vectorize(c chain.Chain) int {
+	off := len(d.raw) / 2
+	vocab := d.p.vocab()
+	for _, e := range c.Entries {
+		minutes, id := stateVector(e, vocab)
+		d.raw = append(d.raw, minutes, id)
+		d.in = append(d.in, minutes, id/float64(vocab))
+	}
+	return off
+}
+
+// vec returns vector i of a vectorize arena.
+func vec(arena []float64, i int) []float64 { return arena[2*i : 2*i+2] }
+
+// beginBatch resets the scratch for a batch of chains: base verdicts
+// written, every chain vectorized, and the scoring order returned —
+// longest chain first so live rows stay a contiguous batch prefix, ties
+// broken on input index to keep the row assignment stable. live counts
+// the chains with at least one transition; the rest (fewer than two
+// vectors) keep their base verdict, matching DetectWith's early return.
+func (d *Detector) beginBatch(chains []chain.Chain, verdicts []Verdict) (perm, consec []int, live int) {
+	B := len(chains)
+	if cap(d.bPerm) < B {
+		d.bOff = make([]int, B)
+		d.bPerm = make([]int, B)
+		d.bConsec = make([]int, B)
+	}
+	perm, consec = d.bPerm[:B], d.bConsec[:B]
+	d.raw, d.in = d.raw[:0], d.in[:0]
+	for i, c := range chains {
+		verdicts[i] = Verdict{
+			Node:       c.Node,
+			AnchorTime: c.FailTime,
+			FlagIndex:  -1,
+			MinMSE:     math.Inf(1),
+			Chain:      c,
+		}
+		d.bOff[i] = d.vectorize(c)
+		perm[i] = i
+		consec[i] = 0
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		if la, lb := len(chains[a].Entries), len(chains[b].Entries); la != lb {
+			return lb - la
+		}
+		return a - b
+	})
+	live = B
+	for live > 0 && len(chains[perm[live-1]].Entries) < 2 {
+		live--
+	}
+	return perm, consec, live
 }
 
 // NewDetector builds a scoring context for the trained Phase-2 model.
@@ -187,21 +250,22 @@ func (d *Detector) DetectWith(c chain.Chain, threshold float64, minMatches int) 
 		MinMSE:     math.Inf(1),
 		Chain:      c,
 	}
-	raw := p.Vectorize(c)
-	inputs := p.VectorizeInput(c)
-	if len(raw) < 2 {
+	n := len(c.Entries)
+	if n < 2 {
 		return v
 	}
+	d.raw, d.in = d.raw[:0], d.in[:0]
+	d.vectorize(c)
 	idScale := p.idTargetScale()
 	d.stream.Reset()
 	consecutive := 0
-	for i := 0; i+1 < len(raw); i++ {
-		pred := d.stream.Step(inputs[i])
+	for i := 0; i+1 < n; i++ {
+		pred := d.stream.Step(vec(d.in, i))
 		// Undo the target scaling so the MSE threshold applies in the
 		// paper's raw (ΔT minutes, phrase id) space.
 		d.predRaw[0] = pred[0]
 		d.predRaw[1] = pred[1] / idScale
-		mse := loss.MSE(d.predRaw[:], raw[i+1])
+		mse := loss.MSE(d.predRaw[:], vec(d.raw, i+1))
 		if mse < v.MinMSE {
 			v.MinMSE = mse
 		}

@@ -2,24 +2,20 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"desh/internal/chain"
 	"desh/internal/loss"
 )
 
-// DetectBatch scores a slice of candidate sequences through the batched
-// gate kernels (nn.StreamBatch → tensor.GateMatMul /
-// tensor.MatMulABtBiasInto), writing verdicts[i] for chains[i]. It is
-// the serving-path fan-in: a stream shard hands over every chain that
+// DetectBatch scores a slice of candidate sequences in lockstep
+// (nn.StreamBatch), writing verdicts[i] for chains[i]. It is the
+// serving-path fan-in: a stream shard hands over every chain that
 // closed during one micro-batch drain and gets the same verdicts
-// Detect would produce, one batched GEMM per timestep instead of one
-// MatVec per chain per timestep.
+// Detect would produce.
 //
 // Parity contract: verdicts[i] is bit-identical to Detect(chains[i]) —
-// same flags, same FlagIndex, same float bits in every field. The
-// batched kernels are per-row bit-identical to the serial ones, and the
+// same flags, same FlagIndex, same float bits in every field. A batch
+// row runs the very gate kernel the serial stream runs, and the
 // threshold/consecutive-match automaton below replays DetectWith's
 // exact control flow per row. Chains of unequal length score together
 // by sorting rows longest-first and shrinking the batch as short chains
@@ -46,46 +42,7 @@ func (d *Detector) DetectBatch(chains []chain.Chain, verdicts []Verdict) {
 	p := d.p
 	threshold, minMatches := p.cfg.MSEThreshold, p.cfg.MinMatches
 	idScale := p.idTargetScale()
-
-	if cap(d.bRaw) < B {
-		d.bRaw = make([][][]float64, B)
-		d.bIn = make([][][]float64, B)
-		d.bPerm = make([]int, B)
-		d.bConsec = make([]int, B)
-	}
-	raws := d.bRaw[:B]
-	ins := d.bIn[:B]
-	perm := d.bPerm[:B]
-	consec := d.bConsec[:B]
-	for i, c := range chains {
-		verdicts[i] = Verdict{
-			Node:       c.Node,
-			AnchorTime: c.FailTime,
-			FlagIndex:  -1,
-			MinMSE:     math.Inf(1),
-			Chain:      c,
-		}
-		raws[i] = p.Vectorize(c)
-		ins[i] = p.VectorizeInput(c)
-		perm[i] = i
-		consec[i] = 0
-	}
-	// Longest chain first so live rows stay a contiguous batch prefix;
-	// ties break on input index to keep the row assignment stable.
-	sort.Slice(perm, func(a, b int) bool {
-		la, lb := len(raws[perm[a]]), len(raws[perm[b]])
-		if la != lb {
-			return la > lb
-		}
-		return perm[a] < perm[b]
-	})
-	// Chains shorter than two vectors carry no transitions: their base
-	// verdict (no flag, MinMSE = +Inf) is already final, matching
-	// DetectWith's early return.
-	live := B
-	for live > 0 && len(raws[perm[live-1]]) < 2 {
-		live--
-	}
+	perm, consec, live := d.beginBatch(chains, verdicts)
 	if live == 0 {
 		return
 	}
@@ -96,9 +53,9 @@ func (d *Detector) DetectBatch(chains []chain.Chain, verdicts []Verdict) {
 	sb.Begin(live)
 	var predRaw [2]float64
 	for t := 0; ; t++ {
-		// Row i predicts transition t while t+1 < len(raws[i]); retire
-		// finished rows from the tail before stepping.
-		for live > 0 && t+1 >= len(raws[perm[live-1]]) {
+		// Row i predicts transition t while t+1 < len(chains[i].Entries);
+		// retire finished rows from the tail before stepping.
+		for live > 0 && t+1 >= len(chains[perm[live-1]].Entries) {
 			live--
 		}
 		if live == 0 {
@@ -106,7 +63,7 @@ func (d *Detector) DetectBatch(chains []chain.Chain, verdicts []Verdict) {
 		}
 		sb.Shrink(live)
 		for r := 0; r < live; r++ {
-			copy(sb.Input(r), ins[perm[r]][t])
+			copy(sb.Input(r), vec(d.in, d.bOff[perm[r]]+t))
 		}
 		pred := sb.Step()
 		for r := 0; r < live; r++ {
@@ -115,7 +72,7 @@ func (d *Detector) DetectBatch(chains []chain.Chain, verdicts []Verdict) {
 			// Same raw-space rescale and match automaton as DetectWith.
 			predRaw[0] = pr[0]
 			predRaw[1] = pr[1] / idScale
-			mse := loss.MSE(predRaw[:], raws[i][t+1])
+			mse := loss.MSE(predRaw[:], vec(d.raw, d.bOff[i]+t+1))
 			v := &verdicts[i]
 			if mse < v.MinMSE {
 				v.MinMSE = mse

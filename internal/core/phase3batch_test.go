@@ -74,3 +74,47 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 	// Empty batch is a no-op.
 	d.DetectBatch(nil, nil)
 }
+
+// TestDetectorVectorizeMatchesPipeline holds the detector's scratch
+// vectorization to the exported one training and the benchmark use.
+func TestDetectorVectorizeMatchesPipeline(t *testing.T) {
+	p, all := trainSmall(t, 34)
+	d := p.NewDetector()
+	for _, c := range all {
+		off := d.vectorize(c)
+		raw, in := p.Vectorize(c), p.VectorizeInput(c)
+		for i := range c.Entries {
+			for k := 0; k < 2; k++ {
+				if math.Float64bits(vec(d.raw, off+i)[k]) != math.Float64bits(raw[i][k]) ||
+					math.Float64bits(vec(d.in, off+i)[k]) != math.Float64bits(in[i][k]) {
+					t.Fatalf("chain %s entry %d component %d differs from Pipeline.Vectorize*", c.Node, i, k)
+				}
+			}
+		}
+	}
+}
+
+// TestDetectAllocatesNothing pins the serving path's steady state: once
+// the scratch has grown to the widest batch and the longest chain,
+// Detect and DetectBatch allocate nothing, on either precision.
+func TestDetectAllocatesNothing(t *testing.T) {
+	p, all := trainSmall(t, 34)
+	verdicts := make([]Verdict, len(all))
+	for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+		d, err := p.NewDetectorPrecision(prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.DetectBatch(all, verdicts) // grow
+		if n := testing.AllocsPerRun(5, func() {
+			for _, c := range all {
+				verdicts[0] = d.Detect(c)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Detect allocates %v per pass over %d chains", prec, n, len(all))
+		}
+		if n := testing.AllocsPerRun(5, func() { d.DetectBatch(all, verdicts) }); n != 0 {
+			t.Errorf("%s: DetectBatch allocates %v per batch of %d", prec, n, len(all))
+		}
+	}
+}

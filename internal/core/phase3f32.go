@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"desh/internal/chain"
 	"desh/internal/loss"
@@ -64,22 +63,23 @@ func (d *Detector) detectWith32(c chain.Chain, threshold float64, minMatches int
 		MinMSE:     math.Inf(1),
 		Chain:      c,
 	}
-	raw := p.Vectorize(c)
-	inputs := p.VectorizeInput(c)
-	if len(raw) < 2 {
+	n := len(c.Entries)
+	if n < 2 {
 		return v
 	}
+	d.raw, d.in = d.raw[:0], d.in[:0]
+	d.vectorize(c)
 	idScale := p.idTargetScale()
 	d.stream32.Reset()
 	consecutive := 0
-	for i := 0; i+1 < len(raw); i++ {
-		for dd, vv := range inputs[i] {
+	for i := 0; i+1 < n; i++ {
+		for dd, vv := range vec(d.in, i) {
 			d.in32[dd] = float32(vv)
 		}
 		pred := d.stream32.Step(d.in32)
 		d.predRaw[0] = float64(pred[0])
 		d.predRaw[1] = float64(pred[1]) / idScale
-		mse := loss.MSE(d.predRaw[:], raw[i+1])
+		mse := loss.MSE(d.predRaw[:], vec(d.raw, i+1))
 		if mse < v.MinMSE {
 			v.MinMSE = mse
 		}
@@ -117,41 +117,7 @@ func (d *Detector) detectBatch32(chains []chain.Chain, verdicts []Verdict) {
 	p := d.p
 	threshold, minMatches := p.cfg.MSEThreshold, p.cfg.MinMatches
 	idScale := p.idTargetScale()
-
-	if cap(d.bRaw) < B {
-		d.bRaw = make([][][]float64, B)
-		d.bIn = make([][][]float64, B)
-		d.bPerm = make([]int, B)
-		d.bConsec = make([]int, B)
-	}
-	raws := d.bRaw[:B]
-	ins := d.bIn[:B]
-	perm := d.bPerm[:B]
-	consec := d.bConsec[:B]
-	for i, c := range chains {
-		verdicts[i] = Verdict{
-			Node:       c.Node,
-			AnchorTime: c.FailTime,
-			FlagIndex:  -1,
-			MinMSE:     math.Inf(1),
-			Chain:      c,
-		}
-		raws[i] = p.Vectorize(c)
-		ins[i] = p.VectorizeInput(c)
-		perm[i] = i
-		consec[i] = 0
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		la, lb := len(raws[perm[a]]), len(raws[perm[b]])
-		if la != lb {
-			return la > lb
-		}
-		return perm[a] < perm[b]
-	})
-	live := B
-	for live > 0 && len(raws[perm[live-1]]) < 2 {
-		live--
-	}
+	perm, consec, live := d.beginBatch(chains, verdicts)
 	if live == 0 {
 		return
 	}
@@ -162,7 +128,7 @@ func (d *Detector) detectBatch32(chains []chain.Chain, verdicts []Verdict) {
 	sb.Begin(live)
 	var predRaw [2]float64
 	for t := 0; ; t++ {
-		for live > 0 && t+1 >= len(raws[perm[live-1]]) {
+		for live > 0 && t+1 >= len(chains[perm[live-1]].Entries) {
 			live--
 		}
 		if live == 0 {
@@ -171,7 +137,7 @@ func (d *Detector) detectBatch32(chains []chain.Chain, verdicts []Verdict) {
 		sb.Shrink(live)
 		for r := 0; r < live; r++ {
 			dst := sb.Input(r)
-			for dd, vv := range ins[perm[r]][t] {
+			for dd, vv := range vec(d.in, d.bOff[perm[r]]+t) {
 				dst[dd] = float32(vv)
 			}
 		}
@@ -181,7 +147,7 @@ func (d *Detector) detectBatch32(chains []chain.Chain, verdicts []Verdict) {
 			pr := pred.Row(r)
 			predRaw[0] = float64(pr[0])
 			predRaw[1] = float64(pr[1]) / idScale
-			mse := loss.MSE(predRaw[:], raws[i][t+1])
+			mse := loss.MSE(predRaw[:], vec(d.raw, d.bOff[i]+t+1))
 			v := &verdicts[i]
 			if mse < v.MinMSE {
 				v.MinMSE = mse

@@ -551,16 +551,20 @@ func (p *Pipeline) Vectorize(c chain.Chain) [][]float64 {
 	vocab := p.vocab()
 	vecs := make([][]float64, len(c.Entries))
 	for i, e := range c.Entries {
-		id := e.ID
-		if id >= vocab {
-			id = vocab - 1
-		}
-		vecs[i] = []float64{
-			e.DeltaT / 60.0,
-			float64(id),
-		}
+		minutes, id := stateVector(e, vocab)
+		vecs[i] = []float64{minutes, id}
 	}
 	return vecs
+}
+
+// stateVector returns one chain entry's raw 2-state vector: ΔT in
+// minutes and the phrase id, with ids beyond the training vocabulary
+// folded into the out-of-vocabulary bucket.
+func stateVector(e chain.Entry, vocab int) (minutes, id float64) {
+	if e.ID >= vocab {
+		return e.DeltaT / 60.0, float64(vocab - 1)
+	}
+	return e.DeltaT / 60.0, float64(e.ID)
 }
 
 // VectorizeInput is the LSTM-facing view of a chain: ΔT in minutes and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"desh/internal/nn"
+	"desh/internal/tensor"
 )
 
 // Precision selects which numeric path a serving Detector scores
@@ -18,7 +19,7 @@ const (
 	// equivalence suite.
 	PrecisionF64 Precision = iota
 	// PrecisionF32 scores through the float32 serving stack: half the
-	// model-resident bytes and twice the SIMD lanes, gated by the
+	// model-resident bytes, scalar kernels on every host, gated by the
 	// alert-equivalence tolerance suite instead of bitwise parity.
 	PrecisionF32
 )
@@ -33,6 +34,16 @@ func (pr Precision) String() string {
 	default:
 		return fmt.Sprintf("Precision(%d)", uint8(pr))
 	}
+}
+
+// GateKernel names the LSTM gate kernel a detector of this precision
+// serves on: tensor.GateKernel ("avx2" or "generic") for f64, always
+// "generic" for f32, whose kernels are scalar on every host.
+func (pr Precision) GateKernel() string {
+	if pr == PrecisionF32 {
+		return "generic"
+	}
+	return tensor.GateKernel()
 }
 
 // ParsePrecision parses the -precision flag spelling.

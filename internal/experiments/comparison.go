@@ -74,8 +74,8 @@ func Table10(desh *SystemResult, dlog *DeepLogResult) string {
 // annotations.
 func Table11(desh *SystemResult, dlog *DeepLogResult) string {
 	rows := []struct {
-		feature    string
-		desh, dl   string
+		feature  string
+		desh, dl string
 	}{
 		{"No Source-Code", "yes", "yes"},
 		{"Lead Time", "yes", "no"},

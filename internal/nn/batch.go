@@ -145,10 +145,10 @@ type stackBatch struct {
 
 	zBack, dzBack []float64      // gate scratch backings, mb*4*maxH
 	z, dz         *tensor.Matrix // re-pointed views over the backings
-	zeroBack              []float64      // all-zero initial-state backing, mb*maxH
-	h0, c0                []*tensor.Matrix
-	dh, dc                []*tensor.Matrix // per-layer backward accumulators [mb x H]
-	dxMid                 []*tensor.Matrix // per-layer input-grad buffers for layers > 0
+	zeroBack      []float64      // all-zero initial-state backing, mb*maxH
+	h0, c0        []*tensor.Matrix
+	dh, dc        []*tensor.Matrix // per-layer backward accumulators [mb x H]
+	dxMid         []*tensor.Matrix // per-layer input-grad buffers for layers > 0
 }
 
 func newStackBatch(s *LSTMStack, mb int) *stackBatch {

@@ -115,12 +115,31 @@ func (l *LSTMLayer) stepForward(cc *stepCache, x, hPrev, cPrev, z []float64) {
 }
 
 // stepInfer advances the layer one timestep with no cache, updating h and
-// c in place (the Phase-3 streaming path). z is 4H scratch. x must not
-// alias h.
+// c in place. z is 4H scratch. x must not alias h.
 func (l *LSTMLayer) stepInfer(x, h, c, z []float64) {
 	l.checkStep(x, h, c)
-	H := l.HiddenSize
-	tensor.GateMatVec(z[:4*H], l.Wx.Value, x, l.Wh.Value, h, l.B.Value.Data)
+	z = z[:4*l.HiddenSize]
+	tensor.GateMatVec(z, l.Wx.Value, x, l.Wh.Value, h, l.B.Value.Data)
+	activate(z, h, c)
+}
+
+// stepServe is stepInfer with the gate pre-activation computed through
+// the layer's serving image g — the one gate function of the Phase-3
+// serving path, called once per sequence per timestep by Stream.Step
+// and StreamBatch.Step alike. GateWeights.MatVec is bit-identical to
+// GateMatVec, so stepServe is bit-identical to stepInfer.
+func (l *LSTMLayer) stepServe(g *tensor.GateWeights, x, h, c, z []float64) {
+	l.checkStep(x, h, c)
+	z = z[:4*l.HiddenSize]
+	g.MatVec(z, x, h)
+	activate(z, h, c)
+}
+
+// activate applies the gate nonlinearities to the pre-activations z
+// (length 4H, block order i, f, g, o) and updates the cell and hidden
+// state in place.
+func activate(z, h, c []float64) {
+	H := len(h)
 	for j := 0; j < H; j++ {
 		ij := sigmoid(z[j])
 		fj := sigmoid(z[H+j])

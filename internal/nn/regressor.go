@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"desh/internal/loss"
 	"desh/internal/tensor"
@@ -25,6 +26,10 @@ type SeqRegressor struct {
 	Out           *Dense
 
 	ws regWS
+
+	// Serving gate images, one per layer (serveGates).
+	gateMu sync.Mutex
+	gates  []*tensor.GateWeights
 }
 
 // regWS holds grow-only training buffers, valid within one loss call.
@@ -147,12 +152,44 @@ func (m *SeqRegressor) PredictNext(window [][]float64) []float64 {
 	return m.Out.Forward(h)
 }
 
+// serveGates returns the serving image of each layer's gate weights
+// (tensor.GateWeights: on AVX2 hosts a transposed copy, ~100 KB for the
+// Phase-2 model). The images are built on the first call and shared by
+// every Stream and StreamBatch made from this model afterwards, so one
+// adopted model costs one copy however many shards serve it. Each call
+// checks the images against the live weights and builds fresh ones if
+// training has moved them; streams that exist by then keep the images
+// they were built with, so a stream scores the weights as they stood
+// when it was made. The check is a pass over the weights: it runs where
+// streams are built, never where they step.
+func (m *SeqRegressor) serveGates() []*tensor.GateWeights {
+	m.gateMu.Lock()
+	defer m.gateMu.Unlock()
+	for _, g := range m.gates {
+		if !g.Current() {
+			m.gates = nil
+			break
+		}
+	}
+	if m.gates == nil {
+		gates := make([]*tensor.GateWeights, len(m.Stack.Layers))
+		for k, l := range m.Stack.Layers {
+			gates[k] = tensor.NewGateWeights(l.Wx.Value, l.Wh.Value, l.B.Value.Data)
+		}
+		m.gates = gates
+	}
+	return m.gates
+}
+
 // Stream is a stateful inference cursor over one node's vector sequence
 // (Phase 3 processes each node's log through an identical trained LSTM).
 // A stream owns all its buffers: Step and ScoreNext allocate nothing, and
-// distinct streams over the same model may run concurrently.
+// distinct streams over the same model may run concurrently. It scores
+// the model's weights as of NewStream (serveGates); make a new stream
+// after training the model further.
 type Stream struct {
 	m     *SeqRegressor
+	gates []*tensor.GateWeights
 	st    *State
 	h     []float64
 	pred  []float64
@@ -163,6 +200,7 @@ type Stream struct {
 func (m *SeqRegressor) NewStream() *Stream {
 	return &Stream{
 		m:     m,
+		gates: m.serveGates(),
 		st:    m.Stack.NewState(),
 		pred:  make([]float64, m.OutDim),
 		score: make([]float64, m.OutDim),
@@ -180,7 +218,12 @@ func (s *Stream) Reset() {
 // the *next* vector. The returned slice is owned by the stream and valid
 // until the next Step.
 func (s *Stream) Step(x []float64) []float64 {
-	s.h = s.m.Stack.StepInfer(x, s.st)
+	st := s.st
+	for k, l := range s.m.Stack.Layers {
+		l.stepServe(s.gates[k], x, st.H[k], st.C[k], st.z)
+		x = st.H[k]
+	}
+	s.h = x
 	s.m.Out.ForwardInto(s.pred, s.h)
 	return s.pred
 }

@@ -208,9 +208,11 @@ func (s *LSTMStack) Forward(xs [][]float64) *Tape {
 
 // StepInfer advances the stack one step without recording anything,
 // mutating st in place. It returns the top-layer hidden vector (aliasing
-// st, valid until the next StepInfer). This is the Phase-3 inference path
-// and the Figure-10 cost-analysis kernel; it allocates nothing and is
-// safe to call concurrently as long as each goroutine owns its State.
+// st, valid until the next StepInfer). This is the Phase-1 prediction
+// path, the Figure-10 cost-analysis kernel and, through the row-major
+// tensor.GateMatVec, the scalar reference Stream.Step's serving kernel
+// is held to; it allocates nothing and is safe to call concurrently as
+// long as each goroutine owns its State.
 func (s *LSTMStack) StepInfer(x []float64, st *State) []float64 {
 	if st.z == nil || len(st.z) < 4*s.maxHidden() {
 		st.z = make([]float64, 4*s.maxHidden())

@@ -2,47 +2,46 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"desh/internal/tensor"
 )
 
 // StreamBatch scores up to `capacity` independent sequences in lockstep
-// through the batched gate kernels — the forward-only, serving-path
-// counterpart of stackBatch. Each row of the packed matrices is one
-// sequence; a timestep runs one tensor.GateMatMul per layer plus one
-// tensor.MatMulABtBiasInto for the output head, so each weight row
-// loads once per batched step instead of once per sequence. No tape is
-// recorded: hidden and cell state update in place, exactly like
+// — the forward-only, serving-path counterpart of stackBatch. Each row
+// of the packed matrices is one sequence; a timestep runs every row
+// through each layer's stepServe, the same gate function Stream.Step
+// calls, plus one tensor.MatMulABtBiasInto for the output head. No tape
+// is recorded: hidden and cell state update in place, exactly like
 // Stream.Step.
 //
-// Parity contract: per row, a StreamBatch timestep performs the same
-// floating-point operation sequence as Stream.Step on that row's
-// sequence alone (GateMatMul and MatMulABtBiasInto are per-row
-// bit-identical to GateMatVec and MatVecBias, and the nonlinearity loop
-// mirrors stepInfer). A batch of one therefore produces byte-identical
-// predictions to the serial stream — the property Detector.DetectBatch
-// and the stream micro-batching layer are built on.
+// Parity contract: per row, a StreamBatch timestep IS Stream.Step's
+// layer loop on that row's sequence (same kernel, same gate images),
+// and MatMulABtBiasInto is per-row bit-identical to MatVecBias. A batch
+// therefore produces byte-identical predictions to the serial stream —
+// the property Detector.DetectBatch and the stream micro-batching layer
+// are built on. Layers run outermost, so a layer's weights stay cached
+// across the batch's rows.
 //
 // The arenas are grow-only: Begin reuses them whenever the requested
 // rows fit, so steady-state scoring allocates nothing. A StreamBatch is
-// single-threaded; concurrent scorers need one StreamBatch each.
+// single-threaded; concurrent scorers need one StreamBatch each. Like a
+// Stream, it scores the model's weights as of NewStreamBatch.
 type StreamBatch struct {
-	m    *SeqRegressor
-	rows int // live rows (a prefix of the arena)
-	grew int // arena capacity in rows
+	m     *SeqRegressor
+	gates []*tensor.GateWeights
+	rows  int // live rows (a prefix of the arena)
+	grew  int // arena capacity in rows
 
 	x    *tensor.Matrix   // [rows x InDim] inputs for the current step
 	h, c []*tensor.Matrix // per layer [rows x H], updated in place
-	z    tensor.Matrix    // gate pre-activations, re-pointed per layer
-	zb   []float64        // backing arena for z, rows x 4*maxHidden
+	z    []float64        // gate pre-activation scratch, 4*maxHidden
 	pred *tensor.Matrix   // [rows x OutDim] output-head predictions
 }
 
 // NewStreamBatch starts a batched inference scorer over the model. The
 // arenas are sized lazily by Begin.
 func (m *SeqRegressor) NewStreamBatch() *StreamBatch {
-	return &StreamBatch{m: m}
+	return &StreamBatch{m: m, gates: m.serveGates(), z: make([]float64, 4*m.Stack.maxHidden())}
 }
 
 // grow reallocates the arenas for at least `rows` rows. Only Begin may
@@ -52,7 +51,6 @@ func (b *StreamBatch) grow(rows int) {
 	b.grew = rows
 	b.x = tensor.New(rows, st.InSize())
 	b.pred = tensor.New(rows, b.m.OutDim)
-	b.zb = make([]float64, rows*4*st.maxHidden())
 	b.h = make([]*tensor.Matrix, len(st.Layers))
 	b.c = make([]*tensor.Matrix, len(st.Layers))
 	for k, l := range st.Layers {
@@ -116,26 +114,8 @@ func (b *StreamBatch) Shrink(rows int) {
 func (b *StreamBatch) Step() *tensor.Matrix {
 	in := b.x
 	for k, l := range b.m.Stack.Layers {
-		H := l.HiddenSize
-		b.z.Rows, b.z.Cols = b.rows, 4*H
-		b.z.Data = b.zb[:b.rows*4*H]
-		// GateMatMul reads h[k] in full before the loop below overwrites
-		// it, so the in-place state update is safe.
-		tensor.GateMatMul(&b.z, in, l.Wx.Value, b.h[k], l.Wh.Value, l.B.Value.Data)
 		for r := 0; r < b.rows; r++ {
-			zr := b.z.Row(r)
-			hr := b.h[k].Row(r)
-			cr := b.c[k].Row(r)
-			// Mirrors stepInfer exactly: gate order i,f,g,o.
-			for j := 0; j < H; j++ {
-				ij := sigmoid(zr[j])
-				fj := sigmoid(zr[H+j])
-				gj := math.Tanh(zr[2*H+j])
-				oj := sigmoid(zr[3*H+j])
-				cj := fj*cr[j] + ij*gj
-				cr[j] = cj
-				hr[j] = oj * math.Tanh(cj)
-			}
+			l.stepServe(b.gates[k], in.Row(r), b.h[k].Row(r), b.c[k].Row(r), b.z)
 		}
 		in = b.h[k]
 	}

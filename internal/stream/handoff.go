@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"desh/internal/logparse"
 	"desh/internal/persist"
@@ -443,7 +444,7 @@ func (sh *shard) importEvent(ev logparse.EncodedEvent) {
 			}
 		}
 	}()
-	sh.handle(ev)
+	sh.handle(ev, time.Now())
 	sh.flushPending()
 	sh.s.met.Processed.Add(1)
 }

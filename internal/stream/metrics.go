@@ -301,12 +301,14 @@ type MetricsSnapshot struct {
 	// BatchOccupancy is the mean number of events drained per shard
 	// wakeup (0 before the first wakeup; 1.0 means no coalescing).
 	BatchOccupancy float64 `json:"batch_occupancy"`
-	// BatchedDetects counts chains scored through the batched GEMM path.
+	// BatchedDetects counts chains scored through DetectBatch.
 	BatchedDetects int64 `json:"batched_detects"`
 	// ModelPrecision is the serving numeric path ("f64" or "f32");
-	// PrecisionConversions counts f64→f32 weight conversions (one per
-	// adopted model at f32).
+	// GateKernel is the LSTM gate kernel that path runs on this host
+	// ("avx2" or "generic"); PrecisionConversions counts f64→f32 weight
+	// conversions (one per adopted model at f32).
 	ModelPrecision       string `json:"model_precision"`
+	GateKernel           string `json:"gate_kernel"`
 	PrecisionConversions int64  `json:"precision_conversions"`
 	// Continuous-learning gauges and counters (PR 7).
 	UnseenPhrases int64 `json:"unseen_phrases"`

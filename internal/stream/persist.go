@@ -354,7 +354,7 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 		// Alerts it raises may duplicate already-delivered ones; the
 		// quiet period bounds that.
 		for _, ev := range pn.Reorder {
-			sh.feed(ns, ev)
+			sh.feed(ns, ev, ns.lastArrival)
 		}
 		// feed defers closed-chain judging; score them now, while the
 		// node's install is still the only activity on the shard.
@@ -397,7 +397,7 @@ func (sh *shard) processReplay(ev logparse.EncodedEvent) {
 	if hook := sh.s.opts.panicHook; hook != nil {
 		hook(sh.id, ev)
 	}
-	sh.handle(ev)
+	sh.handle(ev, at)
 	// Replay is single-threaded with no coalescing: each event flushes
 	// its own closures, so replayed alert order matches live order.
 	sh.flushPending()

@@ -9,6 +9,7 @@ import (
 
 	"desh/internal/core"
 	"desh/internal/logsim"
+	"desh/internal/tensor"
 )
 
 // leadToleranceSeconds bounds the per-alert |f64 lead − f32 lead| the
@@ -64,6 +65,14 @@ func TestPrecisionAlertEquivalence(t *testing.T) {
 		snap := s.SnapshotMetrics()
 		if snap.ModelPrecision != prec.String() {
 			t.Fatalf("ModelPrecision = %q, want %q", snap.ModelPrecision, prec)
+		}
+		// f32 kernels are scalar everywhere; f64 reports what CPUID chose.
+		wantKernel := "generic"
+		if prec == core.PrecisionF64 {
+			wantKernel = tensor.GateKernel()
+		}
+		if snap.GateKernel != wantKernel {
+			t.Fatalf("%s: GateKernel = %q, want %q", prec, snap.GateKernel, wantKernel)
 		}
 		wantConv := int64(0)
 		if prec == core.PrecisionF32 {

@@ -39,8 +39,8 @@ import (
 // ErrClosed is returned by ingest entry points after Close.
 var ErrClosed = errors.New("stream: streamer is closed")
 
-// maxMicroBatch bounds Options.MicroBatch: past a few dozen rows the
-// batched GEMMs stop gaining and the drain only adds head-of-line wait.
+// maxMicroBatch bounds Options.MicroBatch: past a few dozen rows a
+// longer drain only adds head-of-line wait.
 const maxMicroBatch = 256
 
 // Alert is one impending-failure warning emitted on the subscriber
@@ -165,11 +165,11 @@ type Options struct {
 	SkewTolerance time.Duration
 	// MicroBatch caps how many queued events one shard wakeup drains and
 	// processes together: every chain closed during the drain is scored
-	// through Detector.DetectBatch (one batched gate GEMM per timestep)
-	// instead of one serial Detect per chain. Coalescing never waits on a
-	// timer — the batch is whatever backlog exists at wakeup, so an idle
-	// shard keeps per-event latency while a backlogged one amortizes
-	// kernel work across the burst. 1 disables coalescing (the per-event
+	// through one lockstep Detector.DetectBatch pass instead of one
+	// serial Detect per chain. Coalescing never waits on a timer — the
+	// batch is whatever backlog exists at wakeup, so an idle shard keeps
+	// per-event latency while a backlogged one amortizes the wakeup
+	// across the burst. 1 disables coalescing (the per-event
 	// path). Default 32, max 256. Batch boundaries are unobservable in
 	// the alert stream: per chain, batched verdicts are bit-identical to
 	// serial ones, and emission order is event order.
@@ -644,6 +644,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		BatchWakeups:         s.met.BatchWakeups.Load(),
 		BatchedDetects:       s.met.BatchedDetects.Load(),
 		ModelPrecision:       s.opts.Precision.String(),
+		GateKernel:           s.opts.Precision.GateKernel(),
 		PrecisionConversions: s.met.PrecisionConversions.Load(),
 		Detect:               s.met.Detect.Snapshot(),
 	}
@@ -1041,7 +1042,7 @@ func (sh *shard) runLoop() (panicked bool) {
 	}()
 	if sh.retry {
 		sh.retry = false
-		sh.process(sh.inflight)
+		sh.process(sh.inflight, time.Now())
 	}
 	// Finish any micro-batch a panic interrupted before taking new work:
 	// its drained events and deferred chains precede everything still in
@@ -1130,12 +1131,15 @@ func (sh *shard) applyCtl(m shardMsg) {
 }
 
 // processBatch runs the unprocessed tail of the drained micro-batch,
-// then scores the deferred chains and stamps the batch's metrics.
+// then scores the deferred chains and stamps the batch's metrics. The
+// wall clock is read once per wakeup: it only feeds the idle-flush
+// clock, whose granularity is seconds.
 func (sh *shard) processBatch() {
+	now := time.Now()
 	for sh.bufNext < len(sh.buf) {
 		ev := sh.buf[sh.bufNext].ev
 		sh.bufNext++
-		sh.process(ev)
+		sh.process(ev, now)
 	}
 	sh.flushPending()
 	sh.observeBatch()
@@ -1158,8 +1162,9 @@ func (sh *shard) resumeBatch() {
 	sh.pendTries = 0
 }
 
-// process runs one event through the shard with crash attribution.
-func (sh *shard) process(ev logparse.EncodedEvent) {
+// process runs one event through the shard with crash attribution; now
+// is the arrival time handle stamps on the event's node.
+func (sh *shard) process(ev logparse.EncodedEvent, now time.Time) {
 	sh.inflight = ev
 	sh.hasInflight = true
 	if hook := sh.s.opts.panicHook; hook != nil {
@@ -1168,7 +1173,7 @@ func (sh *shard) process(ev logparse.EncodedEvent) {
 	if d := sh.s.opts.processDelay; d > 0 {
 		time.Sleep(d)
 	}
-	sh.handle(ev)
+	sh.handle(ev, now)
 	sh.hasInflight = false
 	sh.restarts = 0
 	sh.s.met.Processed.Add(1)
@@ -1256,22 +1261,25 @@ func (sh *shard) state(node string) *nodeState {
 
 // handle routes one dequeued event: straight to the tracker, or — with
 // the event-time layer on — through dedup, the late check and the
-// reorder buffer first.
-func (sh *shard) handle(ev logparse.EncodedEvent) {
+// reorder buffer first. now is the wall-clock arrival time recorded as
+// the node's proof of life (nodeState.lastArrival); a caller inside a
+// shard wakeup passes the wakeup's one clock read.
+func (sh *shard) handle(ev logparse.EncodedEvent, now time.Time) {
 	ns := sh.state(ev.Node)
 	if sh.s.et != nil {
-		sh.handleEventTime(ns, ev)
+		sh.handleEventTime(ns, ev, now)
 		return
 	}
-	sh.feed(ns, ev)
+	sh.feed(ns, ev, now)
 }
 
 // handleEventTime is the disorder-tolerant path. Order matters: dedup
 // first (a re-delivered event must not re-enter the buffer), then the
 // late check against the release cursor, then buffering + watermark
-// release. No wall clock is consulted, so WAL replay of the same event
-// sequence reconstructs identical buffer and cursor state.
-func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent) {
+// release. The wall clock (now) only stamps lastArrival, so WAL replay
+// of the same event sequence reconstructs identical buffer and cursor
+// state.
+func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent, now time.Time) {
 	et := sh.s.et
 	if ns.et == nil {
 		ns.et = &nodeEventTime{}
@@ -1286,7 +1294,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent) {
 			sh.s.met.LateDropped.Add(1)
 			return
 		}
-		sh.feed(ns, ev) // the tracker clamps the stale timestamp forward
+		sh.feed(ns, ev, now) // the tracker clamps the stale timestamp forward
 		return
 	}
 	ns.et.rel = sh.rel
@@ -1300,19 +1308,18 @@ func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent) {
 		sh.wmNano.Store(ts)
 	}
 	for _, rel := range out {
-		sh.feed(ns, rel)
+		sh.feed(ns, rel, now)
 	}
 	if len(out) == 0 {
 		// The event only parked in the buffer; still proof of life for
 		// the idle-flush clock.
-		ns.lastArrival = time.Now()
+		ns.lastArrival = now
 	}
 }
 
 // feed runs one release-ordered event through the chain tracker and the
 // detection path — the pre-event-time handle body.
-func (sh *shard) feed(ns *nodeState, ev logparse.EncodedEvent) {
-	start := time.Now()
+func (sh *shard) feed(ns *nodeState, ev logparse.EncodedEvent, now time.Time) {
 	closed, err := ns.tracker.Feed(ev)
 	if err != nil {
 		// Unreachable: events are routed to trackers by node.
@@ -1355,7 +1362,7 @@ func (sh *shard) feed(ns *nodeState, ev logparse.EncodedEvent) {
 			}
 		}
 	}
-	ns.lastArrival = start
+	ns.lastArrival = now
 }
 
 // judge scores one closed chain serially and emits an alert when it is
@@ -1382,8 +1389,8 @@ func (sh *shard) emitVerdict(ns *nodeState, v core.Verdict) {
 }
 
 // flushPending scores every chain the current micro-batch closed: one
-// DetectBatch pass through the batched gate GEMMs when two or more are
-// pending, the serial judge otherwise. Per chain the batched verdict is
+// lockstep DetectBatch pass when two or more are pending, the serial
+// judge otherwise (the same gate kernel either way). Per chain the batched verdict is
 // bit-identical to Detect's, and emission order is append (= event)
 // order, so batch boundaries are unobservable in the alert stream.
 func (sh *shard) flushPending() {
@@ -1526,7 +1533,7 @@ func (sh *shard) idleFlush(now time.Time) {
 		// wall-clock-driven release path, and it only exists when
 		// IdleFlush is enabled — with it off, release is purely
 		// event-driven and WAL replay is exact.
-		sh.flushReorder(ns)
+		sh.flushReorder(ns, now)
 		// Feeding the buffered tail may have closed chains; they must
 		// judge (in order) before the final episode does.
 		sh.flushPending()
@@ -1543,14 +1550,14 @@ func (sh *shard) idleFlush(now time.Time) {
 
 // flushReorder drains ns's reorder buffer (if any) into the tracker in
 // release order.
-func (sh *shard) flushReorder(ns *nodeState) {
+func (sh *shard) flushReorder(ns *nodeState, now time.Time) {
 	if ns.et == nil || ns.et.heap.len() == 0 {
 		return
 	}
 	out := ns.et.flushAll()
 	sh.pending.Add(-int64(len(out)))
 	for _, ev := range out {
-		sh.feed(ns, ev)
+		sh.feed(ns, ev, now)
 	}
 }
 
@@ -1558,8 +1565,9 @@ func (sh *shard) flushReorder(ns *nodeState) {
 // flush every open episode and score it, exactly like the batch path's
 // end-of-input flush.
 func (sh *shard) drain() {
+	now := time.Now()
 	for _, ns := range sh.nodes {
-		sh.flushReorder(ns)
+		sh.flushReorder(ns, now)
 		// Chains closed by the buffered tail judge before the node's
 		// final open episode, preserving event order.
 		sh.flushPending()
