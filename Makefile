@@ -23,12 +23,14 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/embed/... ./internal/nn/... ./internal/par/... ./internal/stream/... ./internal/chain/... ./internal/persist/... ./internal/adapt/... ./internal/cluster/... ./internal/retry/... ./internal/chaos/... ./internal/tensor/...
 
 # kernel-parity exercises both sides of the one build fork in the
-# serving path: the packages on top of the LSTM gate kernel run under
-# the race detector as built by default (the AVX2 assembly kernel where
-# CPUID reports it) and with -tags purego (tensor.GateMatVec), and
-# every bitwise parity suite must hold on both. The arm64 vet only
-# cross-compiles: it keeps the non-amd64 file set building and lets
-# asmdecl check the stubs.
+# serving path: the packages on top of the two LSTM assembly kernels —
+# the AVX2 gate kernel (tensor.GateWeights) and the AVX2+FMA activation
+# kernel (tensor.ActivateLSTM, dispatched by nn.activate) — run under
+# the race detector as built by default (each kernel where CPUID
+# reports its features) and with -tags purego (tensor.GateMatVec and
+# the scalar sigmoid/tanh loop), and every bitwise parity suite must
+# hold on both. The arm64 vet only cross-compiles: it keeps the
+# non-amd64 file set building and lets asmdecl check the stubs.
 kernel-parity:
 	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/core/
@@ -55,9 +57,11 @@ bench-smoke:
 # fuzz exercises the network-facing line parser (against its time.Parse
 # + Fields/Join oracle), the single-scan masker (against the same
 # oracle), the event-time reorder buffer, the instance's record
-# /ingest and the gate kernel (assembly against GateMatVec, bit for bit)
-# beyond their committed seed corpora (which `test` already replays as
-# regular cases).
+# /ingest, the gate kernel (assembly against GateMatVec, bit for bit)
+# and the activation kernel (assembly against the scalar sigmoid/tanh
+# loop, i.e. against this toolchain's math.Exp and math.Tanh, bit for
+# bit) beyond their committed seed corpora (which `test` already replays
+# as regular cases).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
@@ -65,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzActivationParity -fuzztime $(FUZZTIME)
 
 # run-deshd is the daemon smoke test: generate a log, train a small
 # model, replay the log through deshd, and assert it raises at least

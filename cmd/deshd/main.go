@@ -181,8 +181,8 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "deshd: serving hot-swapped model %s from the state dir\n", file)
 	}
 	boot := s.SnapshotMetrics()
-	fmt.Fprintf(os.Stderr, "deshd: serving precision %s on the %s gate kernel (weight conversions %d)\n",
-		boot.ModelPrecision, boot.GateKernel, boot.PrecisionConversions)
+	fmt.Fprintf(os.Stderr, "deshd: serving precision %s on the %s gate kernel and the %s activation kernel (weight conversions %d)\n",
+		boot.ModelPrecision, boot.GateKernel, boot.ActivationKernel, boot.PrecisionConversions)
 
 	var learner *desh.Learner
 	if *retrainEvery > 0 || *driftThreshold > 0 {
@@ -362,11 +362,11 @@ func run() error {
 	}
 	snap := s.SnapshotMetrics()
 	fmt.Fprintf(os.Stderr,
-		"deshd: ingested %d (safe %d, malformed %d, oversized %d, dropped %d, quarantined %d), chains closed %d, alerts fired %d (suppressed %d, undelivered %d), shard restarts %d, batch occupancy %.2f (batched detects %d), precision %s (conversions %d), gate kernel %s, detect p50 %.0fµs p99 %.0fµs\n",
+		"deshd: ingested %d (safe %d, malformed %d, oversized %d, dropped %d, quarantined %d), chains closed %d, alerts fired %d (suppressed %d, undelivered %d), shard restarts %d, batch occupancy %.2f (batched detects %d), precision %s (conversions %d), gate kernel %s, activation kernel %s, detect p50 %.0fµs p99 %.0fµs\n",
 		snap.Ingested, snap.SafeFiltered, snap.Malformed, snap.Oversized, snap.Dropped, snap.Quarantined,
 		snap.ChainsClosed, snap.AlertsFired, snap.AlertsSuppressed, snap.AlertsDropped,
 		snap.ShardRestarts, snap.BatchOccupancy, snap.BatchedDetects,
-		snap.ModelPrecision, snap.PrecisionConversions, snap.GateKernel,
+		snap.ModelPrecision, snap.PrecisionConversions, snap.GateKernel, snap.ActivationKernel,
 		snap.Detect.P50Micros, snap.Detect.P99Micros)
 	fmt.Fprintf(os.Stderr,
 		"deshd: disorder: late %d (dropped %d, clamped %d), duplicates %d, skew-quarantined %d, reorder overflow %d, window evicted %d, shed %d (max level %d)\n",

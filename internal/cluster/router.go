@@ -146,9 +146,8 @@ type RouterMetricsSnapshot struct {
 
 type peerState struct {
 	Peer
-	ch       chan logparse.Event
-	healthy  atomic.Bool
-	inflight atomic.Int64
+	ch      chan logparse.Event
+	healthy atomic.Bool
 	// stop ends this peer's sender/health goroutines when the member
 	// leaves the cluster view (the router itself keeps running).
 	stop chan struct{}
@@ -215,6 +214,10 @@ type Router struct {
 	spillMu sync.Mutex
 	spill   *persist.WAL
 	spillN  int64 // records appended since the last drain rotation
+	// outstanding counts events from route until their batch's fate is
+	// recorded; one that spills enters spillN before it leaves.
+	outstanding atomic.Int64
+	progress    chan struct{} // wakes Flush after each batch
 
 	met    RouterMetrics
 	ctx    context.Context
@@ -294,6 +297,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		peers:       peers,
 		election:    cfg.Name != "",
 		spill:       spill,
+		progress:    make(chan struct{}, 1),
 		ctx:         ctx,
 		cancel:      cancel,
 	}
@@ -368,18 +372,22 @@ func (r *Router) IngestLine(line string) error {
 // route enqueues an event for its owner's sender, spilling when the
 // owner is unknown, unhealthy, or backlogged.
 func (r *Router) route(ev logparse.Event) {
+	r.outstanding.Add(1)
+	// Sent under the read lock: a departing member leaves r.peers under the
+	// write lock before stopPeer sweeps its queue, so nothing lands behind it.
 	r.mu.RLock()
-	owner := r.ring.Owner(persist.NodeHash(ev.Node))
-	ps := r.peers[owner]
-	r.mu.RUnlock()
+	ps := r.peers[r.ring.Owner(persist.NodeHash(ev.Node))]
 	if ps != nil && ps.healthy.Load() {
 		select {
 		case ps.ch <- ev:
+			r.mu.RUnlock()
 			return
 		default:
 		}
 	}
+	r.mu.RUnlock()
 	r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
+	r.outstanding.Add(-1)
 }
 
 // spillRecord appends one event record to the spill WAL.
@@ -427,9 +435,12 @@ func (r *Router) sender(ps *peerState) {
 					break fill
 				}
 			}
-			ps.inflight.Add(1)
 			r.sendBatch(ps, &batch)
-			ps.inflight.Add(-1)
+			r.outstanding.Add(-int64(batch.Len()))
+			select {
+			case r.progress <- struct{}{}:
+			default:
+			}
 		}
 	}
 }
@@ -789,6 +800,7 @@ func (r *Router) stopPeer(ps *peerState) {
 		select {
 		case ev := <-ps.ch:
 			r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
+			r.outstanding.Add(-1)
 		default:
 			return
 		}
@@ -832,45 +844,33 @@ func (r *Router) genFor(name string) uint64 {
 }
 
 // Flush drives the router to quiescence: every queued, in-flight and
-// spilled line delivered (or ctx expired). Used by graceful shutdown
-// and the equivalence tests.
+// spilled line delivered (or ctx expired). It returns on the first
+// quiescent observation, waking on sender progress or a backed-off poll.
 func (r *Router) Flush(ctx context.Context) error {
-	settled := 0
-	for {
+	for wait := time.Millisecond; ; wait = min(2*wait, 20*time.Millisecond) {
 		r.drainSpill()
 		if r.quiescent() {
-			settled++
-			// Two consecutive quiet passes: nothing was in flight between
-			// them, so no line can still be wandering.
-			if settled >= 2 {
-				return nil
-			}
-		} else {
-			settled = 0
+			return nil
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
+		case <-r.progress:
+		case <-time.After(wait):
 		}
 	}
 }
 
+// quiescent reports, exactly, whether the router holds no event. With
+// no drain pass running (drainMu) an event only leaves outstanding as
+// forwarded or into the spill, entering spillN first: outstanding read
+// as zero and then spillN as zero means nothing was in between.
 func (r *Router) quiescent() bool {
+	r.drainMu.Lock()
+	defer r.drainMu.Unlock()
 	r.spillMu.Lock()
-	spilled := r.spillN
-	r.spillMu.Unlock()
-	if spilled != 0 {
-		return false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, ps := range r.peers {
-		if len(ps.ch) != 0 || ps.inflight.Load() != 0 {
-			return false
-		}
-	}
-	return true
+	defer r.spillMu.Unlock()
+	return r.outstanding.Load() == 0 && r.spillN == 0
 }
 
 // Kill simulates a SIGKILL for the chaos harness: ingest stops and

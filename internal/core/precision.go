@@ -46,6 +46,16 @@ func (pr Precision) GateKernel() string {
 	return tensor.GateKernel()
 }
 
+// ActivationKernel names the kernel behind the LSTM cell's sigmoid/tanh
+// and state update at this precision: tensor.ActivationKernel
+// ("avx2-fma" or "generic") for f64, always "generic" for f32.
+func (pr Precision) ActivationKernel() string {
+	if pr == PrecisionF32 {
+		return "generic"
+	}
+	return tensor.ActivationKernel()
+}
+
 // ParsePrecision parses the -precision flag spelling.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {

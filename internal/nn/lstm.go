@@ -137,10 +137,21 @@ func (l *LSTMLayer) stepServe(g *tensor.GateWeights, x, h, c, z []float64) {
 
 // activate applies the gate nonlinearities to the pre-activations z
 // (length 4H, block order i, f, g, o) and updates the cell and hidden
-// state in place.
+// state in place. It is the serving path's one dispatch point between
+// the four-lane assembly kernel and the scalar loop: the kernel takes
+// the leading units it can reproduce bit for bit (none on a host or
+// build without it) and the loop finishes the rest.
 func activate(z, h, c []float64) {
+	activateFrom(tensor.ActivateLSTM(z, h, c), z, h, c)
+}
+
+// activateFrom is the scalar cell update for hidden units [from, H):
+// the fallback for what the kernel hands back (tail units when H is not
+// a multiple of four, blocks with a sigmoid input outside its range,
+// everything on the generic path) and, from 0, the parity reference.
+func activateFrom(from int, z, h, c []float64) {
 	H := len(h)
-	for j := 0; j < H; j++ {
+	for j := from; j < H; j++ {
 		ij := sigmoid(z[j])
 		fj := sigmoid(z[H+j])
 		gj := math.Tanh(z[2*H+j])

@@ -305,10 +305,13 @@ type MetricsSnapshot struct {
 	BatchedDetects int64 `json:"batched_detects"`
 	// ModelPrecision is the serving numeric path ("f64" or "f32");
 	// GateKernel is the LSTM gate kernel that path runs on this host
-	// ("avx2" or "generic"); PrecisionConversions counts f64→f32 weight
-	// conversions (one per adopted model at f32).
+	// ("avx2" or "generic") and ActivationKernel the kernel behind the
+	// cell's sigmoid/tanh and state update ("avx2-fma" or "generic");
+	// PrecisionConversions counts f64→f32 weight conversions (one per
+	// adopted model at f32).
 	ModelPrecision       string `json:"model_precision"`
 	GateKernel           string `json:"gate_kernel"`
+	ActivationKernel     string `json:"activation_kernel"`
 	PrecisionConversions int64  `json:"precision_conversions"`
 	// Continuous-learning gauges and counters (PR 7).
 	UnseenPhrases int64 `json:"unseen_phrases"`

@@ -67,12 +67,15 @@ func TestPrecisionAlertEquivalence(t *testing.T) {
 			t.Fatalf("ModelPrecision = %q, want %q", snap.ModelPrecision, prec)
 		}
 		// f32 kernels are scalar everywhere; f64 reports what CPUID chose.
-		wantKernel := "generic"
+		wantKernel, wantAct := "generic", "generic"
 		if prec == core.PrecisionF64 {
-			wantKernel = tensor.GateKernel()
+			wantKernel, wantAct = tensor.GateKernel(), tensor.ActivationKernel()
 		}
 		if snap.GateKernel != wantKernel {
 			t.Fatalf("%s: GateKernel = %q, want %q", prec, snap.GateKernel, wantKernel)
+		}
+		if snap.ActivationKernel != wantAct {
+			t.Fatalf("%s: ActivationKernel = %q, want %q", prec, snap.ActivationKernel, wantAct)
 		}
 		wantConv := int64(0)
 		if prec == core.PrecisionF32 {

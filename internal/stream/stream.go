@@ -645,6 +645,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		BatchedDetects:       s.met.BatchedDetects.Load(),
 		ModelPrecision:       s.opts.Precision.String(),
 		GateKernel:           s.opts.Precision.GateKernel(),
+		ActivationKernel:     s.opts.Precision.ActivationKernel(),
 		PrecisionConversions: s.met.PrecisionConversions.Load(),
 		Detect:               s.met.Detect.Snapshot(),
 	}
@@ -703,7 +704,9 @@ func (s *Streamer) IngestEvent(ev logparse.Event) error {
 	return nil
 }
 
-// Admission is one event of an IngestBatch.
+// Admission is one event of an IngestBatch. Its detect latency is
+// measured from the batch's admission, not from its own turn in the
+// batch (see IngestBatch).
 type Admission struct {
 	Event logparse.Event
 	// Record, when set, is the event's persist.EncodeEvent payload as it
@@ -725,6 +728,13 @@ type Admission struct {
 // first of them queued for its shard. A caller that acknowledges the
 // batch after IngestBatch returns therefore never acknowledges an event
 // a process kill could lose.
+//
+// The local clock is read once per call, so every event of a batch is
+// held to the skew guard at, and carries the enqueue stamp of, the
+// batch's admission: the detect-latency histogram (detect_latency in
+// /metrics) is anchored there and includes the time an event spent
+// behind the batch's WAL write and, under the Block policy, behind the
+// events queued ahead of it.
 func (s *Streamer) IngestBatch(batch []Admission) error {
 	// The RLock pins "not closed" for the duration of the call: Close
 	// takes the write lock, so it cannot close the shard channels while
@@ -734,6 +744,15 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
+	}
+	// One clock read per call, taken when the first event needs it: the
+	// skew guard and the enqueue stamp of every event in the batch share it.
+	var now time.Time
+	clock := func() time.Time {
+		if now.IsZero() {
+			now = time.Now()
+		}
+		return now
 	}
 	admitted := 0
 	for i := range batch {
@@ -760,7 +779,7 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		// would poison the node's watermark (every honest event after it
 		// turns late), so it is quarantined here — before the WAL append, so
 		// replay never resurrects it and recovery stays deterministic.
-		if tol := s.opts.SkewTolerance; tol > 0 && a.Event.Time.After(time.Now().Add(tol)) {
+		if tol := s.opts.SkewTolerance; tol > 0 && a.Event.Time.After(clock().Add(tol)) {
 			s.met.SkewQuarantined.Add(1)
 			s.skewDiag(a.Event, tol)
 			continue
@@ -799,7 +818,7 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		// The enqueue stamp anchors the detect-latency histogram: observed at
 		// verdict time, it measures queue wait + processing + any batched
 		// scoring the event waited on — the latency a subscriber experiences.
-		msg := shardMsg{ev: enc, at: time.Now()}
+		msg := shardMsg{ev: enc, at: clock()}
 		sh := s.shards[s.shardOf(ev.Node)]
 		if s.opts.Policy == Block {
 			sh.ch <- msg

@@ -144,13 +144,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func hasAVX2() bool
+// func cpuFeatures() (avx2, avx2fma bool)
 //
 // AVX2 is usable when CPUID reports it (leaf 7 EBX bit 5) and the OS
 // saves the YMM state: leaf 1 ECX OSXSAVE (bit 27) and AVX (bit 28),
-// then XCR0 bits 1 and 2 via XGETBV.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// then XCR0 bits 1 and 2 via XGETBV. avx2fma adds leaf 1 ECX FMA
+// (bit 12) — with the YMM check, the condition under which math.Exp
+// takes its own FMA path (math.useFMA).
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, avx2fma+1(FP)
 	XORL AX, AX
 	XORL CX, CX
 	CPUID
@@ -159,6 +162,7 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, R8
 	ANDL $0x18000000, CX
 	CMPL CX, $0x18000000
 	JNE  no
@@ -172,6 +176,9 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	BTL  $5, BX
 	JCC  no
-	MOVB $1, ret+0(FP)
+	MOVB $1, avx2+0(FP)
+	BTL  $12, R8
+	JCC  no
+	MOVB $1, avx2fma+1(FP)
 no:
 	RET

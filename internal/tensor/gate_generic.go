@@ -2,10 +2,18 @@
 
 package tensor
 
-// Without the assembly kernel a GateWeights never holds transposed
-// copies, so gateT is never reached.
-const useAVX2 = false
+// Without the assembly kernels a GateWeights never holds transposed
+// copies and ActivateLSTM finishes nothing, so neither gateT nor
+// activate4 is ever reached.
+const (
+	useAVX2 = false
+	useFMA  = false
+)
 
 func gateT(dst, wxT, x, whT, h, bias []float64) {
 	panic("tensor: gateT needs the amd64 assembly kernel")
+}
+
+func activate4(z, h, c []float64) int {
+	panic("tensor: activate4 needs the amd64 assembly kernel")
 }
