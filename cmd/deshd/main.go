@@ -78,7 +78,7 @@ func run() error {
 	dedup := flag.Int("dedup-window", 0, "per-node duplicate-suppression ring size (0 disables)")
 	skew := flag.Duration("skew-tolerance", 0, "quarantine events this far ahead of the local clock (0 disables)")
 	shed := flag.String("shed-policy", "off", `overload degradation: "off" or "degrade" (walk shed levels under pressure)`)
-	microBatch := flag.Int("micro-batch", 32, "events one shard wakeup coalesces and scores as a batch (1 disables)")
+	microBatch := flag.Int("micro-batch", 32, "cap on the queued events one shard wakeup coalesces (1 = one event per wakeup); caps coalescing only, scoring is one path at every width")
 	precision := flag.String("precision", "f64", `serving precision: "f64" (bit-identical to batch) or "f32" (float32 kernels, alert-equivalent)`)
 	retrainEvery := flag.Duration("retrain-every", 0, "retrain a candidate model from the WAL at this interval (0 disables; requires -state-dir)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "retrain when the drift score reaches this (0 disables; requires -state-dir)")

@@ -9,7 +9,8 @@ import (
 
 // BenchmarkClusterThroughput measures sustained ingest through a
 // replicated router (election on, one router) into fleets of 1, 2 and
-// 3 instances — the number BENCH_PR9.json reports. Each op is one raw
+// 3 instances — the number BENCH_PR9.json (git history) recorded; the
+// routed figure is now bench/'s routed_raw, DESIGN §17. Each op is one raw
 // log line entering IngestLine; the final Flush (delivery of every
 // queued batch) is inside the timed region, so ns/op is true
 // end-to-end cluster cost, not enqueue cost.

@@ -10,7 +10,6 @@ import (
 	"desh/internal/catalog"
 	"desh/internal/chain"
 	"desh/internal/logparse"
-	"desh/internal/loss"
 	"desh/internal/metrics"
 	"desh/internal/nn"
 	"desh/internal/par"
@@ -130,37 +129,39 @@ func (p *Pipeline) DetectWith(c chain.Chain, threshold float64, minMatches int) 
 	return p.NewDetector().DetectWith(c, threshold, minMatches)
 }
 
-// Detector is a reusable Phase-3 scoring context: one Phase-2 LSTM
-// stream plus vectorization scratch. Detectors are the unit of
+// Detector is a reusable Phase-3 scoring context: one Phase-2 serving
+// cursor plus vectorization scratch. Detectors are the unit of
 // parallelism — each worker in Predict or the Figure-8 sweep owns one,
 // and a Detector must not be shared between goroutines. All scratch is
-// grow-only, so Detect and DetectBatch allocate nothing in steady
-// state.
+// grow-only, so Detect, DetectWith and DetectBatch allocate nothing in
+// steady state.
 type Detector struct {
-	p       *Pipeline
-	stream  *nn.Stream
-	predRaw [2]float64
+	p     *Pipeline
+	batch *nn.StreamBatch
 
 	// Vectorization scratch (vectorize): the 2-state vectors of the
 	// chains being scored, two floats per entry, in Pipeline.Vectorize's
 	// raw view and VectorizeInput's LSTM-facing view.
 	raw, in []float64
 
-	// Batched scoring scratch, lazily grown by DetectBatch. bOff[i] is
-	// the index of chain i's first vector in raw/in.
-	batch   *nn.StreamBatch
+	// Per-chain scoring scratch (beginBatch). bOff[i] is the index of
+	// chain i's first vector in raw/in.
 	bOff    []int
 	bPerm   []int
 	bConsec []int
 
-	// Float32 serving mode (phase3f32.go). When prec is PrecisionF32
-	// the detector scores through f32, converted from the trained
-	// model once at construction; stream is nil in that mode.
-	prec     Precision
-	f32      *nn.Forward32
-	stream32 *nn.Stream32
-	batch32  *nn.StreamBatch32
-	in32     []float32
+	// One-slot batch that Detect and DetectWith score through.
+	one  [1]chain.Chain
+	oneV [1]Verdict
+
+	// Float32 serving mode (precision.go), read only by step. When prec
+	// is PrecisionF32, batch is nil and row r of a pass steps
+	// streams32[r] over f32, the trained model converted once per model.
+	prec      Precision
+	f32       *nn.Forward32
+	streams32 []*nn.Stream32
+	in32      []float32
+	pred      []float64
 }
 
 // vectorize appends c's vectors to the detector's scratch and returns
@@ -186,7 +187,7 @@ func vec(arena []float64, i int) []float64 { return arena[2*i : 2*i+2] }
 // longest chain first so live rows stay a contiguous batch prefix, ties
 // broken on input index to keep the row assignment stable. live counts
 // the chains with at least one transition; the rest (fewer than two
-// vectors) keep their base verdict, matching DetectWith's early return.
+// vectors) keep their base verdict.
 func (d *Detector) beginBatch(chains []chain.Chain, verdicts []Verdict) (perm, consec []int, live int) {
 	B := len(chains)
 	if cap(d.bPerm) < B {
@@ -227,7 +228,7 @@ func (p *Pipeline) NewDetector() *Detector {
 	if p.phase2 == nil {
 		panic("core: NewDetector on untrained pipeline")
 	}
-	return &Detector{p: p, stream: p.phase2.NewStream()}
+	return &Detector{p: p, batch: p.phase2.NewStreamBatch()}
 }
 
 // Detect scores one candidate sequence with the pipeline's configured
@@ -236,57 +237,12 @@ func (d *Detector) Detect(c chain.Chain) Verdict {
 	return d.DetectWith(c, d.p.cfg.MSEThreshold, d.p.cfg.MinMatches)
 }
 
-// DetectWith scores one candidate sequence with explicit settings,
-// rewinding the detector's stream first.
+// DetectWith scores one candidate sequence with explicit settings: a
+// batch of one, through the detector's own slot.
 func (d *Detector) DetectWith(c chain.Chain, threshold float64, minMatches int) Verdict {
-	if d.prec == PrecisionF32 {
-		return d.detectWith32(c, threshold, minMatches)
-	}
-	p := d.p
-	v := Verdict{
-		Node:       c.Node,
-		AnchorTime: c.FailTime,
-		FlagIndex:  -1,
-		MinMSE:     math.Inf(1),
-		Chain:      c,
-	}
-	n := len(c.Entries)
-	if n < 2 {
-		return v
-	}
-	d.raw, d.in = d.raw[:0], d.in[:0]
-	d.vectorize(c)
-	idScale := p.idTargetScale()
-	d.stream.Reset()
-	consecutive := 0
-	for i := 0; i+1 < n; i++ {
-		pred := d.stream.Step(vec(d.in, i))
-		// Undo the target scaling so the MSE threshold applies in the
-		// paper's raw (ΔT minutes, phrase id) space.
-		d.predRaw[0] = pred[0]
-		d.predRaw[1] = pred[1] / idScale
-		mse := loss.MSE(d.predRaw[:], vec(d.raw, i+1))
-		if mse < v.MinMSE {
-			v.MinMSE = mse
-		}
-		// The first transition is predicted from a single observation;
-		// it carries no sequence evidence, so it never counts.
-		if i == 0 {
-			continue
-		}
-		if mse <= threshold {
-			consecutive++
-			if !v.Flagged && consecutive >= minMatches {
-				v.Flagged = true
-				v.FlagIndex = i + 1
-				v.LeadSeconds = c.Entries[i+1].DeltaT
-				v.PredLeadSeconds = d.predRaw[0] * 60
-			}
-		} else {
-			consecutive = 0
-		}
-	}
-	return v
+	d.one[0] = c
+	d.score(d.one[:], d.oneV[:], threshold, minMatches)
+	return d.oneV[0]
 }
 
 // Score folds verdicts into the Table-6 confusion matrix using the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"desh/internal/chain"
+	"desh/internal/loss"
 )
 
 // sameVerdict demands byte-identical verdicts: float fields compare by
@@ -22,18 +23,79 @@ func sameVerdict(a, b Verdict) bool {
 		reflect.DeepEqual(a.Chain, b.Chain)
 }
 
-// TestDetectBatchMatchesDetect pins the serving-path parity contract:
-// fanning chains through DetectBatch yields, slot for slot, the same
-// verdicts as scoring each chain alone — across random batch sizes,
-// orders, and the ragged chain shapes a real drain produces (including
-// degenerate one- and two-entry chains).
+// referenceDetect is Phase 3 for one chain written straight down, on
+// nothing the serving path runs: the allocating vectorizers, the scalar
+// LSTMStack.StepInfer and Dense.Forward (the path nn's
+// TestStreamMatchesStepInfer trusts) and a plain loop. It is the oracle
+// the one serving scorer is held to, bit for bit.
+func referenceDetect(p *Pipeline, c chain.Chain, threshold float64, minMatches int) Verdict {
+	v := Verdict{Node: c.Node, AnchorTime: c.FailTime, FlagIndex: -1, MinMSE: math.Inf(1), Chain: c}
+	raw, in := p.Vectorize(c), p.VectorizeInput(c)
+	st := p.phase2.Stack.NewState()
+	consecutive := 0
+	for i := 0; i+1 < len(in); i++ {
+		pred := p.phase2.Out.Forward(p.phase2.Stack.StepInfer(in[i], st))
+		pred[1] /= p.idTargetScale()
+		mse := loss.MSE(pred, raw[i+1])
+		if mse < v.MinMSE {
+			v.MinMSE = mse
+		}
+		if i == 0 {
+			continue // predicted from one observation: no sequence evidence
+		}
+		if mse > threshold {
+			consecutive = 0
+			continue
+		}
+		consecutive++
+		if !v.Flagged && consecutive >= minMatches {
+			v.Flagged, v.FlagIndex = true, i+1
+			v.LeadSeconds = c.Entries[i+1].DeltaT
+			v.PredLeadSeconds = pred[0] * 60
+		}
+	}
+	return v
+}
+
+// TestDetectBatchMatchesDetect holds every entry point of the one
+// scorer to referenceDetect, slot for slot and bit for bit: Detect,
+// DetectWith at settings away from the configured ones, and DetectBatch
+// across widths 1-32, shuffled orders and the ragged chain shapes a
+// real drain produces, including chains too short to have a transition.
 func TestDetectBatchMatchesDetect(t *testing.T) {
 	p, all := trainSmall(t, 34)
 	d := p.NewDetector()
+	for _, n := range []int{0, 1} {
+		short := all[n]
+		short.Entries = short.Entries[:n]
+		all = append(all, short)
+	}
 
 	want := make([]Verdict, len(all))
+	flagged := 0
 	for i, c := range all {
-		want[i] = d.Detect(c)
+		want[i] = referenceDetect(p, c, p.cfg.MSEThreshold, p.cfg.MinMatches)
+		if want[i].Flagged {
+			flagged++
+		}
+		if got := d.Detect(c); !sameVerdict(got, want[i]) {
+			t.Fatalf("chain %d (%s, %d entries): Detect %+v, reference %+v", i, c.Node, len(c.Entries), got, want[i])
+		}
+	}
+	if flagged == 0 || flagged == len(all) {
+		t.Fatalf("%d of %d chains flagged: the comparison does not cover both outcomes", flagged, len(all))
+	}
+
+	for _, s := range []struct {
+		threshold  float64
+		minMatches int
+	}{{4 * p.cfg.MSEThreshold, 1}, {p.cfg.MSEThreshold / 4, p.cfg.MinMatches + 2}, {math.Inf(1), 3}, {0, 1}} {
+		for i, c := range all {
+			ref := referenceDetect(p, c, s.threshold, s.minMatches)
+			if got := d.DetectWith(c, s.threshold, s.minMatches); !sameVerdict(got, ref) {
+				t.Fatalf("chain %d at (%g, %d): DetectWith %+v, reference %+v", i, s.threshold, s.minMatches, got, ref)
+			}
+		}
 	}
 
 	rng := rand.New(rand.NewSource(64))
@@ -41,7 +103,7 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 		// Shuffled copy so every trial batches different chains together.
 		idx := rng.Perm(len(all))
 		for lo := 0; lo < len(idx); {
-			B := 1 + rng.Intn(7)
+			B := 1 + rng.Intn(32)
 			if lo+B > len(idx) {
 				B = len(idx) - lo
 			}
@@ -53,7 +115,7 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 			d.DetectBatch(chains, verdicts)
 			for k := 0; k < B; k++ {
 				if !sameVerdict(verdicts[k], want[idx[lo+k]]) {
-					t.Fatalf("trial %d batch@%d size %d slot %d: batched verdict diverges for chain %s/%v",
+					t.Fatalf("trial %d batch@%d size %d slot %d: batched verdict diverges from the reference for chain %s/%v",
 						trial, lo, B, k, chains[k].Node, chains[k].FailTime)
 				}
 			}
@@ -96,7 +158,8 @@ func TestDetectorVectorizeMatchesPipeline(t *testing.T) {
 
 // TestDetectAllocatesNothing pins the serving path's steady state: once
 // the scratch has grown to the widest batch and the longest chain,
-// Detect and DetectBatch allocate nothing, on either precision.
+// Detect, DetectWith and DetectBatch allocate nothing, on either
+// precision.
 func TestDetectAllocatesNothing(t *testing.T) {
 	p, all := trainSmall(t, 34)
 	verdicts := make([]Verdict, len(all))
@@ -112,6 +175,13 @@ func TestDetectAllocatesNothing(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("%s: Detect allocates %v per pass over %d chains", prec, n, len(all))
+		}
+		if n := testing.AllocsPerRun(5, func() {
+			for _, c := range all {
+				verdicts[0] = d.DetectWith(c, 2*p.cfg.MSEThreshold, 1)
+			}
+		}); n != 0 {
+			t.Errorf("%s: DetectWith allocates %v per pass over %d chains", prec, n, len(all))
 		}
 		if n := testing.AllocsPerRun(5, func() { d.DetectBatch(all, verdicts) }); n != 0 {
 			t.Errorf("%s: DetectBatch allocates %v per batch of %d", prec, n, len(all))

@@ -93,3 +93,22 @@ func (p *Pipeline) Convert32() (*nn.Forward32, bool, error) {
 	p.f32model, p.f32of = f, p.phase2
 	return f, true, nil
 }
+
+// NewDetectorPrecision builds a scoring context for the trained model
+// on the chosen numeric path. PrecisionF32 converts the weights on
+// first use (cached per model) and returns a typed error — never a
+// panic — if any trained weight has no finite float32 encoding. Like
+// NewDetector, it panics if the pipeline is untrained.
+func (p *Pipeline) NewDetectorPrecision(prec Precision) (*Detector, error) {
+	if prec != PrecisionF32 {
+		return p.NewDetector(), nil
+	}
+	if p.phase2 == nil {
+		panic("core: NewDetectorPrecision on untrained pipeline")
+	}
+	f, _, err := p.Convert32()
+	if err != nil {
+		return nil, err
+	}
+	return &Detector{p: p, prec: PrecisionF32, f32: f, in32: make([]float32, f.InDim)}, nil
+}

@@ -47,18 +47,18 @@ func TestConvert32Cache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Precision() != PrecisionF32 || d.f32 != f1 {
+	if d.prec != PrecisionF32 || d.f32 != f1 {
 		t.Fatal("f32 detector did not share the cached conversion")
 	}
-	if d64, err := p.NewDetectorPrecision(PrecisionF64); err != nil || d64.Precision() != PrecisionF64 {
-		t.Fatalf("f64 detector: %v %v", d64.Precision(), err)
+	if d64, err := p.NewDetectorPrecision(PrecisionF64); err != nil || d64.prec != PrecisionF64 {
+		t.Fatalf("f64 detector: %v %v", d64.prec, err)
 	}
 }
 
-// TestDetectBatch32MatchesDetect32 pins the f32 serving-path parity
-// contract, mirroring TestDetectBatchMatchesDetect: batched f32 scoring
-// yields, slot for slot, byte-identical verdicts to the serial f32
-// detector across random batch compositions and ragged chain shapes.
+// TestDetectBatch32MatchesDetect32 pins row invariance on the f32 path,
+// which has no bitwise oracle: one batch of B chains yields, slot for
+// slot, byte-identical verdicts to B batches of one, across random
+// batch compositions and ragged chain shapes.
 func TestDetectBatch32MatchesDetect32(t *testing.T) {
 	p, all := trainSmall(t, 34)
 	d, err := p.NewDetectorPrecision(PrecisionF32)
@@ -67,8 +67,8 @@ func TestDetectBatch32MatchesDetect32(t *testing.T) {
 	}
 
 	want := make([]Verdict, len(all))
-	for i, c := range all {
-		want[i] = d.Detect(c)
+	for i := range all {
+		d.DetectBatch(all[i:i+1], want[i:i+1])
 	}
 
 	rng := rand.New(rand.NewSource(65))

@@ -14,12 +14,10 @@ import (
 // no backward path and no persistence: a Forward32 never outlives the
 // float64 model it was converted from.
 //
-// Parity contract (same shape as the float64 one): per row, a
-// StreamBatch32 timestep performs the identical float32 operation
-// sequence as Stream32.Step on that row alone, so a batch of one is
-// byte-identical to the serial f32 stream. Parity is within the f32
-// path only — f32 vs f64 verdicts are gated by the alert-equivalence
-// tolerance suite instead (see DESIGN's precision policy).
+// Stream32 is the only f32 cursor: a batch of sequences is one Stream32
+// per row, so a row's predictions cannot depend on what it is batched
+// with. f32 vs f64 verdicts are gated by the alert-equivalence
+// tolerance suite (see DESIGN's precision policy).
 
 // layer32 is the forward-only float32 image of an LSTMLayer: the same
 // packed i,f,g,o gate layout with converted weights.
@@ -102,12 +100,10 @@ func (m *Forward32) WeightBytes() int {
 }
 
 // sigmoid32 and tanh32 evaluate the nonlinearities in float64 and round
-// once to float32. Both the serial and batched f32 steps call these
-// same functions with identical expression shapes, which is what keeps
-// their outputs bit-identical per row. sigmoid32 expands sigmoid's body
-// rather than wrapping it: the wrapped form costs ~3x per call (the
-// two-deep call chain defeats mid-stack inlining around math.Exp),
-// while this form computes the identical float64 value and rounds once.
+// once to float32. sigmoid32 expands sigmoid's body rather than
+// wrapping it: the wrapped form costs ~3x per call (the two-deep call
+// chain defeats mid-stack inlining around math.Exp), while this form
+// computes the identical float64 value and rounds once.
 func sigmoid32(x float32) float32 {
 	xf := float64(x)
 	if xf >= 0 {
@@ -120,9 +116,9 @@ func sigmoid32(x float32) float32 {
 
 func tanh32(x float32) float32 { return float32(math.Tanh(float64(x))) }
 
-// Stream32 is the float32 twin of Stream: a stateful per-node inference
-// cursor. Step allocates nothing, and distinct streams over the same
-// Forward32 may run concurrently.
+// Stream32 is the float32 inference cursor over one sequence. Step
+// allocates nothing, and distinct streams over the same Forward32 may
+// run concurrently.
 type Stream32 struct {
 	m    *Forward32
 	h, c [][]float32 // per layer [H]
@@ -180,126 +176,4 @@ func (s *Stream32) Step(x []float32) []float32 {
 	}
 	tensor.MatVecBias32(s.pred, s.m.outW, in, s.m.outB)
 	return s.pred
-}
-
-func setRows32(m *tensor.Matrix32, rows int) {
-	m.Rows = rows
-	m.Data = m.Data[:rows*m.Cols]
-}
-
-// StreamBatch32 is the float32 twin of StreamBatch: it scores up to
-// `capacity` independent sequences in lockstep through the batched f32
-// gate kernels. Arenas are grow-only — Begin reuses them whenever the
-// requested rows fit, so steady-state scoring allocates nothing. A
-// StreamBatch32 is single-threaded; concurrent scorers need one each.
-type StreamBatch32 struct {
-	m    *Forward32
-	rows int // live rows (a prefix of the arena)
-	grew int // arena capacity in rows
-
-	x    *tensor.Matrix32   // [rows x InDim] inputs for the current step
-	h, c []*tensor.Matrix32 // per layer [rows x H], updated in place
-	z    tensor.Matrix32    // gate pre-activations, re-pointed per layer
-	zb   []float32          // backing arena for z, rows x 4*maxH
-	pred *tensor.Matrix32   // [rows x OutDim] output-head predictions
-}
-
-// NewStreamBatch32 starts a batched float32 inference scorer. The
-// arenas are sized lazily by Begin.
-func (m *Forward32) NewStreamBatch32() *StreamBatch32 {
-	return &StreamBatch32{m: m}
-}
-
-// grow reallocates the arenas for at least `rows` rows. Only Begin may
-// call it: growth discards recurrent state, which Begin resets anyway.
-func (b *StreamBatch32) grow(rows int) {
-	b.grew = rows
-	b.x = tensor.New32(rows, b.m.InDim)
-	b.pred = tensor.New32(rows, b.m.OutDim)
-	b.zb = make([]float32, rows*4*b.m.maxH)
-	b.h = make([]*tensor.Matrix32, len(b.m.layers))
-	b.c = make([]*tensor.Matrix32, len(b.m.layers))
-	for k, l := range b.m.layers {
-		b.h[k] = tensor.New32(rows, l.HiddenSize)
-		b.c[k] = tensor.New32(rows, l.HiddenSize)
-	}
-}
-
-// Begin rewinds the batch to score `rows` fresh sequences from the
-// all-zero recurrent state.
-func (b *StreamBatch32) Begin(rows int) {
-	if rows < 1 {
-		panic(fmt.Sprintf("nn: StreamBatch32.Begin rows %d", rows))
-	}
-	if rows > b.grew {
-		b.grow(rows)
-	}
-	b.rows = rows
-	setRows32(b.x, rows)
-	setRows32(b.pred, rows)
-	for k := range b.h {
-		setRows32(b.h[k], rows)
-		setRows32(b.c[k], rows)
-		b.h[k].Zero()
-		b.c[k].Zero()
-	}
-}
-
-// Rows returns the number of live rows.
-func (b *StreamBatch32) Rows() int { return b.rows }
-
-// Input returns row r of the input matrix for the caller to fill before
-// Step. Valid until the next Begin.
-func (b *StreamBatch32) Input(r int) []float32 { return b.x.Row(r) }
-
-// Shrink retires the trailing rows, keeping the first `rows` sequences
-// live with their recurrent state intact.
-func (b *StreamBatch32) Shrink(rows int) {
-	if rows < 0 || rows > b.rows {
-		panic(fmt.Sprintf("nn: StreamBatch32.Shrink %d of %d rows", rows, b.rows))
-	}
-	if rows == b.rows {
-		return
-	}
-	b.rows = rows
-	setRows32(b.x, rows)
-	setRows32(b.pred, rows)
-	for k := range b.h {
-		setRows32(b.h[k], rows)
-		setRows32(b.c[k], rows)
-	}
-}
-
-// Step consumes the inputs staged via Input and advances every live row
-// one timestep, returning the [rows x OutDim] next-vector predictions.
-// The returned matrix is owned by the batch and valid until the next
-// Step. Row r equals Stream32.Step on row r's sequence, bit for bit.
-func (b *StreamBatch32) Step() *tensor.Matrix32 {
-	in := b.x
-	for k, l := range b.m.layers {
-		H := l.HiddenSize
-		b.z.Rows, b.z.Cols = b.rows, 4*H
-		b.z.Data = b.zb[:b.rows*4*H]
-		// GateMatMul32 reads h[k] in full before the loop below
-		// overwrites it, so the in-place state update is safe.
-		tensor.GateMatMul32(&b.z, in, l.Wx, b.h[k], l.Wh, l.B)
-		for r := 0; r < b.rows; r++ {
-			zr := b.z.Row(r)
-			hr := b.h[k].Row(r)
-			cr := b.c[k].Row(r)
-			// Mirrors Stream32.Step exactly: gate order i,f,g,o.
-			for j := 0; j < H; j++ {
-				ij := sigmoid32(zr[j])
-				fj := sigmoid32(zr[H+j])
-				gj := tanh32(zr[2*H+j])
-				oj := sigmoid32(zr[3*H+j])
-				cj := fj*cr[j] + ij*gj
-				cr[j] = cj
-				hr[j] = oj * tanh32(cj)
-			}
-		}
-		in = b.h[k]
-	}
-	tensor.MatMulABtBiasInto32(b.pred, in, b.m.outW, b.m.outB)
-	return b.pred
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -32,32 +31,4 @@ func BenchmarkStreamStepPrecision(b *testing.B) {
 			s.Step(x32)
 		}
 	})
-}
-
-// BenchmarkStreamBatchStep32 is the f32 twin of
-// BenchmarkStreamBatchStep: a batched timestep across widths.
-func BenchmarkStreamBatchStep32(b *testing.B) {
-	rng := rand.New(rand.NewSource(64))
-	m := NewSeqRegressorIO(2, 2, 64, 2, rng)
-	f, err := m.Convert32()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, rows := range []int{1, 2, 4, 8, 32} {
-		b.Run(fmt.Sprintf("rows-%d", rows), func(b *testing.B) {
-			sb := f.NewStreamBatch32()
-			sb.Begin(rows)
-			for r := 0; r < rows; r++ {
-				x := sb.Input(r)
-				for d := range x {
-					x[d] = float32(rng.NormFloat64())
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sb.Step()
-			}
-		})
-	}
 }

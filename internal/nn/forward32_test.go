@@ -96,116 +96,19 @@ func TestWeightBytes(t *testing.T) {
 	}
 }
 
-// TestStreamBatch32MatchesStream32 checks the f32 serving-path parity
-// contract: every row of a StreamBatch32 pass is bit-identical to
-// running that row's sequence through a serial Stream32, across batch
-// widths, ragged lengths (longest-first with Shrink), and repeated
-// Begin cycles.
-func TestStreamBatch32MatchesStream32(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	m := NewSeqRegressorIO(2, 2, 16, 2, rng)
-	f, err := m.Convert32()
-	if err != nil {
-		t.Fatalf("convert: %v", err)
-	}
-	sb := f.NewStreamBatch32()
-	st := f.NewStream32()
-
-	for trial := 0; trial < 20; trial++ {
-		B := 1 + rng.Intn(9)
-		lens := make([]int, B)
-		for i := range lens {
-			lens[i] = 1 + rng.Intn(12)
-		}
-		for i := 1; i < B; i++ {
-			if lens[i] > lens[i-1] {
-				lens[i] = lens[i-1]
-			}
-		}
-		seqs := make([][][]float32, B)
-		for i := range seqs {
-			seqs[i] = make([][]float32, lens[i])
-			for tstep := range seqs[i] {
-				v := make([]float32, f.InDim)
-				for d := range v {
-					v[d] = float32(rng.NormFloat64())
-				}
-				seqs[i][tstep] = v
-			}
-		}
-
-		want := make([][][]float32, B)
-		for i, seq := range seqs {
-			st.Reset()
-			for _, x := range seq {
-				p := st.Step(x)
-				want[i] = append(want[i], append([]float32(nil), p...))
-			}
-		}
-
-		sb.Begin(B)
-		live := B
-		for tstep := 0; ; tstep++ {
-			for live > 0 && lens[live-1] <= tstep {
-				live--
-			}
-			if live == 0 {
-				break
-			}
-			sb.Shrink(live)
-			for r := 0; r < live; r++ {
-				copy(sb.Input(r), seqs[r][tstep])
-			}
-			pred := sb.Step()
-			for r := 0; r < live; r++ {
-				got := pred.Row(r)
-				for d, w := range want[r][tstep] {
-					if math.Float32bits(got[d]) != math.Float32bits(w) {
-						t.Fatalf("trial %d row %d step %d dim %d: batch %v, serial %v",
-							trial, r, tstep, d, got[d], w)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestStreamBatch32SteadyStateAllocs pins the 0 allocs/op contract for
-// the f32 arenas, mirroring TestStreamBatchSteadyStateAllocs.
-func TestStreamBatch32SteadyStateAllocs(t *testing.T) {
+// TestStream32SteadyStateAllocs pins the 0 allocs/op contract of the
+// f32 cursor.
+func TestStream32SteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	m := NewSeqRegressorIO(2, 2, 16, 2, rng)
 	f, err := m.Convert32()
 	if err != nil {
 		t.Fatalf("convert: %v", err)
 	}
-	sb := f.NewStreamBatch32()
 	seq := make([][]float32, 6)
 	for i := range seq {
 		seq[i] = []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
 	}
-	sb.Begin(8) // warm the arenas at max width
-
-	for _, rows := range []int{8, 3, 1} {
-		rows := rows
-		allocs := testing.AllocsPerRun(50, func() {
-			sb.Begin(rows)
-			for tstep := range seq {
-				for r := 0; r < rows; r++ {
-					copy(sb.Input(r), seq[tstep])
-				}
-				sb.Step()
-				if rows > 1 && tstep == len(seq)-1 {
-					sb.Shrink(rows - 1)
-				}
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("rows=%d: %v allocs/op in steady state, want 0", rows, allocs)
-		}
-	}
-
-	// The serial f32 stream also allocates nothing per step.
 	st := f.NewStream32()
 	allocs := testing.AllocsPerRun(50, func() {
 		st.Reset()

@@ -279,7 +279,10 @@ func TestRegressorLearnsCountdown(t *testing.T) {
 			}
 		}
 	}
-	pred := m.PredictNext(seq[:history])
+	var pred []float64
+	for s, i := m.NewStream(), 0; i < history; i++ {
+		pred = s.Step(seq[i])
+	}
 	if got := loss.MSE(pred, seq[history]); got > 0.01 {
 		t.Fatalf("countdown prediction MSE %v, want < 0.01 (pred %v want %v)", got, pred, seq[history])
 	}
@@ -310,7 +313,7 @@ func TestRegressorTargetDimPanics(t *testing.T) {
 func TestRegressorIODims(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	m := NewSeqRegressorIO(3, 2, 4, 1, rng)
-	pred := m.PredictNext([][]float64{{1, 2, 3}})
+	pred := m.NewStream().Step([]float64{1, 2, 3})
 	if len(pred) != 2 {
 		t.Fatalf("prediction width %d, want 2", len(pred))
 	}
@@ -320,32 +323,22 @@ func TestRegressorStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	m := NewSeqRegressor(2, 4, 2, rng)
 	window := [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}}
-	want := m.PredictNext(window)
-	s := m.NewStream()
-	var got []float64
+	s, st := m.NewStream(), m.Stack.NewState()
 	for _, x := range window {
-		got = m.streamStepForTest(s, x)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatal("Stream and PredictNext must agree")
+		want := stepInferRef(m, st, x)
+		got := s.Step(x)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatal("Stream and StepInfer must agree")
+			}
 		}
 	}
-}
 
-// streamStepForTest lets the test drive Stream.Step without exporting
-// internals differently.
-func (m *SeqRegressor) streamStepForTest(s *Stream, x []float64) []float64 {
-	return s.Step(x)
-}
-
-func TestStreamScoreNextBeforeAnyStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	m := NewSeqRegressor(2, 3, 1, rng)
-	s := m.NewStream()
-	// Scoring before any input compares against the zero prediction.
-	got := s.ScoreNext([]float64{3, 4})
-	if math.Abs(got-12.5) > 1e-12 { // (9+16)/2
-		t.Fatalf("ScoreNext=%v, want 12.5", got)
-	}
+	// A vector of the wrong width must refuse loudly, not score garbage.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on input length mismatch")
+		}
+	}()
+	s.Step([]float64{0.1})
 }

@@ -138,20 +138,6 @@ func (m *SeqRegressor) SequenceLoss(inputs, targets [][]float64) float64 {
 	return total * inv
 }
 
-// PredictNext returns the model's 1-step prediction after reading the
-// given context window (no gradients).
-func (m *SeqRegressor) PredictNext(window [][]float64) []float64 {
-	st := m.Stack.NewState()
-	var h []float64
-	for _, x := range window {
-		h = m.Stack.StepInfer(x, st)
-	}
-	if h == nil {
-		h = make([]float64, m.Stack.HiddenSize())
-	}
-	return m.Out.Forward(h)
-}
-
 // serveGates returns the serving image of each layer's gate weights
 // (tensor.GateWeights: on AVX2 hosts a transposed copy, ~100 KB for the
 // Phase-2 model). The images are built on the first call and shared by
@@ -179,62 +165,4 @@ func (m *SeqRegressor) serveGates() []*tensor.GateWeights {
 		m.gates = gates
 	}
 	return m.gates
-}
-
-// Stream is a stateful inference cursor over one node's vector sequence
-// (Phase 3 processes each node's log through an identical trained LSTM).
-// A stream owns all its buffers: Step and ScoreNext allocate nothing, and
-// distinct streams over the same model may run concurrently. It scores
-// the model's weights as of NewStream (serveGates); make a new stream
-// after training the model further.
-type Stream struct {
-	m     *SeqRegressor
-	gates []*tensor.GateWeights
-	st    *State
-	h     []float64
-	pred  []float64
-	score []float64
-}
-
-// NewStream starts a fresh per-node inference stream.
-func (m *SeqRegressor) NewStream() *Stream {
-	return &Stream{
-		m:     m,
-		gates: m.serveGates(),
-		st:    m.Stack.NewState(),
-		pred:  make([]float64, m.OutDim),
-		score: make([]float64, m.OutDim),
-	}
-}
-
-// Reset rewinds the stream to the zero state so it can score a new
-// sequence without reallocating — the worker-pool recycling path.
-func (s *Stream) Reset() {
-	s.st.Reset()
-	s.h = nil
-}
-
-// Step feeds one observed vector and returns the model's prediction for
-// the *next* vector. The returned slice is owned by the stream and valid
-// until the next Step.
-func (s *Stream) Step(x []float64) []float64 {
-	st := s.st
-	for k, l := range s.m.Stack.Layers {
-		l.stepServe(s.gates[k], x, st.H[k], st.C[k], st.z)
-		x = st.H[k]
-	}
-	s.h = x
-	s.m.Out.ForwardInto(s.pred, s.h)
-	return s.pred
-}
-
-// ScoreNext returns the MSE between the stream's current next-vector
-// prediction and an observed vector, without advancing the stream.
-func (s *Stream) ScoreNext(observed []float64) float64 {
-	if s.h == nil {
-		tensor.VecZero(s.score)
-		return loss.MSE(s.score, observed)
-	}
-	s.m.Out.ForwardInto(s.score, s.h)
-	return loss.MSE(s.score, observed)
 }

@@ -63,7 +63,7 @@ func TestStreamGatesFollowTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(153))
 	m := NewSeqRegressorIO(2, 2, 32, 2, rng)
 	a, b := m.NewStream(), m.NewStreamBatch()
-	if &a.gates[0] != &b.gates[0] {
+	if &a.b.gates[0] != &b.gates[0] {
 		t.Fatal("streams of one unchanged model do not share gate images")
 	}
 

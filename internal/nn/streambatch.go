@@ -6,26 +6,26 @@ import (
 	"desh/internal/tensor"
 )
 
-// StreamBatch scores up to `capacity` independent sequences in lockstep
-// — the forward-only, serving-path counterpart of stackBatch. Each row
-// of the packed matrices is one sequence; a timestep runs every row
-// through each layer's stepServe, the same gate function Stream.Step
-// calls, plus one tensor.MatMulABtBiasInto for the output head. No tape
-// is recorded: hidden and cell state update in place, exactly like
-// Stream.Step.
+// StreamBatch is the float64 serving cursor: it scores up to `capacity`
+// independent sequences in lockstep — the forward-only counterpart of
+// stackBatch. Each row of the packed matrices is one sequence; a
+// timestep runs every row through each layer's stepServe plus one
+// tensor.MatMulABtBiasInto for the output head. No tape is recorded:
+// hidden and cell state update in place.
 //
-// Parity contract: per row, a StreamBatch timestep IS Stream.Step's
-// layer loop on that row's sequence (same kernel, same gate images),
-// and MatMulABtBiasInto is per-row bit-identical to MatVecBias. A batch
-// therefore produces byte-identical predictions to the serial stream —
-// the property Detector.DetectBatch and the stream micro-batching layer
-// are built on. Layers run outermost, so a layer's weights stay cached
-// across the batch's rows.
+// Parity contract: a row's timestep is LSTMStack.StepInfer plus the
+// dense head on that row's sequence, bit for bit — stepServe is
+// bit-identical to stepInfer and MatMulABtBiasInto is per-row
+// bit-identical to MatVecBias — so a row's predictions do not depend on
+// the batch width or on its row index. Detector.DetectBatch and the
+// stream micro-batching layer are built on that. Layers run outermost,
+// so a layer's weights stay cached across the batch's rows.
 //
 // The arenas are grow-only: Begin reuses them whenever the requested
 // rows fit, so steady-state scoring allocates nothing. A StreamBatch is
-// single-threaded; concurrent scorers need one StreamBatch each. Like a
-// Stream, it scores the model's weights as of NewStreamBatch.
+// single-threaded; concurrent scorers need one StreamBatch each. It
+// scores the model's weights as of NewStreamBatch (serveGates); make a
+// new one after training the model further.
 type StreamBatch struct {
 	m     *SeqRegressor
 	gates []*tensor.GateWeights
@@ -110,7 +110,7 @@ func (b *StreamBatch) Shrink(rows int) {
 // Step consumes the inputs staged via Input and advances every live row
 // one timestep, returning the [rows x OutDim] next-vector predictions.
 // The returned matrix is owned by the batch and valid until the next
-// Step. Row r equals Stream.Step on row r's sequence, bit for bit.
+// Step.
 func (b *StreamBatch) Step() *tensor.Matrix {
 	in := b.x
 	for k, l := range b.m.Stack.Layers {
@@ -121,4 +121,30 @@ func (b *StreamBatch) Step() *tensor.Matrix {
 	}
 	tensor.MatMulABtBiasInto(b.pred, in, b.m.Out.W.Value, b.m.Out.B.Value.Data)
 	return b.pred
+}
+
+// Stream is a StreamBatch held at one row: the cursor over a single
+// sequence.
+type Stream struct{ b *StreamBatch }
+
+// NewStream starts a fresh one-sequence inference stream.
+func (m *SeqRegressor) NewStream() *Stream {
+	s := &Stream{b: m.NewStreamBatch()}
+	s.Reset()
+	return s
+}
+
+// Reset rewinds the stream to the zero state so it can score a new
+// sequence without reallocating.
+func (s *Stream) Reset() { s.b.Begin(1) }
+
+// Step feeds one observed vector and returns the model's prediction for
+// the *next* vector. The returned slice is owned by the stream and valid
+// until the next Step.
+func (s *Stream) Step(x []float64) []float64 {
+	if len(x) != s.b.m.InDim {
+		panic(fmt.Sprintf("nn: Stream.Step input length %d, want %d", len(x), s.b.m.InDim))
+	}
+	copy(s.b.Input(0), x)
+	return s.b.Step().Row(0)
 }

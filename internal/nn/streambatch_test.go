@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// TestStreamBatchMatchesStream checks the serving-path parity contract:
-// every row of a StreamBatch pass is bit-identical to running that
-// row's sequence through a serial Stream, across batch widths, ragged
+// TestStreamBatchMatchesStream checks the serving-path parity contract
+// against the scalar reference: every row of a StreamBatch pass is
+// bit-identical to running that row's sequence through StepInfer and
+// the dense head alone, across batch widths from one row up, ragged
 // lengths (longest-first with Shrink), and repeated Begin cycles.
 func TestStreamBatchMatchesStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	m := NewSeqRegressorIO(2, 2, 16, 2, rng)
 	sb := m.NewStreamBatch()
-	st := m.NewStream()
 
 	for trial := 0; trial < 20; trial++ {
 		B := 1 + rng.Intn(9)
@@ -35,13 +35,12 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 			seqs[i] = randSeq(rng, lens[i], m.InDim)
 		}
 
-		// Serial reference predictions per row and step.
+		// Scalar reference predictions per row and step.
 		want := make([][][]float64, B)
 		for i, seq := range seqs {
-			st.Reset()
+			st := m.Stack.NewState()
 			for _, x := range seq {
-				p := st.Step(x)
-				want[i] = append(want[i], append([]float64(nil), p...))
+				want[i] = append(want[i], stepInferRef(m, st, x))
 			}
 		}
 
@@ -63,7 +62,7 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 				got := pred.Row(r)
 				for d, w := range want[r][tstep] {
 					if math.Float64bits(got[d]) != math.Float64bits(w) {
-						t.Fatalf("trial %d row %d step %d dim %d: batch %v, serial %v",
+						t.Fatalf("trial %d row %d step %d dim %d: batch %v, StepInfer %v",
 							trial, r, tstep, d, got[d], w)
 					}
 				}

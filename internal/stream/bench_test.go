@@ -10,7 +10,8 @@ import (
 )
 
 // benchLines renders the benchmark-scale run (60 nodes, 96 h, seed 31 —
-// the same workload BENCH_PR1 used for Fig4) into raw log lines.
+// the Fig4 workload of the first recorded baseline, BENCH_PR1.json in
+// git history) into raw log lines.
 func benchLines(b *testing.B) []string {
 	b.Helper()
 	run, err := generatedRun(logsim.Profiles()[2], 60, 96, 40, 31)

@@ -194,9 +194,8 @@ type Metrics struct {
 	// BatchEvents counts events drained across all wakeups; BatchEvents /
 	// BatchWakeups is the mean micro-batch occupancy.
 	BatchEvents atomic.Int64
-	// BatchedDetects counts closed chains scored through the batched
-	// DetectBatch path (batches of two or more; singletons take the
-	// serial path).
+	// BatchedDetects counts closed chains scored in a DetectBatch pass
+	// of two or more.
 	BatchedDetects atomic.Int64
 	// PrecisionConversions counts f64→f32 weight conversions performed
 	// for the serving path — one per adopted model (boot, recovery,
@@ -301,7 +300,8 @@ type MetricsSnapshot struct {
 	// BatchOccupancy is the mean number of events drained per shard
 	// wakeup (0 before the first wakeup; 1.0 means no coalescing).
 	BatchOccupancy float64 `json:"batch_occupancy"`
-	// BatchedDetects counts chains scored through DetectBatch.
+	// BatchedDetects counts chains scored in a DetectBatch pass of two
+	// or more.
 	BatchedDetects int64 `json:"batched_detects"`
 	// ModelPrecision is the serving numeric path ("f64" or "f32");
 	// GateKernel is the LSTM gate kernel that path runs on this host

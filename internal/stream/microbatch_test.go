@@ -156,3 +156,53 @@ func TestMicroBatchEarlyDetectEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRetriedBatchCountsChainsOnce drives a shard's pending batch by
+// hand through one failed scoring pass and its supervisor retry: the
+// detector panics on the first pass (a nil detector stands in for a
+// poisoned one) and scores on the second. chains_closed and
+// batched_detects must count the chains scored, not the passes tried.
+func TestRetriedBatchCountsChainsOnce(t *testing.T) {
+	p := trainedPipeline(t)
+	s, err := New(p, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	chains := p.TrainedChains()
+	if len(chains) > 5 {
+		chains = chains[:5]
+	}
+	// Once it has answered a barrier the shard goroutine is parked on
+	// its empty queue, so the test owns the shard-goroutine-only state it
+	// touches from here to Close.
+	sh := s.shards[0]
+	parked := make(chan map[string]persistedNode)
+	sh.ch <- shardMsg{snap: parked}
+	<-parked
+	for _, c := range chains {
+		sh.pend = append(sh.pend, pendChain{ns: sh.state(c.Node), c: c})
+	}
+
+	det := sh.det
+	sh.det = nil
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("scoring on a nil detector did not panic")
+			}
+		}()
+		sh.flushPending()
+	}()
+	if len(sh.pend) != len(chains) {
+		t.Fatalf("failed pass left %d of %d chains pending", len(sh.pend), len(chains))
+	}
+	sh.det = det
+	sh.resumeBatch()
+
+	snap := s.SnapshotMetrics()
+	if len(sh.pend) != 0 || snap.ChainsClosed != int64(len(chains)) || snap.BatchedDetects != int64(len(chains)) {
+		t.Fatalf("after one retry of %d chains: %d pending, chains_closed %d, batched_detects %d",
+			len(chains), len(sh.pend), snap.ChainsClosed, snap.BatchedDetects)
+	}
+}

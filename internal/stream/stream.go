@@ -164,15 +164,15 @@ type Options struct {
 	// handled by the lateness path, not this guard).
 	SkewTolerance time.Duration
 	// MicroBatch caps how many queued events one shard wakeup drains and
-	// processes together: every chain closed during the drain is scored
-	// through one lockstep Detector.DetectBatch pass instead of one
-	// serial Detect per chain. Coalescing never waits on a timer — the
-	// batch is whatever backlog exists at wakeup, so an idle shard keeps
-	// per-event latency while a backlogged one amortizes the wakeup
-	// across the burst. 1 disables coalescing (the per-event
-	// path). Default 32, max 256. Batch boundaries are unobservable in
-	// the alert stream: per chain, batched verdicts are bit-identical to
-	// serial ones, and emission order is event order.
+	// processes together; every chain closed during the drain is scored
+	// in one Detector.DetectBatch pass. It caps coalescing only: scoring
+	// is the same path at every width. Coalescing never waits on a timer
+	// — the batch is whatever backlog exists at wakeup, so an idle shard
+	// keeps per-event latency while a backlogged one amortizes the
+	// wakeup across the burst. 1 means one event per wakeup. Default 32,
+	// max 256. Batch boundaries are unobservable in the alert stream: a
+	// chain's verdict does not depend on what it is batched with, and
+	// emission order is event order.
 	MicroBatch int
 	// Precision selects the serving numeric path (default
 	// core.PrecisionF64, bit-identical to the offline pipeline).
@@ -290,8 +290,8 @@ func WithDedupWindow(n int) Option { return func(o *Options) { o.DedupWindow = n
 // more than d (default 0 = off).
 func WithSkewTolerance(d time.Duration) Option { return func(o *Options) { o.SkewTolerance = d } }
 
-// WithMicroBatch caps the events one shard wakeup coalesces and scores
-// as a batch (1 disables coalescing; default 32, max 256).
+// WithMicroBatch caps the events one shard wakeup coalesces (1 means
+// one event per wakeup; default 32, max 256).
 func WithMicroBatch(n int) Option { return func(o *Options) { o.MicroBatch = n } }
 
 // WithPrecision sets the serving numeric path (core.PrecisionF64 or
@@ -1384,16 +1384,6 @@ func (sh *shard) feed(ns *nodeState, ev logparse.EncodedEvent, now time.Time) {
 	ns.lastArrival = now
 }
 
-// judge scores one closed chain serially and emits an alert when it is
-// flagged — the streaming equivalent of one batch Predict verdict, used
-// for singleton batches and the idle-flush / drain paths.
-func (sh *shard) judge(ns *nodeState, c chain.Chain) {
-	sh.s.met.ChainsClosed.Add(1)
-	v := sh.det.Detect(c)
-	sh.tapVerdict(v)
-	sh.emitVerdict(ns, v)
-}
-
 // emitVerdict converts a flagged closed-chain verdict into an alert.
 func (sh *shard) emitVerdict(ns *nodeState, v core.Verdict) {
 	if !v.Flagged {
@@ -1407,24 +1397,17 @@ func (sh *shard) emitVerdict(ns *nodeState, v core.Verdict) {
 	})
 }
 
-// flushPending scores every chain the current micro-batch closed: one
-// lockstep DetectBatch pass when two or more are pending, the serial
-// judge otherwise (the same gate kernel either way). Per chain the batched verdict is
-// bit-identical to Detect's, and emission order is append (= event)
-// order, so batch boundaries are unobservable in the alert stream.
+// flushPending scores every chain the current micro-batch closed in one
+// DetectBatch pass. A chain's verdict does not depend on what it is
+// batched with, and emission order is append (= event) order, so batch
+// boundaries are unobservable in the alert stream. The counters move
+// only once the pass returns: a pass that panics is retried whole by
+// resumeBatch and must not count its chains twice.
 func (sh *shard) flushPending() {
 	n := len(sh.pend)
 	if n == 0 {
 		return
 	}
-	if n == 1 {
-		pc := sh.pend[0]
-		sh.judge(pc.ns, pc.c)
-		sh.pend = sh.pend[:0]
-		return
-	}
-	sh.s.met.ChainsClosed.Add(int64(n))
-	sh.s.met.BatchedDetects.Add(int64(n))
 	sh.chbuf = sh.chbuf[:0]
 	for _, pc := range sh.pend {
 		sh.chbuf = append(sh.chbuf, pc.c)
@@ -1434,6 +1417,10 @@ func (sh *shard) flushPending() {
 	}
 	vs := sh.verd[:n]
 	sh.det.DetectBatch(sh.chbuf, vs)
+	sh.s.met.ChainsClosed.Add(int64(n))
+	if n > 1 {
+		sh.s.met.BatchedDetects.Add(int64(n))
+	}
 	for i, pc := range sh.pend {
 		sh.tapVerdict(vs[i])
 		sh.emitVerdict(pc.ns, vs[i])
@@ -1553,17 +1540,16 @@ func (sh *shard) idleFlush(now time.Time) {
 		// IdleFlush is enabled — with it off, release is purely
 		// event-driven and WAL replay is exact.
 		sh.flushReorder(ns, now)
-		// Feeding the buffered tail may have closed chains; they must
-		// judge (in order) before the final episode does.
+		// Feeding the buffered tail may have closed chains; they judge
+		// ahead of the final episode, in append order.
+		if ns.tracker.OpenLen() > 0 {
+			ns.openAlerted = false
+			if c, ok := ns.tracker.Flush(); ok {
+				sh.pend = append(sh.pend, pendChain{ns: ns, c: c})
+			}
+			sh.syncOpenGauge(ns)
+		}
 		sh.flushPending()
-		if ns.tracker.OpenLen() == 0 {
-			continue
-		}
-		ns.openAlerted = false
-		if c, ok := ns.tracker.Flush(); ok {
-			sh.judge(ns, c)
-		}
-		sh.syncOpenGauge(ns)
 	}
 }
 
@@ -1588,12 +1574,12 @@ func (sh *shard) drain() {
 	for _, ns := range sh.nodes {
 		sh.flushReorder(ns, now)
 		// Chains closed by the buffered tail judge before the node's
-		// final open episode, preserving event order.
-		sh.flushPending()
+		// final open episode: pend scores in append order.
 		ns.openAlerted = false
 		if c, ok := ns.tracker.Flush(); ok {
-			sh.judge(ns, c)
+			sh.pend = append(sh.pend, pendChain{ns: ns, c: c})
 		}
 		sh.syncOpenGauge(ns)
+		sh.flushPending()
 	}
 }

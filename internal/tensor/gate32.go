@@ -8,11 +8,10 @@ import "fmt"
 // unroll width: float32 halves the vector-lane footprint per element,
 // so the unrolled bodies run 8 wide where the float64 kernels run 4.
 //
-// There is no backward twin: training stays float64. Per-row parity is
-// between the f32 kernels themselves — GateMatMul32 row r is
-// bit-identical to GateMatVec32 on that row — never with the f64
-// kernels, whose results differ by rounding. The serving layer gates
-// that difference behind an alert-equivalence tolerance test instead of
+// There is no backward twin and no batched twin: training stays
+// float64, and f32 serving steps one sequence at a time. Results differ
+// from the f64 kernels by rounding; the serving layer gates that
+// difference behind an alert-equivalence tolerance test instead of
 // bitwise parity (see DESIGN's precision policy).
 
 // dot8 is a float32 inner product with an 8-wide unrolled body. A

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -51,37 +50,4 @@ func BenchmarkGateMatVecPrecision(b *testing.B) {
 			GateMatVec32(z32, wx32, x32, wh32, h32, bias32)
 		}
 	})
-}
-
-// BenchmarkGateMatMul32Width is the f32 twin of
-// BenchmarkGateMatMulWidth: per-row cost of the batched gate GEMM
-// across widths.
-func BenchmarkGateMatMul32Width(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	const H, In = 64, 64
-	wx := New32(4*H, In)
-	wh := New32(4*H, H)
-	bias := make([]float32, 4*H)
-	for i := range wx.Data {
-		wx.Data[i] = float32(rng.NormFloat64())
-	}
-	for i := range wh.Data {
-		wh.Data[i] = float32(rng.NormFloat64())
-	}
-	for _, rows := range []int{1, 2, 4, 8, 32} {
-		b.Run(fmt.Sprintf("rows-%d", rows), func(b *testing.B) {
-			x := New32(rows, In)
-			h := New32(rows, H)
-			z := New32(rows, 4*H)
-			for i := range x.Data {
-				x.Data[i] = float32(rng.NormFloat64())
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				GateMatMul32(z, x, wx, h, wh, bias)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
-		})
-	}
 }

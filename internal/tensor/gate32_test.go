@@ -7,14 +7,6 @@ import (
 	"testing"
 )
 
-func randMat32(rng *rand.Rand, rows, cols int) *Matrix32 {
-	m := New32(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64())
-	}
-	return m
-}
-
 func randVec32(rng *rand.Rand, n int) []float32 {
 	v := make([]float32, n)
 	for i := range v {
@@ -37,61 +29,6 @@ func TestDot8MatchesNaive(t *testing.T) {
 		}
 		if got := dot8(a, b); got != want {
 			t.Fatalf("n=%d: dot8 %v, naive %v", n, got, want)
-		}
-	}
-}
-
-// TestGateMatMul32MatchesGateMatVec32 pins the per-row f32 parity the
-// micro-batcher relies on under -precision f32: every row of the batched
-// gate GEMM is bit-identical to the serial f32 gate kernel on that row,
-// across row tails, odd k, and odd gate widths.
-func TestGateMatMul32MatchesGateMatVec32(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 40; trial++ {
-		B := 1 + rng.Intn(9)
-		in := 1 + rng.Intn(33)
-		hid := 1 + rng.Intn(33)
-		gates := 1 + rng.Intn(17)
-		wx := randMat32(rng, gates, in)
-		wh := randMat32(rng, gates, hid)
-		bias := randVec32(rng, gates)
-		x := randMat32(rng, B, in)
-		h := randMat32(rng, B, hid)
-		z := New32(B, gates)
-		GateMatMul32(z, x, wx, h, wh, bias)
-		serial := make([]float32, gates)
-		for r := 0; r < B; r++ {
-			GateMatVec32(serial, wx, x.Row(r), wh, h.Row(r), bias)
-			for j, v := range serial {
-				if got := z.At(r, j); got != v {
-					t.Fatalf("trial %d row %d gate %d: batched %v, serial %v", trial, r, j, got, v)
-				}
-			}
-		}
-	}
-}
-
-// TestMatMulABtBiasInto32MatchesMatVecBias32 pins the same per-row
-// parity for the f32 output head.
-func TestMatMulABtBiasInto32MatchesMatVecBias32(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 40; trial++ {
-		B := 1 + rng.Intn(9)
-		in := 1 + rng.Intn(33)
-		out := 1 + rng.Intn(17)
-		w := randMat32(rng, out, in)
-		bias := randVec32(rng, out)
-		a := randMat32(rng, B, in)
-		dst := New32(B, out)
-		MatMulABtBiasInto32(dst, a, w, bias)
-		serial := make([]float32, out)
-		for r := 0; r < B; r++ {
-			MatVecBias32(serial, w, a.Row(r), bias)
-			for j, v := range serial {
-				if got := dst.At(r, j); got != v {
-					t.Fatalf("trial %d row %d col %d: batched %v, serial %v", trial, r, j, got, v)
-				}
-			}
 		}
 	}
 }

@@ -35,21 +35,6 @@ func (m *Matrix32) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// At returns element (i,j).
-func (m *Matrix32) At(i, j int) float32 {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("tensor: index (%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
-	}
-	return m.Data[i*m.Cols+j]
-}
-
-// Zero sets every element to 0.
-func (m *Matrix32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // ConvertError reports a float64 value that cannot become a serving
 // float32 weight: NaN, ±Inf, or a magnitude that overflows float32.
 // Conversion never panics — a damaged or pathological model surfaces as
