@@ -56,9 +56,12 @@ bench-smoke:
 
 # fuzz exercises the network-facing line parser (against its time.Parse
 # + Fields/Join oracle), the single-scan masker (against the same
-# oracle), the event-time reorder buffer, the instance's record
-# /ingest, the gate kernel (assembly against GateMatVec, bit for bit)
-# and the activation kernel (assembly against the scalar sigmoid/tanh
+# oracle), the event-time reorder buffer (its invariants, and the
+# in-order paths of dup/add against the scanning, always-pushing
+# reference; kilobyte inputs, so the minimiser is capped), the
+# instance's record /ingest, the gate kernel (assembly against
+# GateMatVec, bit for bit) and the activation kernel (assembly against
+# the scalar sigmoid/tanh
 # loop, i.e. against this toolchain's math.Exp and math.Tanh, bit for
 # bit) beyond their committed seed corpora (which `test` already replays
 # as regular cases).
@@ -67,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzEventTimeParity -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzActivationParity -fuzztime $(FUZZTIME)

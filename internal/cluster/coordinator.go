@@ -20,7 +20,6 @@ package cluster
 import (
 	"fmt"
 	"net/url"
-	"time"
 
 	"desh/internal/persist"
 )
@@ -30,17 +29,8 @@ import (
 // the successor takes over immediately instead of waiting out the TTL.
 func (r *Router) electLoop() {
 	r.electOnce()
-	t := time.NewTicker(r.cfg.ElectionInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.ctx.Done():
-			r.releaseLeases()
-			return
-		case <-t.C:
-			r.electOnce()
-		}
-	}
+	r.every(r.cfg.ElectionInterval, nil, r.electOnce)
+	r.releaseLeases()
 }
 
 // electOnce runs one lease round: poll every member, adopt any newer

@@ -82,9 +82,14 @@ func freshPipeline(t testing.TB) *core.Pipeline {
 // cannot diverge between runs.
 func equivLines(t *testing.T, seed int64) (lines []string, maxPerNode int) {
 	t.Helper()
-	run, err := logsim.Generate(logsim.Config{
-		Profile: logsim.Profiles()[2], Nodes: 18, Hours: 12, Failures: 10, Seed: seed,
-	})
+	return equivCorpus(t, logsim.Config{Profile: logsim.Profiles()[2], Nodes: 18, Hours: 12, Failures: 10, Seed: seed})
+}
+
+// equivCorpus is equivLines at a size of the caller's choosing.
+func equivCorpus(t *testing.T, cfg logsim.Config) (lines []string, maxPerNode int) {
+	t.Helper()
+	seed := cfg.Seed
+	run, err := logsim.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,24 +84,23 @@ func (r *Router) handleRebalance(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	body, ok := ingestBody(w, req)
-	if !ok {
+	sc := ingestPool.Get().(*ingestScratch)
+	defer sc.release()
+	if !ingestBody(w, req, &sc.body) {
 		return
 	}
-	lines, err := splitLines(body)
+	lines, err := splitLines(sc.body.Bytes())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	accepted, malformed := 0, 0
+	malformed := 0
 	for _, line := range lines {
-		if err := r.IngestLine(line); err != nil {
+		if r.IngestLine(line) != nil {
 			malformed++
-			continue
 		}
-		accepted++
 	}
-	writeJSON(w, map[string]int{"accepted": accepted, "malformed": malformed})
+	writeJSON(w, map[string]int{"accepted": len(lines) - malformed, "malformed": malformed})
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {

@@ -426,22 +426,22 @@ type ingestReply struct {
 // before any of it is admitted. Replies: ingestBody's 405 and 413, 400
 // for a damaged body, 503 from a closed streamer, else 200.
 func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, ok := ingestBody(w, r)
-	if !ok {
+	sc := ingestPool.Get().(*ingestScratch)
+	defer sc.release()
+	if !ingestBody(w, r, &sc.body) {
 		return
 	}
 	var n int
 	var rejected []int
 	var err error
 	if r.Header.Get("Content-Type") == recordContentType {
-		var batch []stream.Admission
-		err = persist.DecodeEventBatch(body, func(ev logparse.Event, record []byte) {
-			batch = append(batch, stream.Admission{Event: ev, Record: record})
+		err = persist.DecodeEventBatch(sc.body.Bytes(), func(ev logparse.Event, record []byte) {
+			sc.batch = append(sc.batch, stream.Admission{Event: ev, Record: record})
 		})
-		if n = len(batch); err == nil {
-			rejected, err = inst.ingestBatch(batch)
+		if n = len(sc.batch); err == nil {
+			rejected, err = inst.ingestBatch(sc.batch)
 		}
-	} else if lines, lerr := splitLines(body); lerr != nil {
+	} else if lines, lerr := splitLines(sc.body.Bytes()); lerr != nil {
 		err = lerr
 	} else {
 		n = len(lines)

@@ -13,8 +13,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
+	"unsafe"
 
 	"desh/internal/persist"
+	"desh/internal/stream"
 )
 
 // errPayload marks a request body that parsed as transport-valid JSON
@@ -113,16 +116,43 @@ func control[T any](w http.ResponseWriter, r *http.Request, limit int64, failSta
 // maxLineBytes caps one raw log line at the cluster's text entries.
 const maxLineBytes = 1 << 20
 
-// ingestBody reads a /ingest POST under maxIngestBody, itself answering
-// a non-POST (405), an oversized body (413) and a failed read (400).
-func ingestBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// ingestScratch is what one /ingest POST is read and decoded into: its
+// body and, on an instance, the admissions its records decode to (their
+// Record aliases body). Pooled, so POSTs in steady state read into the
+// same few buffers instead of allocating a body and a batch each.
+type ingestScratch struct {
+	body  bytes.Buffer
+	batch []stream.Admission
+}
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// maxRetainedScratch is the WAL's maxRetainedBuf rule: a scratch one
+// outsized POST grew past it is dropped, not pooled.
+const maxRetainedScratch = 1 << 20
+
+// release pools sc with its batch cleared: no pooled entry pins an
+// event's strings or points into a body, and no slot keeps a Refused
+// past the POST that set it.
+func (sc *ingestScratch) release() {
+	clear(sc.batch)
+	sc.batch = sc.batch[:0]
+	if sc.body.Cap() <= maxRetainedScratch && cap(sc.batch)*int(unsafe.Sizeof(stream.Admission{})) <= maxRetainedScratch {
+		ingestPool.Put(sc)
+	}
+}
+
+// ingestBody reads a /ingest POST into buf under maxIngestBody, itself
+// answering a non-POST (405), an oversized body (413) and a failed read
+// (400).
+func ingestBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return nil, false
+		return false
 	}
-	// Sized up front: growing to a router's ~100 KB body by doubling
-	// allocates several times the body per POST.
-	var buf bytes.Buffer
+	buf.Reset()
+	// Sized up front: a cold buffer growing to a router's ~100 KB body by
+	// doubling allocates several times the body.
 	if n := r.ContentLength; n > 0 && n <= maxIngestBody {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
@@ -133,7 +163,7 @@ func ingestBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	} else if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
-	return buf.Bytes(), err == nil
+	return err == nil
 }
 
 // splitLines splits a text /ingest body into lines, refusing one over

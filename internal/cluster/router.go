@@ -206,7 +206,7 @@ type Router struct {
 	// rebalMu serializes eject/readmit orchestration end to end.
 	rebalMu sync.Mutex
 
-	// drainMu serializes whole drain passes (drainLoop vs Flush): a
+	// drainMu serializes whole drain passes (the drain ticker vs Flush): a
 	// second rotation while the first pass is still re-routing would
 	// replay the not-yet-truncated records again and double-deliver.
 	drainMu sync.Mutex
@@ -224,8 +224,8 @@ type Router struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	closeMu sync.Mutex
-	closed  bool
+	closeMu sync.Mutex  // serialises shut against goTracked's wg.Add
+	closed  atomic.Bool // written once, under closeMu; IngestLine reads it bare
 }
 
 // NewRouter builds and starts a router: the spill WAL is opened (and
@@ -318,7 +318,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for _, ps := range peers {
 		r.startPeer(ps)
 	}
-	r.goTracked(r.drainLoop)
+	r.goTracked(func() { r.every(r.cfg.DrainInterval, nil, r.drainSpill) })
 	return r, nil
 }
 
@@ -347,10 +347,7 @@ func (r *Router) Epoch() uint64 {
 // Lines that cannot be delivered right now spill durably and redeliver
 // later; only parse failures are returned.
 func (r *Router) IngestLine(line string) error {
-	r.closeMu.Lock()
-	closed := r.closed
-	r.closeMu.Unlock()
-	if closed {
+	if r.closed.Load() {
 		return ErrRouterClosed
 	}
 	if len(line) > maxLineBytes {
@@ -489,16 +486,19 @@ func (r *Router) sendBatch(ps *peerState, batch *persist.EventBatch) {
 	}
 }
 
-// drainLoop periodically redelivers the spill WAL.
-func (r *Router) drainLoop() {
-	t := time.NewTicker(r.cfg.DrainInterval)
+// every runs fn each interval d until shutdown, or until stop (when
+// not nil) closes.
+func (r *Router) every(d time.Duration, stop <-chan struct{}, fn func()) {
+	t := time.NewTicker(d)
 	defer t.Stop()
 	for {
 		select {
 		case <-r.ctx.Done():
 			return
+		case <-stop:
+			return
 		case <-t.C:
-			r.drainSpill()
+			fn()
 		}
 	}
 }
@@ -554,22 +554,6 @@ func (r *Router) drainSpill() {
 	}
 	_ = r.spill.RemoveSegmentsBelow(boundary)
 	r.met.Drained.Add(int64(len(evs)))
-}
-
-// healthLoop probes one peer until shutdown.
-func (r *Router) healthLoop(ps *peerState) {
-	t := time.NewTicker(r.cfg.HealthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.ctx.Done():
-			return
-		case <-ps.stop:
-			return
-		case <-t.C:
-			r.probe(ps)
-		}
-	}
 }
 
 func (r *Router) probe(ps *peerState) {
@@ -788,7 +772,7 @@ func setMemberState(v *persist.ViewRecord, name, state string) {
 // starts once shutdown has begun).
 func (r *Router) startPeer(ps *peerState) {
 	r.goTracked(func() { r.sender(ps) })
-	r.goTracked(func() { r.healthLoop(ps) })
+	r.goTracked(func() { r.every(r.cfg.HealthInterval, ps.stop, func() { r.probe(ps) }) })
 }
 
 // stopPeer ends a departed member's goroutines and respills whatever
@@ -811,7 +795,7 @@ func (r *Router) stopPeer(ps *peerState) {
 // shutdown has begun. Reports whether fn was started.
 func (r *Router) goTracked(fn func()) bool {
 	r.closeMu.Lock()
-	if r.closed {
+	if r.closed.Load() {
 		r.closeMu.Unlock()
 		return false
 	}
@@ -889,10 +873,10 @@ func (r *Router) Kill() {
 func (r *Router) shut() bool {
 	r.closeMu.Lock()
 	defer r.closeMu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return false
 	}
-	r.closed = true
+	r.closed.Store(true)
 	r.cancel()
 	return true
 }

@@ -88,6 +88,10 @@ type nodeEventTime struct {
 	released time.Time
 	dedup    []dedupEntry
 	dedupPos int
+	// dedupMax is an upper bound on every Nano the ring has ever held.
+	// Only ever raised, and not persisted: restoredNodeET rebuilds it
+	// from the ring.
+	dedupMax int64
 	// rel is the scratch add releases into: the owning shard lends its
 	// own for the length of one call and drains it before the next, so
 	// releasing costs no allocation and no node keeps released events
@@ -96,17 +100,24 @@ type nodeEventTime struct {
 }
 
 // dup reports whether ev was already seen within the dedup window, and
-// records it if not. The ring holds the last `window` accepted keys;
-// the scan is linear, which is fine at ring sizes worth configuring
-// (tens to a few hundred entries).
+// records it if not. The ring holds the last `window` accepted keys. An
+// event newer than dedupMax cannot be in it, so the in-order feed a
+// router delivers skips the scan whatever the ring's size (DESIGN §15
+// recommends one of at least -batch-max, 1024); only an event at or
+// below the bound pays the linear scan. Any upper bound is exact here:
+// it is only ever used to prove absence.
 func (n *nodeEventTime) dup(ev logparse.EncodedEvent, window int) bool {
 	if window <= 0 {
 		return false
 	}
 	k := dedupEntry{Nano: ev.Time.UnixNano(), ID: ev.ID}
-	for _, e := range n.dedup {
-		if e == k {
-			return true
+	if k.Nano > n.dedupMax {
+		n.dedupMax = k.Nano
+	} else {
+		for _, e := range n.dedup {
+			if e == k {
+				return true
+			}
 		}
 	}
 	if len(n.dedup) < window {
@@ -128,22 +139,29 @@ func (n *nodeEventTime) dup(ev logparse.EncodedEvent, window int) bool {
 // n.rel and valid until the next add that is lent the same scratch.
 func (n *nodeEventTime) add(ev logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
 	out = n.rel[:0]
-	n.heap.push(etItem{ev: ev, seq: n.seq})
-	n.seq++
 	if ev.Time.After(n.maxSeen) {
 		n.maxSeen = ev.Time
 	}
-	for n.heap.len() > depth {
-		it := n.heap.pop()
-		if it.ev.Time.After(n.released) {
-			n.released = it.ev.Time
-		}
-		out = append(out, it.ev)
-		overflow++
-	}
 	threshold := n.maxSeen.Add(-lateness)
-	for n.heap.len() > 0 && !n.heap.min().ev.Time.After(threshold) {
-		out = append(out, n.heap.pop().ev)
+	if n.heap.len() == 0 && depth >= 1 && !ev.Time.After(threshold) {
+		// In order: alone in the buffer and already at or below the
+		// watermark it set, ev would be pushed only to be popped again.
+		n.seq++
+		out = append(out, ev)
+	} else {
+		n.heap.push(etItem{ev: ev, seq: n.seq})
+		n.seq++
+		for n.heap.len() > depth {
+			it := n.heap.pop()
+			if it.ev.Time.After(n.released) {
+				n.released = it.ev.Time
+			}
+			out = append(out, it.ev)
+			overflow++
+		}
+		for n.heap.len() > 0 && !n.heap.min().ev.Time.After(threshold) {
+			out = append(out, n.heap.pop().ev)
+		}
 	}
 	if threshold.After(n.released) {
 		n.released = threshold
@@ -187,6 +205,9 @@ func restoredNodeET(pn persistedNode) *nodeEventTime {
 		released: pn.ETReleased,
 		dedup:    append([]dedupEntry(nil), pn.Dedup...),
 		dedupPos: pn.DedupPos,
+	}
+	for _, e := range n.dedup {
+		n.dedupMax = max(n.dedupMax, e.Nano)
 	}
 	for _, ev := range pn.Reorder {
 		n.heap.push(etItem{ev: ev, seq: n.seq})
