@@ -55,7 +55,8 @@ bench-smoke:
 	cd bench && $(GO) test ./...
 
 # fuzz exercises the network-facing line parser (against its time.Parse
-# + Fields/Join oracle), the single-scan masker (against the same
+# + Fields/Join oracle), its integer timestamp decode (against time.Date,
+# under ==), the single-scan masker (against the same
 # oracle), the event-time reorder buffer (its invariants, and the
 # in-order paths of dup/add against the scanning, always-pushing
 # reference; kilobyte inputs, so the minimiser is capped), the
@@ -68,6 +69,7 @@ bench-smoke:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logparse/ -run '^$$' -fuzz FuzzStampParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzEventTimeParity -fuzztime $(FUZZTIME) -fuzzminimizetime 2s

@@ -99,6 +99,25 @@ func TestMaskInternsCatalogKeys(t *testing.T) {
 	}
 }
 
+// MaskRef names the entry its index lookup found, RefOf finds the same
+// entry from the key alone, and neither ever names a runtime extension
+// or an unseen phrase.
+func TestMaskRefNamesTheEntry(t *testing.T) {
+	defer ResetExtended()
+	for i, p := range Catalog {
+		key, ref := MaskRef(strings.ReplaceAll(p.Template, "*", "pid=4411 0x1f"))
+		if key != p.Key || ref != Ref(i+1) || RefOf(p.Key) != ref {
+			t.Fatalf("catalog[%d]: MaskRef = %q, %d; RefOf = %d; want %q, %d", i, key, ref, RefOf(p.Key), p.Key, i+1)
+		}
+	}
+	Extend("seen at runtime *", Error)
+	for _, msg := range []string{"seen at runtime 7", "never seen at all 7", "", "*"} {
+		if key, ref := MaskRef(msg); ref != 0 || RefOf(key) != 0 || key != Mask(msg) {
+			t.Errorf("MaskRef(%q) = %q, %d; RefOf = %d: want ref 0", msg, key, ref, RefOf(key))
+		}
+	}
+}
+
 var maskSink string
 
 func BenchmarkMask(b *testing.B) {

@@ -33,7 +33,12 @@ type Tracker struct {
 	// which matches batch Episodes exactly.
 	maxOpen int
 
-	cur []logparse.EncodedEvent
+	// The open episode is cur[head:]. A full window slides by advancing
+	// head, and is copied down to the front once maxOpen events have
+	// been dropped that way, so cur never outgrows 2*maxOpen and a
+	// flapping node pays one copy per maxOpen events, not one per event.
+	cur  []logparse.EncodedEvent
+	head int
 	// last is the time of the previous non-Safe event, whether or not it
 	// was flushed into an earlier episode — Episodes measures gaps over
 	// the Safe-filtered stream, not within the current burst.
@@ -63,7 +68,7 @@ func NewTracker(node string, lab *label.Labeler, cfg Config, maxOpen int) (*Trac
 func (t *Tracker) Node() string { return t.node }
 
 // OpenLen returns the number of events in the open episode.
-func (t *Tracker) OpenLen() int { return len(t.cur) }
+func (t *Tracker) OpenLen() int { return len(t.cur) - t.head }
 
 // Dropped returns how many events the MaxOpen window bound has evicted.
 func (t *Tracker) Dropped() int64 { return t.dropped }
@@ -89,7 +94,7 @@ func (t *Tracker) Feed(ev logparse.EncodedEvent) ([]Chain, error) {
 	if ev.Node != t.node {
 		return nil, fmt.Errorf("chain: tracker for %s fed event from %s", t.node, ev.Node)
 	}
-	if t.lab.Label(ev.Key) == catalog.Safe {
+	if t.lab.LabelOf(ev.Event) == catalog.Safe {
 		return nil, nil
 	}
 	if t.hasLast && ev.Time.Before(t.last) {
@@ -104,13 +109,16 @@ func (t *Tracker) Feed(ev logparse.EncodedEvent) ([]Chain, error) {
 	}
 	t.last = ev.Time
 	t.hasLast = true
-	if t.maxOpen > 0 && len(t.cur) == t.maxOpen {
-		copy(t.cur, t.cur[1:])
-		t.cur = t.cur[:len(t.cur)-1]
+	if t.maxOpen > 0 && t.OpenLen() == t.maxOpen {
+		t.head++
 		t.dropped++
+		if t.head == t.maxOpen {
+			t.cur = t.cur[:copy(t.cur, t.cur[t.head:])]
+			t.head = 0
+		}
 	}
 	t.cur = append(t.cur, ev)
-	if t.lab.IsTerminal(ev.Key) {
+	if t.lab.TerminalOf(ev.Event) {
 		if c, ok := t.flush(true); ok {
 			closed = append(closed, c)
 		}
@@ -132,10 +140,10 @@ func (t *Tracker) Flush() (Chain, bool) {
 // is shorter than MinLen. The returned chain copies the window, so it
 // remains valid after further Feed calls.
 func (t *Tracker) OpenChain() (Chain, bool) {
-	if len(t.cur) < t.cfg.MinLen {
+	if t.OpenLen() < t.cfg.MinLen {
 		return Chain{}, false
 	}
-	return FromEpisode(Episode{Node: t.node, Events: t.cur, Terminal: false}), true
+	return FromEpisode(Episode{Node: t.node, Events: t.cur[t.head:], Terminal: false}), true
 }
 
 // TrackerState is the serializable state of a Tracker — what the
@@ -154,7 +162,7 @@ type TrackerState struct {
 // event slice, so it stays valid across further Feed calls.
 func (t *Tracker) Snapshot() TrackerState {
 	return TrackerState{
-		Open:    append([]logparse.EncodedEvent(nil), t.cur...),
+		Open:    append([]logparse.EncodedEvent(nil), t.cur[t.head:]...),
 		Last:    t.last,
 		HasLast: t.hasLast,
 		Dropped: t.dropped,
@@ -167,7 +175,7 @@ func (t *Tracker) Snapshot() TrackerState {
 // restored from a snapshot continues exactly where the snapshotted one
 // stopped. The state's events are copied in.
 func (t *Tracker) Restore(st TrackerState) {
-	t.cur = append(t.cur[:0], st.Open...)
+	t.cur, t.head = append(t.cur[:0], st.Open...), 0
 	t.last = st.Last
 	t.hasLast = st.HasLast
 	t.dropped = st.Dropped
@@ -175,13 +183,12 @@ func (t *Tracker) Restore(st TrackerState) {
 }
 
 func (t *Tracker) flush(terminal bool) (Chain, bool) {
-	if len(t.cur) < t.cfg.MinLen {
-		t.cur = t.cur[:0]
-		return Chain{}, false
-	}
-	c := FromEpisode(Episode{Node: t.node, Events: t.cur, Terminal: terminal})
+	open := t.cur[t.head:]
 	// FromEpisode copies into fresh Entries, so the window buffer can be
 	// reused for the next episode.
-	t.cur = t.cur[:0]
-	return c, true
+	t.cur, t.head = t.cur[:0], 0
+	if len(open) < t.cfg.MinLen {
+		return Chain{}, false
+	}
+	return FromEpisode(Episode{Node: t.node, Events: open, Terminal: terminal}), true
 }

@@ -3,6 +3,7 @@ package chain
 import (
 	"math"
 	"testing"
+	"time"
 
 	"desh/internal/label"
 	"desh/internal/logparse"
@@ -347,5 +348,101 @@ func TestTrackerClampsLateEvents(t *testing.T) {
 	restored.Restore(tr.Snapshot())
 	if restored.LateClamped() != tr.LateClamped() || restored.LateClamped() != 3 {
 		t.Fatalf("restored clamp count %d, want %d (and 3)", restored.LateClamped(), tr.LateClamped())
+	}
+}
+
+// A full window slides by moving a head through a backing slice and is
+// copied down once per maxOpen drops. Held, event by event across
+// several wraps, to the window it replaced (drop the oldest by copying
+// the rest down): same length, same open chain, same snapshot, and a
+// tracker restored from any of those snapshots carries on identically.
+func TestTrackerWindowWraps(t *testing.T) {
+	const maxOpen = 4
+	cfg := DefaultConfig()
+	lab := label.New()
+	tr, err := NewTracker("n", lab, cfg, maxOpen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"DVS: Verify Filesystem *", "LustreError: * failed md_getattr err *", "Trap invalid code * Error *"}
+	var ref []logparse.EncodedEvent // the window, the old way
+	for i := 0; i < 5*maxOpen+3; i++ {
+		e := ev("n", keys[i%len(keys)], i+1, float64(i*10))
+		if closed, err := tr.Feed(e); err != nil || len(closed) != 0 {
+			t.Fatalf("event %d: closed %d chains, err %v", i, len(closed), err)
+		}
+		if len(ref) == maxOpen {
+			copy(ref, ref[1:])
+			ref = ref[:maxOpen-1]
+		}
+		ref = append(ref, e)
+		if tr.OpenLen() != len(ref) || tr.Dropped() != int64(i+1-len(ref)) {
+			t.Fatalf("event %d: open %d dropped %d, want %d and %d", i, tr.OpenLen(), tr.Dropped(), len(ref), i+1-len(ref))
+		}
+		if len(tr.cur) >= 2*maxOpen {
+			t.Fatalf("event %d: backing slice grew to %d, window is %d", i, len(tr.cur), maxOpen)
+		}
+		st := tr.Snapshot()
+		if len(st.Open) != len(ref) {
+			t.Fatalf("event %d: snapshot holds %d events, want %d", i, len(st.Open), len(ref))
+		}
+		for j := range ref {
+			if st.Open[j] != ref[j] {
+				t.Fatalf("event %d: snapshot[%d] = %+v, want %+v", i, j, st.Open[j], ref[j])
+			}
+		}
+		if len(ref) < cfg.MinLen {
+			continue
+		}
+		want := FromEpisode(Episode{Node: "n", Events: ref})
+		if got, ok := tr.OpenChain(); !ok || !chainsEqual(got, want) {
+			t.Fatalf("event %d: open chain %+v, want %+v", i, got, want)
+		}
+		// A restored copy flushes the same window.
+		cp, err := NewTracker("n", lab, cfg, maxOpen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Restore(st)
+		if got, ok := cp.Flush(); !ok || !chainsEqual(got, want) {
+			t.Fatalf("event %d: restored tracker flushed %+v, want %+v", i, got, want)
+		}
+	}
+	if got, ok := tr.Flush(); !ok || !chainsEqual(got, FromEpisode(Episode{Node: "n", Events: ref})) {
+		t.Fatalf("flush after the wraps: %+v", got)
+	}
+	if tr.OpenLen() != 0 || tr.head != 0 {
+		t.Fatalf("flush left open %d, head %d", tr.OpenLen(), tr.head)
+	}
+}
+
+// BenchmarkTrackerFullWindow is one Feed into an episode already at the
+// stream's default MaxOpenWindow: the flapping node that never goes
+// quiet long enough to close its episode. Steady state allocates
+// nothing; before the window slid by a head it moved 4095 events
+// (~330 KB) per op.
+func BenchmarkTrackerFullWindow(b *testing.B) {
+	const maxOpen = 4096
+	tr, err := NewTracker("n", label.New(), DefaultConfig(), maxOpen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := ev("n", "DVS: Verify Filesystem *", 1, 0)
+	feed := func() {
+		e.Time = e.Time.Add(time.Second)
+		if closed, err := tr.Feed(e); err != nil || len(closed) != 0 {
+			b.Fatalf("closed %d chains, err %v", len(closed), err)
+		}
+	}
+	for i := 0; i < 3*maxOpen; i++ { // fill the window and let the backing slice reach its final size
+		feed()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feed()
+	}
+	if tr.OpenLen() != maxOpen {
+		b.Fatalf("window %d, want %d", tr.OpenLen(), maxOpen)
 	}
 }

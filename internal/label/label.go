@@ -61,13 +61,32 @@ func (l *Labeler) OverrideTerminal(key string, terminal bool) {
 	l.terminals[key] = terminal
 }
 
+// LabelOf is Label(ev.Key), read from the catalog entry the event
+// already names when there is one and no override is set; an override
+// set after the parse, a runtime Extend key and a hand-built event
+// (ref 0) all take the key path.
+func (l *Labeler) LabelOf(ev logparse.Event) catalog.Label {
+	if ref := ev.Ref(); ref != 0 && len(l.overrides) == 0 {
+		return catalog.Catalog[ref-1].Label
+	}
+	return l.Label(ev.Key)
+}
+
+// TerminalOf is IsTerminal(ev.Key) on the same terms as LabelOf.
+func (l *Labeler) TerminalOf(ev logparse.Event) bool {
+	if ref := ev.Ref(); ref != 0 && len(l.terminals) == 0 {
+		return catalog.Catalog[ref-1].Terminal
+	}
+	return l.IsTerminal(ev.Key)
+}
+
 // DropSafe filters an encoded event sequence down to Unknown and Error
 // phrases — the paper's "Safe (S) phrases are eliminated now" step.
 // Order is preserved; the input is not modified.
 func (l *Labeler) DropSafe(events []logparse.EncodedEvent) []logparse.EncodedEvent {
 	out := make([]logparse.EncodedEvent, 0, len(events))
 	for _, ev := range events {
-		if l.Label(ev.Key) != catalog.Safe {
+		if l.LabelOf(ev.Event) != catalog.Safe {
 			out = append(out, ev)
 		}
 	}
@@ -78,7 +97,7 @@ func (l *Labeler) DropSafe(events []logparse.EncodedEvent) []logparse.EncodedEve
 func (l *Labeler) Counts(events []logparse.EncodedEvent) map[catalog.Label]int {
 	counts := make(map[catalog.Label]int, 3)
 	for _, ev := range events {
-		counts[l.Label(ev.Key)]++
+		counts[l.LabelOf(ev.Event)]++
 	}
 	return counts
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"desh/internal/catalog"
@@ -41,28 +42,68 @@ func (e *TimestampError) Error() string {
 	return fmt.Sprintf("logparse: absurd timestamp %s (%s)", e.Time.Format(TimeLayout), e.Reason)
 }
 
+// year2000 is 2000-01-01T00:00:00Z in Unix seconds.
+const year2000 = 946684800
+
+// clockFloor is a past reading of parseNow in Unix seconds (0: none
+// yet). Any past reading is a lower bound on the clock now, so a stamp
+// within 24h of it is within 24h of now: accepted, exactly, unread.
+var clockFloor atomic.Int64
+
 // validTimestamp rejects zero-value and absurd timestamps. It returns a
 // *TimestampError so callers can distinguish "clock lies" from
 // "unparseable line".
+//
+// The clock is read only for a stamp 24h or more past clockFloor; that
+// stamp is judged by the fresh reading, which becomes the floor. After
+// the wall clock steps backward the horizon therefore stays measured
+// from the older reading until a stamp beyond it forces a read: until
+// then, a stamp more than 24h ahead by less than the step still passes.
 func validTimestamp(ts time.Time) error {
-	switch {
-	case ts.IsZero():
-		return &TimestampError{Time: ts, Reason: "zero value"}
-	case ts.Year() < 2000:
+	sec := ts.Unix()
+	if sec < year2000 {
+		if ts.IsZero() {
+			return &TimestampError{Time: ts, Reason: "zero value"}
+		}
 		return &TimestampError{Time: ts, Reason: "before 2000"}
-	case ts.After(parseNow().Add(maxFuture)):
+	}
+	if sec < clockFloor.Load()+int64(maxFuture/time.Second) {
+		return nil
+	}
+	now := parseNow()
+	clockFloor.Store(now.Unix())
+	if ts.After(now.Add(maxFuture)) {
 		return &TimestampError{Time: ts, Reason: "more than 24h in the future"}
 	}
 	return nil
 }
 
-// Event is a parsed log record.
+// Event is a parsed log record. Beside its four fields it carries, in
+// this process only, which static catalog entry its Key is (Ref):
+// ParseLine and NewEvent set it, an Event{...} literal leaves it zero,
+// and nothing that encodes an Event (gob, the WAL record, the wire)
+// sees it. Readers treat zero as "look Key up", so the two behave alike
+// everywhere except under ==: an Event from a decoder is not == a
+// literal with the same visible fields. Compare fields, or build the
+// expectation with NewEvent; and never assign Key on a built Event.
 type Event struct {
 	Time    time.Time
 	Node    string
 	Message string // raw message text (static + dynamic)
 	Key     string // masked static phrase
+
+	ref catalog.Ref
 }
+
+// NewEvent builds an event from separated fields, resolving key against
+// the static catalog with one lookup: what a record decoder calls.
+func NewEvent(ts time.Time, node, message, key string) Event {
+	return Event{Time: ts, Node: node, Message: message, Key: key, ref: catalog.RefOf(key)}
+}
+
+// Ref is the static catalog entry Key was found to be by ParseLine or
+// NewEvent; 0 when it is not a static phrase or was never resolved.
+func (e Event) Ref() catalog.Ref { return e.ref }
 
 // ParseLine splits one raw line into timestamp, node id and message and
 // masks the message into its static phrase key. Lines whose timestamp
@@ -71,7 +112,9 @@ type Event struct {
 // A line whose phrase the static catalog knows costs no allocation: the
 // event's strings are substrings of line and the catalog's own key.
 func ParseLine(line string) (Event, error) {
-	line = strings.TrimRight(line, "\r\n")
+	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+		line = line[:len(line)-1]
+	}
 	tsStr, rest, ok := strings.Cut(line, " ")
 	if !ok {
 		return Event{}, fmt.Errorf("logparse: malformed line %q", clip(line, maxQuoted))
@@ -90,7 +133,8 @@ func ParseLine(line string) (Event, error) {
 	if !strings.HasPrefix(node, "c") {
 		return Event{}, fmt.Errorf("logparse: bad node id %q", clip(node, maxQuoted))
 	}
-	return Event{Time: ts, Node: node, Message: msg, Key: catalog.Mask(msg)}, nil
+	key, ref := catalog.MaskRef(msg)
+	return Event{Time: ts, Node: node, Message: msg, Key: key, ref: ref}, nil
 }
 
 // maxQuoted bounds how much of a rejected line an error quotes: lines
@@ -144,7 +188,24 @@ func decodeStamp(s string) (time.Time, bool) {
 		hour > 23 || min > 59 || sec > 59 {
 		return time.Time{}, false
 	}
-	return time.Date(year, time.Month(month), day, hour, min, sec, usec*1000, time.UTC), true
+	// Every field is in range, so there is nothing for time.Date to
+	// normalise: this is the Time it would return, field for field.
+	unix := daysFromCivil(year, month, day)*86400 + int64(hour*3600+min*60+sec)
+	return time.Unix(unix, int64(usec)*1000).UTC(), true
+}
+
+// daysFromCivil counts days from 1970-01-01 to a date of the proleptic
+// Gregorian calendar, year >= 0: Hinnant's days_from_civil, shifted one
+// 400-year era so that it never divides a negative year.
+func daysFromCivil(year, month, day int) int64 {
+	y, m := year+400, month-3 // years run March to February
+	if m < 0 {
+		y, m = y-1, m+12
+	}
+	era, yoe := y/400, y%400
+	doy := (153*m+2)/5 + day - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return int64(era*146097+doe) - 719468 - 146097
 }
 
 // digits reads s as a decimal number; false if any byte is not a digit.

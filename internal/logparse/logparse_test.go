@@ -42,9 +42,7 @@ func TestParseLineErrors(t *testing.T) {
 }
 
 func TestParseLineRejectsAbsurdTimestamps(t *testing.T) {
-	defer func(orig func() time.Time) { parseNow = orig }(parseNow)
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	parseNow = func() time.Time { return now }
+	pinNow(t, time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 
 	for _, tc := range []struct {
 		line, reason string

@@ -73,7 +73,7 @@ func RecordOf(ev logparse.Event) EventRecord {
 
 // Event rebuilds the parsed event a record was made from.
 func (r EventRecord) Event() logparse.Event {
-	return logparse.Event{Time: time.Unix(0, r.TimeNano).UTC(), Node: r.Node, Message: r.Message, Key: r.Key}
+	return logparse.NewEvent(time.Unix(0, r.TimeNano).UTC(), r.Node, r.Message, r.Key)
 }
 
 // AlertRecord is the WAL payload of one delivered alert. The tuple

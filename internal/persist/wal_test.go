@@ -370,8 +370,14 @@ func TestWALAppendBatchTornTail(t *testing.T) {
 // memory with the buffer it came from, and a damaged body is
 // ErrCorrupt wherever the damage sits.
 func TestEventRecordWire(t *testing.T) {
-	ev := logparse.Event{Time: time.Unix(1767225600, 123456000).UTC(), Node: "c0-0c0s0n0", Message: "link failed x=3", Key: "link failed *"}
-	ev2 := logparse.Event{Time: ev.Time.Add(time.Second), Node: "c0-0c0s0n1", Message: "nscd: nss_ldap reconnected", Key: "nscd: nss_ldap reconnected"}
+	// Built with NewEvent, as a decoder builds them: ev2's key is a static
+	// catalog phrase, so a decoded ev2 carries its Ref and is not == a
+	// plain literal with the same four fields.
+	ev := logparse.NewEvent(time.Unix(1767225600, 123456000).UTC(), "c0-0c0s0n0", "link failed x=3", "link failed *")
+	ev2 := logparse.NewEvent(ev.Time.Add(time.Second), "c0-0c0s0n1", "nscd: nss_ldap reconnected", "nscd: nss_ldap reconnected")
+	if ev.Ref() != 0 || ev2.Ref() == 0 {
+		t.Fatalf("refs %d, %d: want an unseen key and a static one", ev.Ref(), ev2.Ref())
+	}
 	rec := RecordOf(ev)
 	if got := rec.Event(); got != ev {
 		t.Fatalf("RecordOf/Event round trip: %+v want %+v", got, ev)

@@ -333,7 +333,7 @@ func (s *Streamer) buildImport(st *HandoffState) []*importBarrier {
 			continue
 		}
 		ev := rec.Event()
-		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}
+		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeEvent(ev)}
 		b := out[s.shardOf(ev.Node)]
 		b.pending = append(b.pending, enc)
 	}

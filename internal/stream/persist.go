@@ -370,7 +370,7 @@ func (s *Streamer) replayEvent(rec persist.EventRecord) {
 	ev := rec.Event()
 	s.met.Ingested.Add(1)
 	s.met.ReplayedEvents.Add(1)
-	enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}
+	enc := logparse.EncodedEvent{Event: ev, ID: s.encodeEvent(ev)}
 	// Replay re-arms the drift tap exactly as live ingest did, so the
 	// unseen-phrase signal survives a restart.
 	if int64(enc.ID) >= s.vocabN.Load() {

@@ -21,12 +21,12 @@
 package stream
 
 import (
-	"hash/fnv"
 	"sync/atomic"
 	"time"
 
 	"desh/internal/catalog"
 	"desh/internal/logparse"
+	"desh/internal/persist"
 )
 
 const shedMaxLevel = 3
@@ -72,13 +72,11 @@ func (c *shedController) admit(ev logparse.Event) bool {
 	if l < 2 {
 		return true
 	}
-	if c.s.lab.Label(ev.Key) == catalog.Unknown {
+	if c.s.lab.LabelOf(ev) == catalog.Unknown {
 		return false
 	}
 	if l >= 3 {
-		h := fnv.New32a()
-		h.Write([]byte(ev.Node))
-		if (h.Sum32()^c.seq.Add(1))&1 == 0 {
+		if (persist.NodeHash(ev.Node)^c.seq.Add(1))&1 == 0 {
 			return false
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -365,6 +364,13 @@ type Streamer struct {
 
 	encMu sync.RWMutex
 	enc   *logparse.Encoder
+	// refIDs[Event.Ref()-1] is that catalog entry's encoder id plus one,
+	// 0 until first asked. Filled from encodeKey and good for the
+	// streamer's life: encoder ids are append-only, and a swap refuses a
+	// pipeline that disagrees with the live encoder on a shared prefix.
+	refIDs []atomic.Int32
+	// epoch is the monotonic origin of the enqueue stamps (shardMsg.at).
+	epoch time.Time
 
 	shards []*shard
 	alerts chan Alert
@@ -482,6 +488,8 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 		opts:    opts,
 		lab:     p.Labeler(),
 		enc:     p.Encoder(),
+		refIDs:  make([]atomic.Int32, len(catalog.Catalog)),
+		epoch:   time.Now(),
 		alerts:  make(chan Alert, opts.AlertBuffer),
 		done:    make(chan struct{}),
 		imports: make(map[importKey]bool),
@@ -729,12 +737,12 @@ type Admission struct {
 // batch after IngestBatch returns therefore never acknowledges an event
 // a process kill could lose.
 //
-// The local clock is read once per call, so every event of a batch is
-// held to the skew guard at, and carries the enqueue stamp of, the
-// batch's admission: the detect-latency histogram (detect_latency in
-// /metrics) is anchored there and includes the time an event spent
-// behind the batch's WAL write and, under the Block policy, behind the
-// events queued ahead of it.
+// Every event of a batch carries one enqueue stamp, a single monotonic
+// reading taken at the batch's admission: the detect-latency histogram
+// (detect_latency in /metrics) is anchored there and includes the time
+// an event spent behind the batch's WAL write and, under the Block
+// policy, behind the events queued ahead of it. The wall clock is read
+// only when a skew tolerance is set, once per call, for the skew guard.
 func (s *Streamer) IngestBatch(batch []Admission) error {
 	// The RLock pins "not closed" for the duration of the call: Close
 	// takes the write lock, so it cannot close the shard channels while
@@ -745,15 +753,9 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 	if s.closed {
 		return ErrClosed
 	}
-	// One clock read per call, taken when the first event needs it: the
-	// skew guard and the enqueue stamp of every event in the batch share it.
+	// The skew guard's wall-clock reading, taken when the first non-Safe
+	// event of the call needs it.
 	var now time.Time
-	clock := func() time.Time {
-		if now.IsZero() {
-			now = time.Now()
-		}
-		return now
-	}
 	admitted := 0
 	for i := range batch {
 		a := &batch[i]
@@ -771,7 +773,7 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		s.met.Ingested.Add(1)
 		// The §3.1 Safe filter runs before the queue so bursts of benign
 		// chatter never consume queue slots or shard time.
-		if s.lab.Label(a.Event.Key) == catalog.Safe {
+		if s.lab.LabelOf(a.Event) == catalog.Safe {
 			s.met.SafeFiltered.Add(1)
 			continue
 		}
@@ -779,10 +781,15 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		// would poison the node's watermark (every honest event after it
 		// turns late), so it is quarantined here — before the WAL append, so
 		// replay never resurrects it and recovery stays deterministic.
-		if tol := s.opts.SkewTolerance; tol > 0 && a.Event.Time.After(clock().Add(tol)) {
-			s.met.SkewQuarantined.Add(1)
-			s.skewDiag(a.Event, tol)
-			continue
+		if tol := s.opts.SkewTolerance; tol > 0 {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			if a.Event.Time.After(now.Add(tol)) {
+				s.met.SkewQuarantined.Add(1)
+				s.skewDiag(a.Event, tol)
+				continue
+			}
 		}
 		// Degradation levels >= 2 shed at ingest, also before the WAL append:
 		// shed events are never durable, so crash replay sees exactly the
@@ -797,6 +804,10 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 	if admitted == 0 {
 		return nil
 	}
+	// The enqueue stamp anchors the detect-latency histogram: observed at
+	// verdict time, it measures queue wait + processing + any batched
+	// scoring the event waited on — the latency a subscriber experiences.
+	at := time.Since(s.epoch)
 	// Write-ahead: the events are durable before any is queued, so a crash
 	// between here and processing replays them. A failed append degrades
 	// to in-memory operation for this batch (alerting now beats
@@ -809,16 +820,13 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 			continue
 		}
 		ev := batch[i].Event
-		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeKey(ev.Key)}
+		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeEvent(ev)}
 		// Drift tap: a phrase id at or beyond the active model's training
 		// vocabulary is a phrase the model has never seen.
 		if int64(enc.ID) >= s.vocabN.Load() {
 			s.met.UnseenPhrases.Add(1)
 		}
-		// The enqueue stamp anchors the detect-latency histogram: observed at
-		// verdict time, it measures queue wait + processing + any batched
-		// scoring the event waited on — the latency a subscriber experiences.
-		msg := shardMsg{ev: enc, at: clock()}
+		msg := shardMsg{ev: enc, at: at}
 		sh := s.shards[s.shardOf(ev.Node)]
 		if s.opts.Policy == Block {
 			sh.ch <- msg
@@ -883,6 +891,22 @@ func (s *Streamer) skewDiag(ev logparse.Event, tol time.Duration) {
 		ev.Node, ev.Time.Format(logparse.TimeLayout), tol)
 }
 
+// encodeEvent is encodeKey(ev.Key), hashing the key only the first time
+// a catalog entry is seen; an event with no ref always takes the key path.
+func (s *Streamer) encodeEvent(ev logparse.Event) int {
+	ref := ev.Ref()
+	if ref == 0 {
+		return s.encodeKey(ev.Key)
+	}
+	slot := &s.refIDs[ref-1]
+	if id := slot.Load(); id != 0 {
+		return int(id - 1)
+	}
+	id := s.encodeKey(ev.Key)
+	slot.Store(int32(id + 1))
+	return id
+}
+
 // encodeKey assigns or looks up the phrase id for key. The encoder is
 // shared with the pipeline, so assignment takes a write lock; the hot
 // path (known phrase) is a read lock. A freshly assigned key is also
@@ -917,9 +941,7 @@ func modelVocab(p *core.Pipeline) int {
 }
 
 func (s *Streamer) shardOf(node string) int {
-	h := fnv.New32a()
-	h.Write([]byte(node))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	return int(persist.NodeHash(node) % uint32(len(s.shards)))
 }
 
 func (s *Streamer) idleFlushLoop() {
@@ -952,9 +974,9 @@ func (s *Streamer) idleFlushLoop() {
 // ahead of the barrier in the queue, every later one behind it.
 type shardMsg struct {
 	ev logparse.EncodedEvent
-	// at is the enqueue wall-clock stamp, observed into the Detect
-	// histogram once the event's verdicts are out.
-	at   time.Time
+	// at is the enqueue stamp, monotonic time since the streamer's epoch,
+	// observed into the Detect histogram once the event's verdicts are out.
+	at   time.Duration
 	snap chan<- map[string]persistedNode
 	// swap is a model-swap barrier: the shard rebuilds its detector
 	// from the new pipeline at this exact queue position, so every
@@ -1440,9 +1462,9 @@ func (sh *shard) observeBatch() {
 	}
 	sh.s.met.BatchWakeups.Add(1)
 	sh.s.met.BatchEvents.Add(int64(len(sh.buf)))
-	now := time.Now()
+	now := time.Since(sh.s.epoch)
 	for i := range sh.buf {
-		sh.s.met.Detect.Observe(now.Sub(sh.buf[i].at))
+		sh.s.met.Detect.Observe(now - sh.buf[i].at)
 	}
 	sh.buf = sh.buf[:0]
 	sh.bufNext = 0
