@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race kernel-parity verify bench bench-smoke fuzz run-deshd
+.PHONY: build test vet race kernel-parity verify bench-smoke fuzz run-deshd
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # The race detector runs over the packages that fan work out to the
-# worker pool (mini-batch BPTT shards, Phase-3 inference, the Figure-8
+# worker pool (Phase-1 mini-batch BPTT shards, Phase-3 inference, the Figure-8
 # sweep via experiments' core usage, mini-batch skip-gram training),
 # the pool itself, the sharded streaming engine behind deshd, its
 # crash-recovery substrate, the continuous-learning loop that retrains
@@ -39,11 +39,6 @@ kernel-parity:
 # verify is the tier-1 gate: build + full tests, plus vet, the race
 # detector over the concurrent packages and the kernel parity runs.
 verify: build test vet race kernel-parity
-
-# bench verifies first, then runs the full per-table/figure benchmark
-# suite with allocation reporting; results land in bench.txt.
-bench: verify
-	$(GO) test -bench=. -benchmem -count=5 | tee bench.txt
 
 # bench-smoke proves the repository's benchmark (bench/, its own
 # module) still builds against the cluster and stream API and that

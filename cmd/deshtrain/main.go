@@ -20,8 +20,7 @@ func main() {
 	model := flag.String("model", "desh.model", "output model file")
 	epochs1 := flag.Int("epochs1", 2, "Phase-1 training epochs (0 skips Phase 1)")
 	epochs2 := flag.Int("epochs2", 150, "Phase-2 training epochs")
-	batch := flag.Int("batch", 8, "Phase-1 mini-batch size (1 = serial)")
-	batch2 := flag.Int("batch2", 1, "Phase-2 mini-batch size (default serial: batching trades lead-time precision for throughput)")
+	batch := flag.Int("batch", 8, "Phase-1 mini-batch size (1 = one window per SGD step)")
 	seed := flag.Int64("seed", 1, "training seed")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
@@ -37,7 +36,6 @@ func main() {
 	cfg.Epochs1 = *epochs1
 	cfg.Epochs2 = *epochs2
 	cfg.Batch = *batch
-	cfg.Batch2 = *batch2
 	cfg.Seed = *seed
 	p, err := desh.NewPredictor(cfg)
 	if err != nil {
@@ -56,8 +54,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer out.Close()
 	if err := p.Save(out); err != nil {
+		fatal(err)
+	}
+	// Close can be the first to report that the data did not reach the
+	// disk; unchecked, deshtrain would print "model written" and exit 0.
+	if err := out.Close(); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("deshtrain: %d events, %d nodes, vocab %d, %d failure chains\n",

@@ -17,7 +17,6 @@ func trainWeights(t *testing.T) *Pipeline {
 	cfg := fastConfig()
 	cfg.Epochs2 = 20
 	cfg.Batch = 8
-	cfg.Batch2 = 8
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

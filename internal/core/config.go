@@ -39,10 +39,6 @@ type Config struct {
 	History2 int // context window (paper: 5)
 	Epochs2  int
 	LR2      float64
-	// TrimFrac is the fraction of highest-loss training chains dropped
-	// after the Phase-2 warmup: one-off novel failure patterns are
-	// excluded so the recurring chains are learned precisely.
-	TrimFrac float64
 
 	// Phase 3: inference.
 	// MSEThreshold is the match threshold on normalized 2-state vectors
@@ -56,27 +52,15 @@ type Config struct {
 	// Batch is the Phase-1 mini-batch size: that many training windows
 	// are packed into one batched forward/backward pass and one SGD step,
 	// with the summed gradients averaged and the learning rate rescaled
-	// by the realized batch so total weight movement matches the serial
-	// schedule (clipped-SGD tolerates this rescaling well). Values <= 1
-	// select the serial one-window-at-a-time path (identical to the
-	// pre-batching behavior); 0 is treated as 1.
+	// by the realized batch so total weight movement matches the
+	// one-window-per-step schedule (clipped-SGD tolerates this rescaling
+	// well). 1 is a one-row batch, bit-identical to stepping per window;
+	// 0 is treated as 1. Phase 2 has no counterpart: it steps once per
+	// sequence (see trainPhase2).
 	Batch int
-
-	// Batch2 is the Phase-2 mini-batch size. It defaults to 1 (serial):
-	// the lead-time regressor's RMSprop fine-tuning is
-	// precision-sensitive — Phase-3 lead times degrade measurably when
-	// its many small adaptive steps are folded into fewer averaged ones,
-	// at any LR rescaling — so batching here is an explicit
-	// throughput-for-precision trade for large corpora. When > 1, the
-	// bulk stages (warmup and the first decay stage) batch and the final
-	// low-LR precision stages still step per sequence.
-	Batch2 int
 
 	// Chain formation.
 	ChainCfg chain.Config
-
-	// TrainEmbeddings fine-tunes the skip-gram vectors during Phase 1.
-	TrainEmbeddings bool
 
 	Seed int64
 }
@@ -98,17 +82,14 @@ func DefaultConfig() Config {
 		History2: 5,
 		Epochs2:  150,
 		LR2:      0.02,
-		TrimFrac: 0,
 
 		MSEThreshold: 0.5,
 		MinMatches:   2,
 
-		Batch:  8,
-		Batch2: 1,
+		Batch: 8,
 
-		ChainCfg:        chain.DefaultConfig(),
-		TrainEmbeddings: true,
-		Seed:            1,
+		ChainCfg: chain.DefaultConfig(),
+		Seed:     1,
 	}
 }
 
@@ -129,11 +110,8 @@ func (c Config) Validate() error {
 	if c.Epochs2 <= 0 || c.LR2 <= 0 {
 		return fmt.Errorf("core: invalid Phase-2 training epochs=%d lr=%v", c.Epochs2, c.LR2)
 	}
-	if c.Batch < 0 || c.Batch2 < 0 {
-		return fmt.Errorf("core: batch sizes must be non-negative, got Batch=%d Batch2=%d", c.Batch, c.Batch2)
-	}
-	if c.TrimFrac < 0 || c.TrimFrac >= 1 {
-		return fmt.Errorf("core: TrimFrac must be in [0,1), got %v", c.TrimFrac)
+	if c.Batch < 0 {
+		return fmt.Errorf("core: Batch must be non-negative, got %d", c.Batch)
 	}
 	if c.MSEThreshold <= 0 {
 		return fmt.Errorf("core: MSEThreshold must be positive, got %v", c.MSEThreshold)

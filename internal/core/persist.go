@@ -41,7 +41,11 @@ var ErrModelDamaged = errors.New("retrain with deshtrain")
 
 // savedPipeline is the gob wire format of a trained pipeline. Gradients
 // travel along with the weights (they are zero between steps), which
-// keeps the format trivially simple.
+// keeps the format trivially simple. Deleting a field from Config or a
+// model struct is not an incompatible change and does not bump
+// modelVersion: gob drops stream fields the receiver lacks, so files
+// written with the field still load (testdata/pr20_model.bin has four
+// such fields; TestParentWrittenModelLoads).
 type savedPipeline struct {
 	Cfg        Config
 	Keys       []string

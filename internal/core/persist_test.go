@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
+
+	"desh/internal/nn"
 )
 
 func TestSaveRequiresTraining(t *testing.T) {
@@ -59,6 +62,51 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("verdict %d differs after reload", i)
 		}
 	}
+}
+
+// TestParentWrittenModelLoads: testdata/pr20_model.bin was written by
+// the deshtrain of the commit before PR 22 (deshgen -machine M3 -nodes 4
+// -hours 6 -failures 3 -seed 5, then -epochs1 1 -epochs2 6 -seed 3). Its
+// gob stream still carries Config.Batch2, Config.TrimFrac,
+// Config.TrainEmbeddings and SeqClassifier.TrainEmbed; gob drops stream
+// fields the receiver lacks, so the file must load at modelVersion 1
+// with the weights that commit read back from it, and survive a
+// Save -> Load round trip.
+func TestParentWrittenModelLoads(t *testing.T) {
+	const phase1, phase2 = 0xa97473e15d37159d, 0x54a7b241556cff1f
+	raw, err := os.ReadFile("testdata/pr20_model.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, data []byte) *Pipeline {
+		t.Helper()
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := p.Config().Validate(); err != nil {
+			t.Fatalf("%s: config: %v", label, err)
+		}
+		if cfg := p.Config(); cfg.Epochs1 != 1 || cfg.Epochs2 != 6 || cfg.Batch != 8 || cfg.Seed != 3 {
+			t.Fatalf("%s: config %+v lost the fields it still has", label, cfg)
+		}
+		if got := p.Fingerprint(); got != phase2 {
+			t.Fatalf("%s: Phase-2 fingerprint %#x, want %#x", label, got, uint64(phase2))
+		}
+		if got := nn.WeightsFingerprint(p.Phase1Model().Params()); got != phase1 {
+			t.Fatalf("%s: Phase-1 fingerprint %#x, want %#x", label, got, uint64(phase1))
+		}
+		if p.TrainVocab() != 37 || len(p.TrainedChains()) != 3 {
+			t.Fatalf("%s: vocab %d, %d chains, want 37 and 3", label, p.TrainVocab(), len(p.TrainedChains()))
+		}
+		return p
+	}
+	p := check("parent-written file", raw)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check("re-saved", buf.Bytes())
 }
 
 func TestLoadGarbageFails(t *testing.T) {

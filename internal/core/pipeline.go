@@ -154,8 +154,8 @@ func (p *Pipeline) Train(events []logparse.Event) (*TrainReport, error) {
 	p.trainVocab = p.enc.Len()
 	report.Vocab = p.trainVocab
 
-	// One worker pool serves every training phase — skip-gram batches,
-	// Phase-1 and Phase-2 shard fan-out — instead of each call-site
+	// One worker pool serves every parallel training stage — skip-gram
+	// batches and the Phase-1 shard fan-out — instead of each call-site
 	// spawning its own goroutines.
 	pool := p.trainPool
 	if pool == nil {
@@ -173,7 +173,6 @@ func (p *Pipeline) Train(events []logparse.Event) (*TrainReport, error) {
 	if p.cfg.Epochs1 > 0 {
 		p.phase1 = nn.NewSeqClassifier(p.trainVocab, p.cfg.EmbedDim, p.cfg.Hidden1, p.cfg.Layers1, rng)
 		p.phase1.SetEmbeddings(p.emb.In)
-		p.phase1.TrainEmbed = p.cfg.TrainEmbeddings
 		loss, acc := p.trainPhase1(seqs, rng, pool)
 		report.Phase1Loss = loss
 		report.Phase1Accuracy = acc
@@ -214,7 +213,7 @@ func (p *Pipeline) Train(events []logparse.Event) (*TrainReport, error) {
 		p.phase2.Out.B.Value.Data[0] = meanDT / n
 		p.phase2.Out.B.Value.Data[1] = meanID / n
 	}
-	report.Phase2Loss = p.trainPhase2(failures, rng, pool)
+	report.Phase2Loss = p.trainPhase2(failures, rng)
 	return report, nil
 }
 
@@ -226,57 +225,28 @@ func (p *Pipeline) trainPhase1(seqs [][]int, rng *rand.Rand, pool *par.Pool) (fi
 	sgd := opt.NewSGD(p.cfg.LR1)
 	params := p.phase1.Params()
 	window := p.cfg.History1 + p.cfg.Steps1
-	type win struct{ seq, off int }
-	var wins []win
-	for si, seq := range seqs {
+	var wins [][]int
+	for _, seq := range seqs {
 		for off := 0; off+window <= len(seq); off += p.cfg.Steps1 {
-			wins = append(wins, win{si, off})
+			wins = append(wins, seq[off:off+window])
 		}
 	}
 	if len(wins) == 0 {
 		return 0, 0
 	}
-	batch := p.cfg.Batch
-	var trainer *nn.ClassifierTrainer
-	var winBuf [][]int
-	if batch > 1 {
-		trainer = nn.NewClassifierTrainer(p.phase1, batch, pool)
-		winBuf = make([][]int, 0, batch)
+	trainer := nn.NewClassifierTrainer(p.phase1, max(p.cfg.Batch, 1), pool)
+	// The mini-batch step consumes the mean gradient, so the learning
+	// rate scales linearly with the realized batch size (Goyal et al.
+	// 2017): LR·B times the mean reproduces the serial sum of per-window
+	// displacements, and the clip bound on the mean keeps the same
+	// worst-case step as B serial clipped updates.
+	step := func(n int) {
+		sgd.BatchSize = n
+		sgd.LR = p.cfg.LR1 * float64(n)
+		sgd.Step(params)
 	}
 	for epoch := 0; epoch < p.cfg.Epochs1; epoch++ {
-		rng.Shuffle(len(wins), func(i, j int) { wins[i], wins[j] = wins[j], wins[i] })
-		total := 0.0
-		if batch > 1 {
-			// The mini-batch step consumes the mean gradient, so the
-			// learning rate scales linearly with the realized batch size
-			// (Goyal et al. 2017): LR·B times the mean reproduces the
-			// serial sum of per-window displacements, and the clip bound
-			// on the mean keeps the same worst-case step as B serial
-			// clipped updates.
-			flush := func() {
-				if len(winBuf) == 0 {
-					return
-				}
-				total += trainer.WindowLoss(winBuf, p.cfg.History1, p.cfg.Steps1)
-				sgd.BatchSize = len(winBuf)
-				sgd.LR = p.cfg.LR1 * float64(len(winBuf))
-				sgd.Step(params)
-				winBuf = winBuf[:0]
-			}
-			for _, w := range wins {
-				winBuf = append(winBuf, seqs[w.seq][w.off:w.off+window])
-				if len(winBuf) == batch {
-					flush()
-				}
-			}
-			flush()
-		} else {
-			for _, w := range wins {
-				total += p.phase1.WindowLoss(seqs[w.seq][w.off:w.off+window], p.cfg.History1, p.cfg.Steps1)
-				sgd.Step(params)
-			}
-		}
-		finalLoss = total / float64(len(wins))
+		finalLoss = trainer.Epoch(wins, p.cfg.History1, p.cfg.Steps1, rng, step)
 	}
 	// Accuracy: 1-step greedy prediction over a sample of windows, via a
 	// reused Predictor so the sweep allocates nothing per window.
@@ -286,9 +256,8 @@ func (p *Pipeline) trainPhase1(seqs [][]int, rng *rand.Rand, pool *par.Pool) (fi
 		if i%7 != 0 { // sample to bound cost
 			continue
 		}
-		seq := seqs[w.seq][w.off : w.off+window]
-		pred := predictor.Predict(seq[:p.cfg.History1], 1)
-		if pred[0] == seq[p.cfg.History1] {
+		pred := predictor.Predict(w[:p.cfg.History1], 1)
+		if pred[0] == w[p.cfg.History1] {
 			correct++
 		}
 		checked++
@@ -306,13 +275,10 @@ func (p *Pipeline) trainPhase1(seqs [][]int, rng *rand.Rand, pool *par.Pool) (fi
 // exactly. Inputs are the normalized vectors, targets the scaled ones
 // (see the Vectorize variants below). Returns the mean target-space MSE
 // of the last epoch.
-func (p *Pipeline) trainPhase2(chains []chain.Chain, rng *rand.Rand, pool *par.Pool) float64 {
+func (p *Pipeline) trainPhase2(chains []chain.Chain, rng *rand.Rand) float64 {
 	rms := opt.NewRMSprop(p.cfg.LR2)
 	params := p.phase2.Params()
-	type sample struct {
-		inputs, targets [][]float64
-		sig             string
-	}
+	type sample struct{ inputs, targets [][]float64 }
 	var samples []sample
 	for _, c := range chains {
 		inputs := p.VectorizeInput(c)
@@ -320,24 +286,10 @@ func (p *Pipeline) trainPhase2(chains []chain.Chain, rng *rand.Rand, pool *par.P
 		if len(inputs) < 2 {
 			continue
 		}
-		sig := ""
-		for _, e := range c.Entries {
-			sig += fmt.Sprintf("%d,", e.ID)
-		}
-		samples = append(samples, sample{inputs[:len(inputs)-1], targets[1:], sig})
+		samples = append(samples, sample{inputs[:len(inputs)-1], targets[1:]})
 	}
 	if len(samples) == 0 {
 		return 0
-	}
-	// Stage A: train on everything for a third of the budget, then score
-	// each chain and drop the worst TrimFrac — one-off "novel" failure
-	// patterns whose unique transitions would otherwise drag the
-	// squared-loss-optimal predictions away from the recurring chains.
-	// This is the paper's "trained failure chains": Phase 2 learns the
-	// chains Phase 1 recognizes, not every anomalous sequence verbatim.
-	warmup := p.cfg.Epochs2 / 3
-	if warmup < 3 {
-		warmup = 3
 	}
 	// scaleDT rescales the ΔT component of a vector sequence by f,
 	// reusing buf. Training with random lead rescaling per presentation
@@ -345,13 +297,13 @@ func (p *Pipeline) trainPhase2(chains []chain.Chain, rng *rand.Rand, pool *par.P
 	// out over 90 or 150 seconds — otherwise the LSTM memorizes exact
 	// ΔT values as lookup keys and fails on test chains whose lead-time
 	// jitter it has never seen.
-	scaleDT := func(vecs [][]float64, f, shift, noise float64, buf *[][]float64) [][]float64 {
+	scaleDT := func(vecs [][]float64, f, noise float64, buf *[][]float64) [][]float64 {
 		for len(*buf) < len(vecs) {
 			*buf = append(*buf, make([]float64, 2))
 		}
 		out := (*buf)[:len(vecs)]
 		for i, v := range vecs {
-			out[i][0] = v[0]*f + shift
+			out[i][0] = v[0] * f
 			if noise > 0 {
 				out[i][0] += rng.NormFloat64() * noise
 			}
@@ -360,164 +312,42 @@ func (p *Pipeline) trainPhase2(chains []chain.Chain, rng *rand.Rand, pool *par.P
 		return out
 	}
 	var inBuf, tgBuf [][]float64
-	// baseLR is the stage learning rate. The batched path keeps it
-	// unscaled over the mean gradient: RMSprop's adaptive normalization
-	// makes per-step movement ~LR regardless of gradient magnitude, so
-	// linear (or even sqrt) batch rescaling overshoots and measurably
-	// degrades the lead-time precision Phase 3 depends on.
-	baseLR := p.cfg.LR2
-	batch := p.cfg.Batch2
-	var trainer *nn.RegressorTrainer
-	// Batched sequences are bucketed by length: SequenceLoss batches must
-	// be uniform-T, and chains vary. Buckets persist across epochs
-	// (grow-only storage) and partial buckets flush at epoch end in
-	// ascending-length order, so the schedule is deterministic.
-	type bucket struct {
-		n        int
-		ins, tgs [][][]float64
-	}
-	var buckets map[int]*bucket
-	var lens []int
-	if batch > 1 {
-		trainer = nn.NewRegressorTrainer(p.phase2, batch, pool)
-		buckets = make(map[int]*bucket)
-	}
-	// augmentInto is scaleDT writing into persistent bucket storage. The
-	// augmentation draws happen at sample pickup in shuffled order —
-	// exactly where the serial path draws them — so the rng trajectory is
-	// identical whatever the batch size.
-	augmentInto := func(dst [][]float64, vecs [][]float64, f, noise float64) {
-		for i, v := range vecs {
-			dst[i][0] = v[0] * f
-			if noise > 0 {
-				dst[i][0] += rng.NormFloat64() * noise
-			}
-			dst[i][1] = v[1]
-		}
-	}
-	newSeq := func(T int) [][]float64 {
-		s := make([][]float64, T)
-		for i := range s {
-			s[i] = make([]float64, 2)
-		}
-		return s
-	}
-	runEpochs := func(epochs int, useBatch bool) float64 {
+	// One optimizer step per sequence, never a mini-batch: the raw-id
+	// match needs RMSprop's many small adaptive steps, and folding them
+	// into fewer averaged ones measurably costs Phase-3 lead-time
+	// precision at any LR rescaling (DESIGN §12).
+	runEpochs := func(epochs int) float64 {
 		final := 0.0
 		for epoch := 0; epoch < epochs; epoch++ {
 			rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 			total := 0.0
-			if useBatch && batch > 1 {
-				flush := func(b *bucket) {
-					if b.n == 0 {
-						return
-					}
-					total += trainer.SequenceLoss(b.ins[:b.n], b.tgs[:b.n])
-					rms.BatchSize = b.n
-					rms.LR = baseLR
-					rms.Step(params)
-					b.n = 0
-				}
-				for _, s := range samples {
-					f := 0.5 + rng.Float64()
-					T := len(s.inputs)
-					b := buckets[T]
-					if b == nil {
-						b = &bucket{}
-						buckets[T] = b
-						lens = append(lens, T)
-						sort.Ints(lens)
-					}
-					if b.n == len(b.ins) {
-						b.ins = append(b.ins, newSeq(T))
-						b.tgs = append(b.tgs, newSeq(T))
-					}
-					augmentInto(b.ins[b.n], s.inputs, f, 0.1)
-					augmentInto(b.tgs[b.n], s.targets, f, 0)
-					b.n++
-					if b.n == batch {
-						flush(b)
-					}
-				}
-				for _, T := range lens {
-					flush(buckets[T])
-				}
-			} else {
-				// A batched stage may have left a mean-gradient divisor on
-				// the optimizer; serial steps are single-sequence.
-				rms.BatchSize = 1
-				for _, s := range samples {
-					// Random rescaling of the ΔT axis: a chain is the same
-					// chain whether it plays out over 90 or 150 seconds, so
-					// the model must key on phrase structure rather than
-					// absolute ΔT values. Inputs additionally get additive
-					// noise; targets stay noise-free.
-					f := 0.5 + rng.Float64()
-					in := scaleDT(s.inputs, f, 0, 0.1, &inBuf)
-					tg := scaleDT(s.targets, f, 0, 0, &tgBuf)
-					total += p.phase2.SequenceLoss(in, tg)
-					rms.Step(params)
-				}
+			for _, s := range samples {
+				// Inputs additionally get additive noise; targets stay
+				// noise-free.
+				f := 0.5 + rng.Float64()
+				in := scaleDT(s.inputs, f, 0.1, &inBuf)
+				tg := scaleDT(s.targets, f, 0, &tgBuf)
+				total += p.phase2.SequenceLoss(in, tg)
+				rms.Step(params)
 			}
 			final = total / float64(len(samples))
 		}
 		return final
 	}
-	runEpochs(warmup, true)
-	if p.cfg.TrimFrac > 0 && len(samples) >= 5 {
-		// Only one-off phrase sequences are trim candidates: a chain
-		// whose exact sequence recurs is a real template even if the
-		// model has not fit it yet, while a unique sequence with high
-		// warmup loss is a novel pattern that would drag the
-		// squared-loss optimum away from the recurring chains.
-		sigCount := map[string]int{}
-		for _, s := range samples {
-			sigCount[s.sig]++
-		}
-		type scored struct {
-			s    sample
-			loss float64
-		}
-		var oneOff []scored
-		var kept []sample
-		for _, s := range samples {
-			if sigCount[s.sig] == 1 {
-				oneOff = append(oneOff, scored{s, p.phase2.SequenceLoss(s.inputs, s.targets)})
-				continue
-			}
-			kept = append(kept, s)
-		}
-		nn.ZeroGrads(p.phase2.Params())
-		sort.Slice(oneOff, func(i, j int) bool { return oneOff[i].loss < oneOff[j].loss })
-		drop := int(float64(len(samples)) * p.cfg.TrimFrac)
-		if drop > len(oneOff) {
-			drop = len(oneOff)
-		}
-		for _, sc := range oneOff[:len(oneOff)-drop] {
-			kept = append(kept, sc.s)
-		}
-		if len(kept) >= 2 {
-			samples = kept
-		}
-	}
-	// Stage B: finish on the kept chains with a decaying learning rate.
-	// RMSprop's steady-state oscillation is proportional to the step
-	// size; the raw-id match needs sub-id precision, so the final epochs
-	// run at a fraction of LR2.
-	remaining := p.cfg.Epochs2 - warmup
-	if remaining < 3 {
-		remaining = 3
-	}
-	stage1 := remaining / 2
-	stage2 := (remaining - stage1) / 2
-	stage3 := remaining - stage1 - stage2
-	runEpochs(stage1, true)
-	baseLR = p.cfg.LR2 / 4
-	rms.LR = baseLR
-	runEpochs(stage2, false)
-	baseLR = p.cfg.LR2 / 16
-	rms.LR = baseLR
-	return runEpochs(stage3, false)
+	// About two thirds of the budget run at LR2 (a third, then half of
+	// the rest), then LR2/4 and LR2/16 split what is left. RMSprop's
+	// steady-state oscillation is proportional to the step size; the
+	// raw-id match needs sub-id precision, so the final epochs run at a
+	// fraction of LR2.
+	third := max(p.cfg.Epochs2/3, 3)
+	rest := max(p.cfg.Epochs2-third, 3)
+	half := rest / 2
+	quarter := (rest - half) / 2
+	runEpochs(third + half)
+	rms.LR = p.cfg.LR2 / 4
+	runEpochs(quarter)
+	rms.LR = p.cfg.LR2 / 16
+	return runEpochs(rest - half - quarter)
 }
 
 // idTargetScale maps raw phrase ids into a modest regression range

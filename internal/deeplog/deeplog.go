@@ -26,7 +26,7 @@ type Config struct {
 	Epochs  int
 	LR      float64
 	// Batch is the mini-batch size for training (mean gradient, linear
-	// LR scaling); <= 1 trains one window at a time.
+	// LR scaling); 0 is treated as 1, one window per step.
 	Batch int
 	Seed  int64
 }
@@ -95,52 +95,28 @@ func Train(events []logparse.Event, cfg Config) (*Detector, error) {
 
 	sgd := opt.NewSGD(cfg.LR)
 	window := cfg.History + 1
-	type win struct{ seq, off int }
-	var wins []win
-	for si, seq := range seqs {
+	var wins [][]int
+	for _, seq := range seqs {
 		for off := 0; off+window <= len(seq); off++ {
-			wins = append(wins, win{si, off})
+			wins = append(wins, seq[off:off+window])
 		}
 	}
 	if len(wins) == 0 {
 		return nil, fmt.Errorf("deeplog: training sequences shorter than history %d", cfg.History)
 	}
 	params := d.model.Params()
-	if cfg.Batch > 1 {
-		// Batched path: same mini-batch discipline as the Desh Phase-1
-		// loop — mean gradient with linear LR scaling per realized batch.
-		pool := par.NewPool(0)
-		defer pool.Close()
-		trainer := nn.NewClassifierTrainer(d.model, cfg.Batch, pool)
-		winBuf := make([][]int, 0, cfg.Batch)
-		flush := func() {
-			if len(winBuf) == 0 {
-				return
-			}
-			trainer.WindowLoss(winBuf, cfg.History, 1)
-			sgd.BatchSize = len(winBuf)
-			sgd.LR = cfg.LR * float64(len(winBuf))
-			sgd.Step(params)
-			winBuf = winBuf[:0]
-		}
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			rng.Shuffle(len(wins), func(i, j int) { wins[i], wins[j] = wins[j], wins[i] })
-			for _, w := range wins {
-				winBuf = append(winBuf, seqs[w.seq][w.off:w.off+window])
-				if len(winBuf) == cfg.Batch {
-					flush()
-				}
-			}
-			flush()
-		}
-		return d, nil
+	// Same mini-batch discipline as the Desh Phase-1 loop: mean gradient
+	// with linear LR scaling per realized batch.
+	pool := par.NewPool(0)
+	defer pool.Close()
+	trainer := nn.NewClassifierTrainer(d.model, max(cfg.Batch, 1), pool)
+	step := func(n int) {
+		sgd.BatchSize = n
+		sgd.LR = cfg.LR * float64(n)
+		sgd.Step(params)
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(wins), func(i, j int) { wins[i], wins[j] = wins[j], wins[i] })
-		for _, w := range wins {
-			d.model.WindowLoss(seqs[w.seq][w.off:w.off+window], cfg.History, 1)
-			sgd.Step(params)
-		}
+		trainer.Epoch(wins, cfg.History, 1, rng, step)
 	}
 	return d, nil
 }

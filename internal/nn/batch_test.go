@@ -92,25 +92,6 @@ func TestClassifierBatchOneBitIdentical(t *testing.T) {
 	compareGrads(t, "classifier B=1 accumulated", serial.Params(), batched.Params(), 0)
 }
 
-// TestRegressorBatchOneBitIdentical is the SeqRegressor counterpart.
-func TestRegressorBatchOneBitIdentical(t *testing.T) {
-	const dim, hidden, layers, T = 2, 16, 2, 9
-	serial := NewSeqRegressorIO(dim, dim, hidden, layers, rand.New(rand.NewSource(3)))
-	batched := NewSeqRegressorIO(dim, dim, hidden, layers, rand.New(rand.NewSource(3)))
-	tr := NewRegressorTrainer(batched, 1, nil)
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 5; iter++ {
-		in := randSeq(rng, T, dim)
-		tg := randSeq(rng, T, dim)
-		ls := serial.SequenceLoss(in, tg)
-		lb := tr.SequenceLoss([][][]float64{in}, [][][]float64{tg})
-		if ls != lb {
-			t.Fatalf("iter %d: serial loss %v, batched loss %v", iter, ls, lb)
-		}
-		compareGrads(t, "regressor B=1", serial.Params(), batched.Params(), 0)
-	}
-}
-
 // TestClassifierBatchMatchesSerialAccumulation is the random-shape
 // property test: for arbitrary geometries and batch sizes, the batched
 // gradients match serially accumulated per-window gradients within
@@ -126,11 +107,8 @@ func TestClassifierBatchMatchesSerialAccumulation(t *testing.T) {
 		history := 2 + rng.Intn(5)
 		steps := 1 + rng.Intn(3)
 		B := 1 + rng.Intn(10)
-		trainEmbed := rng.Intn(2) == 0
 
 		serial, batched := twinClassifiers(rng.Int63(), vocab, emb, hidden, layers)
-		serial.TrainEmbed = trainEmbed
-		batched.TrainEmbed = trainEmbed
 		pool := par.NewPool(1 + rng.Intn(4))
 		tr := NewClassifierTrainer(batched, B, pool)
 
@@ -146,41 +124,6 @@ func TestClassifierBatchMatchesSerialAccumulation(t *testing.T) {
 			t.Fatalf("trial %d (B=%d): serial loss %v, batched %v", trial, B, lossSerial, lossBatched)
 		}
 		compareGrads(t, "classifier property", serial.Params(), batched.Params(), 1e-9)
-	}
-}
-
-// TestRegressorBatchMatchesSerialAccumulation is the regressor-side
-// property test over random shapes.
-func TestRegressorBatchMatchesSerialAccumulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 12; trial++ {
-		inDim := 1 + rng.Intn(4)
-		outDim := 1 + rng.Intn(4)
-		hidden := 4 + rng.Intn(20)
-		layers := 1 + rng.Intn(3)
-		T := 2 + rng.Intn(10)
-		B := 1 + rng.Intn(10)
-
-		seed := rng.Int63()
-		serial := NewSeqRegressorIO(inDim, outDim, hidden, layers, rand.New(rand.NewSource(seed)))
-		batched := NewSeqRegressorIO(inDim, outDim, hidden, layers, rand.New(rand.NewSource(seed)))
-		pool := par.NewPool(1 + rng.Intn(4))
-		tr := NewRegressorTrainer(batched, B, pool)
-
-		ins := make([][][]float64, B)
-		tgs := make([][][]float64, B)
-		lossSerial := 0.0
-		for b := 0; b < B; b++ {
-			ins[b] = randSeq(rng, T, inDim)
-			tgs[b] = randSeq(rng, T, outDim)
-			lossSerial += serial.SequenceLoss(ins[b], tgs[b])
-		}
-		lossBatched := tr.SequenceLoss(ins, tgs)
-		pool.Close()
-		if math.Abs(lossSerial-lossBatched) > 1e-9*math.Max(1, math.Abs(lossSerial)) {
-			t.Fatalf("trial %d (B=%d): serial loss %v, batched %v", trial, B, lossSerial, lossBatched)
-		}
-		compareGrads(t, "regressor property", serial.Params(), batched.Params(), 1e-9)
 	}
 }
 
@@ -232,22 +175,5 @@ func TestTrainerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("batched WindowLoss allocates %.1f times per call, want 0", allocs)
-	}
-
-	r := NewSeqRegressorIO(2, 2, hidden, layers, rand.New(rand.NewSource(6)))
-	rtr := NewRegressorTrainer(r, B, pool)
-	ins := make([][][]float64, B)
-	tgs := make([][][]float64, B)
-	for b := 0; b < B; b++ {
-		ins[b] = randSeq(rng, 9, 2)
-		tgs[b] = randSeq(rng, 9, 2)
-	}
-	rtr.SequenceLoss(ins, tgs)
-	ZeroGrads(r.Params())
-	allocs = testing.AllocsPerRun(20, func() {
-		rtr.SequenceLoss(ins, tgs)
-	})
-	if allocs != 0 {
-		t.Fatalf("batched SequenceLoss allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -72,7 +72,8 @@ func BenchmarkPhase1Training(b *testing.B) {
 }
 
 // BenchmarkPhase2Training measures one pass over a Phase-2-sized
-// sequence set (dim-2 lead-time regressor) serial versus batched.
+// sequence set (dim-2 lead-time regressor) through SequenceLoss, the
+// one Phase-2 training path.
 func BenchmarkPhase2Training(b *testing.B) {
 	const dim, T, nSeqs = 2, 12, 64
 	rng := rand.New(rand.NewSource(43))
@@ -83,36 +84,14 @@ func BenchmarkPhase2Training(b *testing.B) {
 		tgs[i] = randSeq(rng, T, dim)
 	}
 
-	b.Run("serial", func(b *testing.B) {
-		m := NewSeqRegressorIO(dim, dim, benchHidden, benchLayers, rand.New(rand.NewSource(44)))
-		m.SequenceLoss(ins[0], tgs[0]) // warm scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range ins {
-				m.SequenceLoss(ins[j], tgs[j])
-			}
-			ZeroGrads(m.Params())
+	m := NewSeqRegressorIO(dim, dim, benchHidden, benchLayers, rand.New(rand.NewSource(44)))
+	m.SequenceLoss(ins[0], tgs[0]) // warm scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ins {
+			m.SequenceLoss(ins[j], tgs[j])
 		}
-	})
-
-	b.Run("batched", func(b *testing.B) {
-		m := NewSeqRegressorIO(dim, dim, benchHidden, benchLayers, rand.New(rand.NewSource(44)))
-		pool := par.NewPool(0)
-		defer pool.Close()
-		tr := NewRegressorTrainer(m, benchBatch, pool)
-		tr.SequenceLoss(ins[:benchBatch], tgs[:benchBatch]) // warm arenas
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for at := 0; at < len(ins); at += benchBatch {
-				end := at + benchBatch
-				if end > len(ins) {
-					end = len(ins)
-				}
-				tr.SequenceLoss(ins[at:end], tgs[at:end])
-			}
-			ZeroGrads(m.Params())
-		}
-	})
+		ZeroGrads(m.Params())
+	}
 }

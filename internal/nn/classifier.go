@@ -20,10 +20,6 @@ type SeqClassifier struct {
 	Embed         *Param // [vocab x embDim] phrase embedding table
 	Stack         *LSTMStack
 	Out           *Dense
-	// TrainEmbed controls whether embedding rows receive gradient
-	// updates. Desh pre-trains embeddings with skip-gram and fine-tunes
-	// them; set false to freeze pre-trained vectors.
-	TrainEmbed bool
 
 	ws clsWS
 }
@@ -48,12 +44,11 @@ func NewSeqClassifier(vocab, embDim, hidden, layers int, rng *rand.Rand) *SeqCla
 		panic(fmt.Sprintf("nn: invalid classifier sizes vocab=%d emb=%d", vocab, embDim))
 	}
 	m := &SeqClassifier{
-		Vocab:      vocab,
-		EmbDim:     embDim,
-		Embed:      newParam("classifier.Embed", vocab, embDim),
-		Stack:      NewLSTMStack(embDim, hidden, layers, rng),
-		Out:        NewDense(hidden, vocab, rng),
-		TrainEmbed: true,
+		Vocab:  vocab,
+		EmbDim: embDim,
+		Embed:  newParam("classifier.Embed", vocab, embDim),
+		Stack:  NewLSTMStack(embDim, hidden, layers, rng),
+		Out:    NewDense(hidden, vocab, rng),
 	}
 	tensor.Randn(m.Embed.Value, 0.1, rng)
 	return m
@@ -68,14 +63,11 @@ func (m *SeqClassifier) SetEmbeddings(emb *tensor.Matrix) {
 	m.Embed.Value.CopyFrom(emb)
 }
 
-// Params returns the trainable parameters; the embedding table is
-// included only when TrainEmbed is set.
+// Params returns the trainable parameters. The embedding table is one
+// of them: Desh pre-trains it with skip-gram and Phase 1 fine-tunes it.
 func (m *SeqClassifier) Params() []*Param {
 	ps := append(m.Stack.Params(), m.Out.Params()...)
-	if m.TrainEmbed {
-		ps = append(ps, m.Embed)
-	}
-	return ps
+	return append(ps, m.Embed)
 }
 
 // growWS sizes the training workspace for a T-step window.
@@ -140,10 +132,8 @@ func (m *SeqClassifier) WindowLoss(window []int, history, steps int) float64 {
 		dOut[t] = m.ws.dOutBuf[t]
 	}
 	dxs := m.Stack.Backward(tape, dOut)
-	if m.TrainEmbed {
-		for t := 0; t < T; t++ {
-			tensor.Axpy(1, dxs[t], m.Embed.Grad.Row(window[t]))
-		}
+	for t := 0; t < T; t++ {
+		tensor.Axpy(1, dxs[t], m.Embed.Grad.Row(window[t]))
 	}
 	return total / float64(steps)
 }

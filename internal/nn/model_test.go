@@ -215,22 +215,6 @@ func TestSetEmbeddingsShapePanics(t *testing.T) {
 	m.SetEmbeddings(tensor.New(2, 2))
 }
 
-func TestFrozenEmbeddingsGetNoGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	m := NewSeqClassifier(4, 3, 4, 1, rng)
-	m.TrainEmbed = false
-	for _, p := range m.Params() {
-		if p == m.Embed {
-			t.Fatal("frozen embedding must not be in Params")
-		}
-	}
-	before := m.Embed.Value.Clone()
-	m.WindowLoss([]int{0, 1, 2, 3}, 3, 1)
-	if !m.Embed.Value.Equals(before, 0) {
-		t.Fatal("frozen embedding values changed")
-	}
-}
-
 func TestRegressorGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	m := NewSeqRegressor(2, 3, 2, rng)

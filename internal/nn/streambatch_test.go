@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,29 +118,5 @@ func TestStreamBatchGuards(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-// BenchmarkStreamBatchStep measures a batched timestep across widths —
-// the kernel the serving path leans on once shards coalesce.
-func BenchmarkStreamBatchStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(64))
-	m := NewSeqRegressorIO(2, 2, 64, 2, rng)
-	for _, rows := range []int{1, 2, 4, 8, 32} {
-		b.Run(fmt.Sprintf("rows-%d", rows), func(b *testing.B) {
-			sb := m.NewStreamBatch()
-			sb.Begin(rows)
-			for r := 0; r < rows; r++ {
-				x := sb.Input(r)
-				for d := range x {
-					x[d] = rng.NormFloat64()
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sb.Step()
-			}
-		})
 	}
 }

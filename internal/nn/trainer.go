@@ -2,14 +2,15 @@ package nn
 
 import (
 	"fmt"
+	"math/rand"
 
 	"desh/internal/loss"
 	"desh/internal/par"
 	"desh/internal/tensor"
 )
 
-// Mini-batch trainers for the two sequence models. A trainer splits an
-// optimizer batch of up to B sequences into ceil(B/MicroBatch) shards of
+// The mini-batch trainer for the Phase-1 classifier. It splits an
+// optimizer batch of up to B windows into ceil(B/MicroBatch) shards of
 // MicroBatch rows each, runs the shards across a par.Pool (shard 0 on
 // the primary model, the rest on weight-sharing replicas with private
 // gradients) and merges the replica gradients into the primary in
@@ -18,27 +19,17 @@ import (
 // fixed, the accumulated gradients are bit-identical across GOMAXPROCS
 // settings; and because every batched kernel reproduces the serial
 // operation sequence per row, a one-row batch is bit-identical to the
-// serial WindowLoss/SequenceLoss path.
+// serial SeqClassifier.WindowLoss. Phase 2 has no trainer: its RMSprop
+// schedule steps once per sequence (DESIGN §12).
 
 // replica returns a classifier sharing this model's weights (and
 // transpose caches) but accumulating into private gradients, in the
 // same Params() order as the primary.
 func (m *SeqClassifier) replica() *SeqClassifier {
 	return &SeqClassifier{
-		Vocab:      m.Vocab,
-		EmbDim:     m.EmbDim,
-		Embed:      shareParam(m.Embed),
-		Stack:      m.Stack.replica(),
-		Out:        m.Out.replica(),
-		TrainEmbed: m.TrainEmbed,
-	}
-}
-
-// replica returns a regressor sharing weights with private gradients.
-func (m *SeqRegressor) replica() *SeqRegressor {
-	return &SeqRegressor{
-		InDim:  m.InDim,
-		OutDim: m.OutDim,
+		Vocab:  m.Vocab,
+		EmbDim: m.EmbDim,
+		Embed:  shareParam(m.Embed),
 		Stack:  m.Stack.replica(),
 		Out:    m.Out.replica(),
 	}
@@ -47,13 +38,6 @@ func (m *SeqRegressor) replica() *SeqRegressor {
 // refreshT re-caches the transposed weights on the primary model's
 // layers; replicas alias the same cache matrices.
 func (m *SeqClassifier) refreshT() {
-	for _, l := range m.Stack.Layers {
-		l.refreshT()
-	}
-	m.Out.refreshT()
-}
-
-func (m *SeqRegressor) refreshT() {
 	for _, l := range m.Stack.Layers {
 		l.refreshT()
 	}
@@ -167,14 +151,12 @@ func (cs *classifierShard) windowLoss(windows [][]int, history, steps int) float
 		cs.head.headBackward(m.Out, h, t, bb)
 	}
 	cs.sb.backward(cs.head.dOut[:T])
-	if m.TrainEmbed {
-		// Same ordering as the serial path: ascending t (then ascending
-		// row within the shard) after the full backward pass.
-		for t := 0; t < T; t++ {
-			dx := cs.sb.inputGrad(t)
-			for b, w := range windows {
-				tensor.Axpy(1, dx.Row(b), m.Embed.Grad.Row(w[t]))
-			}
+	// Same ordering as the serial path: ascending t (then ascending
+	// row within the shard) after the full backward pass.
+	for t := 0; t < T; t++ {
+		dx := cs.sb.inputGrad(t)
+		for b, w := range windows {
+			tensor.Axpy(1, dx.Row(b), m.Embed.Grad.Row(w[t]))
 		}
 	}
 	total := 0.0
@@ -182,63 +164,6 @@ func (cs *classifierShard) windowLoss(windows [][]int, history, steps int) float
 		// Divide (not multiply by the reciprocal): WindowLoss divides, and
 		// x/3 and x*(1/3.0) differ in the last bit.
 		total += cs.head.rowTotal[b] / float64(steps)
-	}
-	return total
-}
-
-// regressorShard is the Phase-2 counterpart of classifierShard.
-type regressorShard struct {
-	m    *SeqRegressor
-	sb   *stackBatch
-	head *denseBatch
-}
-
-func newRegressorShard(m *SeqRegressor) *regressorShard {
-	return &regressorShard{
-		m:    m,
-		sb:   newStackBatch(m.Stack, MicroBatch),
-		head: newDenseBatch(MicroBatch, m.OutDim),
-	}
-}
-
-// sequenceLoss runs the batched equivalent of SeqRegressor.SequenceLoss
-// over up to MicroBatch equal-length sequences, accumulating gradients
-// into the shard model's Params. Returns the summed per-sequence mean
-// MSE.
-func (rs *regressorShard) sequenceLoss(inputs, targets [][][]float64) float64 {
-	m := rs.m
-	bb := len(inputs)
-	T := len(inputs[0])
-	rs.sb.begin(T, bb)
-	for t := 0; t < T; t++ {
-		x := rs.sb.input(t)
-		for b, seq := range inputs {
-			copy(x.Row(b), seq[t])
-		}
-	}
-	rs.sb.forward()
-
-	rs.head.begin(T, bb, m.Stack.HiddenSize())
-	inv := 1 / float64(T)
-	for t := 0; t < T; t++ {
-		h := rs.sb.output(t)
-		rs.head.headForward(m.Out, h)
-		for b := 0; b < bb; b++ {
-			pr := rs.head.out.Row(b)
-			tg := targets[b][t]
-			rs.head.rowTotal[b] += loss.MSE(pr, tg)
-			dpr := rs.head.dOutHead.Row(b)
-			loss.MSEGrad(dpr, pr, tg)
-			for i := range dpr {
-				dpr[i] *= inv
-			}
-		}
-		rs.head.headBackward(m.Out, h, t, bb)
-	}
-	rs.sb.backward(rs.head.dOut[:T])
-	total := 0.0
-	for b := 0; b < bb; b++ {
-		total += rs.head.rowTotal[b] * inv
 	}
 	return total
 }
@@ -338,80 +263,18 @@ func (t *ClassifierTrainer) WindowLoss(windows [][]int, history, steps int) floa
 	return total
 }
 
-// RegressorTrainer drives mini-batch training for a SeqRegressor.
-type RegressorTrainer struct {
-	m         *SeqRegressor
-	batch     int
-	pool      *par.Pool
-	shards    []*regressorShard
-	mParams   []*Param
-	repParams [][]*Param
-	losses    []float64
-
-	fn         func(w, i int)
-	curInputs  [][][]float64
-	curTargets [][][]float64
-}
-
-// NewRegressorTrainer builds a trainer for optimizer batches of up to
-// `batch` sequences. A nil pool runs shards via par.ForWorker.
-func NewRegressorTrainer(m *SeqRegressor, batch int, pool *par.Pool) *RegressorTrainer {
-	if batch < 1 {
-		panic(fmt.Sprintf("nn: invalid batch size %d", batch))
-	}
-	n := (batch + MicroBatch - 1) / MicroBatch
-	t := &RegressorTrainer{
-		m:       m,
-		batch:   batch,
-		pool:    pool,
-		shards:  make([]*regressorShard, n),
-		mParams: m.Params(),
-		losses:  make([]float64, n),
-	}
-	t.shards[0] = newRegressorShard(m)
-	for s := 1; s < n; s++ {
-		rep := m.replica()
-		t.shards[s] = newRegressorShard(rep)
-		t.repParams = append(t.repParams, rep.Params())
-	}
-	t.fn = func(_, s int) {
-		lo := s * MicroBatch
-		hi := lo + MicroBatch
-		if hi > len(t.curInputs) {
-			hi = len(t.curInputs)
-		}
-		t.losses[s] = t.shards[s].sequenceLoss(t.curInputs[lo:hi], t.curTargets[lo:hi])
-	}
-	return t
-}
-
-// SequenceLoss trains one optimizer batch of equal-length sequences,
-// accumulating gradients into the model's Params. Returns the sum of
-// the per-sequence mean MSEs — exactly what summing serial SequenceLoss
-// calls over the same sequences returns.
-func (t *RegressorTrainer) SequenceLoss(inputs, targets [][][]float64) float64 {
-	n := len(inputs)
-	if n == 0 {
-		return 0
-	}
-	if n > t.batch || len(targets) != n {
-		panic(fmt.Sprintf("nn: batch of %d/%d sequences, trainer capacity %d", n, len(targets), t.batch))
-	}
-	T := len(inputs[0])
-	for b := range inputs {
-		if len(inputs[b]) != T || len(targets[b]) != T {
-			panic(fmt.Sprintf("nn: batch sequences must share a length: seq %d is %d/%d, want %d", b, len(inputs[b]), len(targets[b]), T))
-		}
-	}
-	t.m.refreshT()
-	t.curInputs, t.curTargets = inputs, targets
-	shards := (n + MicroBatch - 1) / MicroBatch
-	t.pool.ForWorker(shards, t.fn)
-	shardMerge(t.mParams, t.repParams, shards)
+// Epoch is one training pass, the loop Phase 1 and the DeepLog baseline
+// share: shuffle wins in place, feed them to WindowLoss in batches of up
+// to the trainer's capacity, and after each batch call step with its
+// size so the caller applies its optimizer to the accumulated gradients
+// (nn cannot import opt). Returns the mean per-window loss.
+func (t *ClassifierTrainer) Epoch(wins [][]int, history, steps int, rng *rand.Rand, step func(n int)) float64 {
+	rng.Shuffle(len(wins), func(i, j int) { wins[i], wins[j] = wins[j], wins[i] })
 	total := 0.0
-	for s := 0; s < shards; s++ {
-		total += t.losses[s]
+	for at := 0; at < len(wins); at += t.batch {
+		batch := wins[at:min(at+t.batch, len(wins))]
+		total += t.WindowLoss(batch, history, steps)
+		step(len(batch))
 	}
-	t.curInputs, t.curTargets = nil, nil
-	return total
+	return total / float64(len(wins))
 }

@@ -94,9 +94,6 @@ type RMSprop struct {
 	Rho      float64
 	Eps      float64
 	ClipNorm float64
-	// BatchSize > 1 divides the accumulated gradients by the batch size
-	// before clipping (mean-gradient semantics, as for SGD.BatchSize).
-	BatchSize int
 
 	cache map[*nn.Param]*tensor.Matrix
 	gs    []*tensor.Matrix
@@ -113,7 +110,7 @@ func NewRMSprop(lr float64) *RMSprop {
 
 // Step applies the RMSprop update and zeroes grads.
 func (r *RMSprop) Step(params []*nn.Param) {
-	r.gs = scaleGrads(r.gs[:0], params, r.BatchSize)
+	r.gs = scaleGrads(r.gs[:0], params, 1)
 	if r.ClipNorm > 0 {
 		tensor.ClipNorm(r.gs, r.ClipNorm)
 	}

@@ -142,23 +142,3 @@ func FuzzGateKernelParity(f *testing.F) {
 		checkGateParity(t, wx, wh, floatsFrom(data, 1, nx), floatsFrom(data, 2, nh), floatsFrom(data, 5, rows))
 	})
 }
-
-func BenchmarkGateWeightsMatVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	const hidden = 32
-	wx, wh := randMat(rng, 4*hidden, hidden), randMat(rng, 4*hidden, hidden)
-	x, h, bias := randVec(rng, hidden), randVec(rng, hidden), randVec(rng, 4*hidden)
-	dst := make([]float64, 4*hidden)
-	b.Run("GateMatVec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			GateMatVec(dst, wx, x, wh, h, bias)
-		}
-	})
-	g := NewGateWeights(wx, wh, bias)
-	b.Run("GateWeights/"+GateKernel(), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.MatVec(dst, x, h)
-		}
-	})
-}

@@ -185,15 +185,3 @@ func TestMatMulZeroDims(t *testing.T) {
 		t.Fatalf("shape %dx%d", c.Rows, c.Cols)
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	x, y := New(128, 128), New(128, 128)
-	Randn(x, 1, rng)
-	Randn(y, 1, rng)
-	dst := New(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
-	}
-}
