@@ -81,7 +81,6 @@ func run() error {
 	peersSpec := flag.String("peers", "", "cluster members: name=url[=dir],... (dir enables dead-peer takeover)")
 	spillDir := flag.String("spill-dir", "", "local WAL for undeliverable lines (required)")
 	httpAddr := flag.String("http", ":9090", "HTTP address for /ingest, /metrics, /cluster/status, /healthz")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member on the hash ring (0 = default 64)")
 	healthEvery := flag.Duration("health-interval", 250*time.Millisecond, "per-peer health probe period")
 	healthTimeout := flag.Duration("health-timeout", time.Second, "single health probe timeout")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe failures before a peer is ejected")
@@ -108,7 +107,6 @@ func run() error {
 	}
 	r, err := cluster.NewRouter(cluster.RouterConfig{
 		Peers:            peers,
-		Vnodes:           *vnodes,
 		SpillDir:         *spillDir,
 		HealthInterval:   *healthEvery,
 		HealthTimeout:    *healthTimeout,

@@ -132,26 +132,6 @@ func WithSnapshotEvery(d time.Duration) StreamOption { return stream.WithSnapsho
 // most this many events.
 func WithWALSyncEvery(n int) StreamOption { return stream.WithWALSyncEvery(n) }
 
-// WithMaxEventRetries sets how many shard panics one event may cause
-// before it is quarantined as poisoned (default 3).
-func WithMaxEventRetries(n int) StreamOption { return stream.WithMaxEventRetries(n) }
-
-// WithRestartBackoff sets the base delay before a panicked shard
-// restarts; it doubles per consecutive crash, jittered, capped at 1s
-// (default 10ms).
-func WithRestartBackoff(d time.Duration) StreamOption { return stream.WithRestartBackoff(d) }
-
-// WithMaxConns caps concurrent ServeLines connections; excess accepts
-// are counted and closed (default 256).
-func WithMaxConns(n int) StreamOption { return stream.WithMaxConns(n) }
-
-// WithConnIdleTimeout drops a ServeLines connection that delivers
-// nothing for d (default 5m; 0 disables).
-func WithConnIdleTimeout(d time.Duration) StreamOption { return stream.WithConnIdleTimeout(d) }
-
-// WithMaxBodyBytes bounds one HTTP ingest request body (default 8 MiB).
-func WithMaxBodyBytes(n int64) StreamOption { return stream.WithMaxBodyBytes(n) }
-
 // WithAllowedLateness enables per-node event-time reordering: events
 // buffer until the node's watermark (max seen timestamp minus d) passes
 // them, so bounded arrival disorder is invisible to the ΔT math. 0 (the

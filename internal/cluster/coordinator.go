@@ -165,7 +165,7 @@ func (r *Router) resolveIntent(m persist.ViewMember, ph handoffRequest) error {
 // crash, or cut off from the previous coordinator when it pushed.
 // Caller holds rebalMu.
 func (r *Router) healLocked(view persist.ViewRecord, statuses map[string]statusReply) {
-	ring := NewRing(view.RingMembers(), r.cfg.Vnodes)
+	ring := NewRing(view.RingMembers(), 0)
 	for _, m := range view.Members {
 		st, ok := statuses[m.Name]
 		if !ok || !m.InRing() {
@@ -212,7 +212,7 @@ func (r *Router) commitView(v persist.ViewRecord) {
 // every in-ring member of v.
 func (r *Router) pushOwnershipView(v persist.ViewRecord) {
 	names := v.RingMembers()
-	ring := NewRing(names, r.cfg.Vnodes)
+	ring := NewRing(names, 0)
 	for _, name := range names {
 		ps := r.peerByName(name)
 		if ps == nil {
@@ -363,7 +363,7 @@ func (r *Router) addMember(req RebalanceRequest) error {
 	r.mu.RLock()
 	oldRing := r.ring
 	r.mu.RUnlock()
-	newRing := NewRing(append(view.RingMembers(), req.Name), r.cfg.Vnodes)
+	newRing := NewRing(append(view.RingMembers(), req.Name), 0)
 	// A failed handoff leaves the newcomer serving that range cold;
 	// rerouted events still flow once the grown view commits.
 	if err := r.handoffGained(oldRing, newRing.Ranges(req.Name), epoch, Peer{Name: req.Name, URL: req.URL}, "add-handoff"); err != nil {
@@ -449,7 +449,7 @@ func (r *Router) finishDrainLocked(view persist.ViewRecord, m persist.ViewMember
 	if len(rest) == 0 {
 		return fmt.Errorf("cluster: cannot drain the last in-ring member")
 	}
-	newRing := NewRing(rest, r.cfg.Vnodes)
+	newRing := NewRing(rest, 0)
 	for _, target := range rest {
 		tp := r.peerByName(target)
 		if tp == nil {

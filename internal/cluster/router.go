@@ -37,8 +37,6 @@ type Peer struct {
 type RouterConfig struct {
 	// Peers is the initial membership (at least one required).
 	Peers []Peer
-	// Vnodes is the virtual-node count per member (default 64).
-	Vnodes int
 	// SpillDir is the router's local WAL for events it cannot deliver
 	// right now — owner unreachable, range frozen mid-handoff, sender
 	// backlogged. Spilled lines redeliver in order once the owner
@@ -239,7 +237,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.SpillDir == "" {
 		return nil, fmt.Errorf("cluster: router needs a spill dir")
 	}
-	orDefault(&cfg.Vnodes, defaultVnodes)
 	orDefault(&cfg.HealthInterval, 250*time.Millisecond)
 	orDefault(&cfg.HealthTimeout, time.Second)
 	orDefault(&cfg.FailThreshold, 3)
@@ -291,7 +288,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client:      &http.Client{Timeout: 30 * time.Second, Transport: cfg.Transport},
 		leaseClient: &http.Client{Timeout: cfg.HealthTimeout, Transport: cfg.Transport},
 		fsys:        fsys,
-		ring:        NewRing(names, cfg.Vnodes),
+		ring:        NewRing(names, 0),
 		epoch:       1,
 		view:        persist.ViewRecord{Epoch: 1, Members: members},
 		peers:       peers,
@@ -639,7 +636,7 @@ func (r *Router) takeover(deadRanges []persist.HashRange, dir string, v2 persist
 		return
 	}
 	survivors := v2.RingMembers()
-	newRing := NewRing(survivors, r.cfg.Vnodes)
+	newRing := NewRing(survivors, 0)
 	for _, name := range survivors {
 		sp := r.peerByName(name)
 		moved := Intersect(deadRanges, newRing.Ranges(name))
@@ -702,7 +699,7 @@ func (r *Router) readmit(ps *peerState) {
 	v2 := view.Clone()
 	setMemberState(&v2, ps.Name, persist.StateIn)
 	v2.Epoch++
-	newRing := NewRing(v2.RingMembers(), r.cfg.Vnodes)
+	newRing := NewRing(v2.RingMembers(), 0)
 	r.diagf("cluster: peer %s rejoining at epoch %d", ps.Name, v2.Epoch)
 	_ = r.handoffGained(oldRing, newRing.Ranges(ps.Name), v2.Epoch, ps.Peer, "")
 	r.commitView(v2) // installing the ejected→in transition flips healthy back on
@@ -727,7 +724,7 @@ func (r *Router) installView(v persist.ViewRecord) bool {
 	old := r.view
 	r.view = v.Clone()
 	r.epoch = v.Epoch
-	r.ring = NewRing(v.RingMembers(), r.cfg.Vnodes)
+	r.ring = NewRing(v.RingMembers(), 0)
 	var started, stopped []*peerState
 	seen := make(map[string]bool, len(v.Members))
 	for _, m := range v.Members {

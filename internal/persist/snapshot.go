@@ -99,30 +99,40 @@ func (st *SnapshotStore) Save(boundary uint64, payload any) error {
 	if err != nil {
 		return err
 	}
-	final := st.path(boundary)
-	tmp := final + ".tmp"
-	f, err := st.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err := WriteFileAtomic(st.fs, st.dir, st.path(boundary), data); err != nil {
+		return fmt.Errorf("persist: snapshot %w", err)
+	}
+	st.prune(2)
+	return nil
+}
+
+// WriteFileAtomic makes data the content of path, a file in dir, so
+// that a crash at any point leaves either the old file (or none) or the
+// whole new one: write to a temp file, fsync, rename into place, fsync
+// the directory. The error names the step that failed.
+func WriteFileAtomic(fsys faultfs.FS, dir, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: snapshot temp: %w", err)
+		return fmt.Errorf("temp: %w", err)
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("persist: snapshot write: %w", err)
+		return fmt.Errorf("write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("persist: snapshot sync: %w", err)
+		return fmt.Errorf("sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: snapshot close: %w", err)
+		return fmt.Errorf("close: %w", err)
 	}
-	if err := st.fs.Rename(tmp, final); err != nil {
-		return fmt.Errorf("persist: snapshot rename: %w", err)
+	if err := fsys.Rename(tmp, path); err != nil {
+		return fmt.Errorf("rename: %w", err)
 	}
-	if err := st.fs.SyncDir(st.dir); err != nil {
-		return fmt.Errorf("persist: snapshot dir sync: %w", err)
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("dir sync: %w", err)
 	}
-	st.prune(2)
 	return nil
 }
 

@@ -56,11 +56,7 @@ func runAlerts(t *testing.T, events []logparse.Event, options ...Option) ([]Aler
 		t.Fatal(err)
 	}
 	_, wait := collectAlerts(s)
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +95,7 @@ func TestShuffleWithinLatenessMatchesSorted(t *testing.T) {
 				seed, m.Late, m.LateClamped, m.ReorderOverflow)
 		}
 		got := alertMultiset(alerts)
-		for k, n := range want {
-			if got[k] != n {
-				t.Errorf("seed %d: alert %s fired %d times, sorted baseline %d", seed, k, got[k], n)
-			}
-		}
-		for k, n := range got {
-			if want[k] != n {
-				t.Errorf("seed %d: spurious alert %s (%d vs %d)", seed, k, n, want[k])
-			}
-		}
+		compareMultisets(t, fmt.Sprintf("seed %d vs sorted baseline", seed), got, want)
 		checkConservation(t, s)
 	}
 }
@@ -189,16 +176,7 @@ func TestDisorderEquivalence(t *testing.T) {
 	for _, a := range alerts {
 		got[skewedKey(a)]++
 	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: hostile run fired %d, clean baseline %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: hostile run fired %d, clean baseline %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "hostile run vs clean baseline", got, want)
 	checkConservation(t, s)
 }
 
@@ -269,16 +247,7 @@ func TestDuplicatedTCPBatchFiresOnce(t *testing.T) {
 	if m.Duplicates == 0 {
 		t.Fatal("re-delivered batch registered no duplicates")
 	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s fired %d times across the retried batch, want exactly %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: %d vs %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "retried batch vs single delivery", got, want)
 	checkConservation(t, s)
 }
 

@@ -32,8 +32,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"desh/internal/logparse"
 	"desh/internal/persist"
@@ -92,32 +90,13 @@ type dropBarrier struct {
 	ack    chan int
 }
 
-// importLedger is the shared already-delivered ledger of one live
-// import; shards consume it concurrently while replaying the pending
-// tail.
-type importLedger struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-func (l *importLedger) take(a Alert) bool {
-	k := alertRecordOf(a).LedgerKey()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.m[k] > 0 {
-		l.m[k]--
-		return true
-	}
-	return false
-}
-
 // importBarrier carries one shard's slice of an imported range:
 // remapped node states to install and the pending tail to replay, at
 // the barrier's exact queue position.
 type importBarrier struct {
 	nodes   map[string]persistedNode
 	pending []logparse.EncodedEvent
-	led     *importLedger
+	led     *ledger // the source's delivered alerts, shared by every shard's barrier
 	ack     chan int
 }
 
@@ -154,23 +133,13 @@ func (s *Streamer) BeginHandoff(epoch uint64, target string, ranges []persist.Ha
 	}
 	s.handoff = &handoffIntent{epoch: epoch, target: target, ranges: ranges}
 	s.frozen = ranges
-	replies := make(chan map[string]persistedNode, len(s.shards))
-	for _, sh := range s.shards {
-		sh.ch <- shardMsg{snap: replies}
-	}
+	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
-	nodes := make(map[string]persistedNode)
-	for range s.shards {
-		select {
-		case m := <-replies:
-			for node, pn := range m {
-				if persist.RangesContain(ranges, persist.NodeHash(node)) {
-					nodes[node] = pn
-				}
-			}
-		case <-s.done:
-			return nil, ErrClosed
-		}
+	nodes, ok := s.gatherCaptures(replies, func(node string) bool {
+		return persist.RangesContain(ranges, persist.NodeHash(node))
+	})
+	if !ok {
+		return nil, ErrClosed
 	}
 	s.encMu.RLock()
 	keys := s.enc.Keys()
@@ -186,36 +155,19 @@ func (s *Streamer) BeginHandoff(epoch uint64, target string, ranges []persist.Ha
 // journal confirms the epoch).
 func (s *Streamer) CompleteHandoff() error {
 	s.mu.Lock()
-	if s.closed {
+	h, err := s.resolveLocked(persist.RecHandoffOut)
+	if err != nil {
 		s.mu.Unlock()
-		return ErrClosed
+		return err
 	}
-	h := s.handoff
-	if h == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("stream: no handoff in flight")
-	}
-	if s.pst != nil {
-		rec := persist.HandoffRecord{Epoch: h.epoch, Peer: h.target, Ranges: h.ranges}
-		if _, err := s.pst.wal.Append(persist.EncodeHandoff(persist.RecHandoffOut, rec)); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("stream: handoff journal: %w", err)
-		}
-	}
-	s.handoff = nil
-	s.frozen = nil
 	b := &dropBarrier{ranges: h.ranges, ack: make(chan int, len(s.shards))}
 	for _, sh := range s.shards {
 		sh.ch <- shardMsg{drop: b}
 	}
 	s.mu.Unlock()
-	for range s.shards {
-		select {
-		case <-b.ack:
-		case <-s.done:
-			// The Out record is durable: recovery re-applies the drop.
-			return ErrClosed
-		}
+	// On ErrClosed the Out record is durable: recovery re-applies the drop.
+	if err := s.awaitAcks(b.ack); err != nil {
+		return err
 	}
 	s.met.HandoffsCompleted.Add(1)
 	return nil
@@ -227,23 +179,32 @@ func (s *Streamer) CompleteHandoff() error {
 func (s *Streamer) AbortHandoff() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, err := s.resolveLocked(persist.RecHandoffAbort); err != nil {
+		return err
+	}
+	s.met.HandoffsAborted.Add(1)
+	return nil
+}
+
+// resolveLocked journals the in-flight intent's resolution (typ is
+// RecHandoffOut or RecHandoffAbort), clears it and unfreezes its ranges.
+// The caller holds s.mu.
+func (s *Streamer) resolveLocked(typ byte) (*handoffIntent, error) {
 	if s.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	h := s.handoff
 	if h == nil {
-		return fmt.Errorf("stream: no handoff in flight")
+		return nil, fmt.Errorf("stream: no handoff in flight")
 	}
 	if s.pst != nil {
 		rec := persist.HandoffRecord{Epoch: h.epoch, Peer: h.target, Ranges: h.ranges}
-		if _, err := s.pst.wal.Append(persist.EncodeHandoff(persist.RecHandoffAbort, rec)); err != nil {
-			return fmt.Errorf("stream: handoff journal: %w", err)
+		if _, err := s.pst.wal.Append(persist.EncodeHandoff(typ, rec)); err != nil {
+			return nil, fmt.Errorf("stream: handoff journal: %w", err)
 		}
 	}
-	s.handoff = nil
-	s.frozen = nil
-	s.met.HandoffsAborted.Add(1)
-	return nil
+	s.handoff, s.frozen = nil, nil
+	return h, nil
 }
 
 // PendingHandoff reports an outbound handoff intent awaiting
@@ -301,13 +262,9 @@ func (s *Streamer) ImportState(epoch uint64, source string, ranges []persist.Has
 		sh.ch <- shardMsg{imp: barriers[i]}
 	}
 	s.mu.Unlock()
-	for range s.shards {
-		select {
-		case <-barriers[0].ack:
-		case <-s.done:
-			// The In record is durable: recovery re-applies the import.
-			return ErrClosed
-		}
+	// On ErrClosed the In record is durable: recovery re-applies the import.
+	if err := s.awaitAcks(barriers[0].ack); err != nil {
+		return err
 	}
 	s.met.HandoffImports.Add(1)
 	return nil
@@ -316,7 +273,7 @@ func (s *Streamer) ImportState(epoch uint64, source string, ranges []persist.Has
 // buildImport remaps a shipped state into this streamer's id space and
 // splits it per shard. Runs under s.mu (encodeKey takes its own lock).
 func (s *Streamer) buildImport(st *HandoffState) []*importBarrier {
-	led := &importLedger{m: make(map[string]int, len(st.Ledger))}
+	led := &ledger{m: make(map[string]int, len(st.Ledger))}
 	for k, n := range st.Ledger {
 		led.m[k] = n
 	}
@@ -326,44 +283,40 @@ func (s *Streamer) buildImport(st *HandoffState) []*importBarrier {
 		out[i] = &importBarrier{nodes: make(map[string]persistedNode), led: led, ack: ack}
 	}
 	for node, pn := range st.Nodes {
-		out[s.shardOf(node)].nodes[node] = s.remapNode(pn, st.EncKeys)
+		out[s.shardOf(node)].nodes[node] = remapIDs(pn, st.EncKeys, s.encodeKey)
 	}
 	for _, rec := range st.Pending {
-		if st.Quarantined[persist.QuarantineRecord{TimeNano: rec.TimeNano, Node: rec.Node, Key: rec.Key}.LedgerKey()] {
+		if st.Quarantined[recordQuarantineKey(rec)] {
 			continue
 		}
-		ev := rec.Event()
-		enc := logparse.EncodedEvent{Event: ev, ID: s.encodeEvent(ev)}
-		b := out[s.shardOf(ev.Node)]
-		b.pending = append(b.pending, enc)
+		b := out[s.shardOf(rec.Node)]
+		b.pending = append(b.pending, s.encoded(rec.Event()))
 	}
 	return out
 }
 
-// remapNode translates one node's state from the source id space into
-// this streamer's: events re-encode by phrase key (always present),
-// dedup entries translate through the shipped EncKeys table (entries
-// whose id the table cannot resolve are dropped — they could never
-// match a re-encoded event anyway).
-func (s *Streamer) remapNode(pn persistedNode, encKeys []string) persistedNode {
-	open := make([]logparse.EncodedEvent, len(pn.Tracker.Open))
-	for i, ev := range pn.Tracker.Open {
-		ev.ID = s.encodeKey(ev.Key)
-		open[i] = ev
+// remapIDs translates one node's state into another phrase-id space,
+// rewriting every id embedded in pn through idFor: events re-encode by
+// phrase key (always present), dedup entries translate through encKeys,
+// the table pn's ids index (entries whose id the table cannot resolve
+// are dropped — they could never match a re-encoded event anyway).
+func remapIDs(pn persistedNode, encKeys []string, idFor func(key string) int) persistedNode {
+	reencode := func(evs []logparse.EncodedEvent) []logparse.EncodedEvent {
+		out := make([]logparse.EncodedEvent, len(evs))
+		for i, ev := range evs {
+			ev.ID = idFor(ev.Key)
+			out[i] = ev
+		}
+		return out
 	}
-	pn.Tracker.Open = open
-	reorder := make([]logparse.EncodedEvent, len(pn.Reorder))
-	for i, ev := range pn.Reorder {
-		ev.ID = s.encodeKey(ev.Key)
-		reorder[i] = ev
-	}
-	pn.Reorder = reorder
+	pn.Tracker.Open = reencode(pn.Tracker.Open)
+	pn.Reorder = reencode(pn.Reorder)
 	dedup := make([]dedupEntry, 0, len(pn.Dedup))
 	for _, e := range pn.Dedup {
 		if e.ID < 0 || e.ID >= len(encKeys) {
 			continue
 		}
-		e.ID = s.encodeKey(encKeys[e.ID])
+		e.ID = idFor(encKeys[e.ID])
 		dedup = append(dedup, e)
 	}
 	pn.Dedup = dedup
@@ -401,18 +354,19 @@ func (sh *shard) dropNodes(ranges []persist.HashRange) int {
 }
 
 // applyImport is the shard side of ImportState's barrier: install the
-// remapped nodes, then replay the pending tail with the shared ledger
-// suppressing already-delivered alerts. A panic is recovered locally —
-// the barrier must ack or ImportState deadlocks — and quarantines the
-// remainder of this shard's slice.
+// remapped nodes, then replay the pending tail — the same step boot
+// recovery takes — with the barrier's ledger suppressing alerts the
+// source already delivered. A panic outside an event (replay recovers
+// its own) is recovered here, because the barrier must ack or
+// ImportState deadlocks.
 func (sh *shard) applyImport(b *importBarrier) {
-	sh.imp = b
+	sh.led = b.led
 	defer func() {
 		if r := recover(); r != nil {
 			sh.pend = sh.pend[:0]
 			sh.s.met.Quarantined.Add(1)
 		}
-		sh.imp = nil
+		sh.led = nil
 		b.ack <- sh.id
 	}()
 	for node, pn := range b.nodes {
@@ -425,46 +379,15 @@ func (sh *shard) applyImport(b *importBarrier) {
 		sh.s.met.HandoffNodesIn.Add(1)
 	}
 	for _, ev := range b.pending {
-		sh.s.met.Ingested.Add(1)
-		sh.s.met.ReplayedEvents.Add(1)
-		sh.importEvent(ev)
+		sh.replay(ev)
 	}
-}
-
-// importEvent replays one shipped WAL-tail event through the shard,
-// quarantining it on panic (mirrors processReplay, minus the boot-only
-// persister assumptions).
-func (sh *shard) importEvent(ev logparse.EncodedEvent) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.pend = sh.pend[:0]
-			sh.s.met.Quarantined.Add(1)
-			if sh.s.pst != nil {
-				sh.s.pst.appendQuarantine(sh.s, ev)
-			}
-		}
-	}()
-	sh.handle(ev, time.Now())
-	sh.flushPending()
-	sh.s.met.Processed.Add(1)
 }
 
 // JournalEpoch durably records this instance's cluster ownership: the
 // epoch and the hash ranges it serves under it. Recovery surfaces the
 // newest record via RecoveredOwnership. No-op without persistence.
 func (s *Streamer) JournalEpoch(epoch uint64, ranges []persist.HashRange) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.pst == nil {
-		return nil
-	}
-	if _, err := s.pst.wal.Append(persist.EncodeEpoch(persist.EpochRecord{Epoch: epoch, Ranges: ranges})); err != nil {
-		return fmt.Errorf("stream: epoch journal: %w", err)
-	}
-	return nil
+	return s.journal("epoch", persist.EncodeEpoch(persist.EpochRecord{Epoch: epoch, Ranges: ranges}))
 }
 
 // RecoveredOwnership returns the newest ownership record boot
@@ -514,28 +437,24 @@ func (s *Streamer) replayHandoff(typ byte, payload []byte) error {
 }
 
 // importDirect applies an imported range during single-threaded boot
-// replay: the shipped ledger merges into the recovery ledger (emit
-// consults it while replaying is set), nodes install directly, and
-// the pending tail re-feeds through the normal replay path — exactly
-// the effect the live import barrier had.
+// replay: the shipped ledger merges into the recovery ledger (every
+// shard points at it), nodes install directly, and the pending tail
+// re-feeds through replayEvent — exactly the effect the live import
+// barrier had, minus what the importer itself quarantined since.
 func (s *Streamer) importDirect(st *HandoffState) error {
-	p := s.pst
-	p.mu.Lock()
 	for k, n := range st.Ledger {
-		p.ledger[k] += n
+		s.pst.led.m[k] += n
 	}
-	p.mu.Unlock()
 	for node, pn := range st.Nodes {
 		sh := s.shards[s.shardOf(node)]
-		if err := sh.installNode(node, s.remapNode(pn, st.EncKeys)); err != nil {
+		if err := sh.installNode(node, remapIDs(pn, st.EncKeys, s.encodeKey)); err != nil {
 			return err
 		}
 	}
 	for _, rec := range st.Pending {
-		if st.Quarantined[persist.QuarantineRecord{TimeNano: rec.TimeNano, Node: rec.Node, Key: rec.Key}.LedgerKey()] {
-			continue
+		if !st.Quarantined[recordQuarantineKey(rec)] {
+			s.replayEvent(rec)
 		}
-		s.replayEvent(rec)
 	}
 	return nil
 }
@@ -590,51 +509,28 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 			if in(rec.Node) {
 				st.Pending = append(st.Pending, rec)
 			}
-		case persist.RecAlert:
-			rec, err := persist.DecodeAlert(payload[1:])
-			if err != nil {
-				return err
-			}
-			if in(rec.Node) {
-				st.Ledger[rec.LedgerKey()]++
-			}
-		case persist.RecQuarantine:
-			rec, err := persist.DecodeQuarantine(payload[1:])
-			if err != nil {
-				return err
-			}
-			if in(rec.Node) {
-				st.Quarantined[rec.LedgerKey()] = true
-			}
-		case persist.RecHandoffIn:
+		case persist.RecAlert, persist.RecQuarantine:
+			return noteDelivered(payload, in, st.Ledger, st.Quarantined)
+		case persist.RecHandoffIn, persist.RecHandoffBegin, persist.RecHandoffOut, persist.RecHandoffAbort:
 			rec, err := persist.DecodeHandoff(payload[1:])
 			if err != nil {
 				return err
 			}
-			var nested HandoffState
-			if err := persist.DecodeSnapshot(rec.State, &nested); err != nil {
-				return err
+			switch payload[0] {
+			case persist.RecHandoffIn:
+				var nested HandoffState
+				if err := persist.DecodeSnapshot(rec.State, &nested); err != nil {
+					return err
+				}
+				mergeTakenOver(st, &nested, in)
+			case persist.RecHandoffBegin:
+				pendingBegins = append(pendingBegins, rec)
+			case persist.RecHandoffOut:
+				pendingBegins = resolveBegin(pendingBegins, rec.Epoch)
+				removeRanges(st, rec.Ranges)
+			case persist.RecHandoffAbort:
+				pendingBegins = resolveBegin(pendingBegins, rec.Epoch)
 			}
-			mergeTakenOver(st, &nested, in)
-		case persist.RecHandoffBegin:
-			rec, err := persist.DecodeHandoff(payload[1:])
-			if err != nil {
-				return err
-			}
-			pendingBegins = append(pendingBegins, rec)
-		case persist.RecHandoffOut:
-			rec, err := persist.DecodeHandoff(payload[1:])
-			if err != nil {
-				return err
-			}
-			pendingBegins = resolveBegin(pendingBegins, rec.Epoch)
-			removeRanges(st, rec.Ranges)
-		case persist.RecHandoffAbort:
-			rec, err := persist.DecodeHandoff(payload[1:])
-			if err != nil {
-				return err
-			}
-			pendingBegins = resolveBegin(pendingBegins, rec.Epoch)
 		}
 		// RecSwap is deliberately ignored: takeover replays the tail on
 		// the surviving instance's model (the cluster assumes a uniform
@@ -670,33 +566,9 @@ func mergeTakenOver(st *HandoffState, nested *HandoffState, in func(string) bool
 		if !in(node) {
 			continue
 		}
-		open := make([]logparse.EncodedEvent, len(pn.Tracker.Open))
-		for i, ev := range pn.Tracker.Open {
-			ev.ID = idFor(ev.Key)
-			open[i] = ev
-		}
-		pn.Tracker.Open = open
-		reorder := make([]logparse.EncodedEvent, len(pn.Reorder))
-		for i, ev := range pn.Reorder {
-			ev.ID = idFor(ev.Key)
-			reorder[i] = ev
-		}
-		pn.Reorder = reorder
-		dedup := make([]dedupEntry, 0, len(pn.Dedup))
-		for _, e := range pn.Dedup {
-			if e.ID < 0 || e.ID >= len(nested.EncKeys) {
-				continue
-			}
-			e.ID = idFor(nested.EncKeys[e.ID])
-			dedup = append(dedup, e)
-		}
-		pn.Dedup = dedup
-		if pn.DedupPos >= len(dedup) {
-			pn.DedupPos = 0
-		}
 		// The imported copy is newer than anything the snapshot held for
 		// the node (the node just moved in); it wins.
-		st.Nodes[node] = pn
+		st.Nodes[node] = remapIDs(pn, nested.EncKeys, idFor)
 	}
 	for _, rec := range nested.Pending {
 		if in(rec.Node) {

@@ -37,11 +37,7 @@ func TestHandoffFreezeAndAbort(t *testing.T) {
 	}
 	_, wait := collectAlerts(s)
 	half := len(events) / 2
-	for _, ev := range events[:half] {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events[:half])
 	st, err := s.BeginHandoff(2, "http://target", fullCircle)
 	if err != nil {
 		t.Fatal(err)
@@ -153,16 +149,7 @@ func TestLiveHandoffEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := alertMultiset(append(waitA(), waitB()...))
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: handoff run delivered %d, baseline %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: handoff run delivered %d, baseline %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "handoff run vs baseline", got, want)
 	ma, mbm := a.SnapshotMetrics(), b.SnapshotMetrics()
 	if ma.HandoffsCompleted != 1 {
 		t.Fatalf("source completed %d handoffs, want 1", ma.HandoffsCompleted)
@@ -188,11 +175,7 @@ func TestHandoffCrashMidFlightStaysFrozen(t *testing.T) {
 	}
 	_, wait := collectAlerts(s)
 	half := len(events) / 2
-	for _, ev := range events[:half] {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events[:half])
 	if _, err := s.BeginHandoff(5, "http://target", fullCircle); err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +322,5 @@ func TestTakeoverFromDeadDirEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := alertMultiset(append(waitA(), waitB()...))
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: takeover run delivered %d, baseline %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: takeover run delivered %d, baseline %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "takeover run vs baseline", got, want)
 }

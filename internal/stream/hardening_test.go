@@ -62,15 +62,14 @@ func TestIngestReaderOversizedLine(t *testing.T) {
 	}
 }
 
-// TestServeLinesConnCapAndIdleTimeout: the MaxConns cap closes excess
+// TestServeLinesConnCapAndIdleTimeout: the connection cap closes excess
 // connections immediately, and a connection that goes silent is dropped
-// after ConnIdleTimeout; both are counted in ConnRejected.
+// after the idle limit; both are counted in ConnRejected.
 func TestServeLinesConnCapAndIdleTimeout(t *testing.T) {
 	p := trainedPipeline(t)
 	s, err := New(p,
 		WithShards(1),
-		WithMaxConns(1),
-		WithConnIdleTimeout(100*time.Millisecond),
+		func(o *Options) { o.maxConns, o.connIdleTimeout = 1, 100*time.Millisecond },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +132,11 @@ func TestServeLinesConnCapAndIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestIngestHandlerBodyLimit: a body over MaxBodyBytes gets 413 and the
+// TestIngestHandlerBodyLimit: a body over the bound gets 413 and the
 // streamer keeps serving; an in-bounds body still gets 202.
 func TestIngestHandlerBodyLimit(t *testing.T) {
 	p := trainedPipeline(t)
-	s, err := New(p, WithShards(1), WithMaxBodyBytes(512))
+	s, err := New(p, WithShards(1), func(o *Options) { o.maxBodyBytes = 512 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,15 @@ const maxLineBytes = 1 << 20
 // a daemon must survive garbage on its ingest socket — so the only
 // errors returned are ErrClosed and reader failures.
 func (s *Streamer) IngestReader(r io.Reader) error {
+	_, err := s.ingestReader(r)
+	return err
+}
+
+// ingestReader is IngestReader that also reports how many of r's lines
+// this call counted into Metrics.Ingested — the process-wide counter
+// cannot say, other sources move it at the same time.
+func (s *Streamer) ingestReader(r io.Reader) (int, error) {
+	n := 0
 	br := bufio.NewReaderSize(r, 64*1024)
 	line := make([]byte, 0, 4096)
 	discarding := false
@@ -40,27 +49,25 @@ func (s *Streamer) IngestReader(r io.Reader) error {
 			}
 		}
 		switch {
-		case err == nil:
-			// chunk ended the line.
-			if discarding {
-				discarding = false
-				continue
-			}
-			if ierr := s.IngestLine(string(line)); errors.Is(ierr, ErrClosed) {
-				return ierr
-			}
-			line = line[:0]
-		case errors.Is(err, bufio.ErrBufferFull):
-			// Mid-line; keep accumulating (or discarding).
-		case errors.Is(err, io.EOF):
+		case err == nil, errors.Is(err, io.EOF):
+			// chunk ended the line, or the input ended mid-line.
 			if !discarding && len(line) > 0 {
-				if ierr := s.IngestLine(string(line)); errors.Is(ierr, ErrClosed) {
-					return ierr
+				ok, ierr := s.ingestLine(string(line))
+				if errors.Is(ierr, ErrClosed) {
+					return n, ierr
+				}
+				if ok {
+					n++
 				}
 			}
-			return nil
+			if err != nil {
+				return n, nil
+			}
+			discarding, line = false, line[:0]
+		case errors.Is(err, bufio.ErrBufferFull):
+			// Mid-line; keep accumulating (or discarding).
 		default:
-			return fmt.Errorf("stream: read: %w", err)
+			return n, fmt.Errorf("stream: read: %w", err)
 		}
 	}
 }
@@ -69,15 +76,15 @@ func (s *Streamer) IngestReader(r io.Reader) error {
 // host port < node.log` ingest format — feeding every line through the
 // streamer. Each connection gets its own goroutine; per-shard queue
 // bounds still apply, so a burst on one connection cannot grow memory.
-// At most MaxConns connections are served at once (excess accepts are
+// At most 256 connections are served at once (excess accepts are
 // counted in Metrics.ConnRejected and closed), and a connection that
-// delivers nothing for ConnIdleTimeout is dropped. ServeLines returns
+// delivers nothing for five minutes is dropped. ServeLines returns
 // when ln is closed or the streamer shuts down, and only after every
 // connection goroutine has finished.
 func (s *Streamer) ServeLines(ln net.Listener) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	sem := make(chan struct{}, s.opts.MaxConns)
+	sem := make(chan struct{}, s.opts.maxConns)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -114,7 +121,7 @@ func (s *Streamer) ServeLines(ln net.Listener) error {
 				}
 			}()
 			var r io.Reader = conn
-			if d := s.opts.ConnIdleTimeout; d > 0 {
+			if d := s.opts.connIdleTimeout; d > 0 {
 				r = &idleConnReader{conn: conn, idle: d}
 			}
 			if err := s.IngestReader(r); errors.Is(err, os.ErrDeadlineExceeded) {
@@ -125,7 +132,7 @@ func (s *Streamer) ServeLines(ln net.Listener) error {
 }
 
 // idleConnReader arms a fresh read deadline before every Read, so the
-// connection dies only after ConnIdleTimeout of total silence — not
+// connection dies only after the idle limit of total silence — not
 // after a fixed wall-clock lifetime.
 type idleConnReader struct {
 	conn net.Conn
@@ -139,7 +146,7 @@ func (r *idleConnReader) Read(p []byte) (int, error) {
 
 // IngestHandler returns the HTTP ingest endpoint: POST a body of
 // newline-separated raw log lines. Responds 202 with the number of
-// events accepted this request, 413 when the body exceeds MaxBodyBytes,
+// events accepted this request, 413 when the body exceeds 8 MiB,
 // 503 once the streamer is closed.
 func (s *Streamer) IngestHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -147,8 +154,7 @@ func (s *Streamer) IngestHandler() http.Handler {
 			http.Error(w, "POST log lines", http.StatusMethodNotAllowed)
 			return
 		}
-		before := s.met.Ingested.Load()
-		err := s.IngestReader(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+		n, err := s.ingestReader(http.MaxBytesReader(w, r.Body, s.opts.maxBodyBytes))
 		var tooBig *http.MaxBytesError
 		switch {
 		case errors.Is(err, ErrClosed):
@@ -160,7 +166,7 @@ func (s *Streamer) IngestHandler() http.Handler {
 		default:
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusAccepted)
-			fmt.Fprintf(w, "{\"ingested\":%d}\n", s.met.Ingested.Load()-before)
+			fmt.Fprintf(w, "{\"ingested\":%d}\n", n)
 		}
 	})
 }

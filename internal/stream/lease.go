@@ -13,10 +13,10 @@ import (
 	"desh/internal/persist"
 )
 
-// JournalLease durably records a coordinator-lease decision this
-// instance made (grant, renewal, or release with Holder ""). No-op
-// without persistence.
-func (s *Streamer) JournalLease(rec persist.LeaseRecord) error {
+// journal appends one control record to the WAL under the ingest lock:
+// the body JournalEpoch, JournalLease and JournalView share. what names
+// the record in the error. No-op without persistence.
+func (s *Streamer) journal(what string, rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -25,10 +25,17 @@ func (s *Streamer) JournalLease(rec persist.LeaseRecord) error {
 	if s.pst == nil {
 		return nil
 	}
-	if _, err := s.pst.wal.Append(persist.EncodeLease(rec)); err != nil {
-		return fmt.Errorf("stream: lease journal: %w", err)
+	if _, err := s.pst.wal.Append(rec); err != nil {
+		return fmt.Errorf("stream: %s journal: %w", what, err)
 	}
 	return nil
+}
+
+// JournalLease durably records a coordinator-lease decision this
+// instance made (grant, renewal, or release with Holder ""). No-op
+// without persistence.
+func (s *Streamer) JournalLease(rec persist.LeaseRecord) error {
+	return s.journal("lease", persist.EncodeLease(rec))
 }
 
 // RecoveredLease returns the newest lease record boot recovery
@@ -47,18 +54,7 @@ func (s *Streamer) RecoveredLease() (persist.LeaseRecord, bool) {
 // JournalView durably records the cluster view the coordinator pushed
 // to this instance. No-op without persistence.
 func (s *Streamer) JournalView(rec persist.ViewRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.pst == nil {
-		return nil
-	}
-	if _, err := s.pst.wal.Append(persist.EncodeView(rec)); err != nil {
-		return fmt.Errorf("stream: view journal: %w", err)
-	}
-	return nil
+	return s.journal("view", persist.EncodeView(rec))
 }
 
 // RecoveredView returns the newest cluster-view record boot recovery

@@ -162,7 +162,7 @@ type Metrics struct {
 	// Oversized counts ingest lines discarded for exceeding the line
 	// length cap.
 	Oversized atomic.Int64
-	// Quarantined counts poisoned events abandoned after MaxEventRetries
+	// Quarantined counts poisoned events abandoned after three
 	// consecutive panics.
 	Quarantined atomic.Int64
 	// ShardRestarts counts shard supervisor restarts after a recovered
@@ -185,7 +185,7 @@ type Metrics struct {
 	// ReplaySuppressed counts alerts withheld during recovery because the
 	// WAL ledger shows the pre-crash process already delivered them.
 	ReplaySuppressed atomic.Int64
-	// ConnRejected counts ServeLines connections refused by the MaxConns
+	// ConnRejected counts ServeLines connections refused by the connection
 	// cap or dropped by the idle timeout.
 	ConnRejected atomic.Int64
 	// BatchWakeups counts shard wakeups that drained at least one event —
@@ -345,4 +345,89 @@ type MetricsSnapshot struct {
 	// nanoseconds (0 until the shard has seen an event).
 	Watermarks []int64           `json:"watermarks"`
 	Detect     HistogramSnapshot `json:"detect_latency"`
+}
+
+// SnapshotMetrics captures the counters plus per-shard queue depths.
+func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
+	snap := MetricsSnapshot{
+		Ingested:             s.met.Ingested.Load(),
+		Malformed:            s.met.Malformed.Load(),
+		SafeFiltered:         s.met.SafeFiltered.Load(),
+		Dropped:              s.met.Dropped.Load(),
+		ChainsOpen:           s.met.ChainsOpen.Load(),
+		ChainsClosed:         s.met.ChainsClosed.Load(),
+		WindowEvicted:        s.met.WindowEvicted.Load(),
+		AlertsFired:          s.met.AlertsFired.Load(),
+		AlertsSuppressed:     s.met.AlertsSuppressed.Load(),
+		AlertsDropped:        s.met.AlertsDropped.Load(),
+		Processed:            s.met.Processed.Load(),
+		Oversized:            s.met.Oversized.Load(),
+		Quarantined:          s.met.Quarantined.Load(),
+		ShardRestarts:        s.met.ShardRestarts.Load(),
+		Snapshots:            s.met.Snapshots.Load(),
+		SnapshotErrors:       s.met.SnapshotErrors.Load(),
+		WALErrors:            s.met.WALErrors.Load(),
+		WALBatchAppends:      s.met.WALBatchAppends.Load(),
+		ReplayedEvents:       s.met.ReplayedEvents.Load(),
+		ReplaySuppressed:     s.met.ReplaySuppressed.Load(),
+		ConnRejected:         s.met.ConnRejected.Load(),
+		UnseenPhrases:        s.met.UnseenPhrases.Load(),
+		Verdicts:             s.met.Verdicts.Load(),
+		DriftScore:           float64(s.met.DriftScoreMilli.Load()) / 1000,
+		Retrains:             s.met.Retrains.Load(),
+		RetrainFailures:      s.met.RetrainFailures.Load(),
+		ShadowScored:         s.met.ShadowScored.Load(),
+		ShadowDropped:        s.met.ShadowDropped.Load(),
+		ShadowAccepted:       s.met.ShadowAccepted.Load(),
+		ShadowRejected:       s.met.ShadowRejected.Load(),
+		Swaps:                s.met.Swaps.Load(),
+		SwapErrors:           s.met.SwapErrors.Load(),
+		HandoffsStarted:      s.met.HandoffsStarted.Load(),
+		HandoffsCompleted:    s.met.HandoffsCompleted.Load(),
+		HandoffsAborted:      s.met.HandoffsAborted.Load(),
+		HandoffImports:       s.met.HandoffImports.Load(),
+		HandoffNodesIn:       s.met.HandoffNodesIn.Load(),
+		HandoffNodesOut:      s.met.HandoffNodesOut.Load(),
+		Late:                 s.met.Late.Load(),
+		LateDropped:          s.met.LateDropped.Load(),
+		LateClamped:          s.met.LateClamped.Load(),
+		Duplicates:           s.met.Duplicates.Load(),
+		SkewQuarantined:      s.met.SkewQuarantined.Load(),
+		Shed:                 s.met.Shed.Load(),
+		ShedLevel:            s.met.ShedLevel.Load(),
+		ShedLevelMax:         s.met.ShedLevelMax.Load(),
+		ReorderOverflow:      s.met.ReorderOverflow.Load(),
+		BatchWakeups:         s.met.BatchWakeups.Load(),
+		BatchedDetects:       s.met.BatchedDetects.Load(),
+		ModelPrecision:       s.opts.Precision.String(),
+		GateKernel:           s.opts.Precision.GateKernel(),
+		ActivationKernel:     s.opts.Precision.ActivationKernel(),
+		PrecisionConversions: s.met.PrecisionConversions.Load(),
+		Detect:               s.met.Detect.Snapshot(),
+	}
+	if snap.BatchWakeups > 0 {
+		snap.BatchOccupancy = float64(s.met.BatchEvents.Load()) / float64(snap.BatchWakeups)
+	}
+	if snap.Verdicts > 0 {
+		snap.VerdictMSEMean = float64(s.met.VerdictMSEMicros.Load()) / 1e6 / float64(snap.Verdicts)
+	}
+	if n := s.met.LeadErrCount.Load(); n > 0 {
+		snap.LeadErrMeanSeconds = float64(s.met.LeadErrMillis.Load()) / 1e3 / float64(n)
+	}
+	snap.QueueDepths = make([]int, len(s.shards))
+	snap.Watermarks = make([]int64, len(s.shards))
+	var eff int64
+	if s.et != nil {
+		eff = s.et.effLateNs.Load()
+	}
+	for i, sh := range s.shards {
+		snap.QueueDepths[i] = len(sh.ch)
+		snap.ReorderPending += sh.pending.Load()
+		// The shard's watermark: max seen event time minus the effective
+		// allowed lateness (0 until the shard has seen an event).
+		if wm := sh.wmNano.Load(); wm > 0 {
+			snap.Watermarks[i] = wm - eff
+		}
+	}
+	return snap
 }

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,20 +9,11 @@ import (
 	"desh/internal/logsim"
 )
 
-// batchAlertKey renders every observable field of an alert into one
-// byte-exact string: float fields go through Float64bits so two alerts
-// compare equal only when they are bit-identical.
-func batchAlertKey(a Alert) string {
-	return fmt.Sprintf("%s|%d|%016x|%016x|%t",
-		a.Node, a.FlaggedAt.UnixNano(),
-		math.Float64bits(a.LeadSeconds), math.Float64bits(a.MSE), a.Provisional)
-}
-
 // sortedAlertKeys reduces an alert slice to its multiset fingerprint.
 func sortedAlertKeys(alerts []Alert) []string {
 	keys := make([]string, len(alerts))
 	for i, a := range alerts {
-		keys[i] = batchAlertKey(a)
+		keys[i] = alertKey(a)
 	}
 	sort.Strings(keys)
 	return keys
@@ -134,11 +123,7 @@ func TestMicroBatchEarlyDetectEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, wait := collectAlerts(s)
-		for _, ev := range events {
-			if err := s.IngestEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
+		feedEvents(t, s, events)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -54,16 +54,24 @@ type persister struct {
 	store *persist.SnapshotStore
 	wal   *persist.WAL
 
+	// led is the recovery ledger: alerts the pre-crash process already
+	// delivered, plus those shipped with every handoff import the WAL
+	// tail re-applies. Every shard points at it during boot replay.
+	led *ledger
+
 	mu sync.Mutex
-	// ledger counts alerts the pre-crash process already delivered;
-	// replay decrements it instead of re-delivering.
-	ledger map[string]int
 	// quarantined marks poisoned events replay must skip.
 	quarantined map[string]bool
 }
 
 func quarantineKeyOf(ev logparse.EncodedEvent) string {
 	return persist.EventQuarantineKey(ev.Time, ev.Node, ev.Key)
+}
+
+// recordQuarantineKey is quarantineKeyOf for an event still in its WAL
+// record form.
+func recordQuarantineKey(rec persist.EventRecord) string {
+	return persist.QuarantineRecord{TimeNano: rec.TimeNano, Node: rec.Node, Key: rec.Key}.LedgerKey()
 }
 
 func alertRecordOf(a Alert) persist.AlertRecord {
@@ -121,17 +129,30 @@ func (p *persister) appendQuarantine(s *Streamer, ev logparse.EncodedEvent) {
 	}
 }
 
-// ledgerTake consumes one ledger entry for a, reporting whether the
-// alert was already delivered before the crash.
-func (p *persister) ledgerTake(a Alert) bool {
-	k := alertRecordOf(a).LedgerKey()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ledger[k] > 0 {
-		p.ledger[k]--
-		return true
+// noteDelivered folds one WAL record into a delivered-alert ledger and a
+// quarantine set — the two things a replay of the events beside it must
+// know first. Other record types pass; in, when set, keeps only the
+// nodes it accepts.
+func noteDelivered(payload []byte, in func(node string) bool, led map[string]int, quarantined map[string]bool) error {
+	switch payload[0] {
+	case persist.RecAlert:
+		rec, err := persist.DecodeAlert(payload[1:])
+		if err != nil {
+			return err
+		}
+		if in == nil || in(rec.Node) {
+			led[rec.LedgerKey()]++
+		}
+	case persist.RecQuarantine:
+		rec, err := persist.DecodeQuarantine(payload[1:])
+		if err != nil {
+			return err
+		}
+		if in == nil || in(rec.Node) {
+			quarantined[rec.LedgerKey()] = true
+		}
 	}
-	return false
+	return nil
 }
 
 // recover rebuilds streamer state from the state directory: newest
@@ -150,7 +171,7 @@ func (s *Streamer) recover() error {
 	p := &persister{
 		fs:          fsys,
 		store:       store,
-		ledger:      make(map[string]int),
+		led:         &ledger{m: make(map[string]int)},
 		quarantined: make(map[string]bool),
 	}
 	s.pst = p
@@ -189,21 +210,7 @@ func (s *Streamer) recover() error {
 		if len(payload) == 0 {
 			return persist.ErrCorrupt
 		}
-		switch payload[0] {
-		case persist.RecAlert:
-			rec, err := persist.DecodeAlert(payload[1:])
-			if err != nil {
-				return err
-			}
-			p.ledger[rec.LedgerKey()]++
-		case persist.RecQuarantine:
-			rec, err := persist.DecodeQuarantine(payload[1:])
-			if err != nil {
-				return err
-			}
-			p.quarantined[rec.LedgerKey()] = true
-		}
-		return nil
+		return noteDelivered(payload, nil, p.led.m, p.quarantined)
 	})
 	if err != nil {
 		return fmt.Errorf("stream: wal scan: %w", err)
@@ -222,9 +229,12 @@ func (s *Streamer) recover() error {
 
 	// Pass 2: re-feed events through the shards. seq >= stats.NextSeq
 	// is the segment the reopened WAL is appending to — not part of
-	// the tail being recovered.
-	s.replaying = true
-	defer func() { s.replaying = false }()
+	// the tail being recovered. Every shard consults the recovery ledger
+	// for the length of the pass.
+	for _, sh := range s.shards {
+		sh.led = p.led
+		defer func(sh *shard) { sh.led = nil }(sh)
+	}
 	_, err = persist.ReplayWAL(fsys, s.opts.StateDir, boundary, func(seq uint64, payload []byte) error {
 		if seq >= stats.NextSeq || len(payload) == 0 {
 			return nil
@@ -234,9 +244,6 @@ func (s *Streamer) recover() error {
 			rec, err := persist.DecodeEvent(payload[1:])
 			if err != nil {
 				return err
-			}
-			if p.quarantined[persist.QuarantineRecord{TimeNano: rec.TimeNano, Node: rec.Node, Key: rec.Key}.LedgerKey()] {
-				return nil
 			}
 			s.replayEvent(rec)
 		case persist.RecSwap:
@@ -365,61 +372,14 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 }
 
 // replayEvent re-feeds one WAL event through its shard, synchronously
-// (New's goroutine is the only one running).
+// (New's goroutine is the only one running), unless an earlier life
+// quarantined it.
 func (s *Streamer) replayEvent(rec persist.EventRecord) {
-	ev := rec.Event()
-	s.met.Ingested.Add(1)
-	s.met.ReplayedEvents.Add(1)
-	enc := logparse.EncodedEvent{Event: ev, ID: s.encodeEvent(ev)}
-	// Replay re-arms the drift tap exactly as live ingest did, so the
-	// unseen-phrase signal survives a restart.
-	if int64(enc.ID) >= s.vocabN.Load() {
-		s.met.UnseenPhrases.Add(1)
+	if s.pst.quarantined[recordQuarantineKey(rec)] {
+		return
 	}
-	s.shards[s.shardOf(ev.Node)].processReplay(enc)
-}
-
-// processReplay is process for the boot-time replay path: a panic
-// quarantines the event immediately (there is no supervisor to retry
-// under, and the event already had its chance pre-crash).
-func (sh *shard) processReplay(ev logparse.EncodedEvent) {
-	at := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			// Deferred chains from the panicked event are dropped with it;
-			// chains closed by earlier replayed events were already
-			// flushed.
-			sh.pend = sh.pend[:0]
-			sh.s.met.Quarantined.Add(1)
-			sh.s.pst.appendQuarantine(sh.s, ev)
-		}
-	}()
-	if hook := sh.s.opts.panicHook; hook != nil {
-		hook(sh.id, ev)
-	}
-	sh.handle(ev, at)
-	// Replay is single-threaded with no coalescing: each event flushes
-	// its own closures, so replayed alert order matches live order.
-	sh.flushPending()
-	sh.s.met.Processed.Add(1)
-	sh.s.met.Detect.Observe(time.Since(at))
-}
-
-// snapshotLoop drives periodic snapshots until shutdown.
-func (s *Streamer) snapshotLoop() {
-	defer s.bgWG.Done()
-	t := time.NewTicker(s.opts.SnapshotEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-t.C:
-			if err := s.snapshotNow(); err != nil {
-				s.met.SnapshotErrors.Add(1)
-			}
-		}
-	}
+	enc := s.encoded(rec.Event())
+	s.shards[s.shardOf(enc.Node)].replay(enc)
 }
 
 // snapshotNow takes one consistent snapshot: rotate the WAL at a
@@ -449,26 +409,13 @@ func (s *Streamer) snapshotNow() error {
 	// Captured under s.mu: a swap commits its RecSwap record under the
 	// same lock, so the boundary and the model name always agree.
 	modelFile := s.activeFile
-	replies := make(chan map[string]persistedNode, len(s.shards))
-	for _, sh := range s.shards {
-		sh.ch <- shardMsg{snap: replies}
-	}
+	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
-	nodes := make(map[string]persistedNode)
-	for range s.shards {
-		select {
-		case m := <-replies:
-			for node, pn := range m {
-				nodes[node] = pn
-			}
-		case <-s.done:
-			// Shutdown (or simulated crash) raced the barrier; a crashed
-			// shard exits without replying. Abandon this snapshot — the
-			// graceful path takes its own final one, and the crash path
-			// recovers from the WAL. replies is buffered, so late
-			// repliers never block.
-			return nil
-		}
+	nodes, ok := s.gatherCaptures(replies, nil)
+	if !ok {
+		// Abandon this snapshot — the graceful path takes its own final
+		// one, and the crash path recovers from the WAL.
+		return nil
 	}
 	if err := s.pst.store.Save(boundary, streamerSnapshot{EncKeys: keys, Nodes: nodes, ModelFile: modelFile}); err != nil {
 		return err
@@ -476,6 +423,37 @@ func (s *Streamer) snapshotNow() error {
 	_ = s.pst.wal.RemoveSegmentsBelow(boundary)
 	s.met.Snapshots.Add(1)
 	return nil
+}
+
+// sendSnapBarrier queues a capture barrier on every shard. The caller
+// holds s.mu, which is what pins the barrier to a WAL position.
+func (s *Streamer) sendSnapBarrier() <-chan map[string]persistedNode {
+	replies := make(chan map[string]persistedNode, len(s.shards))
+	for _, sh := range s.shards {
+		sh.ch <- shardMsg{snap: replies}
+	}
+	return replies
+}
+
+// gatherCaptures merges every shard's answer to a capture barrier,
+// keeping the nodes keep accepts (nil = all). ok is false when shutdown
+// (or a simulated crash) raced the barrier: a crashed shard exits
+// without replying. replies is buffered, so late repliers never block.
+func (s *Streamer) gatherCaptures(replies <-chan map[string]persistedNode, keep func(node string) bool) (nodes map[string]persistedNode, ok bool) {
+	nodes = make(map[string]persistedNode)
+	for range s.shards {
+		select {
+		case m := <-replies:
+			for node, pn := range m {
+				if keep == nil || keep(node) {
+					nodes[node] = pn
+				}
+			}
+		case <-s.done:
+			return nil, false
+		}
+	}
+	return nodes, true
 }
 
 // finalSnapshot persists the post-drain state during a graceful Close
@@ -498,14 +476,6 @@ func (p *persister) finalSnapshot(s *Streamer) error {
 	return p.wal.Close()
 }
 
-// closeAbrupt is the crash path's file cleanup (test seam): no final
-// snapshot, no drain — just let go of the WAL handle. Appended records
-// already reached the OS, which is exactly the durability a killed
-// process has.
-func (p *persister) closeAbrupt() {
-	_ = p.wal.Close()
-}
-
 // crash simulates a SIGKILL for the recovery tests: shards stop where
 // they stand — queued events are abandoned, open episodes are not
 // flushed, no final snapshot is taken. Everything the process would
@@ -516,22 +486,10 @@ func (p *persister) closeAbrupt() {
 func (s *Streamer) Kill() { s.crash() }
 
 func (s *Streamer) crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.crashed.Store(true)
-	s.mu.Unlock()
-	close(s.done)
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
-	s.wg.Wait()
-	s.bgWG.Wait()
-	close(s.alerts)
-	if s.pst != nil {
-		s.pst.closeAbrupt()
+	// No final snapshot, no drain — just let go of the WAL handle.
+	// Appended records already reached the OS, which is exactly the
+	// durability a killed process has.
+	if s.stop(true) && s.pst != nil {
+		_ = s.pst.wal.Close()
 	}
 }

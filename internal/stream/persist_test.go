@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	"desh/internal/logparse"
 	"desh/internal/logsim"
 	"desh/internal/persist"
+	"desh/internal/persist/faultfs"
 )
 
 // freshPipeline clones the shared trained pipeline through Save/Load —
@@ -32,8 +35,16 @@ func freshPipeline(t testing.TB) *core.Pipeline {
 	return p
 }
 
-// alertKey is the multiset identity of an alert for run comparison.
-func alertKey(a Alert) string { return alertRecordOf(a).LedgerKey() }
+// fastRestart shrinks the supervisor's restart backoff so panic tests
+// finish quickly.
+func fastRestart(o *Options) { o.restartBackoff = time.Millisecond }
+
+// alertKey is the multiset identity of an alert for run comparison: its
+// ledger key plus the bits of the one observable field that key leaves
+// out, so two alerts compare equal only when they are bit-identical.
+func alertKey(a Alert) string {
+	return fmt.Sprintf("%s|%016x", alertRecordOf(a).LedgerKey(), math.Float64bits(a.MSE))
+}
 
 func alertMultiset(alerts []Alert) map[string]int {
 	m := make(map[string]int, len(alerts))
@@ -41,6 +52,33 @@ func alertMultiset(alerts []Alert) map[string]int {
 		m[alertKey(a)]++
 	}
 	return m
+}
+
+// compareMultisets fails the test for every alert key whose count in got
+// is not its count in want: missing, miscounted or spurious. label names
+// the two runs.
+func compareMultisets(t *testing.T, label string, got, want map[string]int) {
+	t.Helper()
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s: alert %s delivered %d times, want %d", label, k, got[k], n)
+		}
+	}
+	for k, n := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s: spurious alert %s delivered %d times", label, k, n)
+		}
+	}
+}
+
+// feedEvents ingests evs in order; any ingest error fails the test.
+func feedEvents(t testing.TB, s *Streamer, evs []logparse.Event) {
+	t.Helper()
+	for _, ev := range evs {
+		if err := s.IngestEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -85,7 +123,7 @@ func TestCrashRestartEquivalence(t *testing.T) {
 			WithEarlyDetect(true),
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour), // periodic loop stays out of the way
-			WithRestartBackoff(time.Millisecond),
+			fastRestart,
 			// Event-time layer on: buffered events must ride snapshots and
 			// the WAL replay must re-derive watermarks deterministically.
 			WithAllowedLateness(10 * time.Second),
@@ -154,16 +192,7 @@ func TestCrashRestartEquivalence(t *testing.T) {
 	}
 
 	gotSet := alertMultiset(got)
-	for k, n := range want {
-		if gotSet[k] != n {
-			t.Errorf("alert %s: crash-restart run delivered %d, baseline %d", k, gotSet[k], n)
-		}
-	}
-	for k, n := range gotSet {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: crash-restart run delivered %d, baseline %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "crash-restart run vs baseline", gotSet, want)
 }
 
 // TestGracefulRestartReplaysNothing: a drained Close writes a final
@@ -179,11 +208,7 @@ func TestGracefulRestartReplaysNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +241,7 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 		WithShards(2),
 		WithQuietPeriod(time.Minute),
 		WithAlertBuffer(8192),
-		WithRestartBackoff(time.Millisecond),
+		fastRestart,
 	}
 
 	sb, err := New(freshPipeline(t), base...)
@@ -224,11 +249,7 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, waitBase := collectAlerts(sb)
-	for _, ev := range events {
-		if err := sb.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, sb, events)
 	if err := sb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +269,7 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, wait := collectAlerts(s)
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,20 +280,11 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 		t.Fatalf("restarts %d quarantined %d; want exactly 1 restart, 0 quarantines", m.ShardRestarts, m.Quarantined)
 	}
 	checkConservation(t, s)
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: %d with panic, %d without", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s after restart: %d vs %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "run with panic vs without", got, want)
 }
 
 // TestPoisonedEventQuarantinedAndSkippedOnReplay: an event that panics
-// on every attempt is retried MaxEventRetries times, then quarantined —
+// on every attempt is retried maxEventRetries times, then quarantined —
 // durably, so recovery after a crash skips it instead of re-entering
 // the crash loop.
 func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
@@ -319,8 +327,7 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 		return []Option{
 			WithShards(2),
 			WithStateDir(dir),
-			WithMaxEventRetries(3),
-			WithRestartBackoff(time.Millisecond),
+			fastRestart,
 			WithSnapshotEvery(time.Hour),
 			WithAlertBuffer(8192),
 			withPanicHook(hook),
@@ -331,11 +338,7 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, wait := collectAlerts(s)
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	// Let the shards drain fully (the victim included) before killing
 	// the process, so the quarantine decision is what recovery sees.
 	waitUntil(t, 10*time.Second, "shards to drain", func() bool {
@@ -348,7 +351,7 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 		t.Fatalf("quarantined %d events, want 1", m.Quarantined)
 	}
 	if m.ShardRestarts != 3 {
-		t.Fatalf("shard restarted %d times, want 3 (MaxEventRetries)", m.ShardRestarts)
+		t.Fatalf("shard restarted %d times, want 3 (maxEventRetries)", m.ShardRestarts)
 	}
 
 	// Recovery replays the WAL with the same poisoned event in it — and
@@ -372,6 +375,112 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 	checkConservation(t, s2)
 }
 
+// TestPoisonedEventInImportedTailQuarantinedAndSkipped: a dead source
+// journaled an event it never got to process, and that event panics the
+// importer. The import replays the tail through the same step boot
+// recovery uses, so the event is quarantined at once and durably: the
+// importer's own next boot re-applies the import without it, and the
+// alerts of source + importer equal one streamer that quarantined the
+// same event with no handoff at all.
+func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
+	events, err := generatedEvents(logsim.Profiles()[2], 16, 12, 10, 156)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim is the source's last event: non-Safe, unique by
+	// quarantine identity.
+	lab, counts := freshPipeline(t).Labeler(), map[string]int{}
+	for _, ev := range events {
+		counts[persist.EventQuarantineKey(ev.Time, ev.Node, ev.Key)]++
+	}
+	cut := len(events) * 3 / 5
+	key := func(ev logparse.Event) string { return persist.EventQuarantineKey(ev.Time, ev.Node, ev.Key) }
+	for lab.Label(events[cut-1].Key) == catalog.Safe || counts[key(events[cut-1])] != 1 {
+		cut++
+	}
+	victim := events[cut-1]
+	opts := func(extra ...Option) []Option {
+		return handoffOpts(append(extra, fastRestart, withPanicHook(func(_ int, ev logparse.EncodedEvent) {
+			if quarantineKeyOf(ev) == key(victim) {
+				panic("poisoned event")
+			}
+		}))...)
+	}
+
+	sb, err := New(freshPipeline(t), opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, waitBase := collectAlerts(sb)
+	feedEvents(t, sb, events)
+	if err := sb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := alertMultiset(waitBase())
+	if q := sb.met.Quarantined.Load(); q != 1 || len(want) < 2 {
+		t.Fatalf("baseline quarantined %d events and fired %d distinct alerts; want 1 and >= 2", q, len(want))
+	}
+
+	// The source never sees the victim (no hook needed); the takeover
+	// state gets it as the last record of the pending tail, as if the
+	// source had died between the WAL append and the shard.
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, err := New(freshPipeline(t), handoffOpts(WithStateDir(dirA))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, waitA := collectAlerts(a)
+	feedEvents(t, a, events[:cut-1])
+	a.crash()
+	st, err := LoadHandoffFromDir(nil, dirA, fullCircle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Pending = append(st.Pending, persist.RecordOf(victim))
+
+	b, err := New(freshPipeline(t), opts(WithStateDir(dirB))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, waitB := collectAlerts(b)
+	if err := b.ImportState(6, "takeover:"+dirA, fullCircle, st); err != nil {
+		t.Fatal(err)
+	}
+	if m := b.SnapshotMetrics(); m.Quarantined != 1 || m.ShardRestarts != 0 {
+		t.Fatalf("import: quarantined %d, restarts %d; want 1 and 0 (no supervisor retry on a replayed event)", m.Quarantined, m.ShardRestarts)
+	}
+	journaled := 0
+	if _, err := persist.ReplayWAL(faultfs.OS(), dirB, 0, func(_ uint64, payload []byte) error {
+		if payload[0] == persist.RecQuarantine {
+			rec, err := persist.DecodeQuarantine(payload[1:])
+			if err != nil || rec.LedgerKey() != key(victim) {
+				t.Errorf("quarantine record %+v (%v), want the victim", rec, err)
+			}
+			journaled++
+		}
+		return nil
+	}); err != nil || journaled != 1 {
+		t.Fatalf("importer's WAL holds %d quarantine records (%v), want 1", journaled, err)
+	}
+	b.crash()
+
+	b2, err := New(freshPipeline(t), opts(WithStateDir(dirB))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, waitB2 := collectAlerts(b2)
+	if m := b2.SnapshotMetrics(); m.Quarantined != 0 || m.ReplayedEvents == 0 {
+		t.Fatalf("importer's reboot: quarantined %d, replayed %d; want the import re-applied without the victim", m.Quarantined, m.ReplayedEvents)
+	}
+	feedEvents(t, b2, events[cut:])
+	if err := b2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := alertMultiset(append(append(waitA(), waitB()...), waitB2()...))
+	compareMultisets(t, "poisoned takeover vs quarantine with no handoff", got, want)
+	checkConservation(t, b2)
+}
+
 // TestNoGoroutineLeakAcrossRestarts: every incarnation — graceful or
 // crashed — must release all its goroutines (shards, supervisor
 // restarts, snapshot loop, idle flusher).
@@ -393,11 +502,7 @@ func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, wait := collectAlerts(s)
-		for _, ev := range events {
-			if err := s.IngestEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
+		feedEvents(t, s, events)
 		if i%2 == 0 {
 			s.crash()
 		} else if err := s.Close(); err != nil {
@@ -438,11 +543,7 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, waitOne := collectAlerts(one)
-	for _, ev := range events {
-		if err := one.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, one, events)
 	want := segment(oneDir)
 	wantAppends := one.SnapshotMetrics().WALBatchAppends
 	one.Kill()

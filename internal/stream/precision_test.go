@@ -51,11 +51,7 @@ func TestPrecisionAlertEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, wait := collectAlerts(s)
-		for _, ev := range events {
-			if err := s.IngestEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
+		feedEvents(t, s, events)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}

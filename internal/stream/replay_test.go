@@ -89,16 +89,7 @@ func TestReplayMatchesBatch(t *testing.T) {
 	if len(alerts) != flagged {
 		t.Errorf("streamer fired %d alerts, batch flagged %d", len(alerts), flagged)
 	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("missing or miscounted flag %s: stream %d, batch %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious flag %s: stream %d, batch %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "stream vs batch", got, want)
 	if dropped := s.Metrics().AlertsDropped.Load(); dropped != 0 {
 		t.Fatalf("%d alerts dropped; buffer sizing broke the comparison", dropped)
 	}
@@ -318,6 +309,11 @@ func TestServeLinesTCP(t *testing.T) {
 	wait()
 }
 
+// readerFunc adapts a function to io.Reader.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(b []byte) (int, error) { return f(b) }
+
 func TestHTTPHandlers(t *testing.T) {
 	p := trainedPipeline(t)
 	s, err := New(p, WithQuietPeriod(0))
@@ -345,6 +341,31 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 	if want := fmt.Sprintf("{\"ingested\":%d}\n", n); rec.Body.String() != want {
 		t.Fatalf("ingest body %q, want %q", rec.Body.String(), want)
+	}
+	// The reply counts the request's own lines, not what other sources
+	// ingest meanwhile: a second goroutine feeds the same lines while this
+	// POST's body is mid-read.
+	src := strings.NewReader(body.String())
+	var once sync.Once
+	rec = httptest.NewRecorder()
+	s.IngestHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", readerFunc(func(b []byte) (int, error) {
+		once.Do(func() {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for _, ge := range run.Events[:n] {
+					_ = s.IngestLine(ge.Line())
+				}
+			}()
+			<-done
+		})
+		return src.Read(b)
+	})))
+	if want := fmt.Sprintf("{\"ingested\":%d}\n", n); rec.Code != http.StatusAccepted || rec.Body.String() != want {
+		t.Fatalf("POST beside other ingest: status %d body %q, want 202 %q", rec.Code, rec.Body.String(), want)
+	}
+	if got, want := s.met.Ingested.Load(), int64(3*n); got != want {
+		t.Fatalf("Ingested = %d after both sources, want %d", got, want)
 	}
 	rec = httptest.NewRecorder()
 	s.IngestHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ingest", nil))

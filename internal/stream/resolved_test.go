@@ -181,15 +181,7 @@ func TestResolvedAlertEquivalence(t *testing.T) {
 			return rec.Event()
 		},
 	} {
-		got := run(via)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d distinct alerts, parsed events fired %d", name, len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("%s: alert %s fired %d times, want %d", name, k, got[k], n)
-			}
-		}
+		compareMultisets(t, name+" vs parsed events", run(via), want)
 	}
 }
 

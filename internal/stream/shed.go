@@ -83,20 +83,6 @@ func (c *shedController) admit(ev logparse.Event) bool {
 	return true
 }
 
-func (c *shedController) run() {
-	defer c.s.bgWG.Done()
-	t := time.NewTicker(c.tun.period)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.s.done:
-			return
-		case <-t.C:
-			c.tick()
-		}
-	}
-}
-
 // tick samples both pressure signals and moves the level at most one
 // step.
 func (c *shedController) tick() {

@@ -211,11 +211,7 @@ func TestAlertDedupQuietPeriod(t *testing.T) {
 	replay := func(s *Streamer, offsets ...time.Duration) {
 		t.Helper()
 		for _, off := range offsets {
-			for _, ev := range chainEvents(flagged, node, base.Add(off)) {
-				if err := s.IngestEvent(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
+			feedEvents(t, s, chainEvents(flagged, node, base.Add(off)))
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -283,11 +279,7 @@ func TestEarlyDetectProvisionalAlert(t *testing.T) {
 	base := time.Date(2026, 5, 2, 0, 0, 0, 0, time.UTC)
 	events := chainEvents(flagged, flagged.Node, base)
 	terminalAt := events[len(events)-1].Time
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"desh/internal/core"
@@ -98,15 +97,11 @@ func (s *Streamer) SwapModel(cand *core.Pipeline) error {
 		sh.ch <- shardMsg{swap: b}
 	}
 	s.mu.Unlock()
-	for range s.shards {
-		select {
-		case <-b.ack:
-		case <-s.done:
-			// Shutdown raced the flip. The journal record is already
-			// durable, so the swap is committed: a graceful close still
-			// drains the barriers, and recovery re-applies the record.
-			return ErrClosed
-		}
+	// On ErrClosed the journal record is already durable, so the swap is
+	// committed: a graceful close still drains the barriers, and recovery
+	// re-applies the record.
+	if err := s.awaitAcks(b.ack); err != nil {
+		return err
 	}
 	s.met.Swaps.Add(1)
 	return nil
@@ -258,30 +253,8 @@ func (p *persister) saveModel(s *Streamer, cand *core.Pipeline) (string, error) 
 		return "", err
 	}
 	name := fmt.Sprintf("model-%016d.desh", p.wal.NextSeq())
-	path := filepath.Join(s.opts.StateDir, name)
-	tmp := path + ".tmp"
-	f, err := p.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	if err := p.fs.Rename(tmp, path); err != nil {
-		return "", err
-	}
-	if err := p.fs.SyncDir(s.opts.StateDir); err != nil {
-		return "", err
-	}
-	return name, nil
+	dir := s.opts.StateDir
+	return name, persist.WriteFileAtomic(p.fs, dir, filepath.Join(dir, name), buf.Bytes())
 }
 
 // loadModel reads a model file previously written by saveModel.

@@ -136,11 +136,7 @@ func runHotSwapBitIdentical(t *testing.T, extra ...Option) {
 		t.Fatal(err)
 	}
 	_, wait := collectAlerts(s)
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	cand := freshCandidate(t)
 	if err := s.SwapModel(cand); err != nil {
 		t.Fatalf("swap: %v", err)
@@ -194,16 +190,7 @@ func runHotSwapBitIdentical(t *testing.T, extra ...Option) {
 	}
 	want := alertMultiset(waitRef())
 	got := alertMultiset(phaseB)
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: swapped run delivered %d, candidate-from-boot run %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: swapped run delivered %d, candidate-from-boot run %d", k, n, want[k])
-		}
-	}
+	compareMultisets(t, "swapped run vs candidate-from-boot run", got, want)
 }
 
 // TestCrashDuringSwapEquivalence kills the process at each durability
@@ -235,7 +222,7 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 			WithQuietPeriod(time.Minute),
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour),
-			WithRestartBackoff(time.Millisecond),
+			fastRestart,
 		}, fixed...)
 		return append(base, extra...)
 	}
@@ -288,11 +275,7 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 				t.Fatal(err)
 			}
 			_, wait := collectAlerts(s)
-			for _, ev := range events[:cut] {
-				if err := s.IngestEvent(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
+			feedEvents(t, s, events[:cut])
 			if err := s.SwapModel(freshCandidate(t)); !errors.Is(err, ErrSwapAborted) {
 				t.Fatalf("swap returned %v, want ErrSwapAborted", err)
 			}
@@ -309,11 +292,7 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 				t.Fatalf("recovered on model %q, want candidate=%v", s2.ActiveModelFile(), tc.wantModel)
 			}
 			_, wait2 := collectAlerts(s2)
-			for _, ev := range events[cut:] {
-				if err := s2.IngestEvent(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
+			feedEvents(t, s2, events[cut:])
 			if err := s2.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -322,16 +301,7 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 			}
 			got = append(got, wait2()...)
 			gotSet := alertMultiset(got)
-			for k, n := range tc.want {
-				if gotSet[k] != n {
-					t.Errorf("alert %s: crashed run delivered %d, baseline %d", k, gotSet[k], n)
-				}
-			}
-			for k, n := range gotSet {
-				if tc.want[k] != n {
-					t.Errorf("spurious alert %s: crashed run delivered %d, baseline %d", k, n, tc.want[k])
-				}
-			}
+			compareMultisets(t, "crashed run vs baseline", gotSet, tc.want)
 		})
 	}
 }
@@ -356,11 +326,7 @@ func TestShadowSelfAgreement(t *testing.T) {
 		t.Fatal("second concurrent shadow evaluation must be rejected")
 	}
 	_, wait := collectAlerts(s)
-	for _, ev := range events {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEvents(t, s, events)
 	select {
 	case <-ev2.Done():
 	case <-time.After(10 * time.Second):
