@@ -372,6 +372,10 @@ func run() error {
 		"deshd: disorder: late %d (dropped %d, clamped %d), duplicates %d, skew-quarantined %d, reorder overflow %d, window evicted %d, shed %d (max level %d)\n",
 		snap.Late, snap.LateDropped, snap.LateClamped, snap.Duplicates, snap.SkewQuarantined,
 		snap.ReorderOverflow, snap.WindowEvicted, snap.Shed, snap.ShedLevelMax)
+	if *stateDir != "" {
+		fmt.Fprintf(os.Stderr, "deshd: durability: journaled %d events in %d wal writes (errors %d), snapshots %d, replayed at boot %d\n",
+			snap.Ingested-snap.ReplayedEvents-snap.SafeFiltered-snap.SkewQuarantined-snap.Shed, snap.WALBatchAppends, snap.WALErrors, snap.Snapshots, snap.ReplayedEvents)
+	}
 	fmt.Fprintf(os.Stderr,
 		"deshd: learning: drift %.2f, unseen phrases %d, retrains %d (failed %d), shadow scored %d (accepted %d, rejected %d, dropped %d), swaps %d (errors %d)\n",
 		snap.DriftScore, snap.UnseenPhrases, snap.Retrains, snap.RetrainFailures,

@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -227,11 +227,12 @@ func Generate(cfg Config) (*Run, error) {
 	run.Events = append(run.Events,
 		background(rng, cfg, start, span, cfg.Profile.StrayPerNodeHour, catalog.Unknown)...)
 
-	sort.SliceStable(run.Events, func(i, j int) bool {
-		return run.Events[i].Time.Before(run.Events[j].Time)
-	})
+	slices.SortStableFunc(run.Events, byTime)
 	return run, nil
 }
+
+// byTime orders events by timestamp; both merges sort stably on it.
+func byTime(a, b Event) int { return a.Time.Compare(b.Time) }
 
 // normalizeMix flattens a class-weight map into parallel slices with the
 // weights normalized to sum to 1, in stable class order.
@@ -353,7 +354,7 @@ func emitSequence(rng *rand.Rand, phrases []string, node string, end time.Time, 
 			Terminal: terminalEnd && i == n-1 && p.Terminal,
 		})
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
+	slices.SortStableFunc(events, byTime)
 	return events
 }
 

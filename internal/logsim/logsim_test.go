@@ -2,6 +2,7 @@ package logsim
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
@@ -373,4 +374,42 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// failstormConfig is the benchmark's failstorm corpus (bench/corpus.go)
+// at 1/20 scale: M3 with the Unknown-stray bath turned up.
+func failstormConfig(seed int64) Config {
+	profile, _ := ProfileByName("M3")
+	profile.NoisePerNodeHour, profile.StrayPerNodeHour = 0.2, 2.5
+	return Config{Profile: profile, Nodes: 512, Hours: 4.8, Failures: 100, Seed: seed}
+}
+
+// TestGenerateOrderPinned holds Generate's output order to fingerprints
+// recorded before its two merges moved from sort.SliceStable to
+// slices.SortStableFunc: same comparator, both stable, so every line
+// must land where it did.
+func TestGenerateOrderPinned(t *testing.T) {
+	for seed, want := range map[int64]uint64{1: 0x4e3c3c9be9a1f5d8, 101: 0x8f9be30a9b11cc4f} {
+		h := fnv.New64a()
+		lines := mustGenerate(t, failstormConfig(seed)).Lines()
+		for _, line := range lines {
+			h.Write([]byte(line))
+			h.Write([]byte{'\n'})
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("seed %d: %d lines hash to %#x, want %#x", seed, len(lines), got, want)
+		}
+	}
+}
+
+// BenchmarkGenFailstorm is one full-scale failstorm corpus (~176k
+// events), the bulk of the benchmark's setup_s.
+func BenchmarkGenFailstorm(b *testing.B) {
+	cfg := failstormConfig(1)
+	cfg.Hours, cfg.Failures = 96, 2000
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -38,8 +38,8 @@ const DefaultSegmentBytes = 64 << 20
 
 // WAL is the append side of the write-ahead log. Appends are
 // serialized internally and written through to the OS — one write per
-// Append or AppendBatch call (a process kill loses nothing the call
-// returned for); fsync happens every SyncEvery records and on
+// Append, AppendBatch or AppendFunc call (a process kill loses nothing
+// the call returned for); fsync happens every SyncEvery records and on
 // Rotate/Close, so an OS crash loses at most the last SyncEvery
 // records (rounded up to a whole batch).
 type WAL struct {
@@ -134,18 +134,25 @@ const maxRetainedBuf = 1 << 20
 // Append frames and writes one record, returning its sequence number.
 // The record reaches the OS before Append returns.
 func (w *WAL) Append(payload []byte) (uint64, error) {
-	one := [1][]byte{payload}
-	return w.AppendBatch(one[:])
+	return w.AppendFunc(1, func(_ int, dst []byte) []byte { return append(dst, payload...) })
 }
 
-// AppendBatch frames the payloads as consecutive records and hands
-// them to the OS in one write, returning the first record's sequence
-// number (the rest follow contiguously). All of them reach the OS
-// before it returns; a crash inside the write leaves a prefix of whole
-// records and at most one torn one, which replay drops. The fsync
-// cadence advances by the batch as one step, and a segment rotates
-// only between batches.
+// AppendBatch is AppendFunc over payloads already built.
 func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
+	return w.AppendFunc(len(payloads), func(i int, dst []byte) []byte { return append(dst, payloads[i]...) })
+}
+
+// AppendFunc frames n consecutive records and hands them to the OS in
+// one write, returning the first record's sequence number (the rest
+// follow contiguously). Record i is whatever payload(i, dst) appends to
+// dst, called in order under the WAL's lock: the payload is built where
+// it is written from, in the WAL's own reused buffer, behind a header
+// whose length and CRC are filled in once it is there. All n reach the
+// OS before AppendFunc returns; a crash inside the write leaves a prefix
+// of whole records and at most one torn one, which replay drops. The
+// fsync cadence advances by the batch as one step, and a segment rotates
+// only between batches.
+func (w *WAL) AppendFunc(n int, payload func(i int, dst []byte) []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -154,20 +161,20 @@ func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	for _, payload := range payloads {
-		if len(payload) > MaxRecord {
-			return 0, fmt.Errorf("persist: wal record %d bytes exceeds MaxRecord", len(payload))
-		}
-	}
 	seq := w.seq
-	if len(payloads) == 0 {
+	if n <= 0 {
 		return seq, nil
 	}
 	buf := w.buf[:0]
-	for _, payload := range payloads {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, Checksum(payload))
-		buf = append(buf, payload...)
+	for i := 0; i < n; i++ {
+		hdr := len(buf)
+		buf = payload(i, append(buf, make([]byte, walHeaderLen)...))
+		rec := buf[hdr+walHeaderLen:]
+		if len(rec) > MaxRecord {
+			return 0, fmt.Errorf("persist: wal record %d bytes exceeds MaxRecord", len(rec))
+		}
+		binary.LittleEndian.PutUint32(buf[hdr:], uint32(len(rec)))
+		binary.LittleEndian.PutUint32(buf[hdr+4:], Checksum(rec))
 	}
 	if cap(buf) <= maxRetainedBuf {
 		w.buf = buf
@@ -176,9 +183,9 @@ func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
 		w.err = fmt.Errorf("persist: wal write: %w", err)
 		return 0, w.err
 	}
-	w.seq += uint64(len(payloads))
+	w.seq += uint64(n)
 	w.segBytes += int64(len(buf))
-	w.unsynced += len(payloads)
+	w.unsynced += n
 	if w.unsynced >= w.syncEvery {
 		if err := w.f.Sync(); err != nil {
 			return seq, err

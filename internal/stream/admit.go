@@ -16,23 +16,15 @@ import (
 // counted and reported but do not affect streamer state. Blank lines
 // are ignored.
 func (s *Streamer) IngestLine(line string) error {
-	_, err := s.ingestLine(line)
-	return err
-}
-
-// ingestLine is IngestLine that also reports whether the line was
-// counted into Metrics.Ingested (it parsed and its range was not frozen).
-func (s *Streamer) ingestLine(line string) (counted bool, err error) {
 	if logparse.IsBlank(line) {
-		return false, nil
+		return nil
 	}
 	ev, err := logparse.ParseLine(line)
 	if err != nil {
 		s.met.Malformed.Add(1)
-		return false, err
+		return err
 	}
-	err = s.IngestEvent(ev)
-	return err == nil, err
+	return s.IngestEvent(ev)
 }
 
 // IngestEvent routes one parsed event to its node's shard: an
@@ -155,8 +147,9 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		if !batch[i].admitted {
 			continue
 		}
-		msg := shardMsg{ev: s.encoded(batch[i].Event), at: at}
-		sh := s.shards[s.shardOf(msg.ev.Node)]
+		ev := &batch[i].Event
+		msg := shardMsg{ev: logparse.EncodedEvent{Event: *ev, ID: s.phraseID(ev)}, at: at}
+		sh := s.shards[s.shardOf(ev.Node)]
 		if s.opts.Policy == Block {
 			sh.ch <- msg
 			continue
@@ -182,21 +175,26 @@ func (s *Streamer) skewDiag(ev logparse.Event, tol time.Duration) {
 		ev.Node, ev.Time.Format(logparse.TimeLayout), tol)
 }
 
-// encoded pairs ev with its phrase id and runs the drift tap: an id at
-// or beyond the active model's training vocabulary is a phrase the model
+// phraseID is ev's phrase id with the drift tap run on it: an id at or
+// beyond the active model's training vocabulary is a phrase the model
 // has never seen. Live admission and replay both come through here, so
 // the unseen-phrase signal survives a restart and a handoff.
-func (s *Streamer) encoded(ev logparse.Event) logparse.EncodedEvent {
-	enc := logparse.EncodedEvent{Event: ev, ID: s.encodeEvent(ev)}
-	if int64(enc.ID) >= s.vocabN.Load() {
+func (s *Streamer) phraseID(ev *logparse.Event) int {
+	id := s.encodeEvent(ev)
+	if int64(id) >= s.vocabN.Load() {
 		s.met.UnseenPhrases.Add(1)
 	}
-	return enc
+	return id
+}
+
+// encoded pairs a replayed event with its phraseID.
+func (s *Streamer) encoded(ev logparse.Event) logparse.EncodedEvent {
+	return logparse.EncodedEvent{Event: ev, ID: s.phraseID(&ev)}
 }
 
 // encodeEvent is encodeKey(ev.Key), hashing the key only the first time
 // a catalog entry is seen; an event with no ref always takes the key path.
-func (s *Streamer) encodeEvent(ev logparse.Event) int {
+func (s *Streamer) encodeEvent(ev *logparse.Event) int {
 	ref := ev.Ref()
 	if ref == 0 {
 		return s.encodeKey(ev.Key)

@@ -81,7 +81,7 @@ func (sh *shard) observeBatch() {
 		sh.s.met.Detect.Observe(now - sh.buf[i].at)
 	}
 	sh.buf = sh.buf[:0]
-	sh.bufNext = 0
+	sh.bufNext, sh.counted = 0, 0
 }
 
 // ledger counts alerts that were delivered before the events now being

@@ -378,8 +378,8 @@ func (sh *shard) applyImport(b *importBarrier) {
 		}
 		sh.s.met.HandoffNodesIn.Add(1)
 	}
-	for _, ev := range b.pending {
-		sh.replay(ev)
+	for i := range b.pending {
+		sh.replay(&b.pending[i])
 	}
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"desh/internal/logparse"
 )
 
 // maxLineBytes caps one ingest line at 1 MiB. A longer line is
@@ -24,6 +27,11 @@ const maxLineBytes = 1 << 20
 // Metrics.Malformed and skipped, oversized lines in Metrics.Oversized —
 // a daemon must survive garbage on its ingest socket — so the only
 // errors returned are ErrClosed and reader failures.
+//
+// The complete lines one read of r delivered are admitted by one
+// IngestBatch — with a state dir, one WAL write — before r is asked for
+// more (DESIGN §10): the buffer is the bound, nothing waits on a timer,
+// and a source that trickles a line per read gets a write per line.
 func (s *Streamer) IngestReader(r io.Reader) error {
 	_, err := s.ingestReader(r)
 	return err
@@ -32,12 +40,31 @@ func (s *Streamer) IngestReader(r io.Reader) error {
 // ingestReader is IngestReader that also reports how many of r's lines
 // this call counted into Metrics.Ingested — the process-wide counter
 // cannot say, other sources move it at the same time.
-func (s *Streamer) ingestReader(r io.Reader) (int, error) {
-	n := 0
+func (s *Streamer) ingestReader(r io.Reader) (n int, err error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	line := make([]byte, 0, 4096)
 	discarding := false
+	// batch is the parsed lines not yet admitted; flush runs whenever br
+	// holds no further complete line, so it is empty across every Read.
+	var batch []Admission
+	flush := func() error {
+		err := s.IngestBatch(batch)
+		for i := range batch {
+			if err == nil && !batch[i].Refused {
+				n++ // ErrClosed admitted none of them
+			}
+		}
+		batch = batch[:0]
+		return err
+	}
 	for {
+		if len(batch) > 0 {
+			if rest, _ := br.Peek(br.Buffered()); bytes.IndexByte(rest, '\n') < 0 {
+				if err := flush(); err != nil {
+					return n, err
+				}
+			}
+		}
 		chunk, err := br.ReadSlice('\n')
 		if !discarding {
 			if len(line)+len(chunk) > maxLineBytes {
@@ -51,17 +78,16 @@ func (s *Streamer) ingestReader(r io.Reader) (int, error) {
 		switch {
 		case err == nil, errors.Is(err, io.EOF):
 			// chunk ended the line, or the input ended mid-line.
-			if !discarding && len(line) > 0 {
-				ok, ierr := s.ingestLine(string(line))
-				if errors.Is(ierr, ErrClosed) {
-					return n, ierr
-				}
-				if ok {
-					n++
+			if text := string(line); !discarding && !logparse.IsBlank(text) {
+				if ev, perr := logparse.ParseLine(text); perr != nil {
+					s.met.Malformed.Add(1)
+				} else {
+					batch = append(batch, Admission{Event: ev})
 				}
 			}
 			if err != nil {
-				return n, nil
+				err = flush()
+				return n, err
 			}
 			discarding, line = false, line[:0]
 		case errors.Is(err, bufio.ErrBufferFull):

@@ -76,9 +76,12 @@ type Options struct {
 	// (default 30s). Between snapshots, recovery replays the WAL tail.
 	SnapshotEvery time.Duration
 	// WALSyncEvery is the fsync cadence of the write-ahead log in
-	// records (default 64). Every record reaches the OS before its
-	// ingest call returns, so a killed process loses nothing; an OS
-	// crash loses at most the last WALSyncEvery records.
+	// records (default 64). Every record reaches the OS before the
+	// IngestLine, IngestEvent or IngestBatch call that admitted it
+	// returns, and before IngestReader (stdin, TCP, the /ingest body)
+	// asks its source for more, so a killed process loses nothing it was
+	// done reading; an OS crash loses at most the last WALSyncEvery
+	// records, rounded up to a whole write.
 	WALSyncEvery int
 	// AllowedLateness is the event-time disorder window: events are held
 	// in a per-node reorder buffer until the node's watermark (max seen

@@ -85,29 +85,29 @@ func alertRecordOf(a Alert) persist.AlertRecord {
 }
 
 // appendEvents makes the n admitted events of a batch durable with one
-// WAL write. An event that arrived with its record is journaled as
-// those bytes; the rest are encoded here. Failure degrades to
-// in-memory operation for this batch and is counted — the stream keeps
-// alerting even with a dead disk.
+// WAL write, each framed where the WAL writes it from: an event that
+// arrived with its record is journaled as those bytes, the rest are
+// encoded in place. Failure degrades to in-memory operation for this
+// batch and is counted — the stream keeps alerting even with a dead
+// disk — so WALBatchAppends counts only writes that happened.
 func (p *persister) appendEvents(s *Streamer, batch []Admission, n int) {
-	var one [1][]byte
-	recs := one[:0]
-	if n > 1 {
-		recs = make([][]byte, 0, n)
-	}
-	for i := range batch {
-		if a := &batch[i]; a.admitted {
-			rec := a.Record
-			if rec == nil {
-				rec = persist.EncodeEvent(persist.RecordOf(a.Event))
-			}
-			recs = append(recs, rec)
+	next := 0
+	_, err := p.wal.AppendFunc(n, func(_ int, dst []byte) []byte {
+		for !batch[next].admitted {
+			next++
 		}
+		a := &batch[next]
+		next++
+		if a.Record != nil {
+			return append(dst, a.Record...)
+		}
+		return persist.AppendEvent(dst, persist.RecordOf(a.Event))
+	})
+	if err != nil {
+		s.met.WALErrors.Add(1)
+		return
 	}
 	s.met.WALBatchAppends.Add(1)
-	if _, err := p.wal.AppendBatch(recs); err != nil {
-		s.met.WALErrors.Add(1)
-	}
 }
 
 // appendAlert records a delivered alert in the WAL ledger.
@@ -119,9 +119,9 @@ func (p *persister) appendAlert(s *Streamer, a Alert) {
 
 // appendQuarantine records a poisoned event so replay never reprocesses
 // it.
-func (p *persister) appendQuarantine(s *Streamer, ev logparse.EncodedEvent) {
+func (p *persister) appendQuarantine(s *Streamer, ev *logparse.EncodedEvent) {
 	p.mu.Lock()
-	p.quarantined[quarantineKeyOf(ev)] = true
+	p.quarantined[quarantineKeyOf(*ev)] = true
 	p.mu.Unlock()
 	rec := persist.QuarantineRecord{TimeNano: ev.Time.UnixNano(), Node: ev.Node, Key: ev.Key}
 	if _, err := p.wal.Append(persist.EncodeQuarantine(rec)); err != nil {
@@ -360,8 +360,8 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 		// with it off: feed the buffered tail straight to the tracker.
 		// Alerts it raises may duplicate already-delivered ones; the
 		// quiet period bounds that.
-		for _, ev := range pn.Reorder {
-			sh.feed(ns, ev, ns.lastArrival)
+		for i := range pn.Reorder {
+			sh.feed(ns, &pn.Reorder[i], ns.lastArrival)
 		}
 		// feed defers closed-chain judging; score them now, while the
 		// node's install is still the only activity on the shard.
@@ -379,7 +379,7 @@ func (s *Streamer) replayEvent(rec persist.EventRecord) {
 		return
 	}
 	enc := s.encoded(rec.Event())
-	s.shards[s.shardOf(enc.Node)].replay(enc)
+	s.shards[s.shardOf(enc.Node)].replay(&enc)
 }
 
 // snapshotNow takes one consistent snapshot: rotate the WAL at a

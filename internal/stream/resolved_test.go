@@ -93,7 +93,7 @@ func TestResolvedMatchesKeyPath(t *testing.T) {
 				if got, want := lab.TerminalOf(ev), lab.IsTerminal(ev.Key); got != want {
 					t.Fatalf("%s: TerminalOf(%q ref %d) = %v, IsTerminal = %v", stage, ev.Key, ev.Ref(), got, want)
 				}
-				if got, want := s.encodeEvent(ev), s.encodeKey(ev.Key); got != want {
+				if got, want := s.encodeEvent(&ev), s.encodeKey(ev.Key); got != want {
 					t.Fatalf("%s: encodeEvent(%q ref %d) = %d, encodeKey = %d", stage, ev.Key, ev.Ref(), got, want)
 				}
 			}
@@ -282,8 +282,20 @@ func TestParentWrittenStateRestores(t *testing.T) {
 // The steady-state ingest of an event that is admitted, queued and fed
 // to a full tracker window allocates nothing, on the caller's side or
 // the shard's (AllocsPerRun counts the whole process).
-func TestIngestEventAllocations(t *testing.T) {
-	s, err := New(freshPipeline(t), WithShards(1), WithQuietPeriod(0), WithMaxOpenWindow(64))
+func TestIngestEventAllocations(t *testing.T) { ingestEventAllocations(t) }
+
+// TestDurableIngestEventAllocations: the same with a state dir. The
+// event's record is framed in the WAL's own buffer, so journaling it
+// allocates nothing either.
+func TestDurableIngestEventAllocations(t *testing.T) {
+	s := ingestEventAllocations(t, WithStateDir(t.TempDir()), WithSnapshotEvery(time.Hour))
+	if m := s.SnapshotMetrics(); m.WALErrors != 0 || m.WALBatchAppends != m.Ingested-m.SafeFiltered {
+		t.Fatalf("%d admitted events took %d WAL writes with %d errors", m.Ingested-m.SafeFiltered, m.WALBatchAppends, m.WALErrors)
+	}
+}
+
+func ingestEventAllocations(t *testing.T, extra ...Option) *Streamer {
+	s, err := New(freshPipeline(t), append([]Option{WithShards(1), WithQuietPeriod(0), WithMaxOpenWindow(64)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,4 +334,5 @@ func TestIngestEventAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(500, func() { _ = s.IngestEvent(safe) }); n != 0 {
 		t.Errorf("IngestEvent of a Safe event: %v allocs, want 0", n)
 	}
+	return s
 }

@@ -42,7 +42,7 @@ type shardMsg struct {
 }
 
 // isCtl reports whether m is a control barrier rather than an event.
-func isCtl(m shardMsg) bool {
+func isCtl(m *shardMsg) bool {
 	return m.snap != nil || m.swap != nil || m.drop != nil || m.imp != nil
 }
 
@@ -64,24 +64,26 @@ type shard struct {
 	wmNano  atomic.Int64
 
 	// Supervisor state, touched only by the shard goroutine and its
-	// restart bookkeeping.
-	inflight    logparse.EncodedEvent
-	hasInflight bool
-	retry       bool // reprocess inflight on restart
-	restarts    int  // consecutive restarts, resets on progress
+	// restart bookkeeping. inflight marks a panic as the event's at
+	// buf[bufNext] rather than a barrier's or a scoring pass's.
+	inflight    bool
+	restarts    int // consecutive restarts, resets on progress
 	poisonKey   string
 	poisonCount int
 	rng         *rand.Rand
 
 	// Micro-batch state, shard-goroutine only. buf holds the messages
-	// drained by the current wakeup and bufNext the next unprocessed
-	// index, so a mid-batch panic restart resumes the tail instead of
-	// dropping drained events; pend holds the chains those events closed,
-	// awaiting one batched scoring pass; pendTries counts consecutive
-	// restarts whose panic came from scoring pend itself. chbuf and verd
-	// are the grow-only DetectBatch scratch.
+	// drained by the current wakeup and bufNext the first one not yet
+	// through its tracker — the in-flight one while an event runs — so a
+	// mid-batch panic restart retries that event and resumes the tail
+	// instead of dropping drained events; buf[:counted] are in Processed
+	// already. pend holds the chains those events closed, awaiting one
+	// batched scoring pass; pendTries counts consecutive restarts whose
+	// panic came from scoring pend itself. chbuf and verd are the
+	// grow-only DetectBatch scratch.
 	buf       []shardMsg
 	bufNext   int
+	counted   int
 	pend      []pendChain
 	pendTries int
 	chbuf     []chain.Chain
@@ -100,7 +102,7 @@ type shard struct {
 
 // run is the shard supervisor: it re-enters the processing loop after
 // every recovered panic with exponential backoff + jitter, retries the
-// in-flight event up to maxEventRetries before quarantining it, and
+// in-flight event until its maxEventRetries-th panic quarantines it, and
 // only drains (flushes open episodes) on a graceful close.
 func (sh *shard) run() {
 	defer sh.s.wg.Done()
@@ -125,20 +127,17 @@ func (sh *shard) runLoop() (panicked bool) {
 			sh.notePanic()
 		}
 	}()
-	if sh.retry {
-		sh.retry = false
-		sh.process(sh.inflight, time.Now())
-	}
 	// Finish any micro-batch a panic interrupted before taking new work:
-	// its drained events and deferred chains precede everything still in
-	// the queue.
+	// the event it was on (unless notePanic gave up on it), the drained
+	// events behind it and the deferred chains all precede everything
+	// still in the queue.
 	sh.resumeBatch()
 	if sh.flushC == nil {
 		for m := range sh.ch {
 			if sh.s.crashed.Load() {
 				return false
 			}
-			sh.dispatch(m)
+			sh.dispatch(&m)
 		}
 		return false
 	}
@@ -148,7 +147,7 @@ func (sh *shard) runLoop() (panicked bool) {
 			if !ok || sh.s.crashed.Load() {
 				return false
 			}
-			sh.dispatch(m)
+			sh.dispatch(&m)
 		case now := <-sh.flushC:
 			sh.idleFlush(now)
 		}
@@ -161,13 +160,12 @@ func (sh *shard) runLoop() (panicked bool) {
 // whatever backlog exists, so an idle shard keeps per-event latency —
 // then every drained event runs through the tracker with closed-chain
 // judging deferred, and the deferred chains score as one batched pass.
-func (sh *shard) dispatch(m shardMsg) {
+func (sh *shard) dispatch(m *shardMsg) {
 	if isCtl(m) {
 		sh.applyCtl(m)
 		return
 	}
-	sh.buf = append(sh.buf[:0], m)
-	sh.bufNext = 0
+	sh.buf = append(sh.buf[:0], *m)
 	var ctl shardMsg
 	var hasCtl bool
 drain:
@@ -184,7 +182,7 @@ drain:
 				sh.buf = sh.buf[:0]
 				return
 			}
-			if isCtl(m2) {
+			if isCtl(&m2) {
 				// A barrier must observe every event ahead of it in the
 				// queue, so it is answered after the batch flushes.
 				ctl, hasCtl = m2, true
@@ -197,7 +195,7 @@ drain:
 	}
 	sh.processBatch()
 	if hasCtl {
-		sh.applyCtl(ctl)
+		sh.applyCtl(&ctl)
 	}
 }
 
@@ -215,7 +213,7 @@ func (s *Streamer) awaitAcks(ack <-chan int) error {
 }
 
 // applyCtl answers one control barrier on the shard goroutine.
-func (sh *shard) applyCtl(m shardMsg) {
+func (sh *shard) applyCtl(m *shardMsg) {
 	switch {
 	case m.snap != nil:
 		m.snap <- sh.capture()
@@ -229,18 +227,26 @@ func (sh *shard) applyCtl(m shardMsg) {
 }
 
 // processBatch runs the unprocessed tail of the drained micro-batch,
-// then scores the deferred chains and stamps the batch's metrics. The
-// wall clock is read once per wakeup: it only feeds the idle-flush
-// clock, whose granularity is seconds.
+// each event by reference where the wakeup drained it, then scores the
+// deferred chains and stamps the batch's metrics. The wall clock is read
+// once per wakeup (it only feeds the idle-flush clock, whose granularity
+// is seconds) and Processed moves once per wakeup: notePanic counts what
+// an interrupted one had finished, so the conservation equation holds
+// whenever the shard is not inside an event.
 func (sh *shard) processBatch() {
 	now := time.Now()
-	for sh.bufNext < len(sh.buf) {
-		ev := sh.buf[sh.bufNext].ev
-		sh.bufNext++
-		sh.process(ev, now)
+	for ; sh.bufNext < len(sh.buf); sh.bufNext++ {
+		sh.process(&sh.buf[sh.bufNext].ev, now)
 	}
+	sh.countProcessed()
 	sh.flushPending()
 	sh.observeBatch()
+}
+
+// countProcessed adds the events finished since the last count.
+func (sh *shard) countProcessed() {
+	sh.s.met.Processed.Add(int64(sh.bufNext - sh.counted))
+	sh.counted = sh.bufNext
 }
 
 // resumeBatch finishes a micro-batch a panic interrupted. When the
@@ -262,19 +268,17 @@ func (sh *shard) resumeBatch() {
 
 // process runs one event through the shard with crash attribution; now
 // is the arrival time handle stamps on the event's node.
-func (sh *shard) process(ev logparse.EncodedEvent, now time.Time) {
-	sh.inflight = ev
-	sh.hasInflight = true
+func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time) {
+	sh.inflight = true
 	if hook := sh.s.opts.panicHook; hook != nil {
-		hook(sh.id, ev)
+		hook(sh.id, *ev)
 	}
 	if d := sh.s.opts.processDelay; d > 0 {
 		time.Sleep(d)
 	}
 	sh.handle(ev, now)
-	sh.hasInflight = false
+	sh.inflight = false
 	sh.restarts = 0
-	sh.s.met.Processed.Add(1)
 }
 
 // replay is process for an event that already had its chance somewhere
@@ -283,7 +287,7 @@ func (sh *shard) process(ev logparse.EncodedEvent, now time.Time) {
 // import barrier). There is no supervisor to retry under, so a panic
 // quarantines the event at once. Each event flushes its own closures:
 // no coalescing, so replayed alert order matches live order.
-func (sh *shard) replay(ev logparse.EncodedEvent) {
+func (sh *shard) replay(ev *logparse.EncodedEvent) {
 	at := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -297,7 +301,7 @@ func (sh *shard) replay(ev logparse.EncodedEvent) {
 	sh.s.met.Ingested.Add(1)
 	sh.s.met.ReplayedEvents.Add(1)
 	if hook := sh.s.opts.panicHook; hook != nil {
-		hook(sh.id, ev)
+		hook(sh.id, *ev)
 	}
 	sh.handle(ev, at)
 	sh.flushPending()
@@ -307,34 +311,38 @@ func (sh *shard) replay(ev logparse.EncodedEvent) {
 
 // quarantine gives up on a poisoned event: counted, and journaled so no
 // replay re-enters it.
-func (sh *shard) quarantine(ev logparse.EncodedEvent) {
+func (sh *shard) quarantine(ev *logparse.EncodedEvent) {
 	sh.s.met.Quarantined.Add(1)
 	if sh.s.pst != nil {
 		sh.s.pst.appendQuarantine(sh.s, ev)
 	}
 }
 
-// notePanic attributes a recovered panic to the in-flight event and
-// decides between retry and quarantine.
+// notePanic counts the events the interrupted wakeup had finished, then
+// attributes the panic to the in-flight event and decides between retry
+// (resumeBatch finds it at buf[bufNext]) and quarantine (stepped over,
+// never counted as processed).
 func (sh *shard) notePanic() {
-	if !sh.hasInflight {
+	sh.countProcessed()
+	if !sh.inflight {
 		// Panic outside event processing (barrier/flush); nothing to
 		// retry.
 		return
 	}
-	sh.hasInflight = false
-	key := quarantineKeyOf(sh.inflight)
+	sh.inflight = false
+	ev := &sh.buf[sh.bufNext].ev
+	key := quarantineKeyOf(*ev)
 	if key == sh.poisonKey {
 		sh.poisonCount++
 	} else {
 		sh.poisonKey, sh.poisonCount = key, 1
 	}
 	if sh.poisonCount >= maxEventRetries {
-		sh.quarantine(sh.inflight)
+		sh.quarantine(ev)
 		sh.poisonKey, sh.poisonCount = "", 0
-		return
+		sh.bufNext++
+		sh.counted++
 	}
-	sh.retry = true
 }
 
 // backoff sleeps before a restart — capped exponential backoff with
@@ -396,7 +404,7 @@ func (sh *shard) state(node string) *nodeState {
 // reorder buffer first. now is the wall-clock arrival time recorded as
 // the node's proof of life (nodeState.lastArrival); a caller inside a
 // shard wakeup passes the wakeup's one clock read.
-func (sh *shard) handle(ev logparse.EncodedEvent, now time.Time) {
+func (sh *shard) handle(ev *logparse.EncodedEvent, now time.Time) {
 	ns := sh.state(ev.Node)
 	if sh.s.et != nil {
 		sh.handleEventTime(ns, ev, now)
@@ -411,12 +419,12 @@ func (sh *shard) handle(ev logparse.EncodedEvent, now time.Time) {
 // release. The wall clock (now) only stamps lastArrival, so WAL replay
 // of the same event sequence reconstructs identical buffer and cursor
 // state.
-func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent, now time.Time) {
+func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
 	et := sh.s.et
 	if ns.et == nil {
 		ns.et = &nodeEventTime{}
 	}
-	if ns.et.dup(ev, et.dedupN) {
+	if ns.et.dup(*ev, et.dedupN) {
 		sh.s.met.Duplicates.Add(1)
 		return
 	}
@@ -430,7 +438,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent, now ti
 		return
 	}
 	ns.et.rel = sh.rel
-	out, overflow := ns.et.add(ev, et.effective(), et.depth)
+	out, overflow := ns.et.add(*ev, et.effective(), et.depth)
 	sh.rel, ns.et.rel = out, nil // keep what add grew; every feed below is done before the next add
 	if overflow > 0 {
 		sh.s.met.ReorderOverflow.Add(int64(overflow))
@@ -439,8 +447,8 @@ func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent, now ti
 	if ts := ns.et.maxSeen.UnixNano(); ts > sh.wmNano.Load() {
 		sh.wmNano.Store(ts)
 	}
-	for _, rel := range out {
-		sh.feed(ns, rel, now)
+	for i := range out {
+		sh.feed(ns, &out[i], now)
 	}
 	if len(out) == 0 {
 		// The event only parked in the buffer; still proof of life for
@@ -451,8 +459,8 @@ func (sh *shard) handleEventTime(ns *nodeState, ev logparse.EncodedEvent, now ti
 
 // feed runs one release-ordered event through the chain tracker and the
 // detection path — the pre-event-time handle body.
-func (sh *shard) feed(ns *nodeState, ev logparse.EncodedEvent, now time.Time) {
-	closed, err := ns.tracker.Feed(ev)
+func (sh *shard) feed(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
+	closed, err := ns.tracker.Feed(*ev)
 	if err != nil {
 		// Unreachable: events are routed to trackers by node.
 		sh.s.met.Malformed.Add(1)
@@ -543,8 +551,8 @@ func (sh *shard) flushReorder(ns *nodeState, now time.Time) {
 	}
 	out := ns.et.flushAll()
 	sh.pending.Add(-int64(len(out)))
-	for _, ev := range out {
-		sh.feed(ns, ev, now)
+	for i := range out {
+		sh.feed(ns, &out[i], now)
 	}
 }
 

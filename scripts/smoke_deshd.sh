@@ -3,7 +3,9 @@
 # synthetic log, train a small model, pipe the log into a running
 # daemon, and assert that (1) at least one alert with a positive lead
 # time reaches stdout, (2) the /metrics endpoint reports non-zero
-# ingest, and (3) SIGINT produces a clean drain and exit 0.
+# ingest, (3) SIGINT produces a clean drain and exit 0, and (4) a
+# -state-dir replay of the same file journals it in far fewer WAL
+# writes than events: one per buffered read, not one per line.
 set -eu
 
 GO=${GO:-go}
@@ -65,6 +67,16 @@ if ! grep -q 'disorder: late' "$WORK/deshd.err"; then
     cat "$WORK/deshd.err" >&2
     exit 1
 fi
+
+"$WORK/deshd" -model "$WORK/desh.model" -state-dir "$WORK/st" -in "$WORK/test.log" -once \
+    > /dev/null 2> "$WORK/durable.err"
+set -- $(sed -n 's/^deshd: durability: journaled \([0-9]*\) events in \([0-9]*\) wal writes (errors \([0-9]*\)).*/\1 \2 \3/p' "$WORK/durable.err")
+if [ "${2:-0}" -lt 1 ] || [ "$(($2 * 10))" -gt "$1" ] || [ "$3" -ne 0 ]; then
+    echo "smoke: FAIL — -state-dir replay journaled ${1:-?} events in ${2:-?} WAL writes (${3:-?} errors); want at least ten events a write" >&2
+    cat "$WORK/durable.err" >&2
+    exit 1
+fi
+echo "smoke: -state-dir replay journaled $1 events in $2 WAL writes"
 
 echo "smoke: OK — $alerts alerts, clean SIGINT shutdown"
 head -3 "$WORK/alerts.out"
