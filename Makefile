@@ -22,15 +22,18 @@ vet:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/embed/... ./internal/nn/... ./internal/par/... ./internal/stream/... ./internal/chain/... ./internal/persist/... ./internal/adapt/... ./internal/cluster/... ./internal/retry/... ./internal/chaos/... ./internal/tensor/...
 
-# kernel-parity exercises both sides of the one build fork in the
+# kernel-parity exercises all three tiers of the one build fork in the
 # serving path: the packages on top of the two LSTM assembly kernels —
-# the AVX2 gate kernel (tensor.GateWeights) and the AVX2+FMA activation
-# kernel (tensor.ActivateLSTM, dispatched by nn.activate) — run under
-# the race detector as built by default (each kernel where CPUID
-# reports its features) and with -tags purego (tensor.GateMatVec and
-# the scalar sigmoid/tanh loop), and every bitwise parity suite must
-# hold on both. The arm64 vet only cross-compiles: it keeps the
-# non-amd64 file set building and lets asmdecl check the stubs.
+# the gate kernel (tensor.GateWeights) and the activation kernel
+# (tensor.ActivateLSTM, dispatched by nn.activate), each at AVX2(+FMA)
+# and AVX-512 width — run under the race detector as built by default
+# and with -tags purego (tensor.GateMatVec and the scalar sigmoid/tanh
+# loop), and every bitwise parity suite must hold on both. The default
+# leg covers both assembly tiers on an AVX-512 host: the tensor and nn
+# parity tables and fuzz seeds loop over every tier CPUID allows, while
+# the suites above them run the tier that serves. The arm64 vet only
+# cross-compiles: it keeps the non-amd64 file set building and lets
+# asmdecl check the stubs.
 kernel-parity:
 	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/core/

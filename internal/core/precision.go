@@ -37,8 +37,8 @@ func (pr Precision) String() string {
 }
 
 // GateKernel names the LSTM gate kernel a detector of this precision
-// serves on: tensor.GateKernel ("avx2" or "generic") for f64, always
-// "generic" for f32, whose kernels are scalar on every host.
+// serves on: tensor.GateKernel ("avx512", "avx2" or "generic") for f64,
+// always "generic" for f32, whose kernels are scalar on every host.
 func (pr Precision) GateKernel() string {
 	if pr == PrecisionF32 {
 		return "generic"
@@ -48,7 +48,8 @@ func (pr Precision) GateKernel() string {
 
 // ActivationKernel names the kernel behind the LSTM cell's sigmoid/tanh
 // and state update at this precision: tensor.ActivationKernel
-// ("avx2-fma" or "generic") for f64, always "generic" for f32.
+// ("avx512-fma", "avx2-fma" or "generic") for f64, always "generic" for
+// f32.
 func (pr Precision) ActivationKernel() string {
 	if pr == PrecisionF32 {
 		return "generic"

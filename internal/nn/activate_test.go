@@ -17,23 +17,48 @@ func sameActivation(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
 }
 
-// checkActivationParity runs activate (the dispatch) and activateFrom(0)
+// activationPath is one way activate's work gets done on this host: a
+// kernel tier finished from its return value by the scalar loop, as
+// activate finishes the tier it selects.
+type activationPath struct {
+	name string
+	run  func(z, h, c []float64)
+}
+
+// activationPaths lists every kernel tier this host and build can run
+// (tensor.ActivationTiers; activate runs the last), or on the generic
+// path activate itself. The parity suites hold each to the scalar loop,
+// so that an AVX-512 host still tests the AVX2 kernel.
+func activationPaths() []activationPath {
+	var ps []activationPath
+	for _, k := range tensor.ActivationTiers() {
+		ps = append(ps, activationPath{k.Name, func(z, h, c []float64) { activateFrom(k.Run(z, h, c), z, h, c) }})
+	}
+	if len(ps) == 0 {
+		ps = append(ps, activationPath{"generic", activate})
+	}
+	return ps
+}
+
+// checkActivationParity runs every activation path and activateFrom(0)
 // (the scalar loop) on copies of one cell state and fails on the first
 // unit whose h or c differs.
 func checkActivationParity(t *testing.T, z, h, c []float64) {
 	t.Helper()
 	H := len(h)
-	gotH, gotC := append([]float64(nil), h...), append([]float64(nil), c...)
 	wantH, wantC := append([]float64(nil), h...), append([]float64(nil), c...)
-	activate(z, gotH, gotC)
 	activateFrom(0, z, wantH, wantC)
-	for j := 0; j < H; j++ {
-		if !sameActivation(gotC[j], wantC[j]) || !sameActivation(gotH[j], wantH[j]) {
-			t.Fatalf("H=%d (%s) unit %d, z = %x %x %x %x, c = %x:\n  c' = %x, scalar %x\n  h' = %x, scalar %x",
-				H, tensor.ActivationKernel(), j,
-				math.Float64bits(z[j]), math.Float64bits(z[H+j]), math.Float64bits(z[2*H+j]), math.Float64bits(z[3*H+j]),
-				math.Float64bits(c[j]), math.Float64bits(gotC[j]), math.Float64bits(wantC[j]),
-				math.Float64bits(gotH[j]), math.Float64bits(wantH[j]))
+	for _, p := range activationPaths() {
+		gotH, gotC := append([]float64(nil), h...), append([]float64(nil), c...)
+		p.run(z, gotH, gotC)
+		for j := 0; j < H; j++ {
+			if !sameActivation(gotC[j], wantC[j]) || !sameActivation(gotH[j], wantH[j]) {
+				t.Fatalf("H=%d (%s) unit %d, z = %x %x %x %x, c = %x:\n  c' = %x, scalar %x\n  h' = %x, scalar %x",
+					H, p.name, j,
+					math.Float64bits(z[j]), math.Float64bits(z[H+j]), math.Float64bits(z[2*H+j]), math.Float64bits(z[3*H+j]),
+					math.Float64bits(c[j]), math.Float64bits(gotC[j]), math.Float64bits(wantC[j]),
+					math.Float64bits(gotH[j]), math.Float64bits(wantH[j]))
+			}
 		}
 	}
 }
@@ -42,7 +67,7 @@ func checkActivationParity(t *testing.T, z, h, c []float64) {
 // the serving width.
 func TestActivateShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(161))
-	for _, H := range []int{1, 3, 4, 5, 8, 31, 32, 64} {
+	for _, H := range []int{1, 3, 4, 5, 8, 12, 31, 32, 64} {
 		for _, scale := range []float64{0.1, 1, 4, 30} {
 			z, h, c := make([]float64, 4*H), make([]float64, H), make([]float64, H)
 			for i := range z {
@@ -56,48 +81,63 @@ func TestActivateShapes(t *testing.T) {
 	}
 }
 
-// TestActivateHandsBack pins the kernel's contract on what it does not
-// transcribe: whole blocks only, stop at the first block with a sigmoid
-// input out of range and touch nothing from there on, no restriction on
-// the tanh input or the cell state.
+// TestActivateHandsBack pins each tier's contract on what it does not
+// transcribe: whole blocks only (the tier's width, then one of four at
+// the end), stop at the first block with a sigmoid input out of range
+// and touch nothing from there on, no restriction on the tanh input or
+// the cell state. H = 14 ends in two scalar units; 12 and 36 are blocks
+// of eight (or four) and a last block of four.
 func TestActivateHandsBack(t *testing.T) {
-	const H = 14
-	fresh := func() (z, h, c []float64) {
-		z, h, c = make([]float64, 4*H), make([]float64, H), make([]float64, H)
-		for i := range z {
-			z[i] = float64(i%7) - 3
-		}
-		for i := range c {
-			h[i], c[i] = 9, float64(i)-5
+	tiers := tensor.ActivationTiers()
+	if len(tiers) == 0 {
+		if n := tensor.ActivateLSTM(make([]float64, 16), make([]float64, 4), make([]float64, 4)); n != 0 {
+			t.Fatalf("generic path: ActivateLSTM finished %d units, want 0", n)
 		}
 		return
 	}
-	whole := 0
-	if tensor.ActivationKernel() != "generic" {
-		whole = H / 4 * 4
-	}
-	z, h, c := fresh()
-	z[2*H+1], z[2*H+6], c[2], c[9] = math.Inf(1), math.NaN(), math.Inf(-1), 1e300
-	if n := tensor.ActivateLSTM(z, h, c); n != whole {
-		t.Fatalf("finite sigmoid inputs: kernel finished %d units, want %d", n, whole)
-	}
-	checkActivationParity(t, z, h, c)
-
-	for _, bad := range []float64{708, -708, 745, math.Inf(1), math.Inf(-1), math.NaN()} {
-		for _, gate := range []int{0, 1, 3} {
-			z, h, c := fresh()
-			z[gate*H+6] = bad // second block
-			h0, c0 := append([]float64(nil), h...), append([]float64(nil), c...)
-			n := tensor.ActivateLSTM(z, h, c)
-			if want := min(whole, 4); n != want {
-				t.Fatalf("gate %d input %v: kernel finished %d units, want %d", gate, bad, n, want)
+	for _, k := range tiers {
+		for _, H := range []int{14, 12, 36} {
+			fresh := func() (z, h, c []float64) {
+				z, h, c = make([]float64, 4*H), make([]float64, H), make([]float64, H)
+				for i := range z {
+					z[i] = float64(i%7) - 3
+				}
+				for i := range c {
+					h[i], c[i] = 9, float64(i)-5
+				}
+				return
 			}
-			for j := n; j < H; j++ {
-				if h[j] != h0[j] || c[j] != c0[j] {
-					t.Fatalf("gate %d input %v: kernel touched unit %d past its return value %d", gate, bad, j, n)
+			whole := H / 4 * 4
+			z, h, c := fresh()
+			z[2*H+1], z[2*H+6], c[2], c[9] = math.Inf(1), math.NaN(), math.Inf(-1), 1e300
+			if n := k.Run(z, h, c); n != whole {
+				t.Fatalf("%s H=%d finite sigmoid inputs: kernel finished %d units, want %d", k.Name, H, n, whole)
+			}
+			checkActivationParity(t, z, h, c)
+
+			for _, bad := range []float64{708, -708, 745, math.Inf(1), math.Inf(-1), math.NaN()} {
+				for _, gate := range []int{0, 1, 3} {
+					for _, u := range []int{6, H - 2} { // in an early block; in the last block or past it
+						z, h, c := fresh()
+						z[gate*H+u] = bad
+						h0, c0 := append([]float64(nil), h...), append([]float64(nil), c...)
+						want := whole
+						if u < whole {
+							want = u / k.Block * k.Block
+						}
+						n := k.Run(z, h, c)
+						if n != want {
+							t.Fatalf("%s H=%d gate %d unit %d input %v: kernel finished %d units, want %d", k.Name, H, gate, u, bad, n, want)
+						}
+						for j := n; j < H; j++ {
+							if h[j] != h0[j] || c[j] != c0[j] {
+								t.Fatalf("%s H=%d gate %d input %v: kernel touched unit %d past its return value %d", k.Name, H, gate, bad, j, n)
+							}
+						}
+						checkActivationParity(t, z, h0, c0)
+					}
 				}
 			}
-			checkActivationParity(t, z, h0, c0)
 		}
 	}
 }
@@ -109,7 +149,7 @@ func TestActivateHandsBack(t *testing.T) {
 // and 0 + x are exact.
 
 // unaryInputs is the boundary table every function sees, each value in
-// a block of its own (lane k%4 of four, the rest 0.5) so that a value the
+// a block of its own (lane k%8 of eight, the rest 0.5) so that a value a
 // kernel hands back takes no other with it, then n random draws: uniform
 // over ±span, uniform over ±1, and log-uniform magnitudes from 1e-320 to
 // maxMag.
@@ -127,10 +167,10 @@ func unaryInputs(rng *rand.Rand, n int, span, maxMag float64) []float64 {
 		table = append(table, -x)
 	}
 	table = append(table, math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc))
-	xs := make([]float64, 0, 4*len(table)+n)
+	xs := make([]float64, 0, 8*len(table)+n)
 	for k, x := range table {
-		block := [4]float64{0.5, 0.5, 0.5, 0.5}
-		block[k%4] = x
+		block := [8]float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+		block[k%8] = x
 		xs = append(xs, block[:]...)
 	}
 	lo, hi := -320.0, math.Log10(maxMag)
@@ -149,23 +189,26 @@ func unaryInputs(rng *rand.Rand, n int, span, maxMag float64) []float64 {
 	return xs
 }
 
-// viaCell runs activate over xs, four at a time in cells of one block.
-// set fills a unit's four gate inputs and cell state for input x; out
-// picks the result (h' or c') that must equal want(x).
+// viaCell runs every activation path over xs, eight at a time in cells
+// of one eight-unit block (two of four). set fills a unit's four gate
+// inputs and cell state for input x; out picks the result (h' or c')
+// that must equal want(x).
 func viaCell(t *testing.T, name string, xs []float64, want func(float64) float64,
 	set func(x float64) (zi, zf, zg, zo, c float64), out func(h, c float64) float64) {
 	t.Helper()
-	const H = 4
+	const H = 8
 	z, h, c := make([]float64, 4*H), make([]float64, H), make([]float64, H)
-	for ; len(xs) > 0; xs = xs[min(H, len(xs)):] {
-		for j := 0; j < H; j++ {
-			z[j], z[H+j], z[2*H+j], z[3*H+j], c[j] = set(xs[j%len(xs)])
-		}
-		activate(z, h, c)
-		for j, x := range xs[:min(H, len(xs))] {
-			if got, w := out(h[j], c[j]), want(x); !sameActivation(got, w) {
-				t.Fatalf("%s(%v = %x) through %s activate = %x (%v), scalar %x (%v)",
-					name, x, math.Float64bits(x), tensor.ActivationKernel(), math.Float64bits(got), got, math.Float64bits(w), w)
+	for _, p := range activationPaths() {
+		for xs := xs; len(xs) > 0; xs = xs[min(H, len(xs)):] {
+			for j := 0; j < H; j++ {
+				z[j], z[H+j], z[2*H+j], z[3*H+j], c[j] = set(xs[j%len(xs)])
+			}
+			p.run(z, h, c)
+			for j, x := range xs[:min(H, len(xs))] {
+				if got, w := out(h[j], c[j]), want(x); !sameActivation(got, w) {
+					t.Fatalf("%s(%v = %x) through %s activate = %x (%v), scalar %x (%v)",
+						name, x, math.Float64bits(x), p.name, math.Float64bits(got), got, math.Float64bits(w), w)
+				}
 			}
 		}
 	}
@@ -319,8 +362,8 @@ func cellFrom(data []byte, mode uint8, skip, n int) []float64 {
 }
 
 // BenchmarkActivate is the cell's element-wise half at the serving
-// width, H = 32: the dispatch as it runs on this host and build, and the
-// scalar loop beside it.
+// width, H = 32: each kernel tier this host can run (finished by the
+// scalar loop, as activate finishes it) and the scalar loop beside them.
 func BenchmarkActivate(b *testing.B) {
 	rng := rand.New(rand.NewSource(166))
 	const H = 32
@@ -328,12 +371,14 @@ func BenchmarkActivate(b *testing.B) {
 	for i := range z {
 		z[i] = 2 * rng.NormFloat64()
 	}
-	b.Run(tensor.ActivationKernel(), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			activate(z, h, c)
-		}
-	})
+	for _, p := range activationPaths() {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.run(z, h, c)
+			}
+		})
+	}
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

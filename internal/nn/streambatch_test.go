@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,5 +119,28 @@ func TestStreamBatchGuards(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// BenchmarkStreamBatchStep is one serving timestep at DefaultConfig's
+// Phase-2 shape (In 2, H 32, two layers, Out 2) on the kernels this host
+// selected: one row, as a chain scored alone, and thirty-two, a full
+// micro-batch. ns/op is the whole batch's step.
+func BenchmarkStreamBatchStep(b *testing.B) {
+	m := NewSeqRegressorIO(2, 2, 32, 2, rand.New(rand.NewSource(64)))
+	x := []float64{0.3, -1.2}
+	for _, rows := range []int{1, 32} {
+		b.Run(fmt.Sprintf("rows%d", rows), func(b *testing.B) {
+			sb := m.NewStreamBatch()
+			sb.Begin(rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					copy(sb.Input(r), x)
+				}
+				sb.Step()
+			}
+		})
 	}
 }

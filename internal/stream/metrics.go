@@ -306,8 +306,9 @@ type MetricsSnapshot struct {
 	BatchedDetects int64 `json:"batched_detects"`
 	// ModelPrecision is the serving numeric path ("f64" or "f32");
 	// GateKernel is the LSTM gate kernel that path runs on this host
-	// ("avx2" or "generic") and ActivationKernel the kernel behind the
-	// cell's sigmoid/tanh and state update ("avx2-fma" or "generic");
+	// ("avx512", "avx2" or "generic") and ActivationKernel the kernel
+	// behind the cell's sigmoid/tanh and state update ("avx512-fma",
+	// "avx2-fma" or "generic");
 	// PrecisionConversions counts f64→f32 weight conversions (one per
 	// adopted model at f32).
 	ModelPrecision       string `json:"model_precision"`

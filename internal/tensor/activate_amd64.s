@@ -239,3 +239,167 @@ done:
 	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET
+
+// The same three functions at eight lanes, for activate8. Each lane runs
+// the operation sequence of its ymm twin above, instruction for
+// instruction; what changes is the encoding around it. Constants are
+// 64-bit broadcast operands (.BCST, or VBROADCASTSD where the constant
+// is the first operand), read from the first eight bytes of each QUAD
+// — except EXPBIAS, which stays a 256-bit operand because the exponent
+// arithmetic works on the eight int32 lanes of a ymm. Lane masks live
+// in opmask registers: VCMPPD writes K, VBLENDMPD blends under it (where
+// the ymm forms put the mask in a vector register for VBLENDVPD).
+
+// EXP8: Z0 = exp(Z0) per lane; clobbers Z1, Z2. EXP4 line for line.
+#define EXP8 \
+	VMULPD.BCST       LOG2E, Z0, Z1 \
+	VCVTPD2DQ         Z1, Y2 \
+	VCVTDQ2PD         Y2, Z1 \
+	VFNMADD231PD.BCST LN2U, Z1, Z0 \
+	VFNMADD231PD.BCST LN2L, Z1, Z0 \
+	VMULPD.BCST       SIXTEENTH, Z0, Z0 \
+	VBROADCASTSD      EXPC8, Z1 \
+	VFMADD213PD.BCST  EXPC7, Z0, Z1 \
+	VFMADD213PD.BCST  EXPC6, Z0, Z1 \
+	VFMADD213PD.BCST  EXPC5, Z0, Z1 \
+	VFMADD213PD.BCST  EXPC4, Z0, Z1 \
+	VFMADD213PD.BCST  EXPC3, Z0, Z1 \
+	VFMADD213PD.BCST  HALF, Z0, Z1 \
+	VFMADD213PD.BCST  ONE, Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       TWO, Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       TWO, Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       TWO, Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       TWO, Z0, Z1 \
+	VFMADD213PD.BCST  ONE, Z1, Z0 \
+	VPADDD            EXPBIAS, Y2, Y2 \
+	VPMOVZXDQ         Y2, Z2 \
+	VPSLLQ            $52, Z2, Z2 \
+	VMULPD            Z2, Z0, Z0
+
+// SIGMOID8: Z0 = nn.sigmoid(Z0) per lane; clobbers Z1-Z4 and K1.
+// SIGMOID4 with the x >= 0 mask in K1.
+#define SIGMOID8 \
+	VXORPD         Z3, Z3, Z3 \
+	VCMPPD         $0x1D, Z3, Z0, K1 \
+	VXORPD.BCST    SIGNMASK, Z0, Z4 \
+	VBLENDMPD      Z4, Z0, K1, Z0 \
+	EXP8 \
+	VADDPD.BCST    ONE, Z0, Z4 \
+	VBLENDMPD.BCST ONE, Z0, K1, Z0 \
+	VDIVPD         Z4, Z0, Z0
+
+// TANH8: Z0 = math.tanh(Z0) per lane; clobbers Z1-Z8 and K2. TANH4
+// with each range test in K2.
+#define TANH8 \
+	VMOVAPD        Z0, Z3 \
+	VANDPD.BCST    ABSMASK, Z3, Z4 \
+	VANDPD.BCST    SIGNMASK, Z3, Z5 \
+	VADDPD         Z4, Z4, Z0 \
+	EXP8 \
+	VADDPD.BCST    ONE, Z0, Z0 \
+	VBROADCASTSD   TWO, Z1 \
+	VDIVPD         Z0, Z1, Z0 \
+	VBROADCASTSD   ONE, Z1 \
+	VSUBPD         Z0, Z1, Z0 \
+	VORPD          Z5, Z0, Z0 \
+	VMULPD         Z3, Z3, Z6 \
+	VBROADCASTSD   TANHP0, Z7 \
+	VMULPD         Z6, Z7, Z7 \
+	VADDPD.BCST    TANHP1, Z7, Z7 \
+	VMULPD         Z6, Z7, Z7 \
+	VADDPD.BCST    TANHP2, Z7, Z7 \
+	VADDPD.BCST    TANHQ0, Z6, Z8 \
+	VMULPD         Z6, Z8, Z8 \
+	VADDPD.BCST    TANHQ1, Z8, Z8 \
+	VMULPD         Z6, Z8, Z8 \
+	VADDPD.BCST    TANHQ2, Z8, Z8 \
+	VMULPD         Z6, Z3, Z6 \
+	VMULPD         Z7, Z6, Z6 \
+	VDIVPD         Z8, Z6, Z6 \
+	VADDPD         Z6, Z3, Z6 \
+	VXORPD         Z1, Z1, Z1 \
+	VCMPPD         $0x00, Z1, Z3, K2 \
+	VBLENDMPD      Z3, Z6, K2, Z6 \
+	VCMPPD.BCST    $0x1D, TANHMID, Z4, K2 \
+	VBLENDMPD      Z0, Z6, K2, Z6 \
+	VCMPPD.BCST    $0x1E, TANHBIG, Z4, K2 \
+	VORPD.BCST     ONE, Z5, Z0 \
+	VBLENDMPD      Z0, Z6, K2, Z0
+
+// func activate8(z, h, c []float64) int
+//
+// activate4's contract at eight hidden units per block: same cell
+// update, same return value (the number of units finished, a multiple
+// of four), same stop at the first block holding a sigmoid input that is
+// not finite with |x| < 708. Blocks are eight units while eight are
+// left, then one block of four when four to seven are: the four-unit
+// block runs the same code under a four-lane opmask in K3 (loads zero
+// the other lanes without reading them, stores skip them), so a unit's
+// operations do not depend on which kind of block it is in. A block that
+// fails the range check hands back all of its units, so after a hand-back
+// the return value is a multiple of eight, or of four at the last block.
+TEXT ·activate8(SB), NOSPLIT, $0-80
+	MOVQ z_base+0(FP), SI
+	MOVQ h_base+24(FP), DI
+	MOVQ h_len+32(FP), CX
+	MOVQ c_base+48(FP), DX
+	LEAQ (SI)(CX*8), R9        // f block
+	LEAQ (R9)(CX*8), R10       // g block
+	LEAQ (R10)(CX*8), R11      // o block
+	XORQ AX, AX                // units finished
+	MOVL $0xFF, R13            // lanes in this block, as a mask
+	MOVQ $8, R14               // units in this block
+
+block8:
+	MOVQ CX, BX
+	SUBQ AX, BX                // units left
+	CMPQ BX, $8
+	JGE  take8
+	CMPQ BX, $4
+	JLT  done8
+	MOVL $0x0F, R13
+	MOVQ $4, R14
+take8:
+	KMOVB R13, K3
+	VMOVUPD.Z (SI)(AX*8), K3, Z12
+	VMOVUPD.Z (R9)(AX*8), K3, Z13
+	VMOVUPD.Z (R11)(AX*8), K3, Z14
+	VANDPD.BCST ABSMASK, Z12, Z0
+	VANDPD.BCST ABSMASK, Z13, Z1
+	VANDPD.BCST ABSMASK, Z14, Z2
+	VCMPPD.BCST $0x11, SIGLIM, Z0, K3, K1   // LT_OQ: false for NaN
+	VCMPPD.BCST $0x11, SIGLIM, Z1, K1, K1
+	VCMPPD.BCST $0x11, SIGLIM, Z2, K1, K1
+	KMOVB K1, R12
+	CMPL R12, R13
+	JNE  done8
+
+	VMOVAPD Z12, Z0
+	SIGMOID8
+	VMOVAPD Z0, Z12            // i
+	VMOVAPD Z13, Z0
+	SIGMOID8
+	VMOVAPD Z0, Z13            // f
+	VMOVAPD Z14, Z0
+	SIGMOID8
+	VMOVAPD Z0, Z14            // o
+	VMOVUPD.Z (R10)(AX*8), K3, Z0
+	TANH8                      // g
+	VMULPD.Z (DX)(AX*8), Z13, K3, Z13
+	VMULPD  Z0, Z12, Z12
+	VADDPD  Z12, Z13, Z0
+	VMOVUPD Z0, K3, (DX)(AX*8)
+	TANH8
+	VMULPD  Z0, Z14, Z0
+	VMOVUPD Z0, K3, (DI)(AX*8)
+	ADDQ R14, AX
+	JMP  block8
+
+done8:
+	MOVQ AX, ret+72(FP)
+	VZEROUPPER
+	RET

@@ -2,14 +2,23 @@
 
 package tensor
 
-// useAVX2 selects the lane-per-row gate kernel and useFMA the four-lane
-// activation kernel (AVX2 and FMA both), once, from CPUID.
-var useAVX2, useFMA = cpuFeatures()
+// The serving kernels come in tiers, chosen once from CPUID: useAVX2
+// selects the lane-per-row gate kernel and useFMA the four-lane
+// activation kernel (AVX2 and FMA both); useAVX512 (AVX2+FMA plus
+// AVX512F/DQ and the OS saving the opmask and ZMM state) widens both to
+// eight lanes. Each tier implies the one before it.
+var useAVX2, useFMA, useAVX512 = cpuFeatures()
 
 //go:noescape
 func gateT(dst, wxT, x, whT, h, bias []float64)
 
 //go:noescape
+func gate512(dst, wxT, x, whT, h, bias []float64)
+
+//go:noescape
 func activate4(z, h, c []float64) int
 
-func cpuFeatures() (avx2, avx2fma bool)
+//go:noescape
+func activate8(z, h, c []float64) int
+
+func cpuFeatures() (avx2, avx2fma, avx512 bool)

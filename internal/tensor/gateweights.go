@@ -6,10 +6,14 @@ import (
 )
 
 // GateKernel names the kernel GateWeights.MatVec runs on this host and
-// build: "avx2" for the lane-per-row assembly kernel, "generic" for
-// GateMatVec (non-amd64, no AVX2, or -tags purego).
+// build: "avx512" or "avx2" for the lane-per-row assembly kernel at eight
+// or four lanes, "generic" for GateMatVec (non-amd64, no AVX2, or -tags
+// purego).
 func GateKernel() string {
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX2:
 		return "avx2"
 	}
 	return "generic"
@@ -19,9 +23,10 @@ func GateKernel() string {
 // z = wx·x + (wh·h + bias). It hides which kernel computes z and the
 // weight layout that kernel wants.
 //
-// On the AVX2 path it holds transposed copies wxᵀ [In x R] and whᵀ
-// [H x R], so that the R output rows are contiguous for a fixed k and
-// one vector lane can own one output row: for each k the kernel
+// On either assembly path (AVX2, four lanes; AVX-512, eight) it holds
+// transposed copies wxᵀ [In x R] and whᵀ [H x R], so that the R output
+// rows are contiguous for a fixed k and one vector lane can own one
+// output row: for each k the kernel
 // broadcasts x[k], multiplies it with the rows' weights and adds the
 // products into per-row accumulators. A lane therefore performs dot4's
 // own sequence ((0 + w₀x₀) + w₁x₁) + … for its row — there is no
@@ -51,7 +56,7 @@ func NewGateWeights(wx, wh *Matrix, bias []float64) *GateWeights {
 		panic(fmt.Sprintf("tensor: NewGateWeights rows %d/%d, bias %d", wx.Rows, wh.Rows, len(bias)))
 	}
 	g := &GateWeights{wx: wx, wh: wh, bias: bias}
-	// The kernel's narrowest block is four rows. LSTM gates are always
+	// The kernels' narrowest block is four rows. LSTM gates are always
 	// 4H rows; any other shape is served by GateMatVec.
 	if useAVX2 && wx.Rows%4 == 0 {
 		g.wxT = wx.T().Data
@@ -70,6 +75,10 @@ func (g *GateWeights) MatVec(dst, x, h []float64) {
 	if len(x) != g.wx.Cols || len(h) != g.wh.Cols || len(dst) != g.wx.Rows {
 		panic(fmt.Sprintf("tensor: GateWeights.MatVec dst/x/h %d/%d/%d, want %d/%d/%d",
 			len(dst), len(x), len(h), g.wx.Rows, g.wx.Cols, g.wh.Cols))
+	}
+	if useAVX512 {
+		gate512(dst, g.wxT, x, g.whT, h, g.bias)
+		return
 	}
 	gateT(dst, g.wxT, x, g.whT, h, g.bias)
 }

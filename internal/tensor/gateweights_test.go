@@ -15,28 +15,63 @@ func sameGate(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
 }
 
-// checkGateParity runs both kernels on one problem and fails on the
-// first row that differs.
+// gateTier is one gate kernel: the name GateKernel reports while it
+// serves, and the kernel over a GateWeights' transposed image.
+type gateTier struct {
+	name string
+	run  func(dst, wxT, x, whT, h, bias []float64)
+}
+
+// gateTiers lists every gate kernel this host and build can run,
+// narrowest first; MatVec runs the last. The parity table and the fuzz
+// target hold each one to GateMatVec, so that an AVX-512 host still
+// tests the AVX2 kernel.
+func gateTiers() []gateTier {
+	var t []gateTier
+	if useAVX2 {
+		t = append(t, gateTier{"avx2", gateT})
+	}
+	if useAVX512 {
+		t = append(t, gateTier{"avx512", gate512})
+	}
+	return t
+}
+
+// checkGateParity runs GateMatVec, MatVec and every gate tier on one
+// problem and fails on the first row that differs.
 func checkGateParity(t *testing.T, wx, wh *Matrix, x, h, bias []float64) {
 	t.Helper()
 	want := make([]float64, wx.Rows)
 	got := make([]float64, wx.Rows)
 	GateMatVec(want, wx, x, wh, h, bias)
-	NewGateWeights(wx, wh, bias).MatVec(got, x, h)
-	for i := range want {
-		if !sameGate(got[i], want[i]) {
-			t.Fatalf("rows %d in %d hidden %d (%s): row %d = %x, GateMatVec %x",
-				wx.Rows, wx.Cols, wh.Cols, GateKernel(), i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	g := NewGateWeights(wx, wh, bias)
+	check := func(kernel string) {
+		for i := range want {
+			if !sameGate(got[i], want[i]) {
+				t.Fatalf("rows %d in %d hidden %d (%s): row %d = %x, GateMatVec %x",
+					wx.Rows, wx.Cols, wh.Cols, kernel, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
+	}
+	g.MatVec(got, x, h)
+	check("MatVec on " + GateKernel())
+	if g.wxT == nil {
+		return
+	}
+	for _, k := range gateTiers() {
+		clear(got)
+		k.run(got, g.wxT, x, g.whT, h, bias)
+		check(k.name)
 	}
 }
 
 // The serving shapes plus ragged ones: 4H below 16 (tail only), 4H not
-// a multiple of 16 (blocks plus tail), no input columns at all, and row
-// counts the kernel does not take (served by GateMatVec).
+// a multiple of 16 or 32 (blocks plus a tail of eight, of four, or
+// both), no input columns at all, and row counts the kernels do not
+// take (served by GateMatVec).
 func TestGateWeightsMatchesGateMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	for _, hidden := range []int{1, 3, 16, 32, 50} {
+	for _, hidden := range []int{1, 2, 3, 9, 10, 16, 32, 50} {
 		for _, in := range []int{0, 1, 2, 7, hidden} {
 			rows := 4 * hidden
 			checkGateParity(t, randMat(rng, rows, in), randMat(rng, rows, hidden),
@@ -49,6 +84,37 @@ func TestGateWeightsMatchesGateMatVec(t *testing.T) {
 	}
 }
 
+// TestKernelSelection pins the tiers: each implies the one below it
+// (the wide tier is chosen only on top of AVX2+FMA), and GateKernel and
+// ActivationKernel name the kernel the dispatch runs. For the activation
+// that is observable: the tiers hand a block back at different widths,
+// so a cell whose one out-of-range input sits in unit 4 of 8 comes back
+// with 4 units done at four a block and 0 at eight.
+func TestKernelSelection(t *testing.T) {
+	if useFMA && !useAVX2 || useAVX512 && !useFMA {
+		t.Fatalf("tiers out of order: avx2 %v, avx2+fma %v, avx512 %v", useAVX2, useFMA, useAVX512)
+	}
+	gates, acts := gateTiers(), ActivationTiers()
+	wantGate, wantAct, block := "generic", "generic", 0
+	if len(gates) > 0 {
+		wantGate = gates[len(gates)-1].name
+	}
+	if len(acts) > 0 {
+		wantAct, block = acts[len(acts)-1].Name, acts[len(acts)-1].Block
+	}
+	if GateKernel() != wantGate || ActivationKernel() != wantAct {
+		t.Fatalf("GateKernel %q, ActivationKernel %q; want %q, %q", GateKernel(), ActivationKernel(), wantGate, wantAct)
+	}
+	if copies := NewGateWeights(New(8, 2), New(8, 2), make([]float64, 8)).wxT != nil; copies != useAVX2 {
+		t.Fatalf("GateWeights holds a transposed image: %v, with avx2 %v", copies, useAVX2)
+	}
+	const H = 8
+	z, h, c := make([]float64, 4*H), make([]float64, H), make([]float64, H)
+	z[4] = math.Inf(1)
+	if n, want := ActivateLSTM(z, h, c), 4/max(block, 1)*block; n != want {
+		t.Fatalf("ActivateLSTM finished %d units, want %d from %s", n, want, wantAct)
+	}
+}
 func TestGateWeightsCurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	wx, wh := randMat(rng, 64, 2), randMat(rng, 64, 16)
@@ -100,7 +166,8 @@ func floatsFrom(data []byte, skip, n int) []float64 {
 
 // FuzzGateKernelParity reinterprets arbitrary bytes as weights, inputs
 // and bias — NaN payloads, infinities, signed zeros and subnormals
-// included — and holds GateWeights.MatVec to GateMatVec's exact bits.
+// included — and holds GateWeights.MatVec and every gate tier to
+// GateMatVec's exact bits.
 func FuzzGateKernelParity(f *testing.F) {
 	pack := func(vs ...uint64) []byte {
 		b := make([]byte, 8*len(vs))
@@ -141,4 +208,43 @@ func FuzzGateKernelParity(f *testing.F) {
 		wh := FromSlice(rows, nh, floatsFrom(data, 3, rows*nh))
 		checkGateParity(t, wx, wh, floatsFrom(data, 1, nx), floatsFrom(data, 2, nh), floatsFrom(data, 5, rows))
 	})
+}
+
+func TestGateWeightsAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := NewGateWeights(randMat(rng, 128, 32), randMat(rng, 128, 32), randVec(rng, 128))
+	dst, x, h := make([]float64, 128), randVec(rng, 32), randVec(rng, 32)
+	if n := testing.AllocsPerRun(100, func() { g.MatVec(dst, x, h) }); n != 0 {
+		t.Fatalf("MatVec allocates %v per call", n)
+	}
+}
+
+// BenchmarkGateWeights times each gate kernel at DefaultConfig's
+// Phase-2 shape (In 2, H 32, two layers): layer1 is [128x2]+[128x32],
+// layer2 [128x32]+[128x32]. generic is GateMatVec on the row-major
+// weights; the rest are the tiers this host can run.
+func BenchmarkGateWeights(b *testing.B) {
+	rng := rand.New(rand.NewSource(18))
+	tiers := append([]gateTier{{"generic", nil}}, gateTiers()...)
+	for _, k := range tiers {
+		for _, l := range []struct {
+			name string
+			in   int
+		}{{"layer1", 2}, {"layer2", 32}} {
+			const H = 32
+			wx, wh, bias := randMat(rng, 4*H, l.in), randMat(rng, 4*H, H), randVec(rng, 4*H)
+			x, h, dst := randVec(rng, l.in), randVec(rng, H), make([]float64, 4*H)
+			wxT, whT := wx.T().Data, wh.T().Data
+			b.Run(k.name+"/"+l.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if k.run == nil {
+						GateMatVec(dst, wx, x, wh, h, bias)
+					} else {
+						k.run(dst, wxT, x, whT, h, bias)
+					}
+				}
+			})
+		}
+	}
 }
