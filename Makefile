@@ -22,21 +22,24 @@ vet:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/embed/... ./internal/nn/... ./internal/par/... ./internal/stream/... ./internal/chain/... ./internal/persist/... ./internal/adapt/... ./internal/cluster/... ./internal/retry/... ./internal/chaos/... ./internal/tensor/...
 
-# kernel-parity exercises all three tiers of the one build fork in the
-# serving path: the packages on top of the two LSTM assembly kernels —
-# the gate kernel (tensor.GateWeights) and the activation kernel
-# (tensor.ActivateLSTM, dispatched by nn.activate), each at AVX2(+FMA)
+# kernel-parity exercises all three tiers of the one build fork, serving
+# and training: the packages on top of the LSTM assembly kernels — the
+# gate kernel (tensor.GateWeights serving, tensor.GateMatVecT in the
+# training forward), the activation kernel (tensor.ActivateLSTM,
+# dispatched by nn.activate) and the two training kernels (GateBackward's
+# row update, tensor.RMSpropStep under opt.RMSprop), each at AVX2(+FMA)
 # and AVX-512 width — run under the race detector as built by default
-# and with -tags purego (tensor.GateMatVec and the scalar sigmoid/tanh
-# loop), and every bitwise parity suite must hold on both. The default
-# leg covers both assembly tiers on an AVX-512 host: the tensor and nn
-# parity tables and fuzz seeds loop over every tier CPUID allows, while
-# the suites above them run the tier that serves. The arm64 vet only
-# cross-compiles: it keeps the non-amd64 file set building and lets
-# asmdecl check the stubs.
+# and with -tags purego (GateMatVec, axpy4, the scalar sigmoid/tanh and
+# RMSprop loops), and every bitwise parity suite must hold on both,
+# TestTrainedWeightsPinned included. The default leg covers both
+# assembly tiers on an AVX-512 host: the tensor and nn parity tables and
+# fuzz seeds loop over every tier CPUID allows, while the suites above
+# them run the tier that serves. The arm64 vet only cross-compiles: it
+# keeps the non-amd64 file set building and lets asmdecl check the
+# stubs.
 kernel-parity:
-	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/
 	GOARCH=arm64 $(GO) vet ./...
 
 # verify is the tier-1 gate: build + full tests, plus vet, the race
@@ -59,11 +62,11 @@ bench-smoke:
 # in-order paths of dup/add against the scanning, always-pushing
 # reference; kilobyte inputs, so the minimiser is capped), the
 # instance's record /ingest, the gate kernel (assembly against
-# GateMatVec, bit for bit) and the activation kernel (assembly against
-# the scalar sigmoid/tanh
-# loop, i.e. against this toolchain's math.Exp and math.Tanh, bit for
-# bit) beyond their committed seed corpora (which `test` already replays
-# as regular cases).
+# GateMatVec, bit for bit), the training kernels (row update and RMSprop
+# against their Go loops, bit for bit) and the activation kernel
+# (assembly against the scalar sigmoid/tanh loop, i.e. against this
+# toolchain's math.Exp and math.Tanh, bit for bit) beyond their committed
+# seed corpora (which `test` already replays as regular cases).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
@@ -73,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzEventTimeParity -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzTrainKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzActivationParity -fuzztime $(FUZZTIME)
 
 # run-deshd is the daemon smoke test: generate a log, train a small

@@ -1,12 +1,13 @@
 package logsim
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
+	"strconv"
 	"time"
 
 	"desh/internal/catalog"
@@ -31,7 +32,17 @@ type Event struct {
 
 // Line renders the event as a raw log line: timestamp, node id, message.
 func (e Event) Line() string {
-	return e.Time.UTC().Format("2006-01-02T15:04:05.000000") + " " + e.Node + " " + e.Raw
+	var buf [128]byte
+	return string(e.appendLine(buf[:0]))
+}
+
+// appendLine appends Line's bytes to b.
+func (e Event) appendLine(b []byte) []byte {
+	b = e.Time.UTC().AppendFormat(b, "2006-01-02T15:04:05.000000")
+	b = append(b, ' ')
+	b = append(b, e.Node...)
+	b = append(b, ' ')
+	return append(b, e.Raw...)
 }
 
 // FailureRecord is the ground truth for one anomalous node failure.
@@ -227,12 +238,36 @@ func Generate(cfg Config) (*Run, error) {
 	run.Events = append(run.Events,
 		background(rng, cfg, start, span, cfg.Profile.StrayPerNodeHour, catalog.Unknown)...)
 
-	slices.SortStableFunc(run.Events, byTime)
+	run.Events = sortByTime(run.Events)
 	return run, nil
 }
 
-// byTime orders events by timestamp; both merges sort stably on it.
+// byTime orders events by timestamp; emitSequence sorts a chain's few
+// events stably on it.
 func byTime(a, b Event) int { return a.Time.Compare(b.Time) }
+
+// sortByTime returns events in the order a stable sort by time leaves
+// them: by time, equal times in their order in events. It sorts int32
+// indices on (time, index) — a total order, so the unstable sort has one
+// answer and it is the stable one — and then gathers the events once,
+// instead of moving 96-byte events through every merge step.
+func sortByTime(events []Event) []Event {
+	idx := make([]int32, len(events))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := events[a].Time.Compare(events[b].Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]Event, len(events))
+	for i, j := range idx {
+		out[i] = events[j]
+	}
+	return out
+}
 
 // normalizeMix flattens a class-weight map into parallel slices with the
 // weights normalized to sum to 1, in stable class order.
@@ -405,41 +440,60 @@ func render(rng *rand.Rand, key string) string {
 	if !ok {
 		panic(fmt.Sprintf("logsim: render of unknown key %q", key))
 	}
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for i := 0; i < len(p.Template); i++ {
 		if p.Template[i] == '*' {
-			b.WriteString(fragment(rng))
+			b = appendFragment(b, rng)
 			continue
 		}
-		b.WriteByte(p.Template[i])
+		b = append(b, p.Template[i])
 	}
-	return b.String()
+	return string(b)
 }
 
-// fragment returns one dynamic component: hex words, decimal ids,
-// composite error codes, addresses — the Table-2 "dynamic" column.
-func fragment(rng *rand.Rand) string {
+// appendFragment appends one dynamic component: hex words, decimal ids,
+// composite error codes, addresses — the Table-2 "dynamic" column. The
+// random draws are made in the order the fields are written.
+func appendFragment(b []byte, rng *rand.Rand) []byte {
 	switch rng.Intn(6) {
 	case 0:
-		return fmt.Sprintf("0x%x", rng.Intn(1<<24))
+		b = append(b, "0x"...)
+		return strconv.AppendInt(b, int64(rng.Intn(1<<24)), 16)
 	case 1:
-		return fmt.Sprintf("%d", rng.Intn(100000))
+		return strconv.AppendInt(b, int64(rng.Intn(100000)), 10)
 	case 2:
-		return fmt.Sprintf("[%d]:0x%x", rng.Intn(65536), rng.Intn(1<<16))
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(rng.Intn(65536)), 10)
+		b = append(b, "]:0x"...)
+		return strconv.AppendInt(b, int64(rng.Intn(1<<16)), 16)
 	case 3:
-		return fmt.Sprintf("%d.%d.%d.%d", 10, rng.Intn(256), rng.Intn(256), rng.Intn(256))
+		b = append(b, "10"...)
+		for k := 0; k < 3; k++ {
+			b = append(b, '.')
+			b = strconv.AppendInt(b, int64(rng.Intn(256)), 10)
+		}
+		return b
 	case 4:
-		return fmt.Sprintf("pid=%d", rng.Intn(65536))
+		b = append(b, "pid="...)
+		return strconv.AppendInt(b, int64(rng.Intn(65536)), 10)
 	default:
-		return fmt.Sprintf("seq%08d", rng.Intn(100000000))
+		v := rng.Intn(100000000)
+		b = append(b, "seq"...)
+		for d := 10000000; d > 1 && v < d; d /= 10 {
+			b = append(b, '0') // %08d
+		}
+		return strconv.AppendInt(b, int64(v), 10)
 	}
 }
 
 // WriteTo streams the run as raw log lines.
 func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	var total int64
+	var b []byte
 	for _, e := range r.Events {
-		n, err := io.WriteString(w, e.Line()+"\n")
+		b = append(e.appendLine(b[:0]), '\n')
+		n, err := w.Write(b)
 		total += int64(n)
 		if err != nil {
 			return total, err
@@ -451,8 +505,10 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 // Lines returns the rendered raw log lines in time order.
 func (r *Run) Lines() []string {
 	lines := make([]string, len(r.Events))
+	var b []byte
 	for i, e := range r.Events {
-		lines[i] = e.Line()
+		b = e.appendLine(b[:0])
+		lines[i] = string(b)
 	}
 	return lines
 }

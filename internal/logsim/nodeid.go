@@ -1,6 +1,9 @@
 package logsim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Cray node ids encode the physical location (§4.5): cA-BcCsSnN means
 // cabinet column A, cabinet row B, chassis C, slot (blade) S, node N.
@@ -26,7 +29,17 @@ func NodeID(i int) string {
 	node := rem % nodesPerSlot
 	col := cab % cabinetsPerRow
 	row := cab / cabinetsPerRow
-	return fmt.Sprintf("c%d-%dc%ds%dn%d", col, row, chassis, slot, node)
+	var buf [24]byte
+	b := append(buf[:0], 'c')
+	b = strconv.AppendInt(b, int64(col), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(row), 10)
+	b = append(b, 'c')
+	b = strconv.AppendInt(b, int64(chassis), 10)
+	b = append(b, 's')
+	b = strconv.AppendInt(b, int64(slot), 10)
+	b = append(b, 'n')
+	return string(strconv.AppendInt(b, int64(node), 10))
 }
 
 // ParseNodeID inverts NodeID, returning the dense index. It reports an

@@ -51,8 +51,10 @@ func (l *LSTMLayer) ensureT() {
 }
 
 // refreshT re-caches the transposes from the current weights. Called
-// once per optimizer batch (weights only move at optimizer steps); the
-// copy is exact, so the GEMM path reads the same values MatVec would.
+// once per optimizer batch by the Phase-1 trainer and at the start of
+// every LSTMStack.Forward (weights only move at optimizer steps); the
+// copy is exact, so the GEMM path and the gate kernel read the same
+// values MatVec would.
 func (l *LSTMLayer) refreshT() {
 	l.ensureT()
 	tensor.TransposeInto(l.wxT, l.Wx.Value)

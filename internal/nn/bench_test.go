@@ -85,6 +85,7 @@ func BenchmarkPhase2Training(b *testing.B) {
 	}
 
 	m := NewSeqRegressorIO(dim, dim, benchHidden, benchLayers, rand.New(rand.NewSource(44)))
+	params := m.Params()
 	m.SequenceLoss(ins[0], tgs[0]) // warm scratch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -92,6 +93,6 @@ func BenchmarkPhase2Training(b *testing.B) {
 		for j := range ins {
 			m.SequenceLoss(ins[j], tgs[j])
 		}
-		ZeroGrads(m.Params())
+		ZeroGrads(params)
 	}
 }

@@ -21,9 +21,11 @@ type LSTMLayer struct {
 	InSize, HiddenSize int
 	Wx, Wh, B          *Param
 
-	// Transposed-weight caches (wxT = Wxᵀ, whT = Whᵀ) for the batched
-	// GEMM training path; refreshed once per optimizer batch. Shard
-	// replicas share these pointers with the primary layer.
+	// Transposed-weight caches (wxT = Wxᵀ, whT = Whᵀ): the batched
+	// Phase-1 backward's GEMM operands, refreshed once per optimizer
+	// batch, and the gate kernel's weights in LSTMStack.Forward, refreshed
+	// at the start of every Forward. Shard replicas share these pointers
+	// with the primary layer.
 	wxT, whT *tensor.Matrix
 }
 
@@ -93,11 +95,18 @@ func (l *LSTMLayer) checkStep(x, hPrev, cPrev []float64) {
 // stepForward advances the layer one timestep into cc, using z (length
 // 4H) as gate pre-activation scratch. Inputs are copied into the cache,
 // so callers may reuse their buffers; the step's outputs are cc.h and
-// cc.c.
-func (l *LSTMLayer) stepForward(cc *stepCache, x, hPrev, cPrev, z []float64) {
+// cc.c. With transposed set, wxT/whT hold the live weights' transposes
+// and the gate pre-activation runs on the lane-per-row kernel
+// (tensor.GateMatVecT); otherwise GateMatVec reads the row-major
+// weights. The two are bit-identical.
+func (l *LSTMLayer) stepForward(cc *stepCache, x, hPrev, cPrev, z []float64, transposed bool) {
 	l.checkStep(x, hPrev, cPrev)
 	H := l.HiddenSize
-	tensor.GateMatVec(z[:4*H], l.Wx.Value, x, l.Wh.Value, hPrev, l.B.Value.Data)
+	if transposed {
+		tensor.GateMatVecT(z[:4*H], l.wxT, x, l.whT, hPrev, l.B.Value.Data)
+	} else {
+		tensor.GateMatVec(z[:4*H], l.Wx.Value, x, l.Wh.Value, hPrev, l.B.Value.Data)
+	}
 	copy(cc.x, x)
 	copy(cc.hPrev, hPrev)
 	copy(cc.cPrev, cPrev)
@@ -171,7 +180,7 @@ func activateFrom(from int, z, h, c []float64) {
 func (l *LSTMLayer) StepForward(x, hPrev, cPrev []float64) (h, c []float64, cache *stepCache) {
 	cc := newStepCache(l.InSize, l.HiddenSize)
 	z := make([]float64, 4*l.HiddenSize)
-	l.stepForward(cc, x, hPrev, cPrev, z)
+	l.stepForward(cc, x, hPrev, cPrev, z, false)
 	return cc.h, cc.c, cc
 }
 

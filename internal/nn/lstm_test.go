@@ -318,3 +318,50 @@ func TestNewLSTMStackInvalidLayersPanics(t *testing.T) {
 	}()
 	NewLSTMStack(2, 3, 0, rand.New(rand.NewSource(1)))
 }
+
+// TestForwardAfterStepMatchesGateMatVec is the stale-transpose test. On
+// hosts with the gate kernel, Forward runs every gate over transposes of
+// the weights it copies at its start; an optimizer step between two
+// Forwards must be seen by the second. Every cache of its tape must
+// equal, bit for bit, a replay through StepForward, which reads the
+// live row-major weights through GateMatVec.
+func TestForwardAfterStepMatchesGateMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := NewSeqRegressorIO(2, 2, 8, 2, rng)
+	in, tg := randSeq(rng, 6, 2), randSeq(rng, 6, 2)
+	m.SequenceLoss(in, tg)
+	for _, p := range m.Params() {
+		p.Value.AddScaled(p.Grad, -0.5)
+	}
+	ZeroGrads(m.Params())
+	tape := m.Stack.Forward(in)
+
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	hs, cs := make([][]float64, len(m.Stack.Layers)), make([][]float64, len(m.Stack.Layers))
+	for k, l := range m.Stack.Layers {
+		hs[k], cs[k] = make([]float64, l.HiddenSize), make([]float64, l.HiddenSize)
+	}
+	for step, x := range in {
+		for k, l := range m.Stack.Layers {
+			var want *stepCache
+			hs[k], cs[k], want = l.StepForward(x, hs[k], cs[k])
+			got := tape.caches[step][k]
+			for name, pair := range map[string][2][]float64{
+				"i": {got.i, want.i}, "f": {got.f, want.f}, "g": {got.g, want.g}, "o": {got.o, want.o},
+				"c": {got.c, want.c}, "tanh(c)": {got.tc, want.tc}, "h": {got.h, want.h},
+			} {
+				if !same(pair[0], pair[1]) {
+					t.Fatalf("step %d layer %d: %s = %v after the update, GateMatVec gives %v", step, k, name, pair[0], pair[1])
+				}
+			}
+			x = hs[k]
+		}
+	}
+}

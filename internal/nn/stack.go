@@ -181,18 +181,29 @@ func (s *LSTMStack) growTape(T int) {
 // The returned tape aliases the stack's workspace: it is valid until the
 // next Forward call on this stack, and must only be Backward()ed on the
 // same stack. Callers needing two live tapes need two stacks.
+//
+// Where the gate kernel takes a layer's shape, Forward first re-copies
+// the layer's live weights into its wxT/whT and every step's gate runs
+// on them, so an optimizer step between two Forwards is always seen. The
+// serving images (SeqRegressor's) are neither read nor refreshed here:
+// streams keep the weights they were built with.
 func (s *LSTMStack) Forward(xs [][]float64) *Tape {
 	s.initWS()
 	T := len(xs)
 	s.growTape(T)
 	st := s.ws.st
 	st.Reset()
+	for _, l := range s.Layers {
+		if tensor.GateTransposed(4 * l.HiddenSize) {
+			l.refreshT()
+		}
+	}
 	top := len(s.Layers) - 1
 	for t, x := range xs {
 		in := x
 		for k, l := range s.Layers {
 			cc := s.ws.tape.caches[t][k]
-			l.stepForward(cc, in, st.H[k], st.C[k], s.ws.z)
+			l.stepForward(cc, in, st.H[k], st.C[k], s.ws.z, tensor.GateTransposed(4*l.HiddenSize))
 			copy(st.H[k], cc.h)
 			copy(st.C[k], cc.c)
 			in = cc.h

@@ -6,7 +6,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"desh/internal/nn"
 	"desh/internal/tensor"
@@ -108,7 +107,10 @@ func NewRMSprop(lr float64) *RMSprop {
 	return &RMSprop{LR: lr, Rho: 0.9, Eps: 1e-8, ClipNorm: 5}
 }
 
-// Step applies the RMSprop update and zeroes grads.
+// Step applies the RMSprop update and zeroes grads. Clipping stays a
+// scalar pass: its sum of squares is one serial chain, and splitting it
+// over lanes would reassociate it. The update itself is element-wise and
+// runs, gradient clearing included, in tensor.RMSpropStep's one pass.
 func (r *RMSprop) Step(params []*nn.Param) {
 	r.gs = scaleGrads(r.gs[:0], params, 1)
 	if r.ClipNorm > 0 {
@@ -123,11 +125,6 @@ func (r *RMSprop) Step(params []*nn.Param) {
 			c = tensor.New(p.Value.Rows, p.Value.Cols)
 			r.cache[p] = c
 		}
-		for i, g := range p.Grad.Data {
-			ci := r.Rho*c.Data[i] + (1-r.Rho)*g*g
-			c.Data[i] = ci
-			p.Value.Data[i] -= r.LR * g / (math.Sqrt(ci) + r.Eps)
-		}
-		p.Grad.Zero()
+		tensor.RMSpropStep(p.Value.Data, p.Grad.Data, c.Data, r.LR, r.Rho, r.Eps)
 	}
 }

@@ -90,7 +90,8 @@ func MatVecBias(dst []float64, a *Matrix, x, bias []float64) {
 // GateBackward applies the backward pass of z = wx·x + wh·h + b for one
 // step given dz: it accumulates gWx += dz⊗x and gWh += dz⊗hPrev, and
 // writes dx = wxᵀ·dz and dhPrev = whᵀ·dz (both overwritten). Fusing the
-// four kernels means each wx/gWx/wh/gWh row is loaded once per step. dx
+// four kernels means each wx/gWx/wh/gWh row is loaded once per step. The
+// four row updates run on axpy's widest tier, each axpy4 bit for bit. dx
 // and dhPrev must not alias x, hPrev or dz.
 func GateBackward(dz []float64, wx, gWx, wh, gWh *Matrix, x, hPrev, dx, dhPrev []float64) {
 	if len(dz) != wx.Rows || wx.Rows != wh.Rows || gWx.Rows != wx.Rows || gWh.Rows != wh.Rows {
@@ -109,9 +110,9 @@ func GateBackward(dz []float64, wx, gWx, wh, gWh *Matrix, x, hPrev, dx, dhPrev [
 		if f == 0 {
 			continue
 		}
-		axpy4(f, x, gWx.Data[i*nx:i*nx+nx])
-		axpy4(f, hPrev, gWh.Data[i*nh:i*nh+nh])
-		axpy4(f, wx.Data[i*nx:i*nx+nx], dx)
-		axpy4(f, wh.Data[i*nh:i*nh+nh], dhPrev)
+		axpy(f, x, gWx.Data[i*nx:i*nx+nx])
+		axpy(f, hPrev, gWh.Data[i*nh:i*nh+nh])
+		axpy(f, wx.Data[i*nx:i*nx+nx], dx)
+		axpy(f, wh.Data[i*nh:i*nh+nh], dhPrev)
 	}
 }
