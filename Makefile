@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# faultfs backs the WAL segment per platform, so vet the darwin and
+# windows file sets as well.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 
 # The race detector runs over the packages that fan work out to the
 # worker pool (Phase-1 mini-batch BPTT shards, Phase-3 inference, the Figure-8

@@ -18,7 +18,8 @@ import (
 // with a live appender: a segment that vanishes between listing and
 // open was truncated away and is skipped, and a torn or short tail on
 // ANY segment just ends that segment (the live segment's last record
-// may be mid-append when we read it). Framing damage is therefore
+// may be mid-append when we read it, and its zero length prefix is where
+// the appends have got to). Framing damage is therefore
 // never an error here; recovery-time replay keeps the strict rules.
 func ReadEventRange(fsys faultfs.FS, dir string, fromNano, toNano int64) ([]EventRecord, error) {
 	bases, err := listSegments(fsys, dir)
@@ -45,7 +46,7 @@ func ReadEventRange(fsys faultfs.FS, dir string, fromNano, toNano int64) ([]Even
 			}
 			n := binary.LittleEndian.Uint32(hdr[0:])
 			sum := binary.LittleEndian.Uint32(hdr[4:])
-			if n > MaxRecord {
+			if n == 0 || n > MaxRecord {
 				break
 			}
 			payload := make([]byte, n)
@@ -55,7 +56,7 @@ func ReadEventRange(fsys faultfs.FS, dir string, fromNano, toNano int64) ([]Even
 			if Checksum(payload) != sum {
 				break
 			}
-			if len(payload) == 0 || payload[0] != RecEvent {
+			if payload[0] != RecEvent {
 				continue
 			}
 			rec, err := DecodeEvent(payload[1:])

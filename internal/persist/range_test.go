@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"desh/internal/persist/faultfs"
@@ -69,17 +71,18 @@ func TestReadEventRangeTornTailUnderLiveAppender(t *testing.T) {
 	}
 	defer w.Close()
 	appendAll(t, w, eventRec(10, "a"), eventRec(20, "a"))
-	// Simulate the appender mid-record: a partial header lands on the
-	// live segment while the WAL stays open for business.
+	// Simulate the appender mid-record: a partial header lands right
+	// behind the records on the live segment while the WAL stays open for
+	// business.
 	bases, err := listSegments(fsys, dir)
 	if err != nil || len(bases) != 1 {
 		t.Fatalf("segments %v err %v", bases, err)
 	}
-	f, err := fsys.OpenFile(segPath(dir, bases[0]), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(segPath(dir, bases[0]), os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x05, 0x00, 0x00}); err != nil {
+	if _, err := f.WriteAt([]byte{0x05, 0x00, 0x00}, int64(2*(walHeaderLen+len(eventRec(10, "a"))))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -90,6 +93,58 @@ func TestReadEventRangeTornTailUnderLiveAppender(t *testing.T) {
 	if got := rangeNanos(recs); len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("torn live tail returned %v, want the valid prefix [10 20]", got)
 	}
+}
+
+// The live segment of a WAL mapped for appends is longer than its
+// records, by the zero tail of its reservation: the reader must stop at
+// the first zero length prefix with exactly the appended records, not
+// walk the tail a header at a time, so it reads one buffer of the file.
+func TestReadEventRangeLiveMappedSegment(t *testing.T) {
+	dir := t.TempDir()
+	fsys := faultfs.OS()
+	w, err := OpenWAL(fsys, dir, 0, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendAll(t, w, eventRec(10, "a"), eventRec(20, "b"), eventRec(30, "a"))
+	valid := int64(3 * (walHeaderLen + len(eventRec(10, "a"))))
+	if st, err := os.Stat(segPath(dir, 0)); err != nil || (runtime.GOOS == "linux" && st.Size() <= valid) {
+		t.Fatalf("live segment %v %v: want the records plus a zero tail", st, err)
+	}
+	var read int64
+	recs, err := ReadEventRange(countingFS{fsys, &read}, dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rangeNanos(recs); fmt.Sprint(got) != "[10 20 30]" || read > 32<<10 {
+		t.Fatalf("live mapped segment returned %v reading %d bytes, want [10 20 30] from one 32 KiB buffer", got, read)
+	}
+}
+
+// countingFS adds up the bytes read through the files it opens.
+type countingFS struct {
+	faultfs.FS
+	read *int64
+}
+
+func (c countingFS) Open(name string) (faultfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{f, c.read}, nil
+}
+
+type countingFile struct {
+	faultfs.File
+	read *int64
+}
+
+func (f countingFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	*f.read += int64(n)
+	return n, err
 }
 
 // Unlike recovery replay, a tear on a NON-final segment is tolerated

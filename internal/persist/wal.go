@@ -22,7 +22,9 @@ import (
 //
 // Sequence numbers are implicit — a record's seq is the segment's base
 // plus its index — so segments are self-describing and rotation at a
-// snapshot boundary starts a fresh file named by the next seq.
+// snapshot boundary starts a fresh file named by the next seq. No record
+// is empty, so a zero length prefix ends a segment: it is where a
+// process killed with the segment mapped stopped appending.
 const (
 	walPrefix    = "wal-"
 	walSuffix    = ".log"
@@ -37,11 +39,11 @@ const (
 const DefaultSegmentBytes = 64 << 20
 
 // WAL is the append side of the write-ahead log. Appends are
-// serialized internally and written through to the OS — one write per
-// Append, AppendBatch or AppendFunc call (a process kill loses nothing
-// the call returned for); fsync happens every SyncEvery records and on
-// Rotate/Close, so an OS crash loses at most the last SyncEvery
-// records (rounded up to a whole batch).
+// serialized internally and handed to the OS — one copy into the live
+// segment's mapping per Append, AppendBatch or AppendFunc call, so a
+// process kill loses nothing the call returned for; fsync happens every
+// SyncEvery records and on Rotate/Close, so an OS crash loses at most
+// the last SyncEvery records (rounded up to a whole batch).
 type WAL struct {
 	fs  faultfs.FS
 	dir string
@@ -49,13 +51,17 @@ type WAL struct {
 	mu  sync.Mutex
 	f   faultfs.File
 	buf []byte // the frames of the call in progress, reused
-	// err is the first failed write. The segment may end in a partial
-	// frame from then on, so every later append is refused with the same
-	// error rather than written behind a tear replay would stop at.
-	err         error
-	seq         uint64 // next sequence number to assign
-	segBytes    int64
-	maxBytes    int64
+	// err is the first failed reserve, commit or segment switch. The
+	// segment may end in a partial frame from then on, so every later
+	// append is refused with the same error rather than written behind a
+	// tear replay would stop at.
+	err error
+	seq uint64 // next sequence number to assign
+	// off is the bytes appended to the live segment; mapped is the size
+	// of its mapping, 0 until its first append maps it.
+	off         int
+	mapped      int
+	maxBytes    int
 	syncEvery   int
 	unsynced    int
 	retainFloor uint64
@@ -110,20 +116,65 @@ func OpenWAL(fsys faultfs.FS, dir string, startSeq uint64, syncEvery int, maxSeg
 	if maxSegmentBytes <= 0 {
 		maxSegmentBytes = DefaultSegmentBytes
 	}
-	w := &WAL{fs: fsys, dir: dir, seq: startSeq, syncEvery: syncEvery, maxBytes: maxSegmentBytes}
+	w := &WAL{fs: fsys, dir: dir, seq: startSeq, syncEvery: syncEvery, maxBytes: int(maxSegmentBytes)}
 	if err := w.openSegment(); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
+// openSegment opens the segment the next record starts. It is mapped by
+// its first append, not here: a WAL nothing appends to (a router's spill
+// WAL, mostly) costs an empty file and no mapping. Appends go after any
+// bytes the file already holds.
 func (w *WAL) openSegment() error {
-	f, err := w.fs.OpenFile(segPath(w.dir, w.seq), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := w.fs.OpenFile(segPath(w.dir, w.seq), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: wal segment: %w", err)
 	}
-	w.f = f
-	w.segBytes = 0
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("persist: wal segment: %w", err)
+	}
+	w.f, w.off, w.mapped, w.unsynced = f, int(st.Size()), 0, 0
+	return nil
+}
+
+// closeSegment ends the live segment: unmap it, cut the file to the
+// bytes appended (the reservation's zero tail goes), fsync and close. A
+// segment closed so is byte for byte what a write per append left.
+func (w *WAL) closeSegment() error {
+	err := w.f.Unmap()
+	if err == nil && w.mapped > 0 {
+		err = w.f.Truncate(int64(w.off))
+	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// place makes room for n bytes of frames: a batch that does not fit
+// behind what the live segment holds starts a new one first, and the
+// first append to a segment maps it — at the segment size, or at the
+// batch's own when one batch alone is larger.
+func (w *WAL) place(n int) error {
+	if w.off > 0 && w.off+n > max(w.mapped, w.maxBytes) {
+		if err := w.rotateLocked(); err != nil {
+			return err
+		}
+	}
+	if w.mapped == 0 {
+		size := max(w.maxBytes, w.off+n)
+		if err := w.f.Map(size); err != nil {
+			return fmt.Errorf("persist: wal map: %w", err)
+		}
+		w.mapped = size
+	}
 	return nil
 }
 
@@ -143,15 +194,16 @@ func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
 }
 
 // AppendFunc frames n consecutive records and hands them to the OS in
-// one write, returning the first record's sequence number (the rest
-// follow contiguously). Record i is whatever payload(i, dst) appends to
-// dst, called in order under the WAL's lock: the payload is built where
-// it is written from, in the WAL's own reused buffer, behind a header
-// whose length and CRC are filled in once it is there. All n reach the
-// OS before AppendFunc returns; a crash inside the write leaves a prefix
+// one copy into the live segment, returning the first record's sequence
+// number (the rest follow contiguously). Record i is whatever
+// payload(i, dst) appends to dst, called in order under the WAL's lock:
+// the payload is built in the WAL's own reused buffer, behind a header
+// whose length and CRC are filled in once it is there; an empty record
+// is refused, as a zero length prefix ends a segment. All n reach the
+// OS before AppendFunc returns; a crash inside the copy leaves a prefix
 // of whole records and at most one torn one, which replay drops. The
 // fsync cadence advances by the batch as one step, and a segment rotates
-// only between batches.
+// only between batches, before one that would not fit.
 func (w *WAL) AppendFunc(n int, payload func(i int, dst []byte) []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -170,8 +222,8 @@ func (w *WAL) AppendFunc(n int, payload func(i int, dst []byte) []byte) (uint64,
 		hdr := len(buf)
 		buf = payload(i, append(buf, make([]byte, walHeaderLen)...))
 		rec := buf[hdr+walHeaderLen:]
-		if len(rec) > MaxRecord {
-			return 0, fmt.Errorf("persist: wal record %d bytes exceeds MaxRecord", len(rec))
+		if len(rec) == 0 || len(rec) > MaxRecord {
+			return 0, fmt.Errorf("persist: wal record of %d bytes, want 1 to MaxRecord", len(rec))
 		}
 		binary.LittleEndian.PutUint32(buf[hdr:], uint32(len(rec)))
 		binary.LittleEndian.PutUint32(buf[hdr+4:], Checksum(rec))
@@ -179,23 +231,28 @@ func (w *WAL) AppendFunc(n int, payload func(i int, dst []byte) []byte) (uint64,
 	if cap(buf) <= maxRetainedBuf {
 		w.buf = buf
 	}
-	if _, err := w.f.Write(buf); err != nil {
+	if err := w.place(len(buf)); err != nil {
+		w.err = err
+		return 0, err
+	}
+	dst, err := w.f.Reserve(w.off, len(buf))
+	if err != nil {
+		w.err = fmt.Errorf("persist: wal reserve: %w", err)
+		return 0, w.err
+	}
+	copy(dst, buf)
+	if err := w.f.Commit(w.off, len(buf)); err != nil {
 		w.err = fmt.Errorf("persist: wal write: %w", err)
 		return 0, w.err
 	}
 	w.seq += uint64(n)
-	w.segBytes += int64(len(buf))
+	w.off += len(buf)
 	w.unsynced += n
 	if w.unsynced >= w.syncEvery {
 		if err := w.f.Sync(); err != nil {
 			return seq, err
 		}
 		w.unsynced = 0
-	}
-	if w.segBytes >= w.maxBytes {
-		if err := w.rotateLocked(); err != nil {
-			return seq, err
-		}
 	}
 	return seq, nil
 }
@@ -227,14 +284,14 @@ func (w *WAL) rotateLocked() error {
 	if w.err != nil {
 		return w.err // a new segment must not follow a torn one
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	err := w.closeSegment()
+	if err == nil {
+		err = w.openSegment()
 	}
-	if err := w.f.Close(); err != nil {
-		return err
+	if err != nil {
+		w.err = fmt.Errorf("persist: wal rotate: %w", err)
 	}
-	w.unsynced = 0
-	return w.openSegment()
+	return w.err
 }
 
 // SetRetainFloor pins WAL segments holding records at or after seq:
@@ -292,11 +349,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return w.closeSegment()
 }
 
 // ReplayStats summarizes one WAL replay.
@@ -330,9 +383,10 @@ func RepairTail(fsys faultfs.FS, dir string, stats ReplayStats) error {
 }
 
 // ReplayWAL streams every record with seq >= fromSeq to fn, in order.
-// A torn tail on the final segment stops replay cleanly; framing
-// damage anywhere else is an error (real corruption, not a crash
-// artifact). fn errors abort the replay.
+// A torn tail on the final segment stops replay cleanly — a zero length
+// prefix included, the tail a process killed with the segment mapped
+// leaves; framing damage anywhere else is an error (real corruption, not
+// a crash artifact). fn errors abort the replay.
 func ReplayWAL(fsys faultfs.FS, dir string, fromSeq uint64, fn func(seq uint64, payload []byte) error) (ReplayStats, error) {
 	var stats ReplayStats
 	stats.NextSeq = fromSeq
@@ -378,7 +432,7 @@ func ReplayWAL(fsys faultfs.FS, dir string, fromSeq uint64, fn func(seq uint64, 
 				}
 				n := binary.LittleEndian.Uint32(hdr[0:])
 				sum := binary.LittleEndian.Uint32(hdr[4:])
-				if n > MaxRecord {
+				if n == 0 || n > MaxRecord {
 					return torn()
 				}
 				payload := make([]byte, n)

@@ -104,15 +104,37 @@ func TestWALRotateAndTruncate(t *testing.T) {
 	}
 }
 
+// TestWALSegmentSizeRotation: a segment rotates before a batch that
+// would not fit behind what it already holds, so no segment is larger
+// than the segment size unless it holds exactly one larger batch, which
+// gets a segment of its own size.
 func TestWALSegmentSizeRotation(t *testing.T) {
 	dir := t.TempDir()
 	fsys := faultfs.OS()
-	// Tiny segment cap: every record rotates.
-	w, err := OpenWAL(fsys, dir, 0, 1, 4)
+	const maxBytes = 40
+	w, err := OpenWAL(fsys, dir, 0, 1, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, []byte("aaaa"), []byte("bbbb"), []byte("cccc"))
+	rec := func(n int, c byte) []byte { return bytes.Repeat([]byte{c}, n) }
+	batches := [][][]byte{
+		{rec(4, 'a')},                           // 12 bytes
+		{rec(4, 'b'), rec(10, 'c')},             // 30: 42 would not fit, rotates first
+		{rec(2, 'd')},                           // 10: fills the segment to exactly 40
+		{rec(60, 'e')},                          // 68 alone: a segment of its own size
+		{rec(1, 'f')},                           // 9: a fresh segment after the big one
+		{rec(8, 'g'), rec(8, 'h'), rec(8, 'i')}, // 48 as one batch: never split
+	}
+	var want []string
+	for _, b := range batches {
+		first, err := w.AppendBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range b {
+			want = append(want, fmt.Sprintf("%d:%s", first+uint64(i), r))
+		}
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +142,54 @@ func TestWALSegmentSizeRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 3 {
-		t.Fatalf("expected >=3 segments, got %v", segs)
+	var sizes []int64
+	for _, b := range segs {
+		st, err := os.Stat(segPath(dir, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, st.Size())
 	}
-	got, _ := replayAll(t, fsys, dir, 0)
-	if len(got) != 3 {
-		t.Fatalf("replay across segments got %v", got)
+	if fmt.Sprint(segs, sizes) != "[0 1 4 5 6] [12 40 68 9 48]" {
+		t.Fatalf("segment bases %v, sizes %v; want [0 1 4 5 6] [12 40 68 9 48]", segs, sizes)
+	}
+	got, stats := replayAll(t, fsys, dir, 0)
+	if fmt.Sprint(got) != fmt.Sprint(want) || stats.Torn {
+		t.Fatalf("replay across segments got %v, want %v (stats %+v)", got, want, stats)
+	}
+}
+
+// TestWALMaxRecordRoundTrip: a MaxRecord payload (a shipped handoff
+// state at its bound) is larger than the segment size here, so it is
+// appended alone into a segment mapped to its size and replays whole.
+func TestWALMaxRecordRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	fsys := faultfs.OS()
+	w, err := OpenWAL(fsys, dir, 0, 1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, MaxRecord)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	appendAll(t, w, []byte("x"), big, []byte("y"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	stats, err := ReplayWAL(fsys, dir, 0, func(seq uint64, payload []byte) error {
+		if want := [][]byte{[]byte("x"), big, []byte("y")}[seq]; !bytes.Equal(payload, want) {
+			t.Fatalf("record %d: %d bytes, not the %d appended", seq, len(payload), len(want))
+		}
+		n++
+		return nil
+	})
+	if err != nil || n != 3 || stats.Torn {
+		t.Fatalf("replayed %d records, stats %+v, err %v", n, stats, err)
+	}
+	if st, err := os.Stat(segPath(dir, 1)); err != nil || st.Size() != walHeaderLen+MaxRecord {
+		t.Fatalf("the big record's segment: %v %v, want %d bytes", st, err, walHeaderLen+MaxRecord)
 	}
 }
 
@@ -236,7 +300,7 @@ func TestRecordCodecs(t *testing.T) {
 	}
 }
 
-// TestWALAppendBatch: a batch is one write of contiguous records — the
+// TestWALAppendBatch: a batch is one commit of contiguous records — the
 // bytes on disk are exactly what appending them one at a time leaves —
 // and the fsync cadence counts the batch's records, not the call.
 func TestWALAppendBatch(t *testing.T) {
@@ -254,9 +318,9 @@ func TestWALAppendBatch(t *testing.T) {
 			if err != nil || first != 7 {
 				t.Fatalf("AppendBatch: first seq %d, err %v", first, err)
 			}
-			// One write plus the fsync the third record makes due.
+			// One commit plus the fsync the third record makes due.
 			if got := fault.Mutations() - before; got != 2 {
-				t.Fatalf("batch of 3 at syncEvery 3 made %d mutations, want 2 (write + sync)", got)
+				t.Fatalf("batch of 3 at syncEvery 3 made %d mutations, want 2 (commit + sync)", got)
 			}
 		} else {
 			appendAll(t, w, recs...)
@@ -294,7 +358,7 @@ func TestWALAppendBatch(t *testing.T) {
 	}
 }
 
-// TestWALAppendBatchTornTail: a crash inside a batch's one write leaves
+// TestWALAppendBatchTornTail: a crash inside a batch's one commit leaves
 // whole records followed by a torn one. Replay delivers the whole
 // prefix, drops only the torn record, and the WAL refuses further
 // appends rather than write behind the tear.
@@ -337,16 +401,24 @@ func TestWALAppendBatchTornTail(t *testing.T) {
 					t.Fatalf("record %d replayed as %q, want %q", i+1, got[i+1], want)
 				}
 			}
-			// A tear exactly on a record boundary is indistinguishable from
-			// a clean end: nothing to repair.
-			if wantTorn := tc.name != "on a record boundary"; stats.Torn != wantTorn {
-				t.Fatalf("Torn %v, want %v", stats.Torn, wantTorn)
+			// A tear inside a record is always torn. One exactly on a record
+			// boundary is told from a clean end only by the zero tail of a
+			// mapped segment; either way the repair leaves the whole records.
+			if tc.name != "on a record boundary" && !stats.Torn {
+				t.Fatal("torn tail not reported")
 			}
 			if stats.NextSeq != uint64(1+tc.want) {
 				t.Fatalf("NextSeq %d want %d", stats.NextSeq, 1+tc.want)
 			}
 			if err := RepairTail(base, dir, stats); err != nil {
 				t.Fatal(err)
+			}
+			valid := walHeaderLen + len("before")
+			for i := 0; i < tc.want; i++ {
+				valid += frame(i)
+			}
+			if st, err := os.Stat(segPath(dir, 0)); err != nil || st.Size() != int64(valid) {
+				t.Fatalf("repaired segment: %v %v, want %d bytes", st, err, valid)
 			}
 			w2, err := OpenWAL(base, dir, stats.NextSeq, 1, 0)
 			if err != nil {
@@ -431,7 +503,7 @@ func TestEventRecordWire(t *testing.T) {
 }
 
 // BenchmarkWALAppendEvent is one event record framed in place in the
-// WAL's own buffer and written through, fsync out of reach: what an
+// WAL's own buffer and copied into the mapped segment, fsync out of reach: what an
 // admitted event pays a state dir. 0 allocs/op.
 func BenchmarkWALAppendEvent(b *testing.B) {
 	w, err := OpenWAL(faultfs.OS(), b.TempDir(), 0, 1<<30, 0)

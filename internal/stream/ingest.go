@@ -29,9 +29,9 @@ const maxLineBytes = 1 << 20
 // errors returned are ErrClosed and reader failures.
 //
 // The complete lines one read of r delivered are admitted by one
-// IngestBatch — with a state dir, one WAL write — before r is asked for
+// IngestBatch — with a state dir, one WAL commit — before r is asked for
 // more (DESIGN §10): the buffer is the bound, nothing waits on a timer,
-// and a source that trickles a line per read gets a write per line.
+// and a source that trickles a line per read gets a commit per line.
 func (s *Streamer) IngestReader(r io.Reader) error {
 	_, err := s.ingestReader(r)
 	return err

@@ -175,9 +175,9 @@ type Metrics struct {
 	// WALErrors counts write-ahead-log appends that failed (the event was
 	// still processed in memory).
 	WALErrors atomic.Int64
-	// WALBatchAppends counts the event writes the WAL took, one per
-	// admitted ingest batch (a refused or failed one is in WALErrors
-	// only): journaled events / WALBatchAppends is the records a write
+	// WALBatchAppends counts the event appends the WAL committed, one
+	// per admitted ingest batch (a refused or failed one is in WALErrors
+	// only): journaled events / WALBatchAppends is the records a commit
 	// carries.
 	WALBatchAppends atomic.Int64
 	// ReplayedEvents counts events re-fed from the WAL tail during boot

@@ -85,11 +85,11 @@ func alertRecordOf(a Alert) persist.AlertRecord {
 }
 
 // appendEvents makes the n admitted events of a batch durable with one
-// WAL write, each framed where the WAL writes it from: an event that
+// WAL commit, each framed in the buffer the WAL copies from: an event that
 // arrived with its record is journaled as those bytes, the rest are
 // encoded in place. Failure degrades to in-memory operation for this
 // batch and is counted — the stream keeps alerting even with a dead
-// disk — so WALBatchAppends counts only writes that happened.
+// disk — so WALBatchAppends counts only commits that happened.
 func (p *persister) appendEvents(s *Streamer, batch []Admission, n int) {
 	next := 0
 	_, err := p.wal.AppendFunc(n, func(_ int, dst []byte) []byte {

@@ -31,7 +31,7 @@ func readerText(t testing.TB, nodes int, hours float64, failures int, seed int64
 
 // chunkSource hands text out chunk bytes a Read, cutting lines wherever
 // the chunk ends, and plays the process's death for the streamer reading
-// it: killed inside its killAt-th Read, or inside the WAL write that
+// it: killed inside its killAt-th Read, or inside the WAL commit that
 // follows its tearAt-th.
 type chunkSource struct {
 	text  string
@@ -80,7 +80,7 @@ func (r *chunkSource) Read(p []byte) (int, error) {
 // resume is where a line-oriented source picks up after the death: the
 // start of the line holding the first byte the dead process was not
 // done with. Killed inside a Read, it had asked past everything handed
-// out, so that byte is off; dead inside the write that followed a Read,
+// out, so that byte is off; dead inside the commit that followed a Read,
 // it never asked past that Read's bytes, so it is start.
 func (r *chunkSource) resume() int {
 	at := r.off
@@ -102,15 +102,17 @@ func settle(s *Streamer) {
 	}
 }
 
-// dyingFS is a Fault whose crashing write takes the process with it:
-// the shards stop where they stand the instant the write fails, as they
-// would had the kernel killed the process inside write(2), instead of
-// serving on from memory behind a dead disk.
+// dyingFS is a Fault whose crashing WAL commit takes the process with
+// it: the shards stop where they stand the instant the commit fails, as
+// they would had the kernel killed the process inside the copy into the
+// segment, instead of serving on from memory behind a dead disk.
 type dyingFS struct {
 	*faultfs.Fault
 	s *Streamer
-	// Of the crashing write: bytes offered, whole records landed, bytes
-	// of the torn record landed behind them.
+	// torn is the Fault's TornWriteBytes. Of the crashing commit: bytes
+	// offered, whole records landed, bytes of the torn record landed
+	// behind them.
+	torn                    int
 	offered, whole, partial int
 }
 
@@ -119,25 +121,39 @@ func (d *dyingFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.Fil
 	if err != nil {
 		return nil, err
 	}
-	return dyingFile{File: f, fs: d}, nil
+	return &dyingFile{File: f, fs: d}, nil
 }
 
 type dyingFile struct {
 	faultfs.File
-	fs *dyingFS
+	fs     *dyingFS
+	frames []byte // what the last Reserve handed out
 }
 
-func (f dyingFile) Write(p []byte) (int, error) {
-	n, err := f.File.Write(p)
+func (f *dyingFile) Reserve(off, n int) ([]byte, error) {
+	b, err := f.File.Reserve(off, n)
+	f.frames = b
+	return b, err
+}
+
+func (f *dyingFile) Commit(off, n int) error {
+	err := f.File.Commit(off, n)
 	if d := f.fs; errors.Is(err, faultfs.ErrCrashed) && d.offered == 0 {
 		d.s.crashed.Store(true)
-		d.offered, d.partial = len(p), n
-		for d.partial >= 8 && d.partial >= 8+int(binary.LittleEndian.Uint32(p[n-d.partial:])) {
-			d.partial -= 8 + int(binary.LittleEndian.Uint32(p[n-d.partial:]))
+		// The crash zeroed the frames past the landed prefix; the headers
+		// inside it are intact.
+		landed := d.torn
+		if landed >= n {
+			landed = 0
+		}
+		p := f.frames
+		d.offered, d.partial = n, landed
+		for d.partial >= 8 && d.partial >= 8+int(binary.LittleEndian.Uint32(p[landed-d.partial:])) {
+			d.partial -= 8 + int(binary.LittleEndian.Uint32(p[landed-d.partial:]))
 			d.whole++
 		}
 	}
-	return n, err
+	return err
 }
 
 // TestReaderBatchCrashEquivalence: a log read through IngestReader in
@@ -200,7 +216,7 @@ func TestReaderBatchCrashEquivalence(t *testing.T) {
 		fsys, dying := faultfs.OS(), &dyingFS{}
 		if src.tearAt > 0 {
 			src.fault = faultfs.NewFault(fsys)
-			dying.Fault, fsys = src.fault, dying
+			dying.Fault, dying.torn, fsys = src.fault, src.tornBytes, dying
 		}
 		s, err := New(freshPipeline(t), opts(WithStateDir(dir), withFS(fsys))...)
 		if err != nil {
@@ -250,9 +266,9 @@ func TestReaderBatchCrashEquivalence(t *testing.T) {
 
 // TestIngestReaderOneWritePerRead: the reader journals once per read of
 // its source that completed at least one admitted line — however many
-// lines that read carried — so a bulk source costs a write per buffer
-// and a source that trickles a line per read still gets a write per
-// line.
+// lines that read carried — so a bulk source costs a WAL commit per
+// buffer and a source that trickles a line per read still gets a commit
+// per line.
 func TestIngestReaderOneWritePerRead(t *testing.T) {
 	text := readerText(t, 12, 12, 8, 162)
 	lab := freshPipeline(t).Labeler()
@@ -431,7 +447,7 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 // op is one line through IngestReader into a WAL that never fsyncs,
 // alerts discarded. The log is the benchmark's failstorm corpus
 // (bench/corpus.go) at quarter scale, ~44k lines of which four in five
-// are journaled. walwrites/line is a count and repeats exactly.
+// are journaled. walwrites/line counts WAL commits and repeats exactly.
 func BenchmarkIngestReaderDurable(b *testing.B) {
 	profile := logsim.Profiles()[2]
 	profile.NoisePerNodeHour, profile.StrayPerNodeHour = 0.2, 2.5
@@ -466,6 +482,33 @@ func BenchmarkIngestReaderDurable(b *testing.B) {
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "lines/s")
 	b.ReportMetric(float64(writes)/float64(total), "walwrites/line")
+}
+
+// TestWALReserveFailureCounted: a full disk fails the WAL's Reserve, not
+// a write. The stream keeps serving from memory, the failed append and
+// every later one the WAL refuses are wal_errors, and nothing panics.
+func TestWALReserveFailureCounted(t *testing.T) {
+	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 152)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := faultfs.NewFault(faultfs.OS())
+	s, err := New(freshPipeline(t), WithShards(1), WithStateDir(t.TempDir()), withFS(fault), WithAlertBuffer(4096), WithSnapshotEvery(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	feedEvents(t, s, events[:len(events)/2])
+	settle(s)
+	taken := s.SnapshotMetrics().WALBatchAppends
+	fault.FailReserve(errors.New("no space left on device"))
+	feedEvents(t, s, events[len(events)/2:])
+	settle(s)
+	checkConservation(t, s)
+	m := s.SnapshotMetrics()
+	if taken == 0 || m.WALBatchAppends != taken || m.WALErrors == 0 {
+		t.Fatalf("full disk: wal_batch_appends %d → %d, wal_errors %d; want the count still and the errors counted", taken, m.WALBatchAppends, m.WALErrors)
+	}
 }
 
 // TestWALBatchAppendsCountsWritesTaken: on a dead disk the stream keeps
