@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race kernel-parity verify bench-smoke fuzz run-deshd
+.PHONY: build test vet race kernel-parity ci-guard verify bench-smoke fuzz run-deshd
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,16 @@ kernel-parity:
 	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/
 	GOARCH=arm64 $(GO) vet ./...
 
+# ci-guard fails if a `go test -run` pattern in the CI workflow or the
+# verify skill selects no test, or if a binary links the equivalence
+# harness (internal/chaos).
+ci-guard:
+	bash scripts/check_ci_tests.sh
+
 # verify is the tier-1 gate: build + full tests, plus vet, the race
-# detector over the concurrent packages and the kernel parity runs.
-verify: build test vet race kernel-parity
+# detector over the concurrent packages, the kernel parity runs and the
+# CI name guard.
+verify: build test vet race kernel-parity ci-guard
 
 # bench-smoke proves the repository's benchmark (bench/, its own
 # module) still builds against the cluster and stream API and that

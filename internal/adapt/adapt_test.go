@@ -2,67 +2,27 @@ package adapt
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"desh/internal/catalog"
+	"desh/internal/chaos/fixture"
 	"desh/internal/core"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 	"desh/internal/stream"
 )
 
-var (
-	baseOnce   sync.Once
-	basePipe   *core.Pipeline
-	baseEvents []logparse.Event
-	baseErr    error
-)
+// model is the package's own spec, kept deliberately small: the E2E retrains
+// it several times under -race.
+var model = &fixture.Spec{Corpus: fixture.Config(6, 5, 6, 201), Epochs2: 120}
 
-// trainedBase trains one small pipeline shared by the package's tests
-// (the corpus is kept deliberately small: the E2E retrains it several
-// times under -race).
+// trainedBase is the package's model and the events it trained on.
 func trainedBase(t testing.TB) (*core.Pipeline, []logparse.Event) {
-	t.Helper()
-	baseOnce.Do(func() {
-		cfg := core.DefaultConfig()
-		cfg.Epochs1 = 0
-		cfg.Epochs2 = 120
-		p, err := core.New(cfg)
-		if err != nil {
-			baseErr = err
-			return
-		}
-		run, err := logsim.Generate(logsim.Config{
-			Profile: logsim.Profiles()[2], Nodes: 6, Hours: 5, Failures: 6, Seed: 201,
-		})
-		if err != nil {
-			baseErr = err
-			return
-		}
-		events := make([]logparse.Event, len(run.Events))
-		for i, ge := range run.Events {
-			ev, err := logparse.ParseLine(ge.Line())
-			if err != nil {
-				baseErr = err
-				return
-			}
-			events[i] = ev
-		}
-		if _, err := p.Train(events); err != nil {
-			baseErr = err
-			return
-		}
-		basePipe, baseEvents = p, events
-	})
-	if baseErr != nil {
-		t.Fatal(baseErr)
-	}
-	return basePipe, baseEvents
+	return fixture.Model(t, model), fixture.Corpus(t, model.Corpus).Events
 }
 
 // driftEvents rewrites every non-terminal chain phrase to an unseen
@@ -81,23 +41,6 @@ func driftEvents(p *core.Pipeline, events []logparse.Event) []logparse.Event {
 		out[i] = ev
 	}
 	return out
-}
-
-func alertKey(a stream.Alert) string {
-	return fmt.Sprintf("%s|%d|%016x|%016x|%v",
-		a.Node, a.FlaggedAt.UnixNano(), math.Float64bits(a.LeadSeconds), math.Float64bits(a.MSE), a.Provisional)
-}
-
-func collect(s *stream.Streamer) func() []stream.Alert {
-	done := make(chan []stream.Alert, 1)
-	go func() {
-		var alerts []stream.Alert
-		for a := range s.Alerts() {
-			alerts = append(alerts, a)
-		}
-		done <- alerts
-	}()
-	return func() []stream.Alert { return <-done }
 }
 
 // TestContinuousLearningEndToEnd drives the whole loop under live
@@ -121,7 +64,7 @@ func TestContinuousLearningEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait := collect(s)
+	wait := fixture.Collect(s.Alerts())
 
 	// The candidate trains with a trimmed epoch budget: the E2E cares
 	// about the swap machinery, not squeezing out lead-time precision,
@@ -216,13 +159,13 @@ func TestContinuousLearningEndToEnd(t *testing.T) {
 	if d := s.Metrics().AlertsDropped.Load(); d != 0 {
 		t.Fatalf("dropped %d alerts", d)
 	}
-	got := map[string]int{}
+	var phaseD []stream.Alert
 	for _, a := range wait() {
-		if len(a.Node) > 2 && a.Node[len(a.Node)-2:] == "-d" {
-			got[alertKey(a)]++
+		if strings.HasSuffix(a.Node, "-d") {
+			phaseD = append(phaseD, a)
 		}
 	}
-	if len(got) == 0 {
+	if len(phaseD) == 0 {
 		t.Fatal("phase D fired no alerts; drifted stream too quiet to pin equivalence")
 	}
 
@@ -241,7 +184,7 @@ func TestContinuousLearningEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRef := collect(ref)
+	waitRef := fixture.Collect(ref.Alerts())
 	for _, ev := range drifted {
 		ev.Node += "-d"
 		if err := ref.IngestEvent(ev); err != nil {
@@ -251,20 +194,7 @@ func TestContinuousLearningEndToEnd(t *testing.T) {
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{}
-	for _, a := range waitRef() {
-		want[alertKey(a)]++
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: live swapped streamer delivered %d, fresh boot on swapped model %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: live swapped streamer delivered %d, fresh boot on swapped model %d", k, n, want[k])
-		}
-	}
+	fixture.Compare(t, "live swapped streamer vs fresh boot on swapped model", fixture.Multiset(phaseD), fixture.Multiset(waitRef()))
 }
 
 // TestManagerConfigValidation pins the constructor's guard rails.

@@ -1,27 +1,30 @@
-// Package chaos is the fault-injection soak harness for cluster mode.
-// It composes the kill seams the system already exposes — streamer
-// SIGKILL (process death without cleanup), router SIGKILL (a dead
-// coordinator mid-protocol), HTTP 503 outages (a live-but-partitioned
-// instance), and a per-router fault transport (a router partitioned
-// from a subset of its peers) — into reproducible disturbance
-// schedules. The invariant every soak asserts is the repo's north
-// star: the cluster's alert multiset under disturbance equals the
-// undisturbed single-process baseline.
+// Package chaos is the fleet layer of the equivalence harness (DESIGN
+// §10): in-process cluster members and routers under harness control. It
+// composes the kill seams the system already exposes — streamer SIGKILL
+// (process death without cleanup), router SIGKILL (a dead coordinator
+// mid-protocol), HTTP 503 outages (a live-but-partitioned instance), and
+// a per-router fault transport (a router partitioned from a subset of its
+// peers) — into reproducible disturbance schedules. The invariant every
+// fleet scenario asserts is the repo's north star: the cluster's alert
+// multiset under disturbance equals the undisturbed single-process
+// baseline (fixture.Multiset, the one alert identity), and the members'
+// durable ownership partitions the hash circle.
 package chaos
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/cluster"
-	"desh/internal/core"
 	"desh/internal/persist"
 	"desh/internal/stream"
 )
@@ -123,18 +126,14 @@ func (m *Member) Close() ([]stream.Alert, error) {
 // FaultTransport so partitions are per-router, matching real networks.
 type Fleet struct {
 	Dir     string
+	Depth   int // every member's reorder depth
 	Members []*Member
 
-	mu      sync.Mutex
-	routers map[string]*cluster.Router
-	faults  map[string]*FaultTransport
+	mu     sync.Mutex
+	faults map[string]*FaultTransport
 }
 
-// PipelineFactory builds one trained pipeline per member; members
-// must not share one (each mutates its encoder).
-type PipelineFactory func() (*core.Pipeline, error)
-
-// ServingOptions is the stream configuration every soak uses:
+// ServingOptions is the stream configuration every fleet scenario uses:
 // order-independent equivalence (lateness window outlasting the run,
 // reorder depth holding any one node's events) plus durable state.
 func ServingOptions(depth int, dir string) []stream.Option {
@@ -154,41 +153,28 @@ func ServingOptions(depth int, dir string) []stream.Option {
 	return opts
 }
 
-// NewFleet builds the named members under dir, each with its own
-// pipeline, durable state directory, and HTTP listener.
-func NewFleet(dir string, depth int, factory PipelineFactory, names ...string) (*Fleet, error) {
-	f := &Fleet{Dir: dir, routers: make(map[string]*cluster.Router), faults: make(map[string]*FaultTransport)}
+// NewFleet builds the named members under a fresh test directory, each
+// serving its own copy of fixture.Serving from its own state directory
+// and HTTP listener.
+func NewFleet(t testing.TB, depth int, names ...string) *Fleet {
+	t.Helper()
+	f := &Fleet{Dir: t.TempDir(), Depth: depth, faults: make(map[string]*FaultTransport)}
 	for _, name := range names {
-		m, err := f.newMember(name, depth, factory)
-		if err != nil {
-			return nil, err
-		}
-		f.Members = append(f.Members, m)
+		f.AddMember(t, name)
 	}
-	return f, nil
+	return f
 }
 
-func (f *Fleet) newMember(name string, depth int, factory PipelineFactory) (*Member, error) {
-	p, err := factory()
-	if err != nil {
-		return nil, err
-	}
+// AddMember builds one more member. One added after a router booted is
+// in no router's peer set: the joining side of a planned "add" rebalance.
+func (f *Fleet) AddMember(t testing.TB, name string) *Member {
+	t.Helper()
 	dir := filepath.Join(f.Dir, name)
-	s, err := stream.New(p, ServingOptions(depth, dir)...)
+	s, err := stream.New(fixture.Model(t, fixture.Serving), ServingOptions(f.Depth, dir)...)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	m := &Member{Name: name, Dir: dir}
-	done := make(chan []stream.Alert, 1)
-	go func() {
-		var alerts []stream.Alert
-		for a := range s.Alerts() {
-			alerts = append(alerts, a)
-		}
-		done <- alerts
-	}()
-	m.alerts = func() []stream.Alert { return <-done }
-	m.Inst = cluster.NewInstance(name, s, nil)
+	m := &Member{Name: name, Dir: dir, Inst: cluster.NewInstance(name, s, nil), alerts: fixture.Collect(s.Alerts())}
 	inner := m.Inst.Handler()
 	m.Srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if m.down.Load() {
@@ -197,18 +183,8 @@ func (f *Fleet) newMember(name string, depth int, factory PipelineFactory) (*Mem
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	return m, nil
-}
-
-// AddMember builds one more member (not in any router's initial peer
-// set) — the joining side of a planned "add" rebalance.
-func (f *Fleet) AddMember(name string, depth int, factory PipelineFactory) (*Member, error) {
-	m, err := f.newMember(name, depth, factory)
-	if err != nil {
-		return nil, err
-	}
 	f.Members = append(f.Members, m)
-	return m, nil
+	return m
 }
 
 // Peers returns the current members as a router peer list.
@@ -230,15 +206,11 @@ func (f *Fleet) Member(name string) *Member {
 	return nil
 }
 
-// NewRouter starts a replicated router named name against the fleet's
-// current members, with its own FaultTransport and the given lease
-// TTL and chaos hook. Aggressive probe/drain intervals keep soak
-// runtimes short.
-func (f *Fleet) NewRouter(name string, ttl time.Duration, hook func(step string)) (*cluster.Router, error) {
-	ft := NewFaultTransport(nil)
-	r, err := cluster.NewRouter(cluster.RouterConfig{
-		Peers:             f.Peers(),
-		SpillDir:          filepath.Join(f.Dir, "spill-"+name),
+// SoakRouter is the soak routers' configuration: election on under name
+// with the given lease TTL and chaos hook, and probe and drain intervals
+// aggressive enough to keep soak runtimes short.
+func SoakRouter(name string, ttl time.Duration, hook func(step string)) cluster.RouterConfig {
+	return cluster.RouterConfig{
 		HealthInterval:    15 * time.Millisecond,
 		HealthTimeout:     250 * time.Millisecond,
 		FailThreshold:     3,
@@ -247,17 +219,24 @@ func (f *Fleet) NewRouter(name string, ttl time.Duration, hook func(step string)
 		BatchMax:          64,
 		Name:              name,
 		LeaseTTL:          ttl,
-		Transport:         ft,
 		HookRebalanceStep: hook,
-	})
+	}
+}
+
+// NewRouter starts a router on cfg against the fleet's current members,
+// with a spill directory and a FaultTransport of its own.
+func (f *Fleet) NewRouter(t testing.TB, cfg cluster.RouterConfig) *cluster.Router {
+	t.Helper()
+	ft := NewFaultTransport(nil)
+	cfg.Peers, cfg.SpillDir, cfg.Transport = f.Peers(), filepath.Join(f.Dir, "spill-"+cfg.Name), ft
+	r, err := cluster.NewRouter(cfg)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	f.mu.Lock()
-	f.routers[name] = r
-	f.faults[name] = ft
+	f.faults[cfg.Name] = ft
 	f.mu.Unlock()
-	return r, nil
+	return r
 }
 
 // Fault returns the named router's fault transport.
@@ -267,50 +246,78 @@ func (f *Fleet) Fault(router string) *FaultTransport {
 	return f.faults[router]
 }
 
-// AlertMultiset keys alerts by their ledger identity — the same
-// dedup key the persistence layer uses — counting multiplicity.
-func AlertMultiset(alerts []stream.Alert) map[string]int {
-	m := make(map[string]int, len(alerts))
-	for _, a := range alerts {
-		m[persist.AlertRecord{
-			Node:        a.Node,
-			FlaggedNano: a.FlaggedAt.UnixNano(),
-			LeadBits:    math.Float64bits(a.LeadSeconds),
-			MSEBits:     math.Float64bits(a.MSE),
-			Provisional: a.Provisional,
-		}.LedgerKey()]++
+// Feed sends lines through r in order.
+func Feed(t testing.TB, r *cluster.Router, lines []string) {
+	t.Helper()
+	for _, line := range lines {
+		if err := r.IngestLine(line); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return m
 }
 
-// Baseline runs the undisturbed single-process reference: one
-// streamer, every line in order, and returns its alert multiset.
-func Baseline(factory PipelineFactory, lines []string, depth int) (map[string]int, error) {
-	p, err := factory()
-	if err != nil {
-		return nil, err
+// Drain flushes r (every event delivered, spilled ones redelivered) and
+// closes it.
+func Drain(t testing.TB, r *cluster.Router) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := r.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
 	}
-	s, err := stream.New(p, ServingOptions(depth, "")...)
-	if err != nil {
-		return nil, err
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan []stream.Alert, 1)
-	go func() {
-		var alerts []stream.Alert
-		for a := range s.Alerts() {
-			alerts = append(alerts, a)
+}
+
+// Alerts closes every member gracefully (a killed one is already down)
+// and returns every alert the fleet fired.
+func (f *Fleet) Alerts(t testing.TB) []stream.Alert {
+	t.Helper()
+	var all []stream.Alert
+	for _, m := range f.Members {
+		alerts, err := m.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		done <- alerts
-	}()
+		all = append(all, alerts...)
+	}
+	return all
+}
+
+// Corpus is a fleet scenario's serving stream for seed (18 nodes over
+// 12 hours, no node with two events at one instant), the reorder depth
+// that holds any one node whole, and the stream's baseline multiset.
+func Corpus(t testing.TB, seed int64) (lines []string, depth int, want map[string]int) {
+	t.Helper()
+	log := fixture.Corpus(t, fixture.Config(18, 12, 10, seed)).Unique(t)
+	depth = log.MaxPerNode + 16
+	return log.Lines, depth, Baseline(t, log.Lines, depth)
+}
+
+// Baseline runs the undisturbed single-process reference — one
+// streamer, every line in order — and returns its alert multiset. A run
+// too quiet to pin equivalence fails the test.
+func Baseline(t testing.TB, lines []string, depth int) map[string]int {
+	t.Helper()
+	s, err := stream.New(fixture.Model(t, fixture.Serving), ServingOptions(depth, "")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := fixture.Collect(s.Alerts())
 	for _, line := range lines {
 		if err := s.IngestLine(line); err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return AlertMultiset(<-done), nil
+	want := fixture.Multiset(wait())
+	if len(want) < 3 {
+		t.Fatalf("baseline fired only %d distinct alerts; run too quiet to pin equivalence", len(want))
+	}
+	return want
 }
 
 // OwnershipPartition verifies that the live members' durable
@@ -338,4 +345,38 @@ func OwnershipPartition(members []*Member) (uint64, error) {
 		}
 	}
 	return newest, nil
+}
+
+// WaitPartition polls OwnershipPartition until the members' durable
+// ownership settles into a clean partition: a view installs on the
+// router before the per-member ownership pushes land, so a one-shot
+// check right after a view change can observe the gap.
+func WaitPartition(t testing.TB, label string, members []*Member) {
+	t.Helper()
+	var last error
+	defer func() {
+		if last != nil {
+			t.Logf("%s: %v", label, last)
+		}
+	}()
+	fixture.WaitFor(t, 15*time.Second, label+": ownership to partition the hash circle", func() bool {
+		_, last = OwnershipPartition(members)
+		return last == nil
+	})
+}
+
+// WaitConverged blocks until the coordinator's first convergence pass
+// has landed ownership on every member: with election enabled no
+// ownership is pushed at router boot, so feeding before this point would
+// hit standalone (accept-everything) instances.
+func (f *Fleet) WaitConverged(t testing.TB) {
+	t.Helper()
+	fixture.WaitFor(t, 15*time.Second, "fleet ownership convergence", func() bool {
+		for _, m := range f.Members {
+			if e, _ := m.Inst.Ownership(); e == 0 {
+				return false
+			}
+		}
+		return true
+	})
 }

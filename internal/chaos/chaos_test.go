@@ -1,327 +1,93 @@
 package chaos
 
 import (
-	"bytes"
-	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/cluster"
-	"desh/internal/core"
-	"desh/internal/logparse"
-	"desh/internal/logsim"
 	"desh/internal/persist"
-	"desh/internal/stream"
 )
 
-var (
-	modelOnce  sync.Once
-	modelBytes []byte
-	modelErr   error
-)
-
-// factory returns an independent copy of one shared trained pipeline.
-func factory(t testing.TB) PipelineFactory {
-	t.Helper()
-	modelOnce.Do(func() {
-		cfg := core.DefaultConfig()
-		cfg.Epochs1 = 0
-		cfg.Epochs2 = 150
-		p, err := core.New(cfg)
-		if err != nil {
-			modelErr = err
-			return
-		}
-		run, err := logsim.Generate(logsim.Config{
-			Profile: logsim.Profiles()[2], Nodes: 30, Hours: 48, Failures: 30, Seed: 32,
-		})
-		if err != nil {
-			modelErr = err
-			return
-		}
-		events := make([]logparse.Event, len(run.Events))
-		for i, ge := range run.Events {
-			ev, err := logparse.ParseLine(ge.Line())
-			if err != nil {
-				modelErr = err
-				return
-			}
-			events[i] = ev
-		}
-		if _, err := p.Train(events); err != nil {
-			modelErr = err
-			return
-		}
-		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
-			modelErr = err
-			return
-		}
-		modelBytes = buf.Bytes()
-	})
-	if modelErr != nil {
-		t.Fatal(modelErr)
-	}
-	return func() (*core.Pipeline, error) { return core.Load(bytes.NewReader(modelBytes)) }
-}
-
-// soakLines generates the serving stream and verifies the equivalence
-// precondition: no node has two events at the same microsecond.
-func soakLines(t testing.TB, seed int64) (lines []string, maxPerNode int) {
-	t.Helper()
-	run, err := logsim.Generate(logsim.Config{
-		Profile: logsim.Profiles()[2], Nodes: 18, Hours: 12, Failures: 10, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]int)
-	perNode := make(map[string]int)
-	lines = make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-		k := ge.Node + "|" + fmt.Sprint(ge.Time.UnixNano())
-		seen[k]++
-		if seen[k] > 1 {
-			t.Fatalf("seed %d: node %s has two events at %v; pick another seed", seed, ge.Node, ge.Time)
-		}
-		perNode[ge.Node]++
-		if perNode[ge.Node] > maxPerNode {
-			maxPerNode = perNode[ge.Node]
-		}
-	}
-	return lines, maxPerNode
-}
-
-func baseline(t *testing.T, lines []string, depth int) map[string]int {
-	t.Helper()
-	want, err := Baseline(factory(t), lines, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) < 3 {
-		t.Fatalf("baseline fired only %d distinct alerts; run too quiet to pin equivalence", len(want))
-	}
-	return want
-}
-
-func compareMultisets(t *testing.T, label string, got, want map[string]int) {
-	t.Helper()
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("alert %s: %s delivered %d, baseline %d", k, label, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Errorf("spurious alert %s: %s delivered %d, baseline %d", k, label, n, want[k])
-		}
-	}
-}
-
-func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// waitConverged blocks until the coordinator's first convergence pass
-// has landed ownership on every member — with election enabled no
-// ownership is pushed at router boot, so feeding before this point
-// would hit standalone (accept-everything) instances.
-func waitConverged(t testing.TB, f *Fleet, members ...*Member) {
-	t.Helper()
-	waitFor(t, 15*time.Second, "fleet ownership convergence", func() bool {
-		for _, m := range members {
-			if e, _ := m.Inst.Ownership(); e == 0 {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// waitPartition polls OwnershipPartition until the members' durable
-// ownership settles into a clean partition — the view installs on the
-// router before the per-member ownership pushes land, so a one-shot
-// check right after a view change can observe the gap.
-func waitPartition(t *testing.T, label string, members []*Member) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		epoch, err := OwnershipPartition(members)
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s (epoch %d): %v", label, epoch, err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func closeAndGather(t *testing.T, f *Fleet) []stream.Alert {
-	t.Helper()
-	var got []stream.Alert
-	for _, m := range f.Members {
-		alerts, err := m.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, alerts...)
-	}
-	return got
-}
-
-// TestCoordinatorFailoverEquivalence is the acceptance test of the
-// PR: two replicated routers front three instances; the coordinator
-// router starts a planned drain and is SIGKILLed at a protocol step
-// boundary. The surviving router must win the election within the
-// lease TTL, finish (or abort) the interrupted handoff from journaled
-// state — never two owners, never zero — and the cluster's alert
-// multiset must equal the undisturbed single-process baseline.
+// TestCoordinatorFailoverEquivalence: two replicated routers front
+// three instances; the coordinator router starts a planned drain and is
+// SIGKILLed at a protocol step boundary. The surviving router must win
+// the election within the lease TTL, finish (or abort) the interrupted
+// handoff from journaled state — never two owners, never zero — and the
+// cluster's alert multiset must equal the undisturbed single-process
+// baseline.
 func TestCoordinatorFailoverEquivalence(t *testing.T) {
-	lines, maxPerNode := soakLines(t, 221)
-	depth := maxPerNode + 16
-	want := baseline(t, lines, depth)
-
-	f, err := NewFleet(t.TempDir(), depth, factory(t), "i0", "i1", "i2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	lines, depth, want := Corpus(t, 221)
+	f := NewFleet(t, depth, "i0", "i1", "i2")
 	// r0 sorts first, so it wins the election; the kill hook fires at
 	// the first drain step boundary after the draining intent is
 	// journaled fleet-wide.
 	var r0 *cluster.Router
 	var killed atomic.Bool
-	hook := func(step string) {
+	r0 = f.NewRouter(t, SoakRouter("r0", 200*time.Millisecond, func(step string) {
 		if step == "drain-handoff" && killed.CompareAndSwap(false, true) {
 			r0.Kill()
 		}
-	}
-	r0, err = f.NewRouter("r0", 200*time.Millisecond, hook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := f.NewRouter("r1", 200*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "r0 to win the election", func() bool {
+	}))
+	r1 := f.NewRouter(t, SoakRouter("r1", 200*time.Millisecond, nil))
+	fixture.WaitFor(t, 15*time.Second, "r0 to win the election", func() bool {
 		return r0.IsCoordinator() && !r1.IsCoordinator()
 	})
-	waitConverged(t, f, f.Members...)
+	f.WaitConverged(t)
 
 	// All traffic flows through the SURVIVING router: a killed router's
 	// spill WAL is stranded until restart, exactly like a dead process's
 	// disk, and this run must lose nothing.
 	cut := 2 * len(lines) / 5
-	for _, line := range lines[:cut] {
-		if err := r1.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
+	Feed(t, r1, lines[:cut])
 	if err := r0.StartRebalance(cluster.RebalanceRequest{Action: "drain", Name: "i1"}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "the coordinator to die mid-rebalance", killed.Load)
-	for _, line := range lines[cut:] {
-		if err := r1.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 20*time.Second, "r1 to take over the coordinatorship", r1.IsCoordinator)
-	waitFor(t, 30*time.Second, "r1 to finish the inherited drain", func() bool {
-		v := r1.View()
-		_, still := v.Member("i1")
+	fixture.WaitFor(t, 15*time.Second, "the coordinator to die mid-rebalance", killed.Load)
+	Feed(t, r1, lines[cut:])
+	fixture.WaitFor(t, 20*time.Second, "r1 to take over the coordinatorship", r1.IsCoordinator)
+	fixture.WaitFor(t, 30*time.Second, "r1 to finish the inherited drain", func() bool {
+		_, still := r1.View().Member("i1")
 		return !still
 	})
-	waitPartition(t, "after failover", f.Members)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := r1.Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if err := r1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	compareMultisets(t, "coordinator-failover cluster", AlertMultiset(closeAndGather(t, f)), want)
+	WaitPartition(t, "after failover", f.Members)
+	Drain(t, r1)
+	fixture.Compare(t, "coordinator-failover cluster", fixture.Multiset(f.Alerts(t)), want)
 }
 
 // TestPlannedRebalanceEquivalence: growing the ring with a live
 // member mid-stream and then draining another out — both through the
 // administrative protocol — must not change a single alert.
 func TestPlannedRebalanceEquivalence(t *testing.T) {
-	lines, maxPerNode := soakLines(t, 222)
-	depth := maxPerNode + 16
-	want := baseline(t, lines, depth)
-
-	f, err := NewFleet(t.TempDir(), depth, factory(t), "i0", "i1", "i2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := f.NewRouter("r0", 200*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "election", r.IsCoordinator)
-	waitConverged(t, f, f.Members...)
-	waitRebalance := func(action string) {
+	lines, depth, want := Corpus(t, 222)
+	f := NewFleet(t, depth, "i0", "i1", "i2")
+	r := f.NewRouter(t, SoakRouter("r0", 200*time.Millisecond, nil))
+	fixture.WaitFor(t, 15*time.Second, "election", r.IsCoordinator)
+	f.WaitConverged(t)
+	rebalance := func(req cluster.RebalanceRequest) {
 		t.Helper()
-		waitFor(t, 30*time.Second, action+" to finish", func() bool {
+		if err := r.StartRebalance(req); err != nil {
+			t.Fatal(err)
+		}
+		fixture.WaitFor(t, 30*time.Second, req.Action+" to finish", func() bool {
 			return !r.RebalanceStatus().Active
 		})
 		if st := r.RebalanceStatus(); st.Error != "" {
-			t.Fatalf("%s failed at step %q: %s", action, st.Step, st.Error)
+			t.Fatalf("%s failed at step %q: %s", req.Action, st.Step, st.Error)
 		}
 	}
 
 	third := len(lines) / 3
-	for _, line := range lines[:third] {
-		if err := r.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i3, err := f.AddMember("i3", depth, factory(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "add", Name: "i3", URL: i3.Srv.URL, Dir: i3.Dir}); err != nil {
-		t.Fatal(err)
-	}
-	waitRebalance("add")
-	for _, line := range lines[third : 2*third] {
-		if err := r.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "drain", Name: "i0"}); err != nil {
-		t.Fatal(err)
-	}
-	waitRebalance("drain")
-	for _, line := range lines[2*third:] {
-		if err := r.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitPartition(t, "after rebalances", f.Members)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := r.Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	compareMultisets(t, "planned-rebalance cluster", AlertMultiset(closeAndGather(t, f)), want)
+	Feed(t, r, lines[:third])
+	i3 := f.AddMember(t, "i3")
+	rebalance(cluster.RebalanceRequest{Action: "add", Name: "i3", URL: i3.Srv.URL, Dir: i3.Dir})
+	Feed(t, r, lines[third:2*third])
+	rebalance(cluster.RebalanceRequest{Action: "drain", Name: "i0"})
+	Feed(t, r, lines[2*third:])
+	WaitPartition(t, "after rebalances", f.Members)
+	Drain(t, r)
+	fixture.Compare(t, "planned-rebalance cluster", fixture.Multiset(f.Alerts(t)), want)
 }
 
 // TestChaosSoakEquivalence composes the disturbances: a router
@@ -330,79 +96,44 @@ func TestPlannedRebalanceEquivalence(t *testing.T) {
 // the survivors) — all while a second router holds the
 // coordinatorship. The alert multiset must still match the baseline.
 func TestChaosSoakEquivalence(t *testing.T) {
-	lines, maxPerNode := soakLines(t, 223)
-	depth := maxPerNode + 16
-	want := baseline(t, lines, depth)
-
-	f, err := NewFleet(t.TempDir(), depth, factory(t), "i0", "i1", "i2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0, err := f.NewRouter("r0", 200*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := f.NewRouter("r1", 200*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "r0 to win the election", func() bool {
+	lines, depth, want := Corpus(t, 223)
+	f := NewFleet(t, depth, "i0", "i1", "i2")
+	r0 := f.NewRouter(t, SoakRouter("r0", 200*time.Millisecond, nil))
+	r1 := f.NewRouter(t, SoakRouter("r1", 200*time.Millisecond, nil))
+	fixture.WaitFor(t, 15*time.Second, "r0 to win the election", func() bool {
 		return r0.IsCoordinator() && !r1.IsCoordinator()
 	})
-	waitConverged(t, f, f.Members...)
+	f.WaitConverged(t)
 
 	quarter := len(lines) / 4
-	for _, line := range lines[:quarter] {
-		if err := r1.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
+	Feed(t, r1, lines[:quarter])
 	// Partition r1 (the ingest path) from i2: its lines spill locally
 	// and must redeliver once the partition heals. The coordinator
 	// still reaches i2, so the view does not change.
 	i2 := f.Member("i2")
 	f.Fault("r1").Block(i2.Srv.URL)
-	for _, line := range lines[quarter : 2*quarter] {
-		if err := r1.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
+	Feed(t, r1, lines[quarter:2*quarter])
 	f.Fault("r1").Unblock(i2.Srv.URL)
-	waitFor(t, 15*time.Second, "the partition to heal", func() bool {
+	fixture.WaitFor(t, 15*time.Second, "the partition to heal", func() bool {
 		m, ok := r0.View().Member("i2")
 		return ok && m.State == persist.StateIn
 	})
-	for _, line := range lines[2*quarter : 3*quarter] {
-		if err := r1.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
+	Feed(t, r1, lines[2*quarter:3*quarter])
 	// SIGKILL i0: the coordinator must eject it and orchestrate the
 	// survivors' takeover from its state directory.
 	f.Member("i0").Kill()
-	waitFor(t, 20*time.Second, "i0 ejection", func() bool {
+	fixture.WaitFor(t, 20*time.Second, "i0 ejection", func() bool {
 		m, ok := r0.View().Member("i0")
 		return ok && m.State == persist.StateEjected
 	})
-	for _, line := range lines[3*quarter:] {
-		if err := r1.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := r1.Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
+	Feed(t, r1, lines[3*quarter:])
+	Drain(t, r1)
 	if m := r1.Metrics(); m.ForwardErrors > 0 && m.Spilled == 0 {
 		t.Fatalf("forward errors without spill: %+v", m)
-	}
-	if err := r1.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if err := r0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitPartition(t, "after soak", []*Member{f.Member("i1"), f.Member("i2")})
-	compareMultisets(t, "chaos-soak cluster", AlertMultiset(closeAndGather(t, f)), want)
+	WaitPartition(t, "after soak", []*Member{f.Member("i1"), i2})
+	fixture.Compare(t, "chaos-soak cluster", fixture.Multiset(f.Alerts(t)), want)
 }

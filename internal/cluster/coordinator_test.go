@@ -1,69 +1,28 @@
-package cluster
+package cluster_test
 
 import (
 	"strings"
 	"testing"
 	"time"
 
-	"desh/internal/persist"
+	"desh/internal/chaos"
+	"desh/internal/chaos/fixture"
+	"desh/internal/cluster"
 )
 
-func electCfg(name string, peers []Peer, spill string) RouterConfig {
-	cfg := fastRouterConfig(peers, spill)
-	cfg.Name = name
-	cfg.LeaseTTL = 300 * time.Millisecond
-	cfg.ElectionInterval = 30 * time.Millisecond
+func electCfg(name string) cluster.RouterConfig {
+	cfg := fastConfig()
+	cfg.Name, cfg.LeaseTTL, cfg.ElectionInterval = name, 300*time.Millisecond, 30*time.Millisecond
 	return cfg
-}
-
-// assertOwnershipPartition checks that the instances' durable
-// ownership at the cluster's newest epoch is a partition of the hash
-// circle: every sampled point owned by exactly one instance.
-func assertOwnershipPartition(t *testing.T, label string, instances []*testInstance) {
-	t.Helper()
-	newest := uint64(0)
-	for _, ti := range instances {
-		if e, _ := ti.inst.Ownership(); e > newest {
-			newest = e
-		}
-	}
-	for probe := 0; probe < 4096; probe++ {
-		h := uint32(probe) * 1048573 // spread samples over the circle
-		owners := 0
-		for _, ti := range instances {
-			e, ranges := ti.inst.Ownership()
-			if e == newest && persist.RangesContain(ranges, h) {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Fatalf("%s: hash %d has %d owners at epoch %d (want exactly 1)", label, h, owners, newest)
-		}
-	}
 }
 
 // TestCoordinatorElectionLowestWins: with two routers polling the same
 // fleet, the lexically-lowest becomes the single coordinator; when it
 // shuts down gracefully (lease release), the survivor takes over.
 func TestCoordinatorElectionLowestWins(t *testing.T) {
-	shared := t.TempDir()
-	names := []string{"i0", "i1", "i2"}
-	instances := make([]*testInstance, len(names))
-	peers := make([]Peer, len(names))
-	for i, name := range names {
-		dir := shared + "/" + name
-		instances[i] = newTestInstance(t, name, dir, 64)
-		peers[i] = Peer{Name: name, URL: instances[i].srv.URL, Dir: dir}
-	}
-	r0, err := NewRouter(electCfg("r0", peers, shared+"/spill0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := NewRouter(electCfg("r1", peers, shared+"/spill1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "r0 to win the election", func() bool {
+	f := chaos.NewFleet(t, 64, "i0", "i1", "i2")
+	r0, r1 := f.NewRouter(t, electCfg("r0")), f.NewRouter(t, electCfg("r1"))
+	fixture.WaitFor(t, 15*time.Second, "r0 to win the election", func() bool {
 		return r0.IsCoordinator() && !r1.IsCoordinator()
 	})
 	if got := r1.Metrics(); got.Coordinator {
@@ -74,39 +33,22 @@ func TestCoordinatorElectionLowestWins(t *testing.T) {
 	if err := r0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "r1 to take over", func() bool {
-		return r1.IsCoordinator()
-	})
+	fixture.WaitFor(t, 15*time.Second, "r1 to take over", r1.IsCoordinator)
 	if err := r1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ti := range instances {
-		if err := ti.inst.Streamer().Close(); err != nil {
-			t.Fatal(err)
-		}
-		ti.wait()
-		ti.srv.Close()
-	}
+	f.Alerts(t)
 }
 
 // TestRebalanceRequiresCoordinator: an administrative rebalance posted
 // to a non-coordinator router is refused.
 func TestRebalanceRequiresCoordinator(t *testing.T) {
-	shared := t.TempDir()
-	ti := newTestInstance(t, "i0", shared+"/i0", 64)
-	peers := []Peer{{Name: "i0", URL: ti.srv.URL, Dir: shared + "/i0"}}
-	r0, err := NewRouter(electCfg("r0", peers, shared+"/spill0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := NewRouter(electCfg("r1", peers, shared+"/spill1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "r0 to win the election", func() bool {
+	f := chaos.NewFleet(t, 64, "i0")
+	r0, r1 := f.NewRouter(t, electCfg("r0")), f.NewRouter(t, electCfg("r1"))
+	fixture.WaitFor(t, 15*time.Second, "r0 to win the election", func() bool {
 		return r0.IsCoordinator() && !r1.IsCoordinator()
 	})
-	err = r1.StartRebalance(RebalanceRequest{Action: "drain", Name: "i0"})
+	err := r1.StartRebalance(cluster.RebalanceRequest{Action: "drain", Name: "i0"})
 	if err == nil || !strings.Contains(err.Error(), "not the coordinator") {
 		t.Fatalf("non-coordinator rebalance: got %v, want a not-the-coordinator refusal", err)
 	}
@@ -116,11 +58,7 @@ func TestRebalanceRequiresCoordinator(t *testing.T) {
 	if err := r0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ti.inst.Streamer().Close(); err != nil {
-		t.Fatal(err)
-	}
-	ti.wait()
-	ti.srv.Close()
+	f.Alerts(t)
 }
 
 // TestRebalanceAddThenDrain drives the planned membership protocol
@@ -128,38 +66,25 @@ func TestRebalanceRequiresCoordinator(t *testing.T) {
 // drain another out gracefully. After each step the fleet's durable
 // ownership must partition the hash circle at the new epoch.
 func TestRebalanceAddThenDrain(t *testing.T) {
-	shared := t.TempDir()
-	names := []string{"i0", "i1"}
-	instances := make([]*testInstance, 0, 3)
-	peers := make([]Peer, len(names))
-	for i, name := range names {
-		dir := shared + "/" + name
-		ti := newTestInstance(t, name, dir, 64)
-		instances = append(instances, ti)
-		peers[i] = Peer{Name: name, URL: ti.srv.URL, Dir: dir}
-	}
-	r, err := NewRouter(fastRouterConfig(peers, shared+"/spill"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRebalance := func(action string) RebalanceStatus {
+	f := chaos.NewFleet(t, 64, "i0", "i1")
+	r := f.NewRouter(t, fastConfig())
+	waitRebalance := func(action string) {
 		t.Helper()
-		var st RebalanceStatus
-		waitFor(t, 15*time.Second, action+" to finish", func() bool {
-			st = r.RebalanceStatus()
-			return !st.Active
-		})
-		if st.Error != "" {
+		fixture.WaitFor(t, 15*time.Second, action+" to finish", func() bool { return !r.RebalanceStatus().Active })
+		if st := r.RebalanceStatus(); st.Error != "" {
 			t.Fatalf("%s failed at step %q: %s", action, st.Step, st.Error)
 		}
-		return st
+	}
+	partition := func(label string, members []*chaos.Member) {
+		t.Helper()
+		if epoch, err := chaos.OwnershipPartition(members); err != nil {
+			t.Fatalf("%s (epoch %d): %v", label, epoch, err)
+		}
 	}
 
 	// Grow: i2 joins and receives its ring share via live handoffs.
-	i2dir := shared + "/i2"
-	i2 := newTestInstance(t, "i2", i2dir, 64)
-	instances = append(instances, i2)
-	if err := r.StartRebalance(RebalanceRequest{Action: "add", Name: "i2", URL: i2.srv.URL, Dir: i2dir}); err != nil {
+	i2 := f.AddMember(t, "i2")
+	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "add", Name: "i2", URL: i2.Srv.URL, Dir: i2.Dir}); err != nil {
 		t.Fatal(err)
 	}
 	waitRebalance("add")
@@ -167,18 +92,17 @@ func TestRebalanceAddThenDrain(t *testing.T) {
 	if len(view.Members) != 3 || view.Epoch != 2 {
 		t.Fatalf("after add: view epoch %d with %d members, want epoch 2 with 3", view.Epoch, len(view.Members))
 	}
-	if _, ranges := i2.inst.Ownership(); len(ranges) == 0 {
+	if _, ranges := i2.Inst.Ownership(); len(ranges) == 0 {
 		t.Fatal("after add: newcomer owns nothing")
 	}
-	assertOwnershipPartition(t, "after add", instances)
+	partition("after add", f.Members)
 
 	// A second rebalance while one is running is refused.
-	if err := r.StartRebalance(RebalanceRequest{Action: "drain", Name: "i0"}); err != nil {
+	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "drain", Name: "i0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.StartRebalance(RebalanceRequest{Action: "drain", Name: "i1"}); err == nil {
-		st := r.RebalanceStatus()
-		if st.Active {
+	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "drain", Name: "i1"}); err == nil {
+		if r.RebalanceStatus().Active {
 			t.Fatal("concurrent rebalance accepted")
 		}
 	}
@@ -190,37 +114,28 @@ func TestRebalanceAddThenDrain(t *testing.T) {
 	if _, ok := view.Member("i0"); ok {
 		t.Fatal("after drain: i0 still in the view")
 	}
-	if _, ranges := instances[0].inst.Ownership(); len(ranges) != 0 {
+	i0 := f.Member("i0")
+	if _, ranges := i0.Inst.Ownership(); len(ranges) != 0 {
 		t.Fatalf("after drain: i0 still owns %d ranges", len(ranges))
 	}
-	if out := instances[0].inst.Streamer().SnapshotMetrics().HandoffsCompleted; out == 0 {
+	if out := i0.Inst.Streamer().SnapshotMetrics().HandoffsCompleted; out == 0 {
 		t.Fatal("drain completed no live handoffs from i0")
 	}
-	assertOwnershipPartition(t, "after drain", instances[1:])
+	partition("after drain", f.Members[1:])
 
 	// Unknown members and bad actions are refused up front.
-	if err := r.StartRebalance(RebalanceRequest{Action: "drain", Name: "ghost"}); err != nil {
+	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "drain", Name: "ghost"}); err != nil {
 		t.Fatal(err) // accepted: the member check runs in the background step
 	}
-	waitFor(t, 15*time.Second, "ghost drain to fail", func() bool {
-		st := r.RebalanceStatus()
-		return !st.Active
-	})
+	fixture.WaitFor(t, 15*time.Second, "ghost drain to fail", func() bool { return !r.RebalanceStatus().Active })
 	if st := r.RebalanceStatus(); st.Error == "" || !strings.Contains(st.Error, "unknown member") {
 		t.Fatalf("ghost drain: status %+v, want an unknown-member error", st)
 	}
-	if err := r.StartRebalance(RebalanceRequest{Action: "shuffle", Name: "i1"}); err == nil {
+	if err := r.StartRebalance(cluster.RebalanceRequest{Action: "shuffle", Name: "i1"}); err == nil {
 		t.Fatal("bogus action accepted")
 	}
-
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ti := range instances {
-		if err := ti.inst.Streamer().Close(); err != nil {
-			t.Fatal(err)
-		}
-		ti.wait()
-		ti.srv.Close()
-	}
+	f.Alerts(t)
 }

@@ -5,13 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/persist"
 	"desh/internal/stream"
 )
 
 func newLeaseInstance(t testing.TB, dir string) *Instance {
 	t.Helper()
-	s, err := stream.New(freshPipeline(t), equivOpts(64, dir)...)
+	s, err := stream.New(fixture.Model(t, fixture.Serving), servingOpts(64, dir)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestLeaseReleaseAndCandidateExpiry(t *testing.T) {
 // a coordinator fenced before the crash stays fenced after it.
 func TestLeaseRecoveryKeepsFencing(t *testing.T) {
 	dir := t.TempDir()
-	s, err := stream.New(freshPipeline(t), equivOpts(64, dir)...)
+	s, err := stream.New(fixture.Model(t, fixture.Serving), servingOpts(64, dir)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain := collectAlerts(s)
+	drain := fixture.Collect(s.Alerts())
 	inst := NewInstance("i0", s, nil)
 	if _, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: 50}); err != nil {
 		t.Fatal(err)
@@ -165,11 +166,11 @@ func TestLeaseRecoveryKeepsFencing(t *testing.T) {
 	s.Kill()
 	drain()
 
-	s2, err := stream.New(freshPipeline(t), equivOpts(64, dir)...)
+	s2, err := stream.New(fixture.Model(t, fixture.Serving), servingOpts(64, dir)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain2 := collectAlerts(s2)
+	drain2 := fixture.Collect(s2.Alerts())
 	inst2 := NewInstance("i0", s2, nil)
 	if err := inst2.fence(1); err == nil {
 		t.Fatal("pre-crash fenced generation must stay fenced after recovery")

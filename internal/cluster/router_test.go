@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 	"desh/internal/persist"
 )
 
@@ -97,17 +97,7 @@ func (p *fakePeer) snapshot() map[string]int {
 // testLines generates parseable log lines cheaply (no training).
 func testLines(t testing.TB, nodes int, seed int64) []string {
 	t.Helper()
-	run, err := logsim.Generate(logsim.Config{
-		Profile: logsim.Profiles()[2], Nodes: nodes, Hours: 1, Failures: 2, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
-	return lines
+	return fixture.Corpus(t, fixture.Config(nodes, 1, 2, seed)).Lines
 }
 
 func fastRouterConfig(peers []Peer, spill string) RouterConfig {
@@ -145,7 +135,7 @@ func TestRouterSpillAndDrainAcrossOutage(t *testing.T) {
 
 	// Outage: health probes fail, the peer is ejected, everything spills.
 	peer.down.Store(true)
-	waitFor(t, 5*time.Second, "peer ejection", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "peer ejection", func() bool {
 		return r.Metrics().PeerUnhealthy == 1
 	})
 	for _, line := range lines[third : 2*third] {
@@ -159,7 +149,7 @@ func TestRouterSpillAndDrainAcrossOutage(t *testing.T) {
 
 	// Recovery: probation readmission, then the drain delivers the spill.
 	peer.down.Store(false)
-	waitFor(t, 5*time.Second, "peer readmission", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "peer readmission", func() bool {
 		return r.Metrics().Readmits == 1
 	})
 	for _, line := range lines[2*third:] {
@@ -213,7 +203,7 @@ func TestRouterRespillsRejectedLines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "rejected lines counted", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "rejected lines counted", func() bool {
 		return r.Metrics().RejectedLines > 0
 	})
 	peer.rejectAll.Store(false)
@@ -248,7 +238,7 @@ func TestRouterSpillSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "lines spilled", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "lines spilled", func() bool {
 		return r1.Metrics().Spilled >= int64(len(lines))
 	})
 	if err := r1.Close(); err != nil {
@@ -271,18 +261,6 @@ func TestRouterSpillSurvivesRestart(t *testing.T) {
 		if got[line] != 1 {
 			t.Fatalf("line delivered %d times after restart, want 1: %q", got[line], line)
 		}
-	}
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 	"time"
 	"unsafe"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 	"desh/internal/persist"
 	"desh/internal/persist/faultfs"
 	"desh/internal/stream"
@@ -79,8 +79,8 @@ func walRecords(t *testing.T, dir string) map[string]int {
 // alerts must be the single-process multiset; and whatever the pool
 // holds in between must be zeroed over its whole capacity.
 func TestIngestScratchReuse(t *testing.T) {
-	lines, maxPerNode := equivCorpus(t, logsim.Config{Profile: logsim.Profiles()[2], Nodes: 48, Hours: 48, Failures: 24, Seed: 215})
-	depth := maxPerNode + 16
+	log := fixture.Corpus(t, fixture.Config(48, 48, 24, 215)).Unique(t)
+	lines, depth := log.Lines, log.MaxPerNode+16
 	const big, small, textN, chunk, clients = 1024, 3, 200, 97, 4
 	if len(lines) < big+small+textN+clients*chunk {
 		t.Fatalf("corpus of %d lines is too short for the sequence", len(lines))
@@ -92,7 +92,7 @@ func TestIngestScratchReuse(t *testing.T) {
 			owned = append(owned, line)
 		}
 	}
-	want := baselineMultiset(t, owned, depth)
+	want := baseline(t, owned, depth)
 
 	boot := func(name string) (*testInstance, string) {
 		dir := filepath.Join(t.TempDir(), name)
@@ -218,13 +218,13 @@ func TestIngestScratchReuse(t *testing.T) {
 		if err := ti.inst.Streamer().Close(); err != nil {
 			t.Fatal(err)
 		}
-		alerts := alertMultiset(ti.wait())
+		alerts := fixture.Multiset(ti.wait())
 		ti.srv.Close()
 		m := ti.inst.Streamer().SnapshotMetrics()
 		if m.Ingested != int64(len(owned)) || m.Duplicates != 0 || m.Dropped != 0 || m.WALErrors != 0 {
 			t.Errorf("instance counted %d of %d owned lines, %d duplicates, %d dropped, %d WAL errors", m.Ingested, len(owned), m.Duplicates, m.Dropped, m.WALErrors)
 		}
-		compareMultisets(t, "scratch reuse", alerts, want)
+		fixture.Compare(t, "scratch reuse", alerts, want)
 	}
 
 	// A scratch one outsized POST grew is dropped, not pooled.
@@ -257,7 +257,7 @@ type ingestBench struct {
 
 func newIngestBench(tb testing.TB) *ingestBench {
 	tb.Helper()
-	s, err := stream.New(freshPipeline(tb), stream.WithShards(2), stream.WithDedupWindow(1024),
+	s, err := stream.New(fixture.Model(tb, fixture.Serving), stream.WithShards(2), stream.WithDedupWindow(1024),
 		stream.WithSnapshotEvery(time.Hour), stream.WithStateDir(tb.TempDir()), stream.WithWALSyncEvery(1<<30))
 	if err != nil {
 		tb.Fatal(err)
@@ -267,14 +267,11 @@ func newIngestBench(tb testing.TB) *ingestBench {
 		for range s.Alerts() {
 		}
 	})
-	run, err := logsim.Generate(logsim.Config{Profile: logsim.Profiles()[2], Nodes: 64, Hours: 6, Failures: 8, Seed: 208})
-	if err != nil || len(run.Events) < 512 {
-		tb.Fatalf("corpus of %d lines (%v), want 512", len(run.Events), err)
+	lines := fixture.Corpus(tb, fixture.Config(64, 6, 8, 208)).Lines
+	if len(lines) < 512 {
+		tb.Fatalf("corpus of %d lines, want 512", len(lines))
 	}
-	lines := make([]string, 512)
-	for i := range lines {
-		lines[i] = run.Events[i].Line()
-	}
+	lines = lines[:512]
 	return &ingestBench{inst: NewInstance("i0", s, nil), body: wireBody(tb, lines...), w: nullResponse{h: make(http.Header)}}
 }
 

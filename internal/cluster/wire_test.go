@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
 	"desh/internal/persist"
 	"desh/internal/persist/faultfs"
@@ -214,9 +215,9 @@ func walBytes(t *testing.T, dir string) []byte {
 // conservation equation — and on the routed side ParseLine must have
 // run exactly once per line.
 func TestWireRecordParity(t *testing.T) {
-	lines, maxPerNode := equivLines(t, 214)
-	depth := maxPerNode + 16
-	want := baselineMultiset(t, lines, depth)
+	log := fixture.Corpus(t, fixture.Config(18, 12, 10, 214)).Unique(t)
+	lines, depth := log.Lines, log.MaxPerNode+16
+	want := baseline(t, lines, depth)
 	// One line no parser accepts and one blank, mid-stream: consumed and
 	// counted on both paths, never delivered.
 	mid := len(lines) / 2
@@ -264,7 +265,7 @@ func TestWireRecordParity(t *testing.T) {
 		if ingested != int64(len(lines)) {
 			t.Errorf("%s: fleet ingested %d of %d lines", label, ingested, len(lines))
 		}
-		return wals, alertMultiset(got)
+		return wals, fixture.Multiset(got)
 	}
 
 	// Routed: records on the wire.
@@ -275,6 +276,9 @@ func TestWireRecordParity(t *testing.T) {
 	}
 	cfg := fastRouterConfig(peers, t.TempDir())
 	cfg.SendQueue = len(offered) // nothing spills, so per-instance order is offer order
+	// This test measures the wire, not failure detection: a probe slowed
+	// past its timeout by a loaded host must not eject a live peer.
+	cfg.HealthTimeout = time.Second
 	parses := 0
 	parseEvent = func(line string) (logparse.Event, error) {
 		parses++
@@ -298,6 +302,9 @@ func TestWireRecordParity(t *testing.T) {
 	rm := r.Metrics()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if rm.PeerUnhealthy != 0 || rm.Spilled != 0 {
+		t.Fatalf("peer ejected during parity run: %d ejections, %d lines spilled; the run measured failure detection, not the wire", rm.PeerUnhealthy, rm.Spilled)
 	}
 	parseEvent = logparse.ParseLine
 	if want := len(lines) + 1; parses != want {
@@ -371,8 +378,8 @@ func TestWireRecordParity(t *testing.T) {
 			t.Errorf("instance %s: WAL differs between the record path (%d bytes) and the text path (%d bytes)", name, len(routedWALs[i]), len(textWALs[i]))
 		}
 	}
-	compareMultisets(t, "record path", routedAlerts, want)
-	compareMultisets(t, "text path", textAlerts, want)
+	fixture.Compare(t, "record path", routedAlerts, want)
+	fixture.Compare(t, "text path", textAlerts, want)
 }
 
 // FuzzIngestRecords throws arbitrary bytes at an instance's /ingest as

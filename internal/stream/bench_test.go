@@ -4,26 +4,14 @@ import (
 	"fmt"
 	"testing"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/core"
-	"desh/internal/logparse"
-	"desh/internal/logsim"
 )
 
-// benchLines renders the benchmark-scale run (60 nodes, 96 h, seed 31 —
-// the Fig4 workload of the first recorded baseline, BENCH_PR1.json in
-// git history) into raw log lines.
-func benchLines(b *testing.B) []string {
-	b.Helper()
-	run, err := generatedRun(logsim.Profiles()[2], 60, 96, 40, 31)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
-	return lines
-}
+// benchLog is the benchmark-scale run (60 nodes, 96 h, seed 31 — the
+// Fig4 workload of the first recorded baseline, BENCH_PR1.json in git
+// history).
+func benchLog(b *testing.B) fixture.Log { return fixture.Corpus(b, fixture.Config(60, 96, 40, 31)) }
 
 // BenchmarkStreamerIngest measures the sustained online serving rate:
 // raw line in → parse → encode → shard hop → incremental chain update →
@@ -32,8 +20,8 @@ func benchLines(b *testing.B) []string {
 // cost is included, amortized over the full log). Reported extras:
 // events/sec and the detect-latency histogram's p50/p99 in µs.
 func BenchmarkStreamerIngest(b *testing.B) {
-	p := trainedPipeline(b)
-	lines := benchLines(b)
+	p := fixture.Model(b, fixture.Serving)
+	lines := benchLog(b).Lines
 	var (
 		s       *Streamer
 		drained func() []Alert
@@ -50,7 +38,7 @@ func BenchmarkStreamerIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, drained = collectAlerts(s)
+		drained = fixture.Collect(s.Alerts())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,23 +61,6 @@ func BenchmarkStreamerIngest(b *testing.B) {
 	b.ReportMetric(snap.Detect.P99Micros, "detect-p99-µs")
 }
 
-// benchEvents parses the benchmark log once so the throughput bench
-// measures the serving path alone (shard hop → chain update → detect),
-// without per-op parse cost.
-func benchEvents(b *testing.B) []logparse.Event {
-	b.Helper()
-	lines := benchLines(b)
-	events := make([]logparse.Event, len(lines))
-	for i, ln := range lines {
-		ev, err := logparse.ParseLine(ln)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events[i] = ev
-	}
-	return events
-}
-
 // BenchmarkStreamThroughput measures the bursty-load serving rate at
 // micro-batch widths 1, 8 and 32: a tight producer loop feeds
 // pre-parsed events as fast as the shards will take them, so queues
@@ -109,8 +80,10 @@ func BenchmarkStreamThroughputF32(b *testing.B) {
 }
 
 func benchStreamThroughput(b *testing.B, extra ...Option) {
-	p := trainedPipeline(b)
-	events := benchEvents(b)
+	p := fixture.Model(b, fixture.Serving)
+	// Pre-parsed events, so the bench measures the serving path alone
+	// (shard hop → chain update → detect), without per-op parse cost.
+	events := benchLog(b).Events
 	for _, mb := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("micro-batch-%d", mb), func(b *testing.B) {
 			var (
@@ -129,7 +102,7 @@ func benchStreamThroughput(b *testing.B, extra ...Option) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, drained = collectAlerts(s)
+				drained = fixture.Collect(s.Alerts())
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -4,64 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 )
-
-// shuffleWithinLateness returns events in a disordered arrival order:
-// each event's sort key is its timestamp plus a jitter uniform in
-// [0, w), and arrival is the stable sort by that key. This is the
-// bounded-disorder model the reorder buffer is specified against — for
-// any node, an event can only be overtaken by events less than w newer,
-// so a w-lateness watermark releases everything in timestamp order and
-// classifies nothing late.
-func shuffleWithinLateness(events []logparse.Event, w time.Duration, rng *rand.Rand) []logparse.Event {
-	type keyed struct {
-		ev  logparse.Event
-		key int64
-	}
-	ks := make([]keyed, len(events))
-	for i, ev := range events {
-		ks[i] = keyed{ev, ev.Time.UnixNano() + rng.Int63n(int64(w))}
-	}
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]logparse.Event, len(events))
-	for i, k := range ks {
-		out[i] = k.ev
-	}
-	return out
-}
-
-// sortedByTime returns a stable time-sorted copy — the clean baseline
-// input.
-func sortedByTime(events []logparse.Event) []logparse.Event {
-	out := append([]logparse.Event(nil), events...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out
-}
-
-func runAlerts(t *testing.T, events []logparse.Event, options ...Option) ([]Alert, *Streamer) {
-	t.Helper()
-	s, err := New(freshPipeline(t), options...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wait := collectAlerts(s)
-	feedEvents(t, s, events)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return wait(), s
-}
 
 // TestShuffleWithinLatenessMatchesSorted is the reorder property test:
 // any input shuffled within the allowed-lateness window must produce a
@@ -69,34 +21,22 @@ func runAlerts(t *testing.T, events []logparse.Event, options ...Option) ([]Aler
 // ledger key) to the same input sorted, with zero events classified
 // late.
 func TestShuffleWithinLatenessMatchesSorted(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 24, 24, 16, 141)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const w = 30 * time.Second
-	opts := []Option{
-		WithShards(4),
-		WithQuietPeriod(0),
-		WithAlertBuffer(8192),
-		WithAllowedLateness(w),
-		WithReorderDepth(8192),
-	}
-	baseAlerts, _ := runAlerts(t, sortedByTime(events), opts...)
-	want := alertMultiset(baseAlerts)
-	if len(want) < 5 {
-		t.Fatalf("baseline fired only %d distinct alerts; run too quiet to pin the property", len(want))
+	sc := &scenario{
+		in:    fixture.Corpus(t, fixture.Config(24, 24, 16, 141)).Events,
+		opts:  []Option{WithShards(4), WithQuietPeriod(0), WithAlertBuffer(8192), WithAllowedLateness(w), WithReorderDepth(8192)},
+		steps: []step{{}},
+		quiet: 5,
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		alerts, s := runAlerts(t, shuffleWithinLateness(events, w, rng), opts...)
-		m := s.SnapshotMetrics()
+		sc.disturb = func(in []logparse.Event) []logparse.Event {
+			return shuffleWithinLateness(in, w, rand.New(rand.NewSource(seed)))
+		}
+		m := sc.run(t, fmt.Sprintf("seed %d vs sorted baseline", seed)).runs[0].SnapshotMetrics()
 		if m.Late != 0 || m.LateClamped != 0 || m.ReorderOverflow != 0 {
 			t.Fatalf("seed %d: disorder leaked through the buffer: late %d, clamped %d, overflow %d",
 				seed, m.Late, m.LateClamped, m.ReorderOverflow)
 		}
-		got := alertMultiset(alerts)
-		compareMultisets(t, fmt.Sprintf("seed %d vs sorted baseline", seed), got, want)
-		checkConservation(t, s)
 	}
 }
 
@@ -113,58 +53,41 @@ func skewedKey(a Alert) string {
 // ±tolerance must yield the same alerts — same nodes, bit-identical
 // LeadSeconds and MSE — as clean sorted input.
 func TestDisorderEquivalence(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 24, 24, 16, 142)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const (
 		w       = 30 * time.Second
 		skewTol = 2 * time.Second
 	)
-	opts := []Option{
-		WithShards(4),
-		WithQuietPeriod(0),
-		WithAlertBuffer(8192),
-		WithAllowedLateness(w),
-		WithReorderDepth(8192),
-		WithDedupWindow(64),
-		WithSkewTolerance(skewTol),
+	sc := &scenario{
+		in: fixture.Corpus(t, fixture.Config(24, 24, 16, 142)).Events,
+		opts: []Option{
+			WithShards(4),
+			WithQuietPeriod(0),
+			WithAlertBuffer(8192),
+			WithAllowedLateness(w),
+			WithReorderDepth(8192),
+			WithDedupWindow(64),
+			WithSkewTolerance(skewTol),
+		},
+		// Per-node constant clock skew in [-tol, +tol], shuffled within
+		// the lateness window, every tenth event re-delivered.
+		disturb: func(in []logparse.Event) []logparse.Event {
+			rng := rand.New(rand.NewSource(77))
+			offsets := make(map[string]time.Duration)
+			for i, ev := range in {
+				off, ok := offsets[ev.Node]
+				if !ok {
+					off = time.Duration(rng.Int63n(int64(2*skewTol))) - skewTol
+					offsets[ev.Node] = off
+				}
+				in[i].Time = ev.Time.Add(off)
+			}
+			return duplicated(shuffleWithinLateness(in, w, rng))
+		},
+		steps: []step{{}},
+		key:   skewedKey,
+		quiet: 3,
 	}
-	baseAlerts, _ := runAlerts(t, sortedByTime(events), opts...)
-	want := make(map[string]int)
-	for _, a := range baseAlerts {
-		want[skewedKey(a)]++
-	}
-	if len(want) < 3 {
-		t.Fatalf("baseline fired only %d distinct alerts", len(want))
-	}
-
-	// Hostile copy: per-node constant clock skew in [-tol, +tol] ...
-	rng := rand.New(rand.NewSource(77))
-	offsets := make(map[string]time.Duration)
-	skewed := make([]logparse.Event, len(events))
-	for i, ev := range events {
-		off, ok := offsets[ev.Node]
-		if !ok {
-			off = time.Duration(rng.Int63n(int64(2*skewTol))) - skewTol
-			offsets[ev.Node] = off
-		}
-		ev.Time = ev.Time.Add(off)
-		skewed[i] = ev
-	}
-	// ... shuffled within the lateness window ...
-	arrival := shuffleWithinLateness(skewed, w, rng)
-	// ... with every 10th event re-delivered (retry simulation).
-	var hostile []logparse.Event
-	for i, ev := range arrival {
-		hostile = append(hostile, ev)
-		if i%10 == 9 {
-			hostile = append(hostile, ev)
-		}
-	}
-
-	alerts, s := runAlerts(t, hostile, opts...)
-	m := s.SnapshotMetrics()
+	m := sc.run(t, "hostile run vs clean baseline").runs[0].SnapshotMetrics()
 	if m.Duplicates == 0 {
 		t.Fatal("injected duplicates were not suppressed by the dedup ring")
 	}
@@ -172,12 +95,6 @@ func TestDisorderEquivalence(t *testing.T) {
 		t.Fatalf("unexpected disorder counters: late %d, dropped %d, skew-quarantined %d",
 			m.Late, m.LateDropped, m.SkewQuarantined)
 	}
-	got := make(map[string]int)
-	for _, a := range alerts {
-		got[skewedKey(a)]++
-	}
-	compareMultisets(t, "hostile run vs clean baseline", got, want)
-	checkConservation(t, s)
 }
 
 // TestDuplicatedTCPBatchFiresOnce simulates a producer-side retry: the
@@ -186,82 +103,18 @@ func TestDisorderEquivalence(t *testing.T) {
 // every event of which is behind the watermark by then — is suppressed
 // as duplicates, not misclassified as a flood of late events.
 func TestDuplicatedTCPBatchFiresOnce(t *testing.T) {
-	run, err := generatedRun(logsim.Profiles()[2], 8, 4, 4, 143)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
-	opts := []Option{
-		WithShards(2),
-		WithQuietPeriod(0),
-		WithAlertBuffer(8192),
-		WithAllowedLateness(5 * time.Second),
-		WithDedupWindow(4096),
-	}
-	baseAlerts, _ := runAlerts(t, sortedByTime(eventsOf(t, lines)), opts...)
-	want := alertMultiset(baseAlerts)
-	if len(want) == 0 {
-		t.Fatal("baseline fired no alerts; batch too quiet")
-	}
-
-	s, err := New(freshPipeline(t), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wait := collectAlerts(s)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.ServeLines(ln) }()
-	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range lines {
-			if _, err := fmt.Fprintln(conn, line); err != nil {
-				t.Fatal(err)
-			}
-		}
-		conn.Close()
+	in := fixture.Corpus(t, fixture.Config(8, 4, 4, 143)).Events
+	sc := &scenario{
+		in:   in,
+		opts: []Option{WithShards(2), WithQuietPeriod(0), WithAlertBuffer(8192), WithAllowedLateness(5 * time.Second), WithDedupWindow(4096)},
 		// The batches must not interleave: the retry arrives after the
 		// original, as a real store-and-forward producer would replay it.
-		waitUntil(t, 10*time.Second, "batch to ingest", func() bool {
-			return s.Metrics().Ingested.Load() >= int64((attempt+1)*len(lines))
-		})
+		disturb: func(in []logparse.Event) []logparse.Event { return append(in, in...) },
+		steps:   []step{{until: len(in), via: viaTCP, end: keep}, {via: viaTCP}},
 	}
-	ln.Close()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("ServeLines: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := alertMultiset(wait())
-	m := s.SnapshotMetrics()
-	if m.Duplicates == 0 {
+	if m := sc.run(t, "retried batch vs single delivery").runs[0].SnapshotMetrics(); m.Duplicates == 0 {
 		t.Fatal("re-delivered batch registered no duplicates")
 	}
-	compareMultisets(t, "retried batch vs single delivery", got, want)
-	checkConservation(t, s)
-}
-
-func eventsOf(t *testing.T, lines []string) []logparse.Event {
-	t.Helper()
-	events := make([]logparse.Event, len(lines))
-	for i, line := range lines {
-		ev, err := logparse.ParseLine(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events[i] = ev
-	}
-	return events
 }
 
 // TestLatePolicyFeedAndDrop: an event behind the release cursor either
@@ -282,7 +135,7 @@ func TestLatePolicyFeedAndDrop(t *testing.T) {
 		{LateFeed, 0, 2},
 		{LateDrop, 1, 2},
 	} {
-		s, err := New(freshPipeline(t),
+		s, err := New(fixture.Model(t, fixture.Serving),
 			WithShards(1),
 			WithQuietPeriod(0),
 			WithAllowedLateness(10*time.Second),
@@ -291,7 +144,7 @@ func TestLatePolicyFeedAndDrop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, wait := collectAlerts(s)
+		wait := fixture.Collect(s.Alerts())
 		// maxSeen = +60s, so the release cursor jumps to +50s; the event
 		// at +0s is then 50s behind it — late.
 		if err := s.IngestEvent(mk(60*time.Second, "DVS: Verify Filesystem *")); err != nil {
@@ -300,7 +153,7 @@ func TestLatePolicyFeedAndDrop(t *testing.T) {
 		if err := s.IngestEvent(mk(0, "LustreError: * failed md_getattr err *")); err != nil {
 			t.Fatal(err)
 		}
-		waitUntil(t, 5*time.Second, "events to process", func() bool {
+		fixture.WaitFor(t, 5*time.Second, "events to process", func() bool {
 			return s.Metrics().Processed.Load() == 2
 		})
 		if err := s.Close(); err != nil {
@@ -325,7 +178,7 @@ func TestLatePolicyFeedAndDrop(t *testing.T) {
 func TestSkewGuardQuarantinesFutureEvents(t *testing.T) {
 	var mu sync.Mutex
 	var diags []string
-	s, err := New(freshPipeline(t),
+	s, err := New(fixture.Model(t, fixture.Serving),
 		WithShards(1),
 		WithQuietPeriod(0),
 		WithAllowedLateness(time.Second),
@@ -339,7 +192,7 @@ func TestSkewGuardQuarantinesFutureEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	future := logparse.Event{Time: time.Now().Add(48 * time.Hour), Node: "c0-0c0s0n0", Key: "Out of memory: Killed process *"}
 	if err := s.IngestEvent(future); err != nil {
 		t.Fatal(err)
@@ -348,7 +201,7 @@ func TestSkewGuardQuarantinesFutureEvents(t *testing.T) {
 	if err := s.IngestEvent(honest); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "honest event to process", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "honest event to process", func() bool {
 		return s.Metrics().Processed.Load() == 1
 	})
 	if err := s.Close(); err != nil {
@@ -376,7 +229,7 @@ func TestSkewGuardQuarantinesFutureEvents(t *testing.T) {
 func TestReorderOverflowBounded(t *testing.T) {
 	base := time.Date(2026, 5, 3, 0, 0, 0, 0, time.UTC)
 	keys := []string{"DVS: Verify Filesystem *", "LustreError: * failed md_getattr err *"}
-	s, err := New(freshPipeline(t),
+	s, err := New(fixture.Model(t, fixture.Serving),
 		WithShards(1),
 		WithQuietPeriod(0),
 		WithAllowedLateness(time.Hour), // watermark never releases on its own
@@ -385,7 +238,7 @@ func TestReorderOverflowBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	const n = 10
 	for i := 0; i < n; i++ {
 		ev := logparse.Event{Time: base.Add(time.Duration(i) * time.Second), Node: "c0-0c0s0n0", Key: keys[i%2]}
@@ -393,7 +246,7 @@ func TestReorderOverflowBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, 5*time.Second, "events to process", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "events to process", func() bool {
 		return s.Metrics().Processed.Load() == n
 	})
 	m := s.SnapshotMetrics()
@@ -417,7 +270,7 @@ func TestReorderOverflowBounded(t *testing.T) {
 // disorder counters, the shed level, the window-eviction count and the
 // per-shard watermarks.
 func TestMetricsExposeEventTimeFields(t *testing.T) {
-	s, err := New(freshPipeline(t),
+	s, err := New(fixture.Model(t, fixture.Serving),
 		WithShards(2),
 		WithQuietPeriod(0),
 		WithAllowedLateness(time.Second),
@@ -426,7 +279,7 @@ func TestMetricsExposeEventTimeFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	ev := logparse.Event{
 		Time: time.Date(2026, 5, 3, 0, 0, 0, 0, time.UTC),
 		Node: "c0-0c0s0n0",
@@ -435,7 +288,7 @@ func TestMetricsExposeEventTimeFields(t *testing.T) {
 	if err := s.IngestEvent(ev); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "event to buffer", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "event to buffer", func() bool {
 		return s.SnapshotMetrics().ReorderPending == 1
 	})
 	rec := httptest.NewRecorder()

@@ -4,12 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"desh/internal/logsim"
+	"desh/internal/chaos/fixture"
 	"desh/internal/persist"
 )
-
-// fullCircle is the canonical whole-keyspace range.
-var fullCircle = []persist.HashRange{{Lo: 0, Hi: 0}}
 
 func handoffOpts(extra ...Option) []Option {
 	return append([]Option{
@@ -27,15 +24,12 @@ func handoffOpts(extra ...Option) []Option {
 // (ErrFrozen), a second Begin is rejected while one is in flight, and
 // Abort thaws everything with no state lost.
 func TestHandoffFreezeAndAbort(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 151)
+	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 151)).Events
+	s, err := New(fixture.Model(t, fixture.Serving), handoffOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(freshPipeline(t), handoffOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	half := len(events) / 2
 	feedEvents(t, s, events[:half])
 	st, err := s.BeginHandoff(2, "http://target", fullCircle)
@@ -84,78 +78,21 @@ func TestHandoffFreezeAndAbort(t *testing.T) {
 // chains continue on B, alerts A already fired are suppressed on B,
 // nothing is lost or duplicated.
 func TestLiveHandoffEquivalence(t *testing.T) {
-	run, err := generatedRun(logsim.Profiles()[2], 16, 12, 10, 152)
-	if err != nil {
-		t.Fatal(err)
+	in := fixture.Corpus(t, fixture.Config(16, 12, 10, 152)).Events
+	sc := &scenario{
+		in:    in,
+		opts:  handoffOpts(),
+		via:   viaLines,
+		steps: []step{{until: len(in) * 3 / 5, end: handoff}, {}},
+		quiet: 2,
 	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
-
-	sb, err := New(freshPipeline(t), handoffOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitBase := collectAlerts(sb)
-	for _, line := range lines {
-		if err := sb.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := alertMultiset(waitBase())
-	if len(want) < 2 {
-		t.Fatalf("baseline fired only %d distinct alerts; run too quiet", len(want))
-	}
-
-	a, err := New(freshPipeline(t), handoffOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(freshPipeline(t), handoffOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitA := collectAlerts(a)
-	_, waitB := collectAlerts(b)
-	cut := len(lines) * 3 / 5
-	for _, line := range lines[:cut] {
-		if err := a.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := a.BeginHandoff(2, "b", fullCircle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ImportState(2, "a", fullCircle, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.CompleteHandoff(); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range lines[cut:] {
-		if err := b.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := alertMultiset(append(waitA(), waitB()...))
-	compareMultisets(t, "handoff run vs baseline", got, want)
-	ma, mbm := a.SnapshotMetrics(), b.SnapshotMetrics()
+	tr := sc.run(t, "handoff run vs baseline")
+	ma, mb := tr.runs[0].SnapshotMetrics(), tr.runs[1].SnapshotMetrics()
 	if ma.HandoffsCompleted != 1 {
 		t.Fatalf("source completed %d handoffs, want 1", ma.HandoffsCompleted)
 	}
-	if mbm.HandoffImports != 1 || mbm.HandoffNodesIn == 0 {
-		t.Fatalf("target imports %d, nodes in %d", mbm.HandoffImports, mbm.HandoffNodesIn)
+	if mb.HandoffImports != 1 || mb.HandoffNodesIn == 0 {
+		t.Fatalf("target imports %d, nodes in %d", mb.HandoffImports, mb.HandoffNodesIn)
 	}
 }
 
@@ -164,16 +101,13 @@ func TestLiveHandoffEquivalence(t *testing.T) {
 // frozen (fail-safe: zero owners rather than two) until the
 // coordinator resolves the handoff, and Abort thaws them.
 func TestHandoffCrashMidFlightStaysFrozen(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 153)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 153)).Events
 	dir := t.TempDir()
-	s, err := New(freshPipeline(t), handoffOpts(WithStateDir(dir))...)
+	s, err := New(fixture.Model(t, fixture.Serving), handoffOpts(WithStateDir(dir))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	half := len(events) / 2
 	feedEvents(t, s, events[:half])
 	if _, err := s.BeginHandoff(5, "http://target", fullCircle); err != nil {
@@ -182,11 +116,11 @@ func TestHandoffCrashMidFlightStaysFrozen(t *testing.T) {
 	s.crash()
 	wait()
 
-	s2, err := New(freshPipeline(t), handoffOpts(WithStateDir(dir))...)
+	s2, err := New(fixture.Model(t, fixture.Serving), handoffOpts(WithStateDir(dir))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait2 := collectAlerts(s2)
+	wait2 := fixture.Collect(s2.Alerts())
 	epoch, target, ranges, ok := s2.PendingHandoff()
 	if !ok {
 		t.Fatal("recovered streamer must surface the unresolved handoff")
@@ -215,11 +149,11 @@ func TestHandoffCrashMidFlightStaysFrozen(t *testing.T) {
 // the newest one wins.
 func TestEpochJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(freshPipeline(t), WithShards(2), WithStateDir(dir))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	r1 := []persist.HashRange{{Lo: 10, Hi: 20}}
 	r2 := []persist.HashRange{{Lo: 20, Hi: 30}, {Lo: 40, Hi: 0}}
 	if err := s.JournalEpoch(3, r1); err != nil {
@@ -230,11 +164,11 @@ func TestEpochJournalRecovery(t *testing.T) {
 	}
 	s.crash()
 	wait()
-	s2, err := New(freshPipeline(t), WithShards(2), WithStateDir(dir))
+	s2, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait2 := collectAlerts(s2)
+	wait2 := fixture.Collect(s2.Alerts())
 	rec, ok := s2.RecoveredOwnership()
 	if !ok {
 		t.Fatal("ownership record not recovered")
@@ -253,74 +187,18 @@ func TestEpochJournalRecovery(t *testing.T) {
 // HandoffState, B imports it and serves the rest of the stream. The
 // union of alerts must equal one uninterrupted run.
 func TestTakeoverFromDeadDirEquivalence(t *testing.T) {
-	run, err := generatedRun(logsim.Profiles()[2], 16, 12, 10, 154)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
-
-	sb, err := New(freshPipeline(t), handoffOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitBase := collectAlerts(sb)
-	for _, line := range lines {
-		if err := sb.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := alertMultiset(waitBase())
-	if len(want) < 2 {
-		t.Fatalf("baseline fired only %d distinct alerts; run too quiet", len(want))
-	}
-
-	dir := t.TempDir()
-	a, err := New(freshPipeline(t), handoffOpts(WithStateDir(dir))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitA := collectAlerts(a)
-	cut := len(lines) * 3 / 5
-	for i, line := range lines[:cut] {
-		if err := a.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
+	in := fixture.Corpus(t, fixture.Config(16, 12, 10, 154)).Events
+	sc := &scenario{
+		in:      in,
+		opts:    handoffOpts(),
+		via:     viaLines,
+		durable: true,
 		// A mid-segment snapshot exercises snapshot + WAL-tail takeover,
 		// not just full-WAL replay.
-		if i == cut/2 {
-			if err := a.snapshotNow(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		steps: []step{{until: len(in) * 3 / 5, snapshot: true, end: takeover}, {}},
+		quiet: 2,
 	}
-	a.crash()
-
-	st, err := LoadHandoffFromDir(nil, dir, fullCircle)
-	if err != nil {
-		t.Fatal(err)
+	if m := sc.run(t, "takeover run vs baseline").runs[1].SnapshotMetrics(); m.HandoffImports != 1 {
+		t.Fatalf("target imports %d, want the dead directory's", m.HandoffImports)
 	}
-	b, err := New(freshPipeline(t), handoffOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitB := collectAlerts(b)
-	if err := b.ImportState(6, "takeover:"+dir, fullCircle, st); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range lines[cut:] {
-		if err := b.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := alertMultiset(append(waitA(), waitB()...))
-	compareMultisets(t, "takeover run vs baseline", got, want)
 }

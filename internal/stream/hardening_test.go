@@ -9,16 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"desh/internal/logsim"
+	"desh/internal/chaos/fixture"
 )
 
 // runLines returns a few parseable log lines for frontends to ingest.
 func runLines(t *testing.T, n int) []string {
 	t.Helper()
-	run, err := generatedRun(logsim.Profiles()[2], 4, 1, 1, 136)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := fixture.Corpus(t, fixture.Config(4, 1, 1, 136)).Run
 	if len(run.Events) < n {
 		t.Fatalf("generated only %d lines, need %d", len(run.Events), n)
 	}
@@ -33,7 +30,7 @@ func runLines(t *testing.T, n int) []string {
 // counted while the stream keeps flowing — lines on either side of it
 // still ingest, and an oversized line truncated by EOF is no error.
 func TestIngestReaderOversizedLine(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +63,7 @@ func TestIngestReaderOversizedLine(t *testing.T) {
 // connections immediately, and a connection that goes silent is dropped
 // after the idle limit; both are counted in ConnRejected.
 func TestServeLinesConnCapAndIdleTimeout(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p,
 		WithShards(1),
 		func(o *Options) { o.maxConns, o.connIdleTimeout = 1, 100*time.Millisecond },
@@ -135,7 +132,7 @@ func TestServeLinesConnCapAndIdleTimeout(t *testing.T) {
 // TestIngestHandlerBodyLimit: a body over the bound gets 413 and the
 // streamer keeps serving; an in-bounds body still gets 202.
 func TestIngestHandlerBodyLimit(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithShards(1), func(o *Options) { o.maxBodyBytes = 512 })
 	if err != nil {
 		t.Fatal(err)

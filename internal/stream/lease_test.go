@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"desh/internal/logsim"
+	"desh/internal/chaos/fixture"
 	"desh/internal/persist"
 )
 
@@ -12,11 +12,11 @@ import (
 // survive a crash, and the newest of each wins.
 func TestLeaseAndViewJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(freshPipeline(t), WithShards(2), WithStateDir(dir))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	if _, ok := s.RecoveredLease(); ok {
 		t.Fatal("cold start must not report a recovered lease")
 	}
@@ -42,11 +42,11 @@ func TestLeaseAndViewJournalRecovery(t *testing.T) {
 	}
 	s.crash()
 	wait()
-	s2, err := New(freshPipeline(t), WithShards(2), WithStateDir(dir))
+	s2, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait2 := collectAlerts(s2)
+	wait2 := fixture.Collect(s2.Alerts())
 	got, ok := s2.RecoveredLease()
 	if !ok || got != lease {
 		t.Fatalf("recovered lease %+v (ok=%v), want %+v", got, ok, lease)
@@ -64,25 +64,18 @@ func TestLeaseAndViewJournalRecovery(t *testing.T) {
 // TestHasImportSurvivesCrash: the imported-epoch set answers the
 // successor coordinator's resolution question across a restart.
 func TestHasImportSurvivesCrash(t *testing.T) {
-	run, err := generatedRun(logsim.Profiles()[2], 8, 8, 6, 177)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
+	lines := fixture.Corpus(t, fixture.Config(8, 8, 6, 177)).Lines
 	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := New(freshPipeline(t), handoffOpts(WithStateDir(dirA))...)
+	a, err := New(fixture.Model(t, fixture.Serving), handoffOpts(WithStateDir(dirA))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitA := collectAlerts(a)
-	b, err := New(freshPipeline(t), handoffOpts(WithStateDir(dirB))...)
+	waitA := fixture.Collect(a.Alerts())
+	b, err := New(fixture.Model(t, fixture.Serving), handoffOpts(WithStateDir(dirB))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitB := collectAlerts(b)
+	waitB := fixture.Collect(b.Alerts())
 	for _, line := range lines[:len(lines)/2] {
 		if err := a.IngestLine(line); err != nil {
 			t.Fatal(err)
@@ -106,11 +99,11 @@ func TestHasImportSurvivesCrash(t *testing.T) {
 	}
 	b.crash()
 	waitB()
-	b2, err := New(freshPipeline(t), handoffOpts(WithStateDir(dirB))...)
+	b2, err := New(fixture.Model(t, fixture.Serving), handoffOpts(WithStateDir(dirB))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitB2 := collectAlerts(b2)
+	waitB2 := fixture.Collect(b2.Alerts())
 	if !b2.HasImport(7, "a") {
 		t.Fatal("HasImport(7, a) lost across a crash — intent resolution would wrongly abort")
 	}

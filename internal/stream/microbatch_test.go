@@ -1,22 +1,31 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
-	"desh/internal/logsim"
+	"desh/internal/chaos/fixture"
+	"desh/internal/logparse"
 )
 
-// sortedAlertKeys reduces an alert slice to its multiset fingerprint.
-func sortedAlertKeys(alerts []Alert) []string {
-	keys := make([]string, len(alerts))
-	for i, a := range alerts {
-		keys[i] = alertKey(a)
+// bursts is the events path in random-size chunks with occasional
+// producer pauses, so batch boundaries fall somewhere new for each seed.
+func bursts(seed int64) feed {
+	return func(t testing.TB, s *Streamer, seg []logparse.Event) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < len(seg); {
+			n := min(1+rng.Intn(2*maxMicroBatch), len(seg)-i)
+			feedEvents(t, s, seg[i:i+n])
+			i += n
+			if rng.Intn(4) == 0 {
+				// Let the shard drain so the next chunk seeds a fresh
+				// batch — moves the boundaries between trials.
+				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+			}
+		}
 	}
-	sort.Strings(keys)
-	return keys
 }
 
 // TestMicroBatchAlertEquivalence is the serving-path parity property:
@@ -27,53 +36,11 @@ func sortedAlertKeys(alerts []Alert) []string {
 // producer pauses, and one trial adds a per-event process delay so the
 // queue genuinely backs up and batches fill (occupancy > 1).
 func TestMicroBatchAlertEquivalence(t *testing.T) {
-	p := trainedPipeline(t)
-	events, err := generatedEvents(logsim.Profiles()[2], 12, 24, 10, 77)
-	if err != nil {
-		t.Fatal(err)
+	sc := &scenario{
+		in:   fixture.Corpus(t, fixture.Config(12, 24, 10, 77)).Events,
+		opts: []Option{WithShards(1)},
+		base: []step{{via: bursts(1), opts: []Option{WithMicroBatch(1)}}},
 	}
-
-	run := func(micro int, seed int64, delay time.Duration) ([]string, MetricsSnapshot) {
-		opts := []Option{WithShards(1), WithMicroBatch(micro)}
-		if delay > 0 {
-			opts = append(opts, withProcessDelay(delay))
-		}
-		s, err := New(p, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wait := collectAlerts(s)
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < len(events); {
-			n := 1 + rng.Intn(2*maxMicroBatch)
-			if i+n > len(events) {
-				n = len(events) - i
-			}
-			for _, ev := range events[i : i+n] {
-				if err := s.IngestEvent(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			i += n
-			if rng.Intn(4) == 0 {
-				// Let the shard drain so the next chunk seeds a fresh
-				// batch — moves the boundaries between trials.
-				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		alerts := wait()
-		checkConservation(t, s)
-		return sortedAlertKeys(alerts), s.SnapshotMetrics()
-	}
-
-	ref, _ := run(1, 1, 0)
-	if len(ref) == 0 {
-		t.Fatal("reference run produced no alerts; property test is vacuous")
-	}
-
 	trials := []struct {
 		micro int
 		seed  int64
@@ -86,15 +53,12 @@ func TestMicroBatchAlertEquivalence(t *testing.T) {
 		{32, 6, 20 * time.Microsecond}, // forced backlog: batches must fill
 	}
 	for _, tr := range trials {
-		got, snap := run(tr.micro, tr.seed, tr.delay)
-		if len(got) != len(ref) {
-			t.Fatalf("micro=%d seed=%d: %d alerts, want %d", tr.micro, tr.seed, len(got), len(ref))
+		opts := []Option{WithMicroBatch(tr.micro)}
+		if tr.delay > 0 {
+			opts = append(opts, withProcessDelay(tr.delay))
 		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("micro=%d seed=%d: alert %d = %s, want %s", tr.micro, tr.seed, i, got[i], ref[i])
-			}
-		}
+		sc.steps = []step{{via: bursts(tr.seed), opts: opts}}
+		snap := sc.run(t, fmt.Sprintf("micro=%d seed=%d", tr.micro, tr.seed)).runs[0].SnapshotMetrics()
 		if tr.delay > 0 {
 			if snap.BatchOccupancy <= 1 {
 				t.Fatalf("forced-backlog run never coalesced: occupancy %.2f", snap.BatchOccupancy)
@@ -111,35 +75,13 @@ func TestMicroBatchAlertEquivalence(t *testing.T) {
 // each open-chain probe, so the dedup machine must see the same
 // sequence either way.
 func TestMicroBatchEarlyDetectEquivalence(t *testing.T) {
-	p := trainedPipeline(t)
-	events, err := generatedEvents(logsim.Profiles()[2], 8, 12, 6, 99)
-	if err != nil {
-		t.Fatal(err)
+	sc := &scenario{
+		in:    fixture.Corpus(t, fixture.Config(8, 12, 6, 99)).Events,
+		opts:  []Option{WithShards(1), WithEarlyDetect(true)},
+		base:  []step{{opts: []Option{WithMicroBatch(1)}}},
+		steps: []step{{opts: []Option{WithMicroBatch(32)}}},
 	}
-
-	run := func(micro int) []string {
-		s, err := New(p, WithShards(1), WithMicroBatch(micro), WithEarlyDetect(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wait := collectAlerts(s)
-		feedEvents(t, s, events)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return sortedAlertKeys(wait())
-	}
-
-	ref := run(1)
-	got := run(32)
-	if len(got) != len(ref) {
-		t.Fatalf("early-detect: %d alerts with micro-batching, want %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("early-detect alert %d = %s, want %s", i, got[i], ref[i])
-		}
-	}
+	sc.run(t, "early-detect with micro-batching vs per-event scoring")
 }
 
 // TestRetriedBatchCountsChainsOnce drives a shard's pending batch by
@@ -148,7 +90,7 @@ func TestMicroBatchEarlyDetectEquivalence(t *testing.T) {
 // poisoned one) and scores on the second. chains_closed and
 // batched_detects must count the chains scored, not the passes tried.
 func TestRetriedBatchCountsChainsOnce(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithShards(1))
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,95 +10,11 @@ import (
 	"time"
 
 	"desh/internal/catalog"
-	"desh/internal/core"
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 	"desh/internal/persist"
 	"desh/internal/persist/faultfs"
 )
-
-// freshPipeline clones the shared trained pipeline through Save/Load —
-// the same thing a real restart does by reloading the model file — so
-// each streamer incarnation gets its own encoder and labeler.
-func freshPipeline(t testing.TB) *core.Pipeline {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := trainedPipeline(t).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// fastRestart shrinks the supervisor's restart backoff so panic tests
-// finish quickly.
-func fastRestart(o *Options) { o.restartBackoff = time.Millisecond }
-
-// alertKey is the multiset identity of an alert for run comparison: its
-// ledger key plus the bits of the one observable field that key leaves
-// out, so two alerts compare equal only when they are bit-identical.
-func alertKey(a Alert) string {
-	return fmt.Sprintf("%s|%016x", alertRecordOf(a).LedgerKey(), math.Float64bits(a.MSE))
-}
-
-func alertMultiset(alerts []Alert) map[string]int {
-	m := make(map[string]int, len(alerts))
-	for _, a := range alerts {
-		m[alertKey(a)]++
-	}
-	return m
-}
-
-// compareMultisets fails the test for every alert key whose count in got
-// is not its count in want: missing, miscounted or spurious. label names
-// the two runs.
-func compareMultisets(t *testing.T, label string, got, want map[string]int) {
-	t.Helper()
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("%s: alert %s delivered %d times, want %d", label, k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: spurious alert %s delivered %d times", label, k, n)
-		}
-	}
-}
-
-// feedEvents ingests evs in order; any ingest error fails the test.
-func feedEvents(t testing.TB, s *Streamer, evs []logparse.Event) {
-	t.Helper()
-	for _, ev := range evs {
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// waitUntil polls cond until it holds or the deadline passes.
-func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func checkConservation(t *testing.T, s *Streamer) {
-	t.Helper()
-	m := s.SnapshotMetrics()
-	if m.Processed+m.Dropped+m.Quarantined+m.SkewQuarantined+m.Shed != m.Ingested-m.SafeFiltered {
-		t.Fatalf("conservation violated: processed %d + dropped %d + quarantined %d + skew %d + shed %d != ingested %d - safe %d",
-			m.Processed, m.Dropped, m.Quarantined, m.SkewQuarantined, m.Shed, m.Ingested, m.SafeFiltered)
-	}
-}
 
 // TestCrashRestartEquivalence is the paper cut of the tentpole: a run
 // that is killed (no drain, no final snapshot) several times and
@@ -108,16 +22,12 @@ func checkConservation(t *testing.T, s *Streamer) {
 // an uninterrupted run — no losses, no duplicates — with snapshots
 // taken mid-flight to exercise the snapshot + WAL-tail path.
 func TestCrashRestartEquivalence(t *testing.T) {
-	run, err := generatedRun(logsim.Profiles()[2], 24, 24, 16, 131)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-	}
-	opts := func(extra ...Option) []Option {
-		return append([]Option{
+	sc := &scenario{
+		in:      fixture.Corpus(t, fixture.Config(24, 24, 16, 131)).Events,
+		via:     viaLines,
+		durable: true,
+		quiet:   3,
+		opts: []Option{
 			WithShards(3),
 			WithQuietPeriod(time.Minute),
 			WithEarlyDetect(true),
@@ -129,82 +39,26 @@ func TestCrashRestartEquivalence(t *testing.T) {
 			WithAllowedLateness(10 * time.Second),
 			WithDedupWindow(64),
 			WithSkewTolerance(2 * time.Second),
-		}, extra...)
+		},
 	}
-
-	// Baseline: one uninterrupted pass.
-	sb, err := New(freshPipeline(t), opts()...)
-	if err != nil {
-		t.Fatal(err)
+	// Killed four times, each incarnation picking up from the state
+	// directory; every other one also snapshots mid-segment so recovery
+	// exercises snapshot-restore + WAL-tail, not just full replay.
+	n := len(sc.in)
+	for i := 1; i <= 4; i++ {
+		sc.steps = append(sc.steps, step{until: i * n / 5, snapshot: i%2 == 0, end: kill})
 	}
-	_, waitBase := collectAlerts(sb)
-	for _, line := range lines {
-		if err := sb.IngestLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := alertMultiset(waitBase())
-	if len(want) < 3 {
-		t.Fatalf("baseline fired only %d distinct alerts; run too quiet to pin equivalence", len(want))
-	}
-
-	// The same stream, killed four times: each incarnation picks up from
-	// the state directory. Odd incarnations also snapshot mid-segment so
-	// recovery exercises snapshot-restore + WAL-tail, not just full
-	// replay.
-	dir := t.TempDir()
-	n := len(lines)
-	cuts := []int{n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5, n}
-	var got []Alert
-	start := 0
-	for i, end := range cuts {
-		s, err := New(freshPipeline(t), opts(WithStateDir(dir))...)
-		if err != nil {
-			t.Fatalf("incarnation %d: %v", i, err)
-		}
-		_, wait := collectAlerts(s)
-		for j := start; j < end; j++ {
-			if err := s.IngestLine(lines[j]); err != nil {
-				t.Fatalf("incarnation %d line %d: %v", i, j, err)
-			}
-			if i%2 == 1 && j == (start+end)/2 {
-				if err := s.snapshotNow(); err != nil {
-					t.Fatalf("incarnation %d snapshot: %v", i, err)
-				}
-			}
-		}
-		if end < n {
-			s.crash()
-		} else {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			checkConservation(t, s)
-		}
-		if d := s.Metrics().AlertsDropped.Load(); d != 0 {
-			t.Fatalf("incarnation %d dropped %d alerts; buffer sizing broke the comparison", i, d)
-		}
-		got = append(got, wait()...)
-		start = end
-	}
-
-	gotSet := alertMultiset(got)
-	compareMultisets(t, "crash-restart run vs baseline", gotSet, want)
+	sc.steps = append(sc.steps, step{})
+	sc.run(t, "crash-restart run vs baseline")
 }
 
 // TestGracefulRestartReplaysNothing: a drained Close writes a final
 // snapshot covering the whole WAL, so the next boot replays zero
 // records and serves immediately.
 func TestGracefulRestartReplaysNothing(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 8, 4, 3, 134)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(8, 4, 3, 134)).Events
 	dir := t.TempDir()
-	s, err := New(freshPipeline(t), WithShards(2), WithStateDir(dir), WithAlertBuffer(4096))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir), WithAlertBuffer(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +70,7 @@ func TestGracefulRestartReplaysNothing(t *testing.T) {
 		t.Fatal("graceful close took no final snapshot")
 	}
 
-	s2, err := New(freshPipeline(t), WithShards(2), WithStateDir(dir), WithAlertBuffer(4096))
+	s2, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir), WithAlertBuffer(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +87,7 @@ func TestGracefulRestartReplaysNothing(t *testing.T) {
 // cost nothing — the supervisor restarts the shard, retries the event,
 // and the run's alerts match a run with no panic at all.
 func TestShardPanicRestartKeepsState(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 12, 12, 8, 132)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(12, 12, 8, 132)).Events
 	base := []Option{
 		WithShards(2),
 		WithQuietPeriod(time.Minute),
@@ -244,16 +95,16 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 		fastRestart,
 	}
 
-	sb, err := New(freshPipeline(t), base...)
+	sb, err := New(fixture.Model(t, fixture.Serving), base...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitBase := collectAlerts(sb)
+	waitBase := fixture.Collect(sb.Alerts())
 	feedEvents(t, sb, events)
 	if err := sb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := alertMultiset(waitBase())
+	want := fixture.Multiset(waitBase())
 	if len(want) == 0 {
 		t.Fatal("baseline fired no alerts; test stream too quiet")
 	}
@@ -264,23 +115,23 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 			panic("injected shard failure")
 		}
 	}
-	s, err := New(freshPipeline(t), append(base, withPanicHook(hook))...)
+	s, err := New(fixture.Model(t, fixture.Serving), append(base, withPanicHook(hook))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	feedEvents(t, s, events)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := alertMultiset(wait())
+	got := fixture.Multiset(wait())
 
 	m := s.SnapshotMetrics()
 	if m.ShardRestarts != 1 || m.Quarantined != 0 {
 		t.Fatalf("restarts %d quarantined %d; want exactly 1 restart, 0 quarantines", m.ShardRestarts, m.Quarantined)
 	}
 	checkConservation(t, s)
-	compareMultisets(t, "run with panic vs without", got, want)
+	fixture.Compare(t, "run with panic vs without", got, want)
 }
 
 // TestPoisonedEventQuarantinedAndSkippedOnReplay: an event that panics
@@ -288,11 +139,8 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 // durably, so recovery after a crash skips it instead of re-entering
 // the crash loop.
 func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 8, 4, 3, 133)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := freshPipeline(t)
+	events := fixture.Corpus(t, fixture.Config(8, 4, 3, 133)).Events
+	p := fixture.Model(t, fixture.Serving)
 	lab := p.Labeler()
 
 	// Pick a victim that is non-Safe (reaches a shard) and unique by
@@ -337,11 +185,11 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	feedEvents(t, s, events)
 	// Let the shards drain fully (the victim included) before killing
 	// the process, so the quarantine decision is what recovery sees.
-	waitUntil(t, 10*time.Second, "shards to drain", func() bool {
+	fixture.WaitFor(t, 10*time.Second, "shards to drain", func() bool {
 		return s.met.Processed.Load()+s.met.Quarantined.Load() == int64(nonSafe)
 	})
 	s.crash()
@@ -356,11 +204,11 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 
 	// Recovery replays the WAL with the same poisoned event in it — and
 	// must skip it via its durable quarantine record, not panic again.
-	s2, err := New(freshPipeline(t), mkOpts()...)
+	s2, err := New(fixture.Model(t, fixture.Serving), mkOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait2 := collectAlerts(s2)
+	wait2 := fixture.Collect(s2.Alerts())
 	m2 := s2.SnapshotMetrics()
 	if m2.Quarantined != 0 || m2.ShardRestarts != 0 {
 		t.Fatalf("replay re-hit the poisoned event: quarantined %d, restarts %d", m2.Quarantined, m2.ShardRestarts)
@@ -383,13 +231,10 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 // alerts of source + importer equal one streamer that quarantined the
 // same event with no handoff at all.
 func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 16, 12, 10, 156)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(16, 12, 10, 156)).Events
 	// The victim is the source's last event: non-Safe, unique by
 	// quarantine identity.
-	lab, counts := freshPipeline(t).Labeler(), map[string]int{}
+	lab, counts := fixture.Model(t, fixture.Serving).Labeler(), map[string]int{}
 	for _, ev := range events {
 		counts[persist.EventQuarantineKey(ev.Time, ev.Node, ev.Key)]++
 	}
@@ -407,16 +252,16 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 		}))...)
 	}
 
-	sb, err := New(freshPipeline(t), opts()...)
+	sb, err := New(fixture.Model(t, fixture.Serving), opts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitBase := collectAlerts(sb)
+	waitBase := fixture.Collect(sb.Alerts())
 	feedEvents(t, sb, events)
 	if err := sb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := alertMultiset(waitBase())
+	want := fixture.Multiset(waitBase())
 	if q := sb.met.Quarantined.Load(); q != 1 || len(want) < 2 {
 		t.Fatalf("baseline quarantined %d events and fired %d distinct alerts; want 1 and >= 2", q, len(want))
 	}
@@ -425,11 +270,11 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 	// state gets it as the last record of the pending tail, as if the
 	// source had died between the WAL append and the shard.
 	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := New(freshPipeline(t), handoffOpts(WithStateDir(dirA))...)
+	a, err := New(fixture.Model(t, fixture.Serving), handoffOpts(WithStateDir(dirA))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitA := collectAlerts(a)
+	waitA := fixture.Collect(a.Alerts())
 	feedEvents(t, a, events[:cut-1])
 	a.crash()
 	st, err := LoadHandoffFromDir(nil, dirA, fullCircle)
@@ -438,11 +283,11 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 	}
 	st.Pending = append(st.Pending, persist.RecordOf(victim))
 
-	b, err := New(freshPipeline(t), opts(WithStateDir(dirB))...)
+	b, err := New(fixture.Model(t, fixture.Serving), opts(WithStateDir(dirB))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitB := collectAlerts(b)
+	waitB := fixture.Collect(b.Alerts())
 	if err := b.ImportState(6, "takeover:"+dirA, fullCircle, st); err != nil {
 		t.Fatal(err)
 	}
@@ -464,11 +309,11 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 	}
 	b.crash()
 
-	b2, err := New(freshPipeline(t), opts(WithStateDir(dirB))...)
+	b2, err := New(fixture.Model(t, fixture.Serving), opts(WithStateDir(dirB))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitB2 := collectAlerts(b2)
+	waitB2 := fixture.Collect(b2.Alerts())
 	if m := b2.SnapshotMetrics(); m.Quarantined != 0 || m.ReplayedEvents == 0 {
 		t.Fatalf("importer's reboot: quarantined %d, replayed %d; want the import re-applied without the victim", m.Quarantined, m.ReplayedEvents)
 	}
@@ -476,8 +321,8 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 	if err := b2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := alertMultiset(append(append(waitA(), waitB()...), waitB2()...))
-	compareMultisets(t, "poisoned takeover vs quarantine with no handoff", got, want)
+	got := fixture.Multiset(append(append(waitA(), waitB()...), waitB2()...))
+	fixture.Compare(t, "poisoned takeover vs quarantine with no handoff", got, want)
 	checkConservation(t, b2)
 }
 
@@ -485,14 +330,11 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 // crashed — must release all its goroutines (shards, supervisor
 // restarts, snapshot loop, idle flusher).
 func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 135)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 135)).Events
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
 	for i := 0; i < 4; i++ {
-		s, err := New(freshPipeline(t),
+		s, err := New(fixture.Model(t, fixture.Serving),
 			WithShards(4),
 			WithStateDir(dir),
 			WithIdleFlush(50*time.Millisecond),
@@ -501,7 +343,7 @@ func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, wait := collectAlerts(s)
+		wait := fixture.Collect(s.Alerts())
 		feedEvents(t, s, events)
 		if i%2 == 0 {
 			s.crash()
@@ -510,7 +352,7 @@ func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
 		}
 		wait()
 	}
-	waitUntil(t, 5*time.Second, "goroutines to settle", func() bool {
+	fixture.WaitFor(t, 5*time.Second, "goroutines to settle", func() bool {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+2
 	})
@@ -522,10 +364,7 @@ func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
 // same events leave when ingested one at a time. Events the caller
 // withholds are skipped untouched; a frozen range is refused per event.
 func TestIngestBatchOneWALWrite(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 152)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 152)).Events
 	opts := func(dir string) []Option {
 		return handoffOpts(WithStateDir(dir), WithAllowedLateness(1000*time.Hour), WithReorderDepth(len(events)))
 	}
@@ -538,11 +377,11 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 	}
 
 	oneDir := t.TempDir()
-	one, err := New(freshPipeline(t), opts(oneDir)...)
+	one, err := New(fixture.Model(t, fixture.Serving), opts(oneDir)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, waitOne := collectAlerts(one)
+	waitOne := fixture.Collect(one.Alerts())
 	feedEvents(t, one, events)
 	want := segment(oneDir)
 	wantAppends := one.SnapshotMetrics().WALBatchAppends
@@ -550,11 +389,11 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 	waitOne()
 
 	dir := t.TempDir()
-	s, err := New(freshPipeline(t), opts(dir)...)
+	s, err := New(fixture.Model(t, fixture.Serving), opts(dir)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	// Every other event carries its wire record; one foreign event rides
 	// in the middle, withheld by the caller.
 	batch := make([]Admission, 0, len(events)+1)

@@ -13,21 +13,11 @@ import (
 	"time"
 
 	"desh/internal/catalog"
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 	"desh/internal/persist"
 	"desh/internal/persist/faultfs"
 )
-
-// readerText is a failure-dense log as one text, every line terminated.
-func readerText(t testing.TB, nodes int, hours float64, failures int, seed int64) string {
-	t.Helper()
-	run, err := generatedRun(logsim.Profiles()[2], nodes, hours, failures, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.Join(run.Lines(), "\n") + "\n"
-}
 
 // chunkSource hands text out chunk bytes a Read, cutting lines wherever
 // the chunk ends, and plays the process's death for the streamer reading
@@ -167,9 +157,12 @@ func (f *dyingFile) Commit(off, n int) error {
 // died on is resent whole; the dedup ring drops what the torn write's
 // whole-record prefix already replayed.
 func TestReaderBatchCrashEquivalence(t *testing.T) {
-	text := readerText(t, 24, 24, 16, 161)
-	opts := func(extra ...Option) []Option {
-		return append([]Option{
+	log := fixture.Corpus(t, fixture.Config(24, 24, 16, 161))
+	const chunk = 3000
+	reads := len(log.Text())/chunk + 1
+	sc := &scenario{
+		in: log.Events,
+		opts: []Option{
 			WithShards(3),
 			WithQuietPeriod(time.Minute),
 			WithEarlyDetect(true),
@@ -177,91 +170,28 @@ func TestReaderBatchCrashEquivalence(t *testing.T) {
 			WithSnapshotEvery(time.Hour),
 			WithDedupWindow(1024),
 			fastRestart,
-		}, extra...)
+		},
+		durable: true,
+		base:    []step{{reader: &chunkSource{}}},
+		steps: []step{
+			{reader: &chunkSource{chunk: chunk, killAt: reads / 4}, end: kill},
+			{reader: &chunkSource{chunk: chunk, tearAt: reads / 4, tornBytes: 1000}, end: kill},
+			{reader: &chunkSource{chunk: chunk, killAt: reads / 4}, end: kill},
+			{reader: &chunkSource{chunk: chunk}},
+		},
+		quiet: 3,
 	}
-	sb, err := New(freshPipeline(t), opts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitBase := collectAlerts(sb)
-	if err := sb.IngestReader(strings.NewReader(text)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := alertMultiset(waitBase())
-	if len(want) < 3 {
-		t.Fatalf("baseline fired only %d distinct alerts; run too quiet to pin equivalence", len(want))
-	}
-
-	const chunk = 3000
-	reads := len(text)/chunk + 1
-	deaths := []chunkSource{
-		{killAt: reads / 4},
-		{tearAt: reads / 4, tornBytes: 1000},
-		{killAt: reads / 4},
-		{},
-	}
-	dir := t.TempDir()
-	var got []Alert
-	at := 0
-	if d := sb.SnapshotMetrics().Duplicates; d != 0 {
+	tr := sc.run(t, "killed and torn reader vs one undisturbed read")
+	if d := sc.baseRun.SnapshotMetrics().Duplicates; d != 0 {
 		t.Fatalf("the log itself holds %d duplicate events; the resent ones could not be told from them", d)
 	}
-	resent := int64(0) // whole records the torn write landed
-	for i := range deaths {
-		src := &deaths[i]
-		src.text, src.chunk, src.off = text, chunk, at
-		fsys, dying := faultfs.OS(), &dyingFS{}
-		if src.tearAt > 0 {
-			src.fault = faultfs.NewFault(fsys)
-			dying.Fault, dying.torn, fsys = src.fault, src.tornBytes, dying
-		}
-		s, err := New(freshPipeline(t), opts(WithStateDir(dir), withFS(fsys))...)
-		if err != nil {
-			t.Fatalf("incarnation %d: %v", i, err)
-		}
-		src.s, dying.s = s, s
-		_, wait := collectAlerts(s)
-		err = s.IngestReader(src)
-		last := i == len(deaths)-1
-		switch {
-		case last && err != nil:
-			t.Fatalf("incarnation %d: %v", i, err)
-		case !last && !errors.Is(err, errKilled):
-			t.Fatalf("incarnation %d: reader returned %v, want the kill", i, err)
-		}
-		if src.tearAt > 0 {
-			if dying.whole == 0 || dying.partial == 0 || dying.offered <= src.tornBytes {
-				t.Fatalf("incarnation %d: the crashing write landed %d whole records and %d bytes of the next, of %d bytes; want a batch torn mid-record",
-					i, dying.whole, dying.partial, dying.offered)
-			}
-			if m := s.SnapshotMetrics(); m.WALErrors != 1 {
-				t.Fatalf("incarnation %d: %d WAL errors, want the one torn batch", i, m.WALErrors)
-			}
-		}
-		resent += int64(dying.whole)
-		if last {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			checkConservation(t, s)
-			// No snapshot was taken, so this incarnation replayed every
-			// record of the others: of the read the source resent whole,
-			// exactly the lines the torn write had landed whole met
-			// themselves in the dedup ring.
-			if d := s.SnapshotMetrics().Duplicates; d != resent {
-				t.Errorf("the dedup ring dropped %d events, want the %d whole records of the torn write", d, resent)
-			}
-		}
-		if d := s.Metrics().AlertsDropped.Load(); d != 0 {
-			t.Fatalf("incarnation %d dropped %d alerts; buffer sizing broke the comparison", i, d)
-		}
-		got = append(got, wait()...)
-		at = src.resume()
+	// No snapshot was taken, so the last incarnation replayed every record
+	// of the others: of the read the source resent whole, exactly the
+	// lines the torn write had landed whole met themselves in the dedup
+	// ring.
+	if d := tr.runs[3].SnapshotMetrics().Duplicates; d != tr.resent {
+		t.Errorf("the dedup ring dropped %d events, want the %d whole records of the torn write", d, tr.resent)
 	}
-	compareMultisets(t, "killed and torn reader vs one undisturbed read", alertMultiset(got), want)
 }
 
 // TestIngestReaderOneWritePerRead: the reader journals once per read of
@@ -270,8 +200,8 @@ func TestReaderBatchCrashEquivalence(t *testing.T) {
 // buffer and a source that trickles a line per read still gets a commit
 // per line.
 func TestIngestReaderOneWritePerRead(t *testing.T) {
-	text := readerText(t, 12, 12, 8, 162)
-	lab := freshPipeline(t).Labeler()
+	text := fixture.Corpus(t, fixture.Config(12, 12, 8, 162)).Text()
+	lab := fixture.Model(t, fixture.Serving).Labeler()
 	// journaled[i] marks text[i] as the newline of a line that reaches
 	// the WAL: it parses and is not Safe.
 	journaled := make([]bool, len(text))
@@ -297,7 +227,7 @@ func TestIngestReaderOneWritePerRead(t *testing.T) {
 		return false
 	}
 	for _, chunk := range []int{40, 700, 5000, 1 << 20} {
-		s, err := New(freshPipeline(t), WithShards(2), WithStateDir(t.TempDir()), WithAlertBuffer(8192))
+		s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(t.TempDir()), WithAlertBuffer(8192))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +244,7 @@ func TestIngestReaderOneWritePerRead(t *testing.T) {
 	}
 
 	// A line per read: the trickling socket.
-	s, err := New(freshPipeline(t), WithShards(2), WithStateDir(t.TempDir()), WithAlertBuffer(8192))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(t.TempDir()), WithAlertBuffer(8192))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +276,8 @@ func (r *lineSource) Read(p []byte) (int, error) {
 // body cut off by the size bound has journaled every line before the
 // cut by the time the 413 goes out.
 func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
-	run, err := generatedRun(logsim.Profiles()[2], 12, 12, 8, 163)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab := freshPipeline(t).Labeler()
+	run := fixture.Corpus(t, fixture.Config(12, 12, 8, 163)).Run
+	lab := fixture.Model(t, fixture.Serving).Labeler()
 	frozenNode := run.Events[0].Node
 	h := persist.NodeHash(frozenNode)
 	var body bytes.Buffer
@@ -380,7 +307,7 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 
 	dir := t.TempDir()
 	opts := []Option{WithShards(2), WithStateDir(dir), WithAlertBuffer(8192), WithSnapshotEvery(time.Hour)}
-	s, err := New(freshPipeline(t), opts...)
+	s, err := New(fixture.Model(t, fixture.Serving), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +332,7 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 
 	// The 413: the bound falls mid-body, mid-line.
 	limit := int64(4_000)
-	s, err = New(freshPipeline(t), append(opts, func(o *Options) { o.maxBodyBytes = limit })...)
+	s, err = New(fixture.Model(t, fixture.Serving), append(opts, func(o *Options) { o.maxBodyBytes = limit })...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +360,7 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 		t.Fatalf("oversized body: status %d, want 413", rec.Code)
 	}
 	s.Kill()
-	s, err = New(freshPipeline(t), opts...)
+	s, err = New(fixture.Model(t, fixture.Serving), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,15 +376,11 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 // (bench/corpus.go) at quarter scale, ~44k lines of which four in five
 // are journaled. walwrites/line counts WAL commits and repeats exactly.
 func BenchmarkIngestReaderDurable(b *testing.B) {
-	profile := logsim.Profiles()[2]
-	profile.NoisePerNodeHour, profile.StrayPerNodeHour = 0.2, 2.5
-	run, err := generatedRun(profile, 512, 24, 500, 31)
-	if err != nil {
-		b.Fatal(err)
-	}
-	text := strings.Join(run.Lines(), "\n") + "\n"
-	lines := len(run.Events)
-	p := trainedPipeline(b)
+	cfg := fixture.Config(512, 24, 500, 31)
+	cfg.Profile.NoisePerNodeHour, cfg.Profile.StrayPerNodeHour = 0.2, 2.5
+	log := fixture.Corpus(b, cfg)
+	text, lines := log.Text(), len(log.Lines)
+	p := fixture.Model(b, fixture.Serving)
 	var writes, total int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -467,7 +390,7 @@ func BenchmarkIngestReaderDurable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, drained := collectAlerts(s)
+		drained := fixture.Collect(s.Alerts())
 		b.StartTimer()
 		if err := s.IngestReader(strings.NewReader(text)); err != nil {
 			b.Fatal(err)
@@ -488,12 +411,9 @@ func BenchmarkIngestReaderDurable(b *testing.B) {
 // a write. The stream keeps serving from memory, the failed append and
 // every later one the WAL refuses are wal_errors, and nothing panics.
 func TestWALReserveFailureCounted(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 152)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 152)).Events
 	fault := faultfs.NewFault(faultfs.OS())
-	s, err := New(freshPipeline(t), WithShards(1), WithStateDir(t.TempDir()), withFS(fault), WithAlertBuffer(4096), WithSnapshotEvery(time.Hour))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(1), WithStateDir(t.TempDir()), withFS(fault), WithAlertBuffer(4096), WithSnapshotEvery(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,12 +435,9 @@ func TestWALReserveFailureCounted(t *testing.T) {
 // serving from memory, and the write that failed — and every later one
 // the WAL refuses — is a wal_error, not a wal_batch_append.
 func TestWALBatchAppendsCountsWritesTaken(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 6, 2, 2, 152)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 152)).Events
 	fault := faultfs.NewFault(faultfs.OS())
-	s, err := New(freshPipeline(t), WithShards(1), WithStateDir(t.TempDir()), withFS(fault), WithAlertBuffer(4096), WithSnapshotEvery(time.Hour))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(1), WithStateDir(t.TempDir()), withFS(fault), WithAlertBuffer(4096), WithSnapshotEvery(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 )
 
 // verdictKey identifies one flagged failure for set comparison: node,
@@ -27,21 +27,9 @@ func verdictKey(node string, at time.Time, lead float64) string {
 // windows) must flag exactly the nodes batch Predict flags, with
 // identical lead times and flag timestamps.
 func TestReplayMatchesBatch(t *testing.T) {
-	p := trainedPipeline(t)
-	run, err := generatedRun(logsim.Profiles()[2], 24, 24, 16, 97)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(run.Events))
-	events := make([]logparse.Event, len(run.Events))
-	for i, ge := range run.Events {
-		lines[i] = ge.Line()
-		ev, err := logparse.ParseLine(lines[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		events[i] = ev
-	}
+	p := fixture.Model(t, fixture.Serving)
+	log := fixture.Corpus(t, fixture.Config(24, 24, 16, 97))
+	lines, events := log.Lines, log.Events
 
 	verdicts, err := p.Predict(events)
 	if err != nil {
@@ -68,7 +56,7 @@ func TestReplayMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	for _, line := range lines {
 		if err := s.IngestLine(line); err != nil {
 			t.Fatal(err)
@@ -89,7 +77,7 @@ func TestReplayMatchesBatch(t *testing.T) {
 	if len(alerts) != flagged {
 		t.Errorf("streamer fired %d alerts, batch flagged %d", len(alerts), flagged)
 	}
-	compareMultisets(t, "stream vs batch", got, want)
+	fixture.Compare(t, "stream vs batch", got, want)
 	if dropped := s.Metrics().AlertsDropped.Load(); dropped != 0 {
 		t.Fatalf("%d alerts dropped; buffer sizing broke the comparison", dropped)
 	}
@@ -102,17 +90,14 @@ func TestReplayMatchesBatch(t *testing.T) {
 func TestCloseDuringBurstLosesNothing(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	p := trainedPipeline(t)
-	run, err := generatedRun(logsim.Profiles()[2], 24, 24, 16, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := fixture.Model(t, fixture.Serving)
+	run := fixture.Corpus(t, fixture.Config(24, 24, 16, 55)).Run
 	before := runtime.NumGoroutine()
 	s, err := New(p, WithShards(4), WithQueueDepth(64), WithQuietPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 
 	const feeders = 8
 	var wg sync.WaitGroup
@@ -160,16 +145,13 @@ func TestCloseDuringBurstLosesNothing(t *testing.T) {
 // burst through a depth-1 queue must drop events rather than block, and
 // the counters must still account for every ingested event.
 func TestDropNewestShedsAndConserves(t *testing.T) {
-	p := trainedPipeline(t)
-	run, err := generatedRun(logsim.Profiles()[2], 24, 24, 16, 56)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := fixture.Model(t, fixture.Serving)
+	run := fixture.Corpus(t, fixture.Config(24, 24, 16, 56)).Run
 	s, err := New(p, WithShards(1), WithQueueDepth(1), WithPolicy(DropNewest), WithQuietPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	const feeders = 4
 	var wg sync.WaitGroup
 	for g := 0; g < feeders; g++ {
@@ -202,17 +184,14 @@ func TestDropNewestShedsAndConserves(t *testing.T) {
 }
 
 func TestContextCancelDrains(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	ctx, cancel := context.WithCancel(context.Background())
 	s, err := New(p, WithContext(ctx), WithQuietPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
-	run, err := generatedRun(logsim.Profiles()[2], 8, 2, 2, 58)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wait := fixture.Collect(s.Alerts())
+	run := fixture.Corpus(t, fixture.Config(8, 2, 2, 58)).Run
 	for _, ge := range run.Events {
 		if err := s.IngestLine(ge.Line()); err != nil {
 			t.Fatal(err)
@@ -226,12 +205,12 @@ func TestContextCancelDrains(t *testing.T) {
 }
 
 func TestIdleFlushClosesSilentNode(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithQuietPeriod(0), WithIdleFlush(30*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	base := time.Date(2026, 5, 3, 0, 0, 0, 0, time.UTC)
 	keys := []string{
 		"DVS: Verify Filesystem *",
@@ -261,12 +240,12 @@ func TestIdleFlushClosesSilentNode(t *testing.T) {
 }
 
 func TestServeLinesTCP(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithQuietPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -274,10 +253,7 @@ func TestServeLinesTCP(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.ServeLines(ln) }()
 
-	run, err := generatedRun(logsim.Profiles()[2], 8, 2, 2, 59)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := fixture.Corpus(t, fixture.Config(8, 2, 2, 59)).Run
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -315,16 +291,13 @@ type readerFunc func([]byte) (int, error)
 func (f readerFunc) Read(b []byte) (int, error) { return f(b) }
 
 func TestHTTPHandlers(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithQuietPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
-	run, err := generatedRun(logsim.Profiles()[2], 8, 2, 2, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wait := fixture.Collect(s.Alerts())
+	run := fixture.Corpus(t, fixture.Config(8, 2, 2, 60)).Run
 	var body strings.Builder
 	n := 50
 	if n > len(run.Events) {

@@ -11,6 +11,7 @@ import (
 
 	"desh/internal/catalog"
 	"desh/internal/chain"
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
 	"desh/internal/logsim"
 	"desh/internal/persist"
@@ -43,7 +44,7 @@ func stripRef(ev logparse.Event) logparse.Event {
 func TestResolvedMatchesKeyPath(t *testing.T) {
 	catalog.ResetExtended()
 	defer catalog.ResetExtended()
-	s, err := New(freshPipeline(t), WithShards(2))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestResolvedMatchesKeyPath(t *testing.T) {
 
 	// A hot swap whose candidate knows more phrases than the live encoder:
 	// every id handed out so far, cached by ref or not, stays what it was.
-	cand := freshCandidate(t)
+	cand := fixture.Model(t, fixture.Candidate)
 	for _, k := range s.enc.Keys()[cand.Encoder().Len():] {
 		cand.Encoder().Encode(k) // retrained from the live vocabulary
 	}
@@ -146,30 +147,10 @@ func TestResolvedMatchesKeyPath(t *testing.T) {
 // WAL records decoded back fires the same alerts: the resolved path is
 // the key path, end to end.
 func TestResolvedAlertEquivalence(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 12, 16, 10, 141)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(via func(logparse.Event) logparse.Event) map[string]int {
-		t.Helper()
-		s, err := New(freshPipeline(t), WithShards(2), WithQuietPeriod(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wait := collectAlerts(s)
-		for _, ev := range events {
-			if err := s.IngestEvent(via(ev)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return alertMultiset(wait())
-	}
-	want := run(func(ev logparse.Event) logparse.Event { return ev })
-	if len(want) == 0 {
-		t.Fatal("baseline fired no alerts")
+	sc := &scenario{
+		in:    fixture.Corpus(t, fixture.Config(12, 16, 10, 141)).Events,
+		opts:  []Option{WithShards(2), WithQuietPeriod(0)},
+		steps: []step{{}},
 	}
 	for name, via := range map[string]func(logparse.Event) logparse.Event{
 		"literal": stripRef,
@@ -181,7 +162,13 @@ func TestResolvedAlertEquivalence(t *testing.T) {
 			return rec.Event()
 		},
 	} {
-		compareMultisets(t, name+" vs parsed events", run(via), want)
+		sc.disturb = func(in []logparse.Event) []logparse.Event {
+			for i := range in {
+				in[i] = via(in[i])
+			}
+			return in
+		}
+		sc.run(t, name+" vs parsed events")
 	}
 }
 
@@ -245,7 +232,7 @@ func TestParentWrittenStateRestores(t *testing.T) {
 	}
 
 	cfg := chain.DefaultConfig()
-	lab := freshPipeline(t).Labeler()
+	lab := fixture.Model(t, fixture.Serving).Labeler()
 	restored, err := chain.NewTracker(node, lab, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +282,7 @@ func TestDurableIngestEventAllocations(t *testing.T) {
 }
 
 func ingestEventAllocations(t *testing.T, extra ...Option) *Streamer {
-	s, err := New(freshPipeline(t), append([]Option{WithShards(1), WithQuietPeriod(0), WithMaxOpenWindow(64)}, extra...)...)
+	s, err := New(fixture.Model(t, fixture.Serving), append([]Option{WithShards(1), WithQuietPeriod(0), WithMaxOpenWindow(64)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +305,7 @@ func ingestEventAllocations(t *testing.T, extra ...Option) *Streamer {
 		fed++
 	}
 	settle := func() {
-		waitUntil(t, 10*time.Second, "the shard to drain", func() bool { return s.Metrics().Processed.Load() == fed })
+		fixture.WaitFor(t, 10*time.Second, "the shard to drain", func() bool { return s.Metrics().Processed.Load() == fed })
 	}
 	for i := 0; i < 4*64; i++ { // fill the window and wrap its backing slice once
 		feed()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
 )
 
@@ -12,7 +13,7 @@ import (
 // level 3 additionally sheds roughly half of every node's remaining
 // stream — fairly, so no node goes completely dark.
 func TestShedAdmitLevels(t *testing.T) {
-	s, err := New(freshPipeline(t), WithShards(1), WithShedPolicy(ShedDegrade))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(1), WithShedPolicy(ShedDegrade))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestShedAdmitLevels(t *testing.T) {
 // allowed-lateness to a quarter so the reorder buffers drain faster;
 // returning to level 0 restores it.
 func TestShedLevelShrinksLateness(t *testing.T) {
-	s, err := New(freshPipeline(t),
+	s, err := New(fixture.Model(t, fixture.Serving),
 		WithShards(1),
 		WithShedPolicy(ShedDegrade),
 		WithAllowedLateness(40*time.Second),
@@ -89,7 +90,7 @@ func TestShedLevelShrinksLateness(t *testing.T) {
 // levels, shed events (conservation extends to them), and walk back to
 // level 0 once the load subsides.
 func TestOverloadDegradesAndRecovers(t *testing.T) {
-	s, err := New(freshPipeline(t),
+	s, err := New(fixture.Model(t, fixture.Serving),
 		WithShards(2),
 		WithQueueDepth(16),
 		WithQuietPeriod(0),
@@ -110,7 +111,7 @@ func TestOverloadDegradesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	base := time.Date(2026, 5, 3, 0, 0, 0, 0, time.UTC)
 	// Half the flood carries Unknown phrases — level 2's first sacrifice
 	// — and half Error-labeled ones that survive until level 3.
@@ -141,7 +142,7 @@ func TestOverloadDegradesAndRecovers(t *testing.T) {
 	}
 	// Load has subsided: the queues drain and the controller must walk
 	// back down to normal operation.
-	waitUntil(t, 10*time.Second, "controller to return to level 0", func() bool {
+	fixture.WaitFor(t, 10*time.Second, "controller to return to level 0", func() bool {
 		return s.Metrics().ShedLevel.Load() == 0
 	})
 	if err := s.Close(); err != nil {

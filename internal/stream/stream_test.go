@@ -1,88 +1,14 @@
 package stream
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"desh/internal/chain"
+	"desh/internal/chaos/fixture"
 	"desh/internal/core"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 )
-
-var (
-	pipeOnce sync.Once
-	pipe     *core.Pipeline
-	pipeErr  error
-)
-
-// trainedPipeline trains one small pipeline shared by every test and
-// benchmark in the package (training dominates test cost; inference
-// state is per-test).
-func trainedPipeline(t testing.TB) *core.Pipeline {
-	t.Helper()
-	pipeOnce.Do(func() {
-		cfg := core.DefaultConfig()
-		cfg.Epochs1 = 0
-		cfg.Epochs2 = 150
-		p, err := core.New(cfg)
-		if err != nil {
-			pipeErr = err
-			return
-		}
-		events, err := generatedEvents(logsim.Profiles()[2], 30, 48, 30, 32)
-		if err != nil {
-			pipeErr = err
-			return
-		}
-		if _, err := p.Train(events); err != nil {
-			pipeErr = err
-			return
-		}
-		pipe = p
-	})
-	if pipeErr != nil {
-		t.Fatal(pipeErr)
-	}
-	return pipe
-}
-
-func generatedRun(profile logsim.Profile, nodes int, hours float64, failures int, seed int64) (*logsim.Run, error) {
-	return logsim.Generate(logsim.Config{
-		Profile: profile, Nodes: nodes, Hours: hours, Failures: failures, Seed: seed,
-	})
-}
-
-func generatedEvents(profile logsim.Profile, nodes int, hours float64, failures int, seed int64) ([]logparse.Event, error) {
-	run, err := generatedRun(profile, nodes, hours, failures, seed)
-	if err != nil {
-		return nil, err
-	}
-	events := make([]logparse.Event, len(run.Events))
-	for i, ge := range run.Events {
-		ev, err := logparse.ParseLine(ge.Line())
-		if err != nil {
-			return nil, err
-		}
-		events[i] = ev
-	}
-	return events, nil
-}
-
-// collectAlerts drains the streamer's alert channel in the background.
-func collectAlerts(s *Streamer) (<-chan []Alert, func() []Alert) {
-	done := make(chan []Alert, 1)
-	go func() {
-		var alerts []Alert
-		for a := range s.Alerts() {
-			alerts = append(alerts, a)
-		}
-		done <- alerts
-	}()
-	wait := func() []Alert { return <-done }
-	return done, wait
-}
 
 // chainEvents renders a ΔT-annotated chain back into parseable events
 // on the given node starting at base.
@@ -107,7 +33,7 @@ func TestNewRejectsUntrainedAndBadOptions(t *testing.T) {
 	if _, err := New(untrained); err == nil {
 		t.Fatal("untrained pipeline must be rejected")
 	}
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	bad := []Option{
 		WithShards(0),
 		WithQueueDepth(0),
@@ -133,16 +59,13 @@ func TestNewRejectsUntrainedAndBadOptions(t *testing.T) {
 }
 
 func TestStreamerIngestCountsAndClose(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithShards(2), WithQuietPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
-	run, err := generatedRun(logsim.Profiles()[2], 10, 4, 4, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wait := fixture.Collect(s.Alerts())
+	run := fixture.Corpus(t, fixture.Config(10, 4, 4, 41)).Run
 	for _, ge := range run.Events {
 		if err := s.IngestLine(ge.Line()); err != nil {
 			t.Fatal(err)
@@ -194,7 +117,7 @@ func TestStreamerIngestCountsAndClose(t *testing.T) {
 // with a long quiet period the second is suppressed, and after the
 // quiet period elapses the state machine re-arms.
 func TestAlertDedupQuietPeriod(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	var flagged chain.Chain
 	found := false
 	for _, c := range p.TrainedChains() {
@@ -222,7 +145,7 @@ func TestAlertDedupQuietPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait1 := collectAlerts(s1)
+	wait1 := fixture.Collect(s1.Alerts())
 	replay(s1, 0, 10*time.Minute)
 	if alerts := wait1(); len(alerts) != 2 {
 		t.Fatalf("dedup off: %d alerts, want 2", len(alerts))
@@ -232,7 +155,7 @@ func TestAlertDedupQuietPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait2 := collectAlerts(s2)
+	wait2 := fixture.Collect(s2.Alerts())
 	replay(s2, 0, 10*time.Minute)
 	if alerts := wait2(); len(alerts) != 1 {
 		t.Fatalf("quiet period: %d alerts, want 1", len(alerts))
@@ -245,7 +168,7 @@ func TestAlertDedupQuietPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait3 := collectAlerts(s3)
+	wait3 := fixture.Collect(s3.Alerts())
 	replay(s3, 0, 2*time.Hour)
 	if alerts := wait3(); len(alerts) != 2 {
 		t.Fatalf("re-arm: %d alerts, want 2", len(alerts))
@@ -256,7 +179,7 @@ func TestAlertDedupQuietPeriod(t *testing.T) {
 // detection on: a provisional alert must fire strictly before the
 // terminal event's timestamp, with the model-predicted lead attached.
 func TestEarlyDetectProvisionalAlert(t *testing.T) {
-	p := trainedPipeline(t)
+	p := fixture.Model(t, fixture.Serving)
 	var flagged chain.Chain
 	found := false
 	for _, c := range p.TrainedChains() {
@@ -275,7 +198,7 @@ func TestEarlyDetectProvisionalAlert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	base := time.Date(2026, 5, 2, 0, 0, 0, 0, time.UTC)
 	events := chainEvents(flagged, flagged.Node, base)
 	terminalAt := events[len(events)-1].Time

@@ -1,66 +1,17 @@
 package stream
 
 import (
-	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"desh/internal/chaos/fixture"
 	"desh/internal/core"
 	"desh/internal/logparse"
-	"desh/internal/logsim"
 )
-
-// candidatePipeline trains a second model on the same corpus as
-// trainedPipeline but with a different epoch budget: identical phrase
-// vocabulary (so it passes swap validation) with different weights (so
-// swapped runs are distinguishable from unswapped ones).
-var (
-	candOnce = &struct{ done bool }{}
-	candPipe *core.Pipeline
-)
-
-func candidatePipeline(t testing.TB) *core.Pipeline {
-	t.Helper()
-	if !candOnce.done {
-		cfg := core.DefaultConfig()
-		cfg.Epochs1 = 0
-		cfg.Epochs2 = 60 // fewer epochs than trainedPipeline's 150 — different weights
-		p, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := generatedEvents(logsim.Profiles()[2], 30, 48, 30, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Train(events); err != nil {
-			t.Fatal(err)
-		}
-		candPipe = p
-		candOnce.done = true
-	}
-	return candPipe
-}
-
-// freshCandidate reloads candidatePipeline through Save/Load, like a
-// restart would, so each use gets its own encoder.
-func freshCandidate(t testing.TB) *core.Pipeline {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := candidatePipeline(t).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
 
 func TestSwapValidation(t *testing.T) {
-	s, err := New(freshPipeline(t), WithShards(2))
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +25,13 @@ func TestSwapValidation(t *testing.T) {
 		t.Fatal("untrained candidate must be rejected")
 	}
 
-	cfg := trainedPipeline(t).Config()
+	cfg := fixture.Model(t, fixture.Serving).Config()
 	cfg.ChainCfg.MaxGap += time.Hour
 	other, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Train(mustEvents(t)); err != nil {
+	if _, err := other.Train(fixture.Corpus(t, fixture.Serving.Corpus).Events); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SwapModel(other); err == nil {
@@ -92,15 +43,6 @@ func TestSwapValidation(t *testing.T) {
 	if got := s.Metrics().Swaps.Load(); got != 0 {
 		t.Fatalf("Swaps = %d, want 0", got)
 	}
-}
-
-func mustEvents(t testing.TB) []logparse.Event {
-	t.Helper()
-	events, err := generatedEvents(logsim.Profiles()[2], 30, 48, 30, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return events
 }
 
 // TestHotSwapBitIdentical: after a live swap, traffic on fresh nodes
@@ -120,77 +62,33 @@ func TestHotSwapBitIdenticalF32(t *testing.T) {
 }
 
 func runHotSwapBitIdentical(t *testing.T, extra ...Option) {
-	events, err := generatedEvents(logsim.Profiles()[2], 12, 16, 10, 141)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := append([]Option{
-		WithShards(3),
-		WithQuietPeriod(time.Minute),
-		WithAlertBuffer(8192),
-	}, extra...)
-
-	dir := t.TempDir()
-	s, err := New(freshPipeline(t), append(opts, WithStateDir(dir))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wait := collectAlerts(s)
-	feedEvents(t, s, events)
-	cand := freshCandidate(t)
-	if err := s.SwapModel(cand); err != nil {
-		t.Fatalf("swap: %v", err)
-	}
-	if s.ActiveModelFile() == "" {
-		t.Fatal("swap left no active model file recorded")
-	}
+	events := fixture.Corpus(t, fixture.Config(12, 16, 10, 141)).Events
 	// Phase B on fresh nodes: their chains are born and die entirely on
 	// the candidate model.
-	for _, ev := range events {
+	phaseB := make([]logparse.Event, len(events))
+	for i, ev := range events {
 		ev.Node += "-b"
-		if err := s.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
+		phaseB[i] = ev
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	sc := &scenario{opts: append([]Option{WithShards(3), WithQuietPeriod(time.Minute), WithAlertBuffer(8192)}, extra...), durable: true}
+	tr := sc.play(t, append(events, phaseB...), []step{{until: len(events), swap: true, end: keep}, {}})
+	if s := tr.runs[0]; s.ActiveModelFile() == "" || s.Metrics().Swaps.Load() != 1 {
+		t.Fatalf("Swaps = %d with active model file %q, want 1 and a file", s.Metrics().Swaps.Load(), s.ActiveModelFile())
 	}
-	if d := s.Metrics().AlertsDropped.Load(); d != 0 {
-		t.Fatalf("dropped %d alerts across the swap", d)
-	}
-	if got := s.Metrics().Swaps.Load(); got != 1 {
-		t.Fatalf("Swaps = %d, want 1", got)
-	}
-	checkConservation(t, s)
-	var phaseB []Alert
-	for _, a := range wait() {
+	var swapped []Alert
+	for _, a := range tr.alerts {
 		if strings.HasSuffix(a.Node, "-b") {
-			phaseB = append(phaseB, a)
+			swapped = append(swapped, a)
 		}
 	}
-	if len(phaseB) == 0 {
+	if len(swapped) == 0 {
 		t.Fatal("post-swap phase fired no alerts; stream too quiet to pin equivalence")
 	}
-
 	// Reference: a fresh streamer serving the candidate from boot, fed
 	// only the phase-B traffic.
-	ref, err := New(freshCandidate(t), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, waitRef := collectAlerts(ref)
-	for _, ev := range events {
-		ev.Node += "-b"
-		if err := ref.IngestEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := alertMultiset(waitRef())
-	got := alertMultiset(phaseB)
-	compareMultisets(t, "swapped run vs candidate-from-boot run", got, want)
+	sc.durable = false
+	ref := sc.play(t, phaseB, []step{{model: fixture.Candidate}})
+	fixture.Compare(t, "swapped run vs candidate-from-boot run", fixture.Multiset(swapped), fixture.Multiset(ref.alerts))
 }
 
 // TestCrashDuringSwapEquivalence kills the process at each durability
@@ -211,52 +109,28 @@ func TestCrashDuringSwapEquivalenceF32(t *testing.T) {
 }
 
 func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
-	events, err := generatedEvents(logsim.Profiles()[2], 12, 16, 10, 142)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := fixture.Corpus(t, fixture.Config(12, 16, 10, 142)).Events
 	cut := len(events) / 2
-	opts := func(extra ...Option) []Option {
-		base := append([]Option{
+	sc := &scenario{
+		opts: append([]Option{
 			WithShards(3),
 			WithQuietPeriod(time.Minute),
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour),
 			fastRestart,
-		}, fixed...)
-		return append(base, extra...)
+		}, fixed...),
 	}
-
 	// Uninterrupted baselines: one run that never swaps, one that swaps
 	// successfully at the same cut.
 	baseline := func(swap bool) map[string]int {
-		t.Helper()
-		s, err := New(freshPipeline(t), opts()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wait := collectAlerts(s)
-		for i, ev := range events {
-			if i == cut && swap {
-				if err := s.SwapModel(freshCandidate(t)); err != nil {
-					t.Fatalf("baseline swap: %v", err)
-				}
-			}
-			if err := s.IngestEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return alertMultiset(wait())
+		return fixture.Multiset(sc.play(t, events, []step{{until: cut, swap: swap, end: keep}, {}}).alerts)
 	}
-	wantOld := baseline(false)
-	wantNew := baseline(true)
+	wantOld, wantNew := baseline(false), baseline(true)
 	if len(wantOld) == 0 || len(wantNew) == 0 {
 		t.Fatal("baselines fired no alerts; stream too quiet")
 	}
 
+	sc.durable = true
 	cases := []struct {
 		name      string
 		stage     SwapStage
@@ -268,40 +142,11 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := New(freshPipeline(t),
-				opts(WithStateDir(dir), withSwapHook(func(st SwapStage) bool { return st == tc.stage }))...)
-			if err != nil {
-				t.Fatal(err)
+			tr := sc.play(t, events, []step{{until: cut, end: swapKill, stage: tc.stage}, {}})
+			if recovered := tr.runs[1].ActiveModelFile(); (recovered != "") != tc.wantModel {
+				t.Fatalf("recovered on model %q, want candidate=%v", recovered, tc.wantModel)
 			}
-			_, wait := collectAlerts(s)
-			feedEvents(t, s, events[:cut])
-			if err := s.SwapModel(freshCandidate(t)); !errors.Is(err, ErrSwapAborted) {
-				t.Fatalf("swap returned %v, want ErrSwapAborted", err)
-			}
-			// The hook simulated a kill at the durability stage; nothing
-			// else may touch this incarnation.
-			s.crash()
-			got := wait()
-
-			s2, err := New(freshPipeline(t), opts(WithStateDir(dir))...)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			if (s2.ActiveModelFile() != "") != tc.wantModel {
-				t.Fatalf("recovered on model %q, want candidate=%v", s2.ActiveModelFile(), tc.wantModel)
-			}
-			_, wait2 := collectAlerts(s2)
-			feedEvents(t, s2, events[cut:])
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if d := s.Metrics().AlertsDropped.Load() + s2.Metrics().AlertsDropped.Load(); d != 0 {
-				t.Fatalf("dropped %d alerts", d)
-			}
-			got = append(got, wait2()...)
-			gotSet := alertMultiset(got)
-			compareMultisets(t, "crashed run vs baseline", gotSet, tc.want)
+			fixture.Compare(t, "crashed run vs baseline", fixture.Multiset(tr.alerts), tc.want)
 		})
 	}
 }
@@ -310,22 +155,19 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 // the serving model must produce perfect agreement — every scored
 // chain lands in BothFlagged or Neither, with zero lead-time delta.
 func TestShadowSelfAgreement(t *testing.T) {
-	events, err := generatedEvents(logsim.Profiles()[2], 12, 16, 10, 143)
+	events := fixture.Corpus(t, fixture.Config(12, 16, 10, 143)).Events
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithQuietPeriod(time.Minute), WithAlertBuffer(8192))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(freshPipeline(t), WithShards(2), WithQuietPeriod(time.Minute), WithAlertBuffer(8192))
+	ev2, err := s.StartShadow(fixture.Model(t, fixture.Serving), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2, err := s.StartShadow(freshPipeline(t), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.StartShadow(freshPipeline(t), 10); err == nil {
+	if _, err := s.StartShadow(fixture.Model(t, fixture.Serving), 10); err == nil {
 		t.Fatal("second concurrent shadow evaluation must be rejected")
 	}
-	_, wait := collectAlerts(s)
+	wait := fixture.Collect(s.Alerts())
 	feedEvents(t, s, events)
 	select {
 	case <-ev2.Done():
@@ -346,7 +188,7 @@ func TestShadowSelfAgreement(t *testing.T) {
 		t.Fatal("shadow evaluation did not detach after its window")
 	}
 	// A fresh evaluation can start once the previous one detached.
-	ev3, err := s.StartShadow(freshPipeline(t), 1000000)
+	ev3, err := s.StartShadow(fixture.Model(t, fixture.Serving), 1000000)
 	if err != nil {
 		t.Fatal(err)
 	}
