@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race kernel-parity ci-guard verify bench-smoke fuzz run-deshd
+.PHONY: build test vet race kernel-parity ci-guard census verify bench-smoke fuzz run-deshd
 
 build:
 	$(GO) build ./...
@@ -52,10 +52,17 @@ kernel-parity:
 ci-guard:
 	bash scripts/check_ci_tests.sh
 
+# census fails on a function under internal/ that none of the shipped
+# binaries (cmd/*, examples/* and the benchmark's deshbench, built with
+# inlining off) links, unless scripts/census_allow.txt names it with a
+# reason — and on an allowlist entry that no longer covers anything.
+census:
+	bash scripts/census.sh
+
 # verify is the tier-1 gate: build + full tests, plus vet, the race
-# detector over the concurrent packages, the kernel parity runs and the
-# CI name guard.
-verify: build test vet race kernel-parity ci-guard
+# detector over the concurrent packages, the kernel parity runs, the
+# CI name guard and the linker census.
+verify: build test vet race kernel-parity ci-guard census
 
 # bench-smoke proves the repository's benchmark (bench/, its own
 # module) still builds against the cluster and stream API and that

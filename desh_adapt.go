@@ -7,14 +7,17 @@ import (
 // Learner is the continuous-learning manager: it watches a Streamer's
 // drift signals, retrains candidate models in the background from the
 // crash-recovery WAL, shadow-scores them against live traffic, and
-// hot-swaps winners in without dropping an event. See LearnerConfig
-// for the knobs and the deshd flags -retrain-every, -drift-threshold,
-// -shadow-window and -swap-policy for the operator surface.
+// hot-swaps winners in without dropping an event. LearnerConfig's
+// fields are the deshd flags -state-dir, -retrain-every,
+// -drift-threshold, -shadow-window and -swap-policy; everything else
+// (sampling tick, retrain gap, 24 h training window, shadow gates) is
+// fixed.
 type Learner = adapt.Manager
 
-// LearnerConfig tunes a Learner; the zero value plus StateDir and at
-// least one armed trigger (RetrainEvery or DriftThreshold) is a
-// working configuration.
+// LearnerConfig tunes a Learner: StateDir, the two triggers
+// (RetrainEvery, DriftThreshold), ShadowWindow, Policy and Diag. The
+// zero value plus StateDir and at least one armed trigger is a working
+// configuration.
 type LearnerConfig = adapt.Config
 
 // SwapPolicy selects what happens after a candidate model trains:

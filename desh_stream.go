@@ -1,7 +1,6 @@
 package desh
 
 import (
-	"context"
 	"time"
 
 	"desh/internal/core"
@@ -111,10 +110,6 @@ func WithEarlyDetect(on bool) StreamOption { return stream.WithEarlyDetect(on) }
 // WithIdleFlush closes a node's open episode after d of wall-clock
 // silence so a node that dies mid-chain still gets scored (0 disables).
 func WithIdleFlush(d time.Duration) StreamOption { return stream.WithIdleFlush(d) }
-
-// WithStreamContext ties the streamer's lifetime to ctx: cancellation
-// triggers the same graceful drain as Close.
-func WithStreamContext(ctx context.Context) StreamOption { return stream.WithContext(ctx) }
 
 // WithStateDir enables crash-safe operation: per-node state snapshots
 // and a write-ahead log of ingested events live in dir, and NewStreamer

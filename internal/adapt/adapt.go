@@ -66,88 +66,80 @@ func ParsePolicy(s string) (Policy, error) {
 	return PolicyAuto, fmt.Errorf("adapt: unknown swap policy %q (want auto, shadow or immediate)", s)
 }
 
+// The loop's fixed settings. deshd sets none of them; a test shrinks
+// the first two (and the shadow gates) through Config's unexported
+// seams to run a cycle in seconds.
+const (
+	// tick is the drift-sampling interval.
+	tick = 5 * time.Second
+	// minRetrainGap spaces retrain cycles, so a persistently high score
+	// does not retrain back to back; a shorter RetrainEvery wins.
+	minRetrainGap = time.Minute
+	// trainWindow bounds both the harvest and the WAL the loop pins: a
+	// retrain reads the events within trainWindow of the newest, and the
+	// retain floor keeps roughly that much history against snapshot
+	// truncation.
+	trainWindow = 24 * time.Hour
+	// shadowTimeout caps how long a shadow evaluation waits for its
+	// window to fill on a quiet stream.
+	shadowTimeout = 5 * time.Minute
+	// minCoverage is the share of the active model's flags the candidate
+	// must agree with (when the active model flagged anything).
+	minCoverage = 0.8
+	// maxCandidateOnly caps candidate-only flags as a share of scored
+	// chains: a noisy candidate is rejected.
+	maxCandidateOnly = 0.5
+)
+
 // Config tunes the continuous-learning manager.
 type Config struct {
 	// StateDir is the streamer's crash-recovery directory — training
 	// data is harvested from its WAL. Required.
 	StateDir string
-	// Tick is the drift-sampling interval. Default 5s.
-	Tick time.Duration
 	// RetrainEvery forces a retrain cycle at this interval regardless
 	// of drift. Zero disables time-based retraining.
 	RetrainEvery time.Duration
 	// DriftThreshold triggers a retrain when the drift score reaches
 	// it. Zero disables drift-based retraining.
 	DriftThreshold float64
-	// MinRetrainGap is the minimum spacing between retrain cycles, so a
-	// persistently high score does not retrain back to back. Default 1m.
-	MinRetrainGap time.Duration
-	// TrainWindow bounds the harvested training data to events within
-	// this duration of the newest WAL event. Zero means everything the
-	// WAL still holds.
-	TrainWindow time.Duration
 	// ShadowWindow is how many closed-chain verdicts the shadow
 	// evaluation scores before judging. Default 200.
 	ShadowWindow int
-	// ShadowTimeout caps how long a shadow evaluation may wait for its
-	// window to fill on quiet streams. Default 5m.
-	ShadowTimeout time.Duration
 	// Policy selects shadow gating vs. immediate swap.
 	Policy Policy
-	// MinCoverage is the fraction of the active model's flags the
-	// candidate must agree with (when the active model flagged
-	// anything). Default 0.8.
-	MinCoverage float64
-	// MaxCandidateOnly caps candidate-only flags as a fraction of
-	// scored chains — a noisy candidate is rejected. Default 0.5.
-	MaxCandidateOnly float64
-	// Workers sizes the background training pool. Retraining runs at
-	// low priority simply by being small: default max(1, NumCPU/4).
-	Workers int
-	// TrainConfig overrides the candidate's training configuration.
-	// Nil trains with the active model's config.
-	TrainConfig *core.Config
-	// Drift tunes the drift score.
-	Drift DriftConfig
 	// Diag, when set, receives one line per loop decision.
 	Diag io.Writer
 
-	// fs overrides the filesystem for WAL harvesting (tests).
-	fs faultfs.FS
+	// Test seams, zero meaning the constant above: the sampling tick,
+	// the retrain gap and the shadow gates, the candidate's training
+	// configuration (nil trains with the active model's) and the drift
+	// score's references.
+	tick, minRetrainGap           time.Duration
+	minCoverage, maxCandidateOnly float64
+	trainConfig                   *core.Config
+	drift                         driftConfig
 }
 
 func (c *Config) setDefaults() {
-	if c.Tick <= 0 {
-		c.Tick = 5 * time.Second
+	if c.tick <= 0 {
+		c.tick = tick
 	}
-	if c.MinRetrainGap <= 0 {
-		c.MinRetrainGap = time.Minute
+	if c.minRetrainGap <= 0 {
+		c.minRetrainGap = minRetrainGap
 		// An explicit sub-minute cadence must not be silently debounced
 		// into the default gap — the shorter of the two wins.
-		if c.RetrainEvery > 0 && c.RetrainEvery < c.MinRetrainGap {
-			c.MinRetrainGap = c.RetrainEvery
+		if c.RetrainEvery > 0 && c.RetrainEvery < c.minRetrainGap {
+			c.minRetrainGap = c.RetrainEvery
 		}
 	}
 	if c.ShadowWindow <= 0 {
 		c.ShadowWindow = 200
 	}
-	if c.ShadowTimeout <= 0 {
-		c.ShadowTimeout = 5 * time.Minute
+	if c.minCoverage <= 0 {
+		c.minCoverage = minCoverage
 	}
-	if c.MinCoverage <= 0 {
-		c.MinCoverage = 0.8
-	}
-	if c.MaxCandidateOnly <= 0 {
-		c.MaxCandidateOnly = 0.5
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU() / 4
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
-	}
-	if c.fs == nil {
-		c.fs = faultfs.OS()
+	if c.maxCandidateOnly <= 0 {
+		c.maxCandidateOnly = maxCandidateOnly
 	}
 }
 
@@ -168,7 +160,7 @@ type Manager struct {
 }
 
 // seqMark remembers where the WAL was at a tick, so the retain floor
-// can pin roughly TrainWindow of history against snapshot truncation.
+// can pin roughly trainWindow of history against snapshot truncation.
 type seqMark struct {
 	at  time.Time
 	seq uint64
@@ -188,11 +180,12 @@ func New(s *stream.Streamer, base *core.Pipeline, cfg Config) (*Manager, error) 
 	}
 	cfg.setDefaults()
 	m := &Manager{
-		s:         s,
-		base:      base,
-		cfg:       cfg,
-		pool:      par.NewPool(cfg.Workers),
-		dr:        NewDrift(cfg.Drift),
+		s:    s,
+		base: base,
+		cfg:  cfg,
+		// Retraining runs at low priority simply by being small.
+		pool:      par.NewPool(max(1, runtime.NumCPU()/4)),
+		dr:        newDrift(cfg.drift),
 		lastCycle: time.Now(),
 		done:      make(chan struct{}),
 	}
@@ -212,16 +205,16 @@ func (m *Manager) Close() {
 func (m *Manager) run() {
 	defer m.wg.Done()
 	defer m.pool.Close()
-	t := time.NewTicker(m.cfg.Tick)
+	t := time.NewTicker(m.cfg.tick)
 	defer t.Stop()
 	var prev counters
 	for {
 		select {
 		case <-m.done:
 			return
-		case <-t.C:
+		case now := <-t.C:
 			cur := m.sample()
-			m.fold(cur.sub(prev))
+			m.fold(cur.sub(prev), now)
 			prev = cur
 			if m.shouldRetrain() {
 				m.cycle()
@@ -258,30 +251,27 @@ func (m *Manager) sample() counters {
 	}
 }
 
-// fold feeds one tick's deltas to the drift tracker, publishes the
-// score, and advances the WAL retain floor to keep the training window
-// readable.
-func (m *Manager) fold(d counters) {
+// fold feeds one tick's deltas, sampled at now, to the drift tracker,
+// publishes the score, and advances the WAL retain floor to keep the
+// training window readable.
+func (m *Manager) fold(d counters, now time.Time) {
 	m.dr.Tick(d.events, d.unseen, d.verdicts,
 		float64(d.mseMicros)/1e6, d.leadCount, float64(d.leadMillis)/1e3)
 	m.s.Metrics().DriftScoreMilli.Store(int64(m.dr.Score() * 1000))
 
-	now := time.Now()
 	m.marks = append(m.marks, seqMark{at: now, seq: m.s.WALNextSeq()})
-	if m.cfg.TrainWindow > 0 {
-		// Keep the newest mark older than the window as the floor: it
-		// covers the whole window, anything older is surplus.
-		cut := now.Add(-m.cfg.TrainWindow)
-		for len(m.marks) > 1 && m.marks[1].at.Before(cut) {
-			m.marks = m.marks[1:]
-		}
+	// Keep the newest mark older than the window as the floor: it covers
+	// the whole window, anything older is surplus.
+	cut := now.Add(-trainWindow)
+	for len(m.marks) > 1 && m.marks[1].at.Before(cut) {
+		m.marks = m.marks[1:]
 	}
 	m.s.SetWALRetainFloor(m.marks[0].seq)
 }
 
 func (m *Manager) shouldRetrain() bool {
 	since := time.Since(m.lastCycle)
-	if since < m.cfg.MinRetrainGap {
+	if since < m.cfg.minRetrainGap {
 		return false
 	}
 	if m.cfg.RetrainEvery > 0 && since >= m.cfg.RetrainEvery {
@@ -335,23 +325,18 @@ func (m *Manager) cycle() {
 // train harvests recent events from the WAL and fits a candidate
 // seeded with the live vocabulary, on the manager's small pool.
 func (m *Manager) train() (*core.Pipeline, error) {
-	recs, err := persist.ReadEventRange(m.cfg.fs, m.cfg.StateDir, 0, 0)
+	recs, err := persist.ReadEventRange(faultfs.OS(), m.cfg.StateDir, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harvest: %w", err)
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("harvest: WAL holds no events yet")
 	}
-	from := int64(0)
-	if m.cfg.TrainWindow > 0 {
-		newest := recs[0].TimeNano
-		for _, r := range recs {
-			if r.TimeNano > newest {
-				newest = r.TimeNano
-			}
-		}
-		from = newest - int64(m.cfg.TrainWindow)
+	newest := recs[0].TimeNano
+	for _, r := range recs {
+		newest = max(newest, r.TimeNano)
 	}
+	from := newest - int64(trainWindow)
 	events := make([]logparse.Event, 0, len(recs))
 	for _, r := range recs {
 		if r.TimeNano < from {
@@ -364,8 +349,8 @@ func (m *Manager) train() (*core.Pipeline, error) {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
 
 	cfg := m.base.Config()
-	if m.cfg.TrainConfig != nil {
-		cfg = *m.cfg.TrainConfig
+	if m.cfg.trainConfig != nil {
+		cfg = *m.cfg.trainConfig
 	}
 	cand, err := core.NewSeeded(cfg, m.s.EncoderKeys())
 	if err != nil {
@@ -386,7 +371,7 @@ func (m *Manager) shadow(cand *core.Pipeline) (bool, stream.ShadowReport, error)
 	if err != nil {
 		return false, stream.ShadowReport{}, err
 	}
-	timeout := time.NewTimer(m.cfg.ShadowTimeout)
+	timeout := time.NewTimer(shadowTimeout)
 	defer timeout.Stop()
 	select {
 	case <-ev.Done():
@@ -398,11 +383,11 @@ func (m *Manager) shadow(cand *core.Pipeline) (bool, stream.ShadowReport, error)
 		return false, rep, nil
 	}
 	if af := rep.BothFlagged + rep.ActiveOnly; af > 0 {
-		if float64(rep.BothFlagged)/float64(af) < m.cfg.MinCoverage {
+		if float64(rep.BothFlagged)/float64(af) < m.cfg.minCoverage {
 			return false, rep, nil
 		}
 	}
-	if float64(rep.CandidateOnly) > m.cfg.MaxCandidateOnly*float64(rep.Scored) {
+	if float64(rep.CandidateOnly) > m.cfg.maxCandidateOnly*float64(rep.Scored) {
 		return false, rep, nil
 	}
 	return true, rep, nil

@@ -68,26 +68,24 @@ func TestContinuousLearningEndToEnd(t *testing.T) {
 
 	// The candidate trains with a trimmed epoch budget: the E2E cares
 	// about the swap machinery, not squeezing out lead-time precision,
-	// and the whole cycle must stay fast under -race. TrainWindow plus
-	// the feeder's advancing wave timestamps bound each harvest to
-	// roughly one wave — without it the corpus grows with every wave
-	// and retraining starves on single-core -race runners.
+	// and the whole cycle must stay fast under -race. The 24 h training
+	// window plus the feeder's advancing wave timestamps bound each
+	// harvest to the newest wave — without that the corpus grows with
+	// every wave and retraining starves on single-core -race runners.
 	candCfg := base.Config()
 	candCfg.Epochs2 = 40
 	m, err := New(s, base, Config{
 		StateDir:         dir,
-		Tick:             25 * time.Millisecond,
 		DriftThreshold:   1,
-		MinRetrainGap:    500 * time.Millisecond,
-		TrainWindow:      8 * time.Hour,
 		ShadowWindow:     5,
-		ShadowTimeout:    15 * time.Second,
 		Policy:           PolicyAuto,
-		MinCoverage:      0.0001, // tiny corpus: gate on agreement shape, not volume
-		MaxCandidateOnly: 1,
-		TrainConfig:      &candCfg,
-		Drift:            DriftConfig{RefUnseenRate: 0.001, Alpha: 0.5},
 		Diag:             testWriter{t},
+		tick:             25 * time.Millisecond,
+		minRetrainGap:    500 * time.Millisecond,
+		minCoverage:      0.0001, // tiny corpus: gate on agreement shape, not volume
+		maxCandidateOnly: 1,
+		trainConfig:      &candCfg,
+		drift:            driftConfig{refUnseenRate: 0.001, alpha: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +106,9 @@ func TestContinuousLearningEndToEnd(t *testing.T) {
 			default:
 			}
 			// Fresh node names keep waves independent; advancing the
-			// event time by more than TrainWindow per wave keeps each
-			// retrain harvest bounded to the newest wave.
-			shift := time.Duration(cycle) * 9 * time.Hour
+			// event time by more than the training window per wave keeps
+			// each retrain harvest bounded to the newest wave.
+			shift := time.Duration(cycle) * (trainWindow + time.Hour)
 			for _, ev := range drifted {
 				ev.Node = fmt.Sprintf("%s-c%d", ev.Node, cycle)
 				ev.Time = ev.Time.Add(shift)
@@ -213,6 +211,54 @@ func TestManagerConfigValidation(t *testing.T) {
 	}
 	if _, err := New(s, base, Config{StateDir: t.TempDir()}); err == nil {
 		t.Fatal("a manager with no armed trigger must be rejected")
+	}
+}
+
+// TestRetainFloorFollowsTrainWindow configures a manager the way deshd
+// does, StateDir and RetrainEvery only, and folds hourly ticks over three
+// days of WAL growth: the retain floor must advance past the first
+// tick's sequence number and the marks must stay one window long, or the
+// WAL is pinned forever and every retrain reads the whole history.
+func TestRetainFloorFollowsTrainWindow(t *testing.T) {
+	base, events := trainedBase(t)
+	dir := t.TempDir()
+	s, err := stream.New(base, stream.WithShards(1), stream.WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cfg := Config{StateDir: dir, RetrainEvery: time.Hour}
+	cfg.setDefaults()
+	m := &Manager{s: s, cfg: cfg, dr: newDrift(cfg.drift)}
+
+	var journal []logparse.Event
+	for _, ev := range events {
+		if base.Labeler().Label(ev.Key) != catalog.Safe {
+			journal = append(journal, ev)
+		}
+	}
+	const ticks, every = 72, time.Hour
+	start := time.Now()
+	var first uint64
+	for i := 0; i < ticks; i++ {
+		ev := journal[i%len(journal)]
+		ev.Node = fmt.Sprintf("%s-t%d", ev.Node, i)
+		if err := s.IngestEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		m.fold(counters{}, start.Add(time.Duration(i)*every))
+		if i == 0 {
+			first = m.marks[0].seq
+		}
+	}
+	if s.WALNextSeq() == first {
+		t.Fatal("the WAL journaled nothing after the first tick; the floor has nothing to follow")
+	}
+	if m.marks[0].seq <= first {
+		t.Fatalf("retain floor stuck at seq %d after %d hourly ticks", m.marks[0].seq, ticks)
+	}
+	if n, limit := len(m.marks), int(trainWindow/every)+2; n > limit {
+		t.Fatalf("%d marks after %d hourly ticks, want at most %d (one window)", n, ticks, limit)
 	}
 }
 

@@ -10,44 +10,45 @@ package adapt
 
 import "math"
 
-// DriftConfig tunes the online drift score.
-type DriftConfig struct {
-	// Alpha is the EWMA smoothing factor applied to each per-tick rate
-	// (0 < Alpha <= 1; higher reacts faster). Default 0.2.
-	Alpha float64
-	// RefUnseenRate is the unseen-phrase rate (unseen events / ingested
+// driftConfig holds the drift score's references. Zero fields take the
+// defaults below; only tests set them.
+type driftConfig struct {
+	// alpha is the EWMA smoothing factor applied to each per-tick rate
+	// (0 < alpha <= 1; higher reacts faster). Default 0.2.
+	alpha float64
+	// refUnseenRate is the unseen-phrase rate (unseen events / ingested
 	// events per tick) that scores 1.0 on the vocabulary component.
 	// Default 0.02 — 2% of traffic hitting phrases the model never saw.
-	RefUnseenRate float64
-	// RefInflation is the multiple of the learned baseline at which the
+	refUnseenRate float64
+	// refInflation is the multiple of the learned baseline at which the
 	// verdict-MSE and lead-error components score 1.0. Default 2.0 —
 	// the smoothed error doubling counts as full drift.
-	RefInflation float64
-	// BaselineTicks is how many ticks with verdict traffic are averaged
+	refInflation float64
+	// baselineTicks is how many ticks with verdict traffic are averaged
 	// into the error baselines before those components start scoring.
 	// Default 10.
-	BaselineTicks int
+	baselineTicks int
 }
 
-func (c *DriftConfig) setDefaults() {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
+func (c *driftConfig) setDefaults() {
+	if c.alpha <= 0 || c.alpha > 1 {
+		c.alpha = 0.2
 	}
-	if c.RefUnseenRate <= 0 {
-		c.RefUnseenRate = 0.02
+	if c.refUnseenRate <= 0 {
+		c.refUnseenRate = 0.02
 	}
-	if c.RefInflation <= 1 {
-		c.RefInflation = 2.0
+	if c.refInflation <= 1 {
+		c.refInflation = 2.0
 	}
-	if c.BaselineTicks <= 0 {
-		c.BaselineTicks = 10
+	if c.baselineTicks <= 0 {
+		c.baselineTicks = 10
 	}
 }
 
 // Drift accumulates per-tick metric deltas into a drift score. It is
 // not goroutine-safe; the manager goroutine owns it.
 type Drift struct {
-	cfg DriftConfig
+	cfg driftConfig
 
 	// EWMA state. haveX gates the first observation (seed, don't blend).
 	unseenRate float64
@@ -57,7 +58,7 @@ type Drift struct {
 	leadErr    float64
 	haveLead   bool
 
-	// Error baselines, learned from the first BaselineTicks ticks that
+	// Error baselines, learned from the first baselineTicks ticks that
 	// carried verdicts, then frozen.
 	baseTicks   int
 	baseMSESum  float64
@@ -67,8 +68,8 @@ type Drift struct {
 	baseFrozen  bool
 }
 
-// NewDrift returns a tracker with zeroed state and defaulted config.
-func NewDrift(cfg DriftConfig) *Drift {
+// newDrift returns a tracker with zeroed state and defaulted config.
+func newDrift(cfg driftConfig) *Drift {
 	cfg.setDefaults()
 	return &Drift{cfg: cfg}
 }
@@ -90,7 +91,7 @@ func (d *Drift) Tick(events, unseen, verdicts int64, mseSum float64, leadCount i
 			d.baseTicks++
 			d.baseMSESum += mse
 			d.baseLeadSum += lead
-			if d.baseTicks >= d.cfg.BaselineTicks {
+			if d.baseTicks >= d.cfg.baselineTicks {
 				d.baseMSE = d.baseMSESum / float64(d.baseTicks)
 				d.baseLead = d.baseLeadSum / float64(d.baseTicks)
 				d.baseFrozen = true
@@ -112,7 +113,7 @@ func (d *Drift) ewma(v *float64, have *bool, x float64) {
 		*v, *have = x, true
 		return
 	}
-	*v = d.cfg.Alpha*x + (1-d.cfg.Alpha)**v
+	*v = d.cfg.alpha*x + (1-d.cfg.alpha)**v
 }
 
 // Score returns the current drift score: the worst of the component
@@ -121,14 +122,14 @@ func (d *Drift) ewma(v *float64, have *bool, x float64) {
 func (d *Drift) Score() float64 {
 	var s float64
 	if d.haveUnseen {
-		s = math.Max(s, d.unseenRate/d.cfg.RefUnseenRate)
+		s = math.Max(s, d.unseenRate/d.cfg.refUnseenRate)
 	}
 	if d.baseFrozen {
 		if d.haveMSE && d.baseMSE > 0 {
-			s = math.Max(s, d.mse/(d.baseMSE*d.cfg.RefInflation))
+			s = math.Max(s, d.mse/(d.baseMSE*d.cfg.refInflation))
 		}
 		if d.haveLead && d.baseLead > 0 {
-			s = math.Max(s, d.leadErr/(d.baseLead*d.cfg.RefInflation))
+			s = math.Max(s, d.leadErr/(d.baseLead*d.cfg.refInflation))
 		}
 	}
 	return s

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDriftUnseenRateComponent(t *testing.T) {
-	d := NewDrift(DriftConfig{RefUnseenRate: 0.02})
+	d := newDrift(driftConfig{refUnseenRate: 0.02})
 	if s := d.Score(); s != 0 {
 		t.Fatalf("fresh tracker score = %v, want 0", s)
 	}
@@ -31,7 +31,7 @@ func TestDriftUnseenRateComponent(t *testing.T) {
 }
 
 func TestDriftMSEBaselineAndInflation(t *testing.T) {
-	d := NewDrift(DriftConfig{BaselineTicks: 4, RefInflation: 2})
+	d := newDrift(driftConfig{baselineTicks: 4, refInflation: 2})
 	// Baseline phase: steady MSE of 0.1 per verdict.
 	for i := 0; i < 4; i++ {
 		d.Tick(100, 0, 10, 1.0, 0, 0)
@@ -57,7 +57,7 @@ func TestDriftMSEBaselineAndInflation(t *testing.T) {
 }
 
 func TestDriftLeadErrorComponent(t *testing.T) {
-	d := NewDrift(DriftConfig{BaselineTicks: 2, RefInflation: 2})
+	d := newDrift(driftConfig{baselineTicks: 2, refInflation: 2})
 	for i := 0; i < 2; i++ {
 		d.Tick(100, 0, 10, 0.1, 5, 10) // 2s mean lead error baseline
 	}
@@ -70,7 +70,7 @@ func TestDriftLeadErrorComponent(t *testing.T) {
 }
 
 func TestDriftIgnoresEmptyTicks(t *testing.T) {
-	d := NewDrift(DriftConfig{})
+	d := newDrift(driftConfig{})
 	for i := 0; i < 10; i++ {
 		d.Tick(0, 0, 0, 0, 0, 0) // idle stream: no events, no verdicts
 	}

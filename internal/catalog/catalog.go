@@ -225,8 +225,3 @@ func Keys(filter func(Phrase) bool) []string {
 	}
 	return out
 }
-
-// Terminals returns the terminal-message keys.
-func Terminals() []string {
-	return Keys(func(p Phrase) bool { return p.Terminal })
-}

@@ -55,12 +55,6 @@ type Episode struct {
 	Terminal bool
 }
 
-// Start returns the time of the first event.
-func (e Episode) Start() time.Time { return e.Events[0].Time }
-
-// End returns the time of the last event.
-func (e Episode) End() time.Time { return e.Events[len(e.Events)-1].Time }
-
 // Episodes segments a single node's time-ordered events into bursts.
 // Safe-labeled events are ignored entirely; an episode closes at the
 // first terminal message or when the gap to the next event exceeds

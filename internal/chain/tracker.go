@@ -64,9 +64,6 @@ func NewTracker(node string, lab *label.Labeler, cfg Config, maxOpen int) (*Trac
 	return &Tracker{node: node, lab: lab, cfg: cfg, maxOpen: maxOpen}, nil
 }
 
-// Node returns the node this tracker segments.
-func (t *Tracker) Node() string { return t.node }
-
 // OpenLen returns the number of events in the open episode.
 func (t *Tracker) OpenLen() int { return len(t.cur) - t.head }
 

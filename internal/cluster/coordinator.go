@@ -24,12 +24,13 @@ import (
 	"desh/internal/persist"
 )
 
-// electLoop polls every view member's lease until shutdown, renewing
-// well inside the TTL. On graceful shutdown the lease is released so
-// the successor takes over immediately instead of waiting out the TTL.
+// electLoop polls every view member's lease every LeaseTTL/3 until
+// shutdown, renewing well inside the TTL. On graceful shutdown the lease
+// is released so the successor takes over immediately instead of
+// waiting out the TTL.
 func (r *Router) electLoop() {
 	r.electOnce()
-	r.every(r.cfg.ElectionInterval, nil, r.electOnce)
+	r.every(r.cfg.LeaseTTL/3, nil, r.electOnce)
 	r.releaseLeases()
 }
 

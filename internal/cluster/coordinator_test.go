@@ -12,7 +12,7 @@ import (
 
 func electCfg(name string) cluster.RouterConfig {
 	cfg := fastConfig()
-	cfg.Name, cfg.LeaseTTL, cfg.ElectionInterval = name, 300*time.Millisecond, 30*time.Millisecond
+	cfg.Name, cfg.LeaseTTL = name, 300*time.Millisecond
 	return cfg
 }
 

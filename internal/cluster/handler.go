@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -96,7 +97,10 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	malformed := 0
 	for _, line := range lines {
-		if r.IngestLine(line) != nil {
+		if err := r.IngestLine(line); errors.Is(err, ErrRouterClosed) {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		} else if err != nil {
 			malformed++
 		}
 	}

@@ -97,9 +97,6 @@ func NewInstance(name string, s *stream.Streamer, diag func(string, ...any)) *In
 	return inst
 }
 
-// Name returns the instance's cluster member name.
-func (inst *Instance) Name() string { return inst.name }
-
 // Streamer returns the wrapped streamer.
 func (inst *Instance) Streamer() *stream.Streamer { return inst.s }
 

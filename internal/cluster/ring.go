@@ -91,9 +91,6 @@ func (r *Ring) Owner(h uint32) string {
 	return r.points[i].member
 }
 
-// OwnerOf returns the member owning a node id.
-func (r *Ring) OwnerOf(node string) string { return r.Owner(persist.NodeHash(node)) }
-
 // Ranges returns the arcs member owns, adjacent arcs merged. A member
 // owning the whole circle gets the canonical full-circle range
 // {Lo: 0, Hi: 0}.

@@ -20,6 +20,10 @@ import (
 // ErrRouterClosed is returned by ingest entry points after Close.
 var ErrRouterClosed = errors.New("cluster: router is closed")
 
+// forwardRetry is the per-batch forward backoff: 10ms base, 1s cap, 4
+// attempts within 15s, after which the batch spills.
+var forwardRetry = retry.Policy{Attempts: 4, MaxElapsed: 15 * time.Second}
+
 // Peer describes one cluster instance the router fronts.
 type Peer struct {
 	// Name is the stable member name (ring placement hashes it).
@@ -55,9 +59,6 @@ type RouterConfig struct {
 	ReadmitThreshold int
 	// DrainInterval is the spill-WAL redelivery period (default 250ms).
 	DrainInterval time.Duration
-	// Retry is the per-batch forward backoff (default: 10ms base, 1s
-	// cap, 4 attempts).
-	Retry retry.Policy
 	// BatchMax caps events per forwarded POST (default 1024); a sender
 	// never waits for a batch to fill.
 	BatchMax int
@@ -73,10 +74,8 @@ type RouterConfig struct {
 	Name string
 	// LeaseTTL is the coordinator lease duration granted by each
 	// instance (default 2s). Shorter means faster failover; the lease
-	// renews every ElectionInterval.
+	// renews every LeaseTTL/3.
 	LeaseTTL time.Duration
-	// ElectionInterval is the lease poll period (default LeaseTTL/3).
-	ElectionInterval time.Duration
 	// Transport overrides the HTTP transport for every client the
 	// router builds — the fault-injection seam the chaos harness uses
 	// to partition a router from a subset of peers.
@@ -242,13 +241,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	orDefault(&cfg.FailThreshold, 3)
 	orDefault(&cfg.ReadmitThreshold, 3)
 	orDefault(&cfg.DrainInterval, 250*time.Millisecond)
-	if cfg.Retry.Attempts == 0 {
-		cfg.Retry.Attempts = 4
-	}
-	orDefault(&cfg.Retry.MaxElapsed, 15*time.Second)
 	if cfg.Name != "" {
 		orDefault(&cfg.LeaseTTL, 2*time.Second)
-		orDefault(&cfg.ElectionInterval, cfg.LeaseTTL/3)
 	}
 	orDefault(&cfg.BatchMax, 1024)
 	orDefault(&cfg.SendQueue, 4096)
@@ -442,7 +436,7 @@ func (r *Router) sender(ps *peerState) {
 func (r *Router) sendBatch(ps *peerState, batch *persist.EventBatch) {
 	n := batch.Len()
 	var reply ingestReply
-	err := r.cfg.Retry.DoCtx(r.ctx, func(ctx context.Context) error {
+	err := forwardRetry.DoCtx(r.ctx, func(ctx context.Context) error {
 		reply = ingestReply{}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.URL+"/ingest", bytes.NewReader(batch.Bytes()))
 		if err != nil {

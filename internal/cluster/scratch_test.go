@@ -88,7 +88,7 @@ func TestIngestScratchReuse(t *testing.T) {
 	ring := NewRing([]string{"a", "b"}, defaultVnodes)
 	var owned []string
 	for _, line := range lines {
-		if ev, _ := logparse.ParseLine(line); ring.OwnerOf(ev.Node) == "a" {
+		if ev, _ := logparse.ParseLine(line); ring.Owner(persist.NodeHash(ev.Node)) == "a" {
 			owned = append(owned, line)
 		}
 	}
@@ -116,7 +116,7 @@ func TestIngestScratchReuse(t *testing.T) {
 				continue
 			}
 			parsable++
-			if ring.OwnerOf(ev.Node) != "a" {
+			if ring.Owner(persist.NodeHash(ev.Node)) != "a" {
 				wantRejected = append(wantRejected, i)
 			}
 		}

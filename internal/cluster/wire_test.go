@@ -38,7 +38,8 @@ func wireBody(t testing.TB, lines ...string) []byte {
 // TestIngestStatusCodes pins the /ingest replies of both cluster tiers
 // and both content types: 405 for a non-POST, 413 for a body over
 // maxIngestBody, 400 for a damaged record body — with nothing of it
-// admitted — and 200 for a clean one.
+// admitted — and 200 for a clean one; a closed router answers 503, so
+// the client retries instead of counting its lines malformed.
 func TestIngestStatusCodes(t *testing.T) {
 	inst := newLeaseInstance(t, "")
 	peer := newFakePeer()
@@ -48,6 +49,11 @@ func TestIngestStatusCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	closed, err := NewRouter(fastRouterConfig([]Peer{{Name: "p0", URL: peer.srv.URL}}, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
 
 	lines := testLines(t, 4, 204)[:3]
 	text := strings.Join(lines, "\n")
@@ -78,6 +84,7 @@ func TestIngestStatusCodes(t *testing.T) {
 		{"router oversized", r.Handler(), http.MethodPost, "text/plain", oversized, http.StatusRequestEntityTooLarge},
 		{"router line over the cap", r.Handler(), http.MethodPost, "text/plain", longLine, http.StatusBadRequest},
 		{"router text", r.Handler(), http.MethodPost, "text/plain", []byte(text), http.StatusOK},
+		{"router closed", closed.Handler(), http.MethodPost, "text/plain", []byte(text), http.StatusServiceUnavailable},
 	}
 	var wantIngested int64
 	for _, tc := range cases {
@@ -115,7 +122,7 @@ func TestRecordBatchRejectsByIndex(t *testing.T) {
 	var want []int
 	for i, line := range lines {
 		ev, _ := logparse.ParseLine(line)
-		if ring.OwnerOf(ev.Node) != "a" {
+		if ring.Owner(persist.NodeHash(ev.Node)) != "a" {
 			want = append(want, i)
 		}
 	}

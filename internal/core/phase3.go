@@ -113,22 +113,6 @@ func (p *Pipeline) detectAll(all []chain.Chain, pool *par.Pool) []Verdict {
 	return verdicts
 }
 
-// Detect scores one candidate sequence. The Phase-2 LSTM streams over
-// the observed 2-state vectors predicting each next sample; when the
-// prediction matches the observation (MSE <= MSEThreshold) for
-// MinMatches consecutive transitions, the sequence is flagged as an
-// impending failure at that point.
-func (p *Pipeline) Detect(c chain.Chain) Verdict {
-	return p.NewDetector().Detect(c)
-}
-
-// DetectWith is Detect with explicit threshold and match-count
-// settings — the Figure-8 sensitivity knob: looser settings flag
-// earlier (longer lead times) at the cost of more false positives.
-func (p *Pipeline) DetectWith(c chain.Chain, threshold float64, minMatches int) Verdict {
-	return p.NewDetector().DetectWith(c, threshold, minMatches)
-}
-
 // Detector is a reusable Phase-3 scoring context: one Phase-2 serving
 // cursor plus vectorization scratch. Detectors are the unit of
 // parallelism — each worker in Predict or the Figure-8 sweep owns one,
@@ -231,14 +215,19 @@ func (p *Pipeline) NewDetector() *Detector {
 	return &Detector{p: p, batch: p.phase2.NewStreamBatch()}
 }
 
-// Detect scores one candidate sequence with the pipeline's configured
-// threshold and match count.
+// Detect scores one candidate sequence. The Phase-2 LSTM streams over
+// the observed 2-state vectors predicting each next sample; when the
+// prediction matches the observation (MSE <= MSEThreshold) for
+// MinMatches consecutive transitions, the sequence is flagged as an
+// impending failure at that point.
 func (d *Detector) Detect(c chain.Chain) Verdict {
 	return d.DetectWith(c, d.p.cfg.MSEThreshold, d.p.cfg.MinMatches)
 }
 
-// DetectWith scores one candidate sequence with explicit settings: a
-// batch of one, through the detector's own slot.
+// DetectWith scores one candidate sequence with explicit threshold and
+// match-count settings — the Figure-8 sensitivity knob: looser settings
+// flag earlier (longer lead times) at the cost of more false positives.
+// It is a batch of one, through the detector's own slot.
 func (d *Detector) DetectWith(c chain.Chain, threshold float64, minMatches int) Verdict {
 	d.one[0] = c
 	d.score(d.one[:], d.oneV[:], threshold, minMatches)

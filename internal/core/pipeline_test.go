@@ -183,7 +183,7 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestDetectShortChainNotFlagged(t *testing.T) {
 	p := trainedTinyPipeline(t)
 	c := chain.Chain{Node: "n", Entries: []chain.Entry{{ID: 1, DeltaT: 0}}}
-	v := p.Detect(c)
+	v := p.NewDetector().Detect(c)
 	if v.Flagged {
 		t.Fatal("single-event chain must not be flagged")
 	}

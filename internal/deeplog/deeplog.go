@@ -9,12 +9,14 @@ package deeplog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"desh/internal/logparse"
 	"desh/internal/nn"
 	"desh/internal/opt"
 	"desh/internal/par"
+	"desh/internal/tensor"
 )
 
 // Config parameterizes the DeepLog baseline.
@@ -146,8 +148,7 @@ func (d *Detector) EntryAnomalies(events []logparse.Event) []bool {
 			lo = 0
 		}
 		probs := d.model.NextProbs(ids[lo:i])
-		top := topKSet(probs, d.cfg.TopG)
-		if !top[ids[i]] {
+		if !slices.Contains(tensor.TopK(probs, d.cfg.TopG), ids[i]) {
 			flags[i] = true
 		}
 	}
@@ -166,20 +167,4 @@ func (d *Detector) SequenceAnomalous(events []logparse.Event) (bool, int) {
 		}
 	}
 	return n > 0, n
-}
-
-func topKSet(probs []float64, k int) map[int]bool {
-	idx := make([]int, len(probs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return probs[idx[a]] > probs[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	set := make(map[int]bool, k)
-	for _, i := range idx[:k] {
-		set[i] = true
-	}
-	return set
 }

@@ -92,12 +92,3 @@ func (l *Labeler) DropSafe(events []logparse.EncodedEvent) []logparse.EncodedEve
 	}
 	return out
 }
-
-// Counts tallies how many events fall into each label category.
-func (l *Labeler) Counts(events []logparse.EncodedEvent) map[catalog.Label]int {
-	counts := make(map[catalog.Label]int, 3)
-	for _, ev := range events {
-		counts[l.LabelOf(ev.Event)]++
-	}
-	return counts
-}

@@ -88,7 +88,10 @@ func TestCounts(t *testing.T) {
 		{Event: logparse.Event{Key: "DVS: Verify Filesystem *"}},
 		{Event: logparse.Event{Key: "Call Trace: *"}},
 	}
-	c := l.Counts(events)
+	c := make(map[catalog.Label]int)
+	for _, ev := range events {
+		c[l.LabelOf(ev.Event)]++
+	}
 	if c[catalog.Safe] != 2 || c[catalog.Unknown] != 1 || c[catalog.Error] != 1 {
 		t.Fatalf("counts %v", c)
 	}

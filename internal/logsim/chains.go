@@ -254,14 +254,3 @@ func mustKey(template string) string {
 	}
 	return key
 }
-
-// TemplatesForClass returns the chain templates of one class.
-func TemplatesForClass(c catalog.Class) []ChainTemplate {
-	var out []ChainTemplate
-	for _, t := range chainTemplates() {
-		if t.Class == c {
-			out = append(out, t)
-		}
-	}
-	return out
-}

@@ -18,14 +18,6 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Add accumulates another confusion matrix.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // Total returns the number of classified instances.
 func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
 

@@ -47,17 +47,6 @@ func TestEmptyConfusionIsZeroNotNaN(t *testing.T) {
 	}
 }
 
-func TestAddAccumulates(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	a.Add(Confusion{TP: 10, FP: 20, TN: 30, FN: 40})
-	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
-		t.Fatalf("%+v", a)
-	}
-	if a.Total() != 110 {
-		t.Fatalf("Total=%d", a.Total())
-	}
-}
-
 // Property: FNRate == 1 - Recall whenever there are positives.
 func TestFNRateComplementsRecall(t *testing.T) {
 	f := func(tp, fn uint8) bool {

@@ -33,9 +33,6 @@ func New(n int) *Model {
 	return &Model{n: n, counts: counts}
 }
 
-// Order returns the model's n.
-func (m *Model) Order() int { return m.n }
-
 func ctxKey(tokens []int) string {
 	var b strings.Builder
 	for _, t := range tokens {

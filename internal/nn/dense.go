@@ -54,15 +54,8 @@ func (d *Dense) ForwardInto(dst, x []float64) {
 	tensor.MatVecBias(dst, d.W.Value, x, d.B.Value.Data)
 }
 
-// Backward accumulates gradients for one (x, dy) pair and returns dx.
-func (d *Dense) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, d.InSize)
-	d.BackwardInto(dx, x, dy)
-	return dx
-}
-
-// BackwardInto is Backward writing the input gradient into a
-// caller-owned buffer.
+// BackwardInto accumulates gradients for one (x, dy) pair and writes
+// the input gradient into a caller-owned buffer.
 func (d *Dense) BackwardInto(dx, x, dy []float64) {
 	if len(x) != d.InSize || len(dy) != d.OutSize {
 		panic(fmt.Sprintf("nn: dense backward lengths %d/%d, want %d/%d", len(x), len(dy), d.InSize, d.OutSize))

@@ -35,7 +35,8 @@ func TestDenseGradientCheck(t *testing.T) {
 	dPred := make([]float64, 2)
 	loss.MSEGrad(dPred, pred, target)
 	ZeroGrads(d.Params())
-	dx := d.Backward(x, dPred)
+	dx := make([]float64, len(x))
+	d.BackwardInto(dx, x, dPred)
 	for _, p := range d.Params() {
 		num := numericalGrad(p, forward)
 		if diff := maxGradDiff(p.Grad, num); diff > 1e-5 {
@@ -215,17 +216,20 @@ func TestSetEmbeddingsShapePanics(t *testing.T) {
 	m.SetEmbeddings(tensor.New(2, 2))
 }
 
+// TestRegressorGradientCheck differentiates SequenceLoss, the loss
+// Phase 2 trains on: every step predicts the next vector, so the check
+// covers each step's head gradient and their sum through time.
 func TestRegressorGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	m := NewSeqRegressor(2, 3, 2, rng)
+	m := NewSeqRegressorIO(2, 2, 3, 2, rng)
 	window := [][]float64{{0.1, 0.5}, {0.2, 0.4}, {0.3, 0.3}, {0.4, 0.2}}
 	forward := func() float64 {
-		l := m.WindowLoss(window[:3], window[3])
+		l := m.SequenceLoss(window[:3], window[1:])
 		ZeroGrads(m.Params())
 		return l
 	}
 	ZeroGrads(m.Params())
-	m.WindowLoss(window[:3], window[3])
+	m.SequenceLoss(window[:3], window[1:])
 	analytic := make([]*tensor.Matrix, len(m.Params()))
 	for i, p := range m.Params() {
 		analytic[i] = p.Grad.Clone()
@@ -242,7 +246,7 @@ func TestRegressorGradientCheck(t *testing.T) {
 // of Desh's ΔT sequences (cumulative time decreasing to 0).
 func TestRegressorLearnsCountdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	m := NewSeqRegressor(2, 12, 2, rng)
+	m := NewSeqRegressorIO(2, 2, 12, 2, rng)
 	// Sequence: ΔT decreasing 1.0, 0.9, ..., phrase-id cycling.
 	mkSeq := func() [][]float64 {
 		seq := make([][]float64, 11)
@@ -252,11 +256,13 @@ func TestRegressorLearnsCountdown(t *testing.T) {
 		return seq
 	}
 	seq := mkSeq()
+	// SequenceLoss averages its five per-step gradients, hence the
+	// larger step.
 	const history = 5
-	lr := 0.01
+	lr := 0.05
 	for epoch := 0; epoch < 400; epoch++ {
 		for i := 0; i+history+1 <= len(seq); i++ {
-			m.WindowLoss(seq[i:i+history], seq[i+history])
+			m.SequenceLoss(seq[i:i+history], seq[i+1:i+history+1])
 			for _, p := range m.Params() {
 				p.Value.AddScaled(p.Grad, -lr)
 				p.Grad.Zero()
@@ -274,13 +280,13 @@ func TestRegressorLearnsCountdown(t *testing.T) {
 
 func TestRegressorWindowTooShortPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	m := NewSeqRegressor(2, 3, 1, rng)
+	m := NewSeqRegressorIO(2, 2, 3, 1, rng)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.WindowLoss(nil, []float64{1, 2})
+	m.SequenceLoss(nil, nil)
 }
 
 func TestRegressorTargetDimPanics(t *testing.T) {
@@ -291,7 +297,7 @@ func TestRegressorTargetDimPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.WindowLoss([][]float64{{1, 2}}, []float64{1, 2})
+	m.SequenceLoss([][]float64{{1, 2}}, [][]float64{{1, 2}})
 }
 
 func TestRegressorIODims(t *testing.T) {
@@ -305,7 +311,7 @@ func TestRegressorIODims(t *testing.T) {
 
 func TestRegressorStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	m := NewSeqRegressor(2, 4, 2, rng)
+	m := NewSeqRegressorIO(2, 2, 4, 2, rng)
 	window := [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}}
 	s, st := m.NewStream(), m.Stack.NewState()
 	for _, x := range window {

@@ -32,22 +32,6 @@ func newParam(name string, rows, cols int) *Param {
 	}
 }
 
-// ZeroGrads clears the gradients of every parameter.
-func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		p.Grad.Zero()
-	}
-}
-
-// GradMatrices extracts the gradient matrices, e.g. for norm clipping.
-func GradMatrices(params []*Param) []*tensor.Matrix {
-	gs := make([]*tensor.Matrix, len(params))
-	for i, p := range params {
-		gs[i] = p.Grad
-	}
-	return gs
-}
-
 // sigmoid is the logistic function, split on sign to avoid overflow in
 // Exp for large |x|.
 func sigmoid(x float64) float64 {

@@ -17,9 +17,9 @@ import (
 // Input and output dimensions are independent so callers can feed the
 // LSTM normalized features while regressing differently-scaled targets.
 //
-// Training entry points (WindowLoss, SequenceLoss) share a reusable
-// workspace and are single-threaded per model; concurrent inference must
-// go through per-goroutine Streams.
+// Training (SequenceLoss) uses a reusable workspace and is
+// single-threaded per model; concurrent inference must go through
+// per-goroutine Streams.
 type SeqRegressor struct {
 	InDim, OutDim int
 	Stack         *LSTMStack
@@ -38,12 +38,6 @@ type regWS struct {
 	dPred   []float64
 	dOut    [][]float64 // per-step slots passed to Stack.Backward
 	dOutBuf [][]float64 // backing buffers for dOut entries
-}
-
-// NewSeqRegressor builds the Phase-2 architecture with equal input and
-// output width.
-func NewSeqRegressor(dim, hidden, layers int, rng *rand.Rand) *SeqRegressor {
-	return NewSeqRegressorIO(dim, dim, hidden, layers, rng)
 }
 
 // NewSeqRegressorIO builds a regressor with distinct input and output
@@ -77,35 +71,6 @@ func (m *SeqRegressor) growWS(T int) {
 	for len(m.ws.dOut) < T {
 		m.ws.dOut = append(m.ws.dOut, nil)
 	}
-}
-
-// WindowLoss performs one training pass: the inputs are the context
-// window and target is the 1-step prediction target. Gradients
-// accumulate into Params. Returns the MSE of the prediction.
-func (m *SeqRegressor) WindowLoss(inputs [][]float64, target []float64) float64 {
-	if len(inputs) < 1 {
-		panic("nn: regressor needs at least one context vector")
-	}
-	if len(target) != m.OutDim {
-		panic(fmt.Sprintf("nn: regressor target length %d, want %d", len(target), m.OutDim))
-	}
-	T := len(inputs)
-	m.growWS(T)
-	tape := m.Stack.Forward(inputs)
-	last := T - 1
-	hLast := tape.Outputs[last]
-	m.Out.ForwardInto(m.ws.pred, hLast)
-	mse := loss.MSE(m.ws.pred, target)
-
-	loss.MSEGrad(m.ws.dPred, m.ws.pred, target)
-	dOut := m.ws.dOut[:T]
-	for t := range dOut {
-		dOut[t] = nil
-	}
-	m.Out.BackwardInto(m.ws.dOutBuf[last], hLast, m.ws.dPred)
-	dOut[last] = m.ws.dOutBuf[last]
-	m.Stack.Backward(tape, dOut)
-	return mse
 }
 
 // SequenceLoss performs one teacher-forced training pass over a whole

@@ -114,19 +114,6 @@ func (st *State) Reset() {
 	}
 }
 
-// Clone deep-copies the state (scratch is not shared).
-func (st *State) Clone() *State {
-	c := &State{H: make([][]float64, len(st.H)), C: make([][]float64, len(st.C))}
-	for k := range st.H {
-		c.H[k] = append([]float64(nil), st.H[k]...)
-		c.C[k] = append([]float64(nil), st.C[k]...)
-	}
-	if st.z != nil {
-		c.z = make([]float64, len(st.z))
-	}
-	return c
-}
-
 // Tape records a forward pass over a sequence for backprop.
 type Tape struct {
 	caches  [][]*stepCache // [timestep][layer]

@@ -80,9 +80,6 @@ func (b *StreamBatch) Begin(rows int) {
 	}
 }
 
-// Rows returns the number of live rows.
-func (b *StreamBatch) Rows() int { return b.rows }
-
 // Input returns row r of the input matrix for the caller to fill before
 // Step. Valid until the next Begin.
 func (b *StreamBatch) Input(r int) []float64 { return b.x.Row(r) }

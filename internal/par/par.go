@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 )
 
-// Workers returns the pool width used by For and ForWorker: GOMAXPROCS
+// Workers returns the pool width ForWorker uses: GOMAXPROCS
 // clamped to n (never below 1).
 func Workers(n int) int {
 	w := runtime.GOMAXPROCS(0)
@@ -25,19 +25,14 @@ func Workers(n int) int {
 	return w
 }
 
-// For runs fn(i) for every i in [0, n), fanning the indices out over
-// Workers(n) goroutines via an atomic cursor. It returns once every call
-// has completed. fn must not panic and must be safe to run concurrently
-// with itself on distinct indices. For n <= 1 or a single-core box the
-// loop runs inline with no goroutine overhead.
-func For(n int, fn func(i int)) {
-	ForWorker(n, func(_, i int) { fn(i) })
-}
-
-// ForWorker is For with a worker identity: fn(w, i) receives the worker
-// slot w in [0, Workers(n)) alongside the index, so callers can keep
-// per-worker scratch (streams, detectors, delta buffers) indexed by w and
-// reuse it across the indices that worker drains.
+// ForWorker runs fn(w, i) for every i in [0, n), fanning the indices
+// out over Workers(n) goroutines via an atomic cursor, and returns once
+// every call has completed. fn receives the worker slot w in [0,
+// Workers(n)) alongside the index, so callers can keep per-worker scratch
+// (streams, detectors, delta buffers) indexed by w and reuse it across
+// the indices that worker drains. fn must not panic and must be safe to
+// run concurrently with itself on distinct indices. For n <= 1 or a
+// single-core box the loop runs inline with no goroutine overhead.
 func ForWorker(n int, fn func(w, i int)) {
 	if n <= 0 {
 		return

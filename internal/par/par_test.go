@@ -54,10 +54,15 @@ func TestForWorkerSlotBounds(t *testing.T) {
 }
 
 func TestForHandlesEmptyAndSingle(t *testing.T) {
-	For(0, func(int) { t.Fatal("fn must not run for n=0") })
+	ForWorker(0, func(int, int) { t.Fatal("fn must not run for n=0") })
 	ran := 0
-	For(1, func(i int) { ran++ })
+	ForWorker(1, func(w, i int) {
+		if w != 0 || i != 0 {
+			t.Errorf("ForWorker(1) called fn(%d, %d), want fn(0, 0)", w, i)
+		}
+		ran++
+	})
 	if ran != 1 {
-		t.Fatalf("For(1) ran fn %d times", ran)
+		t.Fatalf("ForWorker(1) ran fn %d times", ran)
 	}
 }

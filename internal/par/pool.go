@@ -121,11 +121,6 @@ func (p *Pool) ForWorker(n int, fn func(w, i int)) {
 	j.fn = nil
 }
 
-// For is ForWorker without the worker identity.
-func (p *Pool) For(n int, fn func(i int)) {
-	p.ForWorker(n, func(_, i int) { fn(i) })
-}
-
 // Close terminates the helper goroutines. The pool remains usable —
 // subsequent ForWorker calls run inline — so a deferred Close never
 // races a straggling caller into a panic. Closing a nil pool is a

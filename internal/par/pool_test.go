@@ -63,14 +63,21 @@ func TestPoolClosedRunsInline(t *testing.T) {
 	}
 }
 
-// TestPoolFor checks the index-only wrapper.
+// TestPoolFor checks a job narrower than the pool: only as many slots
+// as indices take part, and the pool serves a wide job after it.
 func TestPoolFor(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
-	sum := make([]int64, 1)
-	p.For(10, func(i int) { atomic.AddInt64(&sum[0], int64(i)) })
-	if sum[0] != 45 {
-		t.Fatalf("For sum = %d, want 45", sum[0])
+	var sum int64
+	p.ForWorker(2, func(w, i int) {
+		if w > 1 {
+			t.Errorf("a 2-index job used worker slot %d", w)
+		}
+		atomic.AddInt64(&sum, int64(i))
+	})
+	p.ForWorker(10, func(_, i int) { atomic.AddInt64(&sum, int64(i)) })
+	if sum != 1+45 {
+		t.Fatalf("sum over both jobs = %d, want 46", sum)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 
 	"desh/internal/logparse"
@@ -86,12 +85,6 @@ type AlertRecord struct {
 	MSEBits     uint64
 	Provisional bool
 }
-
-// Lead returns the alert's lead time in seconds.
-func (a AlertRecord) Lead() float64 { return math.Float64frombits(a.LeadBits) }
-
-// MSE returns the alert's minimum-MSE score.
-func (a AlertRecord) MSE() float64 { return math.Float64frombits(a.MSEBits) }
 
 // Key returns the ledger identity of the alert.
 func (a AlertRecord) LedgerKey() string {

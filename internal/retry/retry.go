@@ -32,8 +32,8 @@ type Policy struct {
 	Base time.Duration
 	// Max caps the exponential growth (default 1s).
 	Max time.Duration
-	// Attempts bounds Do: after this many calls to fn the last error is
-	// returned (0 = retry until the context cancels).
+	// Attempts bounds DoCtx: after this many calls to fn the last error
+	// is returned (0 = retry until the context cancels).
 	Attempts int
 	// MaxElapsed caps the total wall-clock budget of one DoCtx call:
 	// once sleeping for the next attempt would cross it, the last error
@@ -81,22 +81,9 @@ func (p Policy) Delay(attempt int) time.Duration {
 	return time.Duration(r(int64(d))) + 1
 }
 
-// Sleep blocks for the attempt's jittered delay, returning early with
-// ctx.Err() if the context cancels first.
-func (p Policy) Sleep(ctx context.Context, attempt int) error {
-	t := time.NewTimer(p.Delay(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Wait is Sleep for done-channel lifetimes (the streamer's shutdown
-// idiom): it blocks for the attempt's jittered delay and reports
-// whether the full delay elapsed (false = stop closed first).
+// Wait blocks for the attempt's jittered delay and reports whether the
+// full delay elapsed (false = stop closed first) — the backoff for
+// done-channel lifetimes, the streamer's shutdown idiom.
 func (p Policy) Wait(stop <-chan struct{}, attempt int) bool {
 	t := time.NewTimer(p.Delay(attempt))
 	defer t.Stop()
@@ -108,31 +95,14 @@ func (p Policy) Wait(stop <-chan struct{}, attempt int) bool {
 	}
 }
 
-// Do calls fn until it returns nil, sleeping the policy's backoff
-// between attempts. It stops on success, after Attempts tries (the
-// last error is returned), or when ctx cancels mid-backoff (the
-// cancellation joined with the last error).
-func Do(ctx context.Context, p Policy, fn func() error) error {
-	for attempt := 0; ; attempt++ {
-		err := fn()
-		if err == nil {
-			return nil
-		}
-		if p.Attempts > 0 && attempt+1 >= p.Attempts {
-			return err
-		}
-		if serr := p.Sleep(ctx, attempt); serr != nil {
-			return errors.Join(serr, err)
-		}
-	}
-}
-
-// DoCtx is the context-aware Do: fn receives ctx so each attempt's
-// I/O can be cancelled mid-flight (not just the sleeps between
-// attempts), a cancelled ctx is never handed a fresh attempt, and
-// MaxElapsed caps the call's total wall-clock budget. Shutdown
-// therefore interrupts both the in-flight request and the backoff
-// sleep instead of waiting either out.
+// DoCtx calls fn until it returns nil, sleeping the policy's backoff
+// between attempts. It stops on success, after Attempts tries or once
+// the next sleep would cross MaxElapsed (the last error is returned), or
+// when ctx cancels (the cancellation joined with the last error). fn
+// receives ctx so each attempt's I/O can be cancelled mid-flight, and a
+// cancelled ctx is never handed a fresh attempt: shutdown interrupts
+// both the in-flight request and the backoff sleep instead of waiting
+// either out.
 func (p Policy) DoCtx(ctx context.Context, fn func(context.Context) error) error {
 	start := time.Now()
 	var err error

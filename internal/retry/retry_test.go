@@ -52,28 +52,34 @@ func TestDelayZeroValuePolicy(t *testing.T) {
 	}
 }
 
+// A first attempt that succeeds returns at once: no backoff is slept,
+// however long the policy's would be.
 func TestDoStopsOnSuccess(t *testing.T) {
 	calls := 0
-	p := Policy{Base: time.Microsecond, Max: time.Microsecond}
-	err := Do(context.Background(), p, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want nil after 3", err, calls)
+	p := Policy{Base: time.Hour, Max: time.Hour, Rand: maxRand}
+	start := time.Now()
+	err := p.DoCtx(context.Background(), func(context.Context) error { calls++; return nil })
+	if err != nil || calls != 1 {
+		t.Fatalf("DoCtx = %v after %d calls, want nil after 1", err, calls)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("DoCtx slept after a successful attempt")
 	}
 }
 
+// The attempt bound is checked before sleeping: the last allowed
+// failure returns its error without waiting out a backoff.
 func TestDoBoundedAttempts(t *testing.T) {
 	sentinel := errors.New("still down")
 	calls := 0
-	p := Policy{Base: time.Microsecond, Max: time.Microsecond, Attempts: 4}
-	err := Do(context.Background(), p, func() error { calls++; return sentinel })
-	if !errors.Is(err, sentinel) || calls != 4 {
-		t.Fatalf("Do = %v after %d calls, want sentinel after exactly 4", err, calls)
+	p := Policy{Base: time.Hour, Max: time.Hour, Attempts: 1, Rand: maxRand}
+	start := time.Now()
+	err := p.DoCtx(context.Background(), func(context.Context) error { calls++; return sentinel })
+	if !errors.Is(err, sentinel) || calls != 1 {
+		t.Fatalf("DoCtx = %v after %d calls, want sentinel after exactly 1", err, calls)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("DoCtx slept after its last allowed attempt")
 	}
 }
 
@@ -83,20 +89,20 @@ func TestDoContextCancelDuringBackoff(t *testing.T) {
 	p := Policy{Base: time.Hour, Max: time.Hour, Rand: maxRand}
 	done := make(chan error, 1)
 	go func() {
-		done <- Do(ctx, p, func() error { return sentinel })
+		done <- p.DoCtx(ctx, func(context.Context) error { return sentinel })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Do = %v, want context.Canceled in chain", err)
+			t.Fatalf("DoCtx = %v, want context.Canceled in chain", err)
 		}
 		if !errors.Is(err, sentinel) {
-			t.Fatalf("Do = %v, want last fn error joined in", err)
+			t.Fatalf("DoCtx = %v, want last fn error joined in", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after cancellation")
+		t.Fatal("DoCtx did not return after cancellation")
 	}
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -149,7 +148,6 @@ type Options struct {
 	// test's way of forcing queue pressure deterministically.
 	processDelay time.Duration
 
-	ctx context.Context
 	// fsys overrides the persistence filesystem — the fault-injection
 	// seam used by the crash tests (default: the real OS).
 	fsys faultfs.FS
@@ -190,10 +188,6 @@ func WithEarlyDetect(on bool) Option { return func(o *Options) { o.EarlyDetect =
 // WithIdleFlush closes open episodes after d of wall-clock node
 // silence (0 disables).
 func WithIdleFlush(d time.Duration) Option { return func(o *Options) { o.IdleFlush = d } }
-
-// WithContext ties the streamer's lifetime to ctx: cancellation
-// triggers the same graceful drain as Close.
-func WithContext(ctx context.Context) Option { return func(o *Options) { o.ctx = ctx } }
 
 // WithStateDir enables crash-safe snapshots + WAL in dir (empty
 // disables persistence).

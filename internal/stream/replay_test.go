@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -180,27 +179,6 @@ func TestDropNewestShedsAndConserves(t *testing.T) {
 	}
 	if ingested != int64(len(run.Events)) {
 		t.Fatalf("DropNewest must never reject at ingest: %d of %d", ingested, len(run.Events))
-	}
-}
-
-func TestContextCancelDrains(t *testing.T) {
-	p := fixture.Model(t, fixture.Serving)
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := New(p, WithContext(ctx), WithQuietPeriod(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait := fixture.Collect(s.Alerts())
-	run := fixture.Corpus(t, fixture.Config(8, 2, 2, 58)).Run
-	for _, ge := range run.Events {
-		if err := s.IngestLine(ge.Line()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cancel()
-	wait() // alert channel closes only after the drain completes
-	if err := s.IngestLine(run.Events[0].Line()); err != ErrClosed {
-		t.Fatalf("ingest after cancel: %v, want ErrClosed", err)
 	}
 }
 

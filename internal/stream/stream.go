@@ -209,19 +209,6 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 	if s.shed != nil {
 		s.every(opts.shedTun.period, func(time.Time) { s.shed.tick() })
 	}
-	if opts.ctx != nil {
-		ctx := opts.ctx
-		// Deliberately not in bgWG: this goroutine calls Close, which
-		// waits on bgWG — tracking it there would deadlock. It always
-		// exits once done closes, whichever path closed it.
-		go func() {
-			select {
-			case <-ctx.Done():
-				_ = s.Close()
-			case <-s.done:
-			}
-		}()
-	}
 	return s, nil
 }
 

@@ -121,7 +121,7 @@ func TestAlertDedupQuietPeriod(t *testing.T) {
 	var flagged chain.Chain
 	found := false
 	for _, c := range p.TrainedChains() {
-		if v := p.Detect(c); v.Flagged {
+		if v := p.NewDetector().Detect(c); v.Flagged {
 			flagged, found = c, true
 			break
 		}
@@ -183,7 +183,7 @@ func TestEarlyDetectProvisionalAlert(t *testing.T) {
 	var flagged chain.Chain
 	found := false
 	for _, c := range p.TrainedChains() {
-		v := p.Detect(c)
+		v := p.NewDetector().Detect(c)
 		// Need a chain flagged before its final transition so the open
 		// prefix can plausibly cross the threshold early.
 		if v.Flagged && v.FlagIndex < len(c.Entries)-1 {

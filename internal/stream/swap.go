@@ -233,15 +233,6 @@ func (s *Streamer) SetWALRetainFloor(seq uint64) {
 	}
 }
 
-// StateDir returns the crash-recovery state directory ("" without
-// persistence).
-func (s *Streamer) StateDir() string {
-	if s.pst == nil {
-		return ""
-	}
-	return s.opts.StateDir
-}
-
 // saveModel writes cand to a fresh versioned DESHMODL file in the
 // state dir and returns its name. The name embeds the WAL position at
 // write time: every committed swap appends a record, so names from

@@ -20,21 +20,20 @@ func TestTransposeInto(t *testing.T) {
 }
 
 // TestMatMulBiasIntoMatchesMatVecBias pins the bit-exact equivalence the
-// batched dense head relies on: each row of a*bᵀ+bias equals MatVecBias
-// over the matching input row.
+// batched dense head relies on: each row of a·wᵀ+bias (MatMulABtBiasInto,
+// the serving and Phase-1 head) equals MatVecBias over the matching input
+// row. Row counts up to 9 cover the 4-row blocks and the leftover rows.
 func TestMatMulBiasIntoMatchesMatVecBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
-		B := 1 + rng.Intn(4)
+		B := 1 + rng.Intn(9)
 		in := 1 + rng.Intn(40)
 		out := 1 + rng.Intn(40)
 		w := randMat(rng, out, in) // serial layout [out x in]
-		wT := New(in, out)
-		TransposeInto(wT, w)
 		bias := randVec(rng, out)
 		x := randMat(rng, B, in)
 		batched := New(B, out)
-		MatMulBiasInto(batched, x, wT, bias)
+		MatMulABtBiasInto(batched, x, w, bias)
 		serial := make([]float64, out)
 		for b := 0; b < B; b++ {
 			MatVecBias(serial, w, x.Row(b), bias)

@@ -1,161 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
-
-// parallelThreshold is the number of multiply-adds below which MatMul
-// runs single-threaded; spawning goroutines for tiny products costs more
-// than it saves.
-const parallelThreshold = 64 * 64 * 64
-
-// MatMul returns a*b as a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Cols)
-	MatMulInto(dst, a, b)
-	return dst
-}
-
-// MatMulInto computes dst = a*b. dst must be a.Rows x b.Cols and must not
-// alias a or b. Large products are split row-wise across GOMAXPROCS
-// goroutines; the kernel iterates k-then-j so the inner loop streams both
-// b and dst rows sequentially (cache friendly, auto-vectorizable).
-func MatMulInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || a.Rows == 1 {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRows(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matMulRows computes rows [lo,hi) of dst = a*b. Rows are processed in
-// quads sharing each loaded b row across four outputs, with register
-// accumulators instead of read-modify-write on dst; per output element
-// the accumulation stays k-ascending into a single accumulator, so the
-// value matches dot4 of the a row against the b column bit-for-bit
-// (quad rows add the ±0 terms the single-row path's zero-skip elides —
-// indistinguishable beyond the sign of an exact zero).
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		matMulQuad(dst, a, b, i)
-	}
-	for ; i < hi; i++ {
-		matMulOne(dst, a, b, i)
-	}
-}
-
-// matMulQuad computes dst rows [i,i+4) of a*b. The inner loop loads each
-// b element once and feeds four row accumulators, quartering weight
-// traffic versus row-at-a-time kernels.
-func matMulQuad(dst, a, b *Matrix, i int) {
-	n, K := b.Cols, a.Cols
-	a0 := a.Data[i*K : (i+1)*K]
-	a1 := a.Data[(i+1)*K : (i+2)*K]
-	a2 := a.Data[(i+2)*K : (i+3)*K]
-	a3 := a.Data[(i+3)*K : (i+4)*K]
-	d0 := dst.Data[i*n : (i+1)*n]
-	d1 := dst.Data[(i+1)*n : (i+2)*n]
-	d2 := dst.Data[(i+2)*n : (i+3)*n]
-	d3 := dst.Data[(i+3)*n : (i+4)*n]
-	bd := b.Data
-	j := 0
-	for ; j+2 <= n; j += 2 {
-		var s00, s01, s10, s11, s20, s21, s30, s31 float64
-		for k := 0; k < K; k++ {
-			b0 := bd[k*n+j]
-			b1 := bd[k*n+j+1]
-			v0, v1, v2, v3 := a0[k], a1[k], a2[k], a3[k]
-			s00 += v0 * b0
-			s01 += v0 * b1
-			s10 += v1 * b0
-			s11 += v1 * b1
-			s20 += v2 * b0
-			s21 += v2 * b1
-			s30 += v3 * b0
-			s31 += v3 * b1
-		}
-		d0[j], d0[j+1] = s00, s01
-		d1[j], d1[j+1] = s10, s11
-		d2[j], d2[j+1] = s20, s21
-		d3[j], d3[j+1] = s30, s31
-	}
-	for ; j < n; j++ {
-		var s0, s1, s2, s3 float64
-		for k := 0; k < K; k++ {
-			bv := bd[k*n+j]
-			s0 += a0[k] * bv
-			s1 += a1[k] * bv
-			s2 += a2[k] * bv
-			s3 += a3[k] * bv
-		}
-		d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-	}
-}
-
-// matMulOne computes dst row i of a*b with register accumulators over
-// column pairs; k-ascending single-accumulator order, zero rows of a
-// skipped as the historical kernel did.
-func matMulOne(dst, a, b *Matrix, i int) {
-	n, K := b.Cols, a.Cols
-	arow := a.Data[i*K : (i+1)*K]
-	drow := dst.Data[i*n : (i+1)*n]
-	bd := b.Data
-	j := 0
-	for ; j+2 <= n; j += 2 {
-		var s0, s1 float64
-		for k := 0; k < K; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			s0 += av * bd[k*n+j]
-			s1 += av * bd[k*n+j+1]
-		}
-		drow[j], drow[j+1] = s0, s1
-	}
-	for ; j < n; j++ {
-		var s float64
-		for k := 0; k < K; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			s += av * bd[k*n+j]
-		}
-		drow[j] = s
-	}
-}
+import "fmt"
 
 // TransposeInto writes aᵀ into dst (dst must be a.Cols x a.Rows and must
 // not alias a). A pure copy, so batched kernels reading the transpose
@@ -169,25 +14,6 @@ func TransposeInto(dst, a *Matrix) {
 		row := a.Data[i*n : (i+1)*n]
 		for j, v := range row {
 			dst.Data[j*dst.Cols+i] = v
-		}
-	}
-}
-
-// MatMulBiasInto computes dst = a*b + bias with bias (length b.Cols)
-// added to every row — the batched dense-head forward. Each output row
-// is bit-identical to MatVecBias over the matching input row against
-// bᵀ: the k-ascending accumulation of matMulRows matches dot4's single
-// accumulator, and the bias joins after the sum completes.
-func MatMulBiasInto(dst, a, b *Matrix, bias []float64) {
-	if len(bias) != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBiasInto bias length %d, want %d", len(bias), b.Cols))
-	}
-	MatMulInto(dst, a, b)
-	n := dst.Cols
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Data[i*n : (i+1)*n]
-		for j, v := range bias {
-			row[j] += v
 		}
 	}
 }
@@ -342,107 +168,21 @@ func MatMulABtInto(dst, a, b *Matrix) {
 
 // MatMulABtBiasInto computes dst = a·bᵀ + bias with bias (length
 // b.Rows) added to every row — the batched dense-head forward against
-// the untransposed weights. Each output element is dot4 over matching
-// contiguous rows plus the bias term, exactly MatVecBias applied to the
-// corresponding batch row. dst must not alias a or b.
+// the untransposed weights. It is MatMulABtInto followed by a bias pass:
+// each sum is complete before its bias joins, so every output element is
+// exactly MatVecBias applied to the corresponding batch row. dst must not
+// alias a or b.
 func MatMulABtBiasInto(dst, a, b *Matrix, bias []float64) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulABtBias inner dimension mismatch %dx%d * %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABtBias dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
 	if len(bias) != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABtBias bias length %d, want %d", len(bias), b.Rows))
 	}
-	K, N := a.Cols, b.Rows
-	r := 0
-	for ; r+4 <= a.Rows; r += 4 {
-		a0 := a.Data[r*K : (r+1)*K]
-		a1 := a.Data[(r+1)*K : (r+2)*K]
-		a2 := a.Data[(r+2)*K : (r+3)*K]
-		a3 := a.Data[(r+3)*K : (r+4)*K]
-		d0 := dst.Data[r*N : (r+1)*N]
-		d1 := dst.Data[(r+1)*N : (r+2)*N]
-		d2 := dst.Data[(r+2)*N : (r+3)*N]
-		d3 := dst.Data[(r+3)*N : (r+4)*N]
-		j := 0
-		for ; j+2 <= N; j += 2 {
-			b0 := b.Data[j*K : (j+1)*K]
-			b1 := b.Data[(j+1)*K : (j+2)*K]
-			bv0, bv1 := bias[j], bias[j+1]
-			var s00, s01, s10, s11, s20, s21, s30, s31 float64
-			for k, w0 := range b0 {
-				w1 := b1[k]
-				av := a0[k]
-				s00 += av * w0
-				s01 += av * w1
-				av = a1[k]
-				s10 += av * w0
-				s11 += av * w1
-				av = a2[k]
-				s20 += av * w0
-				s21 += av * w1
-				av = a3[k]
-				s30 += av * w0
-				s31 += av * w1
-			}
-			d0[j], d0[j+1] = s00+bv0, s01+bv1
-			d1[j], d1[j+1] = s10+bv0, s11+bv1
-			d2[j], d2[j+1] = s20+bv0, s21+bv1
-			d3[j], d3[j+1] = s30+bv0, s31+bv1
+	MatMulABtInto(dst, a, b)
+	n := dst.Cols
+	for r := 0; r < dst.Rows; r++ {
+		row := dst.Data[r*n : (r+1)*n]
+		for j, v := range bias {
+			row[j] += v
 		}
-		if j < N {
-			bj := b.Data[j*K : (j+1)*K]
-			bv := bias[j]
-			d0[j] = dot4(bj, a0) + bv
-			d1[j] = dot4(bj, a1) + bv
-			d2[j] = dot4(bj, a2) + bv
-			d3[j] = dot4(bj, a3) + bv
-		}
-	}
-	for ; r < a.Rows; r++ {
-		ar := a.Data[r*K : (r+1)*K]
-		drow := dst.Data[r*N : (r+1)*N]
-		j := 0
-		for ; j+2 <= N; j += 2 {
-			b0 := b.Data[j*K : (j+1)*K]
-			b1 := b.Data[(j+1)*K : (j+2)*K]
-			var s0, s1 float64
-			for k, av := range ar {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-			}
-			drow[j], drow[j+1] = s0+bias[j], s1+bias[j+1]
-		}
-		if j < N {
-			drow[j] = dot4(b.Data[j*K:(j+1)*K], ar) + bias[j]
-		}
-	}
-}
-
-// MatVec returns a * x for a column vector x (len(x) == a.Cols).
-func MatVec(a *Matrix, x []float64) []float64 {
-	dst := make([]float64, a.Rows)
-	MatVecInto(dst, a, x)
-	return dst
-}
-
-// MatVecInto computes dst = a*x; len(dst) must equal a.Rows.
-func MatVecInto(dst []float64, a *Matrix, x []float64) {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	if len(dst) != a.Rows {
-		panic(fmt.Sprintf("tensor: MatVec dst length %d, want %d", len(dst), a.Rows))
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// naiveMul is the reference triple-loop product used to validate the
-// parallel kernel.
+// naiveMul is the reference triple-loop product the a·bᵀ kernel is
+// validated against.
 func naiveMul(a, b *Matrix) *Matrix {
 	c := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -22,10 +22,25 @@ func naiveMul(a, b *Matrix) *Matrix {
 	return c
 }
 
+// mul is a·b through the one product kernel the binaries run,
+// MatMulABtInto, handed bᵀ.
+func mul(a, b *Matrix) *Matrix {
+	c := New(a.Rows, b.Cols)
+	MatMulABtInto(c, a, b.T())
+	return c
+}
+
+// matVec is a·x through the dense head's kernel with a zero bias.
+func matVec(a *Matrix, x []float64) []float64 {
+	y := make([]float64, a.Rows)
+	MatVecBias(y, a, x, make([]float64, a.Rows))
+	return y
+}
+
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := mul(a, b)
 	want := FromSlice(2, 2, []float64{58, 64, 139, 154})
 	if !c.Equals(want, 1e-12) {
 		t.Fatalf("got %v want %v", c, want)
@@ -40,25 +55,25 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(i, i, 1)
 	}
-	if !MatMul(a, id).Equals(a, 1e-12) {
+	if !mul(a, id).Equals(a, 1e-12) {
 		t.Fatal("A*I != A")
 	}
-	if !MatMul(id, a).Equals(a, 1e-12) {
+	if !mul(id, a).Equals(a, 1e-12) {
 		t.Fatal("I*A != A")
 	}
 }
 
+// Odd shapes run the 4x2 blocks, the odd-column tail and the leftover
+// rows of MatMulABtInto; every element is one k-ascending sum, so it
+// matches the naive product exactly.
 func TestMatMulMatchesNaiveLarge(t *testing.T) {
-	// Big enough to cross parallelThreshold so the goroutine path runs.
 	rng := rand.New(rand.NewSource(4))
 	a := New(97, 83)
 	b := New(83, 71)
 	Randn(a, 1, rng)
 	Randn(b, 1, rng)
-	got := MatMul(a, b)
-	want := naiveMul(a, b)
-	if !got.Equals(want, 1e-9) {
-		t.Fatal("parallel MatMul differs from naive reference")
+	if !mul(a, b).Equals(naiveMul(a, b), 0) {
+		t.Fatal("MatMulABtInto differs from the naive product")
 	}
 }
 
@@ -68,7 +83,7 @@ func TestMatMulDimensionPanics(t *testing.T) {
 			t.Fatal("expected inner-dimension panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulABtInto(New(2, 2), New(2, 3), New(2, 4))
 }
 
 func TestMatMulIntoDstShapePanics(t *testing.T) {
@@ -77,7 +92,7 @@ func TestMatMulIntoDstShapePanics(t *testing.T) {
 			t.Fatal("expected dst-shape panic")
 		}
 	}()
-	MatMulInto(New(2, 2), New(2, 3), New(3, 3))
+	MatMulABtInto(New(2, 2), New(2, 3), New(3, 3))
 }
 
 func TestMatMulAssociativity(t *testing.T) {
@@ -86,35 +101,33 @@ func TestMatMulAssociativity(t *testing.T) {
 	Randn(a, 1, rng)
 	Randn(b, 1, rng)
 	Randn(c, 1, rng)
-	left := MatMul(MatMul(a, b), c)
-	right := MatMul(a, MatMul(b, c))
-	if !left.Equals(right, 1e-9) {
+	if !mul(mul(a, b), c).Equals(mul(a, mul(b, c)), 1e-9) {
 		t.Fatal("(AB)C != A(BC)")
 	}
 }
 
 func TestMatVec(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := MatVec(a, []float64{1, 0, -1})
+	y := matVec(a, []float64{1, 0, -1})
 	if y[0] != -2 || y[1] != -2 {
 		t.Fatalf("got %v", y)
 	}
 }
 
+// A one-row a·bᵀ and the serial dense-head kernel compute the same
+// dot per element, bit for bit.
 func TestMatVecMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := New(8, 5)
 	Randn(a, 1, rng)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := MatVec(a, x)
-	xm := FromSlice(5, 1, VecCopy(x))
-	ym := MatMul(a, xm)
+	x := New(1, 5)
+	Randn(x, 1, rng)
+	y := matVec(a, x.Data)
+	ym := New(1, 8)
+	MatMulABtInto(ym, x, a)
 	for i := range y {
-		if math.Abs(y[i]-ym.At(i, 0)) > 1e-12 {
-			t.Fatalf("row %d: %v vs %v", i, y[i], ym.At(i, 0))
+		if y[i] != ym.Data[i] {
+			t.Fatalf("row %d: %v vs %v", i, y[i], ym.Data[i])
 		}
 	}
 }
@@ -125,7 +138,7 @@ func TestMatVecPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatVec(New(2, 3), []float64{1, 2})
+	matVec(New(2, 3), []float64{1, 2})
 }
 
 func TestMatTVecMatchesExplicitTranspose(t *testing.T) {
@@ -138,7 +151,7 @@ func TestMatTVecMatchesExplicitTranspose(t *testing.T) {
 	}
 	got := make([]float64, 4)
 	MatTVecInto(got, a, x)
-	want := MatVec(a.T(), x)
+	want := matVec(a.T(), x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("index %d: %v vs %v", i, got[i], want[i])
@@ -180,7 +193,7 @@ func TestAddOuterScaledShapePanics(t *testing.T) {
 }
 
 func TestMatMulZeroDims(t *testing.T) {
-	c := MatMul(New(0, 3), New(3, 4))
+	c := mul(New(0, 3), New(3, 4))
 	if c.Rows != 0 || c.Cols != 4 {
 		t.Fatalf("shape %dx%d", c.Rows, c.Cols)
 	}

@@ -1,6 +1,6 @@
 // Package tensor provides dense float64 linear algebra for the Desh
-// neural-network substrate: row-major matrices, parallel matrix
-// multiplication, elementwise kernels and reduction helpers.
+// neural-network substrate: row-major matrices, the LSTM gate and
+// dense-head kernels, elementwise kernels and reduction helpers.
 //
 // The package is deliberately small and allocation-conscious: every hot
 // operation has an in-place variant that writes into a caller-provided
@@ -100,13 +100,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // T returns a newly allocated transpose of m.
 func (m *Matrix) T() *Matrix {
 	t := New(m.Cols, m.Rows)
@@ -133,22 +126,6 @@ func (m *Matrix) Add(o *Matrix) {
 	}
 }
 
-// Sub computes m -= o elementwise.
-func (m *Matrix) Sub(o *Matrix) {
-	m.sameShape(o, "Sub")
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-}
-
-// Hadamard computes m *= o elementwise.
-func (m *Matrix) Hadamard(o *Matrix) {
-	m.sameShape(o, "Hadamard")
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
 // Scale multiplies every element by s.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
@@ -161,13 +138,6 @@ func (m *Matrix) AddScaled(o *Matrix, s float64) {
 	m.sameShape(o, "AddScaled")
 	for i, v := range o.Data {
 		m.Data[i] += s * v
-	}
-}
-
-// Apply replaces every element x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
 	}
 }
 

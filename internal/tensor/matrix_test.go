@@ -131,21 +131,9 @@ func TestAddSubInverse(t *testing.T) {
 	Randn(b, 1, rng)
 	orig := a.Clone()
 	a.Add(b)
-	a.Sub(b)
+	a.AddScaled(b, -1)
 	if !a.Equals(orig, 1e-12) {
-		t.Fatal("Add then Sub must restore the matrix")
-	}
-}
-
-func TestHadamard(t *testing.T) {
-	a := FromSlice(1, 3, []float64{2, 3, 4})
-	b := FromSlice(1, 3, []float64{5, 6, 7})
-	a.Hadamard(b)
-	want := []float64{10, 18, 28}
-	for i, v := range want {
-		if a.Data[i] != v {
-			t.Fatalf("element %d: got %v want %v", i, a.Data[i], v)
-		}
+		t.Fatal("Add then AddScaled(-1) must restore the matrix")
 	}
 }
 
@@ -153,8 +141,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	a, b := New(2, 2), New(2, 3)
 	for name, f := range map[string]func(){
 		"Add":       func() { a.Add(b) },
-		"Sub":       func() { a.Sub(b) },
-		"Hadamard":  func() { a.Hadamard(b) },
 		"AddScaled": func() { a.AddScaled(b, 2) },
 		"CopyFrom":  func() { a.CopyFrom(b) },
 	} {
@@ -175,9 +161,9 @@ func TestScaleApplySum(t *testing.T) {
 	if m.Sum() != 20 {
 		t.Fatalf("Sum=%v", m.Sum())
 	}
-	m.Apply(func(x float64) float64 { return -x })
+	m.Scale(-1)
 	if m.Sum() != -20 {
-		t.Fatalf("after Apply Sum=%v", m.Sum())
+		t.Fatalf("after Scale(-1) Sum=%v", m.Sum())
 	}
 }
 
@@ -201,10 +187,9 @@ func TestMaxAbsAndNorm(t *testing.T) {
 }
 
 func TestZeroFill(t *testing.T) {
-	m := New(2, 2)
-	m.Fill(3)
+	m := FromSlice(2, 2, []float64{3, 3, 3, 3})
 	if m.Sum() != 12 {
-		t.Fatalf("Fill: sum=%v", m.Sum())
+		t.Fatalf("filled: sum=%v", m.Sum())
 	}
 	m.Zero()
 	if m.Sum() != 0 {

@@ -31,27 +31,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// VecAdd computes dst = x + y.
-func VecAdd(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// VecSub computes dst = x - y.
-func VecSub(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
-// VecMul computes dst = x .* y elementwise.
-func VecMul(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] * y[i]
-	}
-}
-
 // VecScale computes x *= s in place.
 func VecScale(x []float64, s float64) {
 	for i := range x {
