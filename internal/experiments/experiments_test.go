@@ -196,22 +196,32 @@ func TestTable9Render(t *testing.T) {
 }
 
 // Figure 10 shape: 3-step prediction costs more than 1-step, and
-// history 8 costs at least as much as history 5 for the same steps.
+// history 8 costs at least as much as history 5 for the same steps. The
+// timings are wall-clock, so each point is the minimum over k sweeps of
+// all six: a burst of load from a parallel package inflates the sweep it
+// lands in, not the minimum, and the sweeps interleave the points, so
+// no one point pays for a burst the others miss.
 func TestPredictionCostShape(t *testing.T) {
+	const k = 5
 	r := allResults(t)[0]
 	model := r.Pipeline.Phase1Model()
 	if model == nil {
 		t.Fatal("phase-1 model missing")
 	}
-	points := PredictionCost(model, 7)
-	if len(points) != 6 {
-		t.Fatalf("%d cost points", len(points))
-	}
 	byKey := map[[2]int]float64{}
-	for _, p := range points {
-		byKey[[2]int{p.HistorySize, p.Steps}] = p.PerPredMS
-		if p.PerPredMS <= 0 {
-			t.Fatalf("non-positive timing %v", p)
+	for sweep := 0; sweep < k; sweep++ {
+		points := PredictionCost(model, 7)
+		if len(points) != 6 {
+			t.Fatalf("%d cost points", len(points))
+		}
+		for _, p := range points {
+			if p.PerPredMS <= 0 {
+				t.Fatalf("non-positive timing %v", p)
+			}
+			key := [2]int{p.HistorySize, p.Steps}
+			if best, ok := byKey[key]; !ok || p.PerPredMS < best {
+				byKey[key] = p.PerPredMS
+			}
 		}
 	}
 	if !(byKey[[2]int{8, 3}] > byKey[[2]int{8, 1}]) {

@@ -22,6 +22,7 @@ import (
 const (
 	snapMagic   = "DESHSNAP"
 	snapVersion = 1
+	snapHead    = len(snapMagic) + 1 + 4 + 8
 )
 
 // snapPrefix names snapshot files; the embedded number is the WAL
@@ -30,24 +31,26 @@ const (
 const snapPrefix = "snap-"
 
 // EncodeSnapshot frames a gob-encoded payload for atomic persistence.
+// The payload is encoded behind room for the header, which is filled in
+// once the body's length and checksum are known: one buffer, no copy.
 func EncodeSnapshot(payload any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+	buf := bytes.NewBuffer(make([]byte, snapHead, 4096))
+	if err := gob.NewEncoder(buf).Encode(payload); err != nil {
 		return nil, fmt.Errorf("persist: snapshot encode: %w", err)
 	}
-	b := make([]byte, 0, len(snapMagic)+1+4+8+body.Len())
-	b = append(b, snapMagic...)
-	b = append(b, snapVersion)
-	b = binary.LittleEndian.AppendUint32(b, Checksum(body.Bytes()))
-	b = binary.LittleEndian.AppendUint64(b, uint64(body.Len()))
-	return append(b, body.Bytes()...), nil
+	b := buf.Bytes()
+	body := b[snapHead:]
+	copy(b, snapMagic)
+	b[len(snapMagic)] = snapVersion
+	binary.LittleEndian.PutUint32(b[len(snapMagic)+1:], Checksum(body))
+	binary.LittleEndian.PutUint64(b[len(snapMagic)+5:], uint64(len(body)))
+	return b, nil
 }
 
 // DecodeSnapshot validates framing and gob-decodes the payload into
 // out (a pointer).
 func DecodeSnapshot(data []byte, out any) error {
-	head := len(snapMagic) + 1 + 4 + 8
-	if len(data) < head {
+	if len(data) < snapHead {
 		return fmt.Errorf("%w: snapshot truncated before header", ErrCorrupt)
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
@@ -58,7 +61,7 @@ func DecodeSnapshot(data []byte, out any) error {
 	}
 	sum := binary.LittleEndian.Uint32(data[len(snapMagic)+1:])
 	n := binary.LittleEndian.Uint64(data[len(snapMagic)+5:])
-	body := data[head:]
+	body := data[snapHead:]
 	if uint64(len(body)) != n {
 		return fmt.Errorf("%w: snapshot payload %d bytes, header says %d", ErrCorrupt, len(body), n)
 	}

@@ -57,6 +57,8 @@ type WAL struct {
 	// tear replay would stop at.
 	err error
 	seq uint64 // next sequence number to assign
+	// base is the live segment's first seq, the number in its name.
+	base uint64
 	// off is the bytes appended to the live segment; mapped is the size
 	// of its mapping, 0 until its first append maps it.
 	off         int
@@ -137,7 +139,7 @@ func (w *WAL) openSegment() error {
 		f.Close()
 		return fmt.Errorf("persist: wal segment: %w", err)
 	}
-	w.f, w.off, w.mapped, w.unsynced = f, int(st.Size()), 0, 0
+	w.f, w.base, w.off, w.mapped, w.unsynced = f, w.seq, int(st.Size()), 0, 0
 	return nil
 }
 
@@ -350,6 +352,36 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	return w.closeSegment()
+}
+
+// CloseCovered is Close for a WAL a durable snapshot covers whole: the
+// snapshot's boundary is NextSeq, so the next boot reads none of the live
+// segment. It is unmapped and closed without an fsync, removed, and the
+// directory synced. Should an OS crash undo the removal, what comes back
+// holds only records below the boundary, which ReplayWAL skips, and at
+// worst a torn tail, which RepairTail cuts. A retain floor below NextSeq
+// pins the segment: then it is closed as Close closes it, synced and kept.
+func (w *WAL) CloseCovered() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return nil
+	}
+	w.closed = true
+	if w.retainFloor > 0 && w.retainFloor < w.seq {
+		return w.closeSegment()
+	}
+	err := w.f.Unmap()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = w.fs.Remove(segPath(w.dir, w.base))
+	}
+	if err == nil {
+		err = w.fs.SyncDir(w.dir)
+	}
+	return err
 }
 
 // ReplayStats summarizes one WAL replay.

@@ -104,6 +104,45 @@ func TestWALRotateAndTruncate(t *testing.T) {
 	}
 }
 
+// TestWALCloseCovered: CloseCovered removes the live segment, so a
+// replay from the boundary the snapshot took (NextSeq) finds nothing and
+// continues at it; a retain floor below NextSeq keeps the segment whole,
+// cut back to its records as Close leaves it.
+func TestWALCloseCovered(t *testing.T) {
+	fsys := faultfs.OS()
+	for _, floor := range []uint64{0, 6} {
+		dir := t.TempDir()
+		w, err := OpenWAL(fsys, dir, 5, 1<<30, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, w, []byte("one"), []byte("two"))
+		w.SetRetainFloor(floor)
+		boundary := w.NextSeq()
+		if err := w.CloseCovered(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append([]byte("late")); err == nil {
+			t.Fatal("append after CloseCovered succeeded")
+		}
+		bases, err := listSegments(fsys, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats := replayAll(t, fsys, dir, 0)
+		if floor == 0 {
+			if len(bases) != 0 || len(got) != 0 {
+				t.Fatalf("covered segment kept: segments %v, records %v", bases, got)
+			}
+		} else if len(bases) != 1 || len(got) != 2 || stats.Torn {
+			t.Fatalf("pinned segment: segments %v, records %v, torn %v; want one whole segment of 2", bases, got, stats.Torn)
+		}
+		if _, stats := replayAll(t, fsys, dir, boundary); stats.NextSeq != boundary {
+			t.Fatalf("floor %d: replay from the boundary continues at %d, want %d", floor, stats.NextSeq, boundary)
+		}
+	}
+}
+
 // TestWALSegmentSizeRotation: a segment rotates before a batch that
 // would not fit behind what it already holds, so no segment is larger
 // than the segment size unless it holds exactly one larger batch, which

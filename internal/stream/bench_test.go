@@ -2,10 +2,15 @@ package stream
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"desh/internal/catalog"
 	"desh/internal/chaos/fixture"
 	"desh/internal/core"
+	"desh/internal/logparse"
 )
 
 // benchLog is the benchmark-scale run (60 nodes, 96 h, seed 31 — the
@@ -126,4 +131,79 @@ func benchStreamThroughput(b *testing.B, extra ...Option) {
 			b.ReportMetric(snap.BatchOccupancy, "batch-occupancy")
 		})
 	}
+}
+
+// BenchmarkGracefulClose times Close on a routed instance's shape: one
+// shard, a 512-entry dedup ring per node (DESIGN §15 advises at least
+// -batch-max), a state dir whose WAL is never fsynced by an append (as
+// bench/ runs one) and 400 nodes whose rings are full. Each node's events
+// are 100 s apart (stamped to the microsecond, as parsed lines are), past
+// the chain tracker's MaxGap, so every chain is one event and is
+// discarded unscored: what Close costs here is the final
+// snapshot and the WAL it covers, not the drain. The queue is empty when
+// the timer starts. snapbytes/op is the final snapshot's size.
+func BenchmarkGracefulClose(b *testing.B) {
+	const (
+		nodes  = 400
+		window = 512
+	)
+	p := fixture.Model(b, fixture.Serving)
+	key, msg := "", ""
+	for _, ph := range catalog.Catalog {
+		if p.Labeler().Label(ph.Key) != catalog.Safe && !p.Labeler().IsTerminal(ph.Key) {
+			key, msg = ph.Key, ph.Template
+			break
+		}
+	}
+	base := time.Date(2026, 5, 3, 12, 0, 0, 0, time.UTC)
+	events := make([]logparse.Event, 0, nodes*window)
+	for k := 0; k < window; k++ {
+		for n := 0; n < nodes; n++ {
+			at := base.Add(time.Duration(k)*100*time.Second + time.Duration(n*1000+k%1000)*time.Microsecond)
+			events = append(events, logparse.NewEvent(at, fmt.Sprintf("c%d-0c0s%dn%d", n/64, n%64/4, n%4), msg, key))
+		}
+	}
+	var snapBytes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		dir := b.TempDir()
+		s, err := New(p, WithShards(1), WithDedupWindow(window), WithStateDir(dir),
+			WithSnapshotEvery(time.Hour), WithWALSyncEvery(1<<30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		wait := fixture.Collect(s.Alerts())
+		for _, ev := range events {
+			if err := s.IngestEvent(ev); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for m := s.SnapshotMetrics(); m.Processed < m.Ingested-m.SafeFiltered; m = s.SnapshotMetrics() {
+			time.Sleep(time.Millisecond)
+		}
+		b.StartTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		wait()
+		if n := s.SnapshotMetrics().Duplicates; n != 0 {
+			b.Fatalf("%d events deduplicated, want none", n)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if err != nil || len(files) != 1 {
+			b.Fatalf("state dir holds snapshots %v (%v), want one", files, err)
+		}
+		st, err := os.Stat(files[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		snapBytes += st.Size()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(snapBytes)/float64(b.N), "snapbytes/op")
 }

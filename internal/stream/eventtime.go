@@ -106,7 +106,7 @@ type nodeEventTime struct {
 // recommends one of at least -batch-max, 1024); only an event at or
 // below the bound pays the linear scan. Any upper bound is exact here:
 // it is only ever used to prove absence.
-func (n *nodeEventTime) dup(ev logparse.EncodedEvent, window int) bool {
+func (n *nodeEventTime) dup(ev *logparse.EncodedEvent, window int) bool {
 	if window <= 0 {
 		return false
 	}
@@ -137,7 +137,7 @@ func (n *nodeEventTime) dup(ev logparse.EncodedEvent, window int) bool {
 // itself even when nothing releases, so late classification depends
 // only on the event sequence, never on call timing. out is built on
 // n.rel and valid until the next add that is lent the same scratch.
-func (n *nodeEventTime) add(ev logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
+func (n *nodeEventTime) add(ev *logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
 	out = n.rel[:0]
 	if ev.Time.After(n.maxSeen) {
 		n.maxSeen = ev.Time
@@ -147,9 +147,9 @@ func (n *nodeEventTime) add(ev logparse.EncodedEvent, lateness time.Duration, de
 		// In order: alone in the buffer and already at or below the
 		// watermark it set, ev would be pushed only to be popped again.
 		n.seq++
-		out = append(out, ev)
+		out = append(out, *ev)
 	} else {
-		n.heap.push(etItem{ev: ev, seq: n.seq})
+		n.heap.push(etItem{ev: *ev, seq: n.seq})
 		n.seq++
 		for n.heap.len() > depth {
 			it := n.heap.pop()
@@ -203,7 +203,7 @@ func restoredNodeET(pn persistedNode) *nodeEventTime {
 	n := &nodeEventTime{
 		maxSeen:  pn.ETMaxSeen,
 		released: pn.ETReleased,
-		dedup:    append([]dedupEntry(nil), pn.Dedup...),
+		dedup:    pn.ring(),
 		dedupPos: pn.DedupPos,
 	}
 	for _, e := range n.dedup {

@@ -12,7 +12,7 @@ import (
 // through the heap for every event. They survive only as the oracles
 // FuzzEventTimeParity and BenchmarkEventTimeInOrder hold the live
 // bodies against.
-func (n *nodeEventTime) refDup(ev logparse.EncodedEvent, window int) bool {
+func (n *nodeEventTime) refDup(ev *logparse.EncodedEvent, window int) bool {
 	if window <= 0 {
 		return false
 	}
@@ -31,9 +31,9 @@ func (n *nodeEventTime) refDup(ev logparse.EncodedEvent, window int) bool {
 	return false
 }
 
-func (n *nodeEventTime) refAdd(ev logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
+func (n *nodeEventTime) refAdd(ev *logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
 	out = n.rel[:0]
-	n.heap.push(etItem{ev: ev, seq: n.seq})
+	n.heap.push(etItem{ev: *ev, seq: n.seq})
 	n.seq++
 	if ev.Time.After(n.maxSeen) {
 		n.maxSeen = ev.Time
@@ -60,13 +60,16 @@ func (n *nodeEventTime) refAdd(ev logparse.EncodedEvent, lateness time.Duration,
 // bodies, stepped the way handleEventTime steps it.
 type etArm struct {
 	n   *nodeEventTime
-	dup func(*nodeEventTime, logparse.EncodedEvent, int) bool
-	add func(*nodeEventTime, logparse.EncodedEvent, time.Duration, int) ([]logparse.EncodedEvent, int)
-	rel []logparse.EncodedEvent // the shard's lent release scratch
+	dup func(*nodeEventTime, *logparse.EncodedEvent, int) bool
+	add func(*nodeEventTime, *logparse.EncodedEvent, time.Duration, int) ([]logparse.EncodedEvent, int)
+	// packed picks the ring form roundTrip persists: the packed column
+	// shard.capture writes, or the entry slice parent snapshots carry.
+	packed bool
+	rel    []logparse.EncodedEvent // the shard's lent release scratch
 }
 
 func liveArm() *etArm {
-	return &etArm{n: &nodeEventTime{}, dup: (*nodeEventTime).dup, add: (*nodeEventTime).add}
+	return &etArm{n: &nodeEventTime{}, dup: (*nodeEventTime).dup, add: (*nodeEventTime).add, packed: true}
 }
 
 func refArm() *etArm {
@@ -76,7 +79,7 @@ func refArm() *etArm {
 // step is handleEventTime's order — dedup, the late check against the
 // release cursor, then buffer and release — without the shard around
 // it. out aliases the arm's scratch until its next step.
-func (a *etArm) step(ev logparse.EncodedEvent, window int, lateness time.Duration, depth int) (dup, late bool, out []logparse.EncodedEvent, overflow int) {
+func (a *etArm) step(ev *logparse.EncodedEvent, window int, lateness time.Duration, depth int) (dup, late bool, out []logparse.EncodedEvent, overflow int) {
 	if a.dup(a.n, ev, window) {
 		return true, false, nil, 0
 	}
@@ -90,15 +93,22 @@ func (a *etArm) step(ev logparse.EncodedEvent, window int, lateness time.Duratio
 }
 
 // roundTrip replaces the arm's state with what a snapshot of it
-// restores to (shard.capture's fields, then restoredNodeET).
+// restores to (shard.capture's fields, then restoredNodeET). The live arm
+// persists its ring packed and the reference arm as the entry slice a
+// parent-written snapshot holds, so the parity also covers reading both.
 func (a *etArm) roundTrip() {
-	a.n = restoredNodeET(persistedNode{
+	pn := persistedNode{
 		Reorder:    a.n.sortedPending(),
 		ETMaxSeen:  a.n.maxSeen,
 		ETReleased: a.n.released,
-		Dedup:      append([]dedupEntry(nil), a.n.dedup...),
 		DedupPos:   a.n.dedupPos,
-	})
+	}
+	if a.packed {
+		pn.Ring = packRing(a.n.dedup)
+	} else {
+		pn.Dedup = append([]dedupEntry(nil), a.n.dedup...)
+	}
+	a.n = restoredNodeET(pn)
 }
 
 func sameEvents(a, b []logparse.EncodedEvent) bool {
@@ -173,8 +183,8 @@ func FuzzEventTimeParity(f *testing.F) {
 			}
 			at = at.Add(time.Duration(int8(p[0])) * 100 * time.Millisecond)
 			ev := logparse.EncodedEvent{Event: logparse.Event{Node: "fuzz", Time: at}, ID: int(p[1] % 8)}
-			dup, late, out, overflow := live.step(ev, window, lateness, depth)
-			wantDup, wantLate, want, wantOverflow := ref.step(ev, window, lateness, depth)
+			dup, late, out, overflow := live.step(&ev, window, lateness, depth)
+			wantDup, wantLate, want, wantOverflow := ref.step(&ev, window, lateness, depth)
 			if dup != wantDup || late != wantLate || overflow != wantOverflow || !sameEvents(out, want) {
 				t.Fatalf("event %d (%v, id %d): dup %v late %v overflow %d released %v; reference dup %v late %v overflow %d released %v",
 					i, ev.Time, ev.ID, dup, late, overflow, out, wantDup, wantLate, wantOverflow, want)
@@ -227,7 +237,7 @@ func BenchmarkEventTimeInOrder(b *testing.B) {
 			ev := logparse.EncodedEvent{Event: logparse.Event{Node: "c0-0c0s0n0"}}
 			feed := func(i int) {
 				ev.Time, ev.ID = base.Add(time.Duration(i)*time.Millisecond), i%8
-				if dup, late, out, _ := a.step(ev, window, 0, depth); dup || late || len(out) != 1 {
+				if dup, late, out, _ := a.step(&ev, window, 0, depth); dup || late || len(out) != 1 {
 					b.Fatalf("event %d: dup %v late %v released %d, want the event straight through", i, dup, late, len(out))
 				}
 			}

@@ -35,13 +35,13 @@ func TestReorderReleaseReusesScratch(t *testing.T) {
 		ev := at(i)
 		i++
 		lent.rel = scratch // as handleEventTime lends the shard's
-		out, overflow := lent.add(ev, lateness, depth)
+		out, overflow := lent.add(&ev, lateness, depth)
 		scratch, lent.rel = out, nil
 		return ev, out, overflow
 	}
 	for i < 64 {
 		ev, out, overflow := addLent()
-		want, wantOverflow := alone.add(ev, lateness, depth)
+		want, wantOverflow := alone.add(&ev, lateness, depth)
 		if overflow != wantOverflow || len(out) != len(want) || (len(out) > 0 && !reflect.DeepEqual(out, want)) {
 			t.Fatalf("event %d: lent scratch released %v (overflow %d), own slice %v (overflow %d)", i, out, overflow, want, wantOverflow)
 		}

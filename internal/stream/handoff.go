@@ -77,10 +77,11 @@ type handoffIntent struct {
 }
 
 // importKey identifies one durably-imported handoff: the ownership
-// epoch it ran under and the source instance that shipped it.
+// epoch it ran under and the source instance that shipped it. Exported
+// fields, so the import set rides gob snapshots.
 type importKey struct {
-	epoch  uint64
-	source string
+	Epoch  uint64
+	Source string
 }
 
 // dropBarrier rides the shard queues at CompleteHandoff: each shard
@@ -256,7 +257,7 @@ func (s *Streamer) ImportState(epoch uint64, source string, ranges []persist.Has
 	// The In record is the commit point: from here on, "did epoch E
 	// from this source land here?" must answer yes, even before the
 	// barrier drains.
-	s.imports[importKey{epoch, source}] = true
+	s.ctl.Imports[importKey{epoch, source}] = true
 	barriers := s.buildImport(st)
 	for i, sh := range s.shards {
 		sh.ch <- shardMsg{imp: barriers[i]}
@@ -311,16 +312,17 @@ func remapIDs(pn persistedNode, encKeys []string, idFor func(key string) int) pe
 	}
 	pn.Tracker.Open = reencode(pn.Tracker.Open)
 	pn.Reorder = reencode(pn.Reorder)
-	dedup := make([]dedupEntry, 0, len(pn.Dedup))
-	for _, e := range pn.Dedup {
+	ring := pn.ring()
+	kept := ring[:0]
+	for _, e := range ring {
 		if e.ID < 0 || e.ID >= len(encKeys) {
 			continue
 		}
 		e.ID = idFor(encKeys[e.ID])
-		dedup = append(dedup, e)
+		kept = append(kept, e)
 	}
-	pn.Dedup = dedup
-	if pn.DedupPos >= len(dedup) {
+	pn.Ring, pn.Dedup = packRing(kept), nil
+	if pn.DedupPos >= len(kept) {
 		pn.DedupPos = 0
 	}
 	return pn
@@ -387,19 +389,20 @@ func (sh *shard) applyImport(b *importBarrier) {
 // epoch and the hash ranges it serves under it. Recovery surfaces the
 // newest record via RecoveredOwnership. No-op without persistence.
 func (s *Streamer) JournalEpoch(epoch uint64, ranges []persist.HashRange) error {
-	return s.journal("epoch", persist.EncodeEpoch(persist.EpochRecord{Epoch: epoch, Ranges: ranges}))
+	rec := persist.EpochRecord{Epoch: epoch, Ranges: append([]persist.HashRange(nil), ranges...)}
+	return s.journal("epoch", persist.EncodeEpoch(rec), func() { s.ctl.Epoch = &rec })
 }
 
-// RecoveredOwnership returns the newest ownership record boot
-// recovery replayed (ok=false on a cold start or without
-// persistence).
+// RecoveredOwnership returns the newest ownership record this streamer
+// journaled or recovered from its state dir (ok=false on a cold start or
+// without persistence).
 func (s *Streamer) RecoveredOwnership() (persist.EpochRecord, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.recEpoch == nil {
+	if s.ctl.Epoch == nil {
 		return persist.EpochRecord{}, false
 	}
-	return *s.recEpoch, true
+	return *s.ctl.Epoch, true
 }
 
 // replayHandoff re-applies one handoff record at its exact WAL
@@ -430,7 +433,7 @@ func (s *Streamer) replayHandoff(typ byte, payload []byte) error {
 		if err := persist.DecodeSnapshot(rec.State, &st); err != nil {
 			return fmt.Errorf("stream: journaled handoff state: %w", err)
 		}
-		s.imports[importKey{rec.Epoch, rec.Peer}] = true
+		s.ctl.Imports[importKey{rec.Epoch, rec.Peer}] = true
 		return s.importDirect(&st)
 	}
 	return nil
@@ -466,8 +469,9 @@ func (s *Streamer) importDirect(st *HandoffState) error {
 // (events, delivered-alert ledger, quarantines, and any handoffs the
 // dead instance itself had journaled), tolerating the torn tail a
 // SIGKILL leaves. Ranges covered by an UNRESOLVED outbound intent in
-// the dead WAL are excluded — their state may already live on the
-// intent's target, and a takeover must never create a second owner.
+// the dead WAL or its snapshot are excluded — their state may already
+// live on the intent's target, and a takeover must never create a
+// second owner.
 func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange) (*HandoffState, error) {
 	if fsys == nil {
 		fsys = faultfs.OS()
@@ -487,6 +491,7 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 		Ledger:      make(map[string]int),
 		Quarantined: make(map[string]bool),
 	}
+	var pendingBegins []persist.HandoffRecord
 	if ok {
 		st.EncKeys = snap.EncKeys
 		for node, pn := range snap.Nodes {
@@ -494,8 +499,10 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 				st.Nodes[node] = pn
 			}
 		}
+		if h := snap.Control.Handoff; h != nil {
+			pendingBegins = append(pendingBegins, *h)
+		}
 	}
-	var pendingBegins []persist.HandoffRecord
 	_, err = persist.ReplayWAL(fsys, dir, boundary, func(_ uint64, payload []byte) error {
 		if len(payload) == 0 {
 			return persist.ErrCorrupt

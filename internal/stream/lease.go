@@ -13,10 +13,11 @@ import (
 	"desh/internal/persist"
 )
 
-// journal appends one control record to the WAL under the ingest lock:
-// the body JournalEpoch, JournalLease and JournalView share. what names
-// the record in the error. No-op without persistence.
-func (s *Streamer) journal(what string, rec []byte) error {
+// journal appends one control record to the WAL under the ingest lock,
+// then lets note fold it into s.ctl: the body JournalEpoch, JournalLease
+// and JournalView share. what names the record in the error. No-op
+// without persistence.
+func (s *Streamer) journal(what string, rec []byte, note func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -28,6 +29,7 @@ func (s *Streamer) journal(what string, rec []byte) error {
 	if _, err := s.pst.wal.Append(rec); err != nil {
 		return fmt.Errorf("stream: %s journal: %w", what, err)
 	}
+	note()
 	return nil
 }
 
@@ -35,37 +37,41 @@ func (s *Streamer) journal(what string, rec []byte) error {
 // instance made (grant, renewal, or release with Holder ""). No-op
 // without persistence.
 func (s *Streamer) JournalLease(rec persist.LeaseRecord) error {
-	return s.journal("lease", persist.EncodeLease(rec))
+	return s.journal("lease", persist.EncodeLease(rec), func() { s.ctl.Lease = &rec })
 }
 
-// RecoveredLease returns the newest lease record boot recovery
-// replayed (ok=false on a cold start or without persistence). The
-// deadline inside is an absolute wall-clock instant: a restart long
-// after the crash simply finds it expired.
+// RecoveredLease returns the newest lease record this streamer journaled
+// or recovered from its state dir (ok=false on a cold start or without
+// persistence). The deadline inside is an absolute wall-clock instant: a
+// restart long after the crash simply finds it expired.
 func (s *Streamer) RecoveredLease() (persist.LeaseRecord, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.recLease == nil {
+	if s.ctl.Lease == nil {
 		return persist.LeaseRecord{}, false
 	}
-	return *s.recLease, true
+	return *s.ctl.Lease, true
 }
 
 // JournalView durably records the cluster view the coordinator pushed
 // to this instance. No-op without persistence.
 func (s *Streamer) JournalView(rec persist.ViewRecord) error {
-	return s.journal("view", persist.EncodeView(rec))
+	return s.journal("view", persist.EncodeView(rec), func() {
+		v := rec.Clone()
+		s.ctl.View = &v
+	})
 }
 
-// RecoveredView returns the newest cluster-view record boot recovery
-// replayed (ok=false on a cold start or without persistence).
+// RecoveredView returns the newest cluster-view record this streamer
+// journaled or recovered from its state dir (ok=false on a cold start or
+// without persistence).
 func (s *Streamer) RecoveredView() (persist.ViewRecord, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.recView == nil {
+	if s.ctl.View == nil {
 		return persist.ViewRecord{}, false
 	}
-	return s.recView.Clone(), true
+	return s.ctl.View.Clone(), true
 }
 
 // HasImport reports whether this instance durably imported a handoff
@@ -79,5 +85,5 @@ func (s *Streamer) RecoveredView() (persist.ViewRecord, bool) {
 func (s *Streamer) HasImport(epoch uint64, source string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.imports[importKey{epoch, source}]
+	return s.ctl.Imports[importKey{epoch, source}]
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -27,8 +28,97 @@ type persistedNode struct {
 	Reorder    []logparse.EncodedEvent
 	ETMaxSeen  time.Time
 	ETReleased time.Time
-	Dedup      []dedupEntry
-	DedupPos   int
+	// Ring is the dedup ring in slot order, packed by packRing; DedupPos
+	// is the slot the next entry overwrites once the ring is full. Dedup
+	// is the ring as snapshots and handoff payloads written before the
+	// packing carry it: read when Ring is empty, never written.
+	Ring     []byte
+	Dedup    []dedupEntry
+	DedupPos int
+}
+
+// packRing packs dedup entries into one byte column: a unit exponent u,
+// then per entry the zigzag varint of its Nano minus the previous
+// entry's (the first's minus zero) in units of 10^u ns, and the uvarint
+// of its phrase id. u is the largest exponent up to 9 whose power of ten
+// divides every Nano — parsed timestamps carry microseconds, so it is at
+// least 3 — and slot order keeps the deltas small, as a node's events
+// arrive in near time order: an entry packs into ~5 bytes where gob
+// spends ~13 on the struct.
+func packRing(ring []dedupEntry) []byte {
+	if len(ring) == 0 {
+		return nil
+	}
+	u := len(pow10) - 1
+	for _, e := range ring {
+		for u > 0 && divPow10(e.Nano, u)*pow10[u] != e.Nano {
+			u--
+		}
+	}
+	out := make([]byte, 1, 1+len(ring)*6)
+	out[0] = byte(u)
+	prev := int64(0)
+	for _, e := range ring {
+		units := divPow10(e.Nano, u)
+		out = binary.AppendVarint(out, units-prev)
+		out = binary.AppendUvarint(out, uint64(e.ID))
+		prev = units
+	}
+	return out
+}
+
+var pow10 = [...]int64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// divPow10 is x / 10^u for u in 0..9, each case a constant divide the
+// compiler turns into a multiply: packRing divides every entry twice,
+// and a hardware divide would cost more than the rest of the packing.
+func divPow10(x int64, u int) int64 {
+	switch u {
+	case 1:
+		return x / 1e1
+	case 2:
+		return x / 1e2
+	case 3:
+		return x / 1e3
+	case 4:
+		return x / 1e4
+	case 5:
+		return x / 1e5
+	case 6:
+		return x / 1e6
+	case 7:
+		return x / 1e7
+	case 8:
+		return x / 1e8
+	case 9:
+		return x / 1e9
+	}
+	return x
+}
+
+// ring returns pn's dedup ring in slot order, from whichever form it was
+// persisted in. The snapshot's checksum vouches for the packed bytes.
+func (pn *persistedNode) ring() []dedupEntry {
+	if len(pn.Ring) == 0 {
+		return append([]dedupEntry(nil), pn.Dedup...)
+	}
+	unit := pow10[min(int(pn.Ring[0]), len(pow10)-1)]
+	out := make([]dedupEntry, 0, len(pn.Ring)/4)
+	prev := int64(0)
+	for b := pn.Ring[1:]; len(b) > 0; {
+		d, n := binary.Varint(b)
+		if n <= 0 {
+			break
+		}
+		id, m := binary.Uvarint(b[n:])
+		if m <= 0 {
+			break
+		}
+		b = b[n+m:]
+		prev += d
+		out = append(out, dedupEntry{Nano: prev * unit, ID: int(id)})
+	}
+	return out
 }
 
 // streamerSnapshot is the snapshot payload. EncKeys is the full phrase
@@ -45,6 +135,55 @@ type streamerSnapshot struct {
 	// before hot swap existed decode it as "" — the boot model, which
 	// is what those snapshots were taken against.
 	ModelFile string
+	// Control is the control plane's state at the boundary. Snapshots
+	// written before it rode here decode it as zero: no ownership, lease,
+	// view, imports or pending intent, as their boot always had.
+	Control controlState
+}
+
+// controlState is the cluster control plane's journaled state: the
+// newest ownership, lease and view records, every handoff import, and an
+// outbound handoff awaiting resolution. Boot replay skips every WAL
+// record below a snapshot's boundary, control records included, so the
+// snapshot carries their sum; the WAL tail then replays on top of it.
+// Handoff is set only in a snapshot's copy: the live intent is
+// Streamer.handoff.
+type controlState struct {
+	Epoch   *persist.EpochRecord
+	Lease   *persist.LeaseRecord
+	View    *persist.ViewRecord
+	Imports map[importKey]bool
+	Handoff *persist.HandoffRecord
+}
+
+// controlLocked copies the control state for a snapshot, the pending
+// intent included. The caller holds s.mu (or is alone, in Close), which
+// pins it to the snapshot's boundary: every control record is journaled
+// under s.mu.
+func (s *Streamer) controlLocked() controlState {
+	c := s.ctl
+	c.Imports = make(map[importKey]bool, len(s.ctl.Imports))
+	for k := range s.ctl.Imports {
+		c.Imports[k] = true
+	}
+	if h := s.handoff; h != nil {
+		c.Handoff = &persist.HandoffRecord{Epoch: h.epoch, Peer: h.target, Ranges: h.ranges}
+	}
+	return c
+}
+
+// restoreControl adopts a snapshot's control state, the pending intent
+// frozen again as its Begin record's replay would have left it.
+func (s *Streamer) restoreControl(c controlState) {
+	if c.Imports == nil {
+		c.Imports = make(map[importKey]bool)
+	}
+	if h := c.Handoff; h != nil {
+		s.handoff = &handoffIntent{epoch: h.Epoch, target: h.Peer, ranges: h.Ranges}
+		s.frozen = h.Ranges
+		c.Handoff = nil
+	}
+	s.ctl = c
 }
 
 // persister owns the streamer's crash-recovery machinery: the snapshot
@@ -201,6 +340,7 @@ func (s *Streamer) recover() error {
 		if err := s.restoreSnapshot(snap); err != nil {
 			return err
 		}
+		s.restoreControl(snap.Control)
 	}
 
 	// Pass 1: scan the WAL tail for the alert ledger and quarantine
@@ -266,19 +406,19 @@ func (s *Streamer) recover() error {
 			if err != nil {
 				return err
 			}
-			s.recEpoch = &rec
+			s.ctl.Epoch = &rec
 		case persist.RecLease:
 			rec, err := persist.DecodeLease(payload[1:])
 			if err != nil {
 				return err
 			}
-			s.recLease = &rec
+			s.ctl.Lease = &rec
 		case persist.RecView:
 			rec, err := persist.DecodeView(payload[1:])
 			if err != nil {
 				return err
 			}
-			s.recView = &rec
+			s.ctl.View = &rec
 		}
 		return nil
 	})
@@ -409,6 +549,7 @@ func (s *Streamer) snapshotNow() error {
 	// Captured under s.mu: a swap commits its RecSwap record under the
 	// same lock, so the boundary and the model name always agree.
 	modelFile := s.activeFile
+	ctl := s.controlLocked()
 	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
 	nodes, ok := s.gatherCaptures(replies, nil)
@@ -417,7 +558,8 @@ func (s *Streamer) snapshotNow() error {
 		// one, and the crash path recovers from the WAL.
 		return nil
 	}
-	if err := s.pst.store.Save(boundary, streamerSnapshot{EncKeys: keys, Nodes: nodes, ModelFile: modelFile}); err != nil {
+	snap := streamerSnapshot{EncKeys: keys, Nodes: nodes, ModelFile: modelFile, Control: ctl}
+	if err := s.pst.store.Save(boundary, snap); err != nil {
 		return err
 	}
 	_ = s.pst.wal.RemoveSegmentsBelow(boundary)
@@ -457,8 +599,10 @@ func (s *Streamer) gatherCaptures(replies <-chan map[string]persistedNode, keep 
 }
 
 // finalSnapshot persists the post-drain state during a graceful Close
-// (every goroutine has stopped; shard maps are safe to read directly)
-// and truncates the WAL it covers.
+// (every goroutine has stopped; shard maps are safe to read directly).
+// The snapshot covers the whole WAL, so the WAL goes with it: the live
+// segment is removed unsynced (WAL.CloseCovered), unless a retain floor
+// pins it or the snapshot failed, when it is closed synced and kept.
 func (p *persister) finalSnapshot(s *Streamer) error {
 	boundary := p.wal.NextSeq()
 	nodes := make(map[string]persistedNode)
@@ -467,13 +611,16 @@ func (p *persister) finalSnapshot(s *Streamer) error {
 			nodes[node] = pn
 		}
 	}
-	if err := p.store.Save(boundary, streamerSnapshot{EncKeys: s.enc.Keys(), Nodes: nodes, ModelFile: s.activeFile}); err != nil {
+	s.mu.RLock()
+	snap := streamerSnapshot{EncKeys: s.enc.Keys(), Nodes: nodes, ModelFile: s.activeFile, Control: s.controlLocked()}
+	s.mu.RUnlock()
+	if err := p.store.Save(boundary, snap); err != nil {
 		p.wal.Close()
 		return err
 	}
 	_ = p.wal.RemoveSegmentsBelow(boundary)
 	s.met.Snapshots.Add(1)
-	return p.wal.Close()
+	return p.wal.CloseCovered()
 }
 
 // crash simulates a SIGKILL for the recovery tests: shards stop where

@@ -2,9 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -442,5 +446,239 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 	wait()
 	if err := s.IngestBatch(frozen[:1]); err != ErrClosed {
 		t.Fatalf("batch after kill: %v, want ErrClosed", err)
+	}
+}
+
+// syncLog is a faultfs.FS that records every fsync in order: a file's
+// Sync under the file's name, a SyncDir under the directory's.
+type syncLog struct {
+	faultfs.FS
+	mu    sync.Mutex
+	syncs []string
+}
+
+func (l *syncLog) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := l.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncLogFile{f, l}, nil
+}
+
+func (l *syncLog) SyncDir(name string) error {
+	l.note(name)
+	return l.FS.SyncDir(name)
+}
+
+func (l *syncLog) note(name string) {
+	l.mu.Lock()
+	l.syncs = append(l.syncs, filepath.Base(name))
+	l.mu.Unlock()
+}
+
+// take returns the fsyncs recorded since the last take.
+func (l *syncLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.syncs
+	l.syncs = nil
+	return out
+}
+
+type syncLogFile struct {
+	faultfs.File
+	l *syncLog
+}
+
+func (f syncLogFile) Sync() error {
+	f.l.note(f.Name())
+	return f.File.Sync()
+}
+
+// stateFiles lists a state dir's file names.
+func stateFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestGracefulCloseDropsCoveredSegment: the final snapshot covers the
+// whole WAL, so Close fsyncs the snapshot's temp file and the directory
+// (after the rename, and after removing the segment) and never the
+// segment, and leaves the snapshot alone in the state dir. A retain floor
+// below the boundary pins the segment: it is fsynced and kept.
+func TestGracefulCloseDropsCoveredSegment(t *testing.T) {
+	events := fixture.Corpus(t, fixture.Config(8, 4, 3, 134)).Events
+	const seg = "wal-0000000000000000.log"
+	for _, pinned := range []bool{false, true} {
+		t.Run(map[bool]string{false: "covered", true: "retain-floor"}[pinned], func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &syncLog{FS: faultfs.OS()}
+			s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir), WithAlertBuffer(4096),
+				WithSnapshotEvery(time.Hour), WithWALSyncEvery(1<<30), withFS(fsys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait := fixture.Collect(s.Alerts())
+			feedEvents(t, s, events)
+			if pinned {
+				s.SetWALRetainFloor(1)
+			}
+			fsys.take()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wait()
+			// The boundary is the WAL's end after the drain journaled its
+			// alerts.
+			snap := fmt.Sprintf("snap-%016d", s.pst.wal.NextSeq())
+			want := []string{snap + ".tmp", filepath.Base(dir), filepath.Base(dir)}
+			files := []string{snap}
+			if pinned {
+				want = []string{snap + ".tmp", filepath.Base(dir), seg}
+				files = []string{snap, seg}
+			}
+			if got := fsys.take(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Close fsynced %v, want %v", got, want)
+			}
+			if got := stateFiles(t, dir); !reflect.DeepEqual(got, files) {
+				t.Errorf("state dir after Close holds %v, want %v", got, files)
+			}
+		})
+	}
+}
+
+// TestGracefulCloseSurvivesOSCrash: an OS crash before Close's directory
+// sync can bring the removed segment back, unsynced — here with its
+// middle zeroed. It holds only records below the snapshot's boundary, so
+// boot restores what a clean reboot restores, replaying nothing and
+// continuing at the boundary; and a kill-and-recover cycle after it
+// replays exactly the newer events, with the clean twin's alerts and
+// final state.
+func TestGracefulCloseSurvivesOSCrash(t *testing.T) {
+	events := fixture.Corpus(t, fixture.Config(12, 12, 8, 137)).Events
+	half := len(events) / 2
+	opts := func(dir string) []Option {
+		return []Option{WithShards(2), WithStateDir(dir), WithAlertBuffer(8192), WithSnapshotEvery(time.Hour),
+			WithQuietPeriod(time.Minute), WithAllowedLateness(10 * time.Second), WithDedupWindow(64)}
+	}
+	dir, clean := t.TempDir(), t.TempDir()
+	s, err := New(fixture.Model(t, fixture.Serving), opts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := fixture.Collect(s.Alerts())
+	feedEvents(t, s, events[:half])
+	seg := filepath.Join(dir, "wal-0000000000000000.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	boundary := s.pst.wal.NextSeq()
+	for _, name := range stateFiles(t, dir) {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(clean, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data = bytes.TrimRight(data, "\x00")
+	clear(data[len(data)/3 : 2*len(data)/3])
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := persist.ReplayWAL(faultfs.OS(), dir, boundary, func(uint64, []byte) error { return nil }); err != nil || !stats.Torn || stats.Records != 0 {
+		t.Fatalf("resurrected segment: %+v, %v; want a torn segment of records below the boundary", stats, err)
+	}
+
+	type life struct {
+		alerts   map[string]int
+		replayed int64
+		final    streamerSnapshot
+	}
+	run := func(dir string) life {
+		s2, err := New(fixture.Model(t, fixture.Serving), opts(dir)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait2 := fixture.Collect(s2.Alerts())
+		if m := s2.SnapshotMetrics(); m.ReplayedEvents != 0 || s2.WALNextSeq() < boundary {
+			t.Fatalf("%s: boot replayed %d events and continues at seq %d; want 0 and at least the boundary %d", dir, m.ReplayedEvents, s2.WALNextSeq(), boundary)
+		}
+		feedEvents(t, s2, events[half:])
+		m2 := s2.SnapshotMetrics()
+		s2.Kill()
+		s3, err := New(fixture.Model(t, fixture.Serving), opts(dir)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait3 := fixture.Collect(s3.Alerts())
+		replayed := s3.SnapshotMetrics().ReplayedEvents
+		if want := m2.Ingested - m2.SafeFiltered; replayed != want {
+			t.Fatalf("%s: recovery replayed %d events, want the %d the second life journaled", dir, replayed, want)
+		}
+		if err := s3.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l := life{alerts: fixture.Multiset(append(wait2(), wait3()...)), replayed: replayed}
+		store, err := persist.NewSnapshotStore(faultfs.OS(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := store.LoadLatest(&l.final); !ok || err != nil {
+			t.Fatalf("%s: final snapshot: ok=%v %v", dir, ok, err)
+		}
+		return l
+	}
+	got, want := run(dir), run(clean)
+	if len(want.alerts) == 0 {
+		t.Fatal("the second half fired no alerts; test stream too quiet")
+	}
+	fixture.Compare(t, "after a resurrected segment vs a clean reboot", got.alerts, want.alerts)
+	if !reflect.DeepEqual(got.final, want.final) {
+		t.Error("final state after a resurrected segment differs from a clean reboot's")
+	}
+}
+
+// TestPackRingRoundTrip: a packed ring unpacks to the same entries in the
+// same slots, whatever unit its timestamps share — whole seconds, the
+// microseconds of a parsed line, odd nanoseconds, before the epoch, zero —
+// and however its slots wrap.
+func TestPackRingRoundTrip(t *testing.T) {
+	base := time.Date(2026, 5, 3, 12, 0, 0, 0, time.UTC).UnixNano()
+	for name, ring := range map[string][]dedupEntry{
+		"empty":        nil,
+		"one":          {{Nano: base, ID: 3}},
+		"seconds":      {{Nano: base, ID: 0}, {Nano: base + 1e9, ID: 1}, {Nano: base + 1e9, ID: 2}},
+		"microseconds": {{Nano: base + 7e3, ID: 5}, {Nano: base + 3e9 + 11e3, ID: 700}},
+		"nanoseconds":  {{Nano: base + 1, ID: 1}, {Nano: base - 999, ID: 2}},
+		"wrapped":      {{Nano: base + 5e9, ID: 9}, {Nano: base + 6e9, ID: 9}, {Nano: base + 1e9, ID: 4}, {Nano: base + 2e9, ID: 4}},
+		"pre-epoch":    {{Nano: -3e9, ID: 1}, {Nano: -1e8, ID: 2}, {Nano: 0, ID: 3}, {Nano: 2e8, ID: 1}},
+		"zero":         {{Nano: 0, ID: 0}},
+	} {
+		packed := packRing(ring)
+		got := (&persistedNode{Ring: packed}).ring()
+		if len(ring) == 0 {
+			if packed != nil || len(got) != 0 {
+				t.Errorf("%s: packed %v unpacks to %v", name, packed, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, ring) {
+			t.Errorf("%s: %v packed into %d bytes unpacks to %v", name, ring, len(packed), got)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func FuzzReorderBuffer(f *testing.F) {
 				ID: int(data[i+1] % 8),
 			}
 			inserted++
-			if n.dup(ev, window) {
+			if n.dup(&ev, window) {
 				dups++
 				continue
 			}
@@ -55,7 +55,7 @@ func FuzzReorderBuffer(f *testing.F) {
 				continue
 			}
 			before := n.released
-			out, _ := n.add(ev, lateness, depth)
+			out, _ := n.add(&ev, lateness, depth)
 			if n.released.Before(before) {
 				t.Fatalf("release cursor moved backwards: %v -> %v", before, n.released)
 			}

@@ -323,3 +323,49 @@ func ingestEventAllocations(t *testing.T, extra ...Option) *Streamer {
 	}
 	return s
 }
+
+// The parent fixtures carry their dedup rings as the entry slice
+// persistedNode.Dedup, written before rings were packed: a restore reads
+// them, a handoff import remaps them, and the next capture writes them
+// packed, with the same entries and write position.
+func TestParentWrittenRingRestores(t *testing.T) {
+	const node = "c0-0c0s3n1"
+	var snap streamerSnapshot
+	var hs HandoffState
+	for file, out := range map[string]any{"testdata/pr18_snapshot.bin": &snap, "testdata/pr18_handoff.bin": &hs} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := persist.DecodeSnapshot(raw, out); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+	}
+	pn := snap.Nodes[node]
+	if len(pn.Dedup) == 0 || len(pn.Ring) != 0 {
+		t.Fatalf("snapshot fixture ring: %d entries, %d packed bytes; want entries only", len(pn.Dedup), len(pn.Ring))
+	}
+	et := restoredNodeET(pn)
+	if !reflect.DeepEqual(et.dedup, pn.Dedup) || et.dedupPos != pn.DedupPos {
+		t.Fatalf("restored ring %v at %d, want %v at %d", et.dedup, et.dedupPos, pn.Dedup, pn.DedupPos)
+	}
+	if again := (&persistedNode{Ring: packRing(et.dedup)}).ring(); !reflect.DeepEqual(again, pn.Dedup) {
+		t.Fatalf("packed and unpacked ring %v, want %v", again, pn.Dedup)
+	}
+
+	shipped := hs.Nodes[node]
+	ids := map[string]int{}
+	moved := remapIDs(shipped, hs.EncKeys, func(key string) int {
+		if _, ok := ids[key]; !ok {
+			ids[key] = 100 + len(ids)
+		}
+		return ids[key]
+	})
+	var want []dedupEntry
+	for _, e := range shipped.Dedup {
+		want = append(want, dedupEntry{Nano: e.Nano, ID: ids[hs.EncKeys[e.ID]]})
+	}
+	if len(want) == 0 || moved.Dedup != nil || !reflect.DeepEqual(moved.ring(), want) {
+		t.Fatalf("remapped ring %v (entries left %v), want %v packed", moved.ring(), moved.Dedup, want)
+	}
+}

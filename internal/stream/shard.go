@@ -424,7 +424,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 	if ns.et == nil {
 		ns.et = &nodeEventTime{}
 	}
-	if ns.et.dup(*ev, et.dedupN) {
+	if ns.et.dup(ev, et.dedupN) {
 		sh.s.met.Duplicates.Add(1)
 		return
 	}
@@ -438,7 +438,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 		return
 	}
 	ns.et.rel = sh.rel
-	out, overflow := ns.et.add(*ev, et.effective(), et.depth)
+	out, overflow := ns.et.add(ev, et.effective(), et.depth)
 	sh.rel, ns.et.rel = out, nil // keep what add grew; every feed below is done before the next add
 	if overflow > 0 {
 		sh.s.met.ReorderOverflow.Add(int64(overflow))
@@ -582,7 +582,7 @@ func (sh *shard) capture() map[string]persistedNode {
 			pn.Reorder = ns.et.sortedPending()
 			pn.ETMaxSeen = ns.et.maxSeen
 			pn.ETReleased = ns.et.released
-			pn.Dedup = append([]dedupEntry(nil), ns.et.dedup...)
+			pn.Ring = packRing(ns.et.dedup)
 			pn.DedupPos = ns.et.dedupPos
 		}
 		out[node] = pn

@@ -101,24 +101,20 @@ type Streamer struct {
 
 	// Cluster handoff state (guarded by mu). handoff is the outbound
 	// intent between its two commit points; frozen rejects ingest for
-	// ranges mid-handoff; recEpoch is the newest ownership record boot
-	// replay surfaced.
-	handoff  *handoffIntent
-	frozen   []persist.HashRange
-	recEpoch *persist.EpochRecord
+	// ranges mid-handoff.
+	handoff *handoffIntent
+	frozen  []persist.HashRange
 
-	// Coordinator-election state (guarded by mu). recLease/recView are
-	// the newest lease and cluster-view records boot replay surfaced;
-	// imports remembers every (epoch, source) handoff this instance has
+	// ctl is the control plane's journaled state (guarded by mu): the
+	// newest ownership, lease and cluster-view records this streamer
+	// journaled or recovered, and every (epoch, source) handoff it has
 	// durably imported (RecHandoffIn), so a successor coordinator can
-	// resolve a crashed predecessor's pending intent by asking the
-	// target "did epoch E from source S commit on you?". Keyed by both
-	// because one rebalance hands off from several sources under one
-	// epoch — a bare epoch would let one source's commit falsely
-	// confirm another's.
-	recLease *persist.LeaseRecord
-	recView  *persist.ViewRecord
-	imports  map[importKey]bool
+	// resolve a crashed predecessor's pending intent by asking the target
+	// "did epoch E from source S commit on you?". Imports are keyed by
+	// both because one rebalance hands off from several sources under one
+	// epoch — a bare epoch would let one source's commit falsely confirm
+	// another's. Snapshots carry it, so it survives the WAL they cover.
+	ctl controlState
 
 	mu     sync.RWMutex // guards closed against in-flight ingests
 	closed bool
@@ -142,15 +138,15 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 		return nil, err
 	}
 	s := &Streamer{
-		p:       p,
-		opts:    opts,
-		lab:     p.Labeler(),
-		enc:     p.Encoder(),
-		refIDs:  make([]atomic.Int32, len(catalog.Catalog)),
-		epoch:   time.Now(),
-		alerts:  make(chan Alert, opts.AlertBuffer),
-		done:    make(chan struct{}),
-		imports: make(map[importKey]bool),
+		p:      p,
+		opts:   opts,
+		lab:    p.Labeler(),
+		enc:    p.Encoder(),
+		refIDs: make([]atomic.Int32, len(catalog.Catalog)),
+		epoch:  time.Now(),
+		alerts: make(chan Alert, opts.AlertBuffer),
+		done:   make(chan struct{}),
+		ctl:    controlState{Imports: make(map[importKey]bool)},
 	}
 	s.vocabN.Store(int64(modelVocab(p)))
 	if opts.AllowedLateness > 0 || opts.DedupWindow > 0 {
