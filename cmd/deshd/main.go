@@ -164,14 +164,15 @@ func run() error {
 		inst = cluster.NewInstance(*clusterName, s, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "deshd: "+format+"\n", args...)
 		})
-		if epoch, ranges := inst.Ownership(); epoch > 0 {
+		c := s.Control()
+		if epoch, ranges := c.Owned(); epoch > 0 {
 			fmt.Fprintf(os.Stderr, "deshd: recovered cluster ownership: epoch %d, %d range(s)\n", epoch, len(ranges))
 		}
-		if lease, ok := s.RecoveredLease(); ok && lease.Holder != "" {
-			fmt.Fprintf(os.Stderr, "deshd: recovered coordinator lease: holder %q, fencing gen %d\n", lease.Holder, lease.Gen)
+		if c.Lease != nil && c.Lease.Holder != "" {
+			fmt.Fprintf(os.Stderr, "deshd: recovered coordinator lease: holder %q, fencing gen %d\n", c.Lease.Holder, c.Lease.Gen)
 		}
-		if view, ok := s.RecoveredView(); ok {
-			fmt.Fprintf(os.Stderr, "deshd: recovered membership view: epoch %d, %d member(s)\n", view.Epoch, len(view.Members))
+		if c.View != nil {
+			fmt.Fprintf(os.Stderr, "deshd: recovered membership view: epoch %d, %d member(s)\n", c.View.Epoch, len(c.View.Members))
 		}
 	}
 	if replayed := s.SnapshotMetrics().ReplayedEvents; replayed > 0 {

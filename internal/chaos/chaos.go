@@ -321,21 +321,24 @@ func Baseline(t testing.TB, lines []string, depth int) map[string]int {
 }
 
 // OwnershipPartition verifies that the live members' durable
-// ownership at the newest epoch is a partition of the hash circle:
-// sampled points each owned by exactly one member — never two owners,
-// never zero. Returns the newest epoch checked.
+// ownership — the journaled control state — at the newest epoch is a
+// partition of the hash circle: sampled points each owned by exactly one
+// member — never two owners, never zero. Returns the newest epoch
+// checked.
 func OwnershipPartition(members []*Member) (uint64, error) {
 	newest := uint64(0)
-	for _, m := range members {
-		if e, _ := m.Inst.Ownership(); e > newest {
+	owned := make([]stream.Control, len(members))
+	for i, m := range members {
+		owned[i] = m.Inst.Streamer().Control()
+		if e, _ := owned[i].Owned(); e > newest {
 			newest = e
 		}
 	}
 	for probe := 0; probe < 4096; probe++ {
 		h := uint32(probe) * 1048573
 		owners := 0
-		for _, m := range members {
-			e, ranges := m.Inst.Ownership()
+		for _, c := range owned {
+			e, ranges := c.Owned()
 			if e == newest && persist.RangesContain(ranges, h) {
 				owners++
 			}

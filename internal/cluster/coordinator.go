@@ -425,9 +425,10 @@ func (r *Router) drainMember(name string) error {
 
 // finishDrainLocked migrates everything the draining member still
 // owns and commits the shrunk view. Idempotent and resumable: each
-// handoff shrinks the source's durable ownership, so a re-run (same
-// or successor coordinator) only moves what is left. Caller holds
-// rebalMu; st is the drainee's current status.
+// handoff's Out record takes its ranges out of the source's journaled
+// ownership, which st reports, so a re-run (same or successor
+// coordinator, before or after the source restarts) only moves what is
+// left. Caller holds rebalMu; st is the drainee's current status.
 func (r *Router) finishDrainLocked(view persist.ViewRecord, m persist.ViewMember, st statusReply) error {
 	if st.PendingHandoff != nil {
 		if err := r.resolveIntent(m, *st.PendingHandoff); err != nil {
@@ -456,7 +457,7 @@ func (r *Router) finishDrainLocked(view persist.ViewRecord, m persist.ViewMember
 		if tp == nil {
 			continue
 		}
-		moved := Intersect(st.Ranges, newRing.Ranges(target))
+		moved := persist.Intersect(st.Ranges, newRing.Ranges(target))
 		if len(moved) == 0 {
 			continue
 		}

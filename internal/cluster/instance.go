@@ -31,11 +31,12 @@ func parseLine(line string) (logparse.Event, error) {
 	return parseEvent(line)
 }
 
-// Instance is one deshd process's membership in a cluster: it wraps
-// the process's Streamer with epoch-gated ownership (events outside
-// the owned ranges are rejected back to the router, never silently
-// absorbed) and serves the control plane the router drives —
-// ownership pushes, live handoffs, and dead-peer takeovers.
+// Instance is one deshd process's membership in a cluster: it serves
+// the control plane the router drives — ownership pushes, live
+// handoffs, dead-peer takeovers, the coordinator lease and the cluster
+// view — over the process's Streamer, whose journaled control state is
+// the only copy of it (stream.Control). Events outside the owned ranges
+// are refused back to the router at admission, never silently absorbed.
 type Instance struct {
 	name   string
 	s      *stream.Streamer
@@ -45,56 +46,24 @@ type Instance struct {
 	// batches counts ingestBatch calls (ingest_batches on /metrics).
 	batches atomic.Int64
 
-	mu     sync.RWMutex
-	epoch  uint64
-	ranges []persist.HashRange
-	// standalone is true until the first ownership adoption: a deshd
-	// without a router owns everything, so plain single-instance
-	// deployments run unchanged.
-	standalone bool
-
-	// Coordinator-lease state (see lease.go): the current holder, the
-	// per-instance fencing generation (monotonic across holder
-	// changes), the absolute grant deadline, the recently-seen router
-	// candidates, and the newest coordinator-pushed cluster view.
-	leaseHolder   string
-	leaseGen      uint64
-	leaseDeadline time.Time
-	candidates    map[string]time.Time
-	view          *persist.ViewRecord
+	// mu guards candidates: the routers recently seen polling for the
+	// lease. Volatile liveness, never journaled (see lease.go).
+	mu         sync.Mutex
+	candidates map[string]time.Time
 }
 
-// NewInstance wraps s for cluster serving. Ownership recovered from
-// the WAL (a restart after a crash) is adopted immediately, so the
-// instance comes back rejecting exactly what it rejected before the
-// crash until the router pushes something newer.
+// NewInstance wraps s for cluster serving. The ownership, lease and view
+// s recovered from its state dir are in force at once, so a restarted
+// instance rejects exactly what it rejected before until the router
+// pushes something newer.
 func NewInstance(name string, s *stream.Streamer, diag func(string, ...any)) *Instance {
-	inst := &Instance{
+	return &Instance{
 		name:       name,
 		s:          s,
 		client:     &http.Client{Timeout: 30 * time.Second},
 		diag:       diag,
-		standalone: true,
 		candidates: make(map[string]time.Time),
 	}
-	if rec, ok := s.RecoveredOwnership(); ok {
-		inst.epoch = rec.Epoch
-		inst.ranges = rec.Ranges
-		inst.standalone = false
-	}
-	// A recovered lease restores the fencing generation (so a stale
-	// pre-crash coordinator stays fenced) and the holder/deadline —
-	// usually already expired by the time the restart finishes, which
-	// simply re-opens the election.
-	if rec, ok := s.RecoveredLease(); ok {
-		inst.leaseHolder = rec.Holder
-		inst.leaseGen = rec.Gen
-		inst.leaseDeadline = time.Unix(0, rec.ExpireNano)
-	}
-	if rec, ok := s.RecoveredView(); ok {
-		inst.view = &rec
-	}
-	return inst
 }
 
 // Streamer returns the wrapped streamer.
@@ -106,29 +75,32 @@ func (inst *Instance) diagf(format string, args ...any) {
 	}
 }
 
-// Ownership returns the current epoch and owned ranges.
+// Ownership returns the journaled ownership's epoch and ranges (0 and
+// nil when standalone).
 func (inst *Instance) Ownership() (uint64, []persist.HashRange) {
-	inst.mu.RLock()
-	defer inst.mu.RUnlock()
-	return inst.epoch, append([]persist.HashRange(nil), inst.ranges...)
+	return inst.s.Control().Owned()
 }
 
-// AdoptOwnership journals and installs a router-pushed ownership set.
-// A stale epoch (older than the current one) is rejected — the caller
-// is behind a newer coordinator decision.
-func (inst *Instance) AdoptOwnership(epoch uint64, ranges []persist.HashRange) error {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if !inst.standalone && epoch < inst.epoch {
-		return fmt.Errorf("cluster: stale epoch %d < %d", epoch, inst.epoch)
+// adoptOwnership decides a router-pushed ownership set and, unless the
+// caller is fenced or the epoch is stale, journals and applies it.
+func (inst *Instance) adoptOwnership(req ownershipRequest) error {
+	return inst.s.Decide(func(c stream.Control) ([]byte, bool, error) {
+		rec, err := adoptEpoch(c, req)
+		return rec, true, err
+	})
+}
+
+// adoptEpoch is the ownership rule: the epoch record to journal, or an
+// error when the caller is fenced or the epoch is older than the current
+// one — the caller is behind a newer coordinator decision.
+func adoptEpoch(c stream.Control, req ownershipRequest) ([]byte, error) {
+	if err := fenced(c, req.Gen); err != nil {
+		return nil, err
 	}
-	if err := inst.s.JournalEpoch(epoch, ranges); err != nil {
-		return err
+	if epoch, _ := c.Owned(); req.Epoch < epoch {
+		return nil, fmt.Errorf("cluster: stale epoch %d < %d", req.Epoch, epoch)
 	}
-	inst.epoch = epoch
-	inst.ranges = append([]persist.HashRange(nil), ranges...)
-	inst.standalone = false
-	return nil
+	return persist.EncodeEpoch(persist.EpochRecord{Epoch: req.Epoch, Ranges: req.Ranges}), nil
 }
 
 // IngestLines feeds a batch of raw lines, returning the indices of
@@ -137,6 +109,12 @@ func (inst *Instance) AdoptOwnership(epoch uint64, ranges []persist.HashRange) e
 // malformed lines are consumed (counted) exactly as single-instance
 // ingest consumes them.
 func (inst *Instance) IngestLines(lines []string) (rejected []int, err error) {
+	_, rejected, err = inst.ingestBatch(inst.parseLines(lines))
+	return rejected, err
+}
+
+// parseLines parses a batch of raw lines for admission.
+func (inst *Instance) parseLines(lines []string) []stream.Admission {
 	batch := make([]stream.Admission, len(lines))
 	for i, line := range lines {
 		ev, perr := parseLine(line)
@@ -146,30 +124,25 @@ func (inst *Instance) IngestLines(lines []string) (rejected []int, err error) {
 		// No node: a blank or malformed line, consumed here and now.
 		batch[i] = stream.Admission{Event: ev, Refused: ev.Node == ""}
 	}
-	return inst.ingestBatch(batch)
+	return batch
 }
 
 // ingestBatch admits one batch — a POST, either content type — as a
 // unit and returns the positions of the events refused: not owned, or
-// frozen mid-handoff. An error means none of it was admitted (the
-// streamer is closed); the router's failure handling respools it whole.
-func (inst *Instance) ingestBatch(batch []stream.Admission) (rejected []int, err error) {
+// frozen mid-handoff — and the ownership epoch that decided it. An error
+// means none of it was admitted (the streamer is closed); the router's
+// failure handling respools it whole.
+func (inst *Instance) ingestBatch(batch []stream.Admission) (epoch uint64, rejected []int, err error) {
 	inst.batches.Add(1)
-	inst.mu.RLock()
-	for i := range batch {
-		a := &batch[i]
-		a.Refused = a.Refused || !(inst.standalone || persist.RangesContain(inst.ranges, persist.NodeHash(a.Event.Node)))
-	}
-	inst.mu.RUnlock()
-	if err := inst.s.IngestBatch(batch); err != nil {
-		return nil, err
+	if epoch, err = inst.s.IngestBatch(batch); err != nil {
+		return 0, nil, err
 	}
 	for i := range batch {
-		if batch[i].Refused && batch[i].Event.Node != "" { // nodeless: a line IngestLines consumed
+		if batch[i].Refused && batch[i].Event.Node != "" { // nodeless: a line parseLines consumed
 			rejected = append(rejected, i)
 		}
 	}
-	return rejected, nil
+	return epoch, rejected, nil
 }
 
 // recordContentType marks a /ingest body of wire records (persist's
@@ -309,12 +282,8 @@ func (inst *Instance) HandoffTo(epoch uint64, targetURL string, ranges []persist
 		inst.diagf("cluster: handoff to %s aborted: %v", targetURL, err)
 		return errors.Join(fmt.Errorf("cluster: handoff ship: %w", err), aerr)
 	}
-	// The target holds the state durably: shrink ownership first so no
-	// thawed event lands here, then resolve the journal.
-	inst.mu.Lock()
-	inst.epoch = epoch
-	inst.ranges = subtractRanges(inst.ranges, ranges)
-	inst.mu.Unlock()
+	// The target holds the state durably: the Out record drops the ranges
+	// from the ownership as it thaws them, so no thawed event lands here.
 	if err := inst.s.CompleteHandoff(); err != nil {
 		return err
 	}
@@ -322,32 +291,8 @@ func (inst *Instance) HandoffTo(epoch uint64, targetURL string, ranges []persist
 	return nil
 }
 
-// subtractRanges removes the cut arcs from base.
-func subtractRanges(base, cut []persist.HashRange) []persist.HashRange {
-	la, lc := linearize(base), linearize(cut)
-	var out []persist.HashRange
-	for _, x := range la {
-		lo := x[0]
-		for _, c := range lc {
-			if c[1] <= lo || c[0] >= x[1] {
-				continue
-			}
-			if c[0] > lo {
-				out = append(out, delinearize(lo, c[0]))
-			}
-			if c[1] > lo {
-				lo = c[1]
-			}
-		}
-		if lo < x[1] {
-			out = append(out, delinearize(lo, x[1]))
-		}
-	}
-	return out
-}
-
-// Import commits a shipped handoff payload into the local streamer and
-// extends ownership over its ranges.
+// Import commits a shipped handoff payload into the local streamer; its
+// In record extends the ownership over the ranges.
 func (inst *Instance) Import(req importRequest) error {
 	raw, err := base64.StdEncoding.DecodeString(req.State)
 	if err != nil {
@@ -360,20 +305,8 @@ func (inst *Instance) Import(req importRequest) error {
 	if err := inst.s.ImportState(req.Epoch, req.Source, req.Ranges, &st); err != nil {
 		return err
 	}
-	inst.extendOwnership(req.Epoch, req.Ranges)
 	inst.diagf("cluster: imported %d node(s), %d pending event(s) from %s", len(st.Nodes), len(st.Pending), req.Source)
 	return nil
-}
-
-// extendOwnership adds imported ranges to what the instance serves.
-func (inst *Instance) extendOwnership(epoch uint64, ranges []persist.HashRange) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if epoch > inst.epoch {
-		inst.epoch = epoch
-	}
-	inst.ranges = append(inst.ranges, ranges...)
-	inst.standalone = false
 }
 
 // Takeover rebuilds the requested ranges from a dead peer's state
@@ -386,7 +319,6 @@ func (inst *Instance) Takeover(req takeoverRequest) error {
 	if err := inst.s.ImportState(req.Epoch, "takeover:"+req.Dir, req.Ranges, st); err != nil {
 		return err
 	}
-	inst.extendOwnership(req.Epoch, req.Ranges)
 	inst.diagf("cluster: took over %d node(s), %d pending event(s) from %s", len(st.Nodes), len(st.Pending), req.Dir)
 	return nil
 }
@@ -429,6 +361,7 @@ func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var n int
+	var epoch uint64
 	var rejected []int
 	var err error
 	if r.Header.Get("Content-Type") == recordContentType {
@@ -436,13 +369,13 @@ func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 			sc.batch = append(sc.batch, stream.Admission{Event: ev, Record: record})
 		})
 		if n = len(sc.batch); err == nil {
-			rejected, err = inst.ingestBatch(sc.batch)
+			epoch, rejected, err = inst.ingestBatch(sc.batch)
 		}
 	} else if lines, lerr := splitLines(sc.body.Bytes()); lerr != nil {
 		err = lerr
 	} else {
 		n = len(lines)
-		rejected, err = inst.IngestLines(lines)
+		epoch, rejected, err = inst.ingestBatch(inst.parseLines(lines))
 	}
 	if errors.Is(err, stream.ErrClosed) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -451,38 +384,33 @@ func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	epoch, _ := inst.Ownership()
 	writeJSON(w, ingestReply{Epoch: epoch, Accepted: n - len(rejected), Rejected: rejected})
 }
 
 func (inst *Instance) handleStatus(w http.ResponseWriter, r *http.Request) {
-	epoch, ranges := inst.Ownership()
-	reply := statusReply{Name: inst.name, Epoch: epoch, Ranges: ranges}
-	if hEpoch, target, hRanges, ok := inst.s.PendingHandoff(); ok {
-		reply.PendingHandoff = &handoffRequest{Epoch: hEpoch, Target: target, Ranges: hRanges}
+	c := inst.s.Control()
+	reply := statusReply{Name: inst.name}
+	reply.Epoch, reply.Ranges = c.Owned()
+	if h := c.Handoff; h != nil {
+		reply.PendingHandoff = &handoffRequest{Epoch: h.Epoch, Target: h.Peer, Ranges: h.Ranges}
 	}
-	inst.mu.RLock()
-	reply.LeaseHolder, reply.LeaseGen = inst.leaseHolder, inst.leaseGen
-	if inst.view != nil {
-		reply.ViewEpoch = inst.view.Epoch
+	if l := c.Lease; l != nil {
+		reply.LeaseHolder, reply.LeaseGen = l.Holder, l.Gen
 	}
-	inst.mu.RUnlock()
+	if c.View != nil {
+		reply.ViewEpoch = c.View.Epoch
+	}
 	writeJSON(w, reply)
 }
 
-// fence is fencedLocked for callers outside inst.mu.
+// fence checks gen against the current lease's fencing generation.
 func (inst *Instance) fence(gen uint64) error {
-	inst.mu.RLock()
-	defer inst.mu.RUnlock()
-	return inst.fencedLocked(gen)
+	return fenced(inst.s.Control(), gen)
 }
 
 func (inst *Instance) handleOwnership(w http.ResponseWriter, r *http.Request) {
 	control(w, r, maxControlBody, http.StatusConflict, func(req ownershipRequest) (any, error) {
-		if err := inst.fence(req.Gen); err != nil {
-			return nil, err
-		}
-		return map[string]any{"epoch": req.Epoch}, inst.AdoptOwnership(req.Epoch, req.Ranges)
+		return map[string]any{"epoch": req.Epoch}, inst.adoptOwnership(req)
 	})
 }
 
@@ -512,7 +440,7 @@ func (inst *Instance) handleTakeover(w http.ResponseWriter, r *http.Request) {
 
 func (inst *Instance) handleLease(w http.ResponseWriter, r *http.Request) {
 	control(w, r, maxControlBody, http.StatusInternalServerError, func(req leaseRequest) (any, error) {
-		return inst.Lease(req)
+		return inst.Lease(req, time.Now())
 	})
 }
 
@@ -542,7 +470,8 @@ func (inst *Instance) handleImported(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "imported: source query parameter required", http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, map[string]any{"epoch": epoch, "imported": inst.s.HasImport(epoch, source)})
+	imported := inst.s.Control().Imports[stream.ImportKey{Epoch: epoch, Source: source}]
+	writeJSON(w, map[string]any{"epoch": epoch, "imported": imported})
 }
 
 func (inst *Instance) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -36,6 +36,7 @@ type testInstance struct {
 	inst *Instance
 	srv  *httptest.Server
 	wait func() []stream.Alert
+	dir  string // its state dir ("" in memory)
 }
 
 func newTestInstance(t testing.TB, name, dir string, depth int) *testInstance {
@@ -44,7 +45,7 @@ func newTestInstance(t testing.TB, name, dir string, depth int) *testInstance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti := &testInstance{inst: NewInstance(name, s, nil), wait: fixture.Collect(s.Alerts())}
+	ti := &testInstance{inst: NewInstance(name, s, nil), wait: fixture.Collect(s.Alerts()), dir: dir}
 	ti.srv = httptest.NewServer(ti.inst.Handler())
 	return ti
 }

@@ -3,9 +3,12 @@
 // TTL lease to the lexically-lowest router it has recently heard
 // from, journals every holder change into its WAL (RecLease), and
 // fences control calls from stale coordinators with a per-instance
-// monotonic generation. A router is THE coordinator iff it holds the
-// lease on a majority of the configured peers — disjoint majorities
-// are impossible, so two routers can never both reach quorum.
+// monotonic generation. The rules are pure functions of the streamer's
+// control state, the request and an explicit now; Streamer.Decide
+// journals and applies what they return. A router is THE coordinator
+// iff it holds the lease on a majority of the configured peers —
+// disjoint majorities are impossible, so two routers can never both
+// reach quorum.
 //
 // Election is deliberately hierarchical rather than consensus-based:
 // the routers already agree on ownership for free (deterministic
@@ -20,6 +23,7 @@ import (
 	"time"
 
 	"desh/internal/persist"
+	"desh/internal/stream"
 )
 
 // leaseRequest is one router's /cluster/lease poll: an acquire-or-
@@ -66,85 +70,98 @@ func (inst *Instance) lowestCandidate(now time.Time, ttl time.Duration) string {
 	return lowest
 }
 
-// Lease processes one acquire/renew/release poll. The grant rule:
-// when the lease is vacant or expired, only the lexically-lowest live
-// candidate gets it (a higher-named router polling first must not
-// squat); a holder's renewal is refused — without clearing the lease —
-// once a lower-named candidate appears, so the holder steps down
-// gracefully within one TTL. The fencing generation bumps on every
-// holder change and every change is journaled before it takes effect.
-func (inst *Instance) Lease(req leaseRequest) (leaseReply, error) {
-	now := time.Now()
+// Lease processes one acquire/renew/release poll at now: it notes the
+// poller as a live candidate (or drops it on release), then decides by
+// decideLease and applies the decision through the streamer.
+func (inst *Instance) Lease(req leaseRequest, now time.Time) (leaseReply, error) {
 	ttl := time.Duration(req.TTLMillis) * time.Millisecond
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
+	lowest := ""
 	if req.Release {
-		if inst.leaseHolder == req.Name {
-			rec := persist.LeaseRecord{Holder: "", Gen: inst.leaseGen, ExpireNano: 0}
-			if err := inst.s.JournalLease(rec); err != nil {
-				return leaseReply{}, err
-			}
-			inst.leaseHolder = ""
-			inst.leaseDeadline = time.Time{}
-		}
 		delete(inst.candidates, req.Name)
-		return inst.leaseReplyLocked(false), nil
+	} else {
+		inst.candidates[req.Name] = now
+		lowest = inst.lowestCandidate(now, ttl)
 	}
-	inst.candidates[req.Name] = now
-	lowest := inst.lowestCandidate(now, ttl)
-	vacant := inst.leaseHolder == "" || now.After(inst.leaseDeadline)
-	switch {
-	case vacant && req.Name == lowest:
-		deadline := now.Add(ttl)
-		gen := inst.leaseGen
-		if inst.leaseHolder != req.Name {
-			gen++
+	var rep leaseReply
+	var newHolder bool
+	err := inst.s.Decide(func(c stream.Control) ([]byte, bool, error) {
+		rec, durable, granted := decideLease(c, req, lowest, now)
+		rep = leaseReply{Granted: granted}
+		cur := c.Lease
+		if rec != nil {
+			cur = rec
 		}
-		rec := persist.LeaseRecord{Holder: req.Name, Gen: gen, ExpireNano: deadline.UnixNano()}
-		if err := inst.s.JournalLease(rec); err != nil {
-			return leaseReply{}, err
+		if cur != nil {
+			rep.Holder, rep.Gen, rep.ExpireNano = cur.Holder, cur.Gen, cur.ExpireNano
 		}
-		if inst.leaseHolder != req.Name {
-			inst.diagf("cluster: lease granted to %q at gen %d", req.Name, gen)
+		if c.View != nil {
+			v := c.View.Clone()
+			rep.View = &v
 		}
-		inst.leaseHolder, inst.leaseGen, inst.leaseDeadline = req.Name, gen, deadline
-		return inst.leaseReplyLocked(true), nil
-	case !vacant && inst.leaseHolder == req.Name:
-		if req.Name == lowest {
-			inst.leaseDeadline = now.Add(ttl)
-			return inst.leaseReplyLocked(true), nil
+		if rec == nil {
+			return nil, false, nil
 		}
-		// A lower-named router is live: refuse the renewal but keep the
-		// current deadline, so the holder finishes in-flight work and
-		// steps down when the lease runs out on its own.
-		return inst.leaseReplyLocked(false), nil
-	default:
-		return inst.leaseReplyLocked(false), nil
+		newHolder = rec.Holder != "" && (c.Lease == nil || c.Lease.Holder != rec.Holder)
+		return persist.EncodeLease(*rec), durable, nil
+	})
+	if err != nil {
+		return leaseReply{}, err
 	}
+	if newHolder {
+		inst.diagf("cluster: lease granted to %q at gen %d", rep.Holder, rep.Gen)
+	}
+	return rep, nil
 }
 
-func (inst *Instance) leaseReplyLocked(granted bool) leaseReply {
-	rep := leaseReply{
-		Granted:    granted,
-		Holder:     inst.leaseHolder,
-		Gen:        inst.leaseGen,
-		ExpireNano: inst.leaseDeadline.UnixNano(),
+// decideLease is the grant rule, on lease state c at now with lowest
+// the lexically-lowest live candidate. When the lease is vacant or
+// expired, only the lowest candidate gets it (a higher-named router
+// polling first must not squat); a holder's renewal is refused —
+// without clearing the lease — once a lower-named candidate appears,
+// so the holder steps down gracefully within one TTL; a release by the
+// holder vacates it. The fencing generation bumps on every holder
+// change. It returns the lease record to apply (nil: no change), whether
+// to journal it (all but a renewal), and whether the poller holds the
+// lease.
+func decideLease(c stream.Control, req leaseRequest, lowest string, now time.Time) (rec *persist.LeaseRecord, durable, granted bool) {
+	var cur persist.LeaseRecord
+	if c.Lease != nil {
+		cur = *c.Lease
 	}
-	if inst.view != nil {
-		v := inst.view.Clone()
-		rep.View = &v
+	if req.Release {
+		if cur.Holder != req.Name {
+			return nil, false, false
+		}
+		return &persist.LeaseRecord{Holder: "", Gen: cur.Gen}, true, false
 	}
-	return rep
+	vacant := cur.Holder == "" || now.UnixNano() > cur.ExpireNano
+	deadline := now.Add(time.Duration(req.TTLMillis) * time.Millisecond).UnixNano()
+	switch {
+	case vacant && req.Name == lowest:
+		gen := cur.Gen
+		if cur.Holder != req.Name {
+			gen++
+		}
+		return &persist.LeaseRecord{Holder: req.Name, Gen: gen, ExpireNano: deadline}, true, true
+	case !vacant && cur.Holder == req.Name && req.Name == lowest:
+		return &persist.LeaseRecord{Holder: req.Name, Gen: cur.Gen, ExpireNano: deadline}, false, true
+	}
+	// A lower-named router is live, or another holds the lease: refuse
+	// without touching it, so a holder finishes in-flight work and steps
+	// down when the lease runs out on its own.
+	return nil, false, false
 }
 
 // fenced rejects a control call stamped with a fencing generation
 // older than the newest lease this instance granted: the caller lost
 // the coordinatorship and a successor is already acting. Gen 0 marks
 // an unfenced caller (single-router deployments with election off)
-// and always passes. Caller holds inst.mu (any mode).
-func (inst *Instance) fencedLocked(gen uint64) error {
-	if gen > 0 && gen < inst.leaseGen {
-		return fmt.Errorf("%w %d < %d", errFenced, gen, inst.leaseGen)
+// and always passes.
+func fenced(c stream.Control, gen uint64) error {
+	if c.Lease != nil && gen > 0 && gen < c.Lease.Gen {
+		return fmt.Errorf("%w %d < %d", errFenced, gen, c.Lease.Gen)
 	}
 	return nil
 }
@@ -183,39 +200,30 @@ func (r viewRequest) validate() error {
 	return nil
 }
 
-// InstallView journals and installs a cluster view. A view older than
-// the installed one is rejected (the caller is behind); re-pushing the
-// same epoch is an idempotent no-op.
+// InstallView journals and installs a cluster view, as decideView rules.
 func (inst *Instance) InstallView(req viewRequest) error {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if err := inst.fencedLocked(req.Gen); err != nil {
-		return err
-	}
-	if inst.view != nil {
-		if req.View.Epoch < inst.view.Epoch {
-			return fmt.Errorf("cluster: stale view epoch %d < %d", req.View.Epoch, inst.view.Epoch)
-		}
-		if req.View.Epoch == inst.view.Epoch {
-			return nil
-		}
-	}
-	if err := inst.s.JournalView(req.View); err != nil {
-		return err
-	}
-	v := req.View.Clone()
-	inst.view = &v
-	return nil
+	return inst.s.Decide(func(c stream.Control) ([]byte, bool, error) {
+		rec, err := decideView(c, req)
+		return rec, true, err
+	})
 }
 
-// View returns the installed cluster view (ok=false before any push).
-func (inst *Instance) View() (persist.ViewRecord, bool) {
-	inst.mu.RLock()
-	defer inst.mu.RUnlock()
-	if inst.view == nil {
-		return persist.ViewRecord{}, false
+// decideView is the view rule: the view record to journal, nothing when
+// the same epoch is re-pushed (idempotent), or an error for a fenced
+// caller or a view older than the installed one (the caller is behind).
+func decideView(c stream.Control, req viewRequest) ([]byte, error) {
+	if err := fenced(c, req.Gen); err != nil {
+		return nil, err
 	}
-	return inst.view.Clone(), true
+	if c.View != nil {
+		if req.View.Epoch < c.View.Epoch {
+			return nil, fmt.Errorf("cluster: stale view epoch %d < %d", req.View.Epoch, c.View.Epoch)
+		}
+		if req.View.Epoch == c.View.Epoch {
+			return nil, nil
+		}
+	}
+	return persist.EncodeView(req.View), nil
 }
 
 // resolveRequest settles a pending outbound handoff intent left by a
@@ -236,40 +244,40 @@ func (r resolveRequest) validate() error {
 }
 
 // Resolve applies a resolveRequest against this instance's pending
-// handoff intent. The epoch must match the pending intent exactly —
-// a mismatch means the caller is resolving against stale status.
+// handoff intent, as decideResolve rules: commit journals the intent's
+// Out (the ranges leave the ownership), abort its Abort (they thaw and
+// stay).
 func (inst *Instance) Resolve(req resolveRequest) error {
-	inst.mu.Lock()
-	if err := inst.fencedLocked(req.Gen); err != nil {
-		inst.mu.Unlock()
+	h, err := decideResolve(inst.s.Control(), req)
+	if err != nil {
 		return err
-	}
-	inst.mu.Unlock()
-	epoch, target, ranges, ok := inst.s.PendingHandoff()
-	if !ok {
-		return fmt.Errorf("cluster: no pending handoff to resolve")
-	}
-	if epoch != req.Epoch {
-		return fmt.Errorf("cluster: pending handoff epoch %d, resolve asked for %d", epoch, req.Epoch)
 	}
 	if !req.Commit {
 		if err := inst.s.AbortHandoff(); err != nil {
 			return err
 		}
-		inst.diagf("cluster: aborted pending handoff at epoch %d (target %s never imported)", epoch, target)
+		inst.diagf("cluster: aborted pending handoff at epoch %d (target %s never imported)", h.Epoch, h.Peer)
 		return nil
 	}
-	// Mirror HandoffTo's commit ordering: shrink ownership before
-	// resolving the journal so no thawed event lands here.
-	inst.mu.Lock()
-	if req.Epoch > inst.epoch {
-		inst.epoch = req.Epoch
-	}
-	inst.ranges = subtractRanges(inst.ranges, ranges)
-	inst.mu.Unlock()
 	if err := inst.s.CompleteHandoff(); err != nil {
 		return err
 	}
-	inst.diagf("cluster: completed pending handoff at epoch %d (target %s holds the state)", epoch, target)
+	inst.diagf("cluster: completed pending handoff at epoch %d (target %s holds the state)", h.Epoch, h.Peer)
 	return nil
+}
+
+// decideResolve is the resolve rule: the pending intent to settle, or an
+// error for a fenced caller, no pending intent, or an intent at another
+// epoch — the caller is resolving against stale status.
+func decideResolve(c stream.Control, req resolveRequest) (persist.HandoffRecord, error) {
+	if err := fenced(c, req.Gen); err != nil {
+		return persist.HandoffRecord{}, err
+	}
+	if c.Handoff == nil {
+		return persist.HandoffRecord{}, fmt.Errorf("cluster: no pending handoff to resolve")
+	}
+	if c.Handoff.Epoch != req.Epoch {
+		return persist.HandoffRecord{}, fmt.Errorf("cluster: pending handoff epoch %d, resolve asked for %d", c.Handoff.Epoch, req.Epoch)
+	}
+	return *c.Handoff, nil
 }

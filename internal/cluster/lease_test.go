@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -31,10 +32,11 @@ func newLeaseInstance(t testing.TB, dir string) *Instance {
 func TestLeaseLowestNameWins(t *testing.T) {
 	inst := newLeaseInstance(t, "")
 	const ttlMs = 80
+	now := time.Unix(1000, 0)
 
 	// rb polls first on a vacant lease: it is the only live candidate,
 	// so it gets the grant at gen 1.
-	rep, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs})
+	rep, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestLeaseLowestNameWins(t *testing.T) {
 
 	// ra appears: lower name, but rb's lease is unexpired — ra must not
 	// preempt.
-	rep, err = inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs})
+	rep, err = inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestLeaseLowestNameWins(t *testing.T) {
 
 	// rb's renewal is refused (without clearing the lease): the signal
 	// to step down gracefully.
-	rep, err = inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs})
+	rep, err = inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +65,8 @@ func TestLeaseLowestNameWins(t *testing.T) {
 	}
 
 	// After expiry the lease moves to ra with a generation bump.
-	time.Sleep(2 * ttlMs * time.Millisecond)
-	rep, err = inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs})
+	now = now.Add(2 * ttlMs * time.Millisecond)
+	rep, err = inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,23 +92,24 @@ func TestLeaseLowestNameWins(t *testing.T) {
 func TestLeaseVacantWaitsForLowest(t *testing.T) {
 	inst := newLeaseInstance(t, "")
 	const ttlMs = 80
+	now := time.Unix(1000, 0)
 	// Both become candidates while rb briefly holds.
-	if _, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs}); err != nil {
+	if _, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs}, now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}); err != nil {
+	if _, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}, now); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * ttlMs * time.Millisecond)
+	now = now.Add(2 * ttlMs * time.Millisecond)
 	// Vacant now; rb polls first but ra is a live candidate → refused.
-	rep, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs})
+	rep, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Granted {
 		t.Fatalf("rb granted a vacant lease while lower-named ra is live: %+v", rep)
 	}
-	rep, err = inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs})
+	rep, err = inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +124,11 @@ func TestLeaseVacantWaitsForLowest(t *testing.T) {
 func TestLeaseReleaseAndCandidateExpiry(t *testing.T) {
 	inst := newLeaseInstance(t, "")
 	const ttlMs = 60
-	if _, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}); err != nil {
+	now := time.Unix(1000, 0)
+	if _, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs}, now); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs, Release: true})
+	rep, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: ttlMs, Release: true}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestLeaseReleaseAndCandidateExpiry(t *testing.T) {
 	}
 	// rb can't win while ra is still a live candidate... but ra released
 	// and was dropped from the candidate set, so rb is now lowest.
-	rep, err = inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs})
+	rep, err = inst.Lease(leaseRequest{Name: "rb", TTLMillis: ttlMs}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +156,12 @@ func TestLeaseRecoveryKeepsFencing(t *testing.T) {
 	}
 	drain := fixture.Collect(s.Alerts())
 	inst := NewInstance("i0", s, nil)
-	if _, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: 50}); err != nil {
+	now := time.Unix(1000, 0)
+	if _, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: 50}, now); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(120 * time.Millisecond)
-	rep, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: 50})
+	now = now.Add(120 * time.Millisecond)
+	rep, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: 50}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +194,14 @@ func TestLeaseRecoveryKeepsFencing(t *testing.T) {
 // routers converge.
 func TestViewInstallAndFencing(t *testing.T) {
 	inst := newLeaseInstance(t, "")
+	srv := httptest.NewServer(inst.Handler())
+	defer srv.Close()
+	// The lease polls go over HTTP, as a router's do.
+	poll := func(req leaseRequest) (leaseReply, error) {
+		var rep leaseReply
+		err := postJSON(srv.Client(), srv.URL+"/cluster/lease", req, &rep)
+		return rep, err
+	}
 	v1 := persist.ViewRecord{Epoch: 2, Members: []persist.ViewMember{
 		{Name: "a", URL: "http://a", State: persist.StateIn},
 		{Name: "b", URL: "http://b", State: persist.StateDraining},
@@ -204,11 +217,11 @@ func TestViewInstallAndFencing(t *testing.T) {
 	if err := inst.InstallView(viewRequest{View: old}); err == nil || !strings.Contains(err.Error(), "stale view") {
 		t.Fatalf("stale view install: %v, want stale-view rejection", err)
 	}
-	got, ok := inst.View()
-	if !ok || got.Epoch != 2 || len(got.Members) != 2 {
-		t.Fatalf("View() = %+v ok=%v", got, ok)
+	got := inst.Streamer().Control().View
+	if got == nil || got.Epoch != 2 || len(got.Members) != 2 {
+		t.Fatalf("installed view = %+v", got)
 	}
-	rep, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: 80})
+	rep, err := poll(leaseRequest{Name: "ra", TTLMillis: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +234,10 @@ func TestViewInstallAndFencing(t *testing.T) {
 	if err := inst.InstallView(viewRequest{Gen: 0, View: persist.ViewRecord{Epoch: 3, Members: v1.Members}}); err != nil {
 		t.Fatalf("unfenced (gen 0) install: %v", err)
 	}
-	if _, err := inst.Lease(leaseRequest{Name: "ra", TTLMillis: 80, Release: true}); err != nil {
+	if _, err := poll(leaseRequest{Name: "ra", TTLMillis: 80, Release: true}); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := inst.Lease(leaseRequest{Name: "rb", TTLMillis: 80})
+	rep2, err := poll(leaseRequest{Name: "rb", TTLMillis: 80})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,58 +135,3 @@ func (r *Ring) Ranges(member string) []persist.HashRange {
 	}
 	return merged
 }
-
-// Intersect returns the arcs covered by both range sets — the ranges
-// that moved from one owner to another across a ring change.
-func Intersect(a, b []persist.HashRange) []persist.HashRange {
-	la, lb := linearize(a), linearize(b)
-	var out []persist.HashRange
-	for _, x := range la {
-		for _, y := range lb {
-			lo, hi := x[0], y[0]
-			if lo < hi {
-				lo = hi
-			}
-			end := x[1]
-			if y[1] < end {
-				end = y[1]
-			}
-			if lo < end {
-				out = append(out, delinearize(lo, end))
-			}
-		}
-	}
-	return out
-}
-
-const circle = uint64(1) << 32
-
-// linearize unrolls arcs into sorted non-wrapping [lo, hi) intervals
-// on [0, 2^32).
-func linearize(ranges []persist.HashRange) [][2]uint64 {
-	var out [][2]uint64
-	for _, r := range ranges {
-		switch {
-		case r.Lo == r.Hi:
-			out = append(out, [2]uint64{0, circle})
-		case r.Lo < r.Hi:
-			out = append(out, [2]uint64{uint64(r.Lo), uint64(r.Hi)})
-		default:
-			out = append(out, [2]uint64{uint64(r.Lo), circle}, [2]uint64{0, uint64(r.Hi)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// delinearize maps one non-wrapping interval back onto the circle's
-// range encoding (hi == 2^32 becomes the wrap sentinel Hi 0).
-func delinearize(lo, hi uint64) persist.HashRange {
-	if lo == 0 && hi == circle {
-		return persist.HashRange{Lo: 0, Hi: 0}
-	}
-	if hi == circle {
-		return persist.HashRange{Lo: uint32(lo), Hi: 0}
-	}
-	return persist.HashRange{Lo: uint32(lo), Hi: uint32(hi)}
-}

@@ -100,59 +100,6 @@ func TestRingRemovalMovesOnlyDeadRanges(t *testing.T) {
 	}
 }
 
-// TestIntersectMembership: point-membership in Intersect(a, b) must
-// equal membership in both inputs, across wrap-around and full-circle
-// encodings.
-func TestIntersectMembership(t *testing.T) {
-	cases := [][2][]persist.HashRange{
-		{{{Lo: 100, Hi: 200}}, {{Lo: 150, Hi: 250}}},
-		{{{Lo: 0, Hi: 0}}, {{Lo: 150, Hi: 250}}},
-		{{{Lo: 0xfffffff0, Hi: 16}}, {{Lo: 8, Hi: 0xfffffff8}}},
-		{{{Lo: 0xfffffff0, Hi: 16}}, {{Lo: 0xfffffff8, Hi: 8}}},
-		{{{Lo: 100, Hi: 200}, {Lo: 300, Hi: 400}}, {{Lo: 150, Hi: 350}}},
-		{{{Lo: 100, Hi: 200}}, {{Lo: 200, Hi: 300}}},
-	}
-	probes := sampleHashes()
-	for _, lo := range []uint32{0, 7, 8, 15, 16, 99, 100, 150, 199, 200, 250, 299, 300, 350, 399, 400, 0xffffffef, 0xfffffff0, 0xfffffff7, 0xfffffff8, 0xffffffff} {
-		probes = append(probes, lo)
-	}
-	for ci, c := range cases {
-		got := Intersect(c[0], c[1])
-		for _, h := range probes {
-			want := persist.RangesContain(c[0], h) && persist.RangesContain(c[1], h)
-			if have := persist.RangesContain(got, h); have != want {
-				t.Fatalf("case %d hash %#x: intersect membership %v, want %v (got %v)", ci, h, have, want, got)
-			}
-		}
-	}
-}
-
-// TestSubtractMembership: membership in subtractRanges(base, cut) must
-// equal (in base) && !(in cut).
-func TestSubtractMembership(t *testing.T) {
-	cases := [][2][]persist.HashRange{
-		{{{Lo: 0, Hi: 0}}, {{Lo: 100, Hi: 200}}},
-		{{{Lo: 100, Hi: 200}}, {{Lo: 100, Hi: 200}}},
-		{{{Lo: 100, Hi: 300}}, {{Lo: 150, Hi: 250}}},
-		{{{Lo: 0xfffffff0, Hi: 16}}, {{Lo: 0, Hi: 8}}},
-		{{{Lo: 0, Hi: 0}}, {{Lo: 0xfffffff0, Hi: 16}}},
-		{{{Lo: 100, Hi: 200}, {Lo: 300, Hi: 400}}, {{Lo: 150, Hi: 350}}},
-	}
-	probes := sampleHashes()
-	for _, lo := range []uint32{0, 7, 8, 15, 16, 99, 100, 150, 199, 200, 249, 250, 300, 350, 399, 400, 0xffffffef, 0xfffffff0, 0xffffffff} {
-		probes = append(probes, lo)
-	}
-	for ci, c := range cases {
-		got := subtractRanges(c[0], c[1])
-		for _, h := range probes {
-			want := persist.RangesContain(c[0], h) && !persist.RangesContain(c[1], h)
-			if have := persist.RangesContain(got, h); have != want {
-				t.Fatalf("case %d hash %#x: subtract membership %v, want %v (got %v)", ci, h, have, want, got)
-			}
-		}
-	}
-}
-
 // TestHandoffMovesExactlyTheGainedRanges: across a readmission, the
 // intersection of an old owner's ranges with the rejoining member's
 // new ranges must be exactly the hashes that changed hands between the
@@ -160,7 +107,7 @@ func TestSubtractMembership(t *testing.T) {
 func TestHandoffMovesExactlyTheGainedRanges(t *testing.T) {
 	old := NewRing([]string{"a", "b"}, 64)
 	cur := NewRing([]string{"a", "b", "c"}, 64)
-	moved := Intersect(old.Ranges("a"), cur.Ranges("c"))
+	moved := persist.Intersect(old.Ranges("a"), cur.Ranges("c"))
 	for _, h := range sampleHashes() {
 		want := old.Owner(h) == "a" && cur.Owner(h) == "c"
 		if got := persist.RangesContain(moved, h); got != want {

@@ -633,7 +633,7 @@ func (r *Router) takeover(deadRanges []persist.HashRange, dir string, v2 persist
 	newRing := NewRing(survivors, 0)
 	for _, name := range survivors {
 		sp := r.peerByName(name)
-		moved := Intersect(deadRanges, newRing.Ranges(name))
+		moved := persist.Intersect(deadRanges, newRing.Ranges(name))
 		if sp == nil || len(moved) == 0 {
 			continue
 		}
@@ -652,7 +652,7 @@ func (r *Router) takeover(deadRanges []persist.HashRange, dir string, v2 persist
 func (r *Router) handoffGained(oldRing *Ring, gained []persist.HashRange, epoch uint64, target Peer, step string) error {
 	for _, owner := range oldRing.Members() {
 		src := r.peerByName(owner)
-		moved := Intersect(oldRing.Ranges(owner), gained)
+		moved := persist.Intersect(oldRing.Ranges(owner), gained)
 		if owner == target.Name || src == nil || !src.healthy.Load() || len(moved) == 0 {
 			continue
 		}

@@ -97,7 +97,7 @@ func TestIngestScratchReuse(t *testing.T) {
 	boot := func(name string) (*testInstance, string) {
 		dir := filepath.Join(t.TempDir(), name)
 		ti := newTestInstance(t, "a", dir, depth)
-		if err := ti.inst.AdoptOwnership(1, ring.Ranges("a")); err != nil {
+		if err := ti.inst.adoptOwnership(ownershipRequest{Epoch: 1, Ranges: ring.Ranges("a")}); err != nil {
 			t.Fatal(err)
 		}
 		return ti, dir

@@ -116,7 +116,7 @@ func TestRecordBatchRejectsByIndex(t *testing.T) {
 	inst := newLeaseInstance(t, "")
 	lines := testLines(t, 40, 205)
 	ring := NewRing([]string{"a", "b"}, defaultVnodes)
-	if err := inst.AdoptOwnership(1, ring.Ranges("a")); err != nil {
+	if err := inst.adoptOwnership(ownershipRequest{Epoch: 1, Ranges: ring.Ranges("a")}); err != nil {
 		t.Fatal(err)
 	}
 	var want []int
@@ -346,7 +346,7 @@ func TestWireRecordParity(t *testing.T) {
 	direct := boot()
 	ring := NewRing(names, defaultVnodes)
 	for i, name := range names {
-		if err := direct.instances[i].inst.AdoptOwnership(1, ring.Ranges(name)); err != nil {
+		if err := direct.instances[i].inst.adoptOwnership(ownershipRequest{Epoch: 1, Ranges: ring.Ranges(name)}); err != nil {
 			t.Fatal(err)
 		}
 	}

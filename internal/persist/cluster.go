@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"sort"
 )
 
 // Cluster-mode record types. Shard handoff journals the same
@@ -51,6 +52,85 @@ func RangesContain(ranges []HashRange, h uint32) bool {
 	return false
 }
 
+// Intersect returns the arcs covered by both range sets — the ranges
+// that moved from one owner to another across a ring change.
+func Intersect(a, b []HashRange) []HashRange {
+	la, lb := linearize(a), linearize(b)
+	var out []HashRange
+	for _, x := range la {
+		for _, y := range lb {
+			lo, hi := x[0], y[0]
+			if lo < hi {
+				lo = hi
+			}
+			end := x[1]
+			if y[1] < end {
+				end = y[1]
+			}
+			if lo < end {
+				out = append(out, delinearize(lo, end))
+			}
+		}
+	}
+	return out
+}
+
+// SubtractRanges returns the arcs of base outside cut.
+func SubtractRanges(base, cut []HashRange) []HashRange {
+	la, lc := linearize(base), linearize(cut)
+	var out []HashRange
+	for _, x := range la {
+		lo := x[0]
+		for _, c := range lc {
+			if c[1] <= lo || c[0] >= x[1] {
+				continue
+			}
+			if c[0] > lo {
+				out = append(out, delinearize(lo, c[0]))
+			}
+			if c[1] > lo {
+				lo = c[1]
+			}
+		}
+		if lo < x[1] {
+			out = append(out, delinearize(lo, x[1]))
+		}
+	}
+	return out
+}
+
+const circle = uint64(1) << 32
+
+// linearize unrolls arcs into sorted non-wrapping [lo, hi) intervals
+// on [0, 2^32).
+func linearize(ranges []HashRange) [][2]uint64 {
+	var out [][2]uint64
+	for _, r := range ranges {
+		switch {
+		case r.Lo == r.Hi:
+			out = append(out, [2]uint64{0, circle})
+		case r.Lo < r.Hi:
+			out = append(out, [2]uint64{uint64(r.Lo), uint64(r.Hi)})
+		default:
+			out = append(out, [2]uint64{uint64(r.Lo), circle}, [2]uint64{0, uint64(r.Hi)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// delinearize maps one non-wrapping interval back onto the circle's
+// range encoding (hi == 2^32 becomes the wrap sentinel Hi 0).
+func delinearize(lo, hi uint64) HashRange {
+	if lo == 0 && hi == circle {
+		return HashRange{Lo: 0, Hi: 0}
+	}
+	if hi == circle {
+		return HashRange{Lo: uint32(lo), Hi: 0}
+	}
+	return HashRange{Lo: uint32(lo), Hi: uint32(hi)}
+}
+
 // NodeHash positions a node id on the hash circle. FNV-1a matches the
 // streamer's shard routing hash, so one node's placement is a single
 // well-known function everywhere in the system.
@@ -93,7 +173,7 @@ func readRanges(b []byte) ([]HashRange, []byte, error) {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[k:]
-	ranges := make([]HashRange, 0, n)
+	var ranges []HashRange // nil when empty, as a gob-decoded snapshot has it
 	for i := uint64(0); i < n; i++ {
 		lo, k := binary.Uvarint(b)
 		if k <= 0 || lo > 1<<32-1 {

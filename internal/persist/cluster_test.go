@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -81,5 +82,67 @@ func TestEpochRecordCodec(t *testing.T) {
 	}
 	if _, err := DecodeEpoch(nil); err == nil {
 		t.Fatal("truncated epoch record must fail")
+	}
+}
+
+// probeHashes is a spread of points on the circle, its ends included.
+func probeHashes() []uint32 {
+	hs := []uint32{0, 1, 0x7fffffff, 0xfffffffe, 0xffffffff}
+	for i := 0; i < 2000; i++ {
+		hs = append(hs, NodeHash(fmt.Sprintf("probe-%d", i)))
+	}
+	return hs
+}
+
+// TestIntersectMembership: point-membership in Intersect(a, b) must
+// equal membership in both inputs, across wrap-around and full-circle
+// encodings.
+func TestIntersectMembership(t *testing.T) {
+	cases := [][2][]HashRange{
+		{{{Lo: 100, Hi: 200}}, {{Lo: 150, Hi: 250}}},
+		{{{Lo: 0, Hi: 0}}, {{Lo: 150, Hi: 250}}},
+		{{{Lo: 0xfffffff0, Hi: 16}}, {{Lo: 8, Hi: 0xfffffff8}}},
+		{{{Lo: 0xfffffff0, Hi: 16}}, {{Lo: 0xfffffff8, Hi: 8}}},
+		{{{Lo: 100, Hi: 200}, {Lo: 300, Hi: 400}}, {{Lo: 150, Hi: 350}}},
+		{{{Lo: 100, Hi: 200}}, {{Lo: 200, Hi: 300}}},
+	}
+	probes := probeHashes()
+	for _, lo := range []uint32{0, 7, 8, 15, 16, 99, 100, 150, 199, 200, 250, 299, 300, 350, 399, 400, 0xffffffef, 0xfffffff0, 0xfffffff7, 0xfffffff8, 0xffffffff} {
+		probes = append(probes, lo)
+	}
+	for ci, c := range cases {
+		got := Intersect(c[0], c[1])
+		for _, h := range probes {
+			want := RangesContain(c[0], h) && RangesContain(c[1], h)
+			if have := RangesContain(got, h); have != want {
+				t.Fatalf("case %d hash %#x: intersect membership %v, want %v (got %v)", ci, h, have, want, got)
+			}
+		}
+	}
+}
+
+// TestSubtractMembership: membership in SubtractRanges(base, cut) must
+// equal (in base) && !(in cut).
+func TestSubtractMembership(t *testing.T) {
+	cases := [][2][]HashRange{
+		{{{Lo: 0, Hi: 0}}, {{Lo: 100, Hi: 200}}},
+		{{{Lo: 100, Hi: 200}}, {{Lo: 100, Hi: 200}}},
+		{{{Lo: 100, Hi: 300}}, {{Lo: 150, Hi: 250}}},
+		{{{Lo: 0xfffffff0, Hi: 16}}, {{Lo: 0, Hi: 8}}},
+		{{{Lo: 0, Hi: 0}}, {{Lo: 0xfffffff0, Hi: 16}}},
+		{{{Lo: 100, Hi: 200}, {Lo: 300, Hi: 400}}, {{Lo: 150, Hi: 350}}},
+	}
+	probes := probeHashes()
+	for _, lo := range []uint32{0, 7, 8, 15, 16, 99, 100, 150, 199, 200, 249, 250, 300, 350, 399, 400, 0xffffffef, 0xfffffff0, 0xffffffff} {
+		probes = append(probes, lo)
+	}
+	for ci, c := range cases {
+		got := SubtractRanges(c[0], c[1])
+		for _, h := range probes {
+			want := RangesContain(c[0], h) && !RangesContain(c[1], h)
+			if have := RangesContain(got, h); have != want {
+				t.Fatalf("case %d hash %#x: subtract membership %v, want %v (got %v)", ci, h, have, want, got)
+			}
+		}
 	}
 }

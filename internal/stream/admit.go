@@ -31,7 +31,7 @@ func (s *Streamer) IngestLine(line string) error {
 // IngestBatch of one.
 func (s *Streamer) IngestEvent(ev logparse.Event) error {
 	one := [1]Admission{{Event: ev}}
-	if err := s.IngestBatch(one[:]); err != nil {
+	if _, err := s.IngestBatch(one[:]); err != nil {
 		return err
 	}
 	if one[0].Refused {
@@ -49,10 +49,11 @@ type Admission struct {
 	// arrived off the wire: the WAL takes these bytes as they are instead
 	// of encoding the event again. It is read only during the call.
 	Record []byte
-	// Refused withholds the event when the caller sets it (a node the
-	// cluster instance does not own), and is set by IngestBatch on an
-	// event whose range is frozen mid-handoff. Either way the event was
-	// neither counted nor journaled.
+	// Refused withholds the event when the caller sets it (a blank or
+	// malformed line the caller consumed), and is set by IngestBatch on an
+	// event the control state refuses: its node is not owned here, or its
+	// range is frozen mid-handoff. Either way the event was neither
+	// counted nor journaled.
 	Refused bool
 	// admitted marks an event that passed every ingest filter.
 	admitted bool
@@ -71,7 +72,9 @@ type Admission struct {
 // an event spent behind the batch's WAL write and, under the Block
 // policy, behind the events queued ahead of it. The wall clock is read
 // only when a skew tolerance is set, once per call, for the skew guard.
-func (s *Streamer) IngestBatch(batch []Admission) error {
+//
+// epoch is the ownership epoch the admission check used (0 standalone).
+func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 	// The RLock pins "not closed" for the duration of the call: Close
 	// takes the write lock, so it cannot close the shard channels while
 	// any send is in flight — which is what makes "every event counted
@@ -79,8 +82,12 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
+	ctl := &s.ctl
+	epoch, _ = ctl.Owned()
+	// Standalone with no handoff in flight, the state admits every node.
+	gated := ctl.Epoch != nil || ctl.Handoff != nil
 	// The skew guard's wall-clock reading, taken when the first non-Safe
 	// event of the call needs it.
 	var now time.Time
@@ -91,10 +98,11 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		if a.Refused {
 			continue
 		}
-		// A range frozen mid-handoff rejects before anything is counted or
-		// journaled: the router respools the event for the new owner, so
-		// accepting it here would double-deliver.
-		if fr := s.frozen; len(fr) > 0 && persist.RangesContain(fr, persist.NodeHash(a.Event.Node)) {
+		// A node owned elsewhere, or in a range frozen mid-handoff, is
+		// refused before anything is counted or journaled: the router
+		// respools the event for its owner, so accepting it here would
+		// double-deliver.
+		if gated && !ctl.admits(a.Event.Node) {
 			a.Refused = true
 			continue
 		}
@@ -130,7 +138,7 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 		admitted++
 	}
 	if admitted == 0 {
-		return nil
+		return epoch, nil
 	}
 	// The enqueue stamp anchors the detect-latency histogram: observed at
 	// verdict time, it measures queue wait + processing + any batched
@@ -160,7 +168,7 @@ func (s *Streamer) IngestBatch(batch []Admission) error {
 			s.met.Dropped.Add(1)
 		}
 	}
-	return nil
+	return epoch, nil
 }
 
 // skewDiag emits at most one quarantine diagnostic per second — a storm

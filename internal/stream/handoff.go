@@ -38,9 +38,9 @@ import (
 	"desh/internal/persist/faultfs"
 )
 
-// ErrFrozen is returned by ingest entry points for events whose node
-// range is frozen mid-handoff. The router treats it as "respool and
-// redeliver to the new owner".
+// ErrFrozen is returned by IngestEvent for an event the control state
+// refuses: its node's range is frozen mid-handoff, or not owned here. The
+// router treats it as "respool and redeliver to the new owner".
 var ErrFrozen = errors.New("stream: node range is frozen for handoff")
 
 // ErrHandoffInFlight rejects a BeginHandoff while another handoff
@@ -67,21 +67,6 @@ type HandoffState struct {
 	Ledger map[string]int
 	// Quarantined marks poisoned events Pending replay must skip.
 	Quarantined map[string]bool
-}
-
-// handoffIntent is an outbound handoff between its two commit points.
-type handoffIntent struct {
-	epoch  uint64
-	target string
-	ranges []persist.HashRange
-}
-
-// importKey identifies one durably-imported handoff: the ownership
-// epoch it ran under and the source instance that shipped it. Exported
-// fields, so the import set rides gob snapshots.
-type importKey struct {
-	Epoch  uint64
-	Source string
 }
 
 // dropBarrier rides the shard queues at CompleteHandoff: each shard
@@ -115,25 +100,24 @@ func (s *Streamer) BeginHandoff(epoch uint64, target string, ranges []persist.Ha
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if s.handoff != nil {
+	if s.ctl.Handoff != nil {
 		s.mu.Unlock()
 		return nil, ErrHandoffInFlight
 	}
+	rec := persist.HandoffRecord{Epoch: epoch, Peer: target, Ranges: ranges}
+	if err := s.commitLocked(persist.EncodeHandoff(persist.RecHandoffBegin, rec), true); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
 	if s.pst != nil {
-		rec := persist.HandoffRecord{Epoch: epoch, Peer: target, Ranges: ranges}
-		if _, err := s.pst.wal.Append(persist.EncodeHandoff(persist.RecHandoffBegin, rec)); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("stream: handoff journal: %w", err)
-		}
 		// The rotation aligns the capture with a segment boundary, the
-		// same cut snapshots use.
+		// same cut snapshots use. A failure leaves the intent pending, as
+		// a crash here would: the cluster layer resolves it.
 		if _, err := s.pst.wal.Rotate(); err != nil {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("stream: handoff rotate: %w", err)
 		}
 	}
-	s.handoff = &handoffIntent{epoch: epoch, target: target, ranges: ranges}
-	s.frozen = ranges
 	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
 	nodes, ok := s.gatherCaptures(replies, func(node string) bool {
@@ -161,7 +145,7 @@ func (s *Streamer) CompleteHandoff() error {
 		s.mu.Unlock()
 		return err
 	}
-	b := &dropBarrier{ranges: h.ranges, ack: make(chan int, len(s.shards))}
+	b := &dropBarrier{ranges: h.Ranges, ack: make(chan int, len(s.shards))}
 	for _, sh := range s.shards {
 		sh.ch <- shardMsg{drop: b}
 	}
@@ -188,39 +172,18 @@ func (s *Streamer) AbortHandoff() error {
 }
 
 // resolveLocked journals the in-flight intent's resolution (typ is
-// RecHandoffOut or RecHandoffAbort), clears it and unfreezes its ranges.
-// The caller holds s.mu.
-func (s *Streamer) resolveLocked(typ byte) (*handoffIntent, error) {
+// RecHandoffOut or RecHandoffAbort) and applies it: the intent clears,
+// its ranges thaw and, on Out, leave the ownership. The caller holds
+// s.mu.
+func (s *Streamer) resolveLocked(typ byte) (persist.HandoffRecord, error) {
 	if s.closed {
-		return nil, ErrClosed
+		return persist.HandoffRecord{}, ErrClosed
 	}
-	h := s.handoff
-	if h == nil {
-		return nil, fmt.Errorf("stream: no handoff in flight")
+	if s.ctl.Handoff == nil {
+		return persist.HandoffRecord{}, fmt.Errorf("stream: no handoff in flight")
 	}
-	if s.pst != nil {
-		rec := persist.HandoffRecord{Epoch: h.epoch, Peer: h.target, Ranges: h.ranges}
-		if _, err := s.pst.wal.Append(persist.EncodeHandoff(typ, rec)); err != nil {
-			return nil, fmt.Errorf("stream: handoff journal: %w", err)
-		}
-	}
-	s.handoff, s.frozen = nil, nil
-	return h, nil
-}
-
-// PendingHandoff reports an outbound handoff intent awaiting
-// resolution — either live between Begin and Complete/Abort, or
-// journaled before a crash and recovered unresolved. The cluster
-// layer resolves it with CompleteHandoff or AbortHandoff after
-// querying the target.
-func (s *Streamer) PendingHandoff() (epoch uint64, target string, ranges []persist.HashRange, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.handoff == nil {
-		return 0, "", nil, false
-	}
-	h := s.handoff
-	return h.epoch, h.target, append([]persist.HashRange(nil), h.ranges...), true
+	h := *s.ctl.Handoff
+	return h, s.commitLocked(persist.EncodeHandoff(typ, h), true)
 }
 
 // ImportState installs a shipped range into this streamer: journal
@@ -236,28 +199,27 @@ func (s *Streamer) ImportState(epoch uint64, source string, ranges []persist.Has
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	hrec := persist.HandoffRecord{Epoch: epoch, Peer: source, Ranges: ranges}
 	if s.pst != nil {
 		payload, err := persist.EncodeSnapshot(st)
 		if err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("stream: handoff state encode: %w", err)
 		}
-		rec := persist.EncodeHandoff(persist.RecHandoffIn, persist.HandoffRecord{
-			Epoch: epoch, Peer: source, Ranges: ranges, State: payload,
-		})
-		if len(rec) > persist.MaxRecord {
-			s.mu.Unlock()
-			return fmt.Errorf("stream: handoff state %d bytes exceeds the WAL record bound — hand off smaller ranges", len(rec))
-		}
-		if _, err := s.pst.wal.Append(rec); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("stream: handoff journal: %w", err)
-		}
+		hrec.State = payload
 	}
-	// The In record is the commit point: from here on, "did epoch E
-	// from this source land here?" must answer yes, even before the
-	// barrier drains.
-	s.ctl.Imports[importKey{epoch, source}] = true
+	rec := persist.EncodeHandoff(persist.RecHandoffIn, hrec)
+	if len(rec) > persist.MaxRecord {
+		s.mu.Unlock()
+		return fmt.Errorf("stream: handoff state %d bytes exceeds the WAL record bound — hand off smaller ranges", len(rec))
+	}
+	// The In record is the commit point: from here on the ranges are
+	// owned here, and "did epoch E from this source land here?" answers
+	// yes, even before the barrier drains.
+	if err := s.commitLocked(rec, true); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	barriers := s.buildImport(st)
 	for i, sh := range s.shards {
 		sh.ch <- shardMsg{imp: barriers[i]}
@@ -385,58 +347,29 @@ func (sh *shard) applyImport(b *importBarrier) {
 	}
 }
 
-// JournalEpoch durably records this instance's cluster ownership: the
-// epoch and the hash ranges it serves under it. Recovery surfaces the
-// newest record via RecoveredOwnership. No-op without persistence.
-func (s *Streamer) JournalEpoch(epoch uint64, ranges []persist.HashRange) error {
-	rec := persist.EpochRecord{Epoch: epoch, Ranges: append([]persist.HashRange(nil), ranges...)}
-	return s.journal("epoch", persist.EncodeEpoch(rec), func() { s.ctl.Epoch = &rec })
-}
-
-// RecoveredOwnership returns the newest ownership record this streamer
-// journaled or recovered from its state dir (ok=false on a cold start or
-// without persistence).
-func (s *Streamer) RecoveredOwnership() (persist.EpochRecord, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ctl.Epoch == nil {
-		return persist.EpochRecord{}, false
-	}
-	return *s.ctl.Epoch, true
-}
-
-// replayHandoff re-applies one handoff record at its exact WAL
-// position during single-threaded boot recovery.
+// replayHandoff moves the shard state one handoff record moved, at its
+// exact WAL position during single-threaded boot recovery: an Out drops
+// the outbound ranges, an In installs the imported ones. apply has
+// already folded the record into the control state.
 func (s *Streamer) replayHandoff(typ byte, payload []byte) error {
+	if typ != persist.RecHandoffOut && typ != persist.RecHandoffIn {
+		return nil
+	}
 	rec, err := persist.DecodeHandoff(payload)
 	if err != nil {
 		return err
 	}
-	switch typ {
-	case persist.RecHandoffBegin:
-		// Intent: freeze the ranges and hold resolution. If no Out/Abort
-		// follows in the WAL, New returns with the intent pending and the
-		// cluster layer resolves against the target.
-		s.handoff = &handoffIntent{epoch: rec.Epoch, target: rec.Peer, ranges: rec.Ranges}
-		s.frozen = rec.Ranges
-	case persist.RecHandoffOut:
+	if typ == persist.RecHandoffOut {
 		for _, sh := range s.shards {
 			sh.dropNodes(rec.Ranges)
 		}
-		s.handoff = nil
-		s.frozen = nil
-	case persist.RecHandoffAbort:
-		s.handoff = nil
-		s.frozen = nil
-	case persist.RecHandoffIn:
-		var st HandoffState
-		if err := persist.DecodeSnapshot(rec.State, &st); err != nil {
-			return fmt.Errorf("stream: journaled handoff state: %w", err)
-		}
-		s.ctl.Imports[importKey{rec.Epoch, rec.Peer}] = true
-		return s.importDirect(&st)
+		return nil
 	}
-	return nil
+	var st HandoffState
+	if err := persist.DecodeSnapshot(rec.State, &st); err != nil {
+		return fmt.Errorf("stream: journaled handoff state: %w", err)
+	}
+	return s.importDirect(&st)
 }
 
 // importDirect applies an imported range during single-threaded boot

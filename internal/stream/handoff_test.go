@@ -48,7 +48,7 @@ func TestHandoffFreezeAndAbort(t *testing.T) {
 	if _, err := s.BeginHandoff(3, "http://other", fullCircle); err != ErrHandoffInFlight {
 		t.Fatalf("second Begin: %v, want ErrHandoffInFlight", err)
 	}
-	if _, _, _, ok := s.PendingHandoff(); !ok {
+	if s.Control().Handoff == nil {
 		t.Fatal("PendingHandoff must report the in-flight handoff")
 	}
 	if err := s.AbortHandoff(); err != nil {
@@ -121,12 +121,12 @@ func TestHandoffCrashMidFlightStaysFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait2 := fixture.Collect(s2.Alerts())
-	epoch, target, ranges, ok := s2.PendingHandoff()
-	if !ok {
+	h := s2.Control().Handoff
+	if h == nil {
 		t.Fatal("recovered streamer must surface the unresolved handoff")
 	}
-	if epoch != 5 || target != "http://target" || len(ranges) != 1 {
-		t.Fatalf("recovered intent: epoch %d target %q ranges %v", epoch, target, ranges)
+	if h.Epoch != 5 || h.Peer != "http://target" || len(h.Ranges) != 1 {
+		t.Fatalf("recovered intent: epoch %d target %q ranges %v", h.Epoch, h.Peer, h.Ranges)
 	}
 	if err := s2.IngestEvent(events[half]); err != ErrFrozen {
 		t.Fatalf("recovered frozen range accepted an event: %v, want ErrFrozen", err)
@@ -156,12 +156,8 @@ func TestEpochJournalRecovery(t *testing.T) {
 	wait := fixture.Collect(s.Alerts())
 	r1 := []persist.HashRange{{Lo: 10, Hi: 20}}
 	r2 := []persist.HashRange{{Lo: 20, Hi: 30}, {Lo: 40, Hi: 0}}
-	if err := s.JournalEpoch(3, r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.JournalEpoch(4, r2); err != nil {
-		t.Fatal(err)
-	}
+	journal(t, s, persist.EncodeEpoch(persist.EpochRecord{Epoch: 3, Ranges: r1}))
+	journal(t, s, persist.EncodeEpoch(persist.EpochRecord{Epoch: 4, Ranges: r2}))
 	s.crash()
 	wait()
 	s2, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
@@ -169,8 +165,8 @@ func TestEpochJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait2 := fixture.Collect(s2.Alerts())
-	rec, ok := s2.RecoveredOwnership()
-	if !ok {
+	rec := s2.Control().Epoch
+	if rec == nil {
 		t.Fatal("ownership record not recovered")
 	}
 	if rec.Epoch != 4 || len(rec.Ranges) != 2 || rec.Ranges[0] != r2[0] || rec.Ranges[1] != r2[1] {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -18,29 +19,21 @@ func TestLeaseAndViewJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait := fixture.Collect(s.Alerts())
-	if _, ok := s.RecoveredLease(); ok {
+	if c := s.Control(); c.Lease != nil {
 		t.Fatal("cold start must not report a recovered lease")
 	}
-	if _, ok := s.RecoveredView(); ok {
+	if c := s.Control(); c.View != nil {
 		t.Fatal("cold start must not report a recovered view")
 	}
-	if err := s.JournalLease(persist.LeaseRecord{Holder: "r-old", Gen: 1, ExpireNano: 100}); err != nil {
-		t.Fatal(err)
-	}
+	journal(t, s, persist.EncodeLease(persist.LeaseRecord{Holder: "r-old", Gen: 1, ExpireNano: 100}))
 	lease := persist.LeaseRecord{Holder: "r-new", Gen: 2, ExpireNano: 200}
-	if err := s.JournalLease(lease); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.JournalView(persist.ViewRecord{Epoch: 1, Members: []persist.ViewMember{{Name: "a", State: persist.StateIn}}}); err != nil {
-		t.Fatal(err)
-	}
+	journal(t, s, persist.EncodeLease(lease))
+	journal(t, s, persist.EncodeView(persist.ViewRecord{Epoch: 1, Members: []persist.ViewMember{{Name: "a", State: persist.StateIn}}}))
 	view := persist.ViewRecord{Epoch: 2, Members: []persist.ViewMember{
 		{Name: "a", URL: "http://a", Dir: "/a", State: persist.StateIn},
 		{Name: "b", URL: "http://b", Dir: "/b", State: persist.StateDraining},
 	}}
-	if err := s.JournalView(view); err != nil {
-		t.Fatal(err)
-	}
+	journal(t, s, persist.EncodeView(view))
 	s.crash()
 	wait()
 	s2, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
@@ -48,13 +41,12 @@ func TestLeaseAndViewJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait2 := fixture.Collect(s2.Alerts())
-	got, ok := s2.RecoveredLease()
-	if !ok || got != lease {
-		t.Fatalf("recovered lease %+v (ok=%v), want %+v", got, ok, lease)
+	c := s2.Control()
+	if c.Lease == nil || *c.Lease != lease {
+		t.Fatalf("recovered lease %+v, want %+v", c.Lease, lease)
 	}
-	gv, ok := s2.RecoveredView()
-	if !ok || !reflect.DeepEqual(gv, view) {
-		t.Fatalf("recovered view %+v (ok=%v), want %+v", gv, ok, view)
+	if c.View == nil || !reflect.DeepEqual(*c.View, view) {
+		t.Fatalf("recovered view %+v, want %+v", c.View, view)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
@@ -86,13 +78,13 @@ func TestHasImportSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.HasImport(7, "a") {
+	if hasImport(b, 7, "a") {
 		t.Fatal("HasImport(7, a) true before the import committed")
 	}
 	if err := b.ImportState(7, "a", fullCircle, st); err != nil {
 		t.Fatal(err)
 	}
-	if !b.HasImport(7, "a") || b.HasImport(8, "a") || b.HasImport(7, "other") {
+	if !hasImport(b, 7, "a") || hasImport(b, 8, "a") || hasImport(b, 7, "other") {
 		t.Fatal("HasImport after live import: want exactly (7, a)")
 	}
 	if err := a.CompleteHandoff(); err != nil {
@@ -105,10 +97,10 @@ func TestHasImportSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitB2 := fixture.Collect(b2.Alerts())
-	if !b2.HasImport(7, "a") {
+	if !hasImport(b2, 7, "a") {
 		t.Fatal("HasImport(7, a) lost across a crash — intent resolution would wrongly abort")
 	}
-	if b2.HasImport(7, "other") {
+	if hasImport(b2, 7, "other") {
 		t.Fatal("HasImport must stay keyed by source across recovery")
 	}
 	if err := a.Close(); err != nil {
@@ -147,15 +139,9 @@ func TestControlJournalSurvivesSnapshot(t *testing.T) {
 				return s, fixture.Collect(s.Alerts())
 			}
 			s, wait := boot()
-			if err := s.JournalEpoch(epoch.Epoch, epoch.Ranges); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.JournalLease(lease); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.JournalView(view); err != nil {
-				t.Fatal(err)
-			}
+			journal(t, s, persist.EncodeEpoch(epoch))
+			journal(t, s, persist.EncodeLease(lease))
+			journal(t, s, persist.EncodeView(view))
 			if err := s.ImportState(3, "src", epoch.Ranges, &HandoffState{}); err != nil {
 				t.Fatal(err)
 			}
@@ -178,25 +164,68 @@ func TestControlJournalSurvivesSnapshot(t *testing.T) {
 			if m := s2.SnapshotMetrics(); m.ReplayedEvents != 0 {
 				t.Errorf("replayed %d events; every record is below the boundary", m.ReplayedEvents)
 			}
-			if got, ok := s2.RecoveredOwnership(); !ok || !reflect.DeepEqual(got, epoch) {
-				t.Errorf("recovered ownership %+v (ok=%v), want %+v", got, ok, epoch)
+			c := s2.Control()
+			if c.Epoch == nil || !reflect.DeepEqual(*c.Epoch, epoch) {
+				t.Errorf("recovered ownership %+v, want %+v", c.Epoch, epoch)
 			}
-			if got, ok := s2.RecoveredLease(); !ok || got != lease {
-				t.Errorf("recovered lease %+v (ok=%v), want %+v", got, ok, lease)
+			if c.Lease == nil || *c.Lease != lease {
+				t.Errorf("recovered lease %+v, want %+v", c.Lease, lease)
 			}
-			if got, ok := s2.RecoveredView(); !ok || !reflect.DeepEqual(got, view) {
-				t.Errorf("recovered view %+v (ok=%v), want %+v", got, ok, view)
+			if c.View == nil || !reflect.DeepEqual(*c.View, view) {
+				t.Errorf("recovered view %+v, want %+v", c.View, view)
 			}
-			if !s2.HasImport(3, "src") || s2.HasImport(3, "other") {
+			if !hasImport(s2, 3, "src") || hasImport(s2, 3, "other") {
 				t.Error("import set lost or widened: want exactly (3, src)")
 			}
-			if ep, target, ranges, ok := s2.PendingHandoff(); !ok || ep != 5 || target != "b" || !reflect.DeepEqual(ranges, outbound) {
-				t.Errorf("pending handoff (%d, %q, %v, ok=%v), want (5, b, %v)", ep, target, ranges, ok, outbound)
+			if h := c.Handoff; h == nil || h.Epoch != 5 || h.Peer != "b" || !reflect.DeepEqual(h.Ranges, outbound) {
+				t.Errorf("pending handoff %+v, want (5, b, %v)", h, outbound)
 			}
 			if err := s2.Close(); err != nil {
 				t.Fatal(err)
 			}
 			wait2()
 		})
+	}
+}
+
+// journal commits one control record through Decide, as the cluster
+// layer does.
+func journal(t testing.TB, s *Streamer, rec []byte) {
+	t.Helper()
+	if err := s.Decide(func(Control) ([]byte, bool, error) { return rec, true, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hasImport is the question a successor coordinator asks an intent's
+// target: did the handoff at epoch from source commit here?
+func hasImport(s *Streamer, epoch uint64, source string) bool {
+	return s.Control().Imports[ImportKey{epoch, source}]
+}
+
+// TestParentWrittenControlRestores: a snapshot written while the control
+// state's types were unexported (controlState, importKey) decodes into
+// Control field for field — gob matches fields by name.
+func TestParentWrittenControlRestores(t *testing.T) {
+	raw, err := os.ReadFile("testdata/control_snapshot.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap streamerSnapshot
+	if err := persist.DecodeSnapshot(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	want := Control{
+		Epoch: &persist.EpochRecord{Epoch: 4, Ranges: []persist.HashRange{{Lo: 1 << 30, Hi: 1 << 31}, {Lo: 3 << 30, Hi: 5}}},
+		Lease: &persist.LeaseRecord{Holder: "r1", Gen: 7, ExpireNano: 700},
+		View: &persist.ViewRecord{Epoch: 4, Members: []persist.ViewMember{
+			{Name: "a", URL: "http://a", Dir: "/a", State: persist.StateIn},
+			{Name: "b", URL: "http://b", Dir: "/b", State: persist.StateDraining},
+		}},
+		Imports: map[ImportKey]bool{{3, "src"}: true, {4, "takeover:/d"}: true},
+		Handoff: &persist.HandoffRecord{Epoch: 5, Peer: "http://b", Ranges: []persist.HashRange{{Lo: 10, Hi: 20}}},
+	}
+	if !reflect.DeepEqual(snap.Control, want) {
+		t.Fatalf("decoded control state %+v, want %+v", snap.Control, want)
 	}
 }

@@ -135,55 +135,11 @@ type streamerSnapshot struct {
 	// before hot swap existed decode it as "" — the boot model, which
 	// is what those snapshots were taken against.
 	ModelFile string
-	// Control is the control plane's state at the boundary. Snapshots
-	// written before it rode here decode it as zero: no ownership, lease,
-	// view, imports or pending intent, as their boot always had.
-	Control controlState
-}
-
-// controlState is the cluster control plane's journaled state: the
-// newest ownership, lease and view records, every handoff import, and an
-// outbound handoff awaiting resolution. Boot replay skips every WAL
-// record below a snapshot's boundary, control records included, so the
-// snapshot carries their sum; the WAL tail then replays on top of it.
-// Handoff is set only in a snapshot's copy: the live intent is
-// Streamer.handoff.
-type controlState struct {
-	Epoch   *persist.EpochRecord
-	Lease   *persist.LeaseRecord
-	View    *persist.ViewRecord
-	Imports map[importKey]bool
-	Handoff *persist.HandoffRecord
-}
-
-// controlLocked copies the control state for a snapshot, the pending
-// intent included. The caller holds s.mu (or is alone, in Close), which
-// pins it to the snapshot's boundary: every control record is journaled
-// under s.mu.
-func (s *Streamer) controlLocked() controlState {
-	c := s.ctl
-	c.Imports = make(map[importKey]bool, len(s.ctl.Imports))
-	for k := range s.ctl.Imports {
-		c.Imports[k] = true
-	}
-	if h := s.handoff; h != nil {
-		c.Handoff = &persist.HandoffRecord{Epoch: h.epoch, Peer: h.target, Ranges: h.ranges}
-	}
-	return c
-}
-
-// restoreControl adopts a snapshot's control state, the pending intent
-// frozen again as its Begin record's replay would have left it.
-func (s *Streamer) restoreControl(c controlState) {
-	if c.Imports == nil {
-		c.Imports = make(map[importKey]bool)
-	}
-	if h := c.Handoff; h != nil {
-		s.handoff = &handoffIntent{epoch: h.Epoch, target: h.Peer, ranges: h.Ranges}
-		s.frozen = h.Ranges
-		c.Handoff = nil
-	}
-	s.ctl = c
+	// Control is the control plane's state at the boundary, copied under
+	// s.mu: every control record is journaled under it. Snapshots written
+	// before it rode here decode it as zero: no ownership, lease, view,
+	// imports or pending intent, as their boot always had.
+	Control Control
 }
 
 // persister owns the streamer's crash-recovery machinery: the snapshot
@@ -340,7 +296,7 @@ func (s *Streamer) recover() error {
 		if err := s.restoreSnapshot(snap); err != nil {
 			return err
 		}
-		s.restoreControl(snap.Control)
+		s.ctl = snap.Control
 	}
 
 	// Pass 1: scan the WAL tail for the alert ledger and quarantine
@@ -395,30 +351,15 @@ func (s *Streamer) recover() error {
 				return err
 			}
 			return s.replaySwap(rec.ModelFile)
-		case persist.RecHandoffBegin, persist.RecHandoffIn, persist.RecHandoffOut, persist.RecHandoffAbort:
-			// Re-apply the handoff protocol at its exact WAL positions: an
-			// In installs the imported range here, an Out drops the
-			// outbound one, and a Begin with no later resolution leaves
-			// the intent pending for the cluster layer.
+		case persist.RecEpoch, persist.RecLease, persist.RecView,
+			persist.RecHandoffBegin, persist.RecHandoffIn, persist.RecHandoffOut, persist.RecHandoffAbort:
+			// The one transition the live path ran when it journaled the
+			// record; an In or Out also moves shard state, at its exact WAL
+			// position.
+			if err := s.ctl.apply(payload); err != nil {
+				return err
+			}
 			return s.replayHandoff(payload[0], payload[1:])
-		case persist.RecEpoch:
-			rec, err := persist.DecodeEpoch(payload[1:])
-			if err != nil {
-				return err
-			}
-			s.ctl.Epoch = &rec
-		case persist.RecLease:
-			rec, err := persist.DecodeLease(payload[1:])
-			if err != nil {
-				return err
-			}
-			s.ctl.Lease = &rec
-		case persist.RecView:
-			rec, err := persist.DecodeView(payload[1:])
-			if err != nil {
-				return err
-			}
-			s.ctl.View = &rec
 		}
 		return nil
 	})
@@ -549,7 +490,7 @@ func (s *Streamer) snapshotNow() error {
 	// Captured under s.mu: a swap commits its RecSwap record under the
 	// same lock, so the boundary and the model name always agree.
 	modelFile := s.activeFile
-	ctl := s.controlLocked()
+	ctl := s.ctl.clone()
 	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
 	nodes, ok := s.gatherCaptures(replies, nil)
@@ -612,7 +553,7 @@ func (p *persister) finalSnapshot(s *Streamer) error {
 		}
 	}
 	s.mu.RLock()
-	snap := streamerSnapshot{EncKeys: s.enc.Keys(), Nodes: nodes, ModelFile: s.activeFile, Control: s.controlLocked()}
+	snap := streamerSnapshot{EncKeys: s.enc.Keys(), Nodes: nodes, ModelFile: s.activeFile, Control: s.ctl.clone()}
 	s.mu.RUnlock()
 	if err := p.store.Save(boundary, snap); err != nil {
 		p.wal.Close()

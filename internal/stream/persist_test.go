@@ -411,7 +411,7 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 			batch = append(batch, Admission{Event: ev, Refused: true})
 		}
 	}
-	if err := s.IngestBatch(batch); err != nil {
+	if _, err := s.IngestBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range batch {
@@ -433,7 +433,7 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozen := []Admission{{Event: events[0]}, {Event: events[1]}}
-	if err := s.IngestBatch(frozen); err != nil {
+	if _, err := s.IngestBatch(frozen); err != nil {
 		t.Fatal(err)
 	}
 	if !frozen[0].Refused || !frozen[1].Refused {
@@ -444,7 +444,7 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 	}
 	s.Kill()
 	wait()
-	if err := s.IngestBatch(frozen[:1]); err != ErrClosed {
+	if _, err := s.IngestBatch(frozen[:1]); err != ErrClosed {
 		t.Fatalf("batch after kill: %v, want ErrClosed", err)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"desh/internal/core"
 	"desh/internal/label"
 	"desh/internal/logparse"
-	"desh/internal/persist"
 )
 
 // ErrClosed is returned by ingest entry points after Close.
@@ -99,22 +98,9 @@ type Streamer struct {
 	activeFile string
 	swapMu     sync.Mutex
 
-	// Cluster handoff state (guarded by mu). handoff is the outbound
-	// intent between its two commit points; frozen rejects ingest for
-	// ranges mid-handoff.
-	handoff *handoffIntent
-	frozen  []persist.HashRange
-
-	// ctl is the control plane's journaled state (guarded by mu): the
-	// newest ownership, lease and cluster-view records this streamer
-	// journaled or recovered, and every (epoch, source) handoff it has
-	// durably imported (RecHandoffIn), so a successor coordinator can
-	// resolve a crashed predecessor's pending intent by asking the target
-	// "did epoch E from source S commit on you?". Imports are keyed by
-	// both because one rebalance hands off from several sources under one
-	// epoch — a bare epoch would let one source's commit falsely confirm
-	// another's. Snapshots carry it, so it survives the WAL they cover.
-	ctl controlState
+	// ctl is the control plane's state (guarded by mu): the one copy,
+	// changed only by Control.apply, live and on replay (control.go).
+	ctl Control
 
 	mu     sync.RWMutex // guards closed against in-flight ingests
 	closed bool
@@ -146,7 +132,6 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 		epoch:  time.Now(),
 		alerts: make(chan Alert, opts.AlertBuffer),
 		done:   make(chan struct{}),
-		ctl:    controlState{Imports: make(map[importKey]bool)},
 	}
 	s.vocabN.Store(int64(modelVocab(p)))
 	if opts.AllowedLateness > 0 || opts.DedupWindow > 0 {

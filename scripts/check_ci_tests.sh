@@ -3,7 +3,10 @@
 # and the verify skill must select something: each `|` alternative of the
 # pattern has to match at least one test, benchmark or fuzz target that
 # `go test -list` reports for those packages, so moving or renaming a
-# suite cannot leave a CI step silently running nothing. It also fails if
+# suite cannot leave a CI step silently running nothing. Every Test…,
+# Benchmark… and Fuzz… name DESIGN.md, README.md and the verify skill
+# cite must be one `go test -list` reports, in this module or bench's,
+# so the docs cannot keep naming a test that is gone. It also fails if
 # a binary links the equivalence harness (desh/internal/chaos and its
 # fixture), which only tests may import.
 #
@@ -55,6 +58,16 @@ while IFS=$'\t' read -r pkgs pattern; do
 		fi
 	done
 done <<<"$invocations"
+
+docs=(DESIGN.md README.md .claude/skills/verify/SKILL.md)
+declared=$({ names ./...; (cd bench && go test -list '.*' ./...); } | grep -E '^(Test|Benchmark|Fuzz)' | sort -u)
+for name in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "${docs[@]}" | sort -u); do
+	if ! grep -qx -- "$name" <<<"$declared"; then
+		where=$(grep -nw -- "$name" "${docs[@]}" | cut -d: -f1,2 | paste -sd' ')
+		echo "check_ci_tests: $name is cited ($where) but no package declares it" >&2
+		fail=1
+	fi
+done
 
 if go list -deps ./cmd/... . | grep -q '^desh/internal/chaos'; then
 	echo "check_ci_tests: a binary links desh/internal/chaos; only tests may import the harness" >&2
