@@ -47,8 +47,11 @@ kernel-parity:
 	GOARCH=arm64 $(GO) vet ./...
 
 # ci-guard fails if a `go test -run` pattern in the CI workflow or the
-# verify skill selects no test, or if a binary links the equivalence
-# harness (internal/chaos).
+# verify skill selects no test, if a binary links the equivalence
+# harness (internal/chaos), or if the docs drift from the code: a cited
+# test or DESIGN section that does not exist, a package DESIGN §3 does
+# not list, a fuzz target `fuzz` or CI does not run, or a ROADMAP item
+# cited by number.
 ci-guard:
 	bash scripts/check_ci_tests.sh
 
@@ -73,18 +76,20 @@ bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test ./...
 
-# fuzz exercises the network-facing line parser (against its time.Parse
-# + Fields/Join oracle), its integer timestamp decode (against time.Date,
-# under ==), the single-scan masker (against the same
-# oracle), the event-time reorder buffer (its invariants, and the
-# in-order paths of dup/add against the scanning, always-pushing
-# reference; kilobyte inputs, so the minimiser is capped), the
-# instance's record /ingest, the gate kernel (assembly against
-# GateMatVec, bit for bit), the training kernels (row update and RMSprop
-# against their Go loops, bit for bit) and the activation kernel
-# (assembly against the scalar sigmoid/tanh loop, i.e. against this
-# toolchain's math.Exp and math.Tanh, bit for bit) beyond their committed
-# seed corpora (which `test` already replays as regular cases).
+# fuzz runs every fuzz target the module declares beyond its committed
+# seed corpus (which `test` already replays as regular cases):
+# the network-facing line parser (against its time.Parse + Fields/Join
+# oracle), its integer timestamp decode (against time.Date, under ==),
+# the single-scan masker (against the same oracle), the event-time
+# reorder buffer (its invariants, and the in-order paths of dup/add
+# against the scanning, always-pushing reference; kilobyte inputs, so
+# the minimiser is capped), the model file header, the cluster control
+# payloads, the instance's record /ingest, the f32 conversion, the gate
+# kernel (assembly against GateMatVec, bit for bit), the training
+# kernels (row update and RMSprop against their Go loops, bit for bit)
+# and the activation kernel (assembly against the scalar sigmoid/tanh
+# loop, i.e. against this toolchain's math.Exp and math.Tanh, bit for
+# bit). scripts/check_ci_tests.sh fails on a target missing here.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
@@ -92,7 +97,10 @@ fuzz:
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzEventTimeParity -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzModelHeader -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzClusterPayload -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzIngestRecords -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzConvert32 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzTrainKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzActivationParity -fuzztime $(FUZZTIME)

@@ -1,7 +1,7 @@
 // Shard handoff: migrating the streaming state of a node hash range
 // between deshd instances with zero lost and zero duplicated alerts.
 //
-// The live protocol mirrors PR 7's model swap — two commit points,
+// The live protocol mirrors the model swap (swap.go) — two commit points,
 // journaled in the WAL:
 //
 //  1. Source: BeginHandoff journals RecHandoffBegin (intent), freezes

@@ -203,7 +203,7 @@ type Metrics struct {
 	// hot swap) when serving at f32; always 0 at f64.
 	PrecisionConversions atomic.Int64
 
-	// Continuous-learning drift taps and loop counters (PR 7).
+	// Continuous-learning drift taps and loop counters.
 
 	// UnseenPhrases counts accepted events whose phrase id is at or
 	// beyond the active model's training vocabulary — phrases the model
@@ -242,7 +242,7 @@ type Metrics struct {
 	Swaps      atomic.Int64
 	SwapErrors atomic.Int64
 
-	// Cluster handoff counters (PR 8).
+	// Cluster handoff counters.
 
 	// HandoffsStarted counts outbound handoffs that journaled their
 	// Begin intent and captured state; HandoffsCompleted and
@@ -315,7 +315,7 @@ type MetricsSnapshot struct {
 	GateKernel           string `json:"gate_kernel"`
 	ActivationKernel     string `json:"activation_kernel"`
 	PrecisionConversions int64  `json:"precision_conversions"`
-	// Continuous-learning gauges and counters (PR 7).
+	// Continuous-learning gauges and counters.
 	UnseenPhrases int64 `json:"unseen_phrases"`
 	Verdicts      int64 `json:"verdicts"`
 	// VerdictMSEMean is the rolling mean minimum MSE over closed-chain
@@ -335,7 +335,7 @@ type MetricsSnapshot struct {
 	ShadowRejected  int64   `json:"shadow_rejected"`
 	Swaps           int64   `json:"swaps"`
 	SwapErrors      int64   `json:"swap_errors"`
-	// Cluster handoff counters (PR 8).
+	// Cluster handoff counters.
 	HandoffsStarted   int64 `json:"handoffs_started"`
 	HandoffsCompleted int64 `json:"handoffs_completed"`
 	HandoffsAborted   int64 `json:"handoffs_aborted"`

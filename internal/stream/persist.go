@@ -21,7 +21,7 @@ type persistedNode struct {
 	Alerted     bool
 	LastAlertAt time.Time
 	OpenAlerted bool
-	// Event-time layer state (PR 4): the reorder buffer in release
+	// Event-time layer state: the reorder buffer in release
 	// order, the watermark cursors, and the dedup ring. Zero-valued in
 	// snapshots written before the layer existed — gob decodes missing
 	// fields as zero, so old state dirs restore cleanly.
