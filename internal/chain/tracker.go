@@ -52,16 +52,28 @@ type Tracker struct {
 // maxOpen > 0 bounds the open-episode window (oldest events are dropped
 // when it is full); 0 keeps the window unbounded for batch parity.
 func NewTracker(node string, lab *label.Labeler, cfg Config, maxOpen int) (*Tracker, error) {
-	if err := cfg.Validate(); err != nil {
+	t := new(Tracker)
+	if err := t.Init(node, lab, cfg, maxOpen); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// Init makes t an empty tracker on NewTracker's terms, in place: a
+// caller that keeps the tracker inside a struct of its own allocates
+// nothing for it.
+func (t *Tracker) Init(node string, lab *label.Labeler, cfg Config, maxOpen int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if maxOpen < 0 {
-		return nil, fmt.Errorf("chain: maxOpen must be >= 0, got %d", maxOpen)
+		return fmt.Errorf("chain: maxOpen must be >= 0, got %d", maxOpen)
 	}
 	if maxOpen > 0 && maxOpen < cfg.MinLen {
-		return nil, fmt.Errorf("chain: maxOpen %d below MinLen %d", maxOpen, cfg.MinLen)
+		return fmt.Errorf("chain: maxOpen %d below MinLen %d", maxOpen, cfg.MinLen)
 	}
-	return &Tracker{node: node, lab: lab, cfg: cfg, maxOpen: maxOpen}, nil
+	*t = Tracker{node: node, lab: lab, cfg: cfg, maxOpen: maxOpen}
+	return nil
 }
 
 // OpenLen returns the number of events in the open episode.
@@ -87,24 +99,30 @@ func (t *Tracker) LateClamped() int64 { return t.late }
 // LateClamped: the chain keeps a non-decreasing time axis, so a late
 // straggler can neither split an episode with a spurious negative gap
 // nor push any entry's ΔT negative.
-func (t *Tracker) Feed(ev logparse.EncodedEvent) ([]Chain, error) {
+func (t *Tracker) Feed(ev logparse.EncodedEvent) ([]Chain, error) { return t.FeedRef(&ev) }
+
+// FeedRef is Feed by reference: the window's append is the event's one
+// copy, and a late event's clamp is written to that copy, never to *ev.
+func (t *Tracker) FeedRef(ev *logparse.EncodedEvent) ([]Chain, error) {
 	if ev.Node != t.node {
 		return nil, fmt.Errorf("chain: tracker for %s fed event from %s", t.node, ev.Node)
 	}
-	if t.lab.LabelOf(ev.Event) == catalog.Safe {
+	if t.lab.LabelOf(&ev.Event) == catalog.Safe {
 		return nil, nil
 	}
-	if t.hasLast && ev.Time.Before(t.last) {
-		ev.Time = t.last
+	ts := ev.Time
+	late := t.hasLast && ts.Before(t.last)
+	if late {
+		ts = t.last
 		t.late++
 	}
 	var closed []Chain
-	if t.hasLast && ev.Time.Sub(t.last) > t.cfg.MaxGap {
+	if t.hasLast && ts.Sub(t.last) > t.cfg.MaxGap {
 		if c, ok := t.flush(false); ok {
 			closed = append(closed, c)
 		}
 	}
-	t.last = ev.Time
+	t.last = ts
 	t.hasLast = true
 	if t.maxOpen > 0 && t.OpenLen() == t.maxOpen {
 		t.head++
@@ -114,8 +132,11 @@ func (t *Tracker) Feed(ev logparse.EncodedEvent) ([]Chain, error) {
 			t.head = 0
 		}
 	}
-	t.cur = append(t.cur, ev)
-	if t.lab.TerminalOf(ev.Event) {
+	t.cur = append(t.cur, *ev)
+	if late {
+		t.cur[len(t.cur)-1].Time = ts
+	}
+	if t.lab.TerminalOf(&ev.Event) {
 		if c, ok := t.flush(true); ok {
 			closed = append(closed, c)
 		}

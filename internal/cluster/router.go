@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"desh/internal/logparse"
+	"desh/internal/par"
 	"desh/internal/persist"
 	"desh/internal/persist/faultfs"
 	"desh/internal/retry"
@@ -143,7 +144,9 @@ type RouterMetricsSnapshot struct {
 
 type peerState struct {
 	Peer
-	ch      chan logparse.Event
+	// q holds the routed events awaiting this peer's sender, which takes
+	// them a POST body at a time.
+	q       *par.Queue[logparse.Event]
 	healthy atomic.Bool
 	// stop ends this peer's sender/health goroutines when the member
 	// leaves the cluster view (the router itself keeps running).
@@ -161,7 +164,7 @@ type peerState struct {
 
 // newPeerState builds a peer's state; healthy starts as inRing.
 func newPeerState(p Peer, queue int, inRing bool) *peerState {
-	ps := &peerState{Peer: p, ch: make(chan logparse.Event, queue), stop: make(chan struct{}), inRing: inRing}
+	ps := &peerState{Peer: p, q: par.NewQueue[logparse.Event](queue), stop: make(chan struct{}), inRing: inRing}
 	ps.healthy.Store(inRing)
 	return ps
 }
@@ -361,17 +364,13 @@ func (r *Router) IngestLine(line string) error {
 // owner is unknown, unhealthy, or backlogged.
 func (r *Router) route(ev logparse.Event) {
 	r.outstanding.Add(1)
-	// Sent under the read lock: a departing member leaves r.peers under the
+	// Put under the read lock: a departing member leaves r.peers under the
 	// write lock before stopPeer sweeps its queue, so nothing lands behind it.
 	r.mu.RLock()
 	ps := r.peers[r.ring.Owner(persist.NodeHash(ev.Node))]
-	if ps != nil && ps.healthy.Load() {
-		select {
-		case ps.ch <- ev:
-			r.mu.RUnlock()
-			return
-		default:
-		}
+	if ps != nil && ps.healthy.Load() && ps.q.Put(ev, false) {
+		r.mu.RUnlock()
+		return
 	}
 	r.mu.RUnlock()
 	r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
@@ -400,35 +399,62 @@ func (r *Router) spillRecord(rec []byte) {
 // still fits, so a full batch never trips its own peer's cap.
 const maxWireBody = maxIngestBody - 3*maxLineBytes
 
+// wireBound bounds the bytes ev adds to a body: its three strings plus
+// the frame length, type byte, time varint and three length prefixes.
+func wireBound(ev *logparse.Event) int {
+	return 24 + len(ev.Node) + len(ev.Message) + len(ev.Key)
+}
+
 // sender is one peer's delivery goroutine: it coalesces queued events
 // into batches and POSTs them with bounded retry, spilling what it
 // cannot deliver. One goroutine per peer keeps per-peer delivery FIFO.
+// A body takes queued events a chunk per lock, up to BatchMax events or
+// until the bound on its size reaches maxWireBody; every event taken
+// goes into the body being built, so none is held outside the queue.
 func (r *Router) sender(ps *peerState) {
-	var batch persist.EventBatch
+	var (
+		batch persist.EventBatch
+		evs   []logparse.Event
+		bound int
+	)
+	full := func(ev *logparse.Event) bool {
+		bound += wireBound(ev)
+		return bound >= maxWireBody
+	}
 	for {
 		select {
 		case <-r.ctx.Done():
 			return
 		case <-ps.stop:
 			return
-		case ev := <-ps.ch:
-			batch.Reset()
-			batch.Add(ev)
-		fill:
-			for batch.Len() < r.cfg.BatchMax && len(batch.Bytes()) < maxWireBody {
-				select {
-				case more := <-ps.ch:
-					batch.Add(more)
-				default:
-					break fill
-				}
+		default:
+		}
+		batch.Reset()
+		bound = 0
+		for batch.Len() < r.cfg.BatchMax && bound < maxWireBody {
+			evs, _ = ps.q.Take(evs[:0], r.cfg.BatchMax-batch.Len(), full)
+			if len(evs) == 0 {
+				break
 			}
-			r.sendBatch(ps, &batch)
-			r.outstanding.Add(-int64(batch.Len()))
+			for i := range evs {
+				batch.Add(evs[i])
+			}
+		}
+		if batch.Len() == 0 {
 			select {
-			case r.progress <- struct{}{}:
-			default:
+			case <-r.ctx.Done():
+				return
+			case <-ps.stop:
+				return
+			case <-ps.q.Ready():
 			}
+			continue
+		}
+		r.sendBatch(ps, &batch)
+		r.outstanding.Add(-int64(batch.Len()))
+		select {
+		case r.progress <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -609,8 +635,10 @@ func (r *Router) eject(dead *peerState) {
 	setMemberState(&v2, dead.Name, persist.StateEjected)
 	v2.Epoch++
 	r.installView(v2)
-	r.met.PeerUnhealthy.Add(1)
+	// Rebalances moves first: whoever sees the ejection or readmission
+	// counted sees its rebalance counted too.
 	r.met.Rebalances.Add(1)
+	r.met.PeerUnhealthy.Add(1)
 	alive := v2.RingMembers()
 	r.diagf("cluster: peer %s unhealthy, ejected at epoch %d (%d peers remain)", dead.Name, v2.Epoch, len(alive))
 	if len(alive) == 0 {
@@ -697,8 +725,8 @@ func (r *Router) readmit(ps *peerState) {
 	r.diagf("cluster: peer %s rejoining at epoch %d", ps.Name, v2.Epoch)
 	_ = r.handoffGained(oldRing, newRing.Ranges(ps.Name), v2.Epoch, ps.Peer, "")
 	r.commitView(v2) // installing the ejected→in transition flips healthy back on
-	r.met.Readmits.Add(1)
 	r.met.Rebalances.Add(1)
+	r.met.Readmits.Add(1)
 	r.diagf("cluster: peer %s readmitted at epoch %d", ps.Name, v2.Epoch)
 }
 
@@ -771,13 +799,15 @@ func (r *Router) startPeer(ps *peerState) {
 // ranges' new owners.
 func (r *Router) stopPeer(ps *peerState) {
 	close(ps.stop)
+	var evs []logparse.Event
 	for {
-		select {
-		case ev := <-ps.ch:
-			r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
-			r.outstanding.Add(-1)
-		default:
+		evs, _ = ps.q.Take(evs[:0], ps.q.Cap(), nil)
+		if len(evs) == 0 {
 			return
+		}
+		for i := range evs {
+			r.spillRecord(persist.EncodeEvent(persist.RecordOf(evs[i])))
+			r.outstanding.Add(-1)
 		}
 	}
 }

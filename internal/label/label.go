@@ -65,7 +65,7 @@ func (l *Labeler) OverrideTerminal(key string, terminal bool) {
 // already names when there is one and no override is set; an override
 // set after the parse, a runtime Extend key and a hand-built event
 // (ref 0) all take the key path.
-func (l *Labeler) LabelOf(ev logparse.Event) catalog.Label {
+func (l *Labeler) LabelOf(ev *logparse.Event) catalog.Label {
 	if ref := ev.Ref(); ref != 0 && len(l.overrides) == 0 {
 		return catalog.Catalog[ref-1].Label
 	}
@@ -73,7 +73,7 @@ func (l *Labeler) LabelOf(ev logparse.Event) catalog.Label {
 }
 
 // TerminalOf is IsTerminal(ev.Key) on the same terms as LabelOf.
-func (l *Labeler) TerminalOf(ev logparse.Event) bool {
+func (l *Labeler) TerminalOf(ev *logparse.Event) bool {
 	if ref := ev.Ref(); ref != 0 && len(l.terminals) == 0 {
 		return catalog.Catalog[ref-1].Terminal
 	}
@@ -85,9 +85,9 @@ func (l *Labeler) TerminalOf(ev logparse.Event) bool {
 // Order is preserved; the input is not modified.
 func (l *Labeler) DropSafe(events []logparse.EncodedEvent) []logparse.EncodedEvent {
 	out := make([]logparse.EncodedEvent, 0, len(events))
-	for _, ev := range events {
-		if l.LabelOf(ev.Event) != catalog.Safe {
-			out = append(out, ev)
+	for i := range events {
+		if l.LabelOf(&events[i].Event) != catalog.Safe {
+			out = append(out, events[i])
 		}
 	}
 	return out

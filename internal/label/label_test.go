@@ -90,7 +90,7 @@ func TestCounts(t *testing.T) {
 	}
 	c := make(map[catalog.Label]int)
 	for _, ev := range events {
-		c[l.LabelOf(ev.Event)]++
+		c[l.LabelOf(&ev.Event)]++
 	}
 	if c[catalog.Safe] != 2 || c[catalog.Unknown] != 1 || c[catalog.Error] != 1 {
 		t.Fatalf("counts %v", c)

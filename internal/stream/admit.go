@@ -2,7 +2,8 @@ package stream
 
 // Admission, the first of the three seams (DESIGN §9): lines and parsed
 // events in; what passes the ingest filters is journaled, given its
-// phrase id and leaves as a shardMsg on its node's shard queue.
+// phrase id and leaves as a shardMsg on its node's shard queue, each run
+// of events bound for one shard put under one lock.
 
 import (
 	"time"
@@ -30,7 +31,8 @@ func (s *Streamer) IngestLine(line string) error {
 // IngestEvent routes one parsed event to its node's shard: an
 // IngestBatch of one.
 func (s *Streamer) IngestEvent(ev logparse.Event) error {
-	one := [1]Admission{{Event: ev}}
+	var one [1]Admission
+	one[0].Event = ev
 	if _, err := s.IngestBatch(one[:]); err != nil {
 		return err
 	}
@@ -55,8 +57,10 @@ type Admission struct {
 	// range is frozen mid-handoff. Either way the event was neither
 	// counted nor journaled.
 	Refused bool
-	// admitted marks an event that passed every ingest filter.
+	// admitted marks an event that passed every ingest filter; shard is
+	// then the index of its node's shard.
 	admitted bool
+	shard    int32
 }
 
 // IngestBatch admits a batch of parsed events as one unit: the ingest
@@ -64,7 +68,9 @@ type Admission struct {
 // single WAL write, and only after that write has reached the OS is the
 // first of them queued for its shard. A caller that acknowledges the
 // batch after IngestBatch returns therefore never acknowledges an event
-// a process kill could lose.
+// a process kill could lose. Each run of admitted events bound for one
+// shard (up to the first bound elsewhere) is put on its queue under one
+// lock, written straight into the ring's slots.
 //
 // Every event of a batch carries one enqueue stamp, a single monotonic
 // reading taken at the batch's admission: the detect-latency histogram
@@ -76,8 +82,8 @@ type Admission struct {
 // epoch is the ownership epoch the admission check used (0 standalone).
 func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 	// The RLock pins "not closed" for the duration of the call: Close
-	// takes the write lock, so it cannot close the shard channels while
-	// any send is in flight — which is what makes "every event counted
+	// takes the write lock, so it cannot close the shard queues while
+	// any put is in flight — which is what makes "every event counted
 	// in Ingested is processed" an exact invariant.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -109,7 +115,7 @@ func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 		s.met.Ingested.Add(1)
 		// The §3.1 Safe filter runs before the queue so bursts of benign
 		// chatter never consume queue slots or shard time.
-		if s.lab.LabelOf(a.Event) == catalog.Safe {
+		if s.lab.LabelOf(&a.Event) == catalog.Safe {
 			s.met.SafeFiltered.Add(1)
 			continue
 		}
@@ -135,6 +141,7 @@ func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 			continue
 		}
 		a.admitted = true
+		a.shard = int32(s.shardOf(a.Event.Node))
 		admitted++
 	}
 	if admitted == 0 {
@@ -151,22 +158,43 @@ func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 	if s.pst != nil {
 		s.pst.appendEvents(s, batch, admitted)
 	}
-	for i := range batch {
+	block := s.opts.Policy == Block
+	for i := 0; i < len(batch); {
 		if !batch[i].admitted {
+			i++
 			continue
 		}
-		ev := &batch[i].Event
-		msg := shardMsg{ev: logparse.EncodedEvent{Event: *ev, ID: s.phraseID(ev)}, at: at}
-		sh := s.shards[s.shardOf(ev.Node)]
-		if s.opts.Policy == Block {
-			sh.ch <- msg
-			continue
+		// The run: batch[i:end]'s admitted events, all bound for shard sh.
+		sh, end, n := batch[i].shard, i, 0
+		for ; end < len(batch); end++ {
+			if a := &batch[end]; a.admitted {
+				if a.shard != sh {
+					break
+				}
+				n++
+			}
 		}
-		select {
-		case sh.ch <- msg:
-		default:
-			s.met.Dropped.Add(1)
+		next := i
+		put := s.shards[sh].q.PutN(n, block, func(m *shardMsg) {
+			for !batch[next].admitted {
+				next++
+			}
+			ev := &batch[next].Event
+			m.ev.Event = *ev
+			m.ev.ID = s.phraseID(ev)
+			m.at = at
+			next++
+		})
+		// DropNewest refused the rest of a run that met a full queue: each
+		// event counted, and through the drift tap as a queued one is.
+		for ; put < n; next++ {
+			if batch[next].admitted {
+				s.phraseID(&batch[next].Event)
+				s.met.Dropped.Add(1)
+				put++
+			}
 		}
+		i = end
 	}
 	return epoch, nil
 }

@@ -66,10 +66,10 @@ func (sh *shard) flushPending() {
 }
 
 // observeBatch stamps the wakeup's coalescing counters and the
-// enqueue→verdict latency of every drained event — queue wait plus
+// enqueue→verdict latency of every taken event — queue wait plus
 // processing plus the batched scoring the event waited on, which is the
 // latency a subscriber experiences and the signal the shed controller
-// budgets against.
+// budgets against. The samples fold into one histBatch, merged once.
 func (sh *shard) observeBatch() {
 	if len(sh.buf) == 0 {
 		return
@@ -77,9 +77,11 @@ func (sh *shard) observeBatch() {
 	sh.s.met.BatchWakeups.Add(1)
 	sh.s.met.BatchEvents.Add(int64(len(sh.buf)))
 	now := time.Since(sh.s.epoch)
+	var hb histBatch
 	for i := range sh.buf {
-		sh.s.met.Detect.Observe(now - sh.buf[i].at)
+		hb.add(now - sh.buf[i].at)
 	}
+	sh.s.met.Detect.merge(&hb)
 	sh.buf = sh.buf[:0]
 	sh.bufNext, sh.counted = 0, 0
 }

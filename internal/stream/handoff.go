@@ -32,6 +32,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"desh/internal/logparse"
 	"desh/internal/persist"
@@ -109,6 +110,7 @@ func (s *Streamer) BeginHandoff(epoch uint64, target string, ranges []persist.Ha
 		s.mu.Unlock()
 		return nil, err
 	}
+	s.frozenAt = time.Now()
 	if s.pst != nil {
 		// The rotation aligns the capture with a segment boundary, the
 		// same cut snapshots use. A failure leaves the intent pending, as
@@ -147,7 +149,7 @@ func (s *Streamer) CompleteHandoff() error {
 	}
 	b := &dropBarrier{ranges: h.Ranges, ack: make(chan int, len(s.shards))}
 	for _, sh := range s.shards {
-		sh.ch <- shardMsg{drop: b}
+		sh.q.Put(shardMsg{drop: b}, true)
 	}
 	s.mu.Unlock()
 	// On ErrClosed the Out record is durable: recovery re-applies the drop.
@@ -183,7 +185,14 @@ func (s *Streamer) resolveLocked(typ byte) (persist.HandoffRecord, error) {
 		return persist.HandoffRecord{}, fmt.Errorf("stream: no handoff in flight")
 	}
 	h := *s.ctl.Handoff
-	return h, s.commitLocked(persist.EncodeHandoff(typ, h), true)
+	if err := s.commitLocked(persist.EncodeHandoff(typ, h), true); err != nil {
+		return h, err
+	}
+	if !s.frozenAt.IsZero() {
+		setLastMax(&s.met.HandoffFreezeNs, &s.met.HandoffFreezeMaxNs, time.Since(s.frozenAt))
+		s.frozenAt = time.Time{}
+	}
+	return h, nil
 }
 
 // ImportState installs a shipped range into this streamer: journal
@@ -222,7 +231,7 @@ func (s *Streamer) ImportState(epoch uint64, source string, ranges []persist.Has
 	}
 	barriers := s.buildImport(st)
 	for i, sh := range s.shards {
-		sh.ch <- shardMsg{imp: barriers[i]}
+		sh.q.Put(shardMsg{imp: barriers[i]}, true)
 	}
 	s.mu.Unlock()
 	// On ErrClosed the In record is durable: recovery re-applies the import.

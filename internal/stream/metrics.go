@@ -21,17 +21,55 @@ type Histogram struct {
 
 // Observe records one latency sample.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns / 1000))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
+	i, ns := bucketOf(d)
 	h.counts[i].Add(1)
 	h.sumNs.Add(ns)
 	h.n.Add(1)
+}
+
+// bucketOf is d's bucket and its nanoseconds, clamped at 0.
+func bucketOf(d time.Duration) (int, int64) {
+	ns := max(d.Nanoseconds(), 0)
+	return min(bits.Len64(uint64(ns/1000)), histBuckets-1), ns
+}
+
+// histBatch counts samples locally for one merge into a Histogram: a
+// shard wakeup's events cost one atomic add per bucket they touch plus
+// one each for the sum and the count, and leave the same totals as one
+// Observe per event.
+type histBatch struct {
+	counts [histBuckets]int64
+	sumNs  int64
+	n      int64
+}
+
+func (b *histBatch) add(d time.Duration) {
+	i, ns := bucketOf(d)
+	b.counts[i]++
+	b.sumNs += ns
+	b.n++
+}
+
+// merge adds b's samples to h, buckets before the count as Observe does.
+func (h *Histogram) merge(b *histBatch) {
+	for i, c := range b.counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.sumNs.Add(b.sumNs)
+	h.n.Add(b.n)
+}
+
+// setLastMax stores d in a last-value gauge and raises its max gauge.
+func setLastMax(last, peak *atomic.Int64, d time.Duration) {
+	last.Store(int64(d))
+	for {
+		m := peak.Load()
+		if int64(d) <= m || peak.CompareAndSwap(m, int64(d)) {
+			return
+		}
+	}
 }
 
 // Count returns the number of samples observed.
@@ -110,7 +148,8 @@ type Metrics struct {
 	Malformed atomic.Int64
 	// SafeFiltered counts events discarded as Safe-labeled at ingest.
 	SafeFiltered atomic.Int64
-	// Dropped counts events shed by the DropNewest queue policy.
+	// Dropped counts events the DropNewest policy refused because their
+	// shard's queue was full.
 	Dropped atomic.Int64
 	// ChainsOpen is a gauge: nodes currently holding an open episode.
 	ChainsOpen atomic.Int64
@@ -257,6 +296,16 @@ type Metrics struct {
 	HandoffNodesIn  atomic.Int64
 	HandoffNodesOut atomic.Int64
 
+	// Control-plane durations, in nanoseconds: each a last-value gauge
+	// and its max. SwapBarrier runs from SwapModel's journal write to
+	// every shard's ack of the swap barrier; HandoffFreeze from
+	// BeginHandoff's freeze of its ranges to the Out or Abort record
+	// that thaws them (a freeze recovered from the WAL is not timed).
+	SwapBarrierNs      atomic.Int64
+	SwapBarrierMaxNs   atomic.Int64
+	HandoffFreezeNs    atomic.Int64
+	HandoffFreezeMaxNs atomic.Int64
+
 	// Detect is the end-to-end per-event detect latency, measured
 	// enqueue→verdict: queue wait + chain tracking + (possibly batched)
 	// scoring. Exactly one observation per event a shard dequeues.
@@ -342,12 +391,20 @@ type MetricsSnapshot struct {
 	HandoffImports    int64 `json:"handoff_imports"`
 	HandoffNodesIn    int64 `json:"handoff_nodes_in"`
 	HandoffNodesOut   int64 `json:"handoff_nodes_out"`
-	QueueDepths       []int `json:"queue_depths"`
+	// Control-plane durations in milliseconds: the latest and the
+	// longest swap barrier and handoff freeze (0 until one completes).
+	SwapBarrierMs      float64 `json:"swap_barrier_ms"`
+	SwapBarrierMaxMs   float64 `json:"swap_barrier_max_ms"`
+	HandoffFreezeMs    float64 `json:"handoff_freeze_ms"`
+	HandoffFreezeMaxMs float64 `json:"handoff_freeze_max_ms"`
+	QueueDepths        []int   `json:"queue_depths"`
 	// Watermarks is each shard's event-time watermark in unix
 	// nanoseconds (0 until the shard has seen an event).
 	Watermarks []int64           `json:"watermarks"`
 	Detect     HistogramSnapshot `json:"detect_latency"`
 }
+
+func nsToMs(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }
 
 // SnapshotMetrics captures the counters plus per-shard queue depths.
 func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
@@ -390,6 +447,10 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		HandoffImports:       s.met.HandoffImports.Load(),
 		HandoffNodesIn:       s.met.HandoffNodesIn.Load(),
 		HandoffNodesOut:      s.met.HandoffNodesOut.Load(),
+		SwapBarrierMs:        nsToMs(s.met.SwapBarrierNs.Load()),
+		SwapBarrierMaxMs:     nsToMs(s.met.SwapBarrierMaxNs.Load()),
+		HandoffFreezeMs:      nsToMs(s.met.HandoffFreezeNs.Load()),
+		HandoffFreezeMaxMs:   nsToMs(s.met.HandoffFreezeMaxNs.Load()),
 		Late:                 s.met.Late.Load(),
 		LateDropped:          s.met.LateDropped.Load(),
 		LateClamped:          s.met.LateClamped.Load(),
@@ -423,7 +484,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		eff = s.et.effLateNs.Load()
 	}
 	for i, sh := range s.shards {
-		snap.QueueDepths[i] = len(sh.ch)
+		snap.QueueDepths[i] = sh.q.Len()
 		snap.ReorderPending += sh.pending.Load()
 		// The shard's watermark: max seen event time minus the effective
 		// allowed lateness (0 until the shard has seen an event).

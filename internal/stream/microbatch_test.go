@@ -105,7 +105,7 @@ func TestRetriedBatchCountsChainsOnce(t *testing.T) {
 	// touches from here to Close.
 	sh := s.shards[0]
 	parked := make(chan map[string]persistedNode)
-	sh.ch <- shardMsg{snap: parked}
+	sh.q.Put(shardMsg{snap: parked}, true)
 	<-parked
 	for _, c := range chains {
 		sh.pend = append(sh.pend, pendChain{ns: sh.state(c.Node), c: c})

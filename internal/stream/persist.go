@@ -408,23 +408,21 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 		}
 		delete(sh.nodes, node)
 	}
-	tr, err := chain.NewTracker(node, s.lab, s.p.Config().ChainCfg, s.opts.MaxOpenWindow)
-	if err != nil {
-		return fmt.Errorf("stream: restore %s: %w", node, err)
-	}
-	// A restored window longer than the current MaxOpenWindow
-	// shrinks lazily as new events evict from the front.
-	tr.Restore(pn.Tracker)
 	ns := &nodeState{
-		tracker:     tr,
 		lastArrival: time.Now(),
 		alerted:     pn.Alerted,
 		lastAlertAt: pn.LastAlertAt,
 		openAlerted: pn.OpenAlerted,
 		evicted:     pn.Tracker.Dropped,
 	}
+	if err := ns.tracker.Init(node, s.lab, s.p.Config().ChainCfg, s.opts.MaxOpenWindow); err != nil {
+		return fmt.Errorf("stream: restore %s: %w", node, err)
+	}
+	// A restored window longer than the current MaxOpenWindow
+	// shrinks lazily as new events evict from the front.
+	ns.tracker.Restore(pn.Tracker)
 	ns.lateClamped = pn.Tracker.Late
-	if tr.OpenLen() > 0 {
+	if ns.tracker.OpenLen() > 0 {
 		ns.wasOpen = true
 		s.met.ChainsOpen.Add(1)
 	}
@@ -513,7 +511,7 @@ func (s *Streamer) snapshotNow() error {
 func (s *Streamer) sendSnapBarrier() <-chan map[string]persistedNode {
 	replies := make(chan map[string]persistedNode, len(s.shards))
 	for _, sh := range s.shards {
-		sh.ch <- shardMsg{snap: replies}
+		sh.q.Put(shardMsg{snap: replies}, true)
 	}
 	return replies
 }

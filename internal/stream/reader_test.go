@@ -212,7 +212,7 @@ func TestIngestReaderOneWritePerRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lab.LabelOf(ev) != catalog.Safe {
+		if lab.LabelOf(&ev) != catalog.Safe {
 			journaled[end] = true
 			lines++
 		}
@@ -349,7 +349,7 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 		}
 		if ev, err := logparse.ParseLine(text[off:end]); err != nil {
 			t.Fatal(err)
-		} else if ev.Node != frozenNode && lab.LabelOf(ev) != catalog.Safe {
+		} else if ev.Node != frozenNode && lab.LabelOf(&ev) != catalog.Safe {
 			before++ // the unresolved handoff is recovered, range still frozen
 		}
 		off = end + 1

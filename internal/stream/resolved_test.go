@@ -88,10 +88,10 @@ func TestResolvedMatchesKeyPath(t *testing.T) {
 		t.Helper()
 		for i, ev := range events {
 			for pass := 0; pass < 2; pass++ { // the second pass reads the streamer's filled slot
-				if got, want := lab.LabelOf(ev), lab.Label(ev.Key); got != want {
+				if got, want := lab.LabelOf(&ev), lab.Label(ev.Key); got != want {
 					t.Fatalf("%s: LabelOf(%q ref %d) = %v, Label = %v", stage, ev.Key, ev.Ref(), got, want)
 				}
-				if got, want := lab.TerminalOf(ev), lab.IsTerminal(ev.Key); got != want {
+				if got, want := lab.TerminalOf(&ev), lab.IsTerminal(ev.Key); got != want {
 					t.Fatalf("%s: TerminalOf(%q ref %d) = %v, IsTerminal = %v", stage, ev.Key, ev.Ref(), got, want)
 				}
 				if got, want := s.encodeEvent(&ev), s.encodeKey(ev.Key); got != want {
@@ -106,7 +106,7 @@ func TestResolvedMatchesKeyPath(t *testing.T) {
 		}
 	}
 	check("fresh")
-	if got := lab.LabelOf(ext); got != catalog.Error {
+	if got := lab.LabelOf(&ext); got != catalog.Error {
 		t.Fatalf("extension key labelled %v, want its Extend label", got)
 	}
 
@@ -118,10 +118,10 @@ func TestResolvedMatchesKeyPath(t *testing.T) {
 	lab.Override(unseen.Key, catalog.Safe)
 	check("overridden")
 	for _, ev := range events {
-		if ev.Key == safe.Key && lab.LabelOf(ev) != catalog.Error {
+		if ev.Key == safe.Key && lab.LabelOf(&ev) != catalog.Error {
 			t.Fatalf("override of %q not seen through ref %d", ev.Key, ev.Ref())
 		}
-		if ev.Key == quiet.Key && !lab.TerminalOf(ev) {
+		if ev.Key == quiet.Key && !lab.TerminalOf(&ev) {
 			t.Fatalf("terminal override of %q not seen through ref %d", ev.Key, ev.Ref())
 		}
 	}

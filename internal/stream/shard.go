@@ -8,20 +8,23 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"desh/internal/chain"
 	"desh/internal/core"
 	"desh/internal/logparse"
+	"desh/internal/par"
 	"desh/internal/retry"
 )
 
 // shardMsg is one unit of shard work: an event to process, or — when
-// snap is non-nil — a snapshot barrier. Barriers ride the same FIFO
-// queue as events, which is what makes a captured state consistent
-// with a WAL boundary: every event appended before the boundary is
-// ahead of the barrier in the queue, every later one behind it.
+// one of snap, swap, drop or imp is set — a control barrier (isCtl).
+// Barriers ride the same FIFO queue as events, which is what makes a
+// captured state consistent with a WAL boundary: every event appended
+// before the boundary is ahead of the barrier in the queue, every later
+// one behind it.
 type shardMsg struct {
 	ev logparse.EncodedEvent
 	// at is the enqueue stamp, monotonic time since the streamer's epoch,
@@ -50,9 +53,11 @@ func isCtl(m *shardMsg) bool {
 // one touching its trackers, detector and per-node alert state, so the
 // hot path takes no locks.
 type shard struct {
-	s      *Streamer
-	id     int
-	ch     chan shardMsg
+	s  *Streamer
+	id int
+	// q is the shard's inbox: admitted events and control barriers in
+	// FIFO order, taken up to MicroBatch per lock.
+	q      *par.Queue[shardMsg]
 	flushC chan time.Time // nil unless IdleFlush is enabled
 	det    *core.Detector
 	nodes  map[string]*nodeState
@@ -72,18 +77,21 @@ type shard struct {
 	poisonCount int
 	rng         *rand.Rand
 
-	// Micro-batch state, shard-goroutine only. buf holds the messages
-	// drained by the current wakeup and bufNext the first one not yet
+	// Micro-batch state, shard-goroutine only. buf holds the events
+	// taken by the current wakeup and bufNext the first one not yet
 	// through its tracker — the in-flight one while an event runs — so a
 	// mid-batch panic restart retries that event and resumes the tail
-	// instead of dropping drained events; buf[:counted] are in Processed
-	// already. pend holds the chains those events closed, awaiting one
-	// batched scoring pass; pendTries counts consecutive restarts whose
-	// panic came from scoring pend itself. chbuf and verd are the
-	// grow-only DetectBatch scratch.
+	// instead of dropping taken events; buf[:counted] are in Processed
+	// already. held is the control barrier that ended the take, answered
+	// once the events ahead of it have flushed (hasHeld). pend holds the
+	// chains those events closed, awaiting one batched scoring pass;
+	// pendTries counts consecutive restarts whose panic came from scoring
+	// pend itself. chbuf and verd are the grow-only DetectBatch scratch.
 	buf       []shardMsg
 	bufNext   int
 	counted   int
+	held      shardMsg
+	hasHeld   bool
 	pend      []pendChain
 	pendTries int
 	chbuf     []chain.Chain
@@ -128,75 +136,74 @@ func (sh *shard) runLoop() (panicked bool) {
 		}
 	}()
 	// Finish any micro-batch a panic interrupted before taking new work:
-	// the event it was on (unless notePanic gave up on it), the drained
-	// events behind it and the deferred chains all precede everything
-	// still in the queue.
+	// the event it was on (unless notePanic gave up on it), the taken
+	// events behind it, the deferred chains and the barrier that ended
+	// the take all precede everything still in the queue.
 	sh.resumeBatch()
-	if sh.flushC == nil {
-		for m := range sh.ch {
-			if sh.s.crashed.Load() {
-				return false
-			}
-			sh.dispatch(&m)
-		}
-		return false
-	}
 	for {
-		select {
-		case m, ok := <-sh.ch:
-			if !ok || sh.s.crashed.Load() {
+		// An empty take leaves sh.buf untouched: a parked shard writes no
+		// shard state.
+		buf, closed := sh.q.Take(sh.buf[:0], sh.s.opts.MicroBatch, isCtl)
+		if len(buf) == 0 {
+			if closed {
 				return false
 			}
-			sh.dispatch(&m)
-		case now := <-sh.flushC:
-			sh.idleFlush(now)
+			sh.park()
+			continue
+		}
+		if sh.s.crashed.Load() {
+			// Simulated SIGKILL: abandon the batch mid-queue. The WAL holds
+			// every abandoned event.
+			return false
+		}
+		sh.buf = buf
+		sh.dispatch()
+		if sh.flushC != nil {
+			// A busy shard never parks, so it offers the idle-flush clock a
+			// turn between wakeups.
+			select {
+			case now := <-sh.flushC:
+				sh.idleFlush(now)
+			default:
+			}
 		}
 	}
 }
 
-// dispatch handles one shard wakeup. A snapshot barrier is answered
-// immediately. An event opens a micro-batch: up to MicroBatch-1 more
-// already-queued events are drained without ever waiting — the batch is
-// whatever backlog exists, so an idle shard keeps per-event latency —
-// then every drained event runs through the tracker with closed-chain
-// judging deferred, and the deferred chains score as one batched pass.
-func (sh *shard) dispatch(m *shardMsg) {
-	if isCtl(m) {
-		sh.applyCtl(m)
-		return
+// park waits for the doorbell of the queue a Take just found empty, or
+// for the idle-flush clock.
+func (sh *shard) park() {
+	select {
+	case <-sh.q.Ready():
+	case now := <-sh.flushC: // nil without IdleFlush: never ready
+		sh.idleFlush(now)
 	}
-	sh.buf = append(sh.buf[:0], *m)
-	var ctl shardMsg
-	var hasCtl bool
-drain:
-	for len(sh.buf) < sh.s.opts.MicroBatch {
-		select {
-		case m2, ok := <-sh.ch:
-			if !ok {
-				break drain
-			}
-			if sh.s.crashed.Load() {
-				// Simulated SIGKILL: abandon the batch mid-queue, exactly
-				// like the per-event loop abandons its current message.
-				// The WAL holds every abandoned event.
-				sh.buf = sh.buf[:0]
-				return
-			}
-			if isCtl(&m2) {
-				// A barrier must observe every event ahead of it in the
-				// queue, so it is answered after the batch flushes.
-				ctl, hasCtl = m2, true
-				break drain
-			}
-			sh.buf = append(sh.buf, m2)
-		default:
-			break drain
-		}
+}
+
+// dispatch handles one shard wakeup: the events Take returned — the
+// backlog that already existed, up to MicroBatch, so an idle shard keeps
+// per-event latency — run through the tracker with closed-chain judging
+// deferred, the deferred chains score as one batched pass, and a control
+// barrier that ended the take is answered after them, so it observes
+// every event ahead of it in the queue.
+func (sh *shard) dispatch() {
+	if last := len(sh.buf) - 1; isCtl(&sh.buf[last]) {
+		sh.held, sh.hasHeld = sh.buf[last], true
+		sh.buf = sh.buf[:last]
 	}
 	sh.processBatch()
-	if hasCtl {
-		sh.applyCtl(&ctl)
+	sh.applyHeld()
+}
+
+// applyHeld answers the barrier that ended the current take, if any. It
+// is cleared first: a barrier whose own handling panics is not retried.
+func (sh *shard) applyHeld() {
+	if !sh.hasHeld {
+		return
 	}
+	m := sh.held
+	sh.held, sh.hasHeld = shardMsg{}, false
+	sh.applyCtl(&m)
 }
 
 // awaitAcks waits for every shard to answer a control barrier; ErrClosed
@@ -226,8 +233,8 @@ func (sh *shard) applyCtl(m *shardMsg) {
 	}
 }
 
-// processBatch runs the unprocessed tail of the drained micro-batch,
-// each event by reference where the wakeup drained it, then scores the
+// processBatch runs the unprocessed tail of the taken micro-batch,
+// each event by reference where the wakeup took it, then scores the
 // deferred chains and stamps the batch's metrics. The wall clock is read
 // once per wakeup (it only feeds the idle-flush clock, whose granularity
 // is seconds) and Processed moves once per wakeup: notePanic counts what
@@ -264,6 +271,7 @@ func (sh *shard) resumeBatch() {
 	}
 	sh.processBatch()
 	sh.pendTries = 0
+	sh.applyHeld()
 }
 
 // process runs one event through the shard with crash attribution; now
@@ -362,9 +370,10 @@ func (sh *shard) backoff() {
 }
 
 // nodeState is one node's streaming state: its incremental chain
-// tracker plus the alert-dedup state machine.
+// tracker (held by value: one allocation with the rest of the state)
+// plus the alert-dedup state machine.
 type nodeState struct {
-	tracker *chain.Tracker
+	tracker chain.Tracker
 	// lastArrival is the wall-clock time the node's latest event was
 	// processed — the idle-flush trigger.
 	lastArrival time.Time
@@ -384,16 +393,19 @@ type nodeState struct {
 	et *nodeEventTime
 }
 
-// state returns (building on demand) the node's streaming state.
+// state returns (building on demand) the node's streaming state. The
+// node id of a parsed event is a substring of its raw line, so a new
+// node's key is cloned: the map and the tracker must not pin the first
+// line the node was seen in for the streamer's life.
 func (sh *shard) state(node string) *nodeState {
 	ns, ok := sh.nodes[node]
 	if !ok {
-		tr, err := chain.NewTracker(node, sh.s.lab, sh.s.p.Config().ChainCfg, sh.s.opts.MaxOpenWindow)
-		if err != nil {
+		node = strings.Clone(node)
+		ns = new(nodeState)
+		if err := ns.tracker.Init(node, sh.s.lab, sh.s.p.Config().ChainCfg, sh.s.opts.MaxOpenWindow); err != nil {
 			// Config was validated in New; this cannot happen.
 			panic(fmt.Sprintf("stream: tracker for %s: %v", node, err))
 		}
-		ns = &nodeState{tracker: tr}
 		sh.nodes[node] = ns
 	}
 	return ns
@@ -460,7 +472,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 // feed runs one release-ordered event through the chain tracker and the
 // detection path — the pre-event-time handle body.
 func (sh *shard) feed(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
-	closed, err := ns.tracker.Feed(*ev)
+	closed, err := ns.tracker.FeedRef(ev)
 	if err != nil {
 		// Unreachable: events are routed to trackers by node.
 		sh.s.met.Malformed.Add(1)

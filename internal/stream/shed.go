@@ -72,7 +72,7 @@ func (c *shedController) admit(ev logparse.Event) bool {
 	if l < 2 {
 		return true
 	}
-	if c.s.lab.LabelOf(ev) == catalog.Unknown {
+	if c.s.lab.LabelOf(&ev) == catalog.Unknown {
 		return false
 	}
 	if l >= 3 {
@@ -88,7 +88,7 @@ func (c *shedController) admit(ev logparse.Event) bool {
 func (c *shedController) tick() {
 	var frac float64
 	for _, sh := range c.s.shards {
-		if f := float64(len(sh.ch)) / float64(cap(sh.ch)); f > frac {
+		if f := float64(sh.q.Len()) / float64(sh.q.Cap()); f > frac {
 			frac = f
 		}
 	}

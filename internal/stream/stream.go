@@ -26,6 +26,7 @@ import (
 	"desh/internal/core"
 	"desh/internal/label"
 	"desh/internal/logparse"
+	"desh/internal/par"
 )
 
 // ErrClosed is returned by ingest entry points after Close.
@@ -101,6 +102,9 @@ type Streamer struct {
 	// ctl is the control plane's state (guarded by mu): the one copy,
 	// changed only by Control.apply, live and on replay (control.go).
 	ctl Control
+	// frozenAt is when this process's BeginHandoff froze the in-flight
+	// handoff's ranges (guarded by mu; zero otherwise).
+	frozenAt time.Time
 
 	mu     sync.RWMutex // guards closed against in-flight ingests
 	closed bool
@@ -155,7 +159,7 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 		sh := &shard{
 			s:     s,
 			id:    i,
-			ch:    make(chan shardMsg, opts.QueueDepth),
+			q:     par.NewQueue[shardMsg](opts.QueueDepth),
 			det:   det,
 			nodes: make(map[string]*nodeState),
 		}
@@ -280,7 +284,7 @@ func (s *Streamer) stop(crashed bool) bool {
 	s.mu.Unlock()
 	close(s.done)
 	for _, sh := range s.shards {
-		close(sh.ch)
+		sh.q.Close()
 	}
 	s.wg.Wait()
 	s.bgWG.Wait()

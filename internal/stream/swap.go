@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"desh/internal/core"
 	"desh/internal/persist"
@@ -77,6 +78,7 @@ func (s *Streamer) SwapModel(cand *core.Pipeline) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	start := time.Now()
 	if s.pst != nil {
 		if _, err := s.pst.wal.Append(persist.EncodeSwap(persist.SwapRecord{ModelFile: file})); err != nil {
 			s.mu.Unlock()
@@ -94,7 +96,7 @@ func (s *Streamer) SwapModel(cand *core.Pipeline) error {
 	s.adoptModel(cand, file)
 	b := &swapBarrier{p: cand, ack: make(chan int, len(s.shards))}
 	for _, sh := range s.shards {
-		sh.ch <- shardMsg{swap: b}
+		sh.q.Put(shardMsg{swap: b}, true)
 	}
 	s.mu.Unlock()
 	// On ErrClosed the journal record is already durable, so the swap is
@@ -103,6 +105,7 @@ func (s *Streamer) SwapModel(cand *core.Pipeline) error {
 	if err := s.awaitAcks(b.ack); err != nil {
 		return err
 	}
+	setLastMax(&s.met.SwapBarrierNs, &s.met.SwapBarrierMaxNs, time.Since(start))
 	s.met.Swaps.Add(1)
 	return nil
 }
