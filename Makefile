@@ -86,10 +86,13 @@ bench-smoke:
 # the minimiser is capped), the model file header, the cluster control
 # payloads, the instance's record /ingest, the f32 conversion, the gate
 # kernel (assembly against GateMatVec, bit for bit), the training
-# kernels (row update and RMSprop against their Go loops, bit for bit)
-# and the activation kernel (assembly against the scalar sigmoid/tanh
+# kernels (row update and RMSprop against their Go loops, bit for bit),
+# the activation kernel (assembly against the scalar sigmoid/tanh
 # loop, i.e. against this toolchain's math.Exp and math.Tanh, bit for
-# bit). scripts/check_ci_tests.sh fails on a target missing here.
+# bit), the chain tracker's Unix-nanosecond late and gap tests and
+# FromEpisode's ΔT (against their time.Time forms, ΔT bit for bit) and
+# NodeHash (against hash/fnv). scripts/check_ci_tests.sh fails on a
+# target missing here.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
@@ -104,6 +107,8 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzTrainKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzActivationParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/chain/ -run '^$$' -fuzz FuzzTrackerTimeParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzNodeHash -fuzztime $(FUZZTIME)
 
 # run-deshd is the daemon smoke test: generate a log, train a small
 # model, replay the log through deshd, and assert it raises at least

@@ -13,6 +13,7 @@ package chain
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"desh/internal/label"
@@ -76,10 +77,13 @@ func Episodes(events []logparse.EncodedEvent, lab *label.Labeler, cfg Config) ([
 		}
 		cur = nil
 	}
+	var prev int64
 	for i, ev := range filtered {
-		if i > 0 && ev.Time.Sub(filtered[i-1].Time) > cfg.MaxGap {
+		tn := ev.Time.UnixNano()
+		if i > 0 && gapped(prev, tn, cfg.MaxGap) {
 			flush(false)
 		}
+		prev = tn
 		if len(cur) > 0 && ev.Node != cur[0].Node {
 			return nil, fmt.Errorf("chain: events from multiple nodes (%s, %s); segment per node", cur[0].Node, ev.Node)
 		}
@@ -90,6 +94,27 @@ func Episodes(events []logparse.EncodedEvent, lab *label.Labeler, cfg Config) ([
 	}
 	flush(false)
 	return episodes, nil
+}
+
+// gapped is the gap predicate Episodes and Tracker share: next follows
+// prev (Unix nanoseconds) by more than maxGap. The difference is taken
+// unsigned, so a span beyond the int64 range still splits, as
+// time.Time.Sub's saturation made it.
+func gapped(prev, next int64, maxGap time.Duration) bool {
+	return next >= prev && uint64(next-prev) > uint64(maxGap)
+}
+
+// subNanos is a − b in Unix nanoseconds as time.Time.Sub returns it for
+// the two times: saturated at the Duration range instead of wrapping.
+func subNanos(a, b int64) time.Duration {
+	d := a - b
+	if (d < 0) != (a < b) {
+		if a < b {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return time.Duration(d)
 }
 
 // Entry is one phrase of a failure chain with its cumulative time
@@ -120,22 +145,26 @@ func (c Chain) Lead() float64 {
 // FromEpisode converts an episode into a ΔT-annotated chain. The anchor
 // is the episode's last event: for failure chains that is the terminal
 // message (ΔT6 = 0 in Table 4); for candidate sequences it is simply the
-// most recent anomaly, mirroring how Phase 3 vectorizes test data.
+// most recent anomaly, mirroring how Phase 3 vectorizes test data. ΔT
+// is the Duration anchor.Sub(t) would return, taken on Unix nanoseconds,
+// so its float bits are Sub's for any time UnixNano represents.
 func FromEpisode(ep Episode) Chain {
 	n := len(ep.Events)
 	anchor := ep.Events[n-1].Time
+	anchorN := anchor.UnixNano()
 	c := Chain{
 		Node:     ep.Node,
 		FailTime: anchor,
 		Terminal: ep.Terminal,
 		Entries:  make([]Entry, n),
 	}
-	for i, ev := range ep.Events {
+	for i := range ep.Events {
+		ev := &ep.Events[i]
 		c.Entries[i] = Entry{
 			ID:     ev.ID,
 			Key:    ev.Key,
 			Time:   ev.Time,
-			DeltaT: anchor.Sub(ev.Time).Seconds(),
+			DeltaT: subNanos(anchorN, ev.Time.UnixNano()).Seconds(),
 		}
 	}
 	return c

@@ -21,6 +21,11 @@ import (
 // same slice (pinned by TestTrackerMatchesEpisodes), except when a
 // MaxOpen window bound is set and an episode outgrows it.
 //
+// Its late and gap tests run on Unix nanoseconds, which matches the
+// time.Time comparisons for any time UnixNano represents (1678 to
+// 2262, FuzzTrackerTimeParity); the streaming layer admits no other
+// (logparse.CheckUnixNano).
+//
 // A Tracker is not safe for concurrent use; shards own theirs
 // exclusively.
 type Tracker struct {
@@ -41,8 +46,11 @@ type Tracker struct {
 	head int
 	// last is the time of the previous non-Safe event, whether or not it
 	// was flushed into an earlier episode — Episodes measures gaps over
-	// the Safe-filtered stream, not within the current burst.
+	// the Safe-filtered stream, not within the current burst. lastN is
+	// the same instant in Unix nanoseconds, what the late and gap tests
+	// compare; last is kept for the clamp and the snapshot.
 	last    time.Time
+	lastN   int64
 	hasLast bool
 	dropped int64
 	late    int64
@@ -110,19 +118,22 @@ func (t *Tracker) FeedRef(ev *logparse.EncodedEvent) ([]Chain, error) {
 	if t.lab.LabelOf(&ev.Event) == catalog.Safe {
 		return nil, nil
 	}
-	ts := ev.Time
-	late := t.hasLast && ts.Before(t.last)
+	tn := ev.Time.UnixNano()
+	late := t.hasLast && tn < t.lastN
 	if late {
-		ts = t.last
+		tn = t.lastN
 		t.late++
 	}
 	var closed []Chain
-	if t.hasLast && ts.Sub(t.last) > t.cfg.MaxGap {
+	if t.hasLast && gapped(t.lastN, tn, t.cfg.MaxGap) {
 		if c, ok := t.flush(false); ok {
 			closed = append(closed, c)
 		}
 	}
-	t.last = ts
+	if !late {
+		t.last = ev.Time
+	}
+	t.lastN = tn
 	t.hasLast = true
 	if t.maxOpen > 0 && t.OpenLen() == t.maxOpen {
 		t.head++
@@ -134,7 +145,7 @@ func (t *Tracker) FeedRef(ev *logparse.EncodedEvent) ([]Chain, error) {
 	}
 	t.cur = append(t.cur, *ev)
 	if late {
-		t.cur[len(t.cur)-1].Time = ts
+		t.cur[len(t.cur)-1].Time = t.last
 	}
 	if t.lab.TerminalOf(&ev.Event) {
 		if c, ok := t.flush(true); ok {
@@ -194,7 +205,7 @@ func (t *Tracker) Snapshot() TrackerState {
 // stopped. The state's events are copied in.
 func (t *Tracker) Restore(st TrackerState) {
 	t.cur, t.head = append(t.cur[:0], st.Open...), 0
-	t.last = st.Last
+	t.last, t.lastN = st.Last, st.Last.UnixNano()
 	t.hasLast = st.HasLast
 	t.dropped = st.Dropped
 	t.late = st.Late

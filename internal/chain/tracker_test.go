@@ -1,7 +1,9 @@
 package chain
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -444,5 +446,59 @@ func BenchmarkTrackerFullWindow(b *testing.B) {
 	}
 	if tr.OpenLen() != maxOpen {
 		b.Fatalf("window %d, want %d", tr.OpenLen(), maxOpen)
+	}
+}
+
+// BenchmarkTrackerFeedInterleaved is one Feed as a flood shard makes
+// it: 512 nodes' streams interleaved event by event, each node a run of
+// failure chains — eight phrases 1 to 8 s apart, the last a terminal,
+// then two to five minutes quiet — with every fifth chain cut short by
+// a gap instead. It times the late and gap tests and the chain closes
+// (FromEpisode's ΔT) together; the allocations are the closed chains'.
+func BenchmarkTrackerFeedInterleaved(b *testing.B) {
+	const nodes, perNode = 512, 256
+	lab := label.New()
+	keys := []string{"DVS: Verify Filesystem *", "LustreError: * failed md_getattr err *", "Trap invalid code * Error *"}
+	rng := rand.New(rand.NewSource(1))
+	streams := make([][]logparse.EncodedEvent, nodes)
+	for n := range streams {
+		node := fmt.Sprintf("c0-0c0s%dn%d", n/4, n%4)
+		at := t0.Add(time.Duration(rng.Intn(300)) * time.Second)
+		for c := 0; len(streams[n]) < perNode; c++ {
+			for k := 0; k < 8 && len(streams[n]) < perNode; k++ {
+				key := keys[rng.Intn(len(keys))]
+				if k == 7 && c%5 != 4 {
+					key = "cb_node_unavailable *"
+				}
+				streams[n] = append(streams[n], logparse.EncodedEvent{Event: logparse.NewEvent(at, node, key, key), ID: k})
+				at = at.Add(time.Duration(1+rng.Intn(8)) * time.Second)
+			}
+			at = at.Add(time.Duration(120+rng.Intn(180)) * time.Second)
+		}
+	}
+	trackers := make([]Tracker, nodes)
+	reset := func() {
+		for n := range trackers {
+			if err := trackers[n].Init(streams[n][0].Node, lab, DefaultConfig(), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := 0, 0; i < b.N; i++ {
+		n := i % nodes
+		if _, err := trackers[n].FeedRef(&streams[n][k]); err != nil {
+			b.Fatal(err)
+		}
+		if n == nodes-1 {
+			if k++; k == perNode {
+				b.StopTimer()
+				reset()
+				k = 0
+				b.StartTimer()
+			}
+		}
 	}
 }

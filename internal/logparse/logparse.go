@@ -78,6 +78,32 @@ func validTimestamp(ts time.Time) error {
 	return nil
 }
 
+// The Unix-nanosecond range's ends: time.Unix(0, math.MinInt64) and
+// time.Unix(0, math.MaxInt64) as whole seconds plus nanoseconds.
+const (
+	minNanoSec, minNanoNsec = -9223372037, 145224192
+	maxNanoSec, maxNanoNsec = 9223372036, 854775807
+)
+
+// CheckUnixNano rejects, with a *TimestampError, a time UnixNano cannot
+// represent (before 1678 or after 2262; the zero value is one): the WAL
+// journals event times as Unix nanoseconds and the chain tracker does
+// its per-event arithmetic on them, so the serving path admits no other.
+func CheckUnixNano(ts time.Time) error {
+	if sec := ts.Unix(); sec > minNanoSec && sec < maxNanoSec {
+		return nil
+	}
+	return checkNanoEdge(ts)
+}
+
+func checkNanoEdge(ts time.Time) error {
+	sec, nsec := ts.Unix(), ts.Nanosecond()
+	if (sec == minNanoSec && nsec >= minNanoNsec) || (sec == maxNanoSec && nsec <= maxNanoNsec) {
+		return nil
+	}
+	return &TimestampError{Time: ts, Reason: "outside the Unix-nanosecond range"}
+}
+
 // Event is a parsed log record. Beside its four fields it carries, in
 // this process only, which static catalog entry its Key is (Ref):
 // ParseLine and NewEvent set it, an Event{...} literal leaves it zero,
@@ -102,8 +128,9 @@ func NewEvent(ts time.Time, node, message, key string) Event {
 }
 
 // Ref is the static catalog entry Key was found to be by ParseLine or
-// NewEvent; 0 when it is not a static phrase or was never resolved.
-func (e Event) Ref() catalog.Ref { return e.ref }
+// NewEvent; 0 when it is not a static phrase or was never resolved. The
+// pointer receiver keeps a read from copying the event.
+func (e *Event) Ref() catalog.Ref { return e.ref }
 
 // ParseLine splits one raw line into timestamp, node id and message and
 // masks the message into its static phrase key. Lines whose timestamp

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"sort"
 )
 
@@ -133,11 +132,16 @@ func delinearize(lo, hi uint64) HashRange {
 
 // NodeHash positions a node id on the hash circle. FNV-1a matches the
 // streamer's shard routing hash, so one node's placement is a single
-// well-known function everywhere in the system.
+// well-known function everywhere in the system. The loop is hash/fnv's
+// New32a over the string's bytes (FuzzNodeHash), written out so that it
+// inlines into the per-event admission path.
 func NodeHash(node string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(node))
-	return h.Sum32()
+	h := uint32(2166136261)
+	for i := 0; i < len(node); i++ {
+		h ^= uint32(node[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // HandoffRecord is the WAL payload of the handoff protocol records.

@@ -25,15 +25,26 @@ func (s *Streamer) IngestLine(line string) error {
 		s.met.Malformed.Add(1)
 		return err
 	}
-	return s.IngestEvent(ev)
+	return s.ingestOne(&ev)
 }
 
 // IngestEvent routes one parsed event to its node's shard: an
-// IngestBatch of one.
+// IngestBatch of one. An event time UnixNano cannot represent is counted
+// in Metrics.Malformed and returned as a *logparse.TimestampError.
 func (s *Streamer) IngestEvent(ev logparse.Event) error {
+	if err := logparse.CheckUnixNano(ev.Time); err != nil {
+		s.met.Malformed.Add(1)
+		return err
+	}
+	return s.ingestOne(&ev)
+}
+
+// ingestOne admits one event whose time is known to be in the UnixNano
+// range.
+func (s *Streamer) ingestOne(ev *logparse.Event) error {
 	var one [1]Admission
-	one[0].Event = ev
-	if _, err := s.IngestBatch(one[:]); err != nil {
+	one[0].Event = *ev
+	if _, err := s.admit(one[:], true); err != nil {
 		return err
 	}
 	if one[0].Refused {
@@ -79,8 +90,18 @@ type Admission struct {
 // policy, behind the events queued ahead of it. The wall clock is read
 // only when a skew tolerance is set, once per call, for the skew guard.
 //
+// An event whose time UnixNano cannot represent is refused before
+// anything is journaled and counted in Metrics.Malformed.
+//
 // epoch is the ownership epoch the admission check used (0 standalone).
 func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
+	return s.admit(batch, false)
+}
+
+// admit is IngestBatch; inRange skips the time check for callers whose
+// events are known to be in the UnixNano range (ParseLine's window is,
+// and IngestEvent checked its own).
+func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err error) {
 	// The RLock pins "not closed" for the duration of the call: Close
 	// takes the write lock, so it cannot close the shard queues while
 	// any put is in flight — which is what makes "every event counted
@@ -104,13 +125,23 @@ func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 		if a.Refused {
 			continue
 		}
+		// A time the WAL record cannot carry (it journals UnixNano) would
+		// replay as another time after a crash, and the tracker's integer
+		// arithmetic assumes it: refused as a malformed line is.
+		if !inRange && logparse.CheckUnixNano(a.Event.Time) != nil {
+			s.met.Malformed.Add(1)
+			continue
+		}
 		// A node owned elsewhere, or in a range frozen mid-handoff, is
 		// refused before anything is counted or journaled: the router
 		// respools the event for its owner, so accepting it here would
-		// double-deliver.
-		if gated && !ctl.admits(a.Event.Node) {
-			a.Refused = true
-			continue
+		// double-deliver. The node is hashed once, for this and the shard.
+		var h uint32
+		if gated {
+			if h = persist.NodeHash(a.Event.Node); !ctl.admits(h) {
+				a.Refused = true
+				continue
+			}
 		}
 		s.met.Ingested.Add(1)
 		// The §3.1 Safe filter runs before the queue so bursts of benign
@@ -140,8 +171,11 @@ func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
 			s.met.Shed.Add(1)
 			continue
 		}
+		if !gated {
+			h = persist.NodeHash(a.Event.Node)
+		}
 		a.admitted = true
-		a.shard = int32(s.shardOf(a.Event.Node))
+		a.shard = int32(s.shardOfHash(h))
 		admitted++
 	}
 	if admitted == 0 {
@@ -267,6 +301,7 @@ func (s *Streamer) encodeKey(key string) int {
 	return id
 }
 
-func (s *Streamer) shardOf(node string) int {
-	return int(persist.NodeHash(node) % uint32(len(s.shards)))
-}
+func (s *Streamer) shardOf(node string) int { return s.shardOfHash(persist.NodeHash(node)) }
+
+// shardOfHash is shardOf for a node already hashed by persist.NodeHash.
+func (s *Streamer) shardOfHash(h uint32) int { return int(h % uint32(len(s.shards))) }

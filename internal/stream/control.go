@@ -59,10 +59,10 @@ func (c Control) Owned() (uint64, []persist.HashRange) {
 	return c.Epoch.Epoch, c.Epoch.Ranges
 }
 
-// admits reports whether ingest may take an event for node: the state
-// owns the node's hash, and no handoff has its range frozen.
-func (c *Control) admits(node string) bool {
-	h := persist.NodeHash(node)
+// admits reports whether ingest may take an event for the node whose
+// persist.NodeHash is h: the state owns h, and no handoff has its range
+// frozen.
+func (c *Control) admits(h uint32) bool {
 	return (c.Epoch == nil || persist.RangesContain(c.Epoch.Ranges, h)) &&
 		(c.Handoff == nil || !persist.RangesContain(c.Handoff.Ranges, h))
 }

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"desh/internal/chaos/fixture"
+	"desh/internal/logparse"
 )
 
 // runLines returns a few parseable log lines for frontends to ingest.
@@ -155,5 +158,63 @@ func TestIngestHandlerBodyLimit(t *testing.T) {
 	}
 	if got := s.met.Ingested.Load(); got != 1 {
 		t.Fatalf("Ingested = %d, want 1", got)
+	}
+}
+
+// TestAdmissionRefusesUnrepresentableTime: the WAL journals an event's
+// time as UnixNano, so a time outside its range (the zero value, 2300)
+// would be served live as one time and replayed as another. Admission
+// refuses it before the journal and counts it malformed; the range's two
+// ends are admitted and come back from a crash unchanged.
+func TestAdmissionRefusesUnrepresentableTime(t *testing.T) {
+	key := pickPhrase(t, "quiet unknown", isQuietUnknown).Key
+	dir := t.TempDir()
+	s, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var te *logparse.TimestampError
+	if err := s.IngestEvent(logparse.NewEvent(time.Time{}, "c0-0c0s0n0", key, key)); !errors.As(err, &te) {
+		t.Fatalf("zero time: IngestEvent returned %v, want a *logparse.TimestampError", err)
+	}
+	lo, hi := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	batch := []Admission{
+		{Event: logparse.NewEvent(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), "c0-0c0s0n1", key, key)},
+		{Event: logparse.NewEvent(lo, "c0-0c0s0n2", key, key)},
+		{Event: logparse.NewEvent(hi, "c0-0c0s0n3", key, key)},
+	}
+	if _, err := s.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.SnapshotMetrics(); m.Malformed != 2 || m.Ingested != 2 || m.WALBatchAppends != 1 {
+		t.Fatalf("malformed %d ingested %d WAL writes %d, want 2, 2, 1", m.Malformed, m.Ingested, m.WALBatchAppends)
+	}
+	s.Kill()
+
+	s2, err := New(fixture.Model(t, fixture.Serving), WithShards(2), WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s2.SnapshotMetrics(); m.ReplayedEvents != 2 {
+		t.Fatalf("replayed %d events, want 2", m.ReplayedEvents)
+	}
+	// A mid-flight snapshot holds the recovered open episodes as they are
+	// (a graceful Close would flush them through the detector first).
+	if err := s2.snapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Kill()
+	st, err := LoadHandoffFromDir(nil, dir, fullCircle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node, want := range map[string]time.Time{"c0-0c0s0n2": lo, "c0-0c0s0n3": hi} {
+		tr := st.Nodes[node].Tracker
+		if len(tr.Open) != 1 || !tr.Open[0].Time.Equal(want) || !tr.Last.Equal(want) {
+			t.Fatalf("%s recovered as %+v, want one open event at %v", node, tr, want)
+		}
+	}
+	if len(st.Nodes) != 2 {
+		t.Fatalf("recovered %d nodes, want 2: %+v", len(st.Nodes), st.Nodes)
 	}
 }

@@ -48,7 +48,7 @@ func (s *Streamer) ingestReader(r io.Reader) (n int, err error) {
 	// holds no further complete line, so it is empty across every Read.
 	var batch []Admission
 	flush := func() error {
-		_, err := s.IngestBatch(batch)
+		_, err := s.admit(batch, true) // ParseLine's times are in range
 		for i := range batch {
 			if err == nil && !batch[i].Refused {
 				n++ // ErrClosed admitted none of them

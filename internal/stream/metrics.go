@@ -144,7 +144,8 @@ type Metrics struct {
 	// Ingested counts successfully parsed events accepted by the ingest
 	// entry points (before Safe filtering).
 	Ingested atomic.Int64
-	// Malformed counts lines ParseLine rejected.
+	// Malformed counts lines ParseLine rejected and events refused at
+	// admission for a time UnixNano cannot represent.
 	Malformed atomic.Int64
 	// SafeFiltered counts events discarded as Safe-labeled at ingest.
 	SafeFiltered atomic.Int64
