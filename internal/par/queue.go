@@ -40,7 +40,8 @@ func NewQueue[T any](depth int) *Queue[T] {
 // Put enqueues v, waiting for room when wait is set; without wait a
 // full ring refuses v and Put reports false.
 func (q *Queue[T]) Put(v T, wait bool) bool {
-	return q.PutN(1, wait, func(slot *T) { *slot = v }) == 1
+	put, _ := q.PutN(1, wait, func(slot *T) { *slot = v })
+	return put == 1
 }
 
 // PutN enqueues a run of n values under one lock: fill is called once
@@ -48,10 +49,10 @@ func (q *Queue[T]) Put(v T, wait bool) bool {
 // holds the zero value). When the ring fills, a waiting producer lets
 // the consumer at what it has put so far and resumes once there is
 // room; a non-waiting one stops there. PutN reports how many values it
-// put, so n minus that is what a non-waiting put refused.
-func (q *Queue[T]) PutN(n int, wait bool, fill func(slot *T)) int {
+// put, so n minus that is what a non-waiting put refused, and whether it
+// waited for room.
+func (q *Queue[T]) PutN(n int, wait bool, fill func(slot *T)) (put int, waited bool) {
 	q.mu.Lock()
-	put := 0
 	for put < n {
 		if q.closed {
 			q.mu.Unlock()
@@ -62,6 +63,7 @@ func (q *Queue[T]) PutN(n int, wait bool, fill func(slot *T)) int {
 				break
 			}
 			q.wake()
+			waited = true
 			q.blocked++
 			q.notFull.Wait()
 			q.blocked--
@@ -79,7 +81,7 @@ func (q *Queue[T]) PutN(n int, wait bool, fill func(slot *T)) int {
 		q.wake()
 	}
 	q.mu.Unlock()
-	return put
+	return put, waited
 }
 
 // wake rings a parked consumer. The caller holds mu.

@@ -25,7 +25,7 @@ func TestQueueFIFOAcrossWrap(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		// Put a run that straddles the ring's end, take part of it back.
 		k, free := 1+round%5, q.Cap()-q.Len()
-		if put := q.PutN(k, false, func(slot *int) { *slot = next; next++ }); put != min(k, free) {
+		if put, _ := q.PutN(k, false, func(slot *int) { *slot = next; next++ }); put != min(k, free) {
 			t.Fatalf("round %d: put %d of %d with %d free", round, put, k, free)
 		}
 		got, closed := q.Take(nil, 1+round%3, nil)
@@ -79,7 +79,7 @@ func TestQueueBlockingPutResumesAfterTake(t *testing.T) {
 
 func TestQueueNonBlockingPutRefusedWhenFull(t *testing.T) {
 	q := NewQueue[int](3)
-	if n := q.PutN(5, false, func(slot *int) { *slot = 7 }); n != 3 {
+	if n, _ := q.PutN(5, false, func(slot *int) { *slot = 7 }); n != 3 {
 		t.Fatalf("PutN of 5 into 3 free slots put %d", n)
 	}
 	if q.Put(8, false) {
@@ -209,5 +209,37 @@ func TestQueueNoLostWakeup(t *testing.T) {
 	}
 	if total != producers*per {
 		t.Fatalf("received %d values, want %d", total, producers*per)
+	}
+}
+
+// TestQueuePutNReportsWait: PutN reports whether it waited for room,
+// which only a put into a full ring with wait set does.
+func TestQueuePutNReportsWait(t *testing.T) {
+	q := NewQueue[int](2)
+	if put, waited := q.PutN(2, true, func(slot *int) { *slot = 1 }); put != 2 || waited {
+		t.Fatalf("PutN into free slots: put %d, waited %v", put, waited)
+	}
+	if put, waited := q.PutN(1, false, func(slot *int) { *slot = 2 }); put != 0 || waited {
+		t.Fatalf("non-waiting PutN into a full ring: put %d, waited %v", put, waited)
+	}
+	done := make(chan bool)
+	go func() {
+		_, waited := q.PutN(1, true, func(slot *int) { *slot = 3 })
+		done <- waited
+	}()
+	for {
+		q.mu.Lock()
+		blocked := q.blocked
+		q.mu.Unlock()
+		if blocked == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	if got, _ := q.Take(nil, 1, nil); len(got) != 1 {
+		t.Fatalf("took %v", got)
+	}
+	if !<-done {
+		t.Fatal("PutN that waited for room reported no wait")
 	}
 }

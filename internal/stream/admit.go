@@ -20,31 +20,40 @@ func (s *Streamer) IngestLine(line string) error {
 	if logparse.IsBlank(line) {
 		return nil
 	}
+	var c *stageClock
+	if s.armNext.Load() {
+		c = s.arm(new(stageClock))
+	}
 	ev, err := logparse.ParseLine(line)
 	if err != nil {
 		s.met.Malformed.Add(1)
 		return err
 	}
-	return s.ingestOne(&ev)
+	c.lap(s, stageParse, 1)
+	return s.ingestOne(&ev, c)
 }
 
 // IngestEvent routes one parsed event to its node's shard: an
 // IngestBatch of one. An event time UnixNano cannot represent is counted
 // in Metrics.Malformed and returned as a *logparse.TimestampError.
 func (s *Streamer) IngestEvent(ev logparse.Event) error {
+	var c *stageClock
+	if s.armNext.Load() {
+		c = s.arm(new(stageClock))
+	}
 	if err := logparse.CheckUnixNano(ev.Time); err != nil {
 		s.met.Malformed.Add(1)
 		return err
 	}
-	return s.ingestOne(&ev)
+	return s.ingestOne(&ev, c)
 }
 
 // ingestOne admits one event whose time is known to be in the UnixNano
 // range.
-func (s *Streamer) ingestOne(ev *logparse.Event) error {
+func (s *Streamer) ingestOne(ev *logparse.Event, c *stageClock) error {
 	var one [1]Admission
 	one[0].Event = *ev
-	if _, err := s.admit(one[:], true); err != nil {
+	if _, err := s.admit(one[:], true, c); err != nil {
 		return err
 	}
 	if one[0].Refused {
@@ -83,25 +92,40 @@ type Admission struct {
 // shard (up to the first bound elsewhere) is put on its queue under one
 // lock, written straight into the ring's slots.
 //
-// Every event of a batch carries one enqueue stamp, a single monotonic
-// reading taken at the batch's admission: the detect-latency histogram
-// (detect_latency in /metrics) is anchored there and includes the time
-// an event spent behind the batch's WAL write and, under the Block
-// policy, behind the events queued ahead of it. The wall clock is read
-// only when a skew tolerance is set, once per call, for the skew guard.
+// The enqueue stamp is sampled. A batch whose admitted events carry the
+// streamer's admitted-event count (admittedCount) across a multiple of
+// stampEvery (64) stamps all of them with one monotonic reading taken
+// at admission; the detect-latency histogram (detect_latency in
+// /metrics) is anchored there and includes the time an event spent
+// behind the batch's WAL write and, under the Block policy, behind the
+// events queued ahead of it. Any other batch reads no clock for it, and
+// one that admits nothing pays nothing for it. The wall clock is read only when a skew
+// tolerance is set, once per call, for the skew guard.
 //
 // An event whose time UnixNano cannot represent is refused before
 // anything is journaled and counted in Metrics.Malformed.
 //
 // epoch is the ownership epoch the admission check used (0 standalone).
 func (s *Streamer) IngestBatch(batch []Admission) (epoch uint64, err error) {
-	return s.admit(batch, false)
+	var c *stageClock
+	if s.armNext.Load() {
+		c = s.arm(new(stageClock))
+	}
+	return s.admit(batch, false, c)
 }
 
 // admit is IngestBatch; inRange skips the time check for callers whose
 // events are known to be in the UnixNano range (ParseLine's window is,
-// and IngestEvent checked its own).
-func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err error) {
+// and IngestEvent checked its own). c is the call's stage clock (nil
+// unless the ledger samples the call), closed here once the read lock
+// is released.
+func (s *Streamer) admit(batch []Admission, inRange bool, c *stageClock) (epoch uint64, err error) {
+	epoch, err = s.admitLocked(batch, inRange, c)
+	c.admitted(s, err)
+	return epoch, err
+}
+
+func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (epoch uint64, err error) {
 	// The RLock pins "not closed" for the duration of the call: Close
 	// takes the write lock, so it cannot close the shard queues while
 	// any put is in flight — which is what makes "every event counted
@@ -118,7 +142,8 @@ func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err err
 	// The skew guard's wall-clock reading, taken when the first non-Safe
 	// event of the call needs it.
 	var now time.Time
-	admitted := 0
+	admitted, ingested := 0, 0
+	var last int64 // Ingested after this call's latest count
 	for i := range batch {
 		a := &batch[i]
 		a.admitted = false
@@ -143,7 +168,10 @@ func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err err
 				continue
 			}
 		}
-		s.met.Ingested.Add(1)
+		if last = s.met.Ingested.Add(1); last&(ledgerEvery*stampEvery-1) == 0 {
+			s.armNext.Store(true)
+		}
+		ingested++
 		// The §3.1 Safe filter runs before the queue so bursts of benign
 		// chatter never consume queue slots or shard time.
 		if s.lab.LabelOf(&a.Event) == catalog.Safe {
@@ -178,19 +206,37 @@ func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err err
 		a.shard = int32(s.shardOfHash(h))
 		admitted++
 	}
+	if c != nil {
+		c.ingested = int64(ingested)
+	}
 	if admitted == 0 {
+		c.lap(s, stageFilter, ingested)
 		return epoch, nil
 	}
 	// The enqueue stamp anchors the detect-latency histogram: observed at
 	// verdict time, it measures queue wait + processing + any batched
 	// scoring the event waited on — the latency a subscriber experiences.
-	at := time.Since(s.epoch)
+	// Only a call that carries the admitted count across a multiple of
+	// stampEvery takes it; every other event carries at = 0.
+	var at time.Duration
+	count := s.admittedCount(last)
+	stamped := (count-int64(admitted))>>s.stampShift != count>>s.stampShift
+	if t := c.lap(s, stageFilter, ingested); stamped {
+		if t == 0 {
+			t = s.mono()
+		}
+		at = time.Duration(max(t, 1))
+	}
 	// Write-ahead: the events are durable before any is queued, so a crash
 	// between here and processing replays them. A failed append degrades
 	// to in-memory operation for this batch (alerting now beats
 	// durability later) and is counted.
 	if s.pst != nil {
 		s.pst.appendEvents(s, batch, admitted)
+		c.lap(s, stageWAL, admitted)
+	}
+	if c != nil {
+		c.units[stagePut] = int64(admitted) // the lap closes in admit
 	}
 	block := s.opts.Policy == Block
 	for i := 0; i < len(batch); {
@@ -209,7 +255,7 @@ func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err err
 			}
 		}
 		next := i
-		put := s.shards[sh].q.PutN(n, block, func(m *shardMsg) {
+		put, waited := s.shards[sh].q.PutN(n, block, func(m *shardMsg) {
 			for !batch[next].admitted {
 				next++
 			}
@@ -219,6 +265,9 @@ func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err err
 			m.at = at
 			next++
 		})
+		if waited && c != nil {
+			c.waited = true
+		}
 		// DropNewest refused the rest of a run that met a full queue: each
 		// event counted, and through the drift tap as a queued one is.
 		for ; put < n; next++ {
@@ -231,6 +280,17 @@ func (s *Streamer) admit(batch []Admission, inRange bool) (epoch uint64, err err
 		i = end
 	}
 	return epoch, nil
+}
+
+// admittedCount is the count the enqueue stamp samples on, given the
+// value the caller's own last count left Ingested at: every event past
+// the ingest filters (Ingested less the Safe, skew and shed ones),
+// replayed events included. Derived, it costs loads where a counter of
+// its own would cost an atomic add per call; with one producer it is
+// exact, with several a call may read another's half-counted event, which
+// only moves a stamp.
+func (s *Streamer) admittedCount(ingested int64) int64 {
+	return ingested - s.met.SafeFiltered.Load() - s.met.SkewQuarantined.Load() - s.met.Shed.Load()
 }
 
 // skewDiag emits at most one quarantine diagnostic per second — a storm

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"desh/internal/chaos/fixture"
 	"desh/internal/core"
 	"desh/internal/logparse"
+	"desh/internal/logsim"
 )
 
 // benchLog is the benchmark-scale run (60 nodes, 96 h, seed 31 — the
@@ -206,4 +208,90 @@ func BenchmarkGracefulClose(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(snapBytes)/float64(b.N), "snapbytes/op")
+}
+
+// ledgerShape is one workload BenchmarkStageLedger times: bench's corpus
+// shape at 1/20 scale (the smoke run's), fed one call per op.
+type ledgerShape struct {
+	name           string
+	nodes          int
+	hours          float64
+	failures       int
+	noise, stray   float64
+	lines, durable bool
+}
+
+// BenchmarkStageLedger checks that the stage ledger closes: at
+// GOMAXPROCS=1 every nanosecond of ns/op is either the producer's call
+// or the shard's work, so the stages' CPU rows should sum to about
+// ns/op. Three shapes: failstorm events through IngestEvent, chatter
+// lines through IngestLine, and failstorm lines through IngestLine with
+// a state dir (WAL appended, fsync out of reach). Each pass over the
+// corpus runs on a fresh one-shard streamer, timed from its first call
+// until the shard has processed the pass; New and Close are outside the
+// timer. Reported: each row's ns per ingested event, their sum
+// (stages-ns/ev) and closure, the sum over ns/op.
+func BenchmarkStageLedger(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := fixture.Model(b, fixture.Serving)
+	for _, sh := range []ledgerShape{
+		{name: "failstorm-event", nodes: 512, hours: 4.8, failures: 100, noise: 0.2, stray: 2.5},
+		{name: "chatter-line", nodes: 256, hours: 2.4, failures: 60, noise: 3.75, stray: 0.1, lines: true},
+		{name: "durable-line", nodes: 512, hours: 4.8, failures: 100, noise: 0.2, stray: 2.5, lines: true, durable: true},
+	} {
+		profile, _ := logsim.ProfileByName("M3")
+		profile.NoisePerNodeHour, profile.StrayPerNodeHour = sh.noise, sh.stray
+		log := fixture.Corpus(b, logsim.Config{Profile: profile, Nodes: sh.nodes, Hours: sh.hours, Failures: sh.failures, Seed: 101})
+		b.Run(sh.name, func(b *testing.B) {
+			rows := make(map[string]float64)
+			var stagesNs, timedNs float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StopTimer()
+			for done := 0; done < b.N; {
+				opts := []Option{WithShards(1), WithQuietPeriod(0)}
+				if sh.durable {
+					opts = append(opts, WithStateDir(b.TempDir()), WithSnapshotEvery(time.Hour), WithWALSyncEvery(1<<30))
+				}
+				s, err := New(p, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wait := fixture.Collect(s.Alerts())
+				n := min(b.N-done, len(log.Events))
+				start := time.Now()
+				b.StartTimer()
+				for i := 0; i < n; i++ {
+					if sh.lines {
+						err = s.IngestLine(log.Lines[i])
+					} else {
+						err = s.IngestEvent(log.Events[i])
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				for m := &s.met; m.Processed.Load() < m.Ingested.Load()-m.SafeFiltered.Load(); {
+					runtime.Gosched()
+				}
+				b.StopTimer()
+				timedNs += float64(time.Since(start).Nanoseconds())
+				snap := s.SnapshotMetrics()
+				for _, r := range snap.Stages.Rows {
+					rows[r.Name] += r.NsPerEvent * float64(snap.Ingested)
+				}
+				stagesNs += snap.Stages.CPUNsPerEvent * float64(snap.Ingested)
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				wait()
+				done += n
+			}
+			for name, ns := range rows {
+				b.ReportMetric(ns/float64(b.N), name)
+			}
+			b.ReportMetric(stagesNs/float64(b.N), "stages-ns/ev")
+			b.ReportMetric(stagesNs/timedNs, "closure")
+		})
+	}
 }

@@ -129,8 +129,8 @@ func TestLatePolicyFeedAndDrop(t *testing.T) {
 		return logparse.Event{Time: base.Add(offset), Node: "c0-0c0s0n0", Key: key}
 	}
 	for _, tc := range []struct {
-		policy                  LatePolicy
-		wantDropped, wantDetect int64
+		policy                     LatePolicy
+		wantDropped, wantProcessed int64
 	}{
 		{LateFeed, 0, 2},
 		{LateDrop, 1, 2},
@@ -164,8 +164,8 @@ func TestLatePolicyFeedAndDrop(t *testing.T) {
 		if m.Late != 1 || m.LateDropped != tc.wantDropped {
 			t.Errorf("policy %v: late %d dropped %d, want 1 and %d", tc.policy, m.Late, m.LateDropped, tc.wantDropped)
 		}
-		if n := m.Detect.Count; n != tc.wantDetect {
-			t.Errorf("policy %v: tracker saw %d events, want %d", tc.policy, n, tc.wantDetect)
+		if n := m.Processed; n != tc.wantProcessed {
+			t.Errorf("policy %v: processed %d events, want %d", tc.policy, n, tc.wantProcessed)
 		}
 		checkConservation(t, s)
 	}
@@ -260,7 +260,7 @@ func TestReorderOverflowBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait()
-	if got := s.Metrics().Detect.Count(); got != n {
+	if got := s.Metrics().Processed.Load(); got != n {
 		t.Fatalf("tracker saw %d events after drain, want all %d", got, n)
 	}
 	checkConservation(t, s)

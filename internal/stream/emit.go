@@ -40,9 +40,17 @@ func (sh *shard) emitVerdict(ns *nodeState, v core.Verdict) {
 // only once the pass returns: a pass that panics is retried whole by
 // resumeBatch and must not count its chains twice.
 func (sh *shard) flushPending() {
+	if sh.scorePending() {
+		sh.emitPending()
+	}
+}
+
+// scorePending is flushPending's DetectBatch pass, leaving the verdicts
+// in sh.verd; false when nothing is pending.
+func (sh *shard) scorePending() bool {
 	n := len(sh.pend)
 	if n == 0 {
-		return
+		return false
 	}
 	sh.chbuf = sh.chbuf[:0]
 	for _, pc := range sh.pend {
@@ -57,6 +65,13 @@ func (sh *shard) flushPending() {
 	if n > 1 {
 		sh.s.met.BatchedDetects.Add(int64(n))
 	}
+	return true
+}
+
+// emitPending runs scorePending's verdicts through the taps and emit,
+// in append order, and empties the pending list.
+func (sh *shard) emitPending() {
+	vs := sh.verd[:len(sh.pend)]
 	for i, pc := range sh.pend {
 		sh.tapVerdict(vs[i])
 		sh.emitVerdict(pc.ns, vs[i])
@@ -66,22 +81,41 @@ func (sh *shard) flushPending() {
 }
 
 // observeBatch stamps the wakeup's coalescing counters and the
-// enqueue→verdict latency of every taken event — queue wait plus
-// processing plus the batched scoring the event waited on, which is the
-// latency a subscriber experiences and the signal the shed controller
-// budgets against. The samples fold into one histBatch, merged once.
-func (sh *shard) observeBatch() {
+// enqueue→verdict latency of every stamped event it took — queue wait
+// plus processing plus the batched scoring the event waited on, which is
+// the latency a subscriber experiences and the signal the shed
+// controller budgets against. The monotonic clock is read once, and
+// only if a stamped event is there (a timed wakeup reuses its last lap);
+// the samples fold into one histBatch, merged once. A timed wakeup (c
+// not nil) also sums the stamped events' queue wait.
+func (sh *shard) observeBatch(c *stageClock) {
 	if len(sh.buf) == 0 {
 		return
 	}
 	sh.s.met.BatchWakeups.Add(1)
 	sh.s.met.BatchEvents.Add(int64(len(sh.buf)))
-	now := time.Since(sh.s.epoch)
+	var now int64
+	if c != nil {
+		now = c.last
+	}
 	var hb histBatch
 	for i := range sh.buf {
-		hb.add(now - sh.buf[i].at)
+		at := int64(sh.buf[i].at)
+		if at == 0 {
+			continue
+		}
+		if now == 0 {
+			now = sh.s.mono()
+		}
+		hb.add(time.Duration(now - at))
+		if c != nil {
+			c.waitNs += c.start - at
+			c.waitN++
+		}
 	}
-	sh.s.met.Detect.merge(&hb)
+	if hb.n > 0 {
+		sh.s.met.Detect.merge(&hb)
+	}
 	sh.buf = sh.buf[:0]
 	sh.bufNext, sh.counted = 0, 0
 }

@@ -333,7 +333,7 @@ func (sh *shard) dropNodes(ranges []persist.HashRange) int {
 // its own) is recovered here, because the barrier must ack or
 // ImportState deadlocks.
 func (sh *shard) applyImport(b *importBarrier) {
-	sh.led = b.led
+	sh.led, sh.arrival = b.led, time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			sh.pend = sh.pend[:0]

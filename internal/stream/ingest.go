@@ -47,14 +47,24 @@ func (s *Streamer) ingestReader(r io.Reader) (n int, err error) {
 	// batch is the parsed lines not yet admitted; flush runs whenever br
 	// holds no further complete line, so it is empty across every Read.
 	var batch []Admission
+	lines := 0 // parsed into batch, malformed ones too
+	// c (backed by clk) times a batch arm picks at its first line, from
+	// after that line's read: the rest of a batch is lines already
+	// buffered, so its parse lap holds no I/O wait.
+	var clk stageClock
+	var c *stageClock
 	flush := func() error {
-		_, err := s.admit(batch, true) // ParseLine's times are in range
+		c.lap(s, stageParse, lines)
+		_, err := s.admit(batch, true, c) // ParseLine's times are in range
 		for i := range batch {
 			if err == nil && !batch[i].Refused {
 				n++ // ErrClosed admitted none of them
 			}
 		}
-		batch = batch[:0]
+		batch, lines = batch[:0], 0
+		if c != nil {
+			clk, c = stageClock{}, nil
+		}
 		return err
 	}
 	for {
@@ -79,6 +89,10 @@ func (s *Streamer) ingestReader(r io.Reader) (n int, err error) {
 		case err == nil, errors.Is(err, io.EOF):
 			// chunk ended the line, or the input ended mid-line.
 			if text := string(line); !discarding && !logparse.IsBlank(text) {
+				if lines == 0 && s.armNext.Load() {
+					c = s.arm(&clk)
+				}
+				lines++
 				if ev, perr := logparse.ParseLine(text); perr != nil {
 					s.met.Malformed.Add(1)
 				} else {

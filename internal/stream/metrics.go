@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -85,22 +86,17 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile returns an upper bound on the q-quantile sample: the upper
-// edge of the bucket containing it. q outside (0,1] is clamped.
+// edge of the bucket holding the nearest-rank sample, the ⌈q·n⌉-th
+// smallest. q is clamped to [0,1]; q = 0 is the smallest sample.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.n.Load()
 	if n == 0 {
 		return 0
 	}
-	if q <= 0 {
-		q = 0.5
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(n))
-	if target < 1 {
-		target = 1
-	}
+	q = min(max(q, 0), 1)
+	// The epsilon keeps a product that is an integer in exact arithmetic
+	// (0.07·100) from rounding up past it in float64.
+	target := max(int64(math.Ceil(q*float64(n)-1e-9)), 1)
 	var seen int64
 	for i := 0; i < histBuckets; i++ {
 		seen += h.counts[i].Load()
@@ -309,8 +305,15 @@ type Metrics struct {
 
 	// Detect is the end-to-end per-event detect latency, measured
 	// enqueue→verdict: queue wait + chain tracking + (possibly batched)
-	// scoring. Exactly one observation per event a shard dequeues.
+	// scoring. Sampled: one observation per stamped event a shard
+	// dequeues or replays, where the stamped events are the batches
+	// whose admission carries the admitted-event count across a multiple
+	// of stampEvery (64) — one admitted event in 64 on a stream of single
+	// events. Processed, not Count, counts every event.
 	Detect Histogram
+
+	// stages is the sampled per-stage ledger (stages in /metrics).
+	stages stageSums
 }
 
 // MetricsSnapshot is a point-in-time JSON view of the registry plus
@@ -403,6 +406,10 @@ type MetricsSnapshot struct {
 	// nanoseconds (0 until the shard has seen an event).
 	Watermarks []int64           `json:"watermarks"`
 	Detect     HistogramSnapshot `json:"detect_latency"`
+	// StampEvery is the enqueue stamp's sample rate: detect_latency and
+	// the stages ledger see one admitted event in StampEvery.
+	StampEvery int            `json:"stamp_every"`
+	Stages     StagesSnapshot `json:"stages"`
 }
 
 func nsToMs(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }
@@ -468,6 +475,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		ActivationKernel:     s.opts.Precision.ActivationKernel(),
 		PrecisionConversions: s.met.PrecisionConversions.Load(),
 		Detect:               s.met.Detect.Snapshot(),
+		StampEvery:           s.opts.stampEvery,
 	}
 	if snap.BatchWakeups > 0 {
 		snap.BatchOccupancy = float64(s.met.BatchEvents.Load()) / float64(snap.BatchWakeups)
@@ -478,6 +486,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 	if n := s.met.LeadErrCount.Load(); n > 0 {
 		snap.LeadErrMeanSeconds = float64(s.met.LeadErrMillis.Load()) / 1e3 / float64(n)
 	}
+	snap.Stages = s.met.stages.snapshot(snap.Ingested, snap.Processed, snap.ChainsClosed)
 	snap.QueueDepths = make([]int, len(s.shards))
 	snap.Watermarks = make([]int64, len(s.shards))
 	var eff int64

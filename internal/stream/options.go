@@ -147,6 +147,9 @@ type Options struct {
 	// processDelay stalls every shard event by this much — the overload
 	// test's way of forcing queue pressure deterministically.
 	processDelay time.Duration
+	// stampEvery is the enqueue stamp's sample rate: the stampEvery
+	// constant (a test sets 1 to stamp every event).
+	stampEvery int
 
 	// fsys overrides the persistence filesystem — the fault-injection
 	// seam used by the crash tests (default: the real OS).
@@ -273,6 +276,7 @@ func defaultOptions() Options {
 		maxBodyBytes:    8 << 20,
 		ReorderDepth:    512,
 		MicroBatch:      32,
+		stampEvery:      stampEvery,
 		shedTun: shedTuning{
 			period:        time.Second,
 			hold:          5,

@@ -326,9 +326,10 @@ func (s *Streamer) recover() error {
 	// Pass 2: re-feed events through the shards. seq >= stats.NextSeq
 	// is the segment the reopened WAL is appending to — not part of
 	// the tail being recovered. Every shard consults the recovery ledger
-	// for the length of the pass.
+	// for the length of the pass, and takes its one arrival reading.
+	arrival := time.Now()
 	for _, sh := range s.shards {
-		sh.led = p.led
+		sh.led, sh.arrival = p.led, arrival
 		defer func(sh *shard) { sh.led = nil }(sh)
 	}
 	_, err = persist.ReplayWAL(fsys, s.opts.StateDir, boundary, func(seq uint64, payload []byte) error {

@@ -123,7 +123,7 @@ func TestCloseDuringBurstLosesNothing(t *testing.T) {
 
 	ingested := s.Metrics().Ingested.Load()
 	safe := s.Metrics().SafeFiltered.Load()
-	processed := s.Metrics().Detect.Count()
+	processed := s.Metrics().Processed.Load()
 	if processed != ingested-safe {
 		t.Fatalf("processed %d events but ingested %d non-Safe; events lost in queues", processed, ingested-safe)
 	}
@@ -170,7 +170,7 @@ func TestDropNewestShedsAndConserves(t *testing.T) {
 	ingested := s.Metrics().Ingested.Load()
 	safe := s.Metrics().SafeFiltered.Load()
 	dropped := s.Metrics().Dropped.Load()
-	processed := s.Metrics().Detect.Count()
+	processed := s.Metrics().Processed.Load()
 	if processed+dropped != ingested-safe {
 		t.Fatalf("conservation broken: processed %d + dropped %d != non-Safe %d", processed, dropped, ingested-safe)
 	}

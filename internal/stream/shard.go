@@ -28,7 +28,8 @@ import (
 type shardMsg struct {
 	ev logparse.EncodedEvent
 	// at is the enqueue stamp, monotonic time since the streamer's epoch,
-	// observed into the Detect histogram once the event's verdicts are out.
+	// observed into the Detect histogram once the event's verdicts are
+	// out; 0 on an event admission did not stamp (see IngestBatch).
 	at   time.Duration
 	snap chan<- map[string]persistedNode
 	// swap is a model-swap barrier: the shard rebuilds its detector
@@ -96,6 +97,11 @@ type shard struct {
 	pendTries int
 	chbuf     []chain.Chain
 	verd      []core.Verdict
+	// clk is the stage clock of a timed wakeup, one in ledgerEvery of
+	// those that hold a stamped event (stamped counts them): on from
+	// processBatch until the next take returns (runLoop).
+	clk     stageClock
+	stamped int
 
 	// rel is the event-time release scratch, lent to a node's reorder
 	// buffer for one add and drained by handleEventTime before the next.
@@ -104,8 +110,10 @@ type shard struct {
 	// led is non-nil only while this shard replays events that had an
 	// earlier life — the WAL tail at boot, an imported range's pending
 	// tail inside an import barrier: emit consults it to suppress alerts
-	// that life already delivered.
-	led *ledger
+	// that life already delivered. arrival is the wall clock read once
+	// for that replay pass, the arrival time replay stamps on a node.
+	led     *ledger
+	arrival time.Time
 }
 
 // run is the shard supervisor: it re-enters the processing loop after
@@ -130,6 +138,7 @@ func (sh *shard) runLoop() (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
+			sh.clk = stageClock{}
 			sh.s.met.ShardRestarts.Add(1)
 			sh.restarts++
 			sh.notePanic()
@@ -144,6 +153,12 @@ func (sh *shard) runLoop() (panicked bool) {
 		// An empty take leaves sh.buf untouched: a parked shard writes no
 		// shard state.
 		buf, closed := sh.q.Take(sh.buf[:0], sh.s.opts.MicroBatch, isCtl)
+		if c := &sh.clk; c.on {
+			// A timed wakeup's last lap: its bookkeeping and this take.
+			c.lap(sh.s, stageTake, len(buf))
+			c.woke(sh.s)
+			*c = stageClock{}
+		}
 		if len(buf) == 0 {
 			if closed {
 				return false
@@ -236,18 +251,48 @@ func (sh *shard) applyCtl(m *shardMsg) {
 // processBatch runs the unprocessed tail of the taken micro-batch,
 // each event by reference where the wakeup took it, then scores the
 // deferred chains and stamps the batch's metrics. The wall clock is read
-// once per wakeup (it only feeds the idle-flush clock, whose granularity
-// is seconds) and Processed moves once per wakeup: notePanic counts what
-// an interrupted one had finished, so the conservation equation holds
-// whenever the shard is not inside an event.
+// once per wakeup, and only with IdleFlush on (it feeds nothing but the
+// idle-flush clock, whose granularity is seconds). A wakeup that holds
+// no stamped event reads no monotonic clock; one fresh wakeup in
+// ledgerEvery of those that do times its stages for the ledger.
+// Processed moves once per wakeup: notePanic counts what an interrupted
+// one had finished, so the conservation equation holds whenever the
+// shard is not inside an event.
 func (sh *shard) processBatch() {
-	now := time.Now()
+	var now time.Time
+	if sh.s.opts.IdleFlush > 0 {
+		now = time.Now()
+	}
+	var c *stageClock
+	if sh.bufNext == 0 && sh.holdsStamp() {
+		if sh.stamped++; sh.stamped%ledgerEvery == 0 {
+			c = &sh.clk
+			c.begin(sh.s)
+		}
+	}
 	for ; sh.bufNext < len(sh.buf); sh.bufNext++ {
 		sh.process(&sh.buf[sh.bufNext].ev, now)
 	}
+	c.lap(sh.s, stageChain, len(sh.buf))
 	sh.countProcessed()
-	sh.flushPending()
-	sh.observeBatch()
+	chains := len(sh.pend)
+	if sh.scorePending() {
+		c.lap(sh.s, stageDetect, chains)
+		sh.emitPending()
+		c.lap(sh.s, stageEmit, chains)
+	}
+	sh.observeBatch(c)
+}
+
+// holdsStamp reports whether the taken micro-batch holds a stamped
+// event.
+func (sh *shard) holdsStamp() bool {
+	for i := range sh.buf {
+		if sh.buf[i].at != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // countProcessed adds the events finished since the last count.
@@ -294,9 +339,15 @@ func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time) {
 // imported range's pending tail (on the shard goroutine, inside the
 // import barrier). There is no supervisor to retry under, so a panic
 // quarantines the event at once. Each event flushes its own closures:
-// no coalescing, so replayed alert order matches live order.
+// no coalescing, so replayed alert order matches live order. A replayed
+// event counts as admitted for the enqueue stamp's sampling, and only
+// one admission would have stamped is timed into Detect; its arrival is
+// the pass's one wall-clock reading (sh.arrival).
 func (sh *shard) replay(ev *logparse.EncodedEvent) {
-	at := time.Now()
+	var at int64
+	if sh.s.admittedCount(sh.s.met.Ingested.Add(1))&sh.s.stampMask == 0 {
+		at = sh.s.mono()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			// Deferred chains from the panicked event are dropped with it;
@@ -306,15 +357,16 @@ func (sh *shard) replay(ev *logparse.EncodedEvent) {
 			sh.quarantine(ev)
 		}
 	}()
-	sh.s.met.Ingested.Add(1)
 	sh.s.met.ReplayedEvents.Add(1)
 	if hook := sh.s.opts.panicHook; hook != nil {
 		hook(sh.id, *ev)
 	}
-	sh.handle(ev, at)
+	sh.handle(ev, sh.arrival)
 	sh.flushPending()
 	sh.s.met.Processed.Add(1)
-	sh.s.met.Detect.Observe(time.Since(at))
+	if at != 0 {
+		sh.s.met.Detect.Observe(time.Duration(sh.s.mono() - at))
+	}
 }
 
 // quarantine gives up on a poisoned event: counted, and journaled so no

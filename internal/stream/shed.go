@@ -92,6 +92,13 @@ func (c *shedController) tick() {
 			frac = f
 		}
 	}
+	// Detect holds only stamped events, one admitted event in
+	// stampEvery. A tick with no stamped sample reads a mean of 0 and so
+	// counts as calm on latency: fewer than stampEvery admissions since
+	// the last sample is not load that can have built a queue, a stalled
+	// shard that sits on stamped events shows in the queue fill, which
+	// keeps its own vote, and every stamped event's latency is counted
+	// once its wakeup ends, so pressure shows as soon as one arrives.
 	sum, n := c.s.met.Detect.sumNs.Load(), c.s.met.Detect.n.Load()
 	var mean time.Duration
 	if dn := n - c.lastN; dn > 0 {

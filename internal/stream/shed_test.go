@@ -102,9 +102,10 @@ func TestOverloadDegradesAndRecovers(t *testing.T) {
 			hold:   2,
 			high:   0.5,
 			low:    0.2,
-			// Queue depth alone drives the walk; the latency signal is
-			// exercised implicitly (processDelay keeps the mean well
-			// under this budget, so it never blocks de-escalation).
+			// Queue depth alone drives the walk (processDelay keeps the
+			// latency mean well under this budget, so it never blocks
+			// de-escalation); TestShedEscalatesOnLatencyAlone drives the
+			// latency signal.
 			latencyBudget: time.Second,
 		}),
 	)
@@ -144,6 +145,55 @@ func TestOverloadDegradesAndRecovers(t *testing.T) {
 	// back down to normal operation.
 	fixture.WaitFor(t, 10*time.Second, "controller to return to level 0", func() bool {
 		return s.Metrics().ShedLevel.Load() == 0
+	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	checkConservation(t, s)
+}
+
+// TestShedEscalatesOnLatencyAlone: with the queue-fill threshold out of
+// reach (high > 1), detect latency over budget must still escalate,
+// though only one admitted event in stampEvery is a latency sample; and
+// once the stream stops, ticks with no sample count as calm, so the
+// controller walks back to level 0.
+func TestShedEscalatesOnLatencyAlone(t *testing.T) {
+	s, err := New(fixture.Model(t, fixture.Serving),
+		WithShards(1),
+		WithQuietPeriod(0),
+		WithShedPolicy(ShedDegrade),
+		withProcessDelay(time.Millisecond),
+		withShedTuning(shedTuning{
+			period:        2 * time.Millisecond,
+			hold:          2,
+			high:          2, // a queue is never 200 % full
+			low:           1,
+			latencyBudget: 500 * time.Microsecond, // under one event's processDelay
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := fixture.Collect(s.Alerts())
+	base := time.Date(2026, 5, 3, 0, 0, 0, 0, time.UTC)
+	nodes := []string{"c0-0c0s0n0", "c0-0c0s7n3", "c1-0c2s7n3", "c2-0c1s4n1"}
+	for i := 0; i < 4*stampEvery; i++ {
+		ev := logparse.Event{
+			Time: base.Add(time.Duration(i) * time.Second),
+			Node: nodes[i%len(nodes)],
+			Key:  "Debug NMI detected on node *", // Error: kept through level 2
+		}
+		if err := s.IngestEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixture.WaitFor(t, 10*time.Second, "latency to escalate the shed level", func() bool {
+		return s.Metrics().ShedLevelMax.Load() >= 1
+	})
+	fixture.WaitFor(t, 10*time.Second, "controller to return to level 0", func() bool {
+		m := s.Metrics()
+		return m.ShedLevel.Load() == 0 && m.Processed.Load()+m.Shed.Load() == m.Ingested.Load()-m.SafeFiltered.Load()
 	})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

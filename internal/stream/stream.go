@@ -18,6 +18,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,8 +66,16 @@ type Streamer struct {
 	// streamer's life: encoder ids are append-only, and a swap refuses a
 	// pipeline that disagrees with the live encoder on a shared prefix.
 	refIDs []atomic.Int32
-	// epoch is the monotonic origin of the enqueue stamps (shardMsg.at).
+	// epoch is the monotonic origin of the enqueue stamps (shardMsg.at)
+	// and the stage ledger's readings (mono).
 	epoch time.Time
+	// armNext asks arm to time the next admission call for the stage
+	// ledger. stampMask and stampShift are stampEvery−1 and
+	// log2(stampEvery); clockNs is one mono reading's cost (clockCost).
+	armNext    atomic.Bool
+	stampMask  int64
+	stampShift uint
+	clockNs    int64
 
 	shards []*shard
 	alerts chan Alert
@@ -138,6 +147,9 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 		done:   make(chan struct{}),
 	}
 	s.vocabN.Store(int64(modelVocab(p)))
+	s.stampMask = int64(opts.stampEvery - 1)
+	s.stampShift = uint(bits.TrailingZeros(uint(opts.stampEvery)))
+	s.clockNs = clockCost(s)
 	if opts.AllowedLateness > 0 || opts.DedupWindow > 0 {
 		s.et = &eventTime{
 			lateness: opts.AllowedLateness,

@@ -98,7 +98,7 @@ func TestStreamerIngestCountsAndClose(t *testing.T) {
 		t.Fatal("generated log must contain Safe chatter")
 	}
 	// Conservation: every counted non-Safe event was processed.
-	if got := s.Metrics().Detect.Count(); got != snap.Ingested-snap.SafeFiltered {
+	if got := snap.Processed; got != snap.Ingested-snap.SafeFiltered {
 		t.Fatalf("processed %d events, ingested non-Safe %d", got, snap.Ingested-snap.SafeFiltered)
 	}
 	if snap.ChainsOpen != 0 {
@@ -248,5 +248,48 @@ func TestHistogramQuantiles(t *testing.T) {
 	var empty Histogram
 	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
+	}
+}
+
+// TestHistogramQuantileNearestRank: the q-quantile is the ⌈q·n⌉-th
+// smallest sample. With 148 samples under 1µs and 2 at 1ms, p99 is the
+// 149th sample, at 1ms; a floored rank (the 148th) would report the
+// 1µs edge. q is clamped to [0,1]: q ≤ 0 is the smallest sample, q > 1
+// the largest.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 148; i++ {
+		h.Observe(500 * time.Nanosecond) // bucket upper bound 1µs
+	}
+	h.Observe(time.Millisecond) // bucket upper bound 1024µs
+	h.Observe(time.Millisecond)
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0.99, 1024 * time.Microsecond},
+		{148.0 / 150, time.Microsecond},
+		{0.987, 1024 * time.Microsecond}, // 0.987·150 = 148.05: the 149th
+		{0.5, time.Microsecond},
+		{0, time.Microsecond},
+		{-1, time.Microsecond},
+		{1, 1024 * time.Microsecond},
+		{2, 1024 * time.Microsecond},
+	} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	// An integer rank computed in float64 must not round past itself:
+	// 0.07·100 is 7.000000000000001, and the 7th sample is the last small one.
+	var g Histogram
+	for i := 0; i < 7; i++ {
+		g.Observe(500 * time.Nanosecond)
+	}
+	for i := 0; i < 93; i++ {
+		g.Observe(time.Millisecond)
+	}
+	if got := g.Quantile(0.07); got != time.Microsecond {
+		t.Errorf("Quantile(0.07) of 7 small in 100 = %v, want 1µs", got)
 	}
 }
