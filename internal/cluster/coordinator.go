@@ -15,6 +15,8 @@
 // The successor inherits mid-flight work from durable state alone:
 // pending handoff intents resolve through the targets' imported-sets,
 // and a journaled "draining" view resumes the drain where it stopped.
+// This file carries out the decisions in plan.go: it fetches what
+// they read and posts what they return.
 package cluster
 
 import (
@@ -34,34 +36,28 @@ func (r *Router) electLoop() {
 	r.releaseLeases()
 }
 
-// electOnce runs one lease round: poll every member, adopt any newer
-// view riding the replies, recount the quorum, and — if this router
-// coordinates — run one convergence pass.
+// electOnce runs one lease round: it polls every member, keeps the
+// fencing generations the replies report, and installs the view and
+// takes the role decideElection makes of them; a coordinator then runs
+// one convergence pass.
 func (r *Router) electOnce() {
 	view := r.View()
-	granted := 0
-	var adopt *persist.ViewRecord
+	var replies []leaseReply
 	for _, m := range view.Members {
 		var rep leaseReply
 		if err := postJSON(r.leaseClient, m.URL+"/cluster/lease",
 			leaseRequest{Name: r.cfg.Name, TTLMillis: r.cfg.LeaseTTL.Milliseconds()}, &rep); err != nil {
 			continue
 		}
-		if ps := r.peerByName(m.Name); ps != nil && rep.Gen > ps.leaseGen.Load() {
-			ps.leaseGen.Store(rep.Gen)
-		}
-		if rep.Granted {
-			granted++
-		}
-		if rep.View != nil && (adopt == nil || rep.View.Epoch > adopt.Epoch) {
-			adopt = rep.View
-		}
+		r.mu.Lock()
+		r.gens[m.Name] = max(r.gens[m.Name], rep.Gen)
+		r.mu.Unlock()
+		replies = append(replies, rep)
 	}
+	granted, is, adopt := decideElection(view, replies)
 	if adopt != nil && r.installView(*adopt) {
 		r.diagf("cluster: router %s adopted view epoch %d from lease replies", r.cfg.Name, adopt.Epoch)
 	}
-	quorum := len(view.Members)/2 + 1
-	is := granted >= quorum
 	was := r.coordinator.Swap(is)
 	switch {
 	case is && !was:
@@ -89,10 +85,9 @@ func (r *Router) releaseLeases() {
 }
 
 // converge is the coordinator's repair pass, run every election tick:
-// resolve any pending handoff intent a predecessor left frozen, resume
-// an interrupted drain journaled in the view, and re-push view plus
-// ownership to instances that are behind. Skipped without blocking
-// while an administrative rebalance holds rebalMu.
+// it surveys the members and carries out what decideConverge makes of
+// the replies. Skipped without blocking while an administrative
+// rebalance holds rebalMu.
 func (r *Router) converge() {
 	if !r.rebalMu.TryLock() {
 		return
@@ -102,126 +97,89 @@ func (r *Router) converge() {
 		return
 	}
 	view := r.View()
-	statuses := make(map[string]statusReply, len(view.Members))
-	pending := false
-	for _, m := range view.Members {
+	statuses, imported := r.survey(view.Members)
+	resolve, drain, heal := decideConverge(view, statuses, imported)
+	for _, res := range resolve {
+		if err := r.resolve(res); err != nil {
+			r.diagf("cluster: intent resolution on %s: %v", res.member.Name, err)
+		}
+	}
+	if drain != "" {
+		p, err := planChange(view, RebalanceRequest{Action: "drain", Name: drain}, statuses[drain], r.healthy)
+		if err == nil {
+			err = r.execute(p)
+		}
+		if err != nil {
+			r.diagf("cluster: resuming drain of %s: %v", drain, err)
+		}
+	}
+	for _, m := range heal {
+		st := statuses[m.Name]
+		r.diagf("cluster: healing %s (instance view %d, epoch %d; cluster epoch %d)", m.Name, st.ViewEpoch, st.Epoch, view.Epoch)
+	}
+	r.publish(view, heal, true)
+}
+
+// survey fetches the members' statuses and, for each pending handoff
+// intent among them, whether its target durably imported it. A member
+// that does not answer has no status, a target that does not answer no
+// verdict.
+func (r *Router) survey(members []persist.ViewMember) (map[string]statusReply, map[string]bool) {
+	statuses, imported := make(map[string]statusReply, len(members)), make(map[string]bool)
+	for _, m := range members {
 		var st statusReply
 		if err := getJSON(r.client, m.URL+"/cluster/status", &st); err != nil {
 			continue
 		}
-		if st.PendingHandoff != nil {
-			pending = true
-			if err := r.resolveIntent(m, *st.PendingHandoff); err != nil {
-				r.diagf("cluster: intent resolution on %s: %v", m.Name, err)
-			}
-			continue
-		}
 		statuses[m.Name] = st
-	}
-	if pending {
-		return // next tick re-inspects the settled state
-	}
-	for _, m := range view.Members {
-		if m.State == persist.StateDraining {
-			st, ok := statuses[m.Name]
-			if !ok {
-				return // drainee unreachable; health ejection handles death
+		if ph := st.PendingHandoff; ph != nil {
+			var rep struct {
+				Imported bool `json:"imported"`
 			}
-			if err := r.finishDrainLocked(view, m, st); err != nil {
-				r.diagf("cluster: resuming drain of %s: %v", m.Name, err)
+			q := fmt.Sprintf("%s/cluster/imported?epoch=%d&source=%s", ph.Target, ph.Epoch, url.QueryEscape(m.Name))
+			if err := getJSON(r.client, q, &rep); err != nil {
+				r.diagf("cluster: intent target unreachable, %s stays frozen: %v", m.Name, err)
+				continue
 			}
-			return
+			imported[m.Name] = rep.Imported
 		}
 	}
-	r.healLocked(view, statuses)
+	return statuses, imported
 }
 
-// resolveIntent settles one pending handoff intent: the target's
-// durable imported-set says whether the migration reached its commit
-// point — yes completes the handoff (source sheds the frozen ranges),
-// no aborts it (source thaws and keeps serving). An unreachable
-// target keeps the source frozen; frozen is safe (events bounce and
-// spill) and a later pass retries.
-func (r *Router) resolveIntent(m persist.ViewMember, ph handoffRequest) error {
-	var rep struct {
-		Imported bool `json:"imported"`
-	}
-	q := fmt.Sprintf("%s/cluster/imported?epoch=%d&source=%s", ph.Target, ph.Epoch, url.QueryEscape(m.Name))
-	if err := getJSON(r.client, q, &rep); err != nil {
-		return fmt.Errorf("intent target unreachable, %s stays frozen: %w", m.Name, err)
-	}
+// resolve posts one intent resolution to the intent's source.
+func (r *Router) resolve(res resolution) error {
 	if err := r.step("resolve-intent"); err != nil {
 		return err
 	}
-	if err := postJSON(r.client, m.URL+"/cluster/resolve",
-		resolveRequest{Gen: r.genFor(m.Name), Epoch: ph.Epoch, Commit: rep.Imported}, nil); err != nil {
+	req := res.req
+	req.Gen = r.genFor(res.member.Name)
+	if err := postJSON(r.client, res.member.URL+"/cluster/resolve", req, nil); err != nil {
 		return err
 	}
-	r.diagf("cluster: resolved pending handoff on %s at epoch %d (commit=%v)", m.Name, ph.Epoch, rep.Imported)
+	r.diagf("cluster: resolved pending handoff on %s at epoch %d (commit=%v)", res.member.Name, req.Epoch, req.Commit)
 	return nil
 }
 
-// healLocked re-pushes the stable view and its ring ownership to any
-// in-ring instance that is behind — freshly booted, recovered from a
-// crash, or cut off from the previous coordinator when it pushed.
-// Caller holds rebalMu.
-func (r *Router) healLocked(view persist.ViewRecord, statuses map[string]statusReply) {
-	ring := NewRing(view.RingMembers(), 0)
-	for _, m := range view.Members {
-		st, ok := statuses[m.Name]
-		if !ok || !m.InRing() {
-			continue
+// publish posts view v to members — the view itself unless view is
+// false — then to an in-ring member the ownership v's ring gives it. A
+// member that refuses the view (it is fenced, or holds a newer one) gets
+// no ownership from v.
+func (r *Router) publish(v persist.ViewRecord, members []persist.ViewMember, view bool) {
+	ring := NewRing(v.RingMembers(), 0)
+	for _, m := range members {
+		gen := r.genFor(m.Name)
+		if view {
+			if err := postJSON(r.client, m.URL+"/cluster/view", viewRequest{Gen: gen, View: v}, nil); err != nil {
+				r.diagf("cluster: view push to %s: %v", m.Name, err)
+				continue
+			}
 		}
-		if st.ViewEpoch >= view.Epoch && st.Epoch >= view.Epoch {
-			continue
-		}
-		r.diagf("cluster: healing %s (instance view %d, epoch %d; cluster epoch %d)",
-			m.Name, st.ViewEpoch, st.Epoch, view.Epoch)
-		if err := postJSON(r.client, m.URL+"/cluster/view",
-			viewRequest{Gen: r.genFor(m.Name), View: view}, nil); err != nil {
-			r.diagf("cluster: view push to %s: %v", m.Name, err)
-			continue
-		}
-		if err := postJSON(r.client, m.URL+"/cluster/ownership",
-			ownershipRequest{Gen: r.genFor(m.Name), Epoch: view.Epoch, Ranges: ring.Ranges(m.Name)}, nil); err != nil {
-			r.diagf("cluster: ownership heal of %s: %v", m.Name, err)
-		}
-	}
-}
-
-// pushView installs v on every member in it — including non-ring
-// members, so an ejected instance that comes back already knows the
-// cluster it belongs to.
-func (r *Router) pushView(v persist.ViewRecord) {
-	for _, m := range v.Members {
-		if err := postJSON(r.client, m.URL+"/cluster/view",
-			viewRequest{Gen: r.genFor(m.Name), View: v}, nil); err != nil {
-			r.diagf("cluster: view push to %s: %v", m.Name, err)
-		}
-	}
-}
-
-// commitView installs v here, then on every member, then pushes the
-// ownership its ring implies.
-func (r *Router) commitView(v persist.ViewRecord) {
-	r.installView(v)
-	r.pushView(v)
-	r.pushOwnershipView(v)
-}
-
-// pushOwnershipView pushes ring-derived ownership at v's epoch to
-// every in-ring member of v.
-func (r *Router) pushOwnershipView(v persist.ViewRecord) {
-	names := v.RingMembers()
-	ring := NewRing(names, 0)
-	for _, name := range names {
-		ps := r.peerByName(name)
-		if ps == nil {
-			continue
-		}
-		req := ownershipRequest{Gen: r.genFor(name), Epoch: v.Epoch, Ranges: ring.Ranges(name)}
-		if err := postJSON(r.client, ps.URL+"/cluster/ownership", req, nil); err != nil {
-			r.diagf("cluster: ownership push to %s: %v", name, err)
+		if m.InRing() {
+			if err := postJSON(r.client, m.URL+"/cluster/ownership",
+				ownershipRequest{Gen: gen, Epoch: v.Epoch, Ranges: ring.Ranges(m.Name)}, nil); err != nil {
+				r.diagf("cluster: ownership push to %s: %v", m.Name, err)
+			}
 		}
 	}
 }
@@ -301,36 +259,26 @@ func (r *Router) RebalanceStatus() RebalanceStatus {
 }
 
 func (r *Router) runRebalance(req RebalanceRequest) {
-	var err error
-	switch req.Action {
-	case "add":
-		err = r.addMember(req)
-	case "drain":
-		err = r.drainMember(req.Name)
-	case "remove":
-		err = r.removeMember(req.Name)
-	}
+	err := r.rebalance(req)
 	r.rebalStMu.Lock()
-	r.rebalSt.Active = false
+	r.rebalSt.Active, r.rebalSt.Step = false, "done"
 	if err != nil {
-		r.rebalSt.Step = "failed"
-		r.rebalSt.Error = err.Error()
-	} else {
-		r.rebalSt.Step = "done"
+		r.rebalSt.Step, r.rebalSt.Error = "failed", err.Error()
 	}
 	r.rebalStMu.Unlock()
-	if err != nil {
+	if err != nil { // a change that commits says so as its view installs
 		r.diagf("cluster: rebalance %s %s: %v", req.Action, req.Name, err)
-	} else {
-		r.met.Rebalances.Add(1)
-		r.diagf("cluster: rebalance %s %s done at epoch %d", req.Action, req.Name, r.Epoch())
 	}
 }
 
 // step records a rebalance step, fires the chaos hook, and reports
 // whether the router was killed at the boundary — a killed coordinator
-// must stop mid-protocol exactly the way SIGKILL would stop it.
+// must stop mid-protocol exactly the way SIGKILL would stop it. The
+// empty step is no boundary.
 func (r *Router) step(s string) error {
+	if s == "" {
+		return nil
+	}
 	r.rebalStMu.Lock()
 	if r.rebalSt.Active {
 		r.rebalSt.Step = s
@@ -342,191 +290,109 @@ func (r *Router) step(s string) error {
 	return r.ctx.Err()
 }
 
-// addMember grows the ring: the newcomer is registered at the current
-// epoch with no ranges (clearing any standalone full-circle ownership
-// it booted with), current owners live-hand-off the ranges the
-// newcomer gains, and the grown view commits.
-func (r *Router) addMember(req RebalanceRequest) error {
+// rebalance runs one membership change on the installed view. A drain
+// moves what its drainee's journaled ownership holds, once a pending
+// handoff intent on the drainee is settled as a converge pass would.
+func (r *Router) rebalance(req RebalanceRequest) error {
 	r.rebalMu.Lock()
 	defer r.rebalMu.Unlock()
 	view := r.View()
-	if _, ok := view.Member(req.Name); ok {
-		return fmt.Errorf("cluster: member %q already in the view", req.Name)
-	}
-	if err := r.step("add-register"); err != nil {
-		return err
-	}
-	if err := postJSON(r.client, req.URL+"/cluster/ownership",
-		ownershipRequest{Epoch: view.Epoch, Ranges: nil}, nil); err != nil {
-		return fmt.Errorf("cluster: add %s: registration: %w", req.Name, err)
-	}
-	epoch := view.Epoch + 1
-	r.mu.RLock()
-	oldRing := r.ring
-	r.mu.RUnlock()
-	newRing := NewRing(append(view.RingMembers(), req.Name), 0)
-	// A failed handoff leaves the newcomer serving that range cold;
-	// rerouted events still flow once the grown view commits.
-	if err := r.handoffGained(oldRing, newRing.Ranges(req.Name), epoch, Peer{Name: req.Name, URL: req.URL}, "add-handoff"); err != nil {
-		return err
-	}
-	if err := r.step("add-commit"); err != nil {
-		return err
-	}
-	v2 := view.Clone()
-	v2.Members = append(v2.Members, persist.ViewMember{Name: req.Name, URL: req.URL, Dir: req.Dir, State: persist.StateIn})
-	v2.Epoch = epoch
-	r.commitView(v2)
-	return nil
-}
-
-// drainMember shrinks the ring gracefully. The draining intent is
-// journaled fleet-wide FIRST (a view with the member marked draining),
-// so a successor coordinator resumes the drain from durable state
-// instead of re-deriving it; then every range the drainee owns
-// live-hands-off to its new owner and the shrunk view commits.
-func (r *Router) drainMember(name string) error {
-	r.rebalMu.Lock()
-	defer r.rebalMu.Unlock()
-	view := r.View()
-	m, ok := view.Member(name)
-	if !ok {
-		return fmt.Errorf("cluster: unknown member %q", name)
-	}
-	switch m.State {
-	case persist.StateDraining: // resuming an interrupted drain
-	case persist.StateIn:
-		if len(view.RingMembers()) < 2 {
-			return fmt.Errorf("cluster: refusing to drain the last in-ring member")
-		}
-		if err := r.step("drain-intent"); err != nil {
-			return err
-		}
-		v1 := view.Clone()
-		setMemberState(&v1, name, persist.StateDraining)
-		v1.Epoch++
-		r.installView(v1)
-		r.pushView(v1)
-		// Ownership is unchanged by the intent (draining members still
-		// serve); re-push at the new epoch keeps instance and view epochs
-		// aligned.
-		r.pushOwnershipView(v1)
-		view = v1
-		m, _ = view.Member(name)
-	default:
-		return fmt.Errorf("cluster: member %q is %s — only an in-ring member can drain", name, m.State)
-	}
 	var st statusReply
-	if err := getJSON(r.client, m.URL+"/cluster/status", &st); err != nil {
-		return fmt.Errorf("cluster: drain %s: source unreachable: %w", name, err)
-	}
-	return r.finishDrainLocked(view, m, st)
-}
-
-// finishDrainLocked migrates everything the draining member still
-// owns and commits the shrunk view. Idempotent and resumable: each
-// handoff's Out record takes its ranges out of the source's journaled
-// ownership, which st reports, so a re-run (same or successor
-// coordinator, before or after the source restarts) only moves what is
-// left. Caller holds rebalMu; st is the drainee's current status.
-func (r *Router) finishDrainLocked(view persist.ViewRecord, m persist.ViewMember, st statusReply) error {
-	if st.PendingHandoff != nil {
-		if err := r.resolveIntent(m, *st.PendingHandoff); err != nil {
-			return err
+	if m, ok := view.Member(req.Name); ok && req.Action == "drain" {
+		statuses, imported := r.survey([]persist.ViewMember{m})
+		resolve, _, _ := decideConverge(view, statuses, imported)
+		for _, res := range resolve {
+			if err := r.resolve(res); err != nil {
+				return err
+			}
+			statuses, _ = r.survey([]persist.ViewMember{m})
 		}
-		if err := getJSON(r.client, m.URL+"/cluster/status", &st); err != nil {
-			return fmt.Errorf("cluster: drain %s: source unreachable: %w", m.Name, err)
-		}
-		if st.PendingHandoff != nil {
-			return fmt.Errorf("cluster: drain %s: pending handoff did not settle", m.Name)
+		if st, ok = statuses[m.Name]; !ok || st.PendingHandoff != nil {
+			return fmt.Errorf("cluster: drain %s: source unreachable, or its pending handoff unsettled", m.Name)
 		}
 	}
-	epoch := view.Epoch + 1
-	rest := make([]string, 0, len(view.RingMembers()))
-	for _, name := range view.RingMembers() {
-		if name != m.Name {
-			rest = append(rest, name)
-		}
-	}
-	if len(rest) == 0 {
-		return fmt.Errorf("cluster: cannot drain the last in-ring member")
-	}
-	newRing := NewRing(rest, 0)
-	for _, target := range rest {
-		tp := r.peerByName(target)
-		if tp == nil {
-			continue
-		}
-		moved := persist.Intersect(st.Ranges, newRing.Ranges(target))
-		if len(moved) == 0 {
-			continue
-		}
-		if err := r.step("drain-handoff"); err != nil {
-			return err
-		}
-		if err := postJSON(r.client, m.URL+"/cluster/handoff",
-			handoffRequest{Gen: r.genFor(m.Name), Epoch: epoch, Target: tp.URL, Ranges: moved}, nil); err != nil {
-			// Unlike add/readmit there is no cold fallback here — the
-			// drainee's state must land somewhere before it leaves. Stop;
-			// the draining view stays journaled and the next converge tick
-			// (this coordinator or a successor) resumes.
-			r.met.HandoffErrors.Add(1)
-			return fmt.Errorf("cluster: drain handoff %s -> %s: %w", m.Name, target, err)
-		}
-	}
-	if err := r.step("drain-commit"); err != nil {
+	p, err := planChange(view, req, st, r.healthy)
+	if err != nil {
 		return err
 	}
-	// The drainee owns nothing now; an explicit empty ownership makes
-	// that durable even if every range intersected nothing.
-	if err := postJSON(r.client, m.URL+"/cluster/ownership",
-		ownershipRequest{Gen: r.genFor(m.Name), Epoch: epoch, Ranges: nil}, nil); err != nil {
-		r.diagf("cluster: drain %s: final ownership push: %v", m.Name, err)
+	return r.execute(p)
+}
+
+// execute carries out a plan: every post, every rebalance step boundary
+// and the counters. A boundary the router was killed at, a failed
+// registration or a failed hard-stop move ends it there; a failed
+// cold-continue move is counted and the rest goes on.
+func (r *Router) execute(p plan) error {
+	if err := r.step(p.startStep); err != nil {
+		return err
 	}
-	v2 := persist.ViewRecord{Epoch: epoch}
-	for _, vm := range view.Members {
-		if vm.Name != m.Name {
-			v2.Members = append(v2.Members, vm)
+	if m := p.register; m != nil {
+		if err := postJSON(r.client, m.URL+"/cluster/ownership", ownershipRequest{Epoch: p.next.Epoch - 1}, nil); err != nil {
+			return fmt.Errorf("cluster: add %s: registration: %w", m.Name, err)
 		}
 	}
-	r.commitView(v2)
-	r.diagf("cluster: drained %s out at epoch %d (%d members remain)", m.Name, epoch, len(v2.Members))
+	if v := p.intent; v != nil {
+		r.installView(*v)
+		r.publish(*v, v.Members, true)
+	}
+	if p.early {
+		if r.install(p); len(p.next.RingMembers()) == 0 {
+			return nil // everything spills until someone comes back
+		}
+	}
+	for _, mv := range p.moves {
+		if err := r.step(p.moveStep); err != nil {
+			return err
+		}
+		if err := r.migrate(mv); err != nil && mv.hardStop {
+			return err
+		}
+	}
+	if err := r.step(p.commitStep); err != nil {
+		return err
+	}
+	if m := p.emptied; m != nil {
+		if err := postJSON(r.client, m.URL+"/cluster/ownership",
+			ownershipRequest{Gen: r.genFor(m.Name), Epoch: p.next.Epoch}, nil); err != nil {
+			r.diagf("cluster: drain %s: final ownership push: %v", m.Name, err)
+		}
+	}
+	if !p.early {
+		r.install(p)
+	}
+	r.publish(p.next, p.next.Members, true)
 	return nil
 }
 
-// removeMember drops a member without its cooperation: survivors take
-// over its ranges from its state directory (if known), then the
-// shrunk view commits. For members that are already gone — drain is
-// the graceful path.
-func (r *Router) removeMember(name string) error {
-	r.rebalMu.Lock()
-	defer r.rebalMu.Unlock()
-	view := r.View()
-	m, ok := view.Member(name)
-	if !ok {
-		return fmt.Errorf("cluster: unknown member %q", name)
+// install installs a plan's next view here and counts the change, so
+// whoever sees an ejection or readmission counted sees its rebalance
+// counted too.
+func (r *Router) install(p plan) {
+	r.installView(p.next)
+	r.met.Rebalances.Add(1)
+	switch p.action {
+	case "eject":
+		r.met.PeerUnhealthy.Add(1)
+	case "readmit":
+		r.met.Readmits.Add(1)
 	}
-	if len(view.Members) < 2 {
-		return fmt.Errorf("cluster: refusing to remove the last member")
+	r.diagf("cluster: %s %s: epoch %d, %d in the ring", p.action, p.member, p.next.Epoch, len(p.next.RingMembers()))
+}
+
+// migrate runs one move — a takeover posted to its target, or a live
+// handoff posted to its source — and counts a failure.
+func (r *Router) migrate(mv move) error {
+	url, failed := mv.from.URL+"/cluster/handoff", &r.met.HandoffErrors
+	var req any = handoffRequest{Gen: r.genFor(mv.from.Name), Epoch: mv.epoch, Target: mv.to.URL, Ranges: mv.ranges}
+	if mv.takeover {
+		url, failed = mv.to.URL+"/cluster/takeover", &r.met.TakeoverErrors
+		req = takeoverRequest{Gen: r.genFor(mv.to.Name), Epoch: mv.epoch, Dir: mv.from.Dir, Ranges: mv.ranges}
 	}
-	if err := r.step("remove-takeover"); err != nil {
-		return err
+	err := postJSON(r.client, url, req, nil)
+	if err != nil {
+		failed.Add(1)
+		err = fmt.Errorf("cluster: moving ranges %s -> %s: %w", mv.from.Name, mv.to.Name, err)
+		r.diagf("%v", err)
 	}
-	r.mu.RLock()
-	oldRing := r.ring
-	r.mu.RUnlock()
-	v2 := persist.ViewRecord{Epoch: view.Epoch + 1}
-	for _, vm := range view.Members {
-		if vm.Name != name {
-			v2.Members = append(v2.Members, vm)
-		}
-	}
-	if m.InRing() {
-		r.takeover(oldRing.Ranges(name), m.Dir, v2)
-	}
-	if err := r.step("remove-commit"); err != nil {
-		return err
-	}
-	r.commitView(v2)
-	return nil
+	return err
 }

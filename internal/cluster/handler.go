@@ -118,37 +118,26 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	out.Fleet.Peers = len(peers)
 	// One slow peer must not serialize the whole scrape: fetch all peer
 	// snapshots concurrently, then fold.
-	type fetched struct {
-		name string
-		m    *instanceMetrics
-		err  error
-	}
-	results := make([]fetched, len(peers))
+	metrics, errs := make([]instanceMetrics, len(peers)), make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, ps := range peers {
 		wg.Add(1)
-		go func(i int, ps *peerState) {
+		go func() {
 			defer wg.Done()
-			var m instanceMetrics
-			err := getJSON(r.client, ps.URL+"/metrics", &m)
-			if err != nil {
-				results[i] = fetched{name: ps.Name, err: err}
-				return
-			}
-			results[i] = fetched{name: ps.Name, m: &m}
-		}(i, ps)
+			errs[i] = getJSON(r.client, ps.URL+"/metrics", &metrics[i])
+		}()
 	}
 	wg.Wait()
-	for i, res := range results {
-		if res.err != nil {
-			out.Peers[res.name] = map[string]string{"error": res.err.Error()}
+	for i, ps := range peers {
+		if errs[i] != nil {
+			out.Peers[ps.Name] = map[string]string{"error": errs[i].Error()}
 			continue
 		}
-		if peers[i].healthy.Load() {
+		if ps.healthy.Load() {
 			out.Fleet.PeersHealthy++
 		}
-		m := res.m
-		out.Peers[res.name] = m
+		m := &metrics[i]
+		out.Peers[ps.Name] = m
 		out.Fleet.Ingested += m.Ingested
 		out.Fleet.Processed += m.Processed
 		out.Fleet.ChainsOpen += m.ChainsOpen
@@ -169,16 +158,13 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	defer r.mu.RUnlock()
 	rows := make([]peerStatus, 0, len(r.peers))
 	for _, ps := range r.peers {
-		state := persist.StateIn
-		if m, ok := r.view.Member(ps.Name); ok {
-			state = m.State
-		}
+		m, _ := r.view.Member(ps.Name)
 		rows = append(rows, peerStatus{
 			Name:    ps.Name,
 			URL:     ps.URL,
-			State:   state,
+			State:   m.State,
 			Healthy: ps.healthy.Load(),
-			InRing:  ps.inRing,
+			InRing:  m.InRing(),
 			Ranges:  r.ring.Ranges(ps.Name),
 		})
 	}
@@ -188,7 +174,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		Coordinator bool         `json:"coordinator"`
 		Epoch       uint64       `json:"epoch"`
 		Peers       []peerStatus `json:"peers"`
-	}{Router: r.cfg.Name, Coordinator: r.IsCoordinator(), Epoch: r.epoch, Peers: rows})
+	}{Router: r.cfg.Name, Coordinator: r.IsCoordinator(), Epoch: r.view.Epoch, Peers: rows})
 }
 
 // getJSON fetches url and decodes the JSON body into reply.

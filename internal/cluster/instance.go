@@ -388,8 +388,12 @@ func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (inst *Instance) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c := inst.s.Control()
-	reply := statusReply{Name: inst.name}
+	writeJSON(w, statusOf(inst.name, inst.s.Control()))
+}
+
+// statusOf is the status of the named instance with control state c.
+func statusOf(name string, c stream.Control) statusReply {
+	reply := statusReply{Name: name}
 	reply.Epoch, reply.Ranges = c.Owned()
 	if h := c.Handoff; h != nil {
 		reply.PendingHandoff = &handoffRequest{Epoch: h.Epoch, Target: h.Peer, Ranges: h.Ranges}
@@ -400,7 +404,7 @@ func (inst *Instance) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if c.View != nil {
 		reply.ViewEpoch = c.View.Epoch
 	}
-	writeJSON(w, reply)
+	return reply
 }
 
 // fence checks gen against the current lease's fencing generation.

@@ -56,13 +56,14 @@ type leaseReply struct {
 	View       *persist.ViewRecord `json:"view,omitempty"`
 }
 
-// lowestCandidate returns the lexically-lowest router name seen
-// polling recently enough to be considered live. Caller holds inst.mu.
-func (inst *Instance) lowestCandidate(now time.Time, ttl time.Duration) string {
+// lowestCandidate returns the lexically-lowest router name in cands
+// seen polling recently enough to be considered live, dropping those
+// that have not polled for three TTLs.
+func lowestCandidate(cands map[string]time.Time, now time.Time, ttl time.Duration) string {
 	lowest := ""
-	for name, seen := range inst.candidates {
+	for name, seen := range cands {
 		if now.Sub(seen) > 3*ttl {
-			delete(inst.candidates, name)
+			delete(cands, name)
 		} else if lowest == "" || name < lowest {
 			lowest = name
 		}
@@ -74,7 +75,6 @@ func (inst *Instance) lowestCandidate(now time.Time, ttl time.Duration) string {
 // poller as a live candidate (or drops it on release), then decides by
 // decideLease and applies the decision through the streamer.
 func (inst *Instance) Lease(req leaseRequest, now time.Time) (leaseReply, error) {
-	ttl := time.Duration(req.TTLMillis) * time.Millisecond
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	lowest := ""
@@ -82,29 +82,14 @@ func (inst *Instance) Lease(req leaseRequest, now time.Time) (leaseReply, error)
 		delete(inst.candidates, req.Name)
 	} else {
 		inst.candidates[req.Name] = now
-		lowest = inst.lowestCandidate(now, ttl)
+		lowest = lowestCandidate(inst.candidates, now, time.Duration(req.TTLMillis)*time.Millisecond)
 	}
 	var rep leaseReply
 	var newHolder bool
-	err := inst.s.Decide(func(c stream.Control) ([]byte, bool, error) {
-		rec, durable, granted := decideLease(c, req, lowest, now)
-		rep = leaseReply{Granted: granted}
-		cur := c.Lease
-		if rec != nil {
-			cur = rec
-		}
-		if cur != nil {
-			rep.Holder, rep.Gen, rep.ExpireNano = cur.Holder, cur.Gen, cur.ExpireNano
-		}
-		if c.View != nil {
-			v := c.View.Clone()
-			rep.View = &v
-		}
-		if rec == nil {
-			return nil, false, nil
-		}
-		newHolder = rec.Holder != "" && (c.Lease == nil || c.Lease.Holder != rec.Holder)
-		return persist.EncodeLease(*rec), durable, nil
+	err := inst.s.Decide(func(c stream.Control) (rec []byte, durable bool, err error) {
+		rec, durable, rep = decideLease(c, req, lowest, now)
+		newHolder = rep.Granted && (c.Lease == nil || c.Lease.Holder != rep.Holder)
+		return rec, durable, nil
 	})
 	if err != nil {
 		return leaseReply{}, err
@@ -122,36 +107,42 @@ func (inst *Instance) Lease(req leaseRequest, now time.Time) (leaseReply, error)
 // without clearing the lease — once a lower-named candidate appears,
 // so the holder steps down gracefully within one TTL; a release by the
 // holder vacates it. The fencing generation bumps on every holder
-// change. It returns the lease record to apply (nil: no change), whether
-// to journal it (all but a renewal), and whether the poller holds the
-// lease.
-func decideLease(c stream.Control, req leaseRequest, lowest string, now time.Time) (rec *persist.LeaseRecord, durable, granted bool) {
+// change. It returns the lease record to journal and apply (nil: no
+// change), whether to journal it (all but a renewal), and the reply to
+// the poller, which carries c's view.
+func decideLease(c stream.Control, req leaseRequest, lowest string, now time.Time) (rec []byte, durable bool, rep leaseReply) {
 	var cur persist.LeaseRecord
 	if c.Lease != nil {
 		cur = *c.Lease
 	}
-	if req.Release {
-		if cur.Holder != req.Name {
-			return nil, false, false
-		}
-		return &persist.LeaseRecord{Holder: "", Gen: cur.Gen}, true, false
+	if c.View != nil {
+		v := c.View.Clone()
+		rep.View = &v
 	}
 	vacant := cur.Holder == "" || now.UnixNano() > cur.ExpireNano
 	deadline := now.Add(time.Duration(req.TTLMillis) * time.Millisecond).UnixNano()
+	var next *persist.LeaseRecord
 	switch {
+	case req.Release && cur.Holder == req.Name:
+		next, durable = &persist.LeaseRecord{Holder: "", Gen: cur.Gen}, true
+	case req.Release:
 	case vacant && req.Name == lowest:
-		gen := cur.Gen
+		next, durable = &persist.LeaseRecord{Holder: req.Name, Gen: cur.Gen, ExpireNano: deadline}, true
 		if cur.Holder != req.Name {
-			gen++
+			next.Gen++
 		}
-		return &persist.LeaseRecord{Holder: req.Name, Gen: gen, ExpireNano: deadline}, true, true
 	case !vacant && cur.Holder == req.Name && req.Name == lowest:
-		return &persist.LeaseRecord{Holder: req.Name, Gen: cur.Gen, ExpireNano: deadline}, false, true
+		next = &persist.LeaseRecord{Holder: req.Name, Gen: cur.Gen, ExpireNano: deadline}
 	}
-	// A lower-named router is live, or another holds the lease: refuse
-	// without touching it, so a holder finishes in-flight work and steps
-	// down when the lease runs out on its own.
-	return nil, false, false
+	// Otherwise a lower-named router is live, or another holds the lease:
+	// refuse without touching it, so a holder finishes in-flight work and
+	// steps down when the lease runs out on its own.
+	if next != nil {
+		rec, cur = persist.EncodeLease(*next), *next
+	}
+	rep.Granted = next != nil && next.Holder == req.Name
+	rep.Holder, rep.Gen, rep.ExpireNano = cur.Holder, cur.Gen, cur.ExpireNano
+	return rec, durable, rep
 }
 
 // fenced rejects a control call stamped with a fencing generation
@@ -191,9 +182,7 @@ func (r viewRequest) validate() error {
 			return fmt.Errorf("%w: duplicate view member %q", errPayload, m.Name)
 		}
 		seen[m.Name] = true
-		switch m.State {
-		case persist.StateIn, persist.StateDraining, persist.StateDrained, persist.StateEjected:
-		default:
+		if !persist.KnownState(m.State) {
 			return fmt.Errorf("%w: view member %q has unknown state %q", errPayload, m.Name, m.State)
 		}
 	}
@@ -252,17 +241,14 @@ func (inst *Instance) Resolve(req resolveRequest) error {
 	if err != nil {
 		return err
 	}
+	settle, verdict := inst.s.CompleteHandoff, "completed: the target holds the state"
 	if !req.Commit {
-		if err := inst.s.AbortHandoff(); err != nil {
-			return err
-		}
-		inst.diagf("cluster: aborted pending handoff at epoch %d (target %s never imported)", h.Epoch, h.Peer)
-		return nil
+		settle, verdict = inst.s.AbortHandoff, "aborted: the target never imported it"
 	}
-	if err := inst.s.CompleteHandoff(); err != nil {
+	if err := settle(); err != nil {
 		return err
 	}
-	inst.diagf("cluster: completed pending handoff at epoch %d (target %s holds the state)", h.Epoch, h.Peer)
+	inst.diagf("cluster: pending handoff at epoch %d to %s %s", h.Epoch, h.Peer, verdict)
 	return nil
 }
 

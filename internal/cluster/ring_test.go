@@ -103,7 +103,14 @@ func TestRingRemovalMovesOnlyDeadRanges(t *testing.T) {
 // TestHandoffMovesExactlyTheGainedRanges: across a readmission, the
 // intersection of an old owner's ranges with the rejoining member's
 // new ranges must be exactly the hashes that changed hands between the
-// two.
+// two. And for every membership change the planner makes — add, drain,
+// remove, eject and readmit, over 2–5 members — a plan's moves are
+// pairwise disjoint, never from a member to itself, and together
+// exactly the hashes whose owner differs between the old ring and the
+// ring of the plan's next view, each moving from its old owner to its
+// new one: drain moves stop the plan when they fail, add and readmit
+// moves serve cold, and eject and remove moves are takeovers from the
+// departed member's state directory.
 func TestHandoffMovesExactlyTheGainedRanges(t *testing.T) {
 	old := NewRing([]string{"a", "b"}, 64)
 	cur := NewRing([]string{"a", "b", "c"}, 64)
@@ -112,6 +119,51 @@ func TestHandoffMovesExactlyTheGainedRanges(t *testing.T) {
 		want := old.Owner(h) == "a" && cur.Owner(h) == "c"
 		if got := persist.RangesContain(moved, h); got != want {
 			t.Fatalf("hash %#x: moved-set membership %v, want %v", h, got, want)
+		}
+	}
+
+	for n := 2; n <= 5; n++ {
+		healthy := func(string) bool { return true }
+		var view persist.ViewRecord
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("m%d", i)
+			view.Members = append(view.Members, persist.ViewMember{Name: name, URL: "http://" + name, Dir: "/state/" + name, State: persist.StateIn})
+		}
+		view.Epoch = 7
+		for _, action := range []string{"add", "drain", "remove", "eject", "readmit"} {
+			for i := range view.Members {
+				v, req := view.Clone(), RebalanceRequest{Action: action, Name: view.Members[i].Name}
+				switch action {
+				case "add":
+					req = RebalanceRequest{Action: action, Name: "new", URL: "http://new", Dir: "/state/new"}
+				case "readmit":
+					setMemberState(&v, req.Name, persist.StateEjected)
+				}
+				oldRing := NewRing(v.RingMembers(), 0)
+				p, err := planChange(v, req, statusReply{Ranges: oldRing.Ranges(req.Name)}, healthy)
+				if err != nil {
+					t.Fatalf("%d members, %s %s: %v", n, action, req.Name, err)
+				}
+				next := NewRing(p.next.RingMembers(), 0)
+				for _, mv := range p.moves {
+					wantKind := mv.hardStop == (action == "drain") && mv.takeover == (action == "remove" || action == "eject")
+					if mv.from.Name == mv.to.Name || !wantKind || mv.takeover && mv.from.Dir != "/state/"+req.Name || mv.epoch != p.next.Epoch {
+						t.Fatalf("%d members, %s %s: move %+v", n, action, req.Name, mv)
+					}
+				}
+				for _, h := range sampleHashes() {
+					var in []move
+					for _, mv := range p.moves {
+						if persist.RangesContain(mv.ranges, h) {
+							in = append(in, mv)
+						}
+					}
+					from, to := oldRing.Owner(h), next.Owner(h)
+					if from == to && len(in) != 0 || from != to && (len(in) != 1 || in[0].from.Name != from || in[0].to.Name != to) {
+						t.Fatalf("%d members, %s %s: hash %#x moves from %s to %s, but the plan's moves holding it are %+v", n, action, req.Name, h, from, to, in)
+					}
+				}
+			}
 		}
 	}
 }

@@ -151,22 +151,10 @@ type peerState struct {
 	// stop ends this peer's sender/health goroutines when the member
 	// leaves the cluster view (the router itself keeps running).
 	stop chan struct{}
-	// leaseGen is the newest fencing generation this peer reported in
-	// a lease reply; control posts to the peer are stamped with it.
-	leaseGen atomic.Uint64
 	// fails / oks are consecutive probe counts, touched only by the
 	// peer's health goroutine.
 	fails int
 	oks   int
-	// inRing is guarded by Router.mu.
-	inRing bool
-}
-
-// newPeerState builds a peer's state; healthy starts as inRing.
-func newPeerState(p Peer, queue int, inRing bool) *peerState {
-	ps := &peerState{Peer: p, q: par.NewQueue[logparse.Event](queue), stop: make(chan struct{}), inRing: inRing}
-	ps.healthy.Store(inRing)
-	return ps
 }
 
 // Router is the fault-tolerant ingest tier: it parses incoming lines,
@@ -184,17 +172,17 @@ type Router struct {
 	leaseClient *http.Client
 	fsys        faultfs.FS
 
-	mu    sync.RWMutex // ring, epoch, view, peer ring-membership
+	mu    sync.RWMutex // ring, view, peers, gens
 	ring  *Ring
-	epoch uint64
 	view  persist.ViewRecord
 	peers map[string]*peerState
+	// gens holds the newest fencing generation each member reported in a
+	// lease reply; control posts to it are stamped with that.
+	gens map[string]uint64
 
-	// Coordinator election (see coordinator.go). election is fixed at
-	// construction; coordinator flips with quorum lease grants; killed
-	// marks a simulated SIGKILL so shutdown skips the graceful lease
-	// release.
-	election    bool
+	// Coordinator election (see coordinator.go): coordinator flips with
+	// quorum lease grants (always set with election off); killed marks a
+	// simulated SIGKILL so shutdown skips the graceful lease release.
 	coordinator atomic.Bool
 	killed      atomic.Bool
 
@@ -203,7 +191,7 @@ type Router struct {
 	rebalStMu sync.Mutex
 	rebalSt   RebalanceStatus
 
-	// rebalMu serializes eject/readmit orchestration end to end.
+	// rebalMu serializes membership changes end to end.
 	rebalMu sync.Mutex
 
 	// drainMu serializes whole drain passes (the drain ticker vs Flush): a
@@ -230,8 +218,8 @@ type Router struct {
 
 // NewRouter builds and starts a router: the spill WAL is opened (and
 // any records left by a previous run queued for redelivery), sender,
-// health and drain goroutines start, and ownership at epoch 1 is
-// pushed to every peer.
+// health and drain goroutines start, and — with election off — the
+// ownership of the epoch-1 ring is pushed to every peer.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one peer")
@@ -266,18 +254,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: spill wal: %w", err)
 	}
-	names := make([]string, 0, len(cfg.Peers))
-	members := make([]persist.ViewMember, 0, len(cfg.Peers))
-	peers := make(map[string]*peerState, len(cfg.Peers))
+	view := persist.ViewRecord{Epoch: 1}
 	for _, p := range cfg.Peers {
-		if _, dup := peers[p.Name]; dup {
+		if _, dup := view.Member(p.Name); dup {
 			spill.Close()
 			return nil, fmt.Errorf("cluster: duplicate peer name %q", p.Name)
 		}
-		ps := newPeerState(p, cfg.SendQueue, true)
-		peers[p.Name] = ps
-		names = append(names, p.Name)
-		members = append(members, persist.ViewMember{Name: p.Name, URL: p.URL, Dir: p.Dir, State: persist.StateIn})
+		view.Members = append(view.Members, persist.ViewMember{Name: p.Name, URL: p.URL, Dir: p.Dir, State: persist.StateIn})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Router{
@@ -285,11 +268,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client:      &http.Client{Timeout: 30 * time.Second, Transport: cfg.Transport},
 		leaseClient: &http.Client{Timeout: cfg.HealthTimeout, Transport: cfg.Transport},
 		fsys:        fsys,
-		ring:        NewRing(names, 0),
-		epoch:       1,
-		view:        persist.ViewRecord{Epoch: 1, Members: members},
-		peers:       peers,
-		election:    cfg.Name != "",
+		peers:       make(map[string]*peerState, len(cfg.Peers)),
+		gens:        make(map[string]uint64),
 		spill:       spill,
 		progress:    make(chan struct{}, 1),
 		ctx:         ctx,
@@ -300,17 +280,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r.spillN = int64(stats.Records)
 		r.spillMu.Unlock()
 	}
-	if r.election {
+	r.coordinator.Store(cfg.Name == "") // with election off, always
+	// The epoch-1 view starts every peer's sender and health goroutines.
+	r.installView(view)
+	if cfg.Name != "" {
 		// Replicated deployment: ownership and views converge through the
 		// elected coordinator, never through every router's boot — two
 		// routers pushing epoch 1 concurrently would be two authorities.
 		r.goTracked(r.electLoop)
 	} else {
-		r.coordinator.Store(true)
-		r.pushOwnershipView(r.view)
-	}
-	for _, ps := range peers {
-		r.startPeer(ps)
+		r.publish(r.view, r.view.Members, false)
 	}
 	r.goTracked(func() { r.every(r.cfg.DrainInterval, nil, r.drainSpill) })
 	return r, nil
@@ -333,7 +312,7 @@ func (r *Router) diagf(format string, args ...any) {
 func (r *Router) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.epoch
+	return r.view.Epoch
 }
 
 // IngestLine routes one raw log line to its node's owner, parsing it
@@ -586,13 +565,14 @@ func (r *Router) probe(ps *peerState) {
 		}
 	}
 	r.mu.RLock()
-	inRing := ps.inRing
+	m, _ := r.view.Member(ps.Name)
 	r.mu.RUnlock()
+	inRing := m.InRing()
 	if ok {
 		ps.fails = 0
 		ps.oks++
 		if !inRing && ps.oks >= r.cfg.ReadmitThreshold && r.IsCoordinator() {
-			r.readmit(ps)
+			_ = r.rebalance(RebalanceRequest{Action: "readmit", Name: ps.Name}) // only errNoChange: readmitted already
 		} else if inRing && !ps.healthy.Load() && ps.oks >= r.cfg.ReadmitThreshold {
 			// A router that locally marked an in-ring peer down resumes
 			// direct delivery once the peer answers again.
@@ -604,7 +584,7 @@ func (r *Router) probe(ps *peerState) {
 	ps.fails++
 	if inRing && ps.fails >= r.cfg.FailThreshold {
 		if r.IsCoordinator() {
-			r.eject(ps)
+			_ = r.rebalance(RebalanceRequest{Action: "eject", Name: ps.Name}) // only errNoChange: ejected already
 		} else if ps.healthy.Load() {
 			// Only the coordinator mutates the cluster view; every other
 			// router just stops hammering the dead peer and spills its
@@ -613,121 +593,6 @@ func (r *Router) probe(ps *peerState) {
 			r.met.PeerUnhealthy.Add(1)
 		}
 	}
-}
-
-// eject removes a dead peer from the ring and rebalances: survivors
-// rebuild the dead peer's ranges from its state directory (takeover),
-// then the new ownership pushes to the whole fleet. Until ownership
-// lands, lines for the moved ranges bounce and spill — delivered late,
-// never lost.
-func (r *Router) eject(dead *peerState) {
-	r.rebalMu.Lock()
-	defer r.rebalMu.Unlock()
-	view := r.View()
-	m, ok := view.Member(dead.Name)
-	if !ok || !m.InRing() {
-		return
-	}
-	r.mu.RLock()
-	oldRing := r.ring
-	r.mu.RUnlock()
-	v2 := view.Clone()
-	setMemberState(&v2, dead.Name, persist.StateEjected)
-	v2.Epoch++
-	r.installView(v2)
-	// Rebalances moves first: whoever sees the ejection or readmission
-	// counted sees its rebalance counted too.
-	r.met.Rebalances.Add(1)
-	r.met.PeerUnhealthy.Add(1)
-	alive := v2.RingMembers()
-	r.diagf("cluster: peer %s unhealthy, ejected at epoch %d (%d peers remain)", dead.Name, v2.Epoch, len(alive))
-	if len(alive) == 0 {
-		return // everything spills until someone comes back
-	}
-	r.takeover(oldRing.Ranges(dead.Name), dead.Dir, v2)
-	r.pushView(v2)
-	r.pushOwnershipView(v2)
-}
-
-// takeover has v2's in-ring members rebuild, from the state directory
-// dir, the parts of a departed member's ranges that v2's ring gives
-// them. A survivor whose takeover fails serves those ranges cold: state
-// continuity is lost, rerouted events still flow. No-op without a dir.
-func (r *Router) takeover(deadRanges []persist.HashRange, dir string, v2 persist.ViewRecord) {
-	if dir == "" {
-		return
-	}
-	survivors := v2.RingMembers()
-	newRing := NewRing(survivors, 0)
-	for _, name := range survivors {
-		sp := r.peerByName(name)
-		moved := persist.Intersect(deadRanges, newRing.Ranges(name))
-		if sp == nil || len(moved) == 0 {
-			continue
-		}
-		if err := postJSON(r.client, sp.URL+"/cluster/takeover",
-			takeoverRequest{Gen: r.genFor(name), Epoch: v2.Epoch, Dir: dir, Ranges: moved}, nil); err != nil {
-			r.met.TakeoverErrors.Add(1)
-			r.diagf("cluster: takeover by %s from %s failed: %v", name, dir, err)
-		}
-	}
-}
-
-// handoffGained has the healthy current owners live-hand-off to target
-// the ranges it gains at epoch; a failed handoff is counted and the
-// range served cold. A non-empty step is the rebalance step boundary
-// crossed before each handoff, and the only source of an error.
-func (r *Router) handoffGained(oldRing *Ring, gained []persist.HashRange, epoch uint64, target Peer, step string) error {
-	for _, owner := range oldRing.Members() {
-		src := r.peerByName(owner)
-		moved := persist.Intersect(oldRing.Ranges(owner), gained)
-		if owner == target.Name || src == nil || !src.healthy.Load() || len(moved) == 0 {
-			continue
-		}
-		if step != "" {
-			if err := r.step(step); err != nil {
-				return err
-			}
-		}
-		if err := postJSON(r.client, src.URL+"/cluster/handoff",
-			handoffRequest{Gen: r.genFor(owner), Epoch: epoch, Target: target.URL, Ranges: moved}, nil); err != nil {
-			r.met.HandoffErrors.Add(1)
-			r.diagf("cluster: handoff %s -> %s failed: %v", owner, target.Name, err)
-		}
-	}
-	return nil
-}
-
-// readmit returns a recovered peer to the ring after probation: the
-// ranges it regains hand off live from their current owners (journaled
-// two-commit-point migration), then the ring swaps and ownership
-// pushes fleet-wide. The old ring stays installed — and the returnee
-// stays unhealthy — until every handoff lands: the returnee's stale
-// epoch may cover the very ranges it is regaining, so a line routed to
-// it before the import would be accepted into state the import then
-// replaces. While the handoffs run, lines for the moving ranges hit
-// their frozen current owners, bounce, and spill — late, never lost.
-func (r *Router) readmit(ps *peerState) {
-	r.rebalMu.Lock()
-	defer r.rebalMu.Unlock()
-	view := r.View()
-	m, ok := view.Member(ps.Name)
-	if !ok || m.State != persist.StateEjected {
-		return
-	}
-	r.mu.RLock()
-	oldRing := r.ring
-	r.mu.RUnlock()
-	v2 := view.Clone()
-	setMemberState(&v2, ps.Name, persist.StateIn)
-	v2.Epoch++
-	newRing := NewRing(v2.RingMembers(), 0)
-	r.diagf("cluster: peer %s rejoining at epoch %d", ps.Name, v2.Epoch)
-	_ = r.handoffGained(oldRing, newRing.Ranges(ps.Name), v2.Epoch, ps.Peer, "")
-	r.commitView(v2) // installing the ejected→in transition flips healthy back on
-	r.met.Rebalances.Add(1)
-	r.met.Readmits.Add(1)
-	r.diagf("cluster: peer %s readmitted at epoch %d", ps.Name, v2.Epoch)
 }
 
 // installView adopts a cluster view with a newer epoch: the ring
@@ -745,24 +610,21 @@ func (r *Router) installView(v persist.ViewRecord) bool {
 	}
 	old := r.view
 	r.view = v.Clone()
-	r.epoch = v.Epoch
 	r.ring = NewRing(v.RingMembers(), 0)
 	var started, stopped []*peerState
-	seen := make(map[string]bool, len(v.Members))
 	for _, m := range v.Members {
-		seen[m.Name] = true
 		ps := r.peers[m.Name]
 		if ps == nil {
-			ps = newPeerState(Peer{Name: m.Name, URL: m.URL, Dir: m.Dir}, r.cfg.SendQueue, m.InRing())
+			ps = &peerState{Peer: Peer{Name: m.Name, URL: m.URL, Dir: m.Dir}, q: par.NewQueue[logparse.Event](r.cfg.SendQueue), stop: make(chan struct{})}
+			ps.healthy.Store(m.InRing())
 			r.peers[m.Name] = ps
 			started = append(started, ps)
 		} else if om, ok := old.Member(m.Name); ok && om.InRing() != m.InRing() {
 			ps.healthy.Store(m.InRing())
 		}
-		ps.inRing = m.InRing()
 	}
 	for name, ps := range r.peers {
-		if !seen[name] {
+		if _, ok := v.Member(name); !ok {
 			delete(r.peers, name)
 			stopped = append(stopped, ps)
 		}
@@ -775,16 +637,6 @@ func (r *Router) installView(v persist.ViewRecord) bool {
 		r.stopPeer(ps)
 	}
 	return true
-}
-
-// setMemberState rewrites one member's state in a cloned view.
-func setMemberState(v *persist.ViewRecord, name, state string) {
-	for i := range v.Members {
-		if v.Members[i].Name == name {
-			v.Members[i].State = state
-			return
-		}
-	}
 }
 
 // startPeer launches a peer's sender and health goroutines (neither
@@ -829,23 +681,21 @@ func (r *Router) goTracked(fn func()) bool {
 	return true
 }
 
-func (r *Router) peerByName(name string) *peerState {
+// healthy reports whether this router delivers to the named peer.
+func (r *Router) healthy(name string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.peers[name]
+	ps := r.peers[name]
+	return ps != nil && ps.healthy.Load()
 }
 
 // genFor returns the fencing generation to stamp on a control post to
 // the named peer: the newest generation that peer reported in a lease
-// reply, or 0 (unfenced) when election is disabled.
+// reply, or 0 (unfenced) with election off.
 func (r *Router) genFor(name string) uint64 {
-	if !r.election {
-		return 0
-	}
-	if ps := r.peerByName(name); ps != nil {
-		return ps.leaseGen.Load()
-	}
-	return 0
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.gens[name]
 }
 
 // Flush drives the router to quiescence: every queued, in-flight and
@@ -947,4 +797,4 @@ func (r *Router) View() persist.ViewRecord {
 
 // IsCoordinator reports whether this router currently holds the
 // coordinator role (always true when election is disabled).
-func (r *Router) IsCoordinator() bool { return !r.election || r.coordinator.Load() }
+func (r *Router) IsCoordinator() bool { return r.coordinator.Load() }

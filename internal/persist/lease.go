@@ -29,14 +29,16 @@ type LeaseRecord struct {
 
 // Member states inside a ViewRecord. InRing membership = StateIn or
 // StateDraining (a draining member keeps serving until its ranges
-// move); StateDrained/StateEjected members are administratively or
-// health-wise out of the ring but still known to the fleet.
+// move); a StateEjected member is out of the ring but still known to
+// the fleet. A drain takes its member out of the view altogether.
 const (
 	StateIn       = "in"
 	StateDraining = "draining"
-	StateDrained  = "drained"
 	StateEjected  = "ejected"
 )
+
+// KnownState reports whether s is one of the member states.
+func KnownState(s string) bool { return s == StateIn || s == StateDraining || s == StateEjected }
 
 // ViewMember is one cluster member inside a view: its stable name,
 // ingest URL, state directory (takeover source), and ring state.
@@ -171,9 +173,7 @@ func DecodeView(b []byte) (ViewRecord, error) {
 		if m.State, b, err = readString(b); err != nil {
 			return rec, err
 		}
-		switch m.State {
-		case StateIn, StateDraining, StateDrained, StateEjected:
-		default:
+		if !KnownState(m.State) {
 			return rec, fmt.Errorf("persist: view member %q has unknown state %q: %w", m.Name, m.State, ErrCorrupt)
 		}
 		rec.Members = append(rec.Members, m)

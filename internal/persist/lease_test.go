@@ -67,7 +67,7 @@ func TestViewRecordCodec(t *testing.T) {
 func TestViewCloneDoesNotAlias(t *testing.T) {
 	v := ViewRecord{Epoch: 1, Members: []ViewMember{{Name: "a", State: StateIn}}}
 	c := v.Clone()
-	c.Members[0].State = StateDrained
+	c.Members[0].State = StateEjected
 	c.Epoch = 9
 	if v.Members[0].State != StateIn || v.Epoch != 1 {
 		t.Fatal("Clone aliased the original view")

@@ -2,7 +2,7 @@
 // the instance's replicated control store. Every control record —
 // ownership (RecEpoch), the coordinator lease it granted (RecLease), the
 // cluster view the coordinator pushed (RecView) and the four handoff
-// records — changes the state through one transition, apply, which the
+// records — changes the state through one transition, Apply, which the
 // live path runs right after journaling the record and boot replay runs
 // on each record of the tail. So the state a restart recovers is the
 // state the process had at the same journal point, and a full-fleet
@@ -67,10 +67,10 @@ func (c *Control) admits(h uint32) bool {
 		(c.Handoff == nil || !persist.RangesContain(c.Handoff.Ranges, h))
 }
 
-// apply is the one transition: it folds one control WAL record (type
+// Apply is the one transition: it folds one control WAL record (type
 // byte first) into c. Records are replaced, never changed in place, so a
 // copy (clone) stays valid. Other record types pass.
-func (c *Control) apply(rec []byte) error {
+func (c *Control) Apply(rec []byte) error {
 	var err error
 	switch rec[0] {
 	case persist.RecEpoch:
@@ -127,7 +127,7 @@ func (c *Control) own(epoch uint64, ranges []persist.HashRange) {
 	c.Epoch = &persist.EpochRecord{Epoch: epoch, Ranges: ranges}
 }
 
-// clone copies c deep enough that nothing apply does later shows in it.
+// clone copies c deep enough that nothing Apply does later shows in it.
 func (c *Control) clone() Control {
 	out := *c
 	out.Imports = make(map[ImportKey]bool, len(c.Imports))
@@ -176,5 +176,5 @@ func (s *Streamer) commitLocked(rec []byte, durable bool) error {
 			return fmt.Errorf("stream: control journal: %w", err)
 		}
 	}
-	return s.ctl.apply(rec)
+	return s.ctl.Apply(rec)
 }

@@ -357,7 +357,7 @@ func (s *Streamer) recover() error {
 			// The one transition the live path ran when it journaled the
 			// record; an In or Out also moves shard state, at its exact WAL
 			// position.
-			if err := s.ctl.apply(payload); err != nil {
+			if err := s.ctl.Apply(payload); err != nil {
 				return err
 			}
 			return s.replayHandoff(payload[0], payload[1:])

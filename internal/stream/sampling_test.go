@@ -79,9 +79,14 @@ func TestDetectLatencySampled(t *testing.T) {
 	})
 
 	t.Run("paced quantiles", func(t *testing.T) {
-		// 4.5ms held per event sits in the (4.096ms, 8.192ms] bucket with
-		// 3.6ms to spare for a late timer or a slow wakeup.
-		const delay = 4500 * time.Microsecond
+		// Each event is held 70ms on the streamer's own clock: the shard
+		// waits in the hook while the test moves the stamps' origin back,
+		// so every latency is 70ms plus the real hop and lands in the
+		// (65.536ms, 131.072ms] bucket with 61ms to spare. A wall-clock
+		// hold (a sleep, or a deadline spin) spends its bucket's margin on
+		// the host: one stall of a few milliseconds on two of 192 events
+		// moves the unsampled p99 a bucket up.
+		const delay = 70 * time.Millisecond
 		const n = 3 * stampEvery
 		quiet := pickPhrase(t, "non-terminal Unknown", isQuietUnknown)
 		ev, err := logparse.ParseLine("2026-01-02T03:04:05.000000 c0-0c0s3n1 " + strings.ReplaceAll(quiet.Template, "*", "7"))
@@ -89,7 +94,12 @@ func TestDetectLatencySampled(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(every int) *Histogram {
-			s, err := New(p, WithShards(1), WithQuietPeriod(0), withProcessDelay(delay), withStampEvery(every))
+			held, release := make(chan struct{}), make(chan struct{})
+			hold := withPanicHook(func(int, logparse.EncodedEvent) {
+				held <- struct{}{}
+				<-release
+			})
+			s, err := New(p, WithShards(1), WithQuietPeriod(0), hold, withStampEvery(every))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,6 +110,9 @@ func TestDetectLatencySampled(t *testing.T) {
 				if err := s.IngestEvent(e); err != nil {
 					t.Fatal(err)
 				}
+				<-held // the shard holds the event, reading no clock until released
+				s.epoch = s.epoch.Add(-delay)
+				release <- struct{}{}
 				fixture.WaitFor(t, 10*time.Second, "the event to process", func() bool { return s.met.Processed.Load() == i })
 			}
 			if err := s.Close(); err != nil {

@@ -109,7 +109,7 @@ type Streamer struct {
 	swapMu     sync.Mutex
 
 	// ctl is the control plane's state (guarded by mu): the one copy,
-	// changed only by Control.apply, live and on replay (control.go).
+	// changed only by Control.Apply, live and on replay (control.go).
 	ctl Control
 	// frozenAt is when this process's BeginHandoff froze the in-flight
 	// handoff's ranges (guarded by mu; zero otherwise).
