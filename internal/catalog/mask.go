@@ -40,6 +40,16 @@ func MaskRef(message string) (string, Ref) {
 	return string(key), 0
 }
 
+// KeyRef resolves an already masked key held in bytes — a record's key
+// field, read in place: the catalog's own Key string and its Ref for a
+// static phrase, so only a key the catalog does not know is copied.
+func KeyRef(key []byte) (string, Ref) {
+	if i, ok := index[string(key)]; ok { // no allocation: map lookup by converted bytes
+		return Catalog[i].Key, Ref(i + 1)
+	}
+	return string(key), 0
+}
+
 // RefOf resolves an already masked key: the one lookup a decoded event
 // (WAL replay, the wire) pays to carry what a parsed one got from MaskRef.
 func RefOf(key string) Ref {

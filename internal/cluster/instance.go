@@ -137,12 +137,17 @@ func (inst *Instance) ingestBatch(batch []stream.Admission) (epoch uint64, rejec
 	if epoch, err = inst.s.IngestBatch(batch); err != nil {
 		return 0, nil, err
 	}
+	return epoch, refused(batch), nil
+}
+
+// refused is the positions of a batch's events its admission refused.
+func refused(batch []stream.Admission) (rejected []int) {
 	for i := range batch {
 		if batch[i].Refused && batch[i].Event.Node != "" { // nodeless: a line parseLines consumed
 			rejected = append(rejected, i)
 		}
 	}
-	return epoch, rejected, nil
+	return rejected
 }
 
 // recordContentType marks a /ingest body of wire records (persist's
@@ -365,11 +370,10 @@ func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var rejected []int
 	var err error
 	if r.Header.Get("Content-Type") == recordContentType {
-		err = persist.DecodeEventBatch(sc.body.Bytes(), func(ev logparse.Event, record []byte) {
-			sc.batch = append(sc.batch, stream.Admission{Event: ev, Record: record})
-		})
-		if n = len(sc.batch); err == nil {
-			epoch, rejected, err = inst.ingestBatch(sc.batch)
+		sc.batch, epoch, err = inst.s.IngestRecords(sc.body.Bytes(), sc.batch)
+		if n = len(sc.batch); !errors.Is(err, persist.ErrCorrupt) {
+			inst.batches.Add(1)
+			rejected = refused(sc.batch)
 		}
 	} else if lines, lerr := splitLines(sc.body.Bytes()); lerr != nil {
 		err = lerr

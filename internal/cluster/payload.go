@@ -118,7 +118,7 @@ const maxLineBytes = 1 << 20
 
 // ingestScratch is what one /ingest POST is read and decoded into: its
 // body and, on an instance, the admissions its records decode to (their
-// Record aliases body). Pooled, so POSTs in steady state read into the
+// records alias body). Pooled, so POSTs in steady state read into the
 // same few buffers instead of allocating a body and a batch each.
 type ingestScratch struct {
 	body  bytes.Buffer

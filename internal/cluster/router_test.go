@@ -52,8 +52,9 @@ func newFakePeer() *fakePeer {
 			return
 		}
 		var batch []string
-		if err := persist.DecodeEventBatch(body, func(ev logparse.Event, _ []byte) {
-			batch = append(batch, ev.Time.Format(logparse.TimeLayout)+" "+ev.Node+" "+ev.Message)
+		if err := persist.DecodeEventBatch(body, nil, func(ev logparse.Event, record []byte) {
+			rec, _ := persist.DecodeEvent(record[1:]) // the record carries the message
+			batch = append(batch, ev.Time.Format(logparse.TimeLayout)+" "+ev.Node+" "+rec.Message)
 		}); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -406,7 +406,7 @@ func FuzzIngestRecords(f *testing.F) {
 	inst := newLeaseInstance(f, "")
 	f.Fuzz(func(t *testing.T, body []byte) {
 		records := 0
-		derr := persist.DecodeEventBatch(body, func(logparse.Event, []byte) { records++ })
+		derr := persist.DecodeEventBatch(body, nil, func(logparse.Event, []byte) { records++ })
 		if derr != nil && !errors.Is(derr, persist.ErrCorrupt) {
 			t.Fatalf("untyped decode error %T: %v", derr, derr)
 		}

@@ -122,9 +122,23 @@ type Event struct {
 }
 
 // NewEvent builds an event from separated fields, resolving key against
-// the static catalog with one lookup: what a record decoder calls.
+// the static catalog with one lookup: what a record decoder calls. A
+// static phrase's Key is the catalog's own string, so the event does not
+// keep the buffer key was cut from alive.
 func NewEvent(ts time.Time, node, message, key string) Event {
-	return Event{Time: ts, Node: node, Message: message, Key: key, ref: catalog.RefOf(key)}
+	ref := catalog.RefOf(key)
+	if ref != 0 {
+		key = catalog.Catalog[ref-1].Key
+	}
+	return Event{Time: ts, Node: node, Message: message, Key: key, ref: ref}
+}
+
+// NewKeyedEvent is NewEvent with no message and the key still in its
+// record's bytes: one catalog lookup yields both the catalog's own Key
+// string and the Ref, so a known phrase costs no allocation.
+func NewKeyedEvent(ts time.Time, node string, key []byte) Event {
+	k, ref := catalog.KeyRef(key)
+	return Event{Time: ts, Node: node, Key: k, ref: ref}
 }
 
 // Ref is the static catalog entry Key was found to be by ParseLine or

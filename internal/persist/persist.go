@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"time"
 
 	"desh/internal/logparse"
@@ -114,11 +115,8 @@ func appendString(b []byte, s string) []byte {
 }
 
 func readString(b []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) < n {
-		return "", nil, ErrCorrupt
-	}
-	return string(b[k : k+int(n)]), b[k+int(n):], nil
+	f, rest, err := cutField(b)
+	return string(f), rest, err
 }
 
 // EncodeEvent frames an event record (type byte included).
@@ -139,39 +137,55 @@ func AppendEvent(dst []byte, rec EventRecord) []byte {
 
 // DecodeEvent parses a record produced by EncodeEvent (after the type
 // byte has been consumed by the caller's dispatch). The three strings
-// are substrings of one copy of b — one allocation per record — so the
-// record never aliases the caller's buffer.
+// are substrings of one copy of the fields — one allocation per record
+// — so the record never aliases the caller's buffer. What still calls
+// it is WAL replay, the takeover harvest and the router's spill, which
+// keep the message text; the wire decode (DecodeEventBatch) reads the
+// same fields in place instead.
 func DecodeEvent(b []byte) (EventRecord, error) {
-	var rec EventRecord
-	t, k := binary.Varint(b)
-	if k <= 0 {
-		return rec, ErrCorrupt
+	t, node, msg, key, err := eventFields(b)
+	if err != nil {
+		return EventRecord{}, err
 	}
-	rec.TimeNano = t
-	b = b[k:]
-	s := string(b)
-	var err error
-	if rec.Node, s, b, err = cutString(s, b); err != nil {
-		return rec, err
-	}
-	if rec.Message, s, b, err = cutString(s, b); err != nil {
-		return rec, err
-	}
-	if rec.Key, _, _, err = cutString(s, b); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	var sb strings.Builder
+	sb.Grow(len(node) + len(msg) + len(key))
+	sb.Write(node)
+	sb.Write(msg)
+	sb.Write(key)
+	s, nm := sb.String(), len(node)+len(msg)
+	return EventRecord{TimeNano: t, Node: s[:len(node)], Message: s[len(node):nm], Key: s[nm:]}, nil
 }
 
-// cutString is readString with s a string copy of b: the field comes
-// out as a substring of s, and both advance past it.
-func cutString(s string, b []byte) (field, srest string, brest []byte, err error) {
+// eventFields splits an event record (type byte consumed) in place into
+// its time and its three length-prefixed fields; bytes after the key
+// are ignored. The one reading of the record's layout both decoders
+// share, so they accept and refuse the same records.
+func eventFields(b []byte) (t int64, node, msg, key []byte, err error) {
+	t, k := binary.Varint(b)
+	if k <= 0 {
+		return 0, nil, nil, nil, ErrCorrupt
+	}
+	b = b[k:]
+	if node, b, err = cutField(b); err != nil {
+		return 0, nil, nil, nil, err
+	}
+	if msg, b, err = cutField(b); err != nil {
+		return 0, nil, nil, nil, err
+	}
+	if key, _, err = cutField(b); err != nil {
+		return 0, nil, nil, nil, err
+	}
+	return t, node, msg, key, nil
+}
+
+// cutField reads one uvarint-length-prefixed field off the front of b.
+func cutField(b []byte) (field, rest []byte, err error) {
 	n, k := binary.Uvarint(b)
 	if k <= 0 || uint64(len(b)-k) < n {
-		return "", "", nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	end := k + int(n)
-	return s[k:end], s[end:], b[end:], nil
+	return b[k:end], b[end:], nil
 }
 
 // EncodeAlert frames an alert record.

@@ -476,10 +476,10 @@ func TestWALAppendBatchTornTail(t *testing.T) {
 	}
 }
 
-// TestEventRecordWire: a wire body round-trips, AppendEvent is
-// EncodeEvent, a decoded record costs one allocation and shares no
-// memory with the buffer it came from, and a damaged body is
-// ErrCorrupt wherever the damage sits.
+// TestEventRecordWire: a wire body round-trips (its events with no
+// message, their records whole), AppendEvent is EncodeEvent, a decoded
+// record costs one allocation and shares no memory with the buffer it
+// came from, and a damaged body is ErrCorrupt wherever the damage sits.
 func TestEventRecordWire(t *testing.T) {
 	// Built with NewEvent, as a decoder builds them: ev2's key is a static
 	// catalog phrase, so a decoded ev2 carries its Ref and is not == a
@@ -509,19 +509,21 @@ func TestEventRecordWire(t *testing.T) {
 	var got []logparse.Event
 	var recs [][]byte
 	collect := func(ev logparse.Event, record []byte) { got, recs = append(got, ev), append(recs, record) }
-	if err := DecodeEventBatch(body, collect); err != nil || len(got) != 2 || got[0] != ev || got[1] != ev2 || !bytes.Equal(recs[0], payload) {
+	wev, wev2 := ev, ev2 // what the wire decode yields: the record carries the message
+	wev.Message, wev2.Message = "", ""
+	if err := DecodeEventBatch(body, nil, collect); err != nil || len(got) != 2 || got[0] != wev || got[1] != wev2 || !bytes.Equal(recs[0], payload) {
 		t.Fatalf("decode: %+v, %v", got, err)
 	}
 	for i := range body {
 		body[i] = 0xAA
 	}
-	if got[0] != ev || got[1] != ev2 {
+	if got[0] != wev || got[1] != wev2 {
 		t.Fatalf("decoded events alias the wire buffer: %+v", got)
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeEvent(payload[1:]) }); n > 1 {
 		t.Fatalf("DecodeEvent made %v allocations, want at most 1", n)
 	}
-	if err := DecodeEventBatch(nil, collect); err != nil {
+	if err := DecodeEventBatch(nil, nil, collect); err != nil {
 		t.Fatalf("empty body: %v", err)
 	}
 	whole := b.Bytes()
@@ -535,7 +537,7 @@ func TestEventRecordWire(t *testing.T) {
 		"not an event":          {3, RecAlert, 1, 2},
 		"event cut short":       {2, RecEvent, 0x80},
 	} {
-		if err := DecodeEventBatch(bad, collect); !errors.Is(err, ErrCorrupt) {
+		if err := DecodeEventBatch(bad, new(NodeTable), collect); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("DecodeEventBatch(%s): %v, want ErrCorrupt", name, err)
 		}
 	}

@@ -3,6 +3,8 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"time"
 
 	"desh/internal/logparse"
 )
@@ -15,21 +17,33 @@ import (
 
 // EventBatch builds one wire body in a buffer it reuses.
 type EventBatch struct {
-	body    []byte
-	starts  []int // offset of each frame in body
-	scratch []byte
+	body   []byte
+	starts []int // offset of each frame in body
 }
 
 // Reset empties the batch, keeping its buffers.
 func (b *EventBatch) Reset() { b.body, b.starts = b.body[:0], b.starts[:0] }
 
-// Add frames ev's record onto the body.
+// Add frames ev's record onto the body: its length, known up front, and
+// then the record itself, encoded straight into the body.
 func (b *EventBatch) Add(ev logparse.Event) {
-	b.scratch = AppendEvent(b.scratch[:0], RecordOf(ev))
+	rec := RecordOf(ev)
 	b.starts = append(b.starts, len(b.body))
-	b.body = binary.AppendUvarint(b.body, uint64(len(b.scratch)))
-	b.body = append(b.body, b.scratch...)
+	b.body = binary.AppendUvarint(b.body, uint64(eventLen(rec)))
+	b.body = AppendEvent(b.body, rec)
 }
+
+// eventLen is len(EncodeEvent(rec)).
+func eventLen(rec EventRecord) int {
+	ux := uint64(rec.TimeNano) << 1 // binary.AppendVarint's zig-zag
+	if rec.TimeNano < 0 {
+		ux = ^ux
+	}
+	return 1 + uvarintLen(ux) + fieldLen(rec.Node) + fieldLen(rec.Message) + fieldLen(rec.Key)
+}
+
+func fieldLen(s string) int   { return uvarintLen(uint64(len(s))) + len(s) }
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Len is the number of events added; Bytes is the body so far.
 func (b *EventBatch) Len() int      { return len(b.starts) }
@@ -42,13 +56,46 @@ func (b *EventBatch) Record(i int) []byte {
 	return b.body[b.starts[i]+k : b.starts[i]+k+int(n)]
 }
 
+// maxNodeTable bounds a NodeTable: a machine has a few thousand nodes.
+const maxNodeTable = 8192
+
+// NodeTable interns the node ids DecodeEventBatch reads, so a node seen
+// before costs a map lookup and no string. It holds at most
+// maxNodeTable ids; one past that is still decoded, into a string of
+// its own. Not safe for concurrent use: its owner locks it once per
+// body, not per record. A nil table interns nothing.
+type NodeTable struct {
+	m map[string]string
+}
+
+func (t *NodeTable) intern(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok { // no allocation: map lookup by converted bytes
+		return s
+	}
+	s := string(b)
+	if t.m == nil {
+		t.m = make(map[string]string)
+	}
+	if len(t.m) < maxNodeTable {
+		t.m[s] = s
+	}
+	return s
+}
+
 // DecodeEventBatch walks a wire body, handing fn each event and its
-// record (aliasing body; the event does not). It stops at the first
-// damaged frame — cut short, a length past the body or above
-// MaxRecord, a record that is not an event or does not decode,
-// trailing garbage — with an error wrapping ErrCorrupt, so a caller
-// that must admit all or nothing collects first and admits after.
-func DecodeEventBatch(body []byte, fn func(ev logparse.Event, record []byte)) error {
+// record (aliasing body; the event does not). Each record is read in
+// place: the node comes from nodes, the key is the static catalog's
+// own string (only a key it does not know is copied), and the message
+// is left empty — the record, which the WAL journals as it is, carries
+// it. Warm, a record allocates nothing. It stops at the first damaged
+// frame — cut short, a length past the body or above MaxRecord, a
+// record that is not an event or does not decode, trailing garbage —
+// with an error wrapping ErrCorrupt, so a caller that must admit all or
+// nothing collects first and admits after.
+func DecodeEventBatch(body []byte, nodes *NodeTable, fn func(ev logparse.Event, record []byte)) error {
 	for i := 0; len(body) > 0; i++ {
 		n, k := binary.Uvarint(body)
 		if k <= 0 || n == 0 || n > MaxRecord || uint64(len(body)-k) < n {
@@ -58,11 +105,11 @@ func DecodeEventBatch(body []byte, fn func(ev logparse.Event, record []byte)) er
 		if record[0] != RecEvent {
 			return fmt.Errorf("%w: wire record %d: type %d is not an event", ErrCorrupt, i, record[0])
 		}
-		rec, err := DecodeEvent(record[1:])
+		t, node, _, key, err := eventFields(record[1:])
 		if err != nil {
 			return fmt.Errorf("%w: wire record %d", err, i)
 		}
-		fn(rec.Event(), record)
+		fn(logparse.NewKeyedEvent(time.Unix(0, t).UTC(), nodes.intern(node), key), record)
 		body = body[k+int(n):]
 	}
 	return nil

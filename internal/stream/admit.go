@@ -62,21 +62,49 @@ func (s *Streamer) ingestOne(ev *logparse.Event, c *stageClock) error {
 	return nil
 }
 
+// IngestRecords is IngestBatch for a body of wire records (persist's
+// EventBatch format, what a router POSTs): the whole body is decoded
+// into batch by persist.DecodeEventBatch, with node ids interned in a
+// table the streamer keeps and locks once per body, and admitted only
+// if every frame decodes (else an error wrapping persist.ErrCorrupt, and
+// nothing admitted). Each event carries no message text; its record,
+// which aliases body, is what the WAL journals. The decode is this entry
+// point's parse stage in the stage ledger. The grown batch is returned
+// for the caller to read Refused from and to reuse.
+func (s *Streamer) IngestRecords(body []byte, batch []Admission) ([]Admission, uint64, error) {
+	var c *stageClock
+	if s.armNext.Load() {
+		c = s.arm(new(stageClock))
+	}
+	s.wireMu.Lock()
+	err := persist.DecodeEventBatch(body, &s.wireNodes, func(ev logparse.Event, record []byte) {
+		batch = append(batch, Admission{Event: ev, record: record})
+	})
+	s.wireMu.Unlock()
+	if err != nil {
+		return batch, 0, err
+	}
+	c.lap(s, stageParse, len(batch))
+	epoch, err := s.admit(batch, false, c)
+	return batch, epoch, err
+}
+
 // Admission is one event of an IngestBatch. Its detect latency is
 // measured from the batch's admission, not from its own turn in the
 // batch (see IngestBatch).
 type Admission struct {
 	Event logparse.Event
-	// Record, when set, is the event's persist.EncodeEvent payload as it
-	// arrived off the wire: the WAL takes these bytes as they are instead
-	// of encoding the event again. It is read only during the call.
-	Record []byte
 	// Refused withholds the event when the caller sets it (a blank or
 	// malformed line the caller consumed), and is set by IngestBatch on an
 	// event the control state refuses: its node is not owned here, or its
 	// range is frozen mid-handoff. Either way the event was neither
 	// counted nor journaled.
 	Refused bool
+	// record, set by IngestRecords, is the event's persist.EncodeEvent
+	// payload as it arrived off the wire: the WAL takes these bytes as
+	// they are instead of encoding the event again, and they carry the
+	// message text the decoded event does not. Read only during the call.
+	record []byte
 	// admitted marks an event that passed every ingest filter; shard is
 	// then the index of its node's shard.
 	admitted bool
@@ -261,6 +289,7 @@ func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (
 			}
 			ev := &batch[next].Event
 			m.ev.Event = *ev
+			m.ev.Message = "" // journaled by now; stream state keeps no message text
 			m.ev.ID = s.phraseID(ev)
 			m.at = at
 			next++
@@ -317,8 +346,10 @@ func (s *Streamer) phraseID(ev *logparse.Event) int {
 	return id
 }
 
-// encoded pairs a replayed event with its phraseID.
+// encoded pairs a replayed event with its phraseID, dropping its message
+// as admission does.
 func (s *Streamer) encoded(ev logparse.Event) logparse.EncodedEvent {
+	ev.Message = ""
 	return logparse.EncodedEvent{Event: ev, ID: s.phraseID(&ev)}
 }
 

@@ -13,6 +13,7 @@ import (
 	"desh/internal/core"
 	"desh/internal/logparse"
 	"desh/internal/logsim"
+	"desh/internal/persist"
 )
 
 // benchLog is the benchmark-scale run (60 nodes, 96 h, seed 31 — the
@@ -219,14 +220,19 @@ type ledgerShape struct {
 	failures       int
 	noise, stray   float64
 	lines, durable bool
+	// records feeds the corpus as a routed instance takes it: wire bodies
+	// of 512 records through IngestRecords, into a 512-event dedup ring.
+	records bool
 }
 
 // BenchmarkStageLedger checks that the stage ledger closes: at
 // GOMAXPROCS=1 every nanosecond of ns/op is either the producer's call
 // or the shard's work, so the stages' CPU rows should sum to about
-// ns/op. Three shapes: failstorm events through IngestEvent, chatter
-// lines through IngestLine, and failstorm lines through IngestLine with
-// a state dir (WAL appended, fsync out of reach). Each pass over the
+// ns/op. Four shapes: failstorm events through IngestEvent, chatter
+// lines through IngestLine, failstorm lines through IngestLine with a
+// state dir (WAL appended, fsync out of reach), and the same corpus as a
+// routed instance takes it, 512-record bodies through IngestRecords
+// (the bodies are encoded outside the timer). Each pass over the
 // corpus runs on a fresh one-shard streamer, timed from its first call
 // until the shard has processed the pass; New and Close are outside the
 // timer. Reported: each row's ns per ingested event, their sum
@@ -238,6 +244,7 @@ func BenchmarkStageLedger(b *testing.B) {
 		{name: "failstorm-event", nodes: 512, hours: 4.8, failures: 100, noise: 0.2, stray: 2.5},
 		{name: "chatter-line", nodes: 256, hours: 2.4, failures: 60, noise: 3.75, stray: 0.1, lines: true},
 		{name: "durable-line", nodes: 512, hours: 4.8, failures: 100, noise: 0.2, stray: 2.5, lines: true, durable: true},
+		{name: "routed-record", nodes: 512, hours: 4.8, failures: 100, noise: 0.2, stray: 2.5, durable: true, records: true},
 	} {
 		profile, _ := logsim.ProfileByName("M3")
 		profile.NoisePerNodeHour, profile.StrayPerNodeHour = sh.noise, sh.stray
@@ -253,15 +260,32 @@ func BenchmarkStageLedger(b *testing.B) {
 				if sh.durable {
 					opts = append(opts, WithStateDir(b.TempDir()), WithSnapshotEvery(time.Hour), WithWALSyncEvery(1<<30))
 				}
+				if sh.records {
+					opts = append(opts, WithDedupWindow(512))
+				}
 				s, err := New(p, opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
 				wait := fixture.Collect(s.Alerts())
 				n := min(b.N-done, len(log.Events))
+				var bodies [][]byte
+				for i := 0; sh.records && i < n; i += 512 {
+					var wb persist.EventBatch
+					for _, ev := range log.Events[i:min(i+512, n)] {
+						wb.Add(ev)
+					}
+					bodies = append(bodies, wb.Bytes())
+				}
+				var batch []Admission
 				start := time.Now()
 				b.StartTimer()
-				for i := 0; i < n; i++ {
+				for _, body := range bodies {
+					if batch, _, err = s.IngestRecords(body, batch[:0]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < n && !sh.records; i++ {
 					if sh.lines {
 						err = s.IngestLine(log.Lines[i])
 					} else {

@@ -15,6 +15,7 @@
 package stream
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -74,18 +75,25 @@ type dedupEntry struct {
 	ID   int
 }
 
+// unsetNano is a cursor no event has moved yet. It is also the earliest
+// event time the serving path admits, and a cursor at it orders every
+// event exactly as one never set does, so the two need not differ.
+const unsetNano = math.MinInt64
+
 // nodeEventTime is one node's event-time state: the reorder buffer, the
 // watermark cursors, and the dedup ring. Owned exclusively by the
-// node's shard goroutine, like the rest of nodeState.
+// node's shard goroutine, like the rest of nodeState. The cursors are
+// Unix nanoseconds (event times on the serving path always are), so
+// every test on them is an integer compare.
 type nodeEventTime struct {
 	heap reorderHeap
 	seq  uint64
 	// maxSeen is the largest event timestamp observed (the watermark is
 	// maxSeen - allowed lateness).
-	maxSeen time.Time
+	maxSeen int64
 	// released is the release cursor: the high-water mark of event time
 	// already handed downstream. Monotone non-decreasing.
-	released time.Time
+	released int64
 	dedup    []dedupEntry
 	dedupPos int
 	// dedupMax is an upper bound on every Nano the ring has ever held.
@@ -99,18 +107,61 @@ type nodeEventTime struct {
 	rel []logparse.EncodedEvent
 }
 
-// dup reports whether ev was already seen within the dedup window, and
-// records it if not. The ring holds the last `window` accepted keys. An
-// event newer than dedupMax cannot be in it, so the in-order feed a
-// router delivers skips the scan whatever the ring's size (DESIGN §15
-// recommends one of at least -batch-max, 1024); only an event at or
-// below the bound pays the linear scan. Any upper bound is exact here:
-// it is only ever used to prove absence.
-func (n *nodeEventTime) dup(ev *logparse.EncodedEvent, window int) bool {
+func newNodeEventTime() *nodeEventTime {
+	return &nodeEventTime{maxSeen: unsetNano, released: unsetNano}
+}
+
+// cursorNano is a snapshot's cursor in memory: the zero time is one never
+// set, and so is a time before the Unix-nanosecond range (a cursor that
+// a long lateness pushed there when cursors were time.Time).
+func cursorNano(t time.Time) int64 {
+	if t.IsZero() || t.Before(time.Unix(0, unsetNano)) {
+		return unsetNano
+	}
+	return t.UnixNano()
+}
+
+// cursorTime is cursorNano's inverse for the snapshot: unset goes out as
+// the zero time.
+func cursorTime(n int64) time.Time {
+	if n == unsetNano {
+		return time.Time{}
+	}
+	return time.Unix(0, n).UTC()
+}
+
+// lessLate is maxSeen - lateness, saturating at unsetNano instead of
+// wrapping: where the release cursor advances to. A threshold below the
+// Unix-nanosecond range moves no cursor, so saturating is exact there;
+// the release test itself is belowWatermark. lateness is never negative.
+func lessLate(maxSeen int64, lateness time.Duration) int64 {
+	if maxSeen < unsetNano+int64(lateness) {
+		return unsetNano
+	}
+	return maxSeen - int64(lateness)
+}
+
+// belowWatermark reports whether an event at tn is at or below the
+// watermark maxSeen - lateness (tn <= maxSeen). The difference is taken
+// in uint64, where it is exact, so no threshold has to be represented:
+// one below the range would saturate onto the earliest event time.
+func belowWatermark(tn, maxSeen int64, lateness time.Duration) bool {
+	return uint64(maxSeen)-uint64(tn) >= uint64(lateness)
+}
+
+// dup reports whether the event (tn, its Unix nanoseconds, and id) was
+// already seen within the dedup window, and records it if not. The ring
+// holds the last `window` accepted keys. An event newer than dedupMax
+// cannot be in it, so the in-order feed a router delivers skips the scan
+// whatever the ring's size (DESIGN §15 recommends one of at least
+// -batch-max, 1024); only an event at or below the bound pays the linear
+// scan. Any upper bound is exact here: it is only ever used to prove
+// absence.
+func (n *nodeEventTime) dup(tn int64, id int, window int) bool {
 	if window <= 0 {
 		return false
 	}
-	k := dedupEntry{Nano: ev.Time.UnixNano(), ID: ev.ID}
+	k := dedupEntry{Nano: tn, ID: id}
 	if k.Nano > n.dedupMax {
 		n.dedupMax = k.Nano
 	} else {
@@ -129,44 +180,40 @@ func (n *nodeEventTime) dup(ev *logparse.EncodedEvent, window int) bool {
 	return false
 }
 
-// add buffers ev and returns every event the updated watermark (or the
-// depth bound) releases, in (timestamp, arrival) order. overflow counts
-// releases forced by the depth bound rather than the watermark — those
-// may still be reordered relative to events yet to arrive. The release
-// cursor advances to cover everything returned, and to the watermark
-// itself even when nothing releases, so late classification depends
-// only on the event sequence, never on call timing. out is built on
-// n.rel and valid until the next add that is lent the same scratch.
-func (n *nodeEventTime) add(ev *logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
+// add buffers ev (tn its Unix nanoseconds) and returns every event the
+// updated watermark (or the depth bound) releases, in (timestamp,
+// arrival) order. overflow counts releases forced by the depth bound
+// rather than the watermark — those may still be reordered relative to
+// events yet to arrive. through reports the in-order case, where ev
+// alone releases: out is then empty and the caller hands ev on itself,
+// uncopied. The release cursor advances to cover everything released,
+// and to the watermark itself even when nothing releases, so late
+// classification depends only on the event sequence, never on call
+// timing. out is built on n.rel and valid until the next add that is
+// lent the same scratch.
+func (n *nodeEventTime) add(ev *logparse.EncodedEvent, tn int64, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int, through bool) {
 	out = n.rel[:0]
-	if ev.Time.After(n.maxSeen) {
-		n.maxSeen = ev.Time
-	}
-	threshold := n.maxSeen.Add(-lateness)
-	if n.heap.len() == 0 && depth >= 1 && !ev.Time.After(threshold) {
+	n.maxSeen = max(n.maxSeen, tn)
+	if n.heap.len() == 0 && depth >= 1 && belowWatermark(tn, n.maxSeen, lateness) {
 		// In order: alone in the buffer and already at or below the
 		// watermark it set, ev would be pushed only to be popped again.
 		n.seq++
-		out = append(out, *ev)
+		through = true
 	} else {
-		n.heap.push(etItem{ev: *ev, seq: n.seq})
+		n.heap.push(etItem{ev: *ev, nano: tn, seq: n.seq})
 		n.seq++
 		for n.heap.len() > depth {
 			it := n.heap.pop()
-			if it.ev.Time.After(n.released) {
-				n.released = it.ev.Time
-			}
+			n.released = max(n.released, it.nano)
 			out = append(out, it.ev)
 			overflow++
 		}
-		for n.heap.len() > 0 && !n.heap.min().ev.Time.After(threshold) {
+		for n.heap.len() > 0 && belowWatermark(n.heap.min().nano, n.maxSeen, lateness) {
 			out = append(out, n.heap.pop().ev)
 		}
 	}
-	if threshold.After(n.released) {
-		n.released = threshold
-	}
-	return out, overflow
+	n.released = max(n.released, lessLate(n.maxSeen, lateness))
+	return out, overflow, through
 }
 
 // flushAll drains the buffer in release order regardless of the
@@ -176,9 +223,7 @@ func (n *nodeEventTime) flushAll() []logparse.EncodedEvent {
 	out := make([]logparse.EncodedEvent, 0, n.heap.len())
 	for n.heap.len() > 0 {
 		it := n.heap.pop()
-		if it.ev.Time.After(n.released) {
-			n.released = it.ev.Time
-		}
+		n.released = max(n.released, it.nano)
 		out = append(out, it.ev)
 	}
 	return out
@@ -201,8 +246,8 @@ func (n *nodeEventTime) sortedPending() []logparse.EncodedEvent {
 // sequence numbers reproduce the pre-snapshot tie-breaks.
 func restoredNodeET(pn persistedNode) *nodeEventTime {
 	n := &nodeEventTime{
-		maxSeen:  pn.ETMaxSeen,
-		released: pn.ETReleased,
+		maxSeen:  cursorNano(pn.ETMaxSeen),
+		released: cursorNano(pn.ETReleased),
 		dedup:    pn.ring(),
 		dedupPos: pn.DedupPos,
 	}
@@ -210,7 +255,7 @@ func restoredNodeET(pn persistedNode) *nodeEventTime {
 		n.dedupMax = max(n.dedupMax, e.Nano)
 	}
 	for _, ev := range pn.Reorder {
-		n.heap.push(etItem{ev: ev, seq: n.seq})
+		n.heap.push(etItem{ev: ev, nano: ev.Time.UnixNano(), seq: n.seq})
 		n.seq++
 	}
 	return n

@@ -1,18 +1,30 @@
 package stream
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"desh/internal/logparse"
 )
 
-// refDup and refAdd are dup and add as they stood before the in-order
-// paths went in: the full ring scan for every event, and push-then-pop
-// through the heap for every event. They survive only as the oracles
+// refNodeET is nodeEventTime as it stood before its cursors moved to
+// Unix nanoseconds and before the in-order paths went in: time.Time
+// cursors, the full ring scan for every event, and push-then-pop
+// through the heap for every event. It survives only as the oracle
 // FuzzEventTimeParity and BenchmarkEventTimeInOrder hold the live
 // bodies against.
-func (n *nodeEventTime) refDup(ev *logparse.EncodedEvent, window int) bool {
+type refNodeET struct {
+	heap              reorderHeap
+	seq               uint64
+	maxSeen, released time.Time
+	dedup             []dedupEntry
+	dedupPos          int
+	rel               []logparse.EncodedEvent
+}
+
+func (n *refNodeET) refDup(ev *logparse.EncodedEvent, window int) bool {
 	if window <= 0 {
 		return false
 	}
@@ -31,9 +43,9 @@ func (n *nodeEventTime) refDup(ev *logparse.EncodedEvent, window int) bool {
 	return false
 }
 
-func (n *nodeEventTime) refAdd(ev *logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
+func (n *refNodeET) refAdd(ev *logparse.EncodedEvent, lateness time.Duration, depth int) (out []logparse.EncodedEvent, overflow int) {
 	out = n.rel[:0]
-	n.heap.push(etItem{ev: *ev, seq: n.seq})
+	n.heap.push(etItem{ev: *ev, nano: ev.Time.UnixNano(), seq: n.seq})
 	n.seq++
 	if ev.Time.After(n.maxSeen) {
 		n.maxSeen = ev.Time
@@ -56,59 +68,104 @@ func (n *nodeEventTime) refAdd(ev *logparse.EncodedEvent, lateness time.Duration
 	return out, overflow
 }
 
-// etArm is one node's event-time state under one pair of dup/add
-// bodies, stepped the way handleEventTime steps it.
-type etArm struct {
+// etView is what FuzzEventTimeParity compares of one arm's state, the
+// cursors in the live form (cursorNano maps the reference's).
+type etView struct {
+	maxSeen, released int64
+	seq               uint64
+	dedup             []dedupEntry
+	dedupPos          int
+	items             []etItem
+}
+
+// etArm is one node's event-time state under one body, stepped the way
+// handleEventTime steps it: dedup, the late check against the release
+// cursor, then buffer and release. out aliases the arm's scratch until
+// its next step; roundTrip replaces the state with what a snapshot of it
+// restores to.
+type etArm interface {
+	step(ev *logparse.EncodedEvent, window int, lateness time.Duration, depth int) (dup, late bool, out []logparse.EncodedEvent, overflow int)
+	roundTrip()
+	view() etView
+}
+
+// liveET is the live body, persisted as shard.capture writes it (the
+// packed ring) and restored by restoredNodeET.
+type liveET struct {
 	n   *nodeEventTime
-	dup func(*nodeEventTime, *logparse.EncodedEvent, int) bool
-	add func(*nodeEventTime, *logparse.EncodedEvent, time.Duration, int) ([]logparse.EncodedEvent, int)
-	// packed picks the ring form roundTrip persists: the packed column
-	// shard.capture writes, or the entry slice parent snapshots carry.
-	packed bool
-	rel    []logparse.EncodedEvent // the shard's lent release scratch
+	rel []logparse.EncodedEvent // the shard's lent release scratch
 }
 
-func liveArm() *etArm {
-	return &etArm{n: &nodeEventTime{}, dup: (*nodeEventTime).dup, add: (*nodeEventTime).add, packed: true}
+func liveArm() etArm { return &liveET{n: newNodeEventTime()} }
+
+func (a *liveET) step(ev *logparse.EncodedEvent, window int, lateness time.Duration, depth int) (dup, late bool, out []logparse.EncodedEvent, overflow int) {
+	tn := ev.Time.UnixNano()
+	if a.n.dup(tn, ev.ID, window) {
+		return true, false, nil, 0
+	}
+	if tn < a.n.released {
+		return false, true, nil, 0
+	}
+	a.n.rel = a.rel
+	out, overflow, through := a.n.add(ev, tn, lateness, depth)
+	if through {
+		out = append(out, *ev) // the shard feeds ev itself; the copy is for comparing
+	}
+	a.rel, a.n.rel = out, nil
+	return false, false, out, overflow
 }
 
-func refArm() *etArm {
-	return &etArm{n: &nodeEventTime{}, dup: (*nodeEventTime).refDup, add: (*nodeEventTime).refAdd}
+func (a *liveET) roundTrip() {
+	a.n = restoredNodeET(persistedNode{
+		Reorder:    a.n.sortedPending(),
+		ETMaxSeen:  cursorTime(a.n.maxSeen),
+		ETReleased: cursorTime(a.n.released),
+		Ring:       packRing(a.n.dedup),
+		DedupPos:   a.n.dedupPos,
+	})
 }
 
-// step is handleEventTime's order — dedup, the late check against the
-// release cursor, then buffer and release — without the shard around
-// it. out aliases the arm's scratch until its next step.
-func (a *etArm) step(ev *logparse.EncodedEvent, window int, lateness time.Duration, depth int) (dup, late bool, out []logparse.EncodedEvent, overflow int) {
-	if a.dup(a.n, ev, window) {
+func (a *liveET) view() etView {
+	return etView{a.n.maxSeen, a.n.released, a.n.seq, a.n.dedup, a.n.dedupPos, a.n.heap.items}
+}
+
+// refET is the reference body, persisted as the entry slice a parent
+// snapshot carries, with its time.Time cursors as they are.
+type refET struct{ n *refNodeET }
+
+func refArm() etArm { return &refET{n: &refNodeET{}} }
+
+func (a *refET) step(ev *logparse.EncodedEvent, window int, lateness time.Duration, depth int) (dup, late bool, out []logparse.EncodedEvent, overflow int) {
+	if a.n.refDup(ev, window) {
 		return true, false, nil, 0
 	}
 	if ev.Time.Before(a.n.released) {
 		return false, true, nil, 0
 	}
-	a.n.rel = a.rel
-	out, overflow = a.add(a.n, ev, lateness, depth)
-	a.rel, a.n.rel = out, nil
+	out, overflow = a.n.refAdd(ev, lateness, depth)
+	a.n.rel = out
 	return false, false, out, overflow
 }
 
-// roundTrip replaces the arm's state with what a snapshot of it
-// restores to (shard.capture's fields, then restoredNodeET). The live arm
-// persists its ring packed and the reference arm as the entry slice a
-// parent-written snapshot holds, so the parity also covers reading both.
-func (a *etArm) roundTrip() {
+func (a *refET) roundTrip() {
 	pn := persistedNode{
-		Reorder:    a.n.sortedPending(),
 		ETMaxSeen:  a.n.maxSeen,
 		ETReleased: a.n.released,
+		Dedup:      append([]dedupEntry(nil), a.n.dedup...),
 		DedupPos:   a.n.dedupPos,
 	}
-	if a.packed {
-		pn.Ring = packRing(a.n.dedup)
-	} else {
-		pn.Dedup = append([]dedupEntry(nil), a.n.dedup...)
+	items := append([]etItem(nil), a.n.heap.items...)
+	sort.Slice(items, func(i, j int) bool { return etLess(items[i], items[j]) })
+	n := &refNodeET{maxSeen: pn.ETMaxSeen, released: pn.ETReleased, dedup: pn.ring(), dedupPos: pn.DedupPos}
+	for _, it := range items {
+		n.heap.push(etItem{ev: it.ev, nano: it.nano, seq: n.seq})
+		n.seq++
 	}
-	a.n = restoredNodeET(pn)
+	a.n = n
+}
+
+func (a *refET) view() etView {
+	return etView{cursorNano(a.n.maxSeen), cursorNano(a.n.released), a.n.seq, a.n.dedup, a.n.dedupPos, a.n.heap.items}
 }
 
 func sameEvents(a, b []logparse.EncodedEvent) bool {
@@ -130,20 +187,24 @@ func etParityInput(cfg, restoreAt byte, pairs ...byte) []byte {
 	return append([]byte{cfg, restoreAt}, pairs...)
 }
 
-// FuzzEventTimeParity drives dup and add, and beside them refDup and
-// refAdd, through the same handleEventTime sequence and compares after
-// every event: the dup and late verdicts, what was released (time, id,
-// order) and how much of it by overflow, the release cursor, maxSeen,
-// the dedup ring with its write position, and the heap item for item.
+// FuzzEventTimeParity drives the live dup and add, on Unix nanoseconds,
+// and beside them refDup and refAdd, on time.Time, through the same
+// handleEventTime sequence and compares after every event: the dup and
+// late verdicts, what was released (time, id, order) and how much of it
+// by overflow, the release cursor, maxSeen, the dedup ring with its
+// write position, and the heap item for item.
 //
 // Byte 0 picks the configuration: bits 0-1 the dedup window {0, 1, 4,
-// 512}, bit 2 the lateness {0, 2 s}, bit 3 the depth {1, 8}, bit 4 a
-// base time 3 s before the Unix epoch (so UnixNano runs negative and
-// crosses zero) instead of one in 2026. Byte 1 is the index of the
-// event before which both arms are rebuilt from a snapshot of
-// themselves. Each following pair is one event: an int8 timestamp delta
-// in 100 ms steps from the previous event (zero repeats a timestamp,
-// negative steps back) and a phrase id mod 8.
+// 512}; bit 2 the lateness, {0, 2 s}, or with bit 6 set {1 ns,
+// math.MaxInt64} (where maxSeen − lateness saturates); bit 3 the depth
+// {1, 8}; bit 4 a base time 3 s before the Unix epoch (so UnixNano runs
+// negative and crosses zero) instead of one in 2026, or with bit 7 set
+// the last Unix nanosecond (2262) instead of the first (1677). An event
+// time outside the Unix-nanosecond range is skipped, as admission
+// refuses it. Byte 1 is the index of the event before which both arms
+// are rebuilt from a snapshot of themselves. Each following pair is one
+// event: an int8 timestamp delta in 100 ms steps from the previous event
+// (zero repeats a timestamp, negative steps back) and a phrase id mod 8.
 func FuzzEventTimeParity(f *testing.F) {
 	f.Add(etParityInput(0x02, 3, 1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6))       // in order, ring of 4 wraps
 	f.Add(etParityInput(0x02, 2, 5, 0, 0, 0, 0, 1, 0xfb, 0, 5, 0, 0, 1))          // equal, stepped back, re-delivered
@@ -152,6 +213,13 @@ func FuzzEventTimeParity(f *testing.F) {
 	f.Add(etParityInput(0x11, 1, 0x80, 0, 0x7f, 0, 0x7f, 0, 0x80, 0, 1, 0, 0, 0)) // pre-epoch, ring of 1
 	f.Add(etParityInput(0x04, 0, 50, 0, 0xce, 0, 50, 0, 0xce, 0))                 // no dedup, depth 1 overflow
 	f.Add(etParityInput(0x00, 9))                                                 // no events
+	f.Add(etParityInput(0x82, 0, 0, 0, 0, 1, 1, 0, 0xff, 2, 3, 3))                // from the first Unix nanosecond (1677), restored unset
+	f.Add(etParityInput(0x9a, 2, 0, 0, 0xff, 1, 0, 2, 1, 3, 0xfe, 4, 0x80, 5))    // up to the last (2262), depth 8, past it skipped
+	f.Add(etParityInput(0x4a, 3, 0, 0, 1, 1, 0, 2, 0xff, 3, 1, 4))                // 1 ns lateness, depth 8
+	f.Add(etParityInput(0x4e, 1, 0, 0, 5, 1, 0xf6, 2, 20, 3, 0xfb, 4))            // math.MaxInt64 lateness: the threshold saturates
+	f.Add(etParityInput(0xce, 2, 0, 0, 1, 1, 0xff, 2, 1, 3))                      // MaxInt64 lateness from the first nanosecond: nothing releases
+	f.Add(etParityInput(0xde, 3, 0xf0, 0, 1, 1, 0xff, 2, 1, 3))                   // MaxInt64 lateness at 2262
+	f.Add(etParityInput(0x0a, 0))                                                 // a round trip of never-set cursors
 	// An in-order feed long enough to wrap the 512 ring, then a
 	// re-delivery of its tail, restored in the middle.
 	long := etParityInput(0x03, 200)
@@ -169,12 +237,12 @@ func FuzzEventTimeParity(f *testing.F) {
 		}
 		cfg, restoreAt := data[0], int(data[1])
 		window := []int{0, 1, 4, 512}[cfg&3]
-		lateness := []time.Duration{0, 2 * time.Second}[cfg>>2&1]
+		lateness := [2][2]time.Duration{{0, 2 * time.Second}, {1, math.MaxInt64}}[cfg>>6&1][cfg>>2&1]
 		depth := []int{1, 8}[cfg>>3&1]
-		at := time.Date(2026, 5, 3, 12, 0, 0, 0, time.UTC)
-		if cfg>>4&1 == 1 {
-			at = time.Unix(-3, 0).UTC()
-		}
+		at := [2][2]time.Time{
+			{time.Date(2026, 5, 3, 12, 0, 0, 0, time.UTC), time.Unix(-3, 0).UTC()},
+			{time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MaxInt64).UTC()},
+		}[cfg>>7][cfg>>4&1]
 		live, ref := liveArm(), refArm()
 		for i, p := 0, data[2:]; len(p) >= 2; i, p = i+1, p[2:] {
 			if i == restoreAt {
@@ -182,6 +250,9 @@ func FuzzEventTimeParity(f *testing.F) {
 				ref.roundTrip()
 			}
 			at = at.Add(time.Duration(int8(p[0])) * 100 * time.Millisecond)
+			if logparse.CheckUnixNano(at) != nil {
+				continue
+			}
 			ev := logparse.EncodedEvent{Event: logparse.Event{Node: "fuzz", Time: at}, ID: int(p[1] % 8)}
 			dup, late, out, overflow := live.step(&ev, window, lateness, depth)
 			wantDup, wantLate, want, wantOverflow := ref.step(&ev, window, lateness, depth)
@@ -189,9 +260,9 @@ func FuzzEventTimeParity(f *testing.F) {
 				t.Fatalf("event %d (%v, id %d): dup %v late %v overflow %d released %v; reference dup %v late %v overflow %d released %v",
 					i, ev.Time, ev.ID, dup, late, overflow, out, wantDup, wantLate, wantOverflow, want)
 			}
-			l, r := live.n, ref.n
-			if !l.released.Equal(r.released) || !l.maxSeen.Equal(r.maxSeen) || l.seq != r.seq {
-				t.Fatalf("event %d: released %v maxSeen %v seq %d; reference %v %v %d", i, l.released, l.maxSeen, l.seq, r.released, r.maxSeen, r.seq)
+			l, r := live.view(), ref.view()
+			if l.released != r.released || l.maxSeen != r.maxSeen || l.seq != r.seq {
+				t.Fatalf("event %d: released %d maxSeen %d seq %d; reference %d %d %d", i, l.released, l.maxSeen, l.seq, r.released, r.maxSeen, r.seq)
 			}
 			if l.dedupPos != r.dedupPos || len(l.dedup) != len(r.dedup) {
 				t.Fatalf("event %d: ring len %d pos %d; reference len %d pos %d", i, len(l.dedup), l.dedupPos, len(r.dedup), r.dedupPos)
@@ -200,15 +271,15 @@ func FuzzEventTimeParity(f *testing.F) {
 				if l.dedup[j] != r.dedup[j] {
 					t.Fatalf("event %d: ring[%d] %v; reference %v", i, j, l.dedup[j], r.dedup[j])
 				}
-				if l.dedup[j].Nano > l.dedupMax {
-					t.Fatalf("event %d: ring[%d] holds %d above the bound %d", i, j, l.dedup[j].Nano, l.dedupMax)
+				if bound := live.(*liveET).n.dedupMax; l.dedup[j].Nano > bound {
+					t.Fatalf("event %d: ring[%d] holds %d above the bound %d", i, j, l.dedup[j].Nano, bound)
 				}
 			}
-			if l.heap.len() != r.heap.len() {
-				t.Fatalf("event %d: %d buffered; reference %d", i, l.heap.len(), r.heap.len())
+			if len(l.items) != len(r.items) {
+				t.Fatalf("event %d: %d buffered; reference %d", i, len(l.items), len(r.items))
 			}
-			for j, it := range l.heap.items {
-				if w := r.heap.items[j]; it.seq != w.seq || it.ev.ID != w.ev.ID || !it.ev.Time.Equal(w.ev.Time) {
+			for j, it := range l.items {
+				if w := r.items[j]; it.seq != w.seq || it.ev.ID != w.ev.ID || !it.ev.Time.Equal(w.ev.Time) || it.nano != w.nano {
 					t.Fatalf("event %d: heap[%d] (%v, id %d, seq %d); reference (%v, id %d, seq %d)",
 						i, j, it.ev.Time, it.ev.ID, it.seq, w.ev.Time, w.ev.ID, w.seq)
 				}
@@ -230,7 +301,7 @@ func BenchmarkEventTimeInOrder(b *testing.B) {
 	base := time.Date(2026, 5, 3, 12, 0, 0, 0, time.UTC)
 	for _, arm := range []struct {
 		name string
-		make func() *etArm
+		make func() etArm
 	}{{"live", liveArm}, {"ref", refArm}} {
 		b.Run(arm.name, func(b *testing.B) {
 			a := arm.make()

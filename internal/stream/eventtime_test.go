@@ -28,22 +28,23 @@ func TestReorderReleaseReusesScratch(t *testing.T) {
 		return logparse.EncodedEvent{Event: logparse.Event{Node: "c0-0c0s0n0", Time: base.Add(d)}, ID: i % 8}
 	}
 
-	lent, alone := &nodeEventTime{}, &nodeEventTime{}
+	lent, alone := newNodeEventTime(), newNodeEventTime()
 	var scratch []logparse.EncodedEvent
 	i := 0
-	addLent := func() (logparse.EncodedEvent, []logparse.EncodedEvent, int) {
+	addLent := func() (logparse.EncodedEvent, []logparse.EncodedEvent, int, bool) {
 		ev := at(i)
 		i++
 		lent.rel = scratch // as handleEventTime lends the shard's
-		out, overflow := lent.add(&ev, lateness, depth)
+		out, overflow, through := lent.add(&ev, ev.Time.UnixNano(), lateness, depth)
 		scratch, lent.rel = out, nil
-		return ev, out, overflow
+		return ev, out, overflow, through
 	}
 	for i < 64 {
-		ev, out, overflow := addLent()
-		want, wantOverflow := alone.add(&ev, lateness, depth)
-		if overflow != wantOverflow || len(out) != len(want) || (len(out) > 0 && !reflect.DeepEqual(out, want)) {
-			t.Fatalf("event %d: lent scratch released %v (overflow %d), own slice %v (overflow %d)", i, out, overflow, want, wantOverflow)
+		ev, out, overflow, through := addLent()
+		want, wantOverflow, wantThrough := alone.add(&ev, ev.Time.UnixNano(), lateness, depth)
+		if overflow != wantOverflow || through != wantThrough || len(out) != len(want) || (len(out) > 0 && !reflect.DeepEqual(out, want)) {
+			t.Fatalf("event %d: lent scratch released %v (overflow %d, through %v), own slice %v (overflow %d, through %v)",
+				i, out, overflow, through, want, wantOverflow, wantThrough)
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() { addLent() }); n != 0 {

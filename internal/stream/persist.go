@@ -193,8 +193,8 @@ func (p *persister) appendEvents(s *Streamer, batch []Admission, n int) {
 		}
 		a := &batch[next]
 		next++
-		if a.Record != nil {
-			return append(dst, a.Record...)
+		if a.record != nil {
+			return append(dst, a.record...)
 		}
 		return persist.AppendEvent(dst, persist.RecordOf(a.Event))
 	})
@@ -395,7 +395,10 @@ func (s *Streamer) restoreSnapshot(snap streamerSnapshot) error {
 
 // installNode builds a nodeState from pn and installs it on this
 // shard, adjusting the shared gauges; an existing state for the node
-// is replaced, its gauge contributions unwound first. Called
+// is replaced, its gauge contributions unwound first. pn's events are
+// made what a live shard keeps, in place: the node's one id string, and
+// no message text (a snapshot written before stream state dropped it
+// still carries it). Called
 // single-threaded during boot restore, or on the shard goroutine
 // inside a handoff import barrier.
 func (sh *shard) installNode(node string, pn persistedNode) error {
@@ -409,7 +412,13 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 		}
 		delete(sh.nodes, node)
 	}
+	for _, evs := range [][]logparse.EncodedEvent{pn.Tracker.Open, pn.Reorder} {
+		for i := range evs {
+			evs[i].Node, evs[i].Message = node, ""
+		}
+	}
 	ns := &nodeState{
+		node:        node,
 		lastArrival: time.Now(),
 		alerted:     pn.Alerted,
 		lastAlertAt: pn.LastAlertAt,
@@ -430,10 +439,8 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 	if s.et != nil {
 		ns.et = restoredNodeET(pn)
 		sh.pending.Add(int64(ns.et.heap.len()))
-		if ts := ns.et.maxSeen.UnixNano(); ns.et.heap.len() > 0 || !ns.et.maxSeen.IsZero() {
-			if ts > sh.wmNano.Load() {
-				sh.wmNano.Store(ts)
-			}
+		if ts := ns.et.maxSeen; ts > sh.wmNano.Load() {
+			sh.wmNano.Store(ts)
 		}
 	} else if len(pn.Reorder) > 0 {
 		// The state was taken with reordering on and this streamer runs

@@ -404,7 +404,7 @@ func TestIngestBatchOneWALWrite(t *testing.T) {
 	for i, ev := range events {
 		a := Admission{Event: ev}
 		if i%2 == 0 {
-			a.Record = persist.EncodeEvent(persist.RecordOf(ev))
+			a.record = persist.EncodeEvent(persist.RecordOf(ev))
 		}
 		batch = append(batch, a)
 		if i == len(events)/2 {

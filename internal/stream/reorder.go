@@ -2,12 +2,14 @@ package stream
 
 import "desh/internal/logparse"
 
-// etItem is one buffered event plus its arrival sequence number, which
-// breaks timestamp ties so equal-time events release in arrival order —
-// the property that makes reordered release deterministic.
+// etItem is one buffered event, its time in Unix nanoseconds, and its
+// arrival sequence number, which breaks timestamp ties so equal-time
+// events release in arrival order — the property that makes reordered
+// release deterministic.
 type etItem struct {
-	ev  logparse.EncodedEvent
-	seq uint64
+	ev   logparse.EncodedEvent
+	nano int64
+	seq  uint64
 }
 
 // reorderHeap is a binary min-heap of buffered events ordered by
@@ -24,8 +26,8 @@ func (h *reorderHeap) len() int { return len(h.items) }
 func (h *reorderHeap) min() etItem { return h.items[0] }
 
 func etLess(a, b etItem) bool {
-	if !a.ev.Time.Equal(b.ev.Time) {
-		return a.ev.Time.Before(b.ev.Time)
+	if a.nano != b.nano {
+		return a.nano < b.nano
 	}
 	return a.seq < b.seq
 }

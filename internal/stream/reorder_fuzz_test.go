@@ -34,7 +34,7 @@ func FuzzReorderBuffer(f *testing.F) {
 	base := time.Date(2026, 5, 3, 12, 0, 0, 0, time.UTC)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := &nodeEventTime{}
+		n := newNodeEventTime()
 		var inserted, dups, late, released int
 		var lastReleased time.Time
 		for i := 0; i+1 < len(data); i += 2 {
@@ -46,18 +46,22 @@ func FuzzReorderBuffer(f *testing.F) {
 				ID: int(data[i+1] % 8),
 			}
 			inserted++
-			if n.dup(&ev, window) {
+			tn := ev.Time.UnixNano()
+			if n.dup(tn, ev.ID, window) {
 				dups++
 				continue
 			}
-			if ev.Time.Before(n.released) {
+			if tn < n.released {
 				late++
 				continue
 			}
 			before := n.released
-			out, _ := n.add(&ev, lateness, depth)
-			if n.released.Before(before) {
-				t.Fatalf("release cursor moved backwards: %v -> %v", before, n.released)
+			out, _, through := n.add(&ev, tn, lateness, depth)
+			if through {
+				out = append(out, ev)
+			}
+			if n.released < before {
+				t.Fatalf("release cursor moved backwards: %d -> %d", before, n.released)
 			}
 			for _, r := range out {
 				if r.Time.Before(lastReleased) {

@@ -425,6 +425,8 @@ func (sh *shard) backoff() {
 // tracker (held by value: one allocation with the rest of the state)
 // plus the alert-dedup state machine.
 type nodeState struct {
+	// node is the node id, the shard's own copy (the node map's key).
+	node    string
 	tracker chain.Tracker
 	// lastArrival is the wall-clock time the node's latest event was
 	// processed — the idle-flush trigger.
@@ -453,7 +455,7 @@ func (sh *shard) state(node string) *nodeState {
 	ns, ok := sh.nodes[node]
 	if !ok {
 		node = strings.Clone(node)
-		ns = new(nodeState)
+		ns = &nodeState{node: node}
 		if err := ns.tracker.Init(node, sh.s.lab, sh.s.p.Config().ChainCfg, sh.s.opts.MaxOpenWindow); err != nil {
 			// Config was validated in New; this cannot happen.
 			panic(fmt.Sprintf("stream: tracker for %s: %v", node, err))
@@ -470,6 +472,9 @@ func (sh *shard) state(node string) *nodeState {
 // shard wakeup passes the wakeup's one clock read.
 func (sh *shard) handle(ev *logparse.EncodedEvent, now time.Time) {
 	ns := sh.state(ev.Node)
+	// The event's own id may be a substring of its line or record: what
+	// the window and the reorder buffer keep points at the shard's copy.
+	ev.Node = ns.node
 	if sh.s.et != nil {
 		sh.handleEventTime(ns, ev, now)
 		return
@@ -486,13 +491,14 @@ func (sh *shard) handle(ev *logparse.EncodedEvent, now time.Time) {
 func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
 	et := sh.s.et
 	if ns.et == nil {
-		ns.et = &nodeEventTime{}
+		ns.et = newNodeEventTime()
 	}
-	if ns.et.dup(ev, et.dedupN) {
+	tn := ev.Time.UnixNano()
+	if ns.et.dup(tn, ev.ID, et.dedupN) {
 		sh.s.met.Duplicates.Add(1)
 		return
 	}
-	if ev.Time.Before(ns.et.released) {
+	if tn < ns.et.released {
 		sh.s.met.Late.Add(1)
 		if et.policy == LateDrop {
 			sh.s.met.LateDropped.Add(1)
@@ -502,15 +508,19 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 		return
 	}
 	ns.et.rel = sh.rel
-	out, overflow := ns.et.add(ev, et.effective(), et.depth)
+	out, overflow, through := ns.et.add(ev, tn, et.effective(), et.depth)
 	sh.rel, ns.et.rel = out, nil // keep what add grew; every feed below is done before the next add
+	if ts := ns.et.maxSeen; ts > sh.wmNano.Load() {
+		sh.wmNano.Store(ts)
+	}
+	if through {
+		sh.feed(ns, ev, now)
+		return
+	}
 	if overflow > 0 {
 		sh.s.met.ReorderOverflow.Add(int64(overflow))
 	}
 	sh.pending.Add(1 - int64(len(out)))
-	if ts := ns.et.maxSeen.UnixNano(); ts > sh.wmNano.Load() {
-		sh.wmNano.Store(ts)
-	}
 	for i := range out {
 		sh.feed(ns, &out[i], now)
 	}
@@ -644,8 +654,8 @@ func (sh *shard) capture() map[string]persistedNode {
 		}
 		if ns.et != nil {
 			pn.Reorder = ns.et.sortedPending()
-			pn.ETMaxSeen = ns.et.maxSeen
-			pn.ETReleased = ns.et.released
+			pn.ETMaxSeen = cursorTime(ns.et.maxSeen)
+			pn.ETReleased = cursorTime(ns.et.released)
 			pn.Ring = packRing(ns.et.dedup)
 			pn.DedupPos = ns.et.dedupPos
 		}

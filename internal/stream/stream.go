@@ -28,6 +28,7 @@ import (
 	"desh/internal/label"
 	"desh/internal/logparse"
 	"desh/internal/par"
+	"desh/internal/persist"
 )
 
 // ErrClosed is returned by ingest entry points after Close.
@@ -66,6 +67,10 @@ type Streamer struct {
 	// streamer's life: encoder ids are append-only, and a swap refuses a
 	// pipeline that disagrees with the live encoder on a shared prefix.
 	refIDs []atomic.Int32
+	// wireNodes interns the node ids IngestRecords decodes; wireMu is
+	// taken once per body.
+	wireMu    sync.Mutex
+	wireNodes persist.NodeTable
 	// epoch is the monotonic origin of the enqueue stamps (shardMsg.at)
 	// and the stage ledger's readings (mono).
 	epoch time.Time
