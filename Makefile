@@ -80,7 +80,8 @@ bench-smoke:
 # seed corpus (which `test` already replays as regular cases):
 # the network-facing line parser (against its time.Parse + Fields/Join
 # oracle), its integer timestamp decode (against time.Date, under ==),
-# the single-scan masker (against the same oracle), the event-time
+# the single-scan masker (against the same oracle), the catalog-phrase
+# recogniser (MaskRef against the masker alone), the event-time
 # reorder buffer (its invariants, and the in-order paths of dup/add
 # against the scanning, always-pushing reference; kilobyte inputs, so
 # the minimiser is capped), the model file header, the cluster control
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logparse/ -run '^$$' -fuzz FuzzStampParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskRefParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzEventTimeParity -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzModelHeader -fuzztime $(FUZZTIME)

@@ -185,6 +185,9 @@ var Catalog = []Phrase{
 	{Template: "slurmctld: fatal: node * not responding setting DOWN", Label: Error, Class: ClassJob},
 }
 
+// index finds a static entry by its Key. Its initializer sets every
+// Catalog[i].Key and files each key with the recogniser (heads), so
+// nothing that reads either can run before it.
 var index = func() map[string]int {
 	m := make(map[string]int, len(Catalog))
 	for i := range Catalog {
@@ -198,6 +201,7 @@ var index = func() map[string]int {
 			panic("catalog: duplicate masked key " + key)
 		}
 		m[key] = i
+		addShape(key, i)
 	}
 	return m
 }()

@@ -29,15 +29,21 @@ func Mask(message string) string {
 type Ref int32
 
 // MaskRef is Mask plus what its index lookup found, so a caller that
-// keeps the Ref need not hash the key again to reach the entry.
+// keeps the Ref need not hash the key again to reach the entry. A
+// message the recogniser proves to be a static phrase is named without
+// building its key; every other message is masked.
 func MaskRef(message string) (string, Ref) {
+	if ref := recognise(message); ref != 0 {
+		return Catalog[ref-1].Key, ref
+	}
+	return maskRef(message)
+}
+
+// maskRef is MaskRef without the recogniser: build the key, look it up.
+func maskRef(message string) (string, Ref) {
 	// A key longer than the scratch spills to the heap inside append.
 	var scratch [256]byte
-	key := appendMasked(scratch[:0], message)
-	if i, ok := index[string(key)]; ok { // no allocation: map lookup by converted bytes
-		return Catalog[i].Key, Ref(i + 1)
-	}
-	return string(key), 0
+	return KeyRef(appendMasked(scratch[:0], message))
 }
 
 // KeyRef resolves an already masked key held in bytes — a record's key

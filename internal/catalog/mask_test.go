@@ -3,6 +3,7 @@ package catalog
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -70,6 +71,98 @@ func FuzzMaskParity(f *testing.F) {
 			t.Fatalf("Mask(%q) = %q, oracle %q", message, got, want)
 		}
 	})
+}
+
+// fragments are one rendering of each of logsim's six dynamic fragment
+// kinds (hex word, decimal id, composite error code, address, pid=,
+// zero-padded sequence number); logsim imports this package, so they
+// are spelled out here.
+var fragments = []string{"0x1f2e3d", "62345", "[4411]:0x1f", "10.103.168.68", "pid=4411", "seq00012345"}
+
+// recogniserSeeds are every template rendered with each fragment kind,
+// with a digit-free word in its slots, and with each one of its spaces
+// turned into a tab or a U+00A0, and every key; plus the near misses
+// the recogniser must decline or reject: a token glued to a digit, a
+// dynamic token with a byte >= 0x80, doubled, leading and trailing
+// spaces, a key cut one token short or with one token extra, and a
+// trailing dynamic run.
+func recogniserSeeds() []string {
+	seeds := []string{
+		"Setting\tflag", "Setting\u00a0flag", "Setting flag\t", "WaitForBoot7", "WaitForBoot 7",
+		"Slurmd Stopped on node\t12", "cpu 7\tapic_timer_irqs", "cpu 7\u00a0apic_timer_irqs",
+		"cpu 4\xc3\xa9 apic_timer_irqs", "cpu \xff7 apic_timer_irqs", "cpu 0x1\u00a0apic_timer_irqs",
+		"Setting  flag", " Setting flag", "Setting flag ", "Setting", "Setting flag now",
+		"Slurmd Stopped on node 12 0x3 pid=7", "Slurmd Stopped on node 12 0x3 pid=7 ",
+		"Slurmd Stopped on node 12 0x3 down", "Slurmd Stopped on node", "Slurmd Stopped on node ",
+		"Lustre: 1 2 connected to 3 4", "Lustre: 1 connected  to 3", "Lustre: connected to 3",
+		"cb_node_unavailable", "cb_node_unavailable *", "* * *", "0x1 Correctable AER_BAD_TLP Error",
+	}
+	for _, p := range Catalog {
+		for _, frag := range append(fragments, "word") {
+			seeds = append(seeds, strings.ReplaceAll(p.Template, "*", frag))
+		}
+		rendered := strings.ReplaceAll(p.Template, "*", "62345")
+		for i := range rendered {
+			if rendered[i] == ' ' {
+				seeds = append(seeds, rendered[:i]+"\t"+rendered[i+1:], rendered[:i]+"\u00a0"+rendered[i+1:])
+			}
+		}
+		seeds = append(seeds, p.Key)
+	}
+	return seeds
+}
+
+// singleSpacedASCII is the form the recogniser may accept: ASCII, no
+// whitespace but single interior ' ' separators.
+func singleSpacedASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf || strings.IndexByte("\t\n\v\f\r", s[i]) >= 0 {
+			return false
+		}
+	}
+	return s != "" && s[0] != ' ' && s[len(s)-1] != ' ' && !strings.Contains(s, "  ")
+}
+
+// FuzzMaskRefParity holds MaskRef, recogniser first, to the masker
+// alone: the same key and Ref for every input, a hit's key the
+// catalog's own string, and a hit only on a single-spaced ASCII
+// message — everything else is the masker's to decide.
+func FuzzMaskRefParity(f *testing.F) {
+	for _, s := range recogniserSeeds() {
+		f.Add(s)
+	}
+	for _, s := range maskSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, message string) {
+		key, ref := MaskRef(message)
+		if wantKey, wantRef := maskRef(message); key != wantKey || ref != wantRef {
+			t.Fatalf("MaskRef(%q) = %q, %d; masker %q, %d", message, key, ref, wantKey, wantRef)
+		}
+		if ref != 0 && unsafe.StringData(key) != unsafe.StringData(Catalog[ref-1].Key) {
+			t.Fatalf("MaskRef(%q) returned a copy of the catalog key", message)
+		}
+		if recognise(message) != 0 && !singleSpacedASCII(message) {
+			t.Fatalf("recogniser accepted %q, which is not single-spaced ASCII", message)
+		}
+	})
+}
+
+// The recogniser names every template rendered with every fragment
+// kind, so the masker is the fallback, not the path: a recogniser that
+// declined everything would pass FuzzMaskRefParity.
+func TestRecogniserNamesRenderedTemplates(t *testing.T) {
+	for i, p := range Catalog {
+		for _, frag := range fragments {
+			msg := strings.ReplaceAll(p.Template, "*", frag)
+			if got := recognise(msg); got != Ref(i+1) {
+				t.Errorf("recognise(%q) = %d, want %d", msg, got, i+1)
+			}
+		}
+		if got := recognise(p.Key); got != Ref(i+1) {
+			t.Errorf("recognise(key %q) = %d, want %d", p.Key, got, i+1)
+		}
+	}
 }
 
 // A known phrase comes back as the catalog's own Key string — the same

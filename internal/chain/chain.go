@@ -97,11 +97,12 @@ func Episodes(events []logparse.EncodedEvent, lab *label.Labeler, cfg Config) ([
 }
 
 // gapped is the gap predicate Episodes and Tracker share: next follows
-// prev (Unix nanoseconds) by more than maxGap. The difference is taken
-// unsigned, so a span beyond the int64 range still splits, as
-// time.Time.Sub's saturation made it.
+// prev (Unix nanoseconds) by more than maxGap, the span saturated at
+// the Duration range as time.Time.Sub saturates it. A span beyond the
+// int64 range counts as math.MaxInt64, so it splits under any smaller
+// gap and not under a gap of math.MaxInt64.
 func gapped(prev, next int64, maxGap time.Duration) bool {
-	return next >= prev && uint64(next-prev) > uint64(maxGap)
+	return subNanos(next, prev) > maxGap
 }
 
 // subNanos is a − b in Unix nanoseconds as time.Time.Sub returns it for

@@ -206,6 +206,9 @@ func FuzzTrackerTimeParity(f *testing.F) {
 	f.Add([]byte{6 | an, 0, 4 | an, 0, 4 | an, 0, 6 | an2, 1, 6 | an, 0, 7 | term, 9}, int64(0), int64(math.MaxInt64), uint8(1), false)
 	f.Add([]byte{6 | an, 0, 1 | an, 1, 6 | an, 1, 2 | an2, 0, 6 | an, 0, 7 | term, 1}, base, int64(math.MaxInt64)/2+1, uint8(2), true)
 	f.Add([]byte{7 | an, 1, 7 | an, 1, 5 | an, 0, 7 | an2, 1, 3 | term, 0}, base, int64(1), uint8(1), false)
+	// Both ends of the range under the widest gap: Sub saturates the
+	// span to exactly MaxGap, which does not split.
+	f.Add([]byte{6 | an, '0', 6 | term | utc, '1'}, int64(0), int64(math.MaxInt64), uint8(1), true)
 	f.Fuzz(func(t *testing.T, data []byte, start, gapN int64, minLen uint8, bounded bool) {
 		cfg := Config{MaxGap: time.Duration(gapN), MinLen: 1 + int(minLen%3)}
 		if cfg.MaxGap <= 0 {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,5 +303,63 @@ func TestFlushIsExact(t *testing.T) {
 	}
 	if took := time.Since(start); took > 4*time.Second {
 		t.Fatalf("%d ingest+Flush rounds took %v: Flush is sleeping its way to quiescence", rounds, took)
+	}
+}
+
+// TestBlankLineRuleAgrees: a line is blank, or it is a line, the same
+// on every entry point — ParseReader (training, batch detect), the
+// streamer's IngestLine and IngestReader, and the router. A blank line
+// is skipped; anything else reaches ParseLine, and these all fail it.
+func TestBlankLineRuleAgrees(t *testing.T) {
+	inst := newLeaseInstance(t, "")
+	s := inst.Streamer()
+	peer := newFakePeer()
+	defer peer.srv.Close()
+	r, err := NewRouter(fastRouterConfig([]Peer{{Name: "p0", URL: peer.srv.URL}}, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	cases := []struct {
+		line  string
+		blank bool
+	}{
+		{"", true},
+		{" ", true},
+		{" \t\r", true},
+		{"\f", true},
+		{"\v", true},
+		{"\u00a0", true},
+		{"\u0085", true},
+		{" \u2003\t\u3000 ", true},
+		{"\f\u00a0\v", true},
+		{"\x00", false},
+		{"\xa0", false},   // a lone continuation byte is no rune, no space
+		{"\u200b", false}, // zero width, but not unicode.IsSpace
+		{" \u00a0x ", false},
+		{"not a log line", false},
+	}
+	for _, c := range cases {
+		events, perr := logparse.ParseReader(strings.NewReader(c.line))
+		if got := perr == nil && len(events) == 0; got != c.blank {
+			t.Errorf("ParseReader(%q): blank %v (err %v), want %v", c.line, got, perr, c.blank)
+		}
+		if got := s.IngestLine(c.line) == nil; got != c.blank {
+			t.Errorf("Streamer.IngestLine(%q): blank %v, want %v", c.line, got, c.blank)
+		}
+		before := s.SnapshotMetrics().Malformed
+		if err := s.IngestReader(strings.NewReader(c.line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.SnapshotMetrics().Malformed == before; got != c.blank {
+			t.Errorf("Streamer.IngestReader(%q): blank %v, want %v", c.line, got, c.blank)
+		}
+		if got := r.IngestLine(c.line) == nil; got != c.blank {
+			t.Errorf("Router.IngestLine(%q): blank %v, want %v", c.line, got, c.blank)
+		}
+	}
+	if m := r.Metrics(); m.Forwarded+m.Spilled != 0 {
+		t.Errorf("router routed %d lines, want none", m.Forwarded+m.Spilled)
 	}
 }

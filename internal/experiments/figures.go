@@ -178,34 +178,42 @@ type CostPoint struct {
 }
 
 // PredictionCost measures the wall-clock cost of k-step Phase-1
-// prediction for the paper's two history sizes (Figure 10).
+// prediction for the paper's two history sizes (Figure 10), through one
+// reusable Predictor, so no allocation or collection is timed. Each
+// point is the minimum over several trials, which is robust to
+// scheduler noise; within a trial a history's 1-, 2- and 3-step points
+// are timed back to back, in alternating order from trial to trial, so
+// a burst of load lands on all of them or on each end in turn, never on
+// one alone.
 func PredictionCost(model *nn.SeqClassifier, seed int64) []CostPoint {
 	rng := rand.New(rand.NewSource(seed))
 	history := make([]int, 16)
 	for i := range history {
 		history[i] = rng.Intn(model.Vocab)
 	}
+	pred := model.NewPredictor()
+	const trials, reps = 25, 20
+	steps := []int{1, 2, 3}
 	var points []CostPoint
 	for _, hs := range []int{5, 8} {
-		for _, steps := range []int{1, 2, 3} {
-			// Min of several trials: the minimum is robust to scheduler
-			// noise, which matters when this runs alongside benchmarks.
-			best := math.Inf(1)
-			for trial := 0; trial < 3; trial++ {
-				const reps = 150
+		best := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+		for trial := 0; trial < trials; trial++ {
+			for j := range steps {
+				k := j
+				if trial%2 == 1 {
+					k = len(steps) - 1 - j
+				}
 				start := time.Now()
 				for r := 0; r < reps; r++ {
-					model.Predict(history[:hs], steps)
+					pred.Predict(history[:hs], steps[k])
 				}
-				if ms := float64(time.Since(start).Microseconds()) / reps / 1000; ms < best {
-					best = ms
+				if ms := float64(time.Since(start).Nanoseconds()) / reps / 1e6; ms < best[k] {
+					best[k] = ms
 				}
 			}
-			points = append(points, CostPoint{
-				HistorySize: hs,
-				Steps:       steps,
-				PerPredMS:   best,
-			})
+		}
+		for k, s := range steps {
+			points = append(points, CostPoint{HistorySize: hs, Steps: s, PerPredMS: best[k]})
 		}
 	}
 	return points

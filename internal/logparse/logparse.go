@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"desh/internal/catalog"
 )
@@ -276,14 +278,24 @@ func daysIn(month, year int) int {
 	return 31
 }
 
-// IsBlank reports whether line holds nothing but whitespace — what
-// every ingest entry point skips instead of handing to ParseLine.
+// IsBlank reports whether line holds nothing but whitespace, as
+// unicode.IsSpace knows it (strings.TrimSpace's set) — what every ingest
+// entry point, ParseReader's included, skips instead of handing to
+// ParseLine.
 func IsBlank(line string) bool {
 	for i := 0; i < len(line); i++ {
 		switch line[i] {
-		case ' ', '\t', '\r', '\n':
+		case ' ', '\t', '\n', '\v', '\f', '\r':
 		default:
-			return false
+			if line[i] < utf8.RuneSelf {
+				return false
+			}
+			for _, r := range line[i:] {
+				if !unicode.IsSpace(r) {
+					return false
+				}
+			}
+			return true
 		}
 	}
 	return true
@@ -300,7 +312,7 @@ func ParseReader(r io.Reader) ([]Event, error) {
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
+		if IsBlank(line) {
 			continue
 		}
 		ev, err := ParseLine(line)

@@ -155,15 +155,6 @@ func (m *SeqClassifier) NextProbs(history []int) []float64 {
 	return p
 }
 
-// Predict rolls the model out steps tokens past the history, greedily
-// feeding each argmax prediction back as the next input — the paper's
-// "3-step prediction" inference mode. This convenience wrapper builds a
-// fresh Predictor per call; hot loops should hold one and reuse it.
-func (m *SeqClassifier) Predict(history []int, steps int) []int {
-	out := m.NewPredictor().Predict(history, steps)
-	return append([]int(nil), out...)
-}
-
 // Predictor is a reusable inference cursor for the Phase-1 classifier:
 // the Figure-10 prediction-cost kernel. All state and scratch live on
 // the predictor, so steady-state Predict calls allocate nothing, and
@@ -189,8 +180,10 @@ func (m *SeqClassifier) NewPredictor() *Predictor {
 	}
 }
 
-// Predict is SeqClassifier.Predict without per-call allocation. The
-// returned slice is owned by the predictor and valid until the next
+// Predict rolls the model out steps tokens past the history, greedily
+// feeding each argmax prediction back as the next input — the paper's
+// "3-step prediction" inference mode — without per-call allocation.
+// The returned slice is owned by the predictor and valid until the next
 // call.
 func (p *Predictor) Predict(history []int, steps int) []int {
 	m := p.m

@@ -140,9 +140,10 @@ func TestClassifierLearnsRepeatingSequence(t *testing.T) {
 	}
 	correct := 0
 	trials := 50
+	pr := m.NewPredictor()
 	for i := 0; i < trials; i++ {
 		hist := seq[i : i+history]
-		pred := m.Predict(hist, 1)
+		pred := pr.Predict(hist, 1)
 		if pred[0] == seq[i+history] {
 			correct++
 		}
@@ -155,7 +156,7 @@ func TestClassifierLearnsRepeatingSequence(t *testing.T) {
 func TestClassifierPredictRolloutLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	m := NewSeqClassifier(6, 4, 5, 1, rng)
-	out := m.Predict([]int{1, 2, 3}, 3)
+	out := m.NewPredictor().Predict([]int{1, 2, 3}, 3)
 	if len(out) != 3 {
 		t.Fatalf("rollout length %d", len(out))
 	}
