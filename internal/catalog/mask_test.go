@@ -224,3 +224,46 @@ func BenchmarkMask(b *testing.B) {
 		maskSink = Mask(msgs[i%len(msgs)])
 	}
 }
+
+// BenchmarkMaskRefDeclined times MaskRef on messages the recogniser
+// declines, which pay its dispatch and verification before the masker:
+// phrases the catalog has never seen under its busiest first tokens
+// ("Lustre:", four keys; a dynamic token, the "*" keys), and known
+// phrases with a tab where a key has a space.
+func BenchmarkMaskRefDeclined(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		known bool
+		msgs  []string
+	}{
+		{"unseen", false, []string{
+			"Lustre: 0x7f3a lock callback timer expired after 1532s",
+			"Lustre: recovery aborted for target ost0012 after 300s",
+			"Lustre: lnet0 connected via proxy 10.1.7.4@o2ib",
+			"0x1f adapter reset requested on port 3",
+			"c0-0c1s4n2 link training failed lane 7",
+		}},
+		{"tab", true, []string{
+			"Lustre: recovery complete for target\tost0012",
+			"Lustre: 12 connected to\t10.1.7.4@o2ib",
+			"Kernel panic - not syncing: Fatal Machine check\t7",
+			"DVS: mount point established for\t/lus/scratch0",
+			"7 Correctable AER_BAD_TLP Error\t0x1f",
+		}},
+	} {
+		for _, msg := range c.msgs {
+			if recognise(msg) != 0 {
+				b.Fatalf("%q: recognised, want declined", msg)
+			}
+			if _, ref := MaskRef(msg); (ref != 0) != c.known {
+				b.Fatalf("%q: ref %d, want known %v", msg, ref, c.known)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				maskSink, _ = MaskRef(c.msgs[i%len(c.msgs)])
+			}
+		})
+	}
+}

@@ -6,9 +6,11 @@ package catalog
 // appendMasked would turn it into that entry's Key, and it declines
 // everything else to the masker. To keep the proof a byte compare it
 // takes only ASCII messages whose tokens are separated by exactly one
-// ' ' — what a generated or well-formed production line is — so a
-// non-ASCII byte, any other whitespace, a doubled, leading or trailing
-// space all decline.
+// ' ', so a non-ASCII byte, any other whitespace, a doubled, leading or
+// trailing space all decline. A declined message pays the dispatch and
+// any partial verification before the masker
+// (BenchmarkMaskRefDeclined); how much real traffic takes that path
+// depends on the site's log format.
 
 // shape is one static key cut at its "*" tokens into segments: a "*",
 // standing for a run of one or more dynamic tokens, or a run of static
