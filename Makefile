@@ -79,7 +79,10 @@ bench-smoke:
 # fuzz runs every fuzz target the module declares beyond its committed
 # seed corpus (which `test` already replays as regular cases):
 # the network-facing line parser (against its time.Parse + Fields/Join
-# oracle), its integer timestamp decode (against time.Date, under ==),
+# oracle), the line framer (against a split on '\n' under the cap, and
+# never reading its source with a complete line buffered; megabyte
+# seeds, so the minimiser is capped), its integer
+# timestamp decode (against time.Date, under ==),
 # the single-scan masker (against the same oracle), the catalog-phrase
 # recogniser (MaskRef against the masker alone), the event-time
 # reorder buffer (its invariants, and the in-order paths of dup/add
@@ -98,6 +101,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/logparse/ -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logparse/ -run '^$$' -fuzz FuzzStampParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logparse/ -run '^$$' -fuzz FuzzReadLines -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz FuzzMaskRefParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzReorderBuffer -fuzztime $(FUZZTIME)

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 
+	"desh/internal/logparse"
 	"desh/internal/persist"
 )
 
@@ -90,21 +93,23 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	if !ingestBody(w, req, &sc.body) {
 		return
 	}
-	lines, err := splitLines(sc.body.Bytes())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	malformed := 0
-	for _, line := range lines {
-		if err := r.IngestLine(line); errors.Is(err, ErrRouterClosed) {
+	lr := logparse.NewLineReader(bytes.NewReader(sc.body.Bytes()))
+	lines, malformed := 0, 0
+	for line, err := lr.Next(); err != io.EOF; line, err = lr.Next() {
+		lines++
+		if err == nil {
+			err = r.IngestLine(line)
+		} else {
+			r.met.Malformed.Add(1) // over the cap, counted where IngestLine counts one
+		}
+		if errors.Is(err, ErrRouterClosed) {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		} else if err != nil {
 			malformed++
 		}
 	}
-	writeJSON(w, map[string]int{"accepted": len(lines) - malformed, "malformed": malformed})
+	writeJSON(w, map[string]int{"accepted": lines - malformed, "malformed": malformed})
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {

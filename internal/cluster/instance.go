@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
@@ -24,7 +25,12 @@ var parseEvent = logparse.ParseLine
 
 // parseLine parses one raw line; blank lines return a zero Event (no
 // error) so callers can skip them the way single-instance ingest does.
+// A line over logparse.MaxLineBytes is refused first, as a text body's
+// line reader refuses it, with an error matching bufio.ErrTooLong.
 func parseLine(line string) (logparse.Event, error) {
+	if len(line) > logparse.MaxLineBytes {
+		return logparse.Event{}, fmt.Errorf("cluster: line of %d bytes exceeds %d: %w", len(line), logparse.MaxLineBytes, bufio.ErrTooLong)
+	}
 	if logparse.IsBlank(line) {
 		return logparse.Event{}, nil
 	}
@@ -105,26 +111,34 @@ func adoptEpoch(c stream.Control, req ownershipRequest) ([]byte, error) {
 
 // IngestLines feeds a batch of raw lines, returning the indices of
 // lines the instance must NOT absorb — nodes outside its owned ranges
-// or frozen mid-handoff — for the router to respool. Blank and
-// malformed lines are consumed (counted) exactly as single-instance
+// or frozen mid-handoff — for the router to respool. Blank, malformed
+// and over-long lines are consumed (counted) exactly as single-instance
 // ingest consumes them.
 func (inst *Instance) IngestLines(lines []string) (rejected []int, err error) {
-	_, rejected, err = inst.ingestBatch(inst.parseLines(lines))
+	batch := make([]stream.Admission, len(lines))
+	for i, line := range lines {
+		batch[i] = inst.admission(line, nil)
+	}
+	_, rejected, err = inst.ingestBatch(batch)
 	return rejected, err
 }
 
-// parseLines parses a batch of raw lines for admission.
-func (inst *Instance) parseLines(lines []string) []stream.Admission {
-	batch := make([]stream.Admission, len(lines))
-	for i, line := range lines {
-		ev, perr := parseLine(line)
-		if perr != nil {
-			inst.s.Metrics().Malformed.Add(1)
-		}
-		// No node: a blank or malformed line, consumed here and now.
-		batch[i] = stream.Admission{Event: ev, Refused: ev.Node == ""}
+// admission is one raw line's admission, or that of the line reader's
+// error in its place. A line that does not parse, over the cap or
+// malformed, is counted as single-instance ingest counts it and, like a
+// blank one, consumed here: no node, so its slot only holds the
+// positions of the lines after it.
+func (inst *Instance) admission(line string, err error) stream.Admission {
+	var ev logparse.Event
+	if err == nil {
+		ev, err = parseLine(line)
 	}
-	return batch
+	if errors.Is(err, bufio.ErrTooLong) {
+		inst.s.Metrics().Oversized.Add(1)
+	} else if err != nil {
+		inst.s.Metrics().Malformed.Add(1)
+	}
+	return stream.Admission{Event: ev, Refused: ev.Node == ""}
 }
 
 // ingestBatch admits one batch — a POST, either content type — as a
@@ -375,11 +389,13 @@ func (inst *Instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 			inst.batches.Add(1)
 			rejected = refused(sc.batch)
 		}
-	} else if lines, lerr := splitLines(sc.body.Bytes()); lerr != nil {
-		err = lerr
 	} else {
-		n = len(lines)
-		epoch, rejected, err = inst.ingestBatch(inst.parseLines(lines))
+		lr := logparse.NewLineReader(bytes.NewReader(sc.body.Bytes()))
+		for line, lerr := lr.Next(); lerr != io.EOF; line, lerr = lr.Next() {
+			sc.batch = append(sc.batch, inst.admission(line, lerr))
+		}
+		n = len(sc.batch)
+		epoch, rejected, err = inst.ingestBatch(sc.batch)
 	}
 	if errors.Is(err, stream.ErrClosed) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

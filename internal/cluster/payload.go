@@ -6,7 +6,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -113,9 +112,6 @@ func control[T any](w http.ResponseWriter, r *http.Request, limit int64, failSta
 	writeJSON(w, reply)
 }
 
-// maxLineBytes caps one raw log line at the cluster's text entries.
-const maxLineBytes = 1 << 20
-
 // ingestScratch is what one /ingest POST is read and decoded into: its
 // body and, on an instance, the admissions its records decode to (their
 // records alias body). Pooled, so POSTs in steady state read into the
@@ -164,16 +160,4 @@ func ingestBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool 
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return err == nil
-}
-
-// splitLines splits a text /ingest body into lines, refusing one over
-// maxLineBytes.
-func splitLines(body []byte) ([]string, error) {
-	var lines []string
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(nil, maxLineBytes)
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	return lines, sc.Err()
 }

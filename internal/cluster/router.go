@@ -323,10 +323,6 @@ func (r *Router) IngestLine(line string) error {
 	if r.closed.Load() {
 		return ErrRouterClosed
 	}
-	if len(line) > maxLineBytes {
-		r.met.Malformed.Add(1)
-		return fmt.Errorf("cluster: line of %d bytes exceeds %d", len(line), maxLineBytes)
-	}
 	ev, err := parseLine(line)
 	if err != nil {
 		r.met.Malformed.Add(1)
@@ -374,9 +370,9 @@ func (r *Router) spillRecord(rec []byte) {
 
 // maxWireBody is where a sender cuts a body short of BatchMax events:
 // far enough under maxIngestBody that the record which crosses it (a
-// line is at most maxLineBytes, its record under three times that)
-// still fits, so a full batch never trips its own peer's cap.
-const maxWireBody = maxIngestBody - 3*maxLineBytes
+// line is at most logparse.MaxLineBytes, its record under three times
+// that) still fits, so a full batch never trips its own peer's cap.
+const maxWireBody = maxIngestBody - 3*logparse.MaxLineBytes
 
 // wireBound bounds the bytes ev adds to a body: its three strings plus
 // the frame length, type byte, time varint and three length prefixes.

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"desh/internal/chaos/fixture"
 	"desh/internal/logparse"
 	"desh/internal/persist"
+	"desh/internal/stream"
 )
 
 // fakePeer is a scripted cluster instance: it decodes the record
@@ -362,4 +365,155 @@ func TestBlankLineRuleAgrees(t *testing.T) {
 	if m := r.Metrics(); m.Forwarded+m.Spilled != 0 {
 		t.Errorf("router routed %d lines, want none", m.Forwarded+m.Spilled)
 	}
+}
+
+// TestLineFramingAgrees holds every text entry to the one framing rule:
+// a blank line is skipped, a CRLF line parses as its LF twin, a
+// malformed line and a line over logparse.MaxLineBytes are skipped and
+// counted, and a last line of exactly the cap with no '\n' goes in. The
+// streamer's IngestReader, IngestHandler, ServeLines and IngestLine, the
+// instance's text /ingest and IngestLines, and the router's /ingest and
+// IngestLine admit or route the same events and skip the same lines (the
+// router counts both skipped lines malformed); ParseReader returns the
+// same events up to its first error.
+func TestLineFramingAgrees(t *testing.T) {
+	lines := testLines(t, 4, 206)[:3]
+	capLine := lines[2] + strings.Repeat(" ", logparse.MaxLineBytes-len(lines[2]))
+	body := lines[0] + "\n \t\n" + lines[1] + "\r\nnot a log line\n" +
+		strings.Repeat("x", logparse.MaxLineBytes+1) + "\n" + capLine
+	split := strings.Split(body, "\n")
+	render := func(ev logparse.Event) string {
+		return ev.Time.Format(logparse.TimeLayout) + " " + ev.Node + " " + ev.Message
+	}
+	var want []string
+	for _, line := range []string{lines[0], lines[1], capLine} {
+		ev, err := logparse.ParseLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, render(ev))
+	}
+	const wantSkipped = 2
+
+	events, err := logparse.ParseReader(strings.NewReader(body))
+	if err == nil || len(events) != 2 || render(events[0]) != want[0] || render(events[1]) != want[1] {
+		t.Errorf("ParseReader: %d events (err %v), want the first 2 and the malformed line's error", len(events), err)
+	}
+
+	// Streamer entries, standalone and the instance's, by their counters.
+	s, err := stream.New(fixture.Model(t, fixture.Serving), servingOpts(64, "")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = s.Close()
+		for range s.Alerts() {
+		}
+	})
+	inst := newLeaseInstance(t, "")
+	post := func(h http.Handler) error {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+		if w.Code >= 300 {
+			return fmt.Errorf("status %d: %s", w.Code, strings.TrimSpace(w.Body.String()))
+		}
+		return nil
+	}
+	streamers := []struct {
+		name string
+		s    *stream.Streamer
+		feed func() error
+	}{
+		{"Streamer.IngestReader", s, func() error { return s.IngestReader(strings.NewReader(body)) }},
+		{"Streamer.IngestHandler", s, func() error { return post(s.IngestHandler()) }},
+		{"Streamer.ServeLines", s, func() error { return serveLines(s, body) }},
+		{"Streamer.IngestLine", s, func() error {
+			for _, line := range split {
+				_ = s.IngestLine(line)
+			}
+			return nil
+		}},
+		{"instance /ingest", inst.Streamer(), func() error { return post(inst.Handler()) }},
+		{"Instance.IngestLines", inst.Streamer(), func() error {
+			_, err := inst.IngestLines(split)
+			return err
+		}},
+	}
+	for _, e := range streamers {
+		before := e.s.SnapshotMetrics()
+		if err := e.feed(); err != nil {
+			t.Errorf("%s: %v", e.name, err)
+			continue
+		}
+		m := e.s.SnapshotMetrics()
+		if in, over, bad := m.Ingested-before.Ingested, m.Oversized-before.Oversized, m.Malformed-before.Malformed; in != int64(len(want)) || over != 1 || over+bad != wantSkipped {
+			t.Errorf("%s: admitted %d, oversized %d, malformed %d; want %d, 1, %d", e.name, in, over, bad, len(want), wantSkipped-1)
+		}
+	}
+
+	// Router entries, by what reaches the peer.
+	for _, e := range []struct {
+		name string
+		feed func(r *Router) error
+	}{
+		{"router /ingest", func(r *Router) error { return post(r.Handler()) }},
+		{"Router.IngestLine", func(r *Router) error {
+			for _, line := range split {
+				_ = r.IngestLine(line)
+			}
+			return nil
+		}},
+	} {
+		peer := newFakePeer()
+		r, err := NewRouter(fastRouterConfig([]Peer{{Name: "p0", URL: peer.srv.URL}}, t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.feed(r); err != nil {
+			t.Errorf("%s: %v", e.name, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := r.Flush(ctx); err != nil {
+			t.Errorf("%s: flush: %v", e.name, err)
+		}
+		cancel()
+		got := peer.snapshot()
+		for _, line := range want {
+			if got[line] != 1 {
+				t.Errorf("%s: peer got %q %d times, want once", e.name, line[:min(len(line), 60)], got[line])
+			}
+		}
+		if m := r.Metrics(); len(got) != len(want) || m.Malformed != wantSkipped {
+			t.Errorf("%s: peer got %d distinct lines, router counted %d malformed; want %d and %d", e.name, len(got), m.Malformed, len(want), wantSkipped)
+		}
+		r.Close()
+		peer.srv.Close()
+	}
+}
+
+// serveLines sends body over one connection to s.ServeLines and returns
+// once the streamer has read it to the end and closed the connection.
+func serveLines(s *stream.Streamer, body string) error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.ServeLines(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, body); err != nil {
+		return err
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		return err
+	}
+	if _, err := io.ReadAll(conn); err != nil { // the server's close
+		return err
+	}
+	ln.Close()
+	return <-served
 }

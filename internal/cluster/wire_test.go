@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -60,7 +61,10 @@ func TestIngestStatusCodes(t *testing.T) {
 	records := wireBody(t, lines...)
 	// Over the body cap, in lines under the line cap.
 	oversized := bytes.Repeat([]byte(strings.Repeat("x", 1023)+"\n"), maxIngestBody/1024+1)
-	longLine := bytes.Repeat([]byte("x"), maxLineBytes+2)
+	// A line over the cap is skipped and counted, and the lines after it
+	// go in: the instance consumes it as it does a malformed line, the
+	// router counts it malformed.
+	overCap := append(append(bytes.Repeat([]byte("x"), logparse.MaxLineBytes+2), '\n'), text...)
 	// The first record is whole, the second cut short: nothing of the
 	// body may be admitted.
 	damaged := records[:len(records)-4]
@@ -80,9 +84,10 @@ func TestIngestStatusCodes(t *testing.T) {
 		{"instance text", inst.Handler(), http.MethodPost, "text/plain", []byte(text), http.StatusOK},
 		{"instance records", inst.Handler(), http.MethodPost, recordContentType, records, http.StatusOK},
 		{"instance records empty", inst.Handler(), http.MethodPost, recordContentType, nil, http.StatusOK},
+		{"instance line over the cap", inst.Handler(), http.MethodPost, "text/plain", overCap, http.StatusOK},
 		{"router GET", r.Handler(), http.MethodGet, "text/plain", nil, http.StatusMethodNotAllowed},
 		{"router oversized", r.Handler(), http.MethodPost, "text/plain", oversized, http.StatusRequestEntityTooLarge},
-		{"router line over the cap", r.Handler(), http.MethodPost, "text/plain", longLine, http.StatusBadRequest},
+		{"router line over the cap", r.Handler(), http.MethodPost, "text/plain", overCap, http.StatusOK},
 		{"router text", r.Handler(), http.MethodPost, "text/plain", []byte(text), http.StatusOK},
 		{"router closed", closed.Handler(), http.MethodPost, "text/plain", []byte(text), http.StatusServiceUnavailable},
 	}
@@ -96,12 +101,24 @@ func TestIngestStatusCodes(t *testing.T) {
 			if w.Code != tc.want {
 				t.Fatalf("status %d, want %d (%s)", w.Code, tc.want, strings.TrimSpace(w.Body.String()))
 			}
+			skipped := 0
+			if bytes.Equal(tc.body, overCap) {
+				skipped = 1
+			}
 			if strings.HasPrefix(tc.name, "instance") && tc.want == http.StatusOK && len(tc.body) > 0 {
 				var reply ingestReply
-				if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || reply.Accepted != len(lines) || len(reply.Rejected) != 0 {
-					t.Fatalf("reply %s (err %v), want %d accepted", w.Body.String(), err, len(lines))
+				if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || reply.Accepted != len(lines)+skipped || len(reply.Rejected) != 0 {
+					t.Fatalf("reply %s (err %v), want %d accepted", w.Body.String(), err, len(lines)+skipped)
 				}
 				wantIngested += int64(len(lines))
+				if got := inst.Streamer().SnapshotMetrics().Oversized; got != int64(skipped) {
+					t.Fatalf("instance counted %d lines oversized, want %d", got, skipped)
+				}
+			}
+			if strings.HasPrefix(tc.name, "router") && skipped > 0 {
+				if got, want := strings.TrimSpace(w.Body.String()), fmt.Sprintf(`{"accepted":%d,"malformed":1}`, len(lines)); got != want {
+					t.Fatalf("reply %s, want %s", got, want)
+				}
 			}
 			if got := inst.Streamer().SnapshotMetrics().Ingested; got != wantIngested {
 				t.Fatalf("instance counted %d events, want %d", got, wantIngested)

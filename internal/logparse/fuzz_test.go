@@ -1,8 +1,13 @@
 package logparse
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"desh/internal/catalog"
@@ -82,4 +87,114 @@ func FuzzParseLine(f *testing.F) {
 			t.Fatalf("round trip changed event: %+v -> %+v (line %q)", ev, ev2, line)
 		}
 	})
+}
+
+// FuzzReadLines holds LineReader to a plain split on '\n' under the cap
+// (a line over MaxLineBytes, its '\n' not counted, is reported as over
+// and the next one goes on), with the source read a byte, half a buffer
+// or all it has at a time. It also holds the promise the streamer's one
+// WAL commit per read rests on (DESIGN §10): the source is read only
+// when no complete line is buffered, and Buffered says when that is, so
+// a caller that commits whenever Buffered is false never reads with a
+// line uncommitted.
+func FuzzReadLines(f *testing.F) {
+	const line = "2026-01-01T00:00:22.001362 c0-0c0s7n0 DVS: mount point established for pid=3468"
+	f.Add([]byte(line + "\n \t\n" + line + "\r\nnot a log line\n" + strings.Repeat("x", MaxLineBytes+1) + "\n" +
+		line + strings.Repeat(" ", MaxLineBytes-len(line))))
+	for _, n := range []int{MaxLineBytes - 1, MaxLineBytes, MaxLineBytes + 1} {
+		for _, end := range []string{"\n", "\r\n", ""} {
+			body := strings.Repeat("x", n) + end
+			if end != "" {
+				body += "next"
+			}
+			f.Add([]byte(body))
+		}
+	}
+	f.Add([]byte(""))
+	f.Add([]byte("\n\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		type item struct {
+			line string
+			over bool
+			end  int // offset just past the line's '\n'
+		}
+		var want []item
+		for pos := 0; pos < len(body); {
+			b, end := body[pos:], len(body)
+			if i := bytes.IndexByte(b, '\n'); i >= 0 {
+				b, end = b[:i], pos+i+1
+			}
+			it := item{over: len(b) > MaxLineBytes, end: end}
+			if !it.over {
+				it.line = string(b)
+			}
+			want = append(want, it)
+			pos = end
+		}
+		for _, rd := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"one byte", iotest.OneByteReader},
+			{"half", iotest.HalfReader},
+			{"whole", func(r io.Reader) io.Reader { return r }},
+		} {
+			src := &watchedReader{t: t, r: rd.wrap(bytes.NewReader(body)), lastNL: -1}
+			lr := NewLineReader(src)
+			for k := 0; ; k++ {
+				buffered := lr.Buffered()
+				if src.lastNL >= src.consumed && !buffered {
+					t.Fatalf("%s: Buffered false with the line ending at %d buffered", rd.name, src.lastNL)
+				}
+				if !buffered {
+					src.pending = 0 // the caller commits here
+				}
+				line, err := lr.Next()
+				if err == io.EOF {
+					if k != len(want) {
+						t.Fatalf("%s: %d lines, want %d", rd.name, k, len(want))
+					}
+					break
+				}
+				if err != nil && !errors.Is(err, bufio.ErrTooLong) {
+					t.Fatalf("%s: %v", rd.name, err)
+				}
+				if k >= len(want) {
+					t.Fatalf("%s: line %d past the %d the body holds", rd.name, k, len(want))
+				}
+				if got := (item{line: line, over: err != nil, end: want[k].end}); got != want[k] {
+					t.Fatalf("%s: line %d is %d bytes (over %v), want %d bytes (over %v)", rd.name, k, len(got.line), got.over, len(want[k].line), want[k].over)
+				}
+				src.consumed = want[k].end
+				src.pending++
+			}
+		}
+	})
+}
+
+// watchedReader is a line source that fails the test when it is read
+// while a complete line is buffered in what it has delivered, or while
+// the caller holds a line it has not committed.
+type watchedReader struct {
+	t         *testing.T
+	r         io.Reader
+	delivered int
+	lastNL    int // offset of the last '\n' delivered, -1 for none
+	consumed  int // offset just past the last line the reader returned
+	pending   int // lines returned since the caller last committed
+}
+
+func (w *watchedReader) Read(p []byte) (int, error) {
+	if w.lastNL >= w.consumed {
+		w.t.Fatalf("source read with the line ending at %d buffered", w.lastNL)
+	}
+	if w.pending > 0 {
+		w.t.Fatalf("source read with %d lines uncommitted", w.pending)
+	}
+	n, err := w.r.Read(p)
+	if i := bytes.LastIndexByte(p[:n], '\n'); i >= 0 {
+		w.lastNL = w.delivered + i
+	}
+	w.delivered += n
+	return n, err
 }

@@ -7,6 +7,7 @@ package logparse
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -301,28 +302,86 @@ func IsBlank(line string) bool {
 	return true
 }
 
+// MaxLineBytes caps one raw log line, its '\n' not counted, on every
+// ingest entry. A longer line is skipped and counted, not admitted: one
+// runaway producer must not kill an ingest socket shared with
+// well-behaved ones, nor fail the rest of a POST.
+const MaxLineBytes = 1 << 20
+
+var errLineTooLong = fmt.Errorf("logparse: line exceeds %d bytes: %w", MaxLineBytes, bufio.ErrTooLong)
+
+// LineReader splits a source of raw log lines on '\n', the one framing
+// of every text entry: ParseReader, the streamer's readers and both
+// cluster tiers' text /ingest.
+type LineReader struct {
+	br   *bufio.Reader
+	line []byte
+}
+
+// NewLineReader returns a LineReader over r.
+func NewLineReader(r io.Reader) *LineReader {
+	return &LineReader{br: bufio.NewReaderSize(r, 64*1024)}
+}
+
+// Next returns the next line without its '\n'; a last line with no '\n'
+// counts. A line over MaxLineBytes is discarded through its '\n' and
+// reported as an error matching bufio.ErrTooLong; the call after it goes
+// on with the next line. At the end of the source Next returns io.EOF,
+// and on a failed read that read's error, dropping the line it cut.
+//
+// Next reads the source only when no complete line is buffered, so a
+// caller that must act between two reads of it (the streamer commits
+// its batch there, DESIGN §10) asks Buffered before each call.
+func (lr *LineReader) Next() (string, error) {
+	lr.line = lr.line[:0]
+	over := false
+	for {
+		chunk, err := lr.br.ReadSlice('\n')
+		if err == nil {
+			chunk = chunk[:len(chunk)-1]
+		}
+		if over = over || len(lr.line)+len(chunk) > MaxLineBytes; !over {
+			lr.line = append(lr.line, chunk...)
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue // mid-line
+		case err != nil && (err != io.EOF || len(lr.line) == 0 && !over):
+			return "", err // the end, or a failed read and the line it cut
+		case over:
+			return "", errLineTooLong
+		}
+		return string(lr.line), nil
+	}
+}
+
+// Buffered reports whether a complete line is buffered: whether the next
+// call to Next returns without reading the source.
+func (lr *LineReader) Buffered() bool {
+	rest, _ := lr.br.Peek(lr.br.Buffered())
+	return bytes.IndexByte(rest, '\n') >= 0
+}
+
 // ParseReader parses every line from r, skipping blank lines. It stops
-// at the first malformed line and returns the events parsed so far
-// together with the error.
+// at the first malformed or over-long line and returns the events parsed
+// so far together with the error.
 func ParseReader(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	lr := NewLineReader(r)
 	var events []Event
 	lineNo := 0
-	for sc.Scan() {
+	for line, err := lr.Next(); err != io.EOF; line, err = lr.Next() {
 		lineNo++
-		line := sc.Text()
-		if IsBlank(line) {
+		if err == nil && IsBlank(line) {
 			continue
 		}
-		ev, err := ParseLine(line)
+		var ev Event
+		if err == nil {
+			ev, err = ParseLine(line)
+		}
 		if err != nil {
 			return events, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return events, fmt.Errorf("logparse: read: %w", err)
 	}
 	return events, nil
 }

@@ -1,9 +1,8 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
-	"io"
+	"errors"
+	"io/fs"
 	"os"
 
 	"desh/internal/persist/faultfs"
@@ -31,44 +30,19 @@ func ReadEventRange(fsys faultfs.FS, dir string, fromNano, toNano int64) ([]Even
 	}
 	var out []EventRecord
 	for _, base := range bases {
-		f, err := fsys.Open(segPath(dir, base))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, err
-		}
-		r := bufio.NewReaderSize(f, 32*1024)
-		var hdr [walHeaderLen]byte
-		for {
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				break
-			}
-			n := binary.LittleEndian.Uint32(hdr[0:])
-			sum := binary.LittleEndian.Uint32(hdr[4:])
-			if n == 0 || n > MaxRecord {
-				break
-			}
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(r, payload); err != nil {
-				break
-			}
-			if Checksum(payload) != sum {
-				break
-			}
+		_, _, err := scanSegment(fsys, segPath(dir, base), func(payload []byte) error {
 			if payload[0] != RecEvent {
-				continue
+				return nil
 			}
 			rec, err := DecodeEvent(payload[1:])
-			if err != nil {
-				continue
+			if err == nil && rec.TimeNano >= fromNano && (toNano <= 0 || rec.TimeNano < toNano) {
+				out = append(out, rec)
 			}
-			if rec.TimeNano < fromNano || (toNano > 0 && rec.TimeNano >= toNano) {
-				continue
-			}
-			out = append(out, rec)
+			return nil
+		})
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
 		}
-		f.Close()
 	}
 	return out, nil
 }

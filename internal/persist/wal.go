@@ -420,8 +420,7 @@ func RepairTail(fsys faultfs.FS, dir string, stats ReplayStats) error {
 // leaves; framing damage anywhere else is an error (real corruption, not
 // a crash artifact). fn errors abort the replay.
 func ReplayWAL(fsys faultfs.FS, dir string, fromSeq uint64, fn func(seq uint64, payload []byte) error) (ReplayStats, error) {
-	var stats ReplayStats
-	stats.NextSeq = fromSeq
+	stats := ReplayStats{NextSeq: fromSeq}
 	bases, err := listSegments(fsys, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -430,69 +429,61 @@ func ReplayWAL(fsys faultfs.FS, dir string, fromSeq uint64, fn func(seq uint64, 
 		return stats, fmt.Errorf("persist: wal list: %w", err)
 	}
 	for si, base := range bases {
-		last := si == len(bases)-1
 		seq := base
-		if stats.NextSeq < base {
-			stats.NextSeq = base
-		}
-		err := func() error {
-			f, err := fsys.Open(segPath(dir, base))
-			if err != nil {
-				return fmt.Errorf("persist: wal open: %w", err)
+		stats.NextSeq = max(stats.NextSeq, base)
+		valid, clean, err := scanSegment(fsys, segPath(dir, base), func(payload []byte) error {
+			if seq >= fromSeq {
+				if err := fn(seq, payload); err != nil {
+					return err
+				}
+				stats.Records++
 			}
-			defer f.Close()
-			r := bufio.NewReaderSize(f, 32*1024)
-			var hdr [walHeaderLen]byte
-			var valid int64
-			torn := func() error {
-				// Torn tail on the live (last) segment is the crash
-				// artifact we expect; anywhere else it is corruption.
-				if last {
-					stats.Torn = true
-					stats.TornSegBase = base
-					stats.TornValidBytes = valid
-					return nil
-				}
-				return fmt.Errorf("%w: wal segment %d torn mid-stream", ErrCorrupt, base)
-			}
-			for {
-				if _, err := io.ReadFull(r, hdr[:]); err != nil {
-					if err == io.EOF {
-						return nil
-					}
-					return torn()
-				}
-				n := binary.LittleEndian.Uint32(hdr[0:])
-				sum := binary.LittleEndian.Uint32(hdr[4:])
-				if n == 0 || n > MaxRecord {
-					return torn()
-				}
-				payload := make([]byte, n)
-				if _, err := io.ReadFull(r, payload); err != nil {
-					return torn()
-				}
-				if Checksum(payload) != sum {
-					return torn()
-				}
-				if seq >= fromSeq {
-					if err := fn(seq, payload); err != nil {
-						return err
-					}
-					stats.Records++
-				}
-				seq++
-				valid += int64(walHeaderLen) + int64(n)
-				if seq > stats.NextSeq {
-					stats.NextSeq = seq
-				}
-			}
-		}()
-		if err != nil {
+			seq++
+			stats.NextSeq = max(stats.NextSeq, seq)
+			return nil
+		})
+		switch {
+		case err != nil:
 			return stats, err
+		case clean:
+			continue
+		case si < len(bases)-1:
+			return stats, fmt.Errorf("%w: wal segment %d torn mid-stream", ErrCorrupt, base)
 		}
-		if stats.Torn {
-			break
-		}
+		// A torn tail on the live (last) segment: the crash artifact.
+		stats.Torn, stats.TornSegBase, stats.TornValidBytes = true, base, valid
 	}
 	return stats, nil
+}
+
+// scanSegment is the one reader of WAL frames: it hands fn each payload
+// of the segment at path in order, up to the first frame that does not
+// verify (cut short or unreadable, a zero or over-MaxRecord length, a
+// bad CRC). It returns the verified prefix's length and whether the
+// file ended cleanly there; an open or fn error ends the scan.
+func scanSegment(fsys faultfs.FS, path string, fn func(payload []byte) error) (valid int64, clean bool, err error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return 0, false, fmt.Errorf("persist: wal open: %w", err)
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 32*1024)
+	var hdr [walHeaderLen]byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return valid, err == io.EOF, nil
+		}
+		n := binary.LittleEndian.Uint32(hdr[0:])
+		if n == 0 || n > MaxRecord {
+			return valid, false, nil
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil || Checksum(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return valid, false, nil
+		}
+		if err := fn(payload); err != nil {
+			return valid, false, err
+		}
+		valid += int64(walHeaderLen) + int64(n)
+	}
 }

@@ -6,6 +6,8 @@ package stream
 // of events bound for one shard put under one lock.
 
 import (
+	"bufio"
+	"fmt"
 	"time"
 
 	"desh/internal/catalog"
@@ -14,9 +16,14 @@ import (
 )
 
 // IngestLine parses one raw log line and routes it. Malformed lines are
-// counted and reported but do not affect streamer state. Blank lines
+// counted and reported but do not affect streamer state, and so are
+// lines over logparse.MaxLineBytes, in Metrics.Oversized. Blank lines
 // are ignored.
 func (s *Streamer) IngestLine(line string) error {
+	if len(line) > logparse.MaxLineBytes {
+		s.met.Oversized.Add(1)
+		return fmt.Errorf("stream: line of %d bytes exceeds %d: %w", len(line), logparse.MaxLineBytes, bufio.ErrTooLong)
+	}
 	if logparse.IsBlank(line) {
 		return nil
 	}

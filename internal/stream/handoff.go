@@ -433,7 +433,10 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 		Ledger:      make(map[string]int),
 		Quarantined: make(map[string]bool),
 	}
-	var pendingBegins []persist.HandoffRecord
+	// ctl folds the snapshot's control state and the tail's control
+	// records through Control.Apply; the intent it leaves open is the one
+	// whose ranges must not ship.
+	var ctl Control
 	if ok {
 		st.EncKeys = snap.EncKeys
 		for node, pn := range snap.Nodes {
@@ -441,13 +444,14 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 				st.Nodes[node] = pn
 			}
 		}
-		if h := snap.Control.Handoff; h != nil {
-			pendingBegins = append(pendingBegins, *h)
-		}
+		ctl = snap.Control
 	}
 	_, err = persist.ReplayWAL(fsys, dir, boundary, func(_ uint64, payload []byte) error {
 		if len(payload) == 0 {
 			return persist.ErrCorrupt
+		}
+		if err := ctl.Apply(payload); err != nil {
+			return err
 		}
 		switch payload[0] {
 		case persist.RecEvent:
@@ -460,26 +464,20 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 			}
 		case persist.RecAlert, persist.RecQuarantine:
 			return noteDelivered(payload, in, st.Ledger, st.Quarantined)
-		case persist.RecHandoffIn, persist.RecHandoffBegin, persist.RecHandoffOut, persist.RecHandoffAbort:
+		case persist.RecHandoffOut, persist.RecHandoffIn:
 			rec, err := persist.DecodeHandoff(payload[1:])
 			if err != nil {
 				return err
 			}
-			switch payload[0] {
-			case persist.RecHandoffIn:
-				var nested HandoffState
-				if err := persist.DecodeSnapshot(rec.State, &nested); err != nil {
-					return err
-				}
-				mergeTakenOver(st, &nested, in)
-			case persist.RecHandoffBegin:
-				pendingBegins = append(pendingBegins, rec)
-			case persist.RecHandoffOut:
-				pendingBegins = resolveBegin(pendingBegins, rec.Epoch)
+			if payload[0] == persist.RecHandoffOut {
 				removeRanges(st, rec.Ranges)
-			case persist.RecHandoffAbort:
-				pendingBegins = resolveBegin(pendingBegins, rec.Epoch)
+				return nil
 			}
+			var nested HandoffState
+			if err := persist.DecodeSnapshot(rec.State, &nested); err != nil {
+				return err
+			}
+			mergeTakenOver(st, &nested, in)
 		}
 		// RecSwap is deliberately ignored: takeover replays the tail on
 		// the surviving instance's model (the cluster assumes a uniform
@@ -489,8 +487,8 @@ func LoadHandoffFromDir(fsys faultfs.FS, dir string, ranges []persist.HashRange)
 	if err != nil {
 		return nil, fmt.Errorf("stream: takeover: wal: %w", err)
 	}
-	for _, b := range pendingBegins {
-		removeRanges(st, b.Ranges)
+	if h := ctl.Handoff; h != nil {
+		removeRanges(st, h.Ranges)
 	}
 	return st, nil
 }
@@ -530,17 +528,6 @@ func mergeTakenOver(st *HandoffState, nested *HandoffState, in func(string) bool
 	for k := range nested.Quarantined {
 		st.Quarantined[k] = true
 	}
-}
-
-// resolveBegin drops pending Begin intents the given epoch resolves.
-func resolveBegin(begins []persist.HandoffRecord, epoch uint64) []persist.HandoffRecord {
-	out := begins[:0]
-	for _, b := range begins {
-		if b.Epoch != epoch {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // removeRanges deletes nodes and pending events inside the ranges —

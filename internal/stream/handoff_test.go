@@ -6,6 +6,7 @@ import (
 
 	"desh/internal/chaos/fixture"
 	"desh/internal/persist"
+	"desh/internal/persist/faultfs"
 )
 
 func handoffOpts(extra ...Option) []Option {
@@ -196,5 +197,84 @@ func TestTakeoverFromDeadDirEquivalence(t *testing.T) {
 	}
 	if m := sc.run(t, "takeover run vs baseline").runs[1].SnapshotMetrics(); m.HandoffImports != 1 {
 		t.Fatalf("target imports %d, want the dead directory's", m.HandoffImports)
+	}
+}
+
+// TestTakeoverExcludesUnresolvedIntents: a takeover from a dead state
+// dir ships no range an unresolved outbound intent covers, whether the
+// intent is open in the WAL tail or rides in the snapshot's control
+// state, and none a tail Out already handed away; a range whose intent
+// was aborted ships. Node a's range is the one the intent names; node b
+// is outside it and always ships.
+func TestTakeoverExcludesUnresolvedIntents(t *testing.T) {
+	const a, b = "c0-0c0s0n0", "c0-0c0s0n1"
+	ha := persist.NodeHash(a)
+	if ha == persist.NodeHash(b) || ha == ^uint32(0) {
+		t.Fatal("pick nodes with distinct hashes")
+	}
+	intent := persist.HandoffRecord{Epoch: 3, Peer: "target", Ranges: []persist.HashRange{{Lo: ha, Hi: ha + 1}}}
+	begin := persist.EncodeHandoff(persist.RecHandoffBegin, intent)
+	out := persist.EncodeHandoff(persist.RecHandoffOut, intent)
+	abort := persist.EncodeHandoff(persist.RecHandoffAbort, intent)
+	event := func(node string) []byte {
+		return persist.EncodeEvent(persist.EventRecord{TimeNano: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano(), Node: node, Message: "m", Key: "k"})
+	}
+	cases := []struct {
+		name       string
+		snapIntent bool
+		tail       [][]byte
+		shipsA     bool
+	}{
+		{"open begin in the tail", false, [][]byte{event(a), event(b), begin}, false},
+		{"open begin in the snapshot", true, [][]byte{event(a), event(b)}, false},
+		{"begin then out", false, [][]byte{event(a), event(b), begin, out}, false},
+		{"begin then abort", false, [][]byte{event(a), event(b), begin, abort}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := persist.NewSnapshotStore(faultfs.OS(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := streamerSnapshot{Nodes: map[string]persistedNode{a: {}, b: {}}}
+			if tc.snapIntent {
+				snap.Control.Handoff = &intent
+			}
+			if err := store.Save(0, &snap); err != nil {
+				t.Fatal(err)
+			}
+			w, err := persist.OpenWAL(faultfs.OS(), dir, 0, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range tc.tail {
+				if _, err := w.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := LoadHandoffFromDir(nil, dir, fullCircle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shipped := func(node string) (inNodes bool, pending int) {
+				_, inNodes = st.Nodes[node]
+				for _, rec := range st.Pending {
+					if rec.Node == node {
+						pending++
+					}
+				}
+				return inNodes, pending
+			}
+			if n, p := shipped(b); !n || p != 1 {
+				t.Fatalf("b outside the intent: in nodes %v, %d pending events; want shipped with 1", n, p)
+			}
+			if n, p := shipped(a); n != tc.shipsA || (p == 1) != tc.shipsA || p > 1 {
+				t.Fatalf("a inside the intent: in nodes %v, %d pending events; want shipped %v", n, p, tc.shipsA)
+			}
+		})
 	}
 }

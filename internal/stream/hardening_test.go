@@ -41,7 +41,7 @@ func TestIngestReaderOversizedLine(t *testing.T) {
 	defer s.Close()
 
 	lines := runLines(t, 2)
-	input := lines[0] + "\n" + strings.Repeat("x", maxLineBytes+10) + "\n" + lines[1] + "\n"
+	input := lines[0] + "\n" + strings.Repeat("x", logparse.MaxLineBytes+10) + "\n" + lines[1] + "\n"
 	if err := s.IngestReader(strings.NewReader(input)); err != nil {
 		t.Fatalf("oversized line killed the reader: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestIngestReaderOversizedLine(t *testing.T) {
 
 	// Oversized line cut off by EOF mid-discard: still counted, still no
 	// error.
-	if err := s.IngestReader(strings.NewReader(strings.Repeat("y", 2*maxLineBytes))); err != nil {
+	if err := s.IngestReader(strings.NewReader(strings.Repeat("y", 2*logparse.MaxLineBytes))); err != nil {
 		t.Fatalf("oversized EOF tail: %v", err)
 	}
 	if got := s.met.Oversized.Load(); got != 2 {

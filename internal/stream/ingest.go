@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,12 +14,6 @@ import (
 
 	"desh/internal/logparse"
 )
-
-// maxLineBytes caps one ingest line at 1 MiB. A longer line is
-// discarded in full — counted in Metrics.Oversized — while the
-// connection stays alive; one runaway producer must not kill an ingest
-// socket shared with well-behaved ones.
-const maxLineBytes = 1 << 20
 
 // IngestReader tails r line by line into the streamer until EOF, an
 // unrecoverable read error, or Close. Malformed lines are counted in
@@ -41,10 +34,8 @@ func (s *Streamer) IngestReader(r io.Reader) error {
 // this call counted into Metrics.Ingested — the process-wide counter
 // cannot say, other sources move it at the same time.
 func (s *Streamer) ingestReader(r io.Reader) (n int, err error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	line := make([]byte, 0, 4096)
-	discarding := false
-	// batch is the parsed lines not yet admitted; flush runs whenever br
+	lr := logparse.NewLineReader(r)
+	// batch is the parsed lines not yet admitted; flush runs whenever lr
 	// holds no further complete line, so it is empty across every Read.
 	var batch []Admission
 	lines := 0 // parsed into batch, malformed ones too
@@ -68,46 +59,31 @@ func (s *Streamer) ingestReader(r io.Reader) (n int, err error) {
 		return err
 	}
 	for {
-		if len(batch) > 0 {
-			if rest, _ := br.Peek(br.Buffered()); bytes.IndexByte(rest, '\n') < 0 {
-				if err := flush(); err != nil {
-					return n, err
-				}
-			}
-		}
-		chunk, err := br.ReadSlice('\n')
-		if !discarding {
-			if len(line)+len(chunk) > maxLineBytes {
-				s.met.Oversized.Add(1)
-				discarding = true
-				line = line[:0]
-			} else {
-				line = append(line, chunk...)
-			}
-		}
-		switch {
-		case err == nil, errors.Is(err, io.EOF):
-			// chunk ended the line, or the input ended mid-line.
-			if text := string(line); !discarding && !logparse.IsBlank(text) {
-				if lines == 0 && s.armNext.Load() {
-					c = s.arm(&clk)
-				}
-				lines++
-				if ev, perr := logparse.ParseLine(text); perr != nil {
-					s.met.Malformed.Add(1)
-				} else {
-					batch = append(batch, Admission{Event: ev})
-				}
-			}
-			if err != nil {
-				err = flush()
+		if len(batch) > 0 && !lr.Buffered() {
+			if err := flush(); err != nil {
 				return n, err
 			}
-			discarding, line = false, line[:0]
-		case errors.Is(err, bufio.ErrBufferFull):
-			// Mid-line; keep accumulating (or discarding).
-		default:
+		}
+		line, err := lr.Next()
+		switch {
+		case err == io.EOF:
+			return n, flush()
+		case errors.Is(err, bufio.ErrTooLong):
+			s.met.Oversized.Add(1)
+			continue
+		case err != nil:
 			return n, fmt.Errorf("stream: read: %w", err)
+		case logparse.IsBlank(line):
+			continue
+		}
+		if lines == 0 && s.armNext.Load() {
+			c = s.arm(&clk)
+		}
+		lines++
+		if ev, perr := logparse.ParseLine(line); perr != nil {
+			s.met.Malformed.Add(1)
+		} else {
+			batch = append(batch, Admission{Event: ev})
 		}
 	}
 }

@@ -290,7 +290,7 @@ func TestIngestHandlerCountsAndJournalsPerBody(t *testing.T) {
 		case 19:
 			body.WriteString("not a log line\n")
 		case 31:
-			body.WriteString(strings.Repeat("x", maxLineBytes+1) + "\n")
+			body.WriteString(strings.Repeat("x", logparse.MaxLineBytes+1) + "\n")
 		}
 		body.WriteString(ge.Line() + "\n")
 		if ge.Node == frozenNode {
