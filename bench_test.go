@@ -233,7 +233,7 @@ func BenchmarkTable9_MaskedFaults(b *testing.B) {
 // allocate — allocs/op is the regression guard for the scratch arenas).
 func BenchmarkFig10_PredictionCost(b *testing.B) {
 	r := benchSystem(b)
-	model := r.Pipeline.Phase1Model()
+	model := r.Train.Phase1
 	if model == nil {
 		b.Fatal("phase-1 model missing")
 	}

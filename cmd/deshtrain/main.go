@@ -1,9 +1,10 @@
-// Command deshtrain runs Desh's training Phases 1 and 2 on a raw log
-// file and writes the trained model.
+// Command deshtrain trains the model deshd and deshpredict serve (Phase
+// 2, the ΔT regressor over failure chains) on a raw log file and writes
+// it. Phase 1, the next-phrase study, is deshexp's.
 //
 // Usage:
 //
-//	deshtrain -in train.log -model desh.model [-epochs1 2 -epochs2 150 -batch 8]
+//	deshtrain -in train.log -model desh.model [-epochs2 150 -seed 1]
 package main
 
 import (
@@ -18,9 +19,7 @@ import (
 func main() {
 	in := flag.String("in", "", "training log file (required)")
 	model := flag.String("model", "desh.model", "output model file")
-	epochs1 := flag.Int("epochs1", 2, "Phase-1 training epochs (0 skips Phase 1)")
 	epochs2 := flag.Int("epochs2", 150, "Phase-2 training epochs")
-	batch := flag.Int("batch", 8, "Phase-1 mini-batch size (1 = one window per SGD step)")
 	seed := flag.Int64("seed", 1, "training seed")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
@@ -33,9 +32,8 @@ func main() {
 	}
 
 	cfg := desh.DefaultConfig()
-	cfg.Epochs1 = *epochs1
+	cfg.Epochs1 = 0
 	cfg.Epochs2 = *epochs2
-	cfg.Batch = *batch
 	cfg.Seed = *seed
 	p, err := desh.NewPredictor(cfg)
 	if err != nil {
@@ -64,10 +62,6 @@ func main() {
 	}
 	fmt.Printf("deshtrain: %d events, %d nodes, vocab %d, %d failure chains\n",
 		report.Events, report.Nodes, report.Vocab, report.FailureChains)
-	if *epochs1 > 0 {
-		fmt.Printf("deshtrain: Phase-1 loss %.4f, next-phrase accuracy %.1f%%\n",
-			report.Phase1Loss, 100*report.Phase1Accuracy)
-	}
 	fmt.Printf("deshtrain: Phase-2 final MSE %.4f, model written to %s\n", report.Phase2Loss, *model)
 }
 

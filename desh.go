@@ -76,8 +76,10 @@ func NewPredictor(cfg Config) (*Predictor, error) {
 	return &Predictor{pipeline: p}, nil
 }
 
-// Pipeline exposes the underlying three-phase pipeline for advanced use
-// (labeler overrides, trained-chain inspection, per-phase models).
+// Pipeline exposes the underlying serving model for advanced use
+// (labeler overrides, trained-chain inspection, the Phase-2 regressor).
+// The Phase-1 classifier is not part of it; training reports it in
+// TrainReport.Phase1.
 func (p *Predictor) Pipeline() *core.Pipeline { return p.pipeline }
 
 // TrainFromReader parses raw log lines and runs training Phases 1 and 2.

@@ -285,7 +285,7 @@ func (m *Manager) shouldRetrain() bool {
 func (m *Manager) cycle() {
 	m.lastCycle = time.Now()
 	met := m.s.Metrics()
-	cand, err := m.train()
+	cand, _, err := m.train()
 	if err != nil {
 		met.RetrainFailures.Add(1)
 		m.diagf("retrain failed: %v", err)
@@ -323,14 +323,16 @@ func (m *Manager) cycle() {
 }
 
 // train harvests recent events from the WAL and fits a candidate
-// seeded with the live vocabulary, on the manager's small pool.
-func (m *Manager) train() (*core.Pipeline, error) {
+// seeded with the live vocabulary, on the manager's small pool. The
+// candidate skips Phase 1 whatever the base config says: a model file
+// carries no Phase-1 classifier, so training one would be thrown away.
+func (m *Manager) train() (*core.Pipeline, *core.TrainReport, error) {
 	recs, err := persist.ReadEventRange(faultfs.OS(), m.cfg.StateDir, 0, 0)
 	if err != nil {
-		return nil, fmt.Errorf("harvest: %w", err)
+		return nil, nil, fmt.Errorf("harvest: %w", err)
 	}
 	if len(recs) == 0 {
-		return nil, fmt.Errorf("harvest: WAL holds no events yet")
+		return nil, nil, fmt.Errorf("harvest: WAL holds no events yet")
 	}
 	newest := recs[0].TimeNano
 	for _, r := range recs {
@@ -352,15 +354,17 @@ func (m *Manager) train() (*core.Pipeline, error) {
 	if m.cfg.trainConfig != nil {
 		cfg = *m.cfg.trainConfig
 	}
+	cfg.Epochs1 = 0
 	cand, err := core.NewSeeded(cfg, m.s.EncoderKeys())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cand.SetTrainPool(m.pool)
-	if _, err := cand.Train(events); err != nil {
-		return nil, err
+	report, err := cand.Train(events)
+	if err != nil {
+		return nil, nil, err
 	}
-	return cand, nil
+	return cand, report, nil
 }
 
 // shadow runs one shadow window against live traffic and judges the

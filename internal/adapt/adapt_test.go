@@ -13,6 +13,7 @@ import (
 	"desh/internal/chaos/fixture"
 	"desh/internal/core"
 	"desh/internal/logparse"
+	"desh/internal/par"
 	"desh/internal/stream"
 )
 
@@ -259,6 +260,40 @@ func TestRetainFloorFollowsTrainWindow(t *testing.T) {
 	}
 	if n, limit := len(m.marks), int(trainWindow/every)+2; n > limit {
 		t.Fatalf("%d marks after %d hourly ticks, want at most %d (one window)", n, ticks, limit)
+	}
+}
+
+// TestRetrainSkipsPhase1 runs one retrain from the WAL for a base model
+// whose config trains Phase 1: the candidate must skip it, since a
+// model file carries no Phase-1 classifier.
+func TestRetrainSkipsPhase1(t *testing.T) {
+	served, events := trainedBase(t)
+	dir := t.TempDir()
+	s, err := stream.New(served, stream.WithShards(1), stream.WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, ev := range events {
+		if err := s.IngestEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := served.Config()
+	cfg.Epochs1, cfg.Epochs2 = 2, 10
+	base, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(1)
+	defer pool.Close()
+	m := &Manager{s: s, base: base, cfg: Config{StateDir: dir}, pool: pool}
+	cand, report, err := m.train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cand.Config().Epochs1; got != 0 || report.Phase1 != nil {
+		t.Fatalf("candidate trained Phase 1: Epochs1 = %d, classifier %v", got, report.Phase1 != nil)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // trainWeights runs a full batched Pipeline.Train at small scale and
-// returns the trained pipeline.
-func trainWeights(t *testing.T) *Pipeline {
+// returns the trained pipeline and its report.
+func trainWeights(t *testing.T) (*Pipeline, *TrainReport) {
 	t.Helper()
 	_, events := generateParsed(t, logsim.Profiles()[2], 20, 24, 15, 3)
 	train, _ := SplitEvents(events, 0.5)
@@ -21,10 +21,11 @@ func trainWeights(t *testing.T) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Train(train); err != nil {
+	report, err := p.Train(train)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, report
 }
 
 // compareParams demands bit-identical values across two parameter sets.
@@ -50,21 +51,16 @@ func compareParams(t *testing.T, label string, ap, bp []*nn.Param) {
 // guarantee end to end: a full batched Pipeline.Train produces
 // bit-identical trained weights whether the shared worker pool runs one
 // worker or four. The shard split and merge order depend only on the
-// data, never on scheduling.
+// data, never on scheduling. The skip-gram vectors are pinned by
+// embed.TestTrainDeterministicAcrossWorkerCounts, and feed the Phase-1
+// weights compared here.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
-	narrow := trainWeights(t)
+	narrow, narrowReport := trainWeights(t)
 	runtime.GOMAXPROCS(4)
-	wide := trainWeights(t)
+	wide, wideReport := trainWeights(t)
 	runtime.GOMAXPROCS(prev)
 
-	compareParams(t, "phase1", narrow.phase1.Params(), wide.phase1.Params())
+	compareParams(t, "phase1", narrowReport.Phase1.Params(), wideReport.Phase1.Params())
 	compareParams(t, "phase2", narrow.phase2.Params(), wide.phase2.Params())
-	if narrow.emb != nil && wide.emb != nil {
-		for i, v := range narrow.emb.In.Data {
-			if wide.emb.In.Data[i] != v {
-				t.Fatalf("embedding weight %d: %v vs %v", i, v, wide.emb.In.Data[i])
-			}
-		}
-	}
 }

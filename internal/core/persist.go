@@ -13,7 +13,6 @@ import (
 	"desh/internal/logparse"
 	"desh/internal/nn"
 	"desh/internal/persist"
-	"desh/internal/tensor"
 )
 
 // Model files are framed so a truncated copy, a bit-rotted disk or a
@@ -39,20 +38,21 @@ const ModelFormatVersion = modelVersion
 // wrap sites end their message with it via %w.
 var ErrModelDamaged = errors.New("retrain with deshtrain")
 
-// savedPipeline is the gob wire format of a trained pipeline. Gradients
+// savedPipeline is the gob wire format of a trained pipeline: the
+// serving model only. Phase 1 and the skip-gram vectors are
+// training-time studies and are not written. Gradients
 // travel along with the weights (they are zero between steps), which
 // keeps the format trivially simple. Deleting a field from Config or a
 // model struct is not an incompatible change and does not bump
 // modelVersion: gob drops stream fields the receiver lacks, so files
-// written with the field still load (testdata/pr20_model.bin has four
-// such fields; TestParentWrittenModelLoads).
+// written with the field still load (testdata/pr20_model.bin carries
+// six such fields, Phase1 and Embed among them;
+// TestParentWrittenModelLoads).
 type savedPipeline struct {
 	Cfg        Config
 	Keys       []string
 	TrainVocab int
-	Phase1     *nn.SeqClassifier // nil when Phase 1 was skipped
 	Phase2     *nn.SeqRegressor
-	Embed      *tensor.Matrix // skip-gram vectors (nil if untrained)
 	Chains     []chain.Chain
 }
 
@@ -66,12 +66,8 @@ func (p *Pipeline) Save(w io.Writer) error {
 		Cfg:        p.cfg,
 		Keys:       p.enc.Keys(),
 		TrainVocab: p.trainVocab,
-		Phase1:     p.phase1,
 		Phase2:     p.phase2,
 		Chains:     p.trainedChains,
-	}
-	if p.emb != nil {
-		s.Embed = p.emb.In
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&s); err != nil {
@@ -145,7 +141,6 @@ func Load(r io.Reader) (*Pipeline, error) {
 		cfg:           s.Cfg,
 		lab:           label.New(),
 		enc:           logparse.NewEncoderFromKeys(s.Keys),
-		phase1:        s.Phase1,
 		phase2:        s.Phase2,
 		trainVocab:    s.TrainVocab,
 		trainedChains: s.Chains,

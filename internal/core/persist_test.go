@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"desh/internal/chain"
 	"desh/internal/nn"
+	"desh/internal/tensor"
 )
 
 func TestSaveRequiresTraining(t *testing.T) {
@@ -64,16 +67,59 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveWritesServingModelOnly: a model file holds what serving reads
+// and nothing else. The payload of a pipeline trained with Phase 1 is
+// decoded into the shape the format had while it still carried the
+// Phase-1 classifier and the skip-gram vectors; both must be absent.
+func TestSaveWritesServingModelOnly(t *testing.T) {
+	_, events := generateParsed(t, pickProfile(2), 30, 48, 30, 52)
+	cfg := DefaultConfig()
+	cfg.Epochs1, cfg.Epochs2 = 1, 5
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := p.Train(events[:len(events)*3/10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Phase1 == nil {
+		t.Fatal("Epochs1 = 1 trained no Phase-1 classifier")
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Cfg        Config
+		Keys       []string
+		TrainVocab int
+		Phase1     *nn.SeqClassifier
+		Phase2     *nn.SeqRegressor
+		Embed      *tensor.Matrix
+		Chains     []chain.Chain
+	}
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[modelHeaderLen:])).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Phase1 != nil || old.Embed != nil {
+		t.Fatalf("model file carries Phase 1 (%v) or skip-gram vectors (%v)", old.Phase1 != nil, old.Embed != nil)
+	}
+	if old.Phase2 == nil || old.Cfg.Epochs1 != 1 || old.TrainVocab != p.TrainVocab() || len(old.Chains) != len(p.TrainedChains()) {
+		t.Fatal("model file lost part of the serving model")
+	}
+}
+
 // TestParentWrittenModelLoads: testdata/pr20_model.bin was written by
 // the deshtrain of the commit before PR 22 (deshgen -machine M3 -nodes 4
 // -hours 6 -failures 3 -seed 5, then -epochs1 1 -epochs2 6 -seed 3). Its
 // gob stream still carries Config.Batch2, Config.TrimFrac,
-// Config.TrainEmbeddings and SeqClassifier.TrainEmbed; gob drops stream
-// fields the receiver lacks, so the file must load at modelVersion 1
-// with the weights that commit read back from it, and survive a
-// Save -> Load round trip.
+// Config.TrainEmbeddings, the Phase-1 classifier and the skip-gram
+// vectors; gob drops stream fields the receiver lacks, so the file must
+// load at modelVersion 1 with the Phase-2 weights that commit read back
+// from it, and survive a Save -> Load round trip in a smaller file.
 func TestParentWrittenModelLoads(t *testing.T) {
-	const phase1, phase2 = 0xa97473e15d37159d, 0x54a7b241556cff1f
+	const phase2 = 0x54a7b241556cff1f
 	raw, err := os.ReadFile("testdata/pr20_model.bin")
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +139,6 @@ func TestParentWrittenModelLoads(t *testing.T) {
 		if got := p.Fingerprint(); got != phase2 {
 			t.Fatalf("%s: Phase-2 fingerprint %#x, want %#x", label, got, uint64(phase2))
 		}
-		if got := nn.WeightsFingerprint(p.Phase1Model().Params()); got != phase1 {
-			t.Fatalf("%s: Phase-1 fingerprint %#x, want %#x", label, got, uint64(phase1))
-		}
 		if p.TrainVocab() != 37 || len(p.TrainedChains()) != 3 {
 			t.Fatalf("%s: vocab %d, %d chains, want 37 and 3", label, p.TrainVocab(), len(p.TrainedChains()))
 		}
@@ -107,6 +150,9 @@ func TestParentWrittenModelLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("re-saved", buf.Bytes())
+	if buf.Len() >= len(raw) {
+		t.Fatalf("re-saved file is %d bytes, the parent-written one %d: Phase 1 still written", buf.Len(), len(raw))
+	}
 }
 
 func TestLoadGarbageFails(t *testing.T) {

@@ -38,7 +38,8 @@ func TestTrainedWeightsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.Train(events); err != nil {
+			report, err := p.Train(events)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if got := nn.WeightsFingerprint(p.Phase2Model().Params()); got != tc.phase2 {
@@ -47,7 +48,7 @@ func TestTrainedWeightsPinned(t *testing.T) {
 			if tc.epochs1 == 0 {
 				return
 			}
-			if got := nn.WeightsFingerprint(p.Phase1Model().Params()); got != tc.phase1 {
+			if got := nn.WeightsFingerprint(report.Phase1.Params()); got != tc.phase1 {
 				t.Errorf("Phase-1 fingerprint %#x, want %#x", got, tc.phase1)
 			}
 		})

@@ -16,14 +16,13 @@ import (
 	"desh/internal/par"
 )
 
-// Pipeline is a trained (or trainable) Desh instance.
+// Pipeline is a trained (or trainable) Desh instance. It holds the
+// serving model, which is exactly what Save writes.
 type Pipeline struct {
 	cfg Config
 	lab *label.Labeler
 	enc *logparse.Encoder
 
-	emb        *embed.Model
-	phase1     *nn.SeqClassifier
 	phase2     *nn.SeqRegressor
 	trainVocab int // vocabulary size frozen at training time
 
@@ -85,10 +84,6 @@ func (p *Pipeline) Encoder() *logparse.Encoder { return p.enc }
 // TrainedChains returns the failure chains learned during Phase 2.
 func (p *Pipeline) TrainedChains() []chain.Chain { return p.trainedChains }
 
-// Phase1Model returns the trained phrase-sequence classifier (nil if
-// Phase 1 was skipped).
-func (p *Pipeline) Phase1Model() *nn.SeqClassifier { return p.phase1 }
-
 // Phase2Model returns the trained ΔT regressor.
 func (p *Pipeline) Phase2Model() *nn.SeqRegressor { return p.phase2 }
 
@@ -113,6 +108,10 @@ type TrainReport struct {
 	Vocab         int
 	Nodes         int
 	FailureChains int
+	// Phase1 is the trained next-phrase classifier, nil when Phase 1 is
+	// skipped. It is a training-time study (Table 5, Figure 10): no
+	// serving path reads it, and Save does not write it.
+	Phase1 *nn.SeqClassifier
 	// Phase1Loss is the mean cross-entropy of the final Phase-1 epoch
 	// (0 when Phase 1 is skipped).
 	Phase1Loss float64
@@ -124,7 +123,8 @@ type TrainReport struct {
 }
 
 // Train runs Phases 1 and 2 over parsed training events (the 30% split
-// in the paper's evaluation).
+// in the paper's evaluation). Phase 1 runs only when Epochs1 > 0, and
+// its classifier goes to the report, not into the pipeline.
 func (p *Pipeline) Train(events []logparse.Event) (*TrainReport, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("core: no training events")
@@ -163,19 +163,18 @@ func (p *Pipeline) Train(events []logparse.Event) (*TrainReport, error) {
 		defer pool.Close()
 	}
 
-	// Skip-gram embeddings over the phrase sequences (§3.1).
-	embCfg := embed.DefaultConfig(p.cfg.EmbedDim)
-	embCfg.Seed = p.cfg.Seed
-	embCfg.Pool = pool
-	p.emb = embed.Train(seqs, p.trainVocab, embCfg)
-
-	// Phase 1: stacked-LSTM next-phrase training.
+	// Phase 1: skip-gram embeddings over the phrase sequences (§3.1),
+	// then stacked-LSTM next-phrase training on top of them. Phase 1
+	// draws from the same rng as Phase 2, so skipping it changes the
+	// Phase-2 weights.
 	if p.cfg.Epochs1 > 0 {
-		p.phase1 = nn.NewSeqClassifier(p.trainVocab, p.cfg.EmbedDim, p.cfg.Hidden1, p.cfg.Layers1, rng)
-		p.phase1.SetEmbeddings(p.emb.In)
-		loss, acc := p.trainPhase1(seqs, rng, pool)
-		report.Phase1Loss = loss
-		report.Phase1Accuracy = acc
+		embCfg := embed.DefaultConfig(p.cfg.EmbedDim)
+		embCfg.Seed = p.cfg.Seed
+		embCfg.Pool = pool
+		emb := embed.Train(seqs, p.trainVocab, embCfg)
+		report.Phase1 = nn.NewSeqClassifier(p.trainVocab, p.cfg.EmbedDim, p.cfg.Hidden1, p.cfg.Layers1, rng)
+		report.Phase1.SetEmbeddings(emb.In)
+		report.Phase1Loss, report.Phase1Accuracy = p.trainPhase1(report.Phase1, seqs, rng, pool)
 	}
 
 	// Chain formation: drop Safe phrases, segment episodes, keep
@@ -221,9 +220,9 @@ func (p *Pipeline) Train(events []logparse.Event) (*TrainReport, error) {
 // History1 phrases predicting the next Steps1 phrases, SGD with
 // categorical cross-entropy. Returns final-epoch loss and the
 // teacher-forced next-phrase accuracy.
-func (p *Pipeline) trainPhase1(seqs [][]int, rng *rand.Rand, pool *par.Pool) (finalLoss, accuracy float64) {
+func (p *Pipeline) trainPhase1(model *nn.SeqClassifier, seqs [][]int, rng *rand.Rand, pool *par.Pool) (finalLoss, accuracy float64) {
 	sgd := opt.NewSGD(p.cfg.LR1)
-	params := p.phase1.Params()
+	params := model.Params()
 	window := p.cfg.History1 + p.cfg.Steps1
 	var wins [][]int
 	for _, seq := range seqs {
@@ -234,7 +233,7 @@ func (p *Pipeline) trainPhase1(seqs [][]int, rng *rand.Rand, pool *par.Pool) (fi
 	if len(wins) == 0 {
 		return 0, 0
 	}
-	trainer := nn.NewClassifierTrainer(p.phase1, max(p.cfg.Batch, 1), pool)
+	trainer := nn.NewClassifierTrainer(model, max(p.cfg.Batch, 1), pool)
 	// The mini-batch step consumes the mean gradient, so the learning
 	// rate scales linearly with the realized batch size (Goyal et al.
 	// 2017): LR·B times the mean reproduces the serial sum of per-window
@@ -251,7 +250,7 @@ func (p *Pipeline) trainPhase1(seqs [][]int, rng *rand.Rand, pool *par.Pool) (fi
 	// Accuracy: 1-step greedy prediction over a sample of windows, via a
 	// reused Predictor so the sweep allocates nothing per window.
 	correct, checked := 0, 0
-	predictor := p.phase1.NewPredictor()
+	predictor := model.NewPredictor()
 	for i, w := range wins {
 		if i%7 != 0 { // sample to bound cost
 			continue

@@ -181,7 +181,7 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 func TestDetectShortChainNotFlagged(t *testing.T) {
-	p := trainedTinyPipeline(t)
+	p, _ := trainedTinyPipeline(t)
 	c := chain.Chain{Node: "n", Entries: []chain.Entry{{ID: 1, DeltaT: 0}}}
 	v := p.NewDetector().Detect(c)
 	if v.Flagged {
@@ -193,7 +193,7 @@ func TestDetectShortChainNotFlagged(t *testing.T) {
 }
 
 // trainedTinyPipeline trains on a tiny generated run, cached per test.
-func trainedTinyPipeline(t *testing.T) *Pipeline {
+func trainedTinyPipeline(t *testing.T) (*Pipeline, *TrainReport) {
 	t.Helper()
 	_, events := generateParsed(t, logsim.Profiles()[2], 30, 48, 30, 32)
 	cfg := fastConfig()
@@ -202,15 +202,16 @@ func trainedTinyPipeline(t *testing.T) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Train(events); err != nil {
+	report, err := p.Train(events)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, report
 }
 
 func TestPhase1SkippedWhenEpochsZero(t *testing.T) {
-	p := trainedTinyPipeline(t)
-	if p.Phase1Model() != nil {
+	p, report := trainedTinyPipeline(t)
+	if report.Phase1 != nil {
 		t.Fatal("Phase 1 model must be nil when Epochs1 == 0")
 	}
 	if p.Phase2Model() == nil {
@@ -222,7 +223,7 @@ func TestPhase1SkippedWhenEpochsZero(t *testing.T) {
 }
 
 func TestVectorizeNormalization(t *testing.T) {
-	p := trainedTinyPipeline(t)
+	p, _ := trainedTinyPipeline(t)
 	c := chain.Chain{
 		Node: "n",
 		Entries: []chain.Entry{

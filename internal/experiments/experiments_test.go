@@ -204,7 +204,7 @@ func TestTable9Render(t *testing.T) {
 func TestPredictionCostShape(t *testing.T) {
 	const k = 5
 	r := allResults(t)[0]
-	model := r.Pipeline.Phase1Model()
+	model := r.Train.Phase1
 	if model == nil {
 		t.Fatal("phase-1 model missing")
 	}

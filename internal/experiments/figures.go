@@ -219,10 +219,10 @@ func PredictionCost(model *nn.SeqClassifier, seed int64) []CostPoint {
 	return points
 }
 
-// Fig10 renders the prediction cost analysis (paper Figure 10). It
-// trains a small Phase-1 model if the result lacks one.
+// Fig10 renders the prediction cost analysis (paper Figure 10) on the
+// Phase-1 classifier the result's training reported.
 func Fig10(result *SystemResult) string {
-	model := result.Pipeline.Phase1Model()
+	model := result.Train.Phase1
 	if model == nil {
 		return "Figure 10: Phase-1 model unavailable (Epochs1 == 0)\n"
 	}
