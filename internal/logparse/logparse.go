@@ -213,22 +213,71 @@ func parseTimestamp(s string) (time.Time, error) {
 	return time.Parse(TimeLayout, clip(s, maxStamp))
 }
 
+// The stamp read as three little-endian words, s[0:8], s[8:16] and
+// s[16:24], and a two-byte tail: "YYYY-MM-", "DDThh:mm", ":ss.ffff",
+// "ff". sepMask* pick each word's separator bytes and sep* are what they
+// must hold; xor-ing in sep* ^ zeros&sepMask* turns them into '0', so
+// that every lane of the word is then a digit lane.
+const (
+	sepMaskA, sepA = 0xFF<<32 | 0xFF<<56, '-'<<32 | '-'<<56
+	sepMaskB, sepB = 0xFF<<16 | 0xFF<<40, 'T'<<16 | ':'<<40
+	sepMaskC, sepC = 0xFF | 0xFF<<24, ':' | '.'<<24
+	zeros          = 0x3030303030303030
+	lanes          = 0x0101010101010101
+	highBits       = 0x8080808080808080
+)
+
+// le64 is s[i:i+8] as a little-endian word; the compiler combines the
+// byte loads into one.
+func le64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// nonDigits has a lane's high bit set for each byte of x outside
+// '0'..'9': x itself is 0x80 or more, x+0x46 reaches 0x80 from ':' up,
+// x-0x30 borrows below '0'. A lane carries or borrows into its
+// neighbour only when it is already out of range, and the lowest such
+// lane is computed exactly, so the word's verdict is exact.
+func nonDigits(x uint64) uint64 {
+	return (x | (x + 0x46*lanes) | (x - zeros)) & highBits
+}
+
+// pairs turns a word of digit bytes into one whose byte i holds the
+// number formed by digits i and i+1 (at most 99, so no lane carries).
+func pairs(x uint64) uint64 {
+	x -= zeros
+	return x*10 + x>>8
+}
+
 // decodeStamp decodes s if it is exactly "YYYY-MM-DDThh:mm:ss.ffffff"
-// with every field in the range time.Parse allows.
+// with every field in the range time.Parse allows. It reads the stamp a
+// word at a time: the six separators checked under one mask per word,
+// every digit validated at once, each two-digit field one byte of
+// pairs.
 func decodeStamp(s string) (time.Time, bool) {
-	if len(s) != len(TimeLayout) ||
-		s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' || s[19] != '.' {
+	if len(s) != len(TimeLayout) {
 		return time.Time{}, false
 	}
-	year, ok1 := digits(s[0:4])
-	month, ok2 := digits(s[5:7])
-	day, ok3 := digits(s[8:10])
-	hour, ok4 := digits(s[11:13])
-	min, ok5 := digits(s[14:16])
-	sec, ok6 := digits(s[17:19])
-	usec, ok7 := digits(s[20:26])
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) ||
-		month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+	a, b, c := le64(s, 0), le64(s, 8), le64(s, 16)
+	d := uint64(s[24]) | uint64(s[25])<<8 | zeros&^0xFFFF
+	if a&sepMaskA != sepA || b&sepMaskB != sepB || c&sepMaskC != sepC {
+		return time.Time{}, false
+	}
+	a ^= sepA ^ zeros&sepMaskA
+	b ^= sepB ^ zeros&sepMaskB
+	c ^= sepC ^ zeros&sepMaskC
+	if nonDigits(a)|nonDigits(b)|nonDigits(c)|nonDigits(d) != 0 {
+		return time.Time{}, false
+	}
+	a, b, c, d = pairs(a), pairs(b), pairs(c), pairs(d)
+	year := int(byte(a))*100 + int(byte(a>>16))
+	month := int(byte(a >> 40))
+	day, hour, min := int(byte(b)), int(byte(b>>24)), int(byte(b>>48))
+	sec := int(byte(c >> 8))
+	usec := int(byte(c>>32))*10000 + int(byte(c>>48))*100 + int(byte(d))
+	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
 		hour > 23 || min > 59 || sec > 59 {
 		return time.Time{}, false
 	}
@@ -250,18 +299,6 @@ func daysFromCivil(year, month, day int) int64 {
 	doy := (153*m+2)/5 + day - 1
 	doe := yoe*365 + yoe/4 - yoe/100 + doy
 	return int64(era*146097+doe) - 719468 - 146097
-}
-
-// digits reads s as a decimal number; false if any byte is not a digit.
-func digits(s string) (n int, ok bool) {
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		n = n*10 + int(d)
-	}
-	return n, true
 }
 
 // daysIn is the length of a month of the proleptic Gregorian calendar,

@@ -161,10 +161,65 @@ func TestDecodeStampIsTimeDate(t *testing.T) {
 	}
 }
 
+// laneStamp has a different digit in each place a field's extraction
+// could slide to, so a field read one byte off reads another value.
+const laneStamp = "2026-07-19T13:48:25.916357"
+
+// laneBytes are what laneMutations puts in each position: every digit,
+// every separator, and the bytes just outside '0'..'9' and in the high
+// half, where a word-wise digit test carries or borrows.
+const laneBytes = "0123456789-T:. /\x80\xff"
+
+// laneMutations are laneStamp with each of its 26 bytes replaced, in
+// turn, by each of laneBytes.
+func laneMutations() []string {
+	var out []string
+	for i := range len(laneStamp) {
+		for j := range len(laneBytes) {
+			b := []byte(laneStamp)
+			b[i] = laneBytes[j]
+			out = append(out, string(b))
+		}
+	}
+	return out
+}
+
+// Every one-byte change to a valid stamp, one lane at a time:
+// parseTimestamp agrees with time.Parse in value and in whether it
+// errors, and decodeStamp itself accepts exactly what time.Parse does
+// (no one-byte change spells the one form, a comma before the
+// fraction, that only time.Parse takes).
+func TestStampLanes(t *testing.T) {
+	for _, s := range laneMutations() {
+		want, wantErr := time.Parse(TimeLayout, s)
+		got, err := parseTimestamp(s)
+		if (err != nil) != (wantErr != nil) || got != want {
+			t.Errorf("parseTimestamp(%q) = %v, %v; time.Parse gives %v, %v", s, got, err, want, wantErr)
+		}
+		if _, ok := decodeStamp(s); ok != (wantErr == nil) {
+			t.Errorf("decodeStamp(%q) ok = %v; time.Parse error %v", s, ok, wantErr)
+		}
+		checkStamp(t, s)
+	}
+}
+
+var stampSink time.Time
+
+func BenchmarkDecodeStamp(b *testing.B) {
+	stamps := []string{laneStamp, "2024-02-29T00:00:00.000000", "1999-12-31T23:59:59.999999", "2026-01-02T03:04:05.123456"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		stampSink, _ = decodeStamp(stamps[i&3])
+	}
+}
+
 // FuzzStampParity: whatever 26 bytes decodeStamp accepts, the Time it
 // builds with integer arithmetic is == the one time.Date builds from the
-// same fields.
+// same fields. The seeds include every lane mutation.
 func FuzzStampParity(f *testing.F) {
+	for _, s := range laneMutations() {
+		f.Add(s)
+	}
 	for _, s := range []string{
 		"2026-01-02T03:04:05.123456",
 		"2024-02-29T00:00:00.000000", // leap day

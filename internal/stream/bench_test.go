@@ -69,6 +69,40 @@ func BenchmarkStreamerIngest(b *testing.B) {
 	b.ReportMetric(snap.Detect.P99Micros, "detect-p99-µs")
 }
 
+// BenchmarkIngestLineSafe is the raw-line front end alone: one op is one
+// Safe line through IngestLine on a standalone streamer, parsed,
+// labelled and counted, never queued. It must not allocate.
+func BenchmarkIngestLineSafe(b *testing.B) {
+	p := fixture.Model(b, fixture.Serving)
+	log := chatterCorpus(b)
+	var lines []string
+	for i, ev := range log.Events {
+		if p.Labeler().LabelOf(&ev) == catalog.Safe {
+			lines = append(lines, log.Lines[i])
+		}
+	}
+	s, err := New(p, WithQuietPeriod(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	drained := fixture.Collect(s.Alerts())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.IngestLine(lines[i%len(lines)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	drained()
+	if m := s.SnapshotMetrics(); m.SafeFiltered != int64(b.N) {
+		b.Fatalf("%d of %d lines filtered as Safe", m.SafeFiltered, b.N)
+	}
+}
+
 // BenchmarkStreamThroughput measures the bursty-load serving rate at
 // micro-batch widths 1, 8 and 32: a tight producer loop feeds
 // pre-parsed events as fast as the shards will take them, so queues
