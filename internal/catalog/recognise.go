@@ -23,13 +23,27 @@ type shape struct {
 }
 
 // heads dispatches on a message's first token: a static first token to
-// the keys that begin with it, a dynamic one to dynamicHeads, the keys
-// that begin with "*". Both are filled by index's initializer, which
-// sets every Catalog[i].Key first.
+// its bucket (headSlot), the keys whose first token falls there, a
+// dynamic one to dynamicHeads, the keys that begin with "*". Both are
+// filled by index's initializer, which sets every Catalog[i].Key first.
+// A bucket may also hold keys of another first token; matches compares
+// every byte, so they cost a failed candidate, not a wrong answer.
 var (
-	heads        = map[string][]shape{}
+	heads        [1 << headBits][]shape
 	dynamicHeads []shape
 )
+
+// headBits sizes heads: with the catalog's ~60 first tokens, few share
+// a bucket.
+const headBits = 8
+
+// headSlot is the bucket of heads for the non-empty token tok: its
+// length, first and last bytes, mixed by a Fibonacci multiply. Unlike a
+// string-keyed map it reads three bytes of the token, not all of them.
+func headSlot(tok string) uint32 {
+	x := uint32(len(tok))<<16 | uint32(tok[0])<<8 | uint32(tok[len(tok)-1])
+	return x * 0x9e3779b1 >> (32 - headBits)
+}
 
 // recognise returns the Ref of the static entry whose Key
 // appendMasked(msg) is, or 0: no such entry, or msg is not in the form
@@ -37,10 +51,12 @@ var (
 func recognise(msg string) Ref {
 	end, class := scanToken(msg, 0)
 	var cands []shape
-	switch class {
-	case byteStatic:
-		cands = heads[msg[:end]]
-	case byteDynamic:
+	switch {
+	case end == 0: // empty, or a leading space
+		return 0
+	case class == byteStatic:
+		cands = heads[headSlot(msg[:end])]
+	case class == byteDynamic:
 		cands = dynamicHeads
 	default: // other whitespace or a non-ASCII byte
 		return 0
@@ -137,5 +153,6 @@ func addShape(key string, i int) {
 		return
 	}
 	end, _ := scanToken(key, 0)
-	heads[key[:end]] = append(heads[key[:end]], s)
+	h := &heads[headSlot(key[:end])]
+	*h = append(*h, s)
 }

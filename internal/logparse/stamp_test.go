@@ -188,7 +188,8 @@ func laneMutations() []string {
 // parseTimestamp agrees with time.Parse in value and in whether it
 // errors, and decodeStamp itself accepts exactly what time.Parse does
 // (no one-byte change spells the one form, a comma before the
-// fraction, that only time.Parse takes).
+// fraction, that only time.Parse takes). That each accepted one decodes
+// to time.Date's value is FuzzStampParity's, seeded with these.
 func TestStampLanes(t *testing.T) {
 	for _, s := range laneMutations() {
 		want, wantErr := time.Parse(TimeLayout, s)
@@ -199,7 +200,6 @@ func TestStampLanes(t *testing.T) {
 		if _, ok := decodeStamp(s); ok != (wantErr == nil) {
 			t.Errorf("decodeStamp(%q) ok = %v; time.Parse error %v", s, ok, wantErr)
 		}
-		checkStamp(t, s)
 	}
 }
 

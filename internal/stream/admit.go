@@ -56,13 +56,8 @@ func (s *Streamer) IngestEvent(ev logparse.Event) error {
 }
 
 // ingestOne admits one event whose time is known to be in the UnixNano
-// range. A Safe event on an open streamer that nothing gates takes
-// countSafe, without the admission lock; every other event takes admit.
+// range.
 func (s *Streamer) ingestOne(ev *logparse.Event, c *stageClock) error {
-	if s.ungated.Load() && s.lab.LabelOf(ev) == catalog.Safe {
-		s.countSafe(c)
-		return nil
-	}
 	var one [1]Admission
 	one[0].Event = *ev
 	if _, err := s.admit(one[:], true, c); err != nil {
@@ -72,24 +67,6 @@ func (s *Streamer) ingestOne(ev *logparse.Event, c *stageClock) error {
 		return ErrFrozen
 	}
 	return nil
-}
-
-// countSafe is what admitLocked does for one Safe event on an ungated
-// streamer, and no more: count it in Ingested (arming the stage ledger on
-// the same test) and in SafeFiltered, and close the stage clock. A Safe
-// event is never journaled or queued, so admitLocked's read lock would
-// only keep shard queues open that it never touches, and with nothing
-// gated no ownership rule can refuse it. One racing Close may therefore
-// be counted after Close returns; Ingested and SafeFiltered move
-// together, so the conservation equation holds.
-func (s *Streamer) countSafe(c *stageClock) {
-	s.countIngested()
-	s.met.SafeFiltered.Add(1)
-	if c != nil {
-		c.ingested = 1
-		c.lap(s, stageFilter, 1)
-		c.admitted(s, nil)
-	}
 }
 
 // IngestRecords is IngestBatch for a body of wire records (persist's
@@ -195,7 +172,8 @@ func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (
 	}
 	ctl := &s.ctl
 	epoch, _ = ctl.Owned()
-	gated := ctl.gates()
+	// Standalone with no handoff in flight, the state admits every node.
+	gated := ctl.Epoch != nil || ctl.Handoff != nil
 	// The skew guard's wall-clock reading, taken when the first non-Safe
 	// event of the call needs it.
 	var now time.Time
@@ -225,7 +203,9 @@ func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (
 				continue
 			}
 		}
-		last = s.countIngested()
+		if last = s.met.Ingested.Add(1); last&(ledgerEvery*stampEvery-1) == 0 {
+			s.armNext.Store(true)
+		}
 		ingested++
 		// The §3.1 Safe filter runs before the queue so bursts of benign
 		// chatter never consume queue slots or shard time.
@@ -336,17 +316,6 @@ func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (
 		i = end
 	}
 	return epoch, nil
-}
-
-// countIngested counts one event in Ingested and returns the new count,
-// arming the stage ledger for the next call when the count reaches a
-// multiple of ledgerEvery·stampEvery.
-func (s *Streamer) countIngested() int64 {
-	n := s.met.Ingested.Add(1)
-	if n&(ledgerEvery*stampEvery-1) == 0 {
-		s.armNext.Store(true)
-	}
-	return n
 }
 
 // admittedCount is the count the enqueue stamp samples on, given the

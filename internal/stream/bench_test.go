@@ -21,6 +21,13 @@ import (
 // history).
 func benchLog(b *testing.B) fixture.Log { return fixture.Corpus(b, fixture.Config(60, 96, 40, 31)) }
 
+// chatterCorpus is a mostly-Safe run, the shape of chatter_raw.
+func chatterCorpus(b *testing.B) fixture.Log {
+	profile, _ := logsim.ProfileByName("M3")
+	profile.NoisePerNodeHour, profile.StrayPerNodeHour = 3.75, 0.1
+	return fixture.Corpus(b, logsim.Config{Profile: profile, Nodes: 48, Hours: 2.4, Failures: 12, Seed: 131})
+}
+
 // BenchmarkStreamerIngest measures the sustained online serving rate:
 // raw line in → parse → encode → shard hop → incremental chain update →
 // Phase-3 detection on episode close. One op is one ingested line; the

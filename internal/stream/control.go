@@ -67,11 +67,6 @@ func (c *Control) admits(h uint32) bool {
 		(c.Handoff == nil || !persist.RangesContain(c.Handoff.Ranges, h))
 }
 
-// gates reports whether the state can refuse a node: an ownership epoch
-// is set or a handoff has frozen ranges. Standalone with no handoff in
-// flight, it admits every node.
-func (c *Control) gates() bool { return c.Epoch != nil || c.Handoff != nil }
-
 // Apply is the one transition: it folds one control WAL record (type
 // byte first) into c. Records are replaced, never changed in place, so a
 // copy (clone) stays valid. Other record types pass.
@@ -181,15 +176,5 @@ func (s *Streamer) commitLocked(rec []byte, durable bool) error {
 			return fmt.Errorf("stream: control journal: %w", err)
 		}
 	}
-	err := s.ctl.Apply(rec)
-	s.refreshUngated()
-	return err
-}
-
-// refreshUngated sets the ungated mirror from closed and the control
-// state. The caller holds s.mu for writing, or is New before the
-// streamer is shared: a Safe event that read the mirror true before the
-// write lock was taken is one admitted before the change.
-func (s *Streamer) refreshUngated() {
-	s.ungated.Store(!s.closed && !s.ctl.gates())
+	return s.ctl.Apply(rec)
 }

@@ -138,17 +138,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // ChainsOpen, a gauge).
 type Metrics struct {
 	// Ingested counts successfully parsed events accepted by the ingest
-	// entry points (before Safe filtering). A Safe line or event that
-	// races Close on a streamer nothing gates may be counted after Close
-	// returns, together with its SafeFiltered count.
+	// entry points (before Safe filtering).
 	Ingested atomic.Int64
 	// Malformed counts lines ParseLine rejected and events refused at
 	// admission for a time UnixNano cannot represent.
 	Malformed atomic.Int64
 	// SafeFiltered counts events discarded as Safe-labeled at ingest.
-	// On a streamer with no ownership epoch and no handoff, IngestLine
-	// and IngestEvent count a Safe event here and in Ingested without
-	// the admission lock: it is never journaled or queued.
 	SafeFiltered atomic.Int64
 	// Dropped counts events the DropNewest policy refused because their
 	// shard's queue was full.

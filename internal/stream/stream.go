@@ -125,11 +125,6 @@ type Streamer struct {
 	done   chan struct{}
 	wg     sync.WaitGroup // shard goroutines
 	bgWG   sync.WaitGroup // idle-flush / snapshot loops
-
-	// ungated mirrors !closed && !ctl.gates(), written under mu's write
-	// lock (refreshUngated) wherever either changes: while it holds,
-	// ingestOne counts a Safe event without mu.
-	ungated atomic.Bool
 }
 
 // New builds a streamer over a trained pipeline. The pipeline's
@@ -199,7 +194,6 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 			return nil, err
 		}
 	}
-	s.refreshUngated()
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go sh.run()
@@ -303,7 +297,6 @@ func (s *Streamer) stop(crashed bool) bool {
 		return false
 	}
 	s.closed = true
-	s.refreshUngated()
 	s.crashed.Store(crashed)
 	s.mu.Unlock()
 	close(s.done)
