@@ -156,8 +156,8 @@ func WithDedupWindow(n int) StreamOption { return stream.WithDedupWindow(n) }
 func WithSkewTolerance(d time.Duration) StreamOption { return stream.WithSkewTolerance(d) }
 
 // WithMicroBatch caps how many queued events one shard wakeup drains
-// and scores together: chains closed during the drain are scored in
-// lockstep as one DetectBatch pass. There is no
+// and scores together: chains closed during the drain are scored as
+// one DetectBatch pass. There is no
 // batching timer — the batch is whatever backlog exists at wakeup, so
 // an idle shard keeps per-event latency. Per chain, batched verdicts
 // are bit-identical to serial ones. 1 disables coalescing (default 32,

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -124,28 +122,22 @@ type Detector struct {
 	batch *nn.StreamBatch
 
 	// Vectorization scratch (vectorize): the 2-state vectors of the
-	// chains being scored, two floats per entry, in Pipeline.Vectorize's
+	// chain being scored, two floats per entry, in Pipeline.Vectorize's
 	// raw view and VectorizeInput's LSTM-facing view.
 	raw, in []float64
-
-	// Per-chain scoring scratch (beginBatch). bOff[i] is the index of
-	// chain i's first vector in raw/in.
-	bOff    []int
-	bPerm   []int
-	bConsec []int
 
 	// One-slot batch that Detect and DetectWith score through.
 	one  [1]chain.Chain
 	oneV [1]Verdict
 
-	// Float32 serving mode (precision.go), read only by step. When prec
-	// is PrecisionF32, batch is nil and row r of a pass steps
-	// streams32[r] over f32, the trained model converted once per model.
-	prec      Precision
-	f32       *nn.Forward32
-	streams32 []*nn.Stream32
-	in32      []float32
-	pred      []float64
+	// Float32 serving mode (precision.go), read only by predict. When
+	// prec is PrecisionF32, batch is nil and each chain steps stream32
+	// over f32, the trained model converted once per model.
+	prec     Precision
+	f32      *nn.Forward32
+	stream32 *nn.Stream32
+	in32     []float32
+	pred     []float64
 }
 
 // vectorize appends c's vectors to the detector's scratch and returns
@@ -165,46 +157,6 @@ func (d *Detector) vectorize(c chain.Chain) int {
 
 // vec returns vector i of a vectorize arena.
 func vec(arena []float64, i int) []float64 { return arena[2*i : 2*i+2] }
-
-// beginBatch resets the scratch for a batch of chains: base verdicts
-// written, every chain vectorized, and the scoring order returned —
-// longest chain first so live rows stay a contiguous batch prefix, ties
-// broken on input index to keep the row assignment stable. live counts
-// the chains with at least one transition; the rest (fewer than two
-// vectors) keep their base verdict.
-func (d *Detector) beginBatch(chains []chain.Chain, verdicts []Verdict) (perm, consec []int, live int) {
-	B := len(chains)
-	if cap(d.bPerm) < B {
-		d.bOff = make([]int, B)
-		d.bPerm = make([]int, B)
-		d.bConsec = make([]int, B)
-	}
-	perm, consec = d.bPerm[:B], d.bConsec[:B]
-	d.raw, d.in = d.raw[:0], d.in[:0]
-	for i, c := range chains {
-		verdicts[i] = Verdict{
-			Node:       c.Node,
-			AnchorTime: c.FailTime,
-			FlagIndex:  -1,
-			MinMSE:     math.Inf(1),
-			Chain:      c,
-		}
-		d.bOff[i] = d.vectorize(c)
-		perm[i] = i
-		consec[i] = 0
-	}
-	slices.SortFunc(perm, func(a, b int) int {
-		if la, lb := len(chains[a].Entries), len(chains[b].Entries); la != lb {
-			return lb - la
-		}
-		return a - b
-	})
-	live = B
-	for live > 0 && len(chains[perm[live-1]].Entries) < 2 {
-		live--
-	}
-	return perm, consec, live
-}
 
 // NewDetector builds a scoring context for the trained Phase-2 model.
 // It panics if the pipeline is untrained.

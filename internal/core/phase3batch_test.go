@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"desh/internal/chain"
 	"desh/internal/loss"
+	"desh/internal/nn"
 )
 
 // sameVerdict demands byte-identical verdicts: float fields compare by
@@ -186,5 +189,41 @@ func TestDetectAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(5, func() { d.DetectBatch(all, verdicts) }); n != 0 {
 			t.Errorf("%s: DetectBatch allocates %v per batch of %d", prec, n, len(all))
 		}
+	}
+}
+
+// BenchmarkDetectChain times Phase 3 on the served path at
+// DefaultConfig's Phase-2 shape (In 2, H 32, two layers, a 40-phrase
+// vocabulary): one 43-entry chain alone (chain1), as Detect scores it,
+// and eight of them in one DetectBatch pass (chain8; ns/op is the
+// pass). The weights are a fresh initialisation: the arithmetic, and so
+// the cost, does not depend on their values. 0 allocs/op in steady
+// state.
+func BenchmarkDetectChain(b *testing.B) {
+	cfg := DefaultConfig()
+	p, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.phase2 = nn.NewSeqRegressorIO(2, 2, cfg.Hidden2, cfg.Layers2, rand.New(rand.NewSource(66)))
+	p.trainVocab = 40
+	c := chain.Chain{Node: "c0-0c0s0n0", FailTime: time.Unix(1700000000, 0), Terminal: true}
+	for i := 0; i < 43; i++ {
+		c.Entries = append(c.Entries, chain.Entry{ID: (7 * i) % 40, DeltaT: float64(42-i) * 75})
+	}
+	for _, n := range []int{1, 8} {
+		chains := make([]chain.Chain, n)
+		for i := range chains {
+			chains[i] = c
+		}
+		verdicts := make([]Verdict, n)
+		d := p.NewDetector()
+		d.DetectBatch(chains, verdicts) // grow
+		b.Run(fmt.Sprintf("chain%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d.DetectBatch(chains, verdicts)
+			}
+		})
 	}
 }

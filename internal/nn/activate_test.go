@@ -86,7 +86,11 @@ func TestActivateShapes(t *testing.T) {
 // the end), stop at the first block with a sigmoid input out of range
 // and touch nothing from there on, no restriction on the tanh input or
 // the cell state. H = 14 ends in two scalar units; 12 and 36 are blocks
-// of eight (or four) and a last block of four.
+// of eight (or four) and a last block of four; 44 takes a second
+// two-pass round of 32 units. The kernels run every block's sigmoids
+// before any block's cell update, so a bad input in the first block
+// must leave the whole cell untouched and one in the last block must
+// still see every block before it finished.
 func TestActivateHandsBack(t *testing.T) {
 	tiers := tensor.ActivationTiers()
 	if len(tiers) == 0 {
@@ -96,7 +100,7 @@ func TestActivateHandsBack(t *testing.T) {
 		return
 	}
 	for _, k := range tiers {
-		for _, H := range []int{14, 12, 36} {
+		for _, H := range []int{14, 12, 36, 44} {
 			fresh := func() (z, h, c []float64) {
 				z, h, c = make([]float64, 4*H), make([]float64, H), make([]float64, H)
 				for i := range z {
@@ -117,7 +121,9 @@ func TestActivateHandsBack(t *testing.T) {
 
 			for _, bad := range []float64{708, -708, 745, math.Inf(1), math.Inf(-1), math.NaN()} {
 				for _, gate := range []int{0, 1, 3} {
-					for _, u := range []int{6, H - 2} { // in an early block; in the last block or past it
+					// In the first block; in an early one; in the last
+					// block or past it; in the last whole block.
+					for _, u := range []int{1, 6, H - 2, whole - 1} {
 						z, h, c := fresh()
 						z[gate*H+u] = bad
 						h0, c0 := append([]float64(nil), h...), append([]float64(nil), c...)

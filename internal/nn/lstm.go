@@ -133,10 +133,10 @@ func (l *LSTMLayer) stepInfer(x, h, c, z []float64) {
 }
 
 // stepServe is stepInfer with the gate pre-activation computed through
-// the layer's serving image g — the one gate function of the Phase-3
-// serving path, called once per sequence per timestep by
-// StreamBatch.Step. GateWeights.MatVec is bit-identical to GateMatVec,
-// so stepServe is bit-identical to stepInfer.
+// the layer's serving image g, called once per sequence per timestep by
+// StreamBatch.Step (StreamBatch.Score runs the same two gate halves and
+// activate layer by layer). GateWeights.MatVec is bit-identical to
+// GateMatVec, so stepServe is bit-identical to stepInfer.
 func (l *LSTMLayer) stepServe(g *tensor.GateWeights, x, h, c, z []float64) {
 	l.checkStep(x, h, c)
 	z = z[:4*l.HiddenSize]

@@ -11,7 +11,8 @@ import (
 // against the scalar reference: every row of a StreamBatch pass is
 // bit-identical to running that row's sequence through StepInfer and
 // the dense head alone, across batch widths from one row up, ragged
-// lengths (longest-first with Shrink), and repeated Begin cycles.
+// lengths (a row whose sequence has ended keeps stepping on zeros, its
+// predictions unread), and repeated Begin cycles.
 func TestStreamBatchMatchesStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	m := NewSeqRegressorIO(2, 2, 16, 2, rng)
@@ -19,16 +20,11 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		B := 1 + rng.Intn(9)
-		// Sequence lengths sorted descending so shrinking retires a
-		// suffix, mirroring how DetectBatch schedules ragged chains.
 		lens := make([]int, B)
+		longest := 0
 		for i := range lens {
 			lens[i] = 1 + rng.Intn(12)
-		}
-		for i := 1; i < B; i++ {
-			if lens[i] > lens[i-1] {
-				lens[i] = lens[i-1]
-			}
+			longest = max(longest, lens[i])
 		}
 		seqs := make([][][]float64, B)
 		for i := range seqs {
@@ -45,20 +41,19 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 		}
 
 		sb.Begin(B)
-		live := B
-		for tstep := 0; ; tstep++ {
-			for live > 0 && lens[live-1] <= tstep {
-				live--
-			}
-			if live == 0 {
-				break
-			}
-			sb.Shrink(live)
-			for r := 0; r < live; r++ {
-				copy(sb.Input(r), seqs[r][tstep])
+		for tstep := 0; tstep < longest; tstep++ {
+			for r := 0; r < B; r++ {
+				in := sb.Input(r)
+				clear(in)
+				if tstep < lens[r] {
+					copy(in, seqs[r][tstep])
+				}
 			}
 			pred := sb.Step()
-			for r := 0; r < live; r++ {
+			for r := 0; r < B; r++ {
+				if tstep >= lens[r] {
+					continue
+				}
 				got := pred.Row(r)
 				for d, w := range want[r][tstep] {
 					if math.Float64bits(got[d]) != math.Float64bits(w) {
@@ -71,9 +66,80 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 	}
 }
 
+// TestScoreMatchesStep holds the whole-sequence scorer to the lockstep
+// one: a batch of sequences of mixed lengths (1, 2, 43 and 300 steps:
+// inside one chunk, across chunk boundaries, and many chunks) runs
+// through Begin/Input/Step, every row's sequence through Score, and each
+// row's predictions must match bit for bit at every step. Batch widths
+// run 1-32 at DefaultConfig's Phase-2 shape (In 2, H 32, two layers);
+// a three-layer model whose 4H is 36 (gate tails at every tier) runs a
+// few widths too.
+func TestScoreMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	lengths := []int{1, 2, 43, 300}
+	for _, c := range []struct {
+		in, hidden, layers int
+		widths             []int
+	}{
+		{2, 32, 2, nil},
+		{3, 9, 3, []int{1, 5, 12}},
+	} {
+		m := NewSeqRegressorIO(c.in, 2, c.hidden, c.layers, rng)
+		sb, lock := m.NewStreamBatch(), m.NewStreamBatch()
+		widths := c.widths
+		if widths == nil {
+			for B := 1; B <= 32; B++ {
+				widths = append(widths, B)
+			}
+		}
+		for _, B := range widths {
+			seqs := make([][]float64, B)
+			longest := 0
+			for r := range seqs {
+				T := lengths[rng.Intn(len(lengths))]
+				longest = max(longest, T)
+				seqs[r] = make([]float64, T*m.InDim)
+				for i := range seqs[r] {
+					seqs[r][i] = rng.NormFloat64()
+				}
+			}
+			want := make([][]float64, B)
+			lock.Begin(B)
+			for tstep := 0; tstep < longest; tstep++ {
+				for r, seq := range seqs {
+					in := lock.Input(r)
+					clear(in)
+					if tstep*m.InDim < len(seq) {
+						copy(in, seq[tstep*m.InDim:])
+					}
+				}
+				pred := lock.Step()
+				for r, seq := range seqs {
+					if tstep*m.InDim < len(seq) {
+						want[r] = append(want[r], pred.Row(r)...)
+					}
+				}
+			}
+			for r, seq := range seqs {
+				got := sb.Score(seq)
+				if len(got) != len(want[r]) {
+					t.Fatalf("H %d width %d row %d: Score returned %d values, want %d", c.hidden, B, r, len(got), len(want[r]))
+				}
+				for i, w := range want[r] {
+					if math.Float64bits(got[i]) != math.Float64bits(w) {
+						t.Fatalf("H %d width %d row %d (%d steps) step %d dim %d: Score %x, Step %x",
+							c.hidden, B, r, len(seq)/m.InDim, i/m.OutDim, i%m.OutDim, math.Float64bits(got[i]), math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStreamBatchSteadyStateAllocs pins the 0 allocs/op contract: once
-// the arenas have seen the widest batch, Begin/Input/Step/Shrink cycles
-// allocate nothing.
+// the arenas have seen the widest batch, Begin/Input/Step cycles
+// allocate nothing, and once Score has seen the longest sequence,
+// neither does Score.
 func TestStreamBatchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	m := NewSeqRegressorIO(2, 2, 16, 2, rng)
@@ -90,26 +156,30 @@ func TestStreamBatchSteadyStateAllocs(t *testing.T) {
 					copy(sb.Input(r), seq[tstep])
 				}
 				sb.Step()
-				if rows > 1 && tstep == len(seq)-1 {
-					sb.Shrink(rows - 1)
-				}
 			}
 		})
 		if allocs != 0 {
 			t.Fatalf("rows=%d: %v allocs/op in steady state, want 0", rows, allocs)
 		}
 	}
+	flat := make([]float64, 40*m.InDim)
+	sb.Score(flat) // warm the sequence arena at max length
+	for _, T := range []int{40, 17, 1} {
+		if allocs := testing.AllocsPerRun(50, func() { sb.Score(flat[:T*m.InDim]) }); allocs != 0 {
+			t.Fatalf("Score of %d steps: %v allocs/op in steady state, want 0", T, allocs)
+		}
+	}
 }
 
-// TestStreamBatchGuards exercises the panic guards on Begin and Shrink.
+// TestStreamBatchGuards exercises the panic guards on Begin and Score.
 func TestStreamBatchGuards(t *testing.T) {
 	m := NewSeqRegressorIO(2, 2, 8, 2, rand.New(rand.NewSource(63)))
 	sb := m.NewStreamBatch()
 	sb.Begin(2)
 	for name, fn := range map[string]func(){
-		"begin-zero":    func() { sb.Begin(0) },
-		"shrink-grow":   func() { sb.Shrink(3) },
-		"shrink-logive": func() { sb.Shrink(-1) },
+		"begin-zero":   func() { sb.Begin(0) },
+		"score-empty":  func() { sb.Score(nil) },
+		"score-ragged": func() { sb.Score(make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -29,6 +29,9 @@ func ActivationKernel() string {
 // four; see ActivationTier.Block) and stops at the first block holding a
 // sigmoid input outside the range it transcribes (NaN, ±Inf,
 // |x| >= 708), so n is a multiple of four, and 0 on the generic path.
+// It writes no unit from that block on, and z is only read: the kernels
+// run every block's sigmoids and tanh(g) into their own stack frame
+// first and every block's cell update second.
 func ActivateLSTM(z, h, c []float64) int {
 	if !useFMA {
 		return 0

@@ -184,8 +184,15 @@ GLOBL actconst<>(SB), RODATA, $800
 // beyond that archExp leaves through its denormal or notFinite exits,
 // which are not transcribed. tanh needs no such guard. The caller
 // finishes units [ret, H) with the scalar loop and checks the lengths:
-// len(z) = 4H, len(c) = H.
-TEXT ·activate4(SB), NOSPLIT, $0-80
+// len(z) = 4H, len(c) = H. z is only read.
+//
+// Units go in rounds of up to 32 (eight blocks), each in two passes so
+// that one block's tanh(c) need not wait on its own sigmoids: pass 1
+// runs every block's range check, three sigmoids and tanh(g) into the
+// 1 KiB frame (four ymm a block: i, f, g, o), pass 2 every block's cell
+// update and tanh(c). A block that fails the check ends pass 1; pass 2
+// then finishes the blocks before it, and nothing from it on is written.
+TEXT ·activate4(SB), $1024-80
 	MOVQ z_base+0(FP), SI
 	MOVQ h_base+24(FP), DI
 	MOVQ h_len+32(FP), CX
@@ -196,12 +203,20 @@ TEXT ·activate4(SB), NOSPLIT, $0-80
 	XORQ AX, AX                // units finished
 	SUBQ $4, CX                // last j that starts a whole block
 
-block:
-	CMPQ AX, CX
-	JGT  done
-	VMOVUPD (SI)(AX*8), Y12
-	VMOVUPD (R9)(AX*8), Y13
-	VMOVUPD (R11)(AX*8), Y14
+round4:
+	MOVQ AX, BX                // pass 1's next unit
+	MOVQ SP, R12               // its block in the frame
+	MOVQ $1, R8                // a full round: another may follow
+pass1of4:
+	MOVQ R12, R13
+	SUBQ SP, R13
+	CMPQ R13, $1024            // the frame is full
+	JGE  pass2of4
+	CMPQ BX, CX
+	JGT  last4
+	VMOVUPD (SI)(BX*8), Y12
+	VMOVUPD (R9)(BX*8), Y13
+	VMOVUPD (R11)(BX*8), Y14
 	VANDPD  ABSMASK, Y12, Y0
 	VANDPD  ABSMASK, Y13, Y1
 	VANDPD  ABSMASK, Y14, Y2
@@ -210,21 +225,37 @@ block:
 	VCMPPD  $0x11, SIGLIM, Y2, Y2
 	VANDPD  Y1, Y0, Y0
 	VANDPD  Y2, Y0, Y0
-	VMOVMSKPD Y0, R12
-	CMPL R12, $0xF
-	JNE  done
+	VMOVMSKPD Y0, R13
+	CMPL R13, $0xF
+	JNE  last4
 
 	VMOVAPD Y12, Y0
 	SIGMOID4
-	VMOVAPD Y0, Y12            // i
+	VMOVUPD Y0, (R12)          // i
 	VMOVAPD Y13, Y0
 	SIGMOID4
-	VMOVAPD Y0, Y13            // f
+	VMOVUPD Y0, 32(R12)        // f
 	VMOVAPD Y14, Y0
 	SIGMOID4
-	VMOVAPD Y0, Y14            // o
-	VMOVUPD (R10)(AX*8), Y0
-	TANH4                      // g
+	VMOVUPD Y0, 96(R12)        // o
+	VMOVUPD (R10)(BX*8), Y0
+	TANH4
+	VMOVUPD Y0, 64(R12)        // g
+	ADDQ $4, BX
+	ADDQ $128, R12
+	JMP  pass1of4
+
+last4:
+	XORQ R8, R8                // out of blocks, or one handed back
+pass2of4:
+	MOVQ SP, R12
+cell4:
+	CMPQ AX, BX
+	JGE  next4
+	VMOVUPD (R12), Y12    // i
+	VMOVUPD 32(R12), Y13  // f
+	VMOVUPD 64(R12), Y0   // g
+	VMOVUPD 96(R12), Y14  // o
 	VMULPD  (DX)(AX*8), Y13, Y13
 	VMULPD  Y0, Y12, Y12
 	VADDPD  Y12, Y13, Y0
@@ -233,9 +264,12 @@ block:
 	VMULPD  Y0, Y14, Y0
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
-	JMP  block
+	ADDQ $128, R12
+	JMP  cell4
+next4:
+	TESTQ R8, R8
+	JNZ  round4
 
-done:
 	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET
@@ -335,14 +369,16 @@ done:
 // activate4's contract at eight hidden units per block: same cell
 // update, same return value (the number of units finished, a multiple
 // of four), same stop at the first block holding a sigmoid input that is
-// not finite with |x| < 708. Blocks are eight units while eight are
-// left, then one block of four when four to seven are: the four-unit
-// block runs the same code under a four-lane opmask in K3 (loads zero
-// the other lanes without reading them, stores skip them), so a unit's
-// operations do not depend on which kind of block it is in. A block that
-// fails the range check hands back all of its units, so after a hand-back
-// the return value is a multiple of eight, or of four at the last block.
-TEXT ·activate8(SB), NOSPLIT, $0-80
+// not finite with |x| < 708, same two passes over rounds of up to 32
+// units (four blocks of four zmm in the 1 KiB frame). Blocks are eight
+// units while eight are left, then one block of four when four to seven
+// are: the four-unit block runs the same code under a four-lane opmask
+// in K3 (loads zero the other lanes without reading them, stores to c
+// and h skip them), so a unit's operations do not depend on which kind
+// of block it is in. A block that fails the range check hands back all
+// of its units, so after a hand-back the return value is a multiple of
+// eight, or of four at the last block.
+TEXT ·activate8(SB), $1024-80
 	MOVQ z_base+0(FP), SI
 	MOVQ h_base+24(FP), DI
 	MOVQ h_len+32(FP), CX
@@ -351,44 +387,79 @@ TEXT ·activate8(SB), NOSPLIT, $0-80
 	LEAQ (R9)(CX*8), R10       // g block
 	LEAQ (R10)(CX*8), R11      // o block
 	XORQ AX, AX                // units finished
-	MOVL $0xFF, R13            // lanes in this block, as a mask
-	MOVQ $8, R14               // units in this block
 
-block8:
-	MOVQ CX, BX
-	SUBQ AX, BX                // units left
-	CMPQ BX, $8
+round8:
+	MOVQ AX, BX                // pass 1's next unit
+	MOVQ SP, R12               // its block in the frame
+	MOVQ $1, R8                // a full round: another may follow
+pass1of8:
+	MOVQ R12, R13
+	SUBQ SP, R13
+	CMPQ R13, $1024            // the frame is full
+	JGE  pass2of8
+	MOVQ CX, R14
+	SUBQ BX, R14               // units left
+	MOVL $0xFF, R13            // lanes in this block, as a mask
+	CMPQ R14, $8
 	JGE  take8
-	CMPQ BX, $4
-	JLT  done8
+	CMPQ R14, $4
+	JLT  last8
 	MOVL $0x0F, R13
-	MOVQ $4, R14
 take8:
 	KMOVB R13, K3
-	VMOVUPD.Z (SI)(AX*8), K3, Z12
-	VMOVUPD.Z (R9)(AX*8), K3, Z13
-	VMOVUPD.Z (R11)(AX*8), K3, Z14
+	VMOVUPD.Z (SI)(BX*8), K3, Z12
+	VMOVUPD.Z (R9)(BX*8), K3, Z13
+	VMOVUPD.Z (R11)(BX*8), K3, Z14
 	VANDPD.BCST ABSMASK, Z12, Z0
 	VANDPD.BCST ABSMASK, Z13, Z1
 	VANDPD.BCST ABSMASK, Z14, Z2
 	VCMPPD.BCST $0x11, SIGLIM, Z0, K3, K1   // LT_OQ: false for NaN
 	VCMPPD.BCST $0x11, SIGLIM, Z1, K1, K1
 	VCMPPD.BCST $0x11, SIGLIM, Z2, K1, K1
-	KMOVB K1, R12
-	CMPL R12, R13
-	JNE  done8
+	KXORB K1, K3, K4
+	KORTESTB K4, K4
+	JNZ  last8
 
 	VMOVAPD Z12, Z0
 	SIGMOID8
-	VMOVAPD Z0, Z12            // i
+	VMOVUPD Z0, (R12)          // i
 	VMOVAPD Z13, Z0
 	SIGMOID8
-	VMOVAPD Z0, Z13            // f
+	VMOVUPD Z0, 64(R12)        // f
 	VMOVAPD Z14, Z0
 	SIGMOID8
-	VMOVAPD Z0, Z14            // o
-	VMOVUPD.Z (R10)(AX*8), K3, Z0
-	TANH8                      // g
+	VMOVUPD Z0, 192(R12)       // o
+	VMOVUPD.Z (R10)(BX*8), K3, Z0
+	TANH8
+	VMOVUPD Z0, 128(R12)       // g
+	MOVQ CX, R14
+	SUBQ BX, R14
+	CMPQ R14, $8
+	JLT  tail8
+	ADDQ $8, BX
+	ADDQ $256, R12
+	JMP  pass1of8
+tail8:
+	ADDQ $4, BX                // the four-unit block ends the cell
+
+last8:
+	XORQ R8, R8                // out of blocks, or one handed back
+pass2of8:
+	MOVQ SP, R12
+cell8:
+	MOVQ BX, R14
+	SUBQ AX, R14               // units pass 1 left for pass 2
+	JLE  next8
+	MOVL $0xFF, R13
+	CMPQ R14, $8
+	JGE  mask8
+	MOVL $0x0F, R13
+mask8:
+	KMOVB R13, K3
+	VMOVUPD (R12), Z12    // i
+	VMOVUPD 64(R12), Z13  // f
+	VMOVUPD 128(R12), Z0  // g
+	VMOVUPD 192(R12), Z14 // o
 	VMULPD.Z (DX)(AX*8), Z13, K3, Z13
 	VMULPD  Z0, Z12, Z12
 	VADDPD  Z12, Z13, Z0
@@ -396,10 +467,17 @@ take8:
 	TANH8
 	VMULPD  Z0, Z14, Z0
 	VMOVUPD Z0, K3, (DI)(AX*8)
-	ADDQ R14, AX
-	JMP  block8
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JLE  step8
+	MOVQ BX, AX                // that was the four-unit block
+step8:
+	ADDQ $256, R12
+	JMP  cell8
+next8:
+	TESTQ R8, R8
+	JNZ  round8
 
-done8:
 	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET

@@ -53,11 +53,14 @@ func axpy4(f float64, x, y []float64) {
 	}
 }
 
-// GateMatVec computes dst = wx·x + wh·h + bias in one pass over the
-// output rows, in the order (wx·x) + ((wh·h) + bias) — bit-identical to
-// MatVecInto + MatVecInto + bias add. Shapes: wx is R x len(x), wh is
-// R x len(h), and dst and bias have length R. dst must not alias x, h or
-// bias.
+// GateMatVec computes dst = wx·x + wh·h + bias in the order
+// (wx·x) + ((wh·h) + bias) — bit-identical to MatVecInto + MatVecInto +
+// bias add. Shapes: wx is R x len(x), wh is R x len(h), and dst and bias
+// have length R. dst must not alias x, h or bias.
+//
+// It is the generic tier's two gate halves in sequence, the input half
+// sx = wx·x into dst and then the sx-seeded recurrent half over dst; the
+// assembly tiers split the same way (GateWeights.Input, Recur).
 func GateMatVec(dst []float64, wx *Matrix, x []float64, wh *Matrix, h, bias []float64) {
 	if len(x) != wx.Cols || len(h) != wh.Cols {
 		panic(fmt.Sprintf("tensor: GateMatVec inputs %d/%d, want %d/%d", len(x), len(h), wx.Cols, wh.Cols))
@@ -65,9 +68,25 @@ func GateMatVec(dst []float64, wx *Matrix, x []float64, wh *Matrix, h, bias []fl
 	if wx.Rows != wh.Rows || len(dst) != wx.Rows || len(bias) != wx.Rows {
 		panic(fmt.Sprintf("tensor: GateMatVec dst/bias %d/%d, want %d rows (wh %d)", len(dst), len(bias), wx.Rows, wh.Rows))
 	}
-	nx, nh := wx.Cols, wh.Cols
+	gateIn(dst, wx, x)
+	gateRec(dst, dst, wh, h, bias)
+}
+
+// gateIn is the generic input half, sx[i] = dot4(wx row i, x).
+func gateIn(sx []float64, wx *Matrix, x []float64) {
+	n := wx.Cols
+	for i := range sx {
+		sx[i] = dot4(wx.Data[i*n:i*n+n], x)
+	}
+}
+
+// gateRec is the generic recurrent half seeded with the input half:
+// dst[i] = sx[i] + (dot4(wh row i, h) + bias[i]). dst may be sx.
+func gateRec(dst, sx []float64, wh *Matrix, h, bias []float64) {
+	n := wh.Cols
+	sx = sx[:len(dst)]
 	for i := range dst {
-		dst[i] = dot4(wx.Data[i*nx:i*nx+nx], x) + (dot4(wh.Data[i*nh:i*nh+nh], h) + bias[i])
+		dst[i] = sx[i] + (dot4(wh.Data[i*n:i*n+n], h) + bias[i])
 	}
 }
 

@@ -13,10 +13,16 @@ package tensor
 var useAVX2, useFMA, useAVX512 = cpuFeatures()
 
 //go:noescape
-func gateT(dst, wxT, x, whT, h, bias []float64)
+func gateInT(sx, wxT, x []float64)
 
 //go:noescape
-func gate512(dst, wxT, x, whT, h, bias []float64)
+func gateRecT(dst, sx, whT, h, bias []float64)
+
+//go:noescape
+func gateIn512(sx, wxT, x []float64)
+
+//go:noescape
+func gateRec512(dst, sx, whT, h, bias []float64)
 
 //go:noescape
 func activate4(z, h, c []float64) int

@@ -12,12 +12,20 @@ const (
 	useAVX512 = false
 )
 
-func gateT(dst, wxT, x, whT, h, bias []float64) {
-	panic("tensor: gateT needs the amd64 assembly kernel")
+func gateInT(sx, wxT, x []float64) {
+	panic("tensor: gateInT needs the amd64 assembly kernel")
 }
 
-func gate512(dst, wxT, x, whT, h, bias []float64) {
-	panic("tensor: gate512 needs the amd64 assembly kernel")
+func gateRecT(dst, sx, whT, h, bias []float64) {
+	panic("tensor: gateRecT needs the amd64 assembly kernel")
+}
+
+func gateIn512(sx, wxT, x []float64) {
+	panic("tensor: gateIn512 needs the amd64 assembly kernel")
+}
+
+func gateRec512(dst, sx, whT, h, bias []float64) {
+	panic("tensor: gateRec512 needs the amd64 assembly kernel")
 }
 
 func activate4(z, h, c []float64) int {

@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// GateKernel names the kernel GateWeights.MatVec runs on this host and
-// build: "avx512" or "avx2" for the lane-per-row assembly kernel at eight
-// or four lanes, "generic" for GateMatVec (non-amd64, no AVX2, or -tags
-// purego).
+// GateKernel names the kernel GateWeights runs on this host and build:
+// "avx512" or "avx2" for the lane-per-row assembly halves at eight or
+// four lanes, "generic" for GateMatVec's Go halves (non-amd64, no AVX2,
+// or -tags purego).
 func GateKernel() string {
 	switch {
 	case useAVX512:
@@ -42,7 +42,7 @@ func GateKernel() string {
 //
 // The copies are a snapshot: Current reports whether the weights still
 // hold the values copied. On the generic path there are no copies and
-// MatVec reads the live matrices through GateMatVec.
+// the halves read the live matrices with GateMatVec's Go loops.
 type GateWeights struct {
 	wx, wh   *Matrix
 	bias     []float64
@@ -66,21 +66,62 @@ func NewGateWeights(wx, wh *Matrix, bias []float64) *GateWeights {
 }
 
 // MatVec computes dst = wx·x + (wh·h + bias), bit-identical to
-// GateMatVec on the same weights. dst must not alias x, h or the bias.
+// GateMatVec on the same weights: Input into dst, then Recur over it.
+// dst must not alias x, h or the bias.
 func (g *GateWeights) MatVec(dst, x, h []float64) {
+	g.Input(dst, x)
+	g.Recur(dst, dst, h)
+}
+
+// Input is the gate's input half, sx = wx·x: each row's dot4 from +0
+// in ascending k. sx (length R) must not alias x.
+//
+// A caller that advances one sequence over many steps can run Input
+// over all of them first and Recur over them second, so that each
+// half's weights stay in cache for all the steps; the input half does
+// not depend on the recurrence.
+func (g *GateWeights) Input(sx, x []float64) {
+	if len(x) != g.wx.Cols || len(sx) != g.wx.Rows {
+		panic(fmt.Sprintf("tensor: GateWeights.Input sx/x %d/%d, want %d/%d", len(sx), len(x), g.wx.Rows, g.wx.Cols))
+	}
 	if g.wxT == nil {
-		GateMatVec(dst, g.wx, x, g.wh, h, g.bias)
+		gateIn(sx, g.wx, x)
 		return
 	}
-	if len(x) != g.wx.Cols || len(h) != g.wh.Cols || len(dst) != g.wx.Rows {
-		panic(fmt.Sprintf("tensor: GateWeights.MatVec dst/x/h %d/%d/%d, want %d/%d/%d",
-			len(dst), len(x), len(h), g.wx.Rows, g.wx.Cols, g.wh.Cols))
+	gateInAsm(sx, g.wxT, x)
+}
+
+// Recur is the gate's recurrent half seeded with Input's sx:
+// dst = sx + (wh·h + bias). Input then Recur is GateMatVec bit for bit.
+// dst may be sx; neither may alias h or the bias.
+func (g *GateWeights) Recur(dst, sx, h []float64) {
+	if len(h) != g.wh.Cols || len(dst) != g.wh.Rows || len(sx) != g.wh.Rows {
+		panic(fmt.Sprintf("tensor: GateWeights.Recur dst/sx/h %d/%d/%d, want %d/%d/%d",
+			len(dst), len(sx), len(h), g.wh.Rows, g.wh.Rows, g.wh.Cols))
 	}
+	if g.wxT == nil {
+		gateRec(dst, sx, g.wh, h, g.bias)
+		return
+	}
+	gateRecAsm(dst, sx, g.whT, h, g.bias)
+}
+
+// gateInAsm and gateRecAsm run the two halves on the widest assembly
+// tier over transposed weights. The caller checks every length.
+func gateInAsm(sx, wxT, x []float64) {
 	if useAVX512 {
-		gate512(dst, g.wxT, x, g.whT, h, g.bias)
+		gateIn512(sx, wxT, x)
 		return
 	}
-	gateT(dst, g.wxT, x, g.whT, h, g.bias)
+	gateInT(sx, wxT, x)
+}
+
+func gateRecAsm(dst, sx, whT, h, bias []float64) {
+	if useAVX512 {
+		gateRec512(dst, sx, whT, h, bias)
+		return
+	}
+	gateRecT(dst, sx, whT, h, bias)
 }
 
 // Current reports whether the image still equals the live weights, bit

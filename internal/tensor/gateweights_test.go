@@ -16,23 +16,32 @@ func sameGate(got, want float64) bool {
 }
 
 // gateTier is one gate kernel: the name GateKernel reports while it
-// serves, and the kernel over a GateWeights' transposed image.
+// serves, and its two halves over a GateWeights' transposed image.
 type gateTier struct {
 	name string
-	run  func(dst, wxT, x, whT, h, bias []float64)
+	in   func(sx, wxT, x []float64)
+	rec  func(dst, sx, whT, h, bias []float64)
+}
+
+// run is the tier's whole gate, the input half into dst and the
+// recurrent half over it, as GateWeights.MatVec runs the tier it
+// selects.
+func (k gateTier) run(dst, wxT, x, whT, h, bias []float64) {
+	k.in(dst, wxT, x)
+	k.rec(dst, dst, whT, h, bias)
 }
 
 // gateTiers lists every gate kernel this host and build can run,
-// narrowest first; MatVec runs the last. The parity table and the fuzz
-// target hold each one to GateMatVec, so that an AVX-512 host still
+// narrowest first; GateWeights runs the last. The parity table and the
+// fuzz target hold each one to GateMatVec, so that an AVX-512 host still
 // tests the AVX2 kernel.
 func gateTiers() []gateTier {
 	var t []gateTier
 	if useAVX2 {
-		t = append(t, gateTier{"avx2", gateT})
+		t = append(t, gateTier{"avx2", gateInT, gateRecT})
 	}
 	if useAVX512 {
-		t = append(t, gateTier{"avx512", gate512})
+		t = append(t, gateTier{"avx512", gateIn512, gateRec512})
 	}
 	return t
 }
@@ -81,6 +90,65 @@ func TestGateWeightsMatchesGateMatVec(t *testing.T) {
 	for _, rows := range []int{1, 7, 18} {
 		checkGateParity(t, randMat(rng, rows, 3), randMat(rng, rows, 5),
 			randVec(rng, 3), randVec(rng, 5), randVec(rng, rows))
+	}
+}
+
+// TestGateHalvesMatchMatVec holds the two halves to GateMatVec bit for
+// bit at every tier: Recur(Input(x), h), into a separate dst and in
+// place over sx, through GateWeights and straight on each tier's
+// kernels. R covers the tails of both widths (4, 12, 36), whole blocks
+// (8, 32) and the served 4H (128); X and H cover no columns at all, one
+// or two, and 31 to 64. Weights, inputs and bias carry ±0, ±Inf and
+// NaN in some rows.
+func TestGateHalvesMatchMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	spike := func(v []float64) []float64 {
+		for i := range v {
+			if rng.Intn(9) == 0 {
+				v[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return v
+	}
+	widths := []int{0, 1, 2, 31, 32, 64}
+	for _, R := range []int{4, 8, 12, 32, 36, 128} {
+		for _, X := range widths {
+			for _, H := range widths {
+				wx, wh := randMat(rng, R, X), randMat(rng, R, H)
+				spike(wx.Data)
+				spike(wh.Data)
+				x, h, bias := spike(randVec(rng, X)), spike(randVec(rng, H)), spike(randVec(rng, R))
+				want := make([]float64, R)
+				GateMatVec(want, wx, x, wh, h, bias)
+				check := func(kernel string, got []float64) {
+					t.Helper()
+					for i := range want {
+						if !sameGate(got[i], want[i]) {
+							t.Fatalf("R %d X %d H %d (%s): row %d = %x, GateMatVec %x",
+								R, X, H, kernel, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+				g := NewGateWeights(wx, wh, bias)
+				sx, dst := make([]float64, R), make([]float64, R)
+				g.Input(sx, x)
+				g.Recur(dst, sx, h)
+				check("GateWeights on "+GateKernel(), dst)
+				g.Recur(sx, sx, h)
+				check("GateWeights in place on "+GateKernel(), sx)
+				wxT, whT := wx.T().Data, wh.T().Data
+				for _, k := range gateTiers() {
+					clear(sx)
+					clear(dst)
+					k.in(sx, wxT, x)
+					k.rec(dst, sx, whT, h, bias)
+					check(k.name, dst)
+					k.rec(sx, sx, whT, h, bias)
+					check(k.name+" in place", sx)
+				}
+			}
+		}
 	}
 }
 
@@ -222,11 +290,14 @@ func TestGateWeightsAllocatesNothing(t *testing.T) {
 // BenchmarkGateWeights times each gate kernel at DefaultConfig's
 // Phase-2 shape (In 2, H 32, two layers): layer1 is [128x2]+[128x32],
 // layer2 [128x32]+[128x32]. generic is GateMatVec on the row-major
-// weights; the rest are the tiers this host can run.
+// weights; the rest are the tiers this host can run. At layer2 each
+// half runs alone beside the whole gate as well (layer2-input, the
+// 32 KB wxᵀ; layer2-recur, the 32 KB whᵀ and the bias): together the
+// two are the 64 KB the whole gate streams per call.
 func BenchmarkGateWeights(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
-	tiers := append([]gateTier{{"generic", nil}}, gateTiers()...)
-	for _, k := range tiers {
+	generic := gateTier{"generic", nil, nil}
+	for _, k := range append([]gateTier{generic}, gateTiers()...) {
 		for _, l := range []struct {
 			name string
 			in   int
@@ -235,16 +306,27 @@ func BenchmarkGateWeights(b *testing.B) {
 			wx, wh, bias := randMat(rng, 4*H, l.in), randMat(rng, 4*H, H), randVec(rng, 4*H)
 			x, h, dst := randVec(rng, l.in), randVec(rng, H), make([]float64, 4*H)
 			wxT, whT := wx.T().Data, wh.T().Data
-			b.Run(k.name+"/"+l.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if k.run == nil {
-						GateMatVec(dst, wx, x, wh, h, bias)
-					} else {
-						k.run(dst, wxT, x, whT, h, bias)
+			in, rec := k.in, k.rec
+			if k.in == nil {
+				in = func(sx, _, x []float64) { gateIn(sx, wx, x) }
+				rec = func(dst, sx, _, h, bias []float64) { gateRec(dst, sx, wh, h, bias) }
+			}
+			bench := func(name string, f func()) {
+				b.Run(k.name+"/"+name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						f()
 					}
-				}
+				})
+			}
+			bench(l.name, func() {
+				in(dst, wxT, x)
+				rec(dst, dst, whT, h, bias)
 			})
+			if l.name == "layer2" {
+				bench(l.name+"-input", func() { in(dst, wxT, x) })
+				bench(l.name+"-recur", func() { rec(dst, dst, whT, h, bias) })
+			}
 		}
 	}
 }

@@ -35,11 +35,8 @@ func GateMatVecT(dst []float64, wxT *Matrix, x []float64, whT *Matrix, h, bias [
 		panic(fmt.Sprintf("tensor: GateMatVecT dst/bias %d/%d, x/h %d/%d, want %dx%d and %dx%d transposes",
 			R, len(bias), len(x), len(h), wxT.Rows, wxT.Cols, whT.Rows, whT.Cols))
 	}
-	if useAVX512 {
-		gate512(dst, wxT.Data, x, whT.Data, h, bias)
-		return
-	}
-	gateT(dst, wxT.Data, x, whT.Data, h, bias)
+	gateInAsm(dst, wxT.Data, x)
+	gateRecAsm(dst, dst, whT.Data, h, bias)
 }
 
 // axpy computes y += f·x over len(x) elements on the widest tier this
