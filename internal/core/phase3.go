@@ -140,19 +140,17 @@ type Detector struct {
 	pred     []float64
 }
 
-// vectorize appends c's vectors to the detector's scratch and returns
-// the index of the first: per entry, exactly the values
-// Pipeline.Vectorize (raw) and Pipeline.VectorizeInput (in) compute,
-// without their slice per vector.
-func (d *Detector) vectorize(c chain.Chain) int {
-	off := len(d.raw) / 2
+// vectorize fills the detector's scratch with c's vectors: per entry,
+// exactly the values Pipeline.Vectorize (raw) and
+// Pipeline.VectorizeInput (in) compute, without their slice per vector.
+func (d *Detector) vectorize(c chain.Chain) {
+	d.raw, d.in = d.raw[:0], d.in[:0]
 	vocab := d.p.vocab()
 	for _, e := range c.Entries {
 		minutes, id := stateVector(e, vocab)
 		d.raw = append(d.raw, minutes, id)
 		d.in = append(d.in, minutes, id/float64(vocab))
 	}
-	return off
 }
 
 // vec returns vector i of a vectorize arena.

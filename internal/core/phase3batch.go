@@ -45,7 +45,6 @@ func (d *Detector) score(chains []chain.Chain, verdicts []Verdict, threshold flo
 		if n < 1 {
 			continue
 		}
-		d.raw, d.in = d.raw[:0], d.in[:0]
 		d.vectorize(c)
 		pred := d.predict(n)
 		consec := 0

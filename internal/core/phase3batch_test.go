@@ -146,12 +146,12 @@ func TestDetectorVectorizeMatchesPipeline(t *testing.T) {
 	p, all := trainSmall(t, 34)
 	d := p.NewDetector()
 	for _, c := range all {
-		off := d.vectorize(c)
+		d.vectorize(c)
 		raw, in := p.Vectorize(c), p.VectorizeInput(c)
 		for i := range c.Entries {
 			for k := 0; k < 2; k++ {
-				if math.Float64bits(vec(d.raw, off+i)[k]) != math.Float64bits(raw[i][k]) ||
-					math.Float64bits(vec(d.in, off+i)[k]) != math.Float64bits(in[i][k]) {
+				if math.Float64bits(vec(d.raw, i)[k]) != math.Float64bits(raw[i][k]) ||
+					math.Float64bits(vec(d.in, i)[k]) != math.Float64bits(in[i][k]) {
 					t.Fatalf("chain %s entry %d component %d differs from Pipeline.Vectorize*", c.Node, i, k)
 				}
 			}
