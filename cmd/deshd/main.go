@@ -78,7 +78,7 @@ func run() error {
 	dedup := flag.Int("dedup-window", 0, "per-node duplicate-suppression ring size (0 disables)")
 	skew := flag.Duration("skew-tolerance", 0, "quarantine events this far ahead of the local clock (0 disables)")
 	shed := flag.String("shed-policy", "off", `overload degradation: "off" or "degrade" (walk shed levels under pressure)`)
-	microBatch := flag.Int("micro-batch", 32, "cap on the queued events one shard wakeup coalesces (1 = one event per wakeup); caps coalescing only, scoring is one path at every width")
+	microBatch := flag.Int("micro-batch", 32, "cap on the queued events one shard wakeup takes (1 = one event per wakeup); chains are scored as they close, so the width changes no alert")
 	precision := flag.String("precision", "f64", `serving precision: "f64" (bit-identical to batch) or "f32" (float32 kernels, alert-equivalent)`)
 	retrainEvery := flag.Duration("retrain-every", 0, "retrain a candidate model from the WAL at this interval (0 disables; requires -state-dir)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "retrain when the drift score reaches this (0 disables; requires -state-dir)")
@@ -363,10 +363,10 @@ func run() error {
 	}
 	snap := s.SnapshotMetrics()
 	fmt.Fprintf(os.Stderr,
-		"deshd: ingested %d (safe %d, malformed %d, oversized %d, dropped %d, quarantined %d), chains closed %d, alerts fired %d (suppressed %d, undelivered %d), shard restarts %d, batch occupancy %.2f (batched detects %d), precision %s (conversions %d), gate kernel %s, activation kernel %s, detect p50 %.0fµs p99 %.0fµs (%d stamped, 1 admitted event in %d)\n",
+		"deshd: ingested %d (safe %d, malformed %d, oversized %d, dropped %d, quarantined %d), chains closed %d (quarantined %d), alerts fired %d (suppressed %d, undelivered %d), shard restarts %d, batch occupancy %.2f, precision %s (conversions %d), gate kernel %s, activation kernel %s, detect p50 %.0fµs p99 %.0fµs (%d stamped, 1 admitted event in %d)\n",
 		snap.Ingested, snap.SafeFiltered, snap.Malformed, snap.Oversized, snap.Dropped, snap.Quarantined,
-		snap.ChainsClosed, snap.AlertsFired, snap.AlertsSuppressed, snap.AlertsDropped,
-		snap.ShardRestarts, snap.BatchOccupancy, snap.BatchedDetects,
+		snap.ChainsClosed, snap.ChainsQuarantined, snap.AlertsFired, snap.AlertsSuppressed, snap.AlertsDropped,
+		snap.ShardRestarts, snap.BatchOccupancy,
 		snap.ModelPrecision, snap.PrecisionConversions, snap.GateKernel, snap.ActivationKernel,
 		snap.Detect.P50Micros, snap.Detect.P99Micros, snap.Detect.Count, snap.StampEvery)
 	fmt.Fprintf(os.Stderr,

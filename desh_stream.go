@@ -155,13 +155,11 @@ func WithDedupWindow(n int) StreamOption { return stream.WithDedupWindow(n) }
 // default) disables the guard.
 func WithSkewTolerance(d time.Duration) StreamOption { return stream.WithSkewTolerance(d) }
 
-// WithMicroBatch caps how many queued events one shard wakeup drains
-// and scores together: chains closed during the drain are scored as
-// one DetectBatch pass. There is no
-// batching timer — the batch is whatever backlog exists at wakeup, so
-// an idle shard keeps per-event latency. Per chain, batched verdicts
-// are bit-identical to serial ones. 1 disables coalescing (default 32,
-// max 256).
+// WithMicroBatch caps how many queued events one shard wakeup takes.
+// There is no batching timer — the batch is whatever backlog exists at
+// wakeup, so an idle shard keeps per-event latency. Each chain is
+// scored as it closes, so the width changes no verdict. 1 disables
+// coalescing (default 32, max 256).
 func WithMicroBatch(n int) StreamOption { return stream.WithMicroBatch(n) }
 
 // Precision selects the serving numeric path of a Streamer. Training

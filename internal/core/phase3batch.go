@@ -10,8 +10,8 @@ import (
 
 // DetectBatch scores a slice of candidate sequences with the
 // pipeline's configured threshold and match count, writing verdicts[i]
-// for chains[i]. It is the serving-path fan-in: a stream shard hands
-// over every chain that closed during one micro-batch drain.
+// for chains[i], chain after chain. A stream shard scores each chain
+// as it closes (Detect); this entry serves callers holding many chains.
 //
 // Parity contract: verdicts[i] is bit-identical to Detect(chains[i]) —
 // same flags, same FlagIndex, same float bits in every field — because

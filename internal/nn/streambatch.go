@@ -26,8 +26,7 @@ import (
 // input halves of a sequence's steps run changes no operation any one
 // of them performs. So a row's predictions depend neither on the batch
 // width, nor on its row index, nor on which of the two ways scored it.
-// Detector.DetectBatch and the stream micro-batching layer are built on
-// that.
+// Detector.Detect and DetectBatch are built on that.
 //
 // The arenas are grow-only: steady-state scoring allocates nothing. A
 // StreamBatch is single-threaded; concurrent scorers need one

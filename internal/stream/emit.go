@@ -1,9 +1,9 @@
 package stream
 
-// Scoring and emit, the last of the three seams (DESIGN §9): the chains
-// a wakeup closed in; one DetectBatch pass, then each flagged verdict
-// through the quiet-period machine and the delivered-alert ledger, into
-// the alert WAL and out on the subscriber channel.
+// Scoring and emit, the last of the three seams (DESIGN §9): each chain
+// is judged as the tracker closes it — Detector.Detect, then each flagged
+// verdict through the quiet-period machine and the delivered-alert
+// ledger, into the alert WAL and out on the subscriber channel.
 
 import (
 	"sync"
@@ -13,76 +13,47 @@ import (
 	"desh/internal/core"
 )
 
-// pendChain is one closed chain awaiting batched scoring, paired with
-// the node state its alert (if any) must run through.
-type pendChain struct {
-	ns *nodeState
-	c  chain.Chain
-}
-
-// emitVerdict converts a flagged closed-chain verdict into an alert.
-func (sh *shard) emitVerdict(ns *nodeState, v core.Verdict) {
-	if !v.Flagged {
+// judge scores a chain the node's tracker just closed and emits its
+// alert, if any. Judging where the chain closes makes emission order
+// event order. A timed wakeup (c not nil) charges the tracker work up to
+// here to the chain row and the chain to the detect and emit rows.
+func (sh *shard) judge(ns *nodeState, ch chain.Chain, c *stageClock) {
+	c.lap(sh.s, stageChain, 0)
+	v, ok := sh.detect(ch)
+	c.lap(sh.s, stageDetect, 1)
+	if !ok {
 		return
 	}
-	sh.emit(ns, Alert{
-		Node:        v.Node,
-		LeadSeconds: v.LeadSeconds,
-		FlaggedAt:   v.AnchorTime,
-		MSE:         v.MinMSE,
-	})
+	sh.tapVerdict(v)
+	if v.Flagged {
+		sh.emit(ns, Alert{
+			Node:        v.Node,
+			LeadSeconds: v.LeadSeconds,
+			FlaggedAt:   v.AnchorTime,
+			MSE:         v.MinMSE,
+		})
+	}
+	c.lap(sh.s, stageEmit, 1)
 }
 
-// flushPending scores every chain the current micro-batch closed in one
-// DetectBatch pass. A chain's verdict does not depend on what it is
-// batched with, and emission order is append (= event) order, so batch
-// boundaries are unobservable in the alert stream. The counters move
-// only once the pass returns: a pass that panics is retried whole by
-// resumeBatch and must not count its chains twice.
-func (sh *shard) flushPending() {
-	if sh.scorePending() {
-		sh.emitPending()
-	}
-}
-
-// scorePending is flushPending's DetectBatch pass, leaving the verdicts
-// in sh.verd; false when nothing is pending.
-func (sh *shard) scorePending() bool {
-	n := len(sh.pend)
-	if n == 0 {
-		return false
-	}
-	sh.chbuf = sh.chbuf[:0]
-	for _, pc := range sh.pend {
-		sh.chbuf = append(sh.chbuf, pc.c)
-	}
-	if cap(sh.verd) < n {
-		sh.verd = make([]core.Verdict, n)
-	}
-	vs := sh.verd[:n]
-	sh.det.DetectBatch(sh.chbuf, vs)
-	sh.s.met.ChainsClosed.Add(int64(n))
-	if n > 1 {
-		sh.s.met.BatchedDetects.Add(int64(n))
-	}
-	return true
-}
-
-// emitPending runs scorePending's verdicts through the taps and emit,
-// in append order, and empties the pending list.
-func (sh *shard) emitPending() {
-	vs := sh.verd[:len(sh.pend)]
-	for i, pc := range sh.pend {
-		sh.tapVerdict(vs[i])
-		sh.emitVerdict(pc.ns, vs[i])
-	}
-	sh.pend = sh.pend[:0]
-	sh.chbuf = sh.chbuf[:0]
+// detect scores one closed chain. A chain whose scoring panics is
+// dropped and counted in ChainsQuarantined, not in the event counters:
+// its events are processed already, and the shard goes on without a
+// restart, so a poisoned chain costs that chain alone.
+func (sh *shard) detect(ch chain.Chain) (v core.Verdict, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.s.met.ChainsQuarantined.Add(1)
+		}
+	}()
+	v = sh.det.Detect(ch)
+	sh.s.met.ChainsClosed.Add(1)
+	return v, true
 }
 
 // observeBatch stamps the wakeup's coalescing counters and the
 // enqueue→verdict latency of every stamped event it took — queue wait
-// plus processing plus the batched scoring the event waited on, which is
+// plus the wakeup's processing, its chains' scoring included, which is
 // the latency a subscriber experiences and the signal the shed
 // controller budgets against. The monotonic clock is read once, and
 // only if a stamped event is there (a timed wakeup reuses its last lap);

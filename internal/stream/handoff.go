@@ -336,7 +336,6 @@ func (sh *shard) applyImport(b *importBarrier) {
 	sh.led, sh.arrival = b.led, time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			sh.pend = sh.pend[:0]
 			sh.s.met.Quarantined.Add(1)
 		}
 		sh.led = nil

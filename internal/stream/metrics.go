@@ -152,6 +152,10 @@ type Metrics struct {
 	ChainsOpen atomic.Int64
 	// ChainsClosed counts episodes closed and scored.
 	ChainsClosed atomic.Int64
+	// ChainsQuarantined counts closed episodes dropped because scoring
+	// them panicked. Their events are in Processed already, so the
+	// conservation invariant does not read it.
+	ChainsQuarantined atomic.Int64
 	// WindowEvicted counts events evicted by the per-node open-window
 	// bound (MaxOpenWindow).
 	WindowEvicted atomic.Int64
@@ -231,9 +235,6 @@ type Metrics struct {
 	// BatchEvents counts events drained across all wakeups; BatchEvents /
 	// BatchWakeups is the mean micro-batch occupancy.
 	BatchEvents atomic.Int64
-	// BatchedDetects counts closed chains scored in a DetectBatch pass
-	// of two or more.
-	BatchedDetects atomic.Int64
 	// PrecisionConversions counts f64→f32 weight conversions performed
 	// for the serving path — one per adopted model (boot, recovery,
 	// hot swap) when serving at f32; always 0 at f64.
@@ -319,43 +320,46 @@ type Metrics struct {
 // MetricsSnapshot is a point-in-time JSON view of the registry plus
 // per-shard queue depths.
 type MetricsSnapshot struct {
-	Ingested         int64 `json:"ingested"`
-	Malformed        int64 `json:"malformed"`
-	SafeFiltered     int64 `json:"safe_filtered"`
-	Dropped          int64 `json:"dropped"`
-	ChainsOpen       int64 `json:"chains_open"`
-	ChainsClosed     int64 `json:"chains_closed"`
-	WindowEvicted    int64 `json:"window_evicted"`
-	AlertsFired      int64 `json:"alerts_fired"`
-	AlertsSuppressed int64 `json:"alerts_suppressed"`
-	AlertsDropped    int64 `json:"alerts_dropped"`
-	Processed        int64 `json:"processed"`
-	Oversized        int64 `json:"oversized"`
-	Quarantined      int64 `json:"quarantined"`
-	ShardRestarts    int64 `json:"shard_restarts"`
-	Snapshots        int64 `json:"snapshots"`
-	SnapshotErrors   int64 `json:"snapshot_errors"`
-	WALErrors        int64 `json:"wal_errors"`
-	WALBatchAppends  int64 `json:"wal_batch_appends"`
-	ReplayedEvents   int64 `json:"replayed_events"`
-	ReplaySuppressed int64 `json:"replay_suppressed"`
-	ConnRejected     int64 `json:"conn_rejected"`
-	Late             int64 `json:"late"`
-	LateDropped      int64 `json:"late_dropped"`
-	LateClamped      int64 `json:"late_clamped"`
-	Duplicates       int64 `json:"duplicates"`
-	SkewQuarantined  int64 `json:"skew_quarantined"`
-	Shed             int64 `json:"shed"`
-	ShedLevel        int64 `json:"shed_level"`
-	ShedLevelMax     int64 `json:"shed_level_max"`
-	ReorderOverflow  int64 `json:"reorder_overflow"`
-	ReorderPending   int64 `json:"reorder_pending"`
-	BatchWakeups     int64 `json:"batch_wakeups"`
+	Ingested     int64 `json:"ingested"`
+	Malformed    int64 `json:"malformed"`
+	SafeFiltered int64 `json:"safe_filtered"`
+	Dropped      int64 `json:"dropped"`
+	ChainsOpen   int64 `json:"chains_open"`
+	ChainsClosed int64 `json:"chains_closed"`
+	// ChainsQuarantined counts closed chains dropped because scoring
+	// them panicked; not an event counter.
+	ChainsQuarantined int64 `json:"chains_quarantined"`
+	WindowEvicted     int64 `json:"window_evicted"`
+	AlertsFired       int64 `json:"alerts_fired"`
+	AlertsSuppressed  int64 `json:"alerts_suppressed"`
+	AlertsDropped     int64 `json:"alerts_dropped"`
+	Processed         int64 `json:"processed"`
+	Oversized         int64 `json:"oversized"`
+	Quarantined       int64 `json:"quarantined"`
+	ShardRestarts     int64 `json:"shard_restarts"`
+	Snapshots         int64 `json:"snapshots"`
+	SnapshotErrors    int64 `json:"snapshot_errors"`
+	WALErrors         int64 `json:"wal_errors"`
+	WALBatchAppends   int64 `json:"wal_batch_appends"`
+	ReplayedEvents    int64 `json:"replayed_events"`
+	ReplaySuppressed  int64 `json:"replay_suppressed"`
+	ConnRejected      int64 `json:"conn_rejected"`
+	Late              int64 `json:"late"`
+	LateDropped       int64 `json:"late_dropped"`
+	LateClamped       int64 `json:"late_clamped"`
+	Duplicates        int64 `json:"duplicates"`
+	SkewQuarantined   int64 `json:"skew_quarantined"`
+	Shed              int64 `json:"shed"`
+	ShedLevel         int64 `json:"shed_level"`
+	ShedLevelMax      int64 `json:"shed_level_max"`
+	ReorderOverflow   int64 `json:"reorder_overflow"`
+	ReorderPending    int64 `json:"reorder_pending"`
+	BatchWakeups      int64 `json:"batch_wakeups"`
 	// BatchOccupancy is the mean number of events drained per shard
 	// wakeup (0 before the first wakeup; 1.0 means no coalescing).
 	BatchOccupancy float64 `json:"batch_occupancy"`
-	// BatchedDetects counts chains scored in a DetectBatch pass of two
-	// or more.
+	// BatchedDetects is always 0: a shard scores each chain as it
+	// closes. The field stays while the benchmark reads it.
 	BatchedDetects int64 `json:"batched_detects"`
 	// ModelPrecision is the serving numeric path ("f64" or "f32");
 	// GateKernel is the LSTM gate kernel that path runs on this host
@@ -423,6 +427,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		Dropped:              s.met.Dropped.Load(),
 		ChainsOpen:           s.met.ChainsOpen.Load(),
 		ChainsClosed:         s.met.ChainsClosed.Load(),
+		ChainsQuarantined:    s.met.ChainsQuarantined.Load(),
 		WindowEvicted:        s.met.WindowEvicted.Load(),
 		AlertsFired:          s.met.AlertsFired.Load(),
 		AlertsSuppressed:     s.met.AlertsSuppressed.Load(),
@@ -469,7 +474,6 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		ShedLevelMax:         s.met.ShedLevelMax.Load(),
 		ReorderOverflow:      s.met.ReorderOverflow.Load(),
 		BatchWakeups:         s.met.BatchWakeups.Load(),
-		BatchedDetects:       s.met.BatchedDetects.Load(),
 		ModelPrecision:       s.opts.Precision.String(),
 		GateKernel:           s.opts.Precision.GateKernel(),
 		ActivationKernel:     s.opts.Precision.ActivationKernel(),

@@ -59,21 +59,16 @@ func TestMicroBatchAlertEquivalence(t *testing.T) {
 		}
 		sc.steps = []step{{via: bursts(tr.seed), opts: opts}}
 		snap := sc.run(t, fmt.Sprintf("micro=%d seed=%d", tr.micro, tr.seed)).runs[0].SnapshotMetrics()
-		if tr.delay > 0 {
-			if snap.BatchOccupancy <= 1 {
-				t.Fatalf("forced-backlog run never coalesced: occupancy %.2f", snap.BatchOccupancy)
-			}
-			if snap.BatchedDetects == 0 {
-				t.Fatal("forced-backlog run never scored a chain through DetectBatch")
-			}
+		if tr.delay > 0 && snap.BatchOccupancy <= 1 {
+			t.Fatalf("forced-backlog run never coalesced: occupancy %.2f", snap.BatchOccupancy)
 		}
 	}
 }
 
 // TestMicroBatchEarlyDetectEquivalence repeats the property with
-// provisional alerts armed: EarlyDetect flushes pending closures before
-// each open-chain probe, so the dedup machine must see the same
-// sequence either way.
+// provisional alerts armed: each closed chain is judged before the
+// open-chain probe of the event that closed it, so the dedup machine
+// must see the same sequence either way.
 func TestMicroBatchEarlyDetectEquivalence(t *testing.T) {
 	sc := &scenario{
 		in:    fixture.Corpus(t, fixture.Config(8, 12, 6, 99)).Events,
@@ -84,12 +79,14 @@ func TestMicroBatchEarlyDetectEquivalence(t *testing.T) {
 	sc.run(t, "early-detect with micro-batching vs per-event scoring")
 }
 
-// TestRetriedBatchCountsChainsOnce drives a shard's pending batch by
-// hand through one failed scoring pass and its supervisor retry: the
-// detector panics on the first pass (a nil detector stands in for a
-// poisoned one) and scores on the second. chains_closed and
-// batched_detects must count the chains scored, not the passes tried.
-func TestRetriedBatchCountsChainsOnce(t *testing.T) {
+// TestPoisonedChainCountedOnce breaks a one-shard streamer's detector
+// (a nil one panics on every chain) after it has scored one chain, then
+// feeds it a chain that closes mid-stream and one still open at Close,
+// which the drain closes. Each poisoned chain is dropped and counted
+// once in chains_quarantined; no event is re-fed or quarantined, the
+// shard never restarts, chains_closed keeps only the chain that was
+// scored, and the conservation equation holds.
+func TestPoisonedChainCountedOnce(t *testing.T) {
 	p := fixture.Model(t, fixture.Serving)
 	s, err := New(p, WithShards(1))
 	if err != nil {
@@ -97,39 +94,41 @@ func TestRetriedBatchCountsChainsOnce(t *testing.T) {
 	}
 	defer s.Close()
 	chains := p.TrainedChains()
-	if len(chains) > 5 {
-		chains = chains[:5]
+	if len(chains) < 3 {
+		t.Fatalf("%d trained chains, need 3", len(chains))
 	}
-	// Once it has answered a barrier the shard goroutine is parked on
-	// its empty queue, so the test owns the shard-goroutine-only state it
-	// touches from here to Close.
+	base := time.Date(2026, 5, 1, 0, 0, 0, 0, time.UTC)
 	sh := s.shards[0]
-	parked := make(chan map[string]persistedNode)
-	sh.q.Put(shardMsg{snap: parked}, true)
-	<-parked
-	for _, c := range chains {
-		sh.pend = append(sh.pend, pendChain{ns: sh.state(c.Node), c: c})
+	// Once it has answered a barrier the shard goroutine is parked on
+	// its empty queue, and the next put wakes it: a write made in
+	// between is ordered before anything it reads after waking.
+	barrier := func() {
+		parked := make(chan map[string]persistedNode)
+		sh.q.Put(shardMsg{snap: parked}, true)
+		<-parked
 	}
 
-	det := sh.det
+	feedEvents(t, s, chainEvents(chains[0], "n0", base))
+	barrier()
+	if got := s.SnapshotMetrics().ChainsClosed; got != 1 {
+		t.Fatalf("healthy detector: chains_closed %d, want 1", got)
+	}
 	sh.det = nil
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("scoring on a nil detector did not panic")
-			}
-		}()
-		sh.flushPending()
-	}()
-	if len(sh.pend) != len(chains) {
-		t.Fatalf("failed pass left %d of %d chains pending", len(sh.pend), len(chains))
+	feedEvents(t, s, chainEvents(chains[1], "n1", base))
+	open := chainEvents(chains[2], "n2", base)
+	feedEvents(t, s, open[:len(open)-1])
+	barrier()
+	if got := s.SnapshotMetrics().ChainsQuarantined; got != 1 {
+		t.Fatalf("mid-stream poisoned chain: chains_quarantined %d, want 1", got)
 	}
-	sh.det = det
-	sh.resumeBatch()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	snap := s.SnapshotMetrics()
-	if len(sh.pend) != 0 || snap.ChainsClosed != int64(len(chains)) || snap.BatchedDetects != int64(len(chains)) {
-		t.Fatalf("after one retry of %d chains: %d pending, chains_closed %d, batched_detects %d",
-			len(chains), len(sh.pend), snap.ChainsClosed, snap.BatchedDetects)
+	m := s.SnapshotMetrics()
+	if m.ChainsQuarantined != 2 || m.ChainsClosed != 1 || m.ShardRestarts != 0 || m.Quarantined != 0 {
+		t.Fatalf("chains_quarantined %d (want 2), chains_closed %d (want 1), shard_restarts %d (want 0), quarantined %d (want 0)",
+			m.ChainsQuarantined, m.ChainsClosed, m.ShardRestarts, m.Quarantined)
 	}
+	checkConservation(t, s)
 }

@@ -105,16 +105,13 @@ type Options struct {
 	// every honest event late (default 0 = off; backward jumps are
 	// handled by the lateness path, not this guard).
 	SkewTolerance time.Duration
-	// MicroBatch caps how many queued events one shard wakeup drains and
-	// processes together; every chain closed during the drain is scored
-	// in one Detector.DetectBatch pass. It caps coalescing only: scoring
-	// is the same path at every width. Coalescing never waits on a timer
-	// — the batch is whatever backlog exists at wakeup, so an idle shard
-	// keeps per-event latency while a backlogged one amortizes the
-	// wakeup across the burst. 1 means one event per wakeup. Default 32,
-	// max 256. Batch boundaries are unobservable in the alert stream: a
-	// chain's verdict does not depend on what it is batched with, and
-	// emission order is event order.
+	// MicroBatch caps how many queued events one shard wakeup takes
+	// under one lock. Coalescing never waits on a timer — the batch is
+	// whatever backlog exists at wakeup, so an idle shard keeps per-event
+	// latency while a backlogged one amortizes the wakeup across the
+	// burst. 1 means one event per wakeup. Default 32, max 256. Each
+	// chain is scored as it closes, so batch boundaries are unobservable
+	// in the alert stream.
 	MicroBatch int
 	// Precision selects the serving numeric path (default
 	// core.PrecisionF64, bit-identical to the offline pipeline).

@@ -448,11 +448,8 @@ func (sh *shard) installNode(node string, pn persistedNode) error {
 		// Alerts it raises may duplicate already-delivered ones; the
 		// quiet period bounds that.
 		for i := range pn.Reorder {
-			sh.feed(ns, &pn.Reorder[i], ns.lastArrival)
+			sh.feed(ns, &pn.Reorder[i], ns.lastArrival, nil)
 		}
-		// feed defers closed-chain judging; score them now, while the
-		// node's install is still the only activity on the shard.
-		sh.flushPending()
 	}
 	sh.nodes[node] = ns
 	return nil

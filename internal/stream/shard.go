@@ -3,7 +3,7 @@ package stream
 // The shard loop, the middle of the three seams (DESIGN §9): shardMsgs in
 // — events and the control barriers that ride the same FIFO — run under
 // the panic supervisor through the event-time layer into the node's
-// chain tracker; closed chains leave as pendChains for emit.go.
+// chain tracker; each chain it closes is judged there by emit.go.
 
 import (
 	"fmt"
@@ -71,7 +71,7 @@ type shard struct {
 
 	// Supervisor state, touched only by the shard goroutine and its
 	// restart bookkeeping. inflight marks a panic as the event's at
-	// buf[bufNext] rather than a barrier's or a scoring pass's.
+	// buf[bufNext] rather than a barrier's.
 	inflight    bool
 	restarts    int // consecutive restarts, resets on progress
 	poisonKey   string
@@ -84,19 +84,12 @@ type shard struct {
 	// mid-batch panic restart retries that event and resumes the tail
 	// instead of dropping taken events; buf[:counted] are in Processed
 	// already. held is the control barrier that ended the take, answered
-	// once the events ahead of it have flushed (hasHeld). pend holds the
-	// chains those events closed, awaiting one batched scoring pass;
-	// pendTries counts consecutive restarts whose panic came from scoring
-	// pend itself. chbuf and verd are the grow-only DetectBatch scratch.
-	buf       []shardMsg
-	bufNext   int
-	counted   int
-	held      shardMsg
-	hasHeld   bool
-	pend      []pendChain
-	pendTries int
-	chbuf     []chain.Chain
-	verd      []core.Verdict
+	// once the events ahead of it are through (hasHeld).
+	buf     []shardMsg
+	bufNext int
+	counted int
+	held    shardMsg
+	hasHeld bool
 	// clk is the stage clock of a timed wakeup, one in ledgerEvery of
 	// those that hold a stamped event (stamped counts them): on from
 	// processBatch until the next take returns (runLoop).
@@ -146,9 +139,10 @@ func (sh *shard) runLoop() (panicked bool) {
 	}()
 	// Finish any micro-batch a panic interrupted before taking new work:
 	// the event it was on (unless notePanic gave up on it), the taken
-	// events behind it, the deferred chains and the barrier that ended
-	// the take all precede everything still in the queue.
-	sh.resumeBatch()
+	// events behind it and the barrier that ended the take all precede
+	// everything still in the queue.
+	sh.processBatch()
+	sh.applyHeld()
 	for {
 		// An empty take leaves sh.buf untouched: a parked shard writes no
 		// shard state.
@@ -197,10 +191,9 @@ func (sh *shard) park() {
 
 // dispatch handles one shard wakeup: the events Take returned — the
 // backlog that already existed, up to MicroBatch, so an idle shard keeps
-// per-event latency — run through the tracker with closed-chain judging
-// deferred, the deferred chains score as one batched pass, and a control
-// barrier that ended the take is answered after them, so it observes
-// every event ahead of it in the queue.
+// per-event latency — run through the tracker, each closed chain judged
+// as it closes, and a control barrier that ended the take is answered
+// after them, so it observes every event ahead of it in the queue.
 func (sh *shard) dispatch() {
 	if last := len(sh.buf) - 1; isCtl(&sh.buf[last]) {
 		sh.held, sh.hasHeld = sh.buf[last], true
@@ -249,13 +242,12 @@ func (sh *shard) applyCtl(m *shardMsg) {
 }
 
 // processBatch runs the unprocessed tail of the taken micro-batch,
-// each event by reference where the wakeup took it, then scores the
-// deferred chains and stamps the batch's metrics. The wall clock is read
-// once per wakeup, and only with IdleFlush on (it feeds nothing but the
-// idle-flush clock, whose granularity is seconds). A wakeup that holds
-// no stamped event reads no monotonic clock; one fresh wakeup in
-// ledgerEvery of those that do times its stages for the ledger.
-// Processed moves once per wakeup: notePanic counts what an interrupted
+// each event by reference where the wakeup took it, then stamps the
+// batch's metrics. The wall clock is read once per wakeup, and only
+// with IdleFlush on (it feeds nothing but the idle-flush clock, whose
+// granularity is seconds). A wakeup that holds no stamped event reads
+// no monotonic clock; one fresh wakeup in ledgerEvery of those that do
+// times its stages for the ledger. Processed moves once per wakeup: notePanic counts what an interrupted
 // one had finished, so the conservation equation holds whenever the
 // shard is not inside an event.
 func (sh *shard) processBatch() {
@@ -271,16 +263,10 @@ func (sh *shard) processBatch() {
 		}
 	}
 	for ; sh.bufNext < len(sh.buf); sh.bufNext++ {
-		sh.process(&sh.buf[sh.bufNext].ev, now)
+		sh.process(&sh.buf[sh.bufNext].ev, now, c)
 	}
 	c.lap(sh.s, stageChain, len(sh.buf))
 	sh.countProcessed()
-	chains := len(sh.pend)
-	if sh.scorePending() {
-		c.lap(sh.s, stageDetect, chains)
-		sh.emitPending()
-		c.lap(sh.s, stageEmit, chains)
-	}
 	sh.observeBatch(c)
 }
 
@@ -301,27 +287,10 @@ func (sh *shard) countProcessed() {
 	sh.counted = sh.bufNext
 }
 
-// resumeBatch finishes a micro-batch a panic interrupted. When the
-// panic came from scoring the deferred chains themselves (every drained
-// event already processed), the batch is dropped after maxEventRetries
-// attempts and counted as quarantined — a poisoned chain must not
-// crash-loop the shard forever.
-func (sh *shard) resumeBatch() {
-	if sh.bufNext >= len(sh.buf) && len(sh.pend) > 0 {
-		sh.pendTries++
-		if sh.pendTries > maxEventRetries {
-			sh.s.met.Quarantined.Add(int64(len(sh.pend)))
-			sh.pend = sh.pend[:0]
-		}
-	}
-	sh.processBatch()
-	sh.pendTries = 0
-	sh.applyHeld()
-}
-
 // process runs one event through the shard with crash attribution; now
-// is the arrival time handle stamps on the event's node.
-func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time) {
+// is the arrival time handle stamps on the event's node, c the clock of
+// a timed wakeup.
+func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time, c *stageClock) {
 	sh.inflight = true
 	if hook := sh.s.opts.panicHook; hook != nil {
 		hook(sh.id, *ev)
@@ -329,7 +298,7 @@ func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time) {
 	if d := sh.s.opts.processDelay; d > 0 {
 		time.Sleep(d)
 	}
-	sh.handle(ev, now)
+	sh.handle(ev, now, c)
 	sh.inflight = false
 	sh.restarts = 0
 }
@@ -338,8 +307,8 @@ func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time) {
 // else — the boot-time WAL tail (single-threaded inside New) and an
 // imported range's pending tail (on the shard goroutine, inside the
 // import barrier). There is no supervisor to retry under, so a panic
-// quarantines the event at once. Each event flushes its own closures:
-// no coalescing, so replayed alert order matches live order. A replayed
+// quarantines the event at once. Chains judge as they close, as live
+// ones do, so replayed alert order matches live order. A replayed
 // event counts as admitted for the enqueue stamp's sampling, and only
 // one admission would have stamped is timed into Detect; its arrival is
 // the pass's one wall-clock reading (sh.arrival).
@@ -350,10 +319,6 @@ func (sh *shard) replay(ev *logparse.EncodedEvent) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			// Deferred chains from the panicked event are dropped with it;
-			// chains closed by earlier replayed events were already
-			// flushed.
-			sh.pend = sh.pend[:0]
 			sh.quarantine(ev)
 		}
 	}()
@@ -361,8 +326,7 @@ func (sh *shard) replay(ev *logparse.EncodedEvent) {
 	if hook := sh.s.opts.panicHook; hook != nil {
 		hook(sh.id, *ev)
 	}
-	sh.handle(ev, sh.arrival)
-	sh.flushPending()
+	sh.handle(ev, sh.arrival, nil)
 	sh.s.met.Processed.Add(1)
 	if at != 0 {
 		sh.s.met.Detect.Observe(time.Duration(sh.s.mono() - at))
@@ -380,13 +344,12 @@ func (sh *shard) quarantine(ev *logparse.EncodedEvent) {
 
 // notePanic counts the events the interrupted wakeup had finished, then
 // attributes the panic to the in-flight event and decides between retry
-// (resumeBatch finds it at buf[bufNext]) and quarantine (stepped over,
-// never counted as processed).
+// (runLoop resumes the batch at buf[bufNext]) and quarantine (stepped
+// over, never counted as processed).
 func (sh *shard) notePanic() {
 	sh.countProcessed()
 	if !sh.inflight {
-		// Panic outside event processing (barrier/flush); nothing to
-		// retry.
+		// Panic outside event processing (a barrier); nothing to retry.
 		return
 	}
 	sh.inflight = false
@@ -469,17 +432,18 @@ func (sh *shard) state(node string) *nodeState {
 // the event-time layer on — through dedup, the late check and the
 // reorder buffer first. now is the wall-clock arrival time recorded as
 // the node's proof of life (nodeState.lastArrival); a caller inside a
-// shard wakeup passes the wakeup's one clock read.
-func (sh *shard) handle(ev *logparse.EncodedEvent, now time.Time) {
+// shard wakeup passes the wakeup's one clock read, and a timed one its
+// stage clock c.
+func (sh *shard) handle(ev *logparse.EncodedEvent, now time.Time, c *stageClock) {
 	ns := sh.state(ev.Node)
 	// The event's own id may be a substring of its line or record: what
 	// the window and the reorder buffer keep points at the shard's copy.
 	ev.Node = ns.node
 	if sh.s.et != nil {
-		sh.handleEventTime(ns, ev, now)
+		sh.handleEventTime(ns, ev, now, c)
 		return
 	}
-	sh.feed(ns, ev, now)
+	sh.feed(ns, ev, now, c)
 }
 
 // handleEventTime is the disorder-tolerant path. Order matters: dedup
@@ -488,7 +452,7 @@ func (sh *shard) handle(ev *logparse.EncodedEvent, now time.Time) {
 // release. The wall clock (now) only stamps lastArrival, so WAL replay
 // of the same event sequence reconstructs identical buffer and cursor
 // state.
-func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
+func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now time.Time, c *stageClock) {
 	et := sh.s.et
 	if ns.et == nil {
 		ns.et = newNodeEventTime()
@@ -504,7 +468,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 			sh.s.met.LateDropped.Add(1)
 			return
 		}
-		sh.feed(ns, ev, now) // the tracker clamps the stale timestamp forward
+		sh.feed(ns, ev, now, c) // the tracker clamps the stale timestamp forward
 		return
 	}
 	ns.et.rel = sh.rel
@@ -514,7 +478,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 		sh.wmNano.Store(ts)
 	}
 	if through {
-		sh.feed(ns, ev, now)
+		sh.feed(ns, ev, now, c)
 		return
 	}
 	if overflow > 0 {
@@ -522,7 +486,7 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 	}
 	sh.pending.Add(1 - int64(len(out)))
 	for i := range out {
-		sh.feed(ns, &out[i], now)
+		sh.feed(ns, &out[i], now, c)
 	}
 	if len(out) == 0 {
 		// The event only parked in the buffer; still proof of life for
@@ -531,21 +495,18 @@ func (sh *shard) handleEventTime(ns *nodeState, ev *logparse.EncodedEvent, now t
 	}
 }
 
-// feed runs one release-ordered event through the chain tracker and the
-// detection path — the pre-event-time handle body.
-func (sh *shard) feed(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
+// feed runs one release-ordered event through the chain tracker and
+// judges each chain it closes — the pre-event-time handle body.
+func (sh *shard) feed(ns *nodeState, ev *logparse.EncodedEvent, now time.Time, c *stageClock) {
 	closed, err := ns.tracker.FeedRef(ev)
 	if err != nil {
 		// Unreachable: events are routed to trackers by node.
 		sh.s.met.Malformed.Add(1)
 		return
 	}
-	for _, c := range closed {
+	for _, ch := range closed {
 		ns.openAlerted = false
-		// Closed chains are judged at the end of the micro-batch, all in
-		// one batched scoring pass. Safe to defer: the tracker copied the
-		// chain's entries out of its mutable window.
-		sh.pend = append(sh.pend, pendChain{ns: ns, c: c})
+		sh.judge(ns, ch, c)
 	}
 	if d := ns.tracker.Dropped(); d != ns.evicted {
 		sh.s.met.WindowEvicted.Add(d - ns.evicted)
@@ -556,12 +517,6 @@ func (sh *shard) feed(ns *nodeState, ev *logparse.EncodedEvent, now time.Time) {
 		ns.lateClamped = l
 	}
 	sh.syncOpenGauge(ns)
-	if sh.s.opts.EarlyDetect {
-		// Provisional scoring feeds the same order-sensitive dedup machine
-		// as closed-chain alerts, so the deferred chains must judge first —
-		// early detection trades cross-event coalescing for immediacy.
-		sh.flushPending()
-	}
 	if sh.s.opts.EarlyDetect && !ns.openAlerted {
 		if c, ok := ns.tracker.OpenChain(); ok {
 			if v := sh.det.Detect(c); v.Flagged {
@@ -607,14 +562,15 @@ func (sh *shard) idleFlush(now time.Time) {
 // tail closes judge ahead of the final episode, in append order. From
 // idleFlush this is the one wall-clock-driven release path — with
 // IdleFlush off, release is purely event-driven and WAL replay is exact.
+// No stage clock runs here: idle-flush and drain work is in no ledger
+// row.
 func (sh *shard) closeOut(ns *nodeState, now time.Time) {
 	sh.flushReorder(ns, now)
 	ns.openAlerted = false
-	if c, ok := ns.tracker.Flush(); ok {
-		sh.pend = append(sh.pend, pendChain{ns: ns, c: c})
+	if ch, ok := ns.tracker.Flush(); ok {
+		sh.judge(ns, ch, nil)
 	}
 	sh.syncOpenGauge(ns)
-	sh.flushPending()
 }
 
 // flushReorder drains ns's reorder buffer (if any) into the tracker in
@@ -626,7 +582,7 @@ func (sh *shard) flushReorder(ns *nodeState, now time.Time) {
 	out := ns.et.flushAll()
 	sh.pending.Add(-int64(len(out)))
 	for i := range out {
-		sh.feed(ns, &out[i], now)
+		sh.feed(ns, &out[i], now, nil)
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	stageWAL           // the batch's WAL append
 	stagePut           // the queue put, to the end of the call
 	stageChain         // the event-time layer and Tracker.FeedRef
-	stageDetect        // the wakeup's DetectBatch pass
+	stageDetect        // Detector.Detect on each chain the wakeup closes
 	stageEmit          // verdict taps, dedup, alert WAL and delivery
 	stageTake          // the wakeup's bookkeeping and the next take
 	numStages
