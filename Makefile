@@ -42,8 +42,10 @@ race:
 # keeps the non-amd64 file set building and lets asmdecl check the
 # stubs.
 kernel-parity:
-	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/ ./internal/logsim/
+	GOMAXPROCS=4 $(GO) test -race ./internal/logparse/ -run TestDecodeStampReadsGeneratedStamps
+	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/tensor/ ./internal/nn/ ./internal/opt/ ./internal/core/ ./internal/logsim/
+	GOMAXPROCS=4 $(GO) test -race -tags purego ./internal/logparse/ -run TestDecodeStampReadsGeneratedStamps
 	GOARCH=arm64 $(GO) vet ./...
 
 # ci-guard fails if a `go test -run` pattern in the CI workflow or the
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGateKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzTrainKernelParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzActivationParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logsim/ -run '^$$' -fuzz FuzzAppendStamp -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chain/ -run '^$$' -fuzz FuzzTrackerTimeParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzNodeHash -fuzztime $(FUZZTIME)
 

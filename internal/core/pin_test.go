@@ -54,3 +54,26 @@ func TestTrainedWeightsPinned(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkTrainRecipe trains the benchmark's recipe from its parsed
+// corpus (bench/workload.go trainModel: M3, 30 nodes, 48 h, 30 failures,
+// corpus seed 32, Phase 2 only at 150 epochs), the corpus
+// TestTrainedWeightsPinned's first row trains. It is the largest frame
+// of the benchmark's setup_s.
+func BenchmarkTrainRecipe(b *testing.B) {
+	profile, _ := logsim.ProfileByName("M3")
+	_, events := generateParsed(b, profile, 30, 48, 30, 32)
+	cfg := DefaultConfig()
+	cfg.Epochs1, cfg.Epochs2 = 0, 150
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Train(events); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -97,7 +97,7 @@ func TestPredictRequiresTraining(t *testing.T) {
 
 // generateParsed produces a scaled-down machine run and the parsed
 // event stream.
-func generateParsed(t *testing.T, profile logsim.Profile, nodes int, hours float64, failures int, seed int64) (*logsim.Run, []logparse.Event) {
+func generateParsed(t testing.TB, profile logsim.Profile, nodes int, hours float64, failures int, seed int64) (*logsim.Run, []logparse.Event) {
 	t.Helper()
 	run, err := logsim.Generate(logsim.Config{
 		Profile: profile, Nodes: nodes, Hours: hours, Failures: failures, Seed: seed,

@@ -5,9 +5,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
+
+	"desh/internal/logsim"
 )
 
 // fakeClock is a pinned parseNow that counts how often it is read.
@@ -293,5 +296,39 @@ func TestEventGobHasFourFields(t *testing.T) {
 	}
 	if got := NewEvent(back.Time, back.Node, back.Message, back.Key); got != parsed {
 		t.Fatalf("NewEvent(decoded) = %+v, want what ParseLine built: %+v", got, parsed)
+	}
+}
+
+// TestDecodeStampReadsGeneratedStamps holds the two ends of a generated
+// corpus together: the stamp logsim writes by hand into every line reads
+// back through decodeStamp (not time.Parse's fallback) as the event's
+// instant truncated to the microsecond. Leap days, the skipped 2100 leap
+// day, year and month ends, the last microsecond of a minute and sub-µs
+// nanoseconds, then 100,000 instants drawn over [2000, 2100).
+func TestDecodeStampReadsGeneratedStamps(t *testing.T) {
+	utc := time.UTC
+	times := []time.Time{
+		time.Date(2000, 2, 29, 12, 0, 0, 0, utc),
+		time.Date(2024, 2, 29, 23, 59, 59, 999999999, utc),
+		time.Date(2100, 2, 28, 23, 59, 59, 999999000, utc),
+		time.Date(2100, 3, 1, 0, 0, 0, 0, utc),
+		time.Date(1999, 12, 31, 23, 59, 59, 999999999, utc),
+		time.Date(2025, 12, 31, 23, 59, 59, 999999000, utc),
+		time.Date(2026, 4, 30, 23, 59, 59, 500, utc),
+		time.Date(2026, 1, 1, 0, 0, 59, 999999000, utc),
+		time.Date(2026, 6, 15, 8, 7, 6, 1999, utc),
+		time.Date(2026, 12, 31, 23, 30, 0, 0, time.FixedZone("UTC+14", 14*3600)),
+	}
+	rng := rand.New(rand.NewSource(32))
+	lo, hi := time.Date(2000, 1, 1, 0, 0, 0, 0, utc).UnixNano(), time.Date(2100, 1, 1, 0, 0, 0, 0, utc).UnixNano()
+	for i := 0; i < 100000; i++ {
+		times = append(times, time.Unix(0, lo+rng.Int63n(hi-lo)))
+	}
+	for _, tm := range times {
+		line := logsim.Event{Time: tm, Node: "c0-0c0s0n0", Raw: "x"}.Line()
+		got, ok := decodeStamp(line[:len(TimeLayout)])
+		if want := tm.Truncate(time.Microsecond); !ok || !got.Equal(want) {
+			t.Fatalf("%v: stamp %q decodes to %v, %v; want %v", tm, line[:len(TimeLayout)], got, ok, want)
+		}
 	}
 }

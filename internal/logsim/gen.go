@@ -1,7 +1,6 @@
 package logsim
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -38,7 +37,7 @@ func (e Event) Line() string {
 
 // appendLine appends Line's bytes to b.
 func (e Event) appendLine(b []byte) []byte {
-	b = e.Time.UTC().AppendFormat(b, "2006-01-02T15:04:05.000000")
+	b = appendStamp(b, e.Time)
 	b = append(b, ' ')
 	b = append(b, e.Node...)
 	b = append(b, ' ')
@@ -136,6 +135,25 @@ func Generate(cfg Config) (*Run, error) {
 	// one node, which would corrupt chain ground truth.
 	busy := map[int][][2]time.Time{}
 	chainID := 0
+	names := make(nodeNames, cfg.Nodes)
+
+	// Every event lands in run.Events, sized once for the most the run
+	// can hold: chains and masked sequences at the longest template,
+	// motifs at the longest motif.
+	masked := int(float64(cfg.Failures)*cfg.Profile.MaskedPerFailure + 0.5)
+	motifs := int(cfg.Profile.NoisePerNodeHour * float64(cfg.Nodes) * cfg.Hours)
+	strays := int(cfg.Profile.StrayPerNodeHour * float64(cfg.Nodes) * cfg.Hours)
+	chainLen, motifLen := 0, 0
+	for _, t := range templates {
+		chainLen = max(chainLen, len(t.Phrases))
+	}
+	for _, p := range maskedTemplates() {
+		chainLen = max(chainLen, len(p))
+	}
+	for _, m := range safeMotifs() {
+		motifLen = max(motifLen, len(m))
+	}
+	run.Events = make([]Event, 0, (cfg.Failures+masked)*chainLen+motifs*motifLen+strays)
 
 	// Failure chains.
 	for f := 0; f < cfg.Failures; f++ {
@@ -150,13 +168,14 @@ func Generate(cfg Config) (*Run, error) {
 		if min := t.LeadMean * 0.4; lead < min {
 			lead = min
 		}
-		node, failAt, ok := placeWindow(rng, cfg, start, span, busy, lead)
+		node, failAt, ok := placeWindow(rng, names, cfg, start, span, busy, lead)
 		if !ok {
 			continue // extremely dense configs may not fit; skip
 		}
 		chainID++
-		events := emitSequence(rng, t.Phrases, node, failAt, lead, chainID, class, true)
-		run.Events = append(run.Events, events...)
+		n := len(run.Events)
+		run.Events = emitSequence(run.Events, rng, t.Phrases, node, failAt, lead, chainID, class, true)
+		events := run.Events[n:]
 		run.Failures = append(run.Failures, FailureRecord{
 			ChainID:  chainID,
 			Node:     node,
@@ -175,7 +194,6 @@ func Generate(cfg Config) (*Run, error) {
 	// surviving events carry exactly the timing and phrases of a real
 	// chain prefix (§4.3: "Stop NMI Detected" and kin appear in
 	// non-failure sequences too, Table 9).
-	masked := int(float64(cfg.Failures)*cfg.Profile.MaskedPerFailure + 0.5)
 	soft := maskedTemplates()
 	for m := 0; m < masked; m++ {
 		hard := rng.Float64() < cfg.Profile.HardMaskedFrac
@@ -187,21 +205,22 @@ func Generate(cfg Config) (*Run, error) {
 			if min := t.LeadMean * 0.4; lead < min {
 				lead = min
 			}
-			node, endAt, ok := placeWindow(rng, cfg, start, span, busy, lead)
+			node, endAt, ok := placeWindow(rng, names, cfg, start, span, busy, lead)
 			if !ok {
 				continue
 			}
 			chainID++
-			events := emitSequence(rng, t.Phrases, node, endAt, lead, chainID, class, false)
-			cut := len(events) - 1
+			n := len(run.Events)
+			run.Events = emitSequence(run.Events, rng, t.Phrases, node, endAt, lead, chainID, class, false)
+			cut := len(run.Events) - n - 1
 			if rng.Float64() < 0.3 {
 				cut--
 			}
 			if cut < 2 {
 				cut = 2
 			}
-			events = events[:cut]
-			run.Events = append(run.Events, events...)
+			run.Events = run.Events[:n+cut]
+			events := run.Events[n:]
 			run.Masked = append(run.Masked, MaskedRecord{
 				ChainID: chainID,
 				Node:    node,
@@ -214,13 +233,14 @@ func Generate(cfg Config) (*Run, error) {
 		}
 		phrases := soft[rng.Intn(len(soft))]
 		dur := 60 + rng.Float64()*120
-		node, endAt, ok := placeWindow(rng, cfg, start, span, busy, dur)
+		node, endAt, ok := placeWindow(rng, names, cfg, start, span, busy, dur)
 		if !ok {
 			continue
 		}
 		chainID++
-		events := emitSequence(rng, phrases, node, endAt, dur, chainID, catalog.ClassNone, false)
-		run.Events = append(run.Events, events...)
+		n := len(run.Events)
+		run.Events = emitSequence(run.Events, rng, phrases, node, endAt, dur, chainID, catalog.ClassNone, false)
+		events := run.Events[n:]
 		run.Masked = append(run.Masked, MaskedRecord{
 			ChainID: chainID,
 			Node:    node,
@@ -233,10 +253,8 @@ func Generate(cfg Config) (*Run, error) {
 
 	// Benign background noise (ordered motifs) and stray anomalies
 	// (isolated Unknown events).
-	run.Events = append(run.Events,
-		motifNoise(rng, cfg, start, span, cfg.Profile.NoisePerNodeHour)...)
-	run.Events = append(run.Events,
-		background(rng, cfg, start, span, cfg.Profile.StrayPerNodeHour, catalog.Unknown)...)
+	run.Events = motifNoise(run.Events, rng, names, cfg, start, span, motifs)
+	run.Events = background(run.Events, rng, names, cfg, start, span, strays, catalog.Unknown)
 
 	run.Events = sortByTime(run.Events)
 	return run, nil
@@ -247,26 +265,102 @@ func Generate(cfg Config) (*Run, error) {
 func byTime(a, b Event) int { return a.Time.Compare(b.Time) }
 
 // sortByTime returns events in the order a stable sort by time leaves
-// them: by time, equal times in their order in events. It sorts int32
-// indices on (time, index) — a total order, so the unstable sort has one
-// answer and it is the stable one — and then gathers the events once,
-// instead of moving 96-byte events through every merge step.
+// them: by time, equal times in their order in events. It orders the
+// indices by a stable radix sort on the times as Unix nanoseconds (by
+// Time.Compare when one lies outside UnixNano's range, 1678 to 2262)
+// and then gathers the events once, instead of moving 96-byte events
+// through every sort step.
 func sortByTime(events []Event) []Event {
 	idx := make([]int32, len(events))
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		if c := events[a].Time.Compare(events[b].Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	if keys, ok := nanoKeys(events); ok {
+		radixSort(keys, idx)
+	} else {
+		slices.SortStableFunc(idx, func(a, b int32) int { return events[a].Time.Compare(events[b].Time) })
+	}
 	out := make([]Event, len(events))
 	for i, j := range idx {
 		out[i] = events[j]
 	}
 	return out
+}
+
+// nanoKeys returns each event's time as Unix nanoseconds less the
+// earliest, or false when a time lies outside UnixNano's range.
+func nanoKeys(events []Event) ([]uint64, bool) {
+	keys := make([]uint64, len(events))
+	lo := int64(math.MaxInt64)
+	for i := range events {
+		t := events[i].Time
+		if s := t.Unix(); s < minNanoSec || s > maxNanoSec {
+			return nil, false
+		}
+		n := t.UnixNano()
+		keys[i] = uint64(n)
+		if n < lo {
+			lo = n
+		}
+	}
+	for i := range keys {
+		keys[i] -= uint64(lo)
+	}
+	return keys, true
+}
+
+// minNanoSec and maxNanoSec bound the Unix seconds whose every
+// nanosecond UnixNano represents.
+const (
+	minNanoSec = math.MinInt64/1_000_000_000 + 1
+	maxNanoSec = math.MaxInt64/1_000_000_000 - 1
+)
+
+// radixBits is radixSort's digit width.
+const radixBits = 11
+
+// radixSort reorders keys and idx together by key, keeping equal keys
+// in their order: a least-significant-digit radix sort, one stable
+// counting pass per digit the largest key has.
+func radixSort(keys []uint64, idx []int32) {
+	top := uint64(0)
+	for _, k := range keys {
+		top |= k
+	}
+	tmpK, tmpI := make([]uint64, len(keys)), make([]int32, len(idx))
+	var count [1 << radixBits]int
+	for shift := 0; shift < 64 && top>>shift != 0; shift += radixBits {
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>shift&(1<<radixBits-1)]++
+		}
+		at := 0
+		for d, n := range count {
+			count[d] = at
+			at += n
+		}
+		for i, k := range keys {
+			d := k >> shift & (1<<radixBits - 1)
+			tmpK[count[d]], tmpI[count[d]] = k, idx[i]
+			count[d]++
+		}
+		keys, tmpK = tmpK, keys
+		idx, tmpI = tmpI, idx
+	}
+	// After an odd number of passes the order is in the scratch arrays
+	// and tmpI is the caller's idx.
+	copy(tmpI, idx)
+}
+
+// nodeNames holds each node's NodeID once it is first asked for, so a
+// run builds one string per node rather than one per event.
+type nodeNames []string
+
+func (n nodeNames) id(i int) string {
+	if n[i] == "" {
+		n[i] = NodeID(i)
+	}
+	return n[i]
 }
 
 // normalizeMix flattens a class-weight map into parallel slices with the
@@ -303,7 +397,7 @@ func pickClass(rng *rand.Rand, classes []catalog.Class, weights []float64) catal
 // placeWindow picks a node and an end time such that the [end-dur, end]
 // window does not overlap an existing sequence on that node. Returns
 // ok=false after bounded retries.
-func placeWindow(rng *rand.Rand, cfg Config, start time.Time, span time.Duration, busy map[int][][2]time.Time, durSecs float64) (string, time.Time, bool) {
+func placeWindow(rng *rand.Rand, names nodeNames, cfg Config, start time.Time, span time.Duration, busy map[int][][2]time.Time, durSecs float64) (string, time.Time, bool) {
 	dur := time.Duration(durSecs * float64(time.Second))
 	for attempt := 0; attempt < 40; attempt++ {
 		node := rng.Intn(cfg.Nodes)
@@ -326,7 +420,7 @@ func placeWindow(rng *rand.Rand, cfg Config, start time.Time, span time.Duration
 			continue
 		}
 		busy[node] = append(busy[node], [2]time.Time{winStart, end})
-		return NodeID(node), end, true
+		return names.id(node), end, true
 	}
 	return "", time.Time{}, false
 }
@@ -358,9 +452,9 @@ func mutateTemplate(rng *rand.Rand, t ChainTemplate) ChainTemplate {
 // emitSequence spreads phrases over [end-dur, end] monotonically with
 // jitter. When terminalEnd is true the final phrase lands exactly at
 // end (the failure instant).
-func emitSequence(rng *rand.Rand, phrases []string, node string, end time.Time, durSecs float64, chainID int, class catalog.Class, terminalEnd bool) []Event {
+func emitSequence(dst []Event, rng *rand.Rand, phrases []string, node string, end time.Time, durSecs float64, chainID int, class catalog.Class, terminalEnd bool) []Event {
 	n := len(phrases)
-	events := make([]Event, 0, n)
+	start := len(dst)
 	for i, key := range phrases {
 		frac := 0.0
 		if n > 1 {
@@ -379,7 +473,7 @@ func emitSequence(rng *rand.Rand, phrases []string, node string, end time.Time, 
 		}
 		at := end.Add(time.Duration(offset * float64(time.Second)))
 		p, _ := catalog.Lookup(key)
-		events = append(events, Event{
+		dst = append(dst, Event{
 			Time:     at,
 			Node:     node,
 			Raw:      render(rng, key),
@@ -389,21 +483,18 @@ func emitSequence(rng *rand.Rand, phrases []string, node string, end time.Time, 
 			Terminal: terminalEnd && i == n-1 && p.Terminal,
 		})
 	}
-	slices.SortStableFunc(events, byTime)
-	return events
+	slices.SortStableFunc(dst[start:], byTime)
+	return dst
 }
 
-// motifNoise scatters benign motif sequences over all nodes: each
-// occurrence plays one safeMotifs() sequence in order with second-scale
-// gaps. perNodeHour counts motif occurrences, so the event volume is
-// roughly perNodeHour * nodes * hours * mean-motif-length.
-func motifNoise(rng *rand.Rand, cfg Config, start time.Time, span time.Duration, perNodeHour float64) []Event {
+// motifNoise appends total benign motif sequences scattered over all
+// nodes to events: each occurrence plays one safeMotifs() sequence in
+// order with second-scale gaps.
+func motifNoise(events []Event, rng *rand.Rand, names nodeNames, cfg Config, start time.Time, span time.Duration, total int) []Event {
 	motifs := safeMotifs()
-	total := int(perNodeHour * float64(cfg.Nodes) * cfg.Hours)
-	var events []Event
 	for i := 0; i < total; i++ {
 		motif := motifs[rng.Intn(len(motifs))]
-		node := NodeID(rng.Intn(cfg.Nodes))
+		node := names.id(rng.Intn(cfg.Nodes))
 		at := start.Add(time.Duration(rng.Int63n(int64(span))))
 		for _, key := range motif {
 			events = append(events, Event{
@@ -415,17 +506,15 @@ func motifNoise(rng *rand.Rand, cfg Config, start time.Time, span time.Duration,
 	return events
 }
 
-// background scatters label-filtered catalog phrases uniformly over all
-// nodes and the whole run.
-func background(rng *rand.Rand, cfg Config, start time.Time, span time.Duration, perNodeHour float64, label catalog.Label) []Event {
+// background appends total label-filtered catalog phrases scattered
+// uniformly over all nodes and the whole run to events.
+func background(events []Event, rng *rand.Rand, names nodeNames, cfg Config, start time.Time, span time.Duration, total int, label catalog.Label) []Event {
 	keys := catalog.Keys(func(p catalog.Phrase) bool { return p.Label == label && !p.Terminal })
-	total := int(perNodeHour * float64(cfg.Nodes) * cfg.Hours)
-	events := make([]Event, 0, total)
 	for i := 0; i < total; i++ {
 		key := keys[rng.Intn(len(keys))]
 		events = append(events, Event{
 			Time: start.Add(time.Duration(rng.Int63n(int64(span)))),
-			Node: NodeID(rng.Intn(cfg.Nodes)),
+			Node: names.id(rng.Intn(cfg.Nodes)),
 			Raw:  render(rng, key),
 			Key:  key,
 		})
@@ -502,13 +591,24 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// Lines returns the rendered raw log lines in time order.
+// Lines returns the rendered raw log lines in time order. They are
+// rendered into one string, which every line is a slice of.
 func (r *Run) Lines() []string {
+	size := 0
+	for i := range r.Events {
+		e := &r.Events[i]
+		size += stampLen + 1 + len(e.Node) + 1 + len(e.Raw)
+	}
+	b := make([]byte, 0, size)
+	for i := range r.Events {
+		b = r.Events[i].appendLine(b)
+	}
+	all := string(b)
 	lines := make([]string, len(r.Events))
-	var b []byte
-	for i, e := range r.Events {
-		b = e.appendLine(b[:0])
-		lines[i] = string(b)
+	for i := range r.Events {
+		e := &r.Events[i]
+		n := stampLen + 1 + len(e.Node) + 1 + len(e.Raw)
+		lines[i], all = all[:n], all[n:]
 	}
 	return lines
 }

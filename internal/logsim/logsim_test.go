@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -410,6 +412,37 @@ func BenchmarkGenFailstorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSortByTimeIsStableSort holds sortByTime to a stable sort by
+// Time.Compare: on the radix path (Unix nanoseconds, ties in plenty,
+// keys spanning more than one digit) and on the Time.Compare path an
+// instant outside UnixNano's range sends it to.
+func TestSortByTimeIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, far := range []time.Time{{}, time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2500, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		for _, n := range []int{0, 1, 2, 7, 3000} {
+			events := make([]Event, n)
+			for i := range events {
+				events[i] = Event{Time: base.Add(time.Duration(rng.Int63n(1 << uint(10+rng.Intn(40))))), ChainID: i}
+				if rng.Intn(4) == 0 && i > 0 {
+					events[i].Time = events[rng.Intn(i)].Time
+				}
+			}
+			if n > 0 && !far.IsZero() {
+				events[n/2].Time = far
+			}
+			want := slices.Clone(events)
+			slices.SortStableFunc(want, byTime)
+			got := sortByTime(slices.Clone(events))
+			for i := range want {
+				if got[i].ChainID != want[i].ChainID {
+					t.Fatalf("%d events, far %v: position %d holds event %d, stable sort %d", n, far, i, got[i].ChainID, want[i].ChainID)
+				}
+			}
 		}
 	}
 }

@@ -63,6 +63,108 @@ func checkActivationParity(t *testing.T, z, h, c []float64) {
 	}
 }
 
+// tapePoison marks the tape slots a tape kernel must not write: a
+// signalling NaN no kernel produces.
+var tapePoison = math.Float64frombits(0x7ff4_dead_beef_0002)
+
+// checkTapeParity holds the training forward's cell to its scalar loop:
+// for every tape tier (and the dispatch stepForward calls), the kernel
+// finished by stepForwardFrom from its return value must leave i, f, g,
+// o, c, tanh(c) and h bit for bit as stepForwardFrom(0) leaves them, and
+// the kernel alone must write none of them from its return value on.
+func checkTapeParity(t *testing.T, z, cPrev []float64) {
+	t.Helper()
+	H := len(cPrev)
+	fresh := func() *stepCache {
+		cc := newStepCache(1, H)
+		copy(cc.cPrev, cPrev)
+		copy(cc.c, cPrev)
+		for _, v := range [][]float64{cc.acts, cc.tc, cc.h} {
+			for j := range v {
+				v[j] = tapePoison
+			}
+		}
+		return cc
+	}
+	want := fresh()
+	stepForwardFrom(0, want, z)
+	type tapeTier struct {
+		name string
+		run  func(z, h, c, acts, tc []float64) int
+	}
+	tiers := []tapeTier{{"dispatch", tensor.ActivateLSTMTape}}
+	for _, k := range tensor.ActivationTiers() {
+		tiers = append(tiers, tapeTier{k.Name, k.Tape})
+	}
+	for _, k := range tiers {
+		got := fresh()
+		n := k.run(z, got.h, got.c, got.acts, got.tc)
+		if n < 0 || n > H {
+			t.Fatalf("H=%d (%s): tape kernel finished %d units", H, k.name, n)
+		}
+		for j := n; j < H; j++ {
+			for _, v := range [][]float64{got.i, got.f, got.g, got.o, got.tc, got.h} {
+				if math.Float64bits(v[j]) != math.Float64bits(tapePoison) {
+					t.Fatalf("H=%d (%s): kernel wrote unit %d past its return value %d", H, k.name, j, n)
+				}
+			}
+			if math.Float64bits(got.c[j]) != math.Float64bits(cPrev[j]) {
+				t.Fatalf("H=%d (%s): kernel moved c at unit %d past its return value %d", H, k.name, j, n)
+			}
+		}
+		stepForwardFrom(n, got, z)
+		for j := 0; j < H; j++ {
+			for _, f := range []struct {
+				name      string
+				got, want []float64
+			}{{"i", got.i, want.i}, {"f", got.f, want.f}, {"g", got.g, want.g}, {"o", got.o, want.o},
+				{"c", got.c, want.c}, {"tanh(c)", got.tc, want.tc}, {"h", got.h, want.h}} {
+				if !sameActivation(f.got[j], f.want[j]) {
+					t.Fatalf("H=%d (%s, kernel took %d) unit %d: %s = %x, scalar %x; z = %x %x %x %x, c = %x",
+						H, k.name, n, j, f.name, math.Float64bits(f.got[j]), math.Float64bits(f.want[j]),
+						math.Float64bits(z[j]), math.Float64bits(z[H+j]), math.Float64bits(z[2*H+j]), math.Float64bits(z[3*H+j]),
+						math.Float64bits(cPrev[j]))
+				}
+			}
+		}
+	}
+}
+
+// TestActivateTapeParity holds every tape tier to stepForward's scalar
+// loop at hidden widths below a block, with tail units, with a last
+// block of four and a second 32-unit round, and the serving width; then
+// with a sigmoid input out of range in the first block and in the last,
+// in each sigmoid gate, so the hand-back and the scalar finish behind it
+// are held to the same bits.
+func TestActivateTapeParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(167))
+	for _, H := range []int{1, 3, 4, 8, 31, 32, 44, 64} {
+		cell := func(scale float64) (z, c []float64) {
+			z, c = make([]float64, 4*H), make([]float64, H)
+			for i := range z {
+				z[i] = scale * rng.NormFloat64()
+			}
+			for i := range c {
+				c[i] = scale * rng.NormFloat64()
+			}
+			return z, c
+		}
+		for _, scale := range []float64{0.1, 1, 4, 30} {
+			z, c := cell(scale)
+			checkTapeParity(t, z, c)
+		}
+		for _, bad := range []float64{708, -745, math.Inf(1), math.NaN()} {
+			for _, gate := range []int{0, 1, 3} {
+				for _, u := range []int{0, H - 1} {
+					z, c := cell(2)
+					z[gate*H+u] = bad
+					checkTapeParity(t, z, c)
+				}
+			}
+		}
+	}
+}
+
 // Hidden widths below one block, with tail units, exact multiples, and
 // the serving width.
 func TestActivateShapes(t *testing.T) {
@@ -283,7 +385,8 @@ func TestActivateAllocatesNothing(t *testing.T) {
 }
 
 // FuzzActivationParity holds activate — the assembly kernel plus the
-// scalar loop behind it — to the scalar loop alone, bit for bit, on an
+// scalar loop behind it — and the training forward's tape tier
+// (checkTapeParity) to their scalar loops, bit for bit, on an
 // arbitrary cell: z, h and c are the fuzzer's bytes reinterpreted as
 // float64 bit patterns (mode 0: NaN payloads, infinities, signed zeros,
 // subnormals) or as fixed-point values spread over ±64 and ±1024 (modes
@@ -337,9 +440,19 @@ func FuzzActivationParity(f *testing.F) {
 	f.Add(pack(mixed...), uint8(0), uint8(63))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(1), uint8(31))
 	f.Add([]byte("Lustre: haven't heard from client for 227s; evicting"), uint8(2), uint8(32))
+	// The tape tier's widths (H = hid+1: 1, 3, 4, 8, 31, 32, 44, 64),
+	// with a hand-back in the first block and, where the 23-value cycle
+	// puts it, in the last.
+	for _, hid := range []uint8{0, 2, 3, 7, 30, 31, 43, 63} {
+		f.Add(pack(both(0.625)...), uint8(1), hid)
+		f.Add(pack(append([]float64{708}, mixed[:22]...)...), uint8(0), hid)
+		f.Add(pack(mixed...), uint8(0), hid)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, mode, hid uint8) {
 		H := 1 + int(hid%64)
-		checkActivationParity(t, cellFrom(data, mode, 0, 4*H), cellFrom(data, mode, 1, H), cellFrom(data, mode, 2, H))
+		z, h, c := cellFrom(data, mode, 0, 4*H), cellFrom(data, mode, 1, H), cellFrom(data, mode, 2, H)
+		checkActivationParity(t, z, h, c)
+		checkTapeParity(t, z, c)
 	})
 }
 

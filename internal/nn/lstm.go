@@ -62,21 +62,25 @@ func (l *LSTMLayer) Params() []*Param {
 // cache costs no heap allocations.
 type stepCache struct {
 	x, hPrev, cPrev []float64
-	i, f, g, o      []float64 // post-nonlinearity gate activations
+	acts            []float64 // i, f, g, o back to back, z's block order
+	i, f, g, o      []float64 // post-nonlinearity gate activations: views of acts
 	c, tc           []float64 // cell state and tanh(cell state)
 	h               []float64 // hidden output o*tanh(c)
 }
 
 // newStepCache allocates a cache sized for one layer geometry.
 func newStepCache(inSize, hidden int) *stepCache {
+	acts := make([]float64, 4*hidden)
+	H := hidden
 	return &stepCache{
 		x:     make([]float64, inSize),
 		hPrev: make([]float64, hidden),
 		cPrev: make([]float64, hidden),
-		i:     make([]float64, hidden),
-		f:     make([]float64, hidden),
-		g:     make([]float64, hidden),
-		o:     make([]float64, hidden),
+		acts:  acts,
+		i:     acts[:H:H],
+		f:     acts[H : 2*H : 2*H],
+		g:     acts[2*H : 3*H : 3*H],
+		o:     acts[3*H:],
 		c:     make([]float64, hidden),
 		tc:    make([]float64, hidden),
 		h:     make([]float64, hidden),
@@ -98,7 +102,10 @@ func (l *LSTMLayer) checkStep(x, hPrev, cPrev []float64) {
 // cc.c. With transposed set, wxT/whT hold the live weights' transposes
 // and the gate pre-activation runs on the lane-per-row kernel
 // (tensor.GateMatVecT); otherwise GateMatVec reads the row-major
-// weights. The two are bit-identical.
+// weights. The two are bit-identical. The cell's nonlinearities run on
+// the activation kernel's tape tier (tensor.ActivateLSTMTape), which
+// fills the cache for the units it takes; the scalar loop finishes the
+// rest, as activate finishes what ActivateLSTM hands back.
 func (l *LSTMLayer) stepForward(cc *stepCache, x, hPrev, cPrev, z []float64, transposed bool) {
 	l.checkStep(x, hPrev, cPrev)
 	H := l.HiddenSize
@@ -110,7 +117,17 @@ func (l *LSTMLayer) stepForward(cc *stepCache, x, hPrev, cPrev, z []float64, tra
 	copy(cc.x, x)
 	copy(cc.hPrev, hPrev)
 	copy(cc.cPrev, cPrev)
-	for j := 0; j < H; j++ {
+	copy(cc.c, cPrev)
+	stepForwardFrom(tensor.ActivateLSTMTape(z[:4*H], cc.h, cc.c, cc.acts, cc.tc), cc, z)
+}
+
+// stepForwardFrom is stepForward's scalar cell for hidden units
+// [from, H): the fallback for what the tape kernel hands back and, from
+// 0, the parity reference.
+func stepForwardFrom(from int, cc *stepCache, z []float64) {
+	H := len(cc.h)
+	cPrev := cc.cPrev
+	for j := from; j < H; j++ {
 		ij := sigmoid(z[j])
 		fj := sigmoid(z[H+j])
 		gj := math.Tanh(z[2*H+j])

@@ -48,7 +48,7 @@ func NewSGD(lr float64) *SGD {
 func (s *SGD) Step(params []*nn.Param) {
 	s.gs = scaleGrads(s.gs[:0], params, s.BatchSize)
 	if s.ClipNorm > 0 {
-		tensor.ClipNorm(s.gs, s.ClipNorm)
+		tensor.ClipGrads(s.gs, s.ClipNorm)
 	}
 	for _, p := range params {
 		if s.Momentum > 0 {
@@ -107,14 +107,15 @@ func NewRMSprop(lr float64) *RMSprop {
 	return &RMSprop{LR: lr, Rho: 0.9, Eps: 1e-8, ClipNorm: 5}
 }
 
-// Step applies the RMSprop update and zeroes grads. Clipping stays a
-// scalar pass: its sum of squares is one serial chain, and splitting it
-// over lanes would reassociate it. The update itself is element-wise and
-// runs, gradient clearing included, in tensor.RMSpropStep's one pass.
+// Step applies the RMSprop update and zeroes grads. Clipping is
+// tensor.ClipGrads: ClipNorm's outcome, bit for bit, with the usual
+// no-clip case decided off its serial sum. The update itself is
+// element-wise and runs, gradient clearing included, in
+// tensor.RMSpropStep's one pass.
 func (r *RMSprop) Step(params []*nn.Param) {
 	r.gs = scaleGrads(r.gs[:0], params, 1)
 	if r.ClipNorm > 0 {
-		tensor.ClipNorm(r.gs, r.ClipNorm)
+		tensor.ClipGrads(r.gs, r.ClipNorm)
 	}
 	if r.cache == nil {
 		r.cache = make(map[*nn.Param]*tensor.Matrix)

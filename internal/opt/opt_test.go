@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,5 +196,181 @@ func BenchmarkRMSpropStep(b *testing.B) {
 			copy(p.Grad.Data, grads[k])
 		}
 		r.Step(params)
+	}
+}
+
+// stepParams builds parameters at the Phase-2 trainer's sizes, weights
+// and gradients drawn from seed.
+func stepParams(seed int64) []*nn.Param {
+	rng := rand.New(rand.NewSource(seed))
+	var ps []*nn.Param
+	for _, sh := range [][2]int{{128, 2}, {128, 32}, {1, 128}, {2, 32}, {1, 2}} {
+		p := &nn.Param{Name: "p", Value: tensor.New(sh[0], sh[1]), Grad: tensor.New(sh[0], sh[1])}
+		for i := range p.Value.Data {
+			p.Value.Data[i] = rng.NormFloat64()
+			p.Grad.Data[i] = 0.1 * rng.NormFloat64()
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// chainNorm is the square root of the clip decision's eight-chain sum of
+// squares over the gradients (tensor.ClipGrads: element i of each
+// gradient into chain i mod 8 below its length&^7, the tail into chain
+// 0), divided by batch first when batch > 1.
+func chainNorm(params []*nn.Param, batch int) float64 {
+	var c [8]float64
+	for _, p := range params {
+		d := append([]float64(nil), p.Grad.Data...)
+		if batch > 1 {
+			tensor.VecScale(d, 1/float64(batch))
+		}
+		for ; len(d) >= 8; d = d[8:] {
+			for k := range c {
+				c[k] += d[k] * d[k]
+			}
+		}
+		for _, v := range d {
+			c[0] += v * v
+		}
+	}
+	return math.Sqrt(((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
+}
+
+// splitParams finds a stepParams set, its gradients spread over twelve
+// decades, whose eight-chain sum of squares rounds to a lower norm than
+// ClipNorm's sequential sum, and returns its seed and that lower norm: a
+// limit ClipNorm clips at and the eight-chain sum alone would not.
+func splitParams(t *testing.T, batch int) (int64, float64) {
+	t.Helper()
+	for seed := int64(100); seed < 2100; seed++ {
+		ps := spread(stepParams(seed), seed)
+		if lo := chainNorm(ps, batch); lo < seqNorm(ps, batch) {
+			return seed, lo
+		}
+	}
+	t.Fatal("premise: no gradient set found whose eight-chain and sequential sums round to different norms")
+	return 0, 0
+}
+
+// spread rescales each gradient element by a power of ten drawn from seed
+// in [1e-6, 1e6).
+func spread(params []*nn.Param, seed int64) []*nn.Param {
+	rng := rand.New(rand.NewSource(seed))
+	for _, p := range params {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] *= math.Pow(10, 12*rng.Float64()-6)
+		}
+	}
+	return params
+}
+
+// seqNorm is the norm ClipNorm measures: its sequential sum of squares
+// over every gradient, divided by batch first when batch > 1.
+func seqNorm(params []*nn.Param, batch int) float64 {
+	var gs []*tensor.Matrix
+	for _, p := range params {
+		g := p.Grad.Clone()
+		if batch > 1 {
+			g.Scale(1 / float64(batch))
+		}
+		gs = append(gs, g)
+	}
+	return math.Sqrt(sumSquares(gs))
+}
+
+func sumSquares(gs []*tensor.Matrix) float64 {
+	total := 0.0
+	for _, g := range gs {
+		for _, v := range g.Data {
+			total += v * v
+		}
+	}
+	return total
+}
+
+// clipFirst clips params' gradients with tensor.ClipNorm, the sequential
+// path, after the batch scaling Step applies before it.
+func clipFirst(params []*nn.Param, maxNorm float64, batch int) {
+	var gs []*tensor.Matrix
+	for _, p := range params {
+		if batch > 1 {
+			p.Grad.Scale(1 / float64(batch))
+		}
+		gs = append(gs, p.Grad)
+	}
+	tensor.ClipNorm(gs, maxNorm)
+}
+
+func sameParams(t *testing.T, what string, got, want []*nn.Param) {
+	t.Helper()
+	for k := range want {
+		for i, w := range want[k].Value.Data {
+			if g := got[k].Value.Data[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s: param %d weight %d = %x, sequential clip %x", what, k, i, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestClipDecisionStepsMatchSequential holds RMSprop and SGD (plain,
+// with momentum, and with a batch divisor) to the same optimizer with
+// clipping done first by tensor.ClipNorm's sequential sum, over three
+// steps, at limits just below, at and just above the gradient norm,
+// inside the decision's error margin on both sides, and clear of it;
+// with a NaN or an infinity among the gradients; and at a limit the
+// eight-chain sum and the sequential sum fall on either side of.
+func TestClipDecisionStepsMatchSequential(t *testing.T) {
+	type variant struct {
+		name  string
+		batch int
+		make  func(maxNorm float64) Optimizer
+	}
+	variants := []variant{
+		{"rmsprop", 1, func(m float64) Optimizer { r := NewRMSprop(0.01); r.ClipNorm = m; return r }},
+		{"sgd", 1, func(m float64) Optimizer { s := NewSGD(0.1); s.ClipNorm = m; return s }},
+		{"sgd momentum", 1, func(m float64) Optimizer { s := NewSGD(0.1); s.ClipNorm, s.Momentum = m, 0.9; return s }},
+		{"sgd batch 4", 4, func(m float64) Optimizer { s := NewSGD(0.1); s.ClipNorm, s.BatchSize = m, 4; return s }},
+	}
+	for _, v := range variants {
+		norm := seqNorm(stepParams(47), v.batch)
+		for _, m := range []float64{norm, math.Nextafter(norm, 0), math.Nextafter(norm, math.Inf(1)),
+			norm * (1 - 1e-14), norm * (1 + 1e-14), norm / 3, 3 * norm} {
+			for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
+				got, want := stepParams(47), stepParams(47)
+				got[1].Grad.Data[7], want[1].Grad.Data[7] = got[1].Grad.Data[7]+bad, want[1].Grad.Data[7]+bad
+				opt, ref := v.make(m), v.make(0)
+				if s, ok := ref.(*SGD); ok {
+					s.BatchSize = 1
+				}
+				for step := 0; step < 3; step++ {
+					if step > 0 {
+						for k := range got {
+							for i := range got[k].Grad.Data {
+								g := 0.1 * math.Sin(float64(i+k+step))
+								got[k].Grad.Data[i], want[k].Grad.Data[i] = g, g
+							}
+						}
+					}
+					opt.Step(got)
+					clipFirst(want, m, v.batch)
+					ref.Step(want)
+				}
+				sameParams(t, fmt.Sprintf("%s, limit %v, gradient %v added", v.name, m, bad), got, want)
+			}
+		}
+		// A limit between the eight-chain norm and the sequential one:
+		// only the decision's error margin sends this step to ClipNorm.
+		seed, m := splitParams(t, v.batch)
+		got, want := spread(stepParams(seed), seed), spread(stepParams(seed), seed)
+		opt, ref := v.make(m), v.make(0)
+		if s, ok := ref.(*SGD); ok {
+			s.BatchSize = 1
+		}
+		opt.Step(got)
+		clipFirst(want, m, v.batch)
+		ref.Step(want)
+		sameParams(t, fmt.Sprintf("%s, limit %v between the chain and sequential norms", v.name, m), got, want)
 	}
 }

@@ -49,15 +49,43 @@ func checkActivate(z, h, c []float64) {
 	}
 }
 
+// ActivateLSTMTape is ActivateLSTM for the training forward, which must
+// keep what backprop reads: for every unit j it finishes, it also writes
+// the gate activations i, f, g, o into acts[j], acts[H+j], acts[2H+j],
+// acts[3H+j] (z's block order) and tanh(c[j]) into tc[j]. It finishes
+// the same units as ActivateLSTM, with the same bits in h and c, and
+// writes nothing from the first unit it hands back on. The kernel tiers
+// write the activations where the serving kernels write their stack
+// frame, so the tape costs a store and no extra pass.
+func ActivateLSTMTape(z, h, c, acts, tc []float64) int {
+	if !useFMA {
+		return 0
+	}
+	checkActivateTape(z, h, c, acts, tc)
+	if useAVX512 {
+		return activate8T(z, h, c, acts, tc)
+	}
+	return activate4T(z, h, c, acts, tc)
+}
+
+func checkActivateTape(z, h, c, acts, tc []float64) {
+	checkActivate(z, h, c)
+	if len(acts) != len(z) || len(tc) != len(h) {
+		panic(fmt.Sprintf("tensor: ActivateLSTMTape acts/tc %d/%d, want %d/%d", len(acts), len(tc), len(z), len(h)))
+	}
+}
+
 // ActivationTier is one activation kernel this host and build can run:
 // its name as ActivationKernel reports it, the hidden units it takes per
-// block, and the kernel under ActivateLSTM's contract. A block that
-// holds an out-of-range sigmoid input is handed back whole, so Block is
-// the granularity of a hand-back (the last block may be four units).
+// block, the kernel under ActivateLSTM's contract and its tape twin
+// under ActivateLSTMTape's. A block that holds an out-of-range sigmoid
+// input is handed back whole, so Block is the granularity of a hand-back
+// (the last block may be four units).
 type ActivationTier struct {
 	Name  string
 	Block int
 	Run   func(z, h, c []float64) int
+	Tape  func(z, h, c, acts, tc []float64) int
 }
 
 var activationTiers = func() []ActivationTier {
@@ -66,12 +94,18 @@ var activationTiers = func() []ActivationTier {
 		t = append(t, ActivationTier{"avx2-fma", 4, func(z, h, c []float64) int {
 			checkActivate(z, h, c)
 			return activate4(z, h, c)
+		}, func(z, h, c, acts, tc []float64) int {
+			checkActivateTape(z, h, c, acts, tc)
+			return activate4T(z, h, c, acts, tc)
 		}})
 	}
 	if useAVX512 {
 		t = append(t, ActivationTier{"avx512-fma", 8, func(z, h, c []float64) int {
 			checkActivate(z, h, c)
 			return activate8(z, h, c)
+		}, func(z, h, c, acts, tc []float64) int {
+			checkActivateTape(z, h, c, acts, tc)
+			return activate8T(z, h, c, acts, tc)
 		}})
 	}
 	return t

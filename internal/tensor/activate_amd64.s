@@ -168,6 +168,36 @@ GLOBL actconst<>(SB), RODATA, $800
 	VORPD     ONE, Y5, Y0 \
 	VBLENDVPD Y1, Y0, Y6, Y0
 
+// SIGIN4: loads a block's three sigmoid inputs into Y12 (i), Y13 (f)
+// and Y14 (o) from zi, zf and zo and jumps to handback unless every lane
+// of each is finite with |x| < 708 (LT_OQ, false for NaN); clobbers
+// Y0-Y2 and scratch.
+#define SIGIN4(zi, zf, zo, scratch, handback) \
+	VMOVUPD zi, Y12 \
+	VMOVUPD zf, Y13 \
+	VMOVUPD zo, Y14 \
+	VANDPD  ABSMASK, Y12, Y0 \
+	VANDPD  ABSMASK, Y13, Y1 \
+	VANDPD  ABSMASK, Y14, Y2 \
+	VCMPPD  $0x11, SIGLIM, Y0, Y0 \
+	VCMPPD  $0x11, SIGLIM, Y1, Y1 \
+	VCMPPD  $0x11, SIGLIM, Y2, Y2 \
+	VANDPD  Y1, Y0, Y0 \
+	VANDPD  Y2, Y0, Y0 \
+	VMOVMSKPD Y0, scratch \
+	CMPL scratch, $0xF \
+	JNE  handback
+
+// CELL4: with Y12, Y13, Y0 holding a block's i, f, g, the cell update
+// c = f·c + i·g on c at (DX)(AX*8), stored, then Y0 = tanh(c). Y14 (o)
+// is kept for the caller's h = o·tanh(c).
+#define CELL4 \
+	VMULPD  (DX)(AX*8), Y13, Y13 \
+	VMULPD  Y0, Y12, Y12 \
+	VADDPD  Y12, Y13, Y0 \
+	VMOVUPD Y0, (DX)(AX*8) \
+	TANH4
+
 // func activate4(z, h, c []float64) int
 //
 // For hidden units j = 0, 4, 8, … while j+4 <= len(h), with H = len(h)
@@ -214,20 +244,7 @@ pass1of4:
 	JGE  pass2of4
 	CMPQ BX, CX
 	JGT  last4
-	VMOVUPD (SI)(BX*8), Y12
-	VMOVUPD (R9)(BX*8), Y13
-	VMOVUPD (R11)(BX*8), Y14
-	VANDPD  ABSMASK, Y12, Y0
-	VANDPD  ABSMASK, Y13, Y1
-	VANDPD  ABSMASK, Y14, Y2
-	VCMPPD  $0x11, SIGLIM, Y0, Y0   // LT_OQ: false for NaN
-	VCMPPD  $0x11, SIGLIM, Y1, Y1
-	VCMPPD  $0x11, SIGLIM, Y2, Y2
-	VANDPD  Y1, Y0, Y0
-	VANDPD  Y2, Y0, Y0
-	VMOVMSKPD Y0, R13
-	CMPL R13, $0xF
-	JNE  last4
+	SIGIN4((SI)(BX*8), (R9)(BX*8), (R11)(BX*8), R13, last4)
 
 	VMOVAPD Y12, Y0
 	SIGMOID4
@@ -256,11 +273,7 @@ cell4:
 	VMOVUPD 32(R12), Y13  // f
 	VMOVUPD 64(R12), Y0   // g
 	VMOVUPD 96(R12), Y14  // o
-	VMULPD  (DX)(AX*8), Y13, Y13
-	VMULPD  Y0, Y12, Y12
-	VADDPD  Y12, Y13, Y0
-	VMOVUPD Y0, (DX)(AX*8)
-	TANH4
+	CELL4
 	VMULPD  Y0, Y14, Y0
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
@@ -364,6 +377,30 @@ next4:
 	VORPD.BCST     ONE, Z5, Z0 \
 	VBLENDMPD      Z0, Z6, K2, Z0
 
+// SIGIN8: SIGIN4 at eight lanes, for the lanes set in K3 (loads zero
+// the others without reading them); clobbers Z0-Z2, K1 and K4.
+#define SIGIN8(zi, zf, zo, handback) \
+	VMOVUPD.Z zi, K3, Z12 \
+	VMOVUPD.Z zf, K3, Z13 \
+	VMOVUPD.Z zo, K3, Z14 \
+	VANDPD.BCST ABSMASK, Z12, Z0 \
+	VANDPD.BCST ABSMASK, Z13, Z1 \
+	VANDPD.BCST ABSMASK, Z14, Z2 \
+	VCMPPD.BCST $0x11, SIGLIM, Z0, K3, K1 \
+	VCMPPD.BCST $0x11, SIGLIM, Z1, K1, K1 \
+	VCMPPD.BCST $0x11, SIGLIM, Z2, K1, K1 \
+	KXORB K1, K3, K4 \
+	KORTESTB K4, K4 \
+	JNZ  handback
+
+// CELL8: CELL4 at eight lanes, c read and written under K3.
+#define CELL8 \
+	VMULPD.Z (DX)(AX*8), Z13, K3, Z13 \
+	VMULPD  Z0, Z12, Z12 \
+	VADDPD  Z12, Z13, Z0 \
+	VMOVUPD Z0, K3, (DX)(AX*8) \
+	TANH8
+
 // func activate8(z, h, c []float64) int
 //
 // activate4's contract at eight hidden units per block: same cell
@@ -407,18 +444,7 @@ pass1of8:
 	MOVL $0x0F, R13
 take8:
 	KMOVB R13, K3
-	VMOVUPD.Z (SI)(BX*8), K3, Z12
-	VMOVUPD.Z (R9)(BX*8), K3, Z13
-	VMOVUPD.Z (R11)(BX*8), K3, Z14
-	VANDPD.BCST ABSMASK, Z12, Z0
-	VANDPD.BCST ABSMASK, Z13, Z1
-	VANDPD.BCST ABSMASK, Z14, Z2
-	VCMPPD.BCST $0x11, SIGLIM, Z0, K3, K1   // LT_OQ: false for NaN
-	VCMPPD.BCST $0x11, SIGLIM, Z1, K1, K1
-	VCMPPD.BCST $0x11, SIGLIM, Z2, K1, K1
-	KXORB K1, K3, K4
-	KORTESTB K4, K4
-	JNZ  last8
+	SIGIN8((SI)(BX*8), (R9)(BX*8), (R11)(BX*8), last8)
 
 	VMOVAPD Z12, Z0
 	SIGMOID8
@@ -460,11 +486,7 @@ mask8:
 	VMOVUPD 64(R12), Z13  // f
 	VMOVUPD 128(R12), Z0  // g
 	VMOVUPD 192(R12), Z14 // o
-	VMULPD.Z (DX)(AX*8), Z13, K3, Z13
-	VMULPD  Z0, Z12, Z12
-	VADDPD  Z12, Z13, Z0
-	VMOVUPD Z0, K3, (DX)(AX*8)
-	TANH8
+	CELL8
 	VMULPD  Z0, Z14, Z0
 	VMOVUPD Z0, K3, (DI)(AX*8)
 	ADDQ $8, AX
@@ -479,5 +501,152 @@ next8:
 	JNZ  round8
 
 	MOVQ AX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// func activate4T(z, h, c, acts, tc []float64) int
+//
+// activate4 with a tape, for the training forward: the same blocks, the
+// same operations on each lane, the same return value and the same
+// hand-back at the first block holding a sigmoid input that is not
+// finite with |x| < 708. Pass 1 writes i, f, g, o into acts (4H, in z's
+// block order) where activate4 writes its frame, so there are no rounds:
+// it runs every block up to the hand-back, and pass 2 reads them back
+// for the cell update and also stores tanh(c) into tc. Nothing from the
+// handed-back block on is written. The caller checks the lengths:
+// len(z) = len(acts) = 4H, len(c) = len(tc) = H.
+TEXT ·activate4T(SB), NOSPLIT, $0-128
+	MOVQ z_base+0(FP), SI
+	MOVQ h_len+32(FP), CX
+	MOVQ acts_base+72(FP), R12
+	LEAQ (SI)(CX*8), R9        // z: f block
+	LEAQ (R9)(CX*8), R10       // g block
+	LEAQ (R10)(CX*8), R11      // o block
+	LEAQ (R12)(CX*8), R13      // acts: f block
+	LEAQ (R13)(CX*8), R14      // g block
+	LEAQ (R14)(CX*8), R8       // o block
+	XORQ BX, BX                // pass 1's next unit
+	SUBQ $4, CX                // last j that starts a whole block
+
+tape4:
+	CMPQ BX, CX
+	JGT  cells4
+	SIGIN4((SI)(BX*8), (R9)(BX*8), (R11)(BX*8), DX, cells4)
+	VMOVAPD Y12, Y0
+	SIGMOID4
+	VMOVUPD Y0, (R12)(BX*8)    // i
+	VMOVAPD Y13, Y0
+	SIGMOID4
+	VMOVUPD Y0, (R13)(BX*8)    // f
+	VMOVAPD Y14, Y0
+	SIGMOID4
+	VMOVUPD Y0, (R8)(BX*8)     // o
+	VMOVUPD (R10)(BX*8), Y0
+	TANH4
+	VMOVUPD Y0, (R14)(BX*8)    // g
+	ADDQ $4, BX
+	JMP  tape4
+
+cells4:
+	MOVQ h_base+24(FP), DI
+	MOVQ c_base+48(FP), DX
+	MOVQ tc_base+96(FP), SI
+	XORQ AX, AX
+cellT4:
+	CMPQ AX, BX
+	JGE  doneT4
+	VMOVUPD (R12)(AX*8), Y12
+	VMOVUPD (R13)(AX*8), Y13
+	VMOVUPD (R14)(AX*8), Y0
+	VMOVUPD (R8)(AX*8), Y14
+	CELL4
+	VMOVUPD Y0, (SI)(AX*8)     // tanh(c)
+	VMULPD  Y0, Y14, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  cellT4
+doneT4:
+	MOVQ BX, ret+120(FP)
+	VZEROUPPER
+	RET
+
+// func activate8T(z, h, c, acts, tc []float64) int
+//
+// activate4T at activate8's blocks: eight units while eight are left,
+// then one block of four under the four-lane K3, whose loads and stores
+// of z, acts, c, h and tc all skip the other lanes.
+TEXT ·activate8T(SB), NOSPLIT, $0-128
+	MOVQ z_base+0(FP), SI
+	MOVQ h_len+32(FP), CX
+	MOVQ acts_base+72(FP), R12
+	LEAQ (SI)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	LEAQ (R12)(CX*8), R13
+	LEAQ (R13)(CX*8), R14
+	LEAQ (R14)(CX*8), R8
+	XORQ BX, BX
+
+tape8:
+	MOVQ CX, DI
+	SUBQ BX, DI                // units left
+	MOVL $0xFF, DX             // lanes in this block, as a mask
+	CMPQ DI, $8
+	JGE  lanes8
+	CMPQ DI, $4
+	JLT  cells8
+	MOVL $0x0F, DX
+lanes8:
+	KMOVB DX, K3
+	SIGIN8((SI)(BX*8), (R9)(BX*8), (R11)(BX*8), cells8)
+	VMOVAPD Z12, Z0
+	SIGMOID8
+	VMOVUPD Z0, K3, (R12)(BX*8) // i
+	VMOVAPD Z13, Z0
+	SIGMOID8
+	VMOVUPD Z0, K3, (R13)(BX*8) // f
+	VMOVAPD Z14, Z0
+	SIGMOID8
+	VMOVUPD Z0, K3, (R8)(BX*8)  // o
+	VMOVUPD.Z (R10)(BX*8), K3, Z0
+	TANH8
+	VMOVUPD Z0, K3, (R14)(BX*8) // g
+	CMPQ DI, $8
+	JLT  tailT8
+	ADDQ $8, BX
+	JMP  tape8
+tailT8:
+	ADDQ $4, BX                // the four-unit block ends the cell
+
+cells8:
+	MOVQ h_base+24(FP), DI
+	MOVQ c_base+48(FP), DX
+	MOVQ tc_base+96(FP), SI
+	XORQ AX, AX
+cellT8:
+	MOVQ BX, R9
+	SUBQ AX, R9                // units pass 1 left for pass 2
+	JLE  doneT8
+	MOVL $0xFF, R10
+	CMPQ R9, $8
+	JGE  maskT8
+	MOVL $0x0F, R10
+maskT8:
+	KMOVB R10, K3
+	VMOVUPD.Z (R12)(AX*8), K3, Z12
+	VMOVUPD.Z (R13)(AX*8), K3, Z13
+	VMOVUPD.Z (R14)(AX*8), K3, Z0
+	VMOVUPD.Z (R8)(AX*8), K3, Z14
+	CELL8
+	VMOVUPD Z0, K3, (SI)(AX*8)  // tanh(c)
+	VMULPD  Z0, Z14, Z0
+	VMOVUPD Z0, K3, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JLE  cellT8
+	MOVQ BX, AX                // that was the four-unit block
+	JMP  cellT8
+doneT8:
+	MOVQ BX, ret+120(FP)
 	VZEROUPPER
 	RET

@@ -108,10 +108,11 @@ func MatVecBias(dst []float64, a *Matrix, x, bias []float64) {
 
 // GateBackward applies the backward pass of z = wx·x + wh·h + b for one
 // step given dz: it accumulates gWx += dz⊗x and gWh += dz⊗hPrev, and
-// writes dx = wxᵀ·dz and dhPrev = whᵀ·dz (both overwritten). Fusing the
-// four kernels means each wx/gWx/wh/gWh row is loaded once per step. The
-// four row updates run on axpy's widest tier, each axpy4 bit for bit. dx
-// and dhPrev must not alias x, hPrev or dz.
+// writes dx = wxᵀ·dz and dhPrev = whᵀ·dz (both overwritten). On an
+// assembly tier the whole step is one call (gateBack256, gateBack512)
+// that keeps x, hPrev, dx and dhPrev in registers across the rows; every
+// tier leaves each element as gateBackward's row loop does, bit for bit.
+// dx and dhPrev must not alias x, hPrev, dz or a weight or gradient.
 func GateBackward(dz []float64, wx, gWx, wh, gWh *Matrix, x, hPrev, dx, dhPrev []float64) {
 	if len(dz) != wx.Rows || wx.Rows != wh.Rows || gWx.Rows != wx.Rows || gWh.Rows != wh.Rows {
 		panic(fmt.Sprintf("tensor: GateBackward dz length %d, rows %d/%d/%d/%d", len(dz), wx.Rows, gWx.Rows, wh.Rows, gWh.Rows))
@@ -122,16 +123,30 @@ func GateBackward(dz []float64, wx, gWx, wh, gWh *Matrix, x, hPrev, dx, dhPrev [
 	if len(hPrev) != wh.Cols || len(dhPrev) != wh.Cols || gWh.Cols != wh.Cols {
 		panic(fmt.Sprintf("tensor: GateBackward h/dh lengths %d/%d, want %d", len(hPrev), len(dhPrev), wh.Cols))
 	}
-	nx, nh := wx.Cols, wh.Cols
+	switch {
+	case useAVX512:
+		gateBack512(dz, x, wx.Data, gWx.Data, dx, hPrev, wh.Data, gWh.Data, dhPrev)
+	case useAVX2:
+		gateBack256(dz, x, wx.Data, gWx.Data, dx, hPrev, wh.Data, gWh.Data, dhPrev)
+	default:
+		gateBackward(dz, x, wx.Data, gWx.Data, dx, hPrev, wh.Data, gWh.Data, dhPrev)
+	}
+}
+
+// gateBackward is GateBackward's Go row loop on row-major weights of
+// len(x) and len(h) columns: the generic tier and the reference the
+// assembly tiers are held to. Each row's four updates are axpy4s.
+func gateBackward(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64) {
+	nx, nh := len(x), len(h)
 	VecZero(dx)
-	VecZero(dhPrev)
+	VecZero(dh)
 	for i, f := range dz {
 		if f == 0 {
 			continue
 		}
-		axpy(f, x, gWx.Data[i*nx:i*nx+nx])
-		axpy(f, hPrev, gWh.Data[i*nh:i*nh+nh])
-		axpy(f, wx.Data[i*nx:i*nx+nx], dx)
-		axpy(f, wh.Data[i*nh:i*nh+nh], dhPrev)
+		axpy4(f, x, gwx[i*nx:i*nx+nx])
+		axpy4(f, h, gwh[i*nh:i*nh+nh])
+		axpy4(f, wx[i*nx:i*nx+nx], dx)
+		axpy4(f, wh[i*nh:i*nh+nh], dh)
 	}
 }

@@ -30,6 +30,12 @@ func activate4(z, h, c []float64) int
 //go:noescape
 func activate8(z, h, c []float64) int
 
+//go:noescape
+func activate4T(z, h, c, acts, tc []float64) int
+
+//go:noescape
+func activate8T(z, h, c, acts, tc []float64) int
+
 func cpuFeatures() (avx2, avx2fma, avx512 bool)
 
 //go:noescape
@@ -43,3 +49,21 @@ func rms256(w, g, c []float64, lr, rho, omr, eps float64)
 
 //go:noescape
 func rms512(w, g, c []float64, lr, rho, omr, eps float64)
+
+//go:noescape
+func gateBack256(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64)
+
+//go:noescape
+func gateBack512(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64)
+
+//go:noescape
+func transpose256(dst, a []float64, rows, cols int)
+
+//go:noescape
+func transpose512(dst, a []float64, rows, cols int)
+
+//go:noescape
+func sumSquares256(acc *[8]float64, d []float64)
+
+//go:noescape
+func sumSquares512(acc *[8]float64, d []float64)

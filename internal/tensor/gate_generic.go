@@ -36,6 +36,14 @@ func activate8(z, h, c []float64) int {
 	panic("tensor: activate8 needs the amd64 assembly kernel")
 }
 
+func activate4T(z, h, c, acts, tc []float64) int {
+	panic("tensor: activate4T needs the amd64 assembly kernel")
+}
+
+func activate8T(z, h, c, acts, tc []float64) int {
+	panic("tensor: activate8T needs the amd64 assembly kernel")
+}
+
 func axpy256(f float64, x, y []float64) {
 	panic("tensor: axpy256 needs the amd64 assembly kernel")
 }
@@ -50,4 +58,28 @@ func rms256(w, g, c []float64, lr, rho, omr, eps float64) {
 
 func rms512(w, g, c []float64, lr, rho, omr, eps float64) {
 	panic("tensor: rms512 needs the amd64 assembly kernel")
+}
+
+func gateBack256(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64) {
+	panic("tensor: gateBack256 needs the amd64 assembly kernel")
+}
+
+func gateBack512(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64) {
+	panic("tensor: gateBack512 needs the amd64 assembly kernel")
+}
+
+func transpose256(dst, a []float64, rows, cols int) {
+	panic("tensor: transpose256 needs the amd64 assembly kernel")
+}
+
+func transpose512(dst, a []float64, rows, cols int) {
+	panic("tensor: transpose512 needs the amd64 assembly kernel")
+}
+
+func sumSquares256(acc *[8]float64, d []float64) {
+	panic("tensor: sumSquares256 needs the amd64 assembly kernel")
+}
+
+func sumSquares512(acc *[8]float64, d []float64) {
+	panic("tensor: sumSquares512 needs the amd64 assembly kernel")
 }

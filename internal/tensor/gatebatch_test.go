@@ -1,21 +1,79 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
+// transposeTiers lists TransposeInto as it serves and each vector tier
+// this host and build can run, finished by transposeRest as
+// TransposeInto finishes it.
+func transposeTiers() []struct {
+	name string
+	run  func(dst, a []float64, R, C int)
+} {
+	type tier = struct {
+		name string
+		run  func(dst, a []float64, R, C int)
+	}
+	t := []tier{{"served", func(dst, a []float64, R, C int) {
+		TransposeInto(&Matrix{Rows: C, Cols: R, Data: dst}, &Matrix{Rows: R, Cols: C, Data: a})
+	}}}
+	if useAVX2 {
+		t = append(t, tier{"avx2", func(dst, a []float64, R, C int) {
+			transpose256(dst, a, R, C)
+			transposeRest(dst, a, R, C, R&^3, C&^3)
+		}})
+	}
+	if useAVX512 {
+		t = append(t, tier{"avx512", func(dst, a []float64, R, C int) {
+			transpose512(dst, a, R, C)
+			transposeRest(dst, a, R, C, R&^7, C&^7)
+		}})
+	}
+	return t
+}
+
+// TestTransposeInto holds every tier to the definition at every shape up
+// to 17 x 17 (whole blocks of four and eight, and every ragged edge) and
+// at the Phase-2 weight shapes, with dst placed off alignment between
+// sentinels it must not write.
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, 5, 3)
-	at := New(3, 5)
-	TransposeInto(at, a)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if at.At(j, i) != a.At(i, j) {
-				t.Fatalf("at[%d][%d] = %v, want %v", j, i, at.At(j, i), a.At(i, j))
+	shapes := [][2]int{{128, 2}, {128, 32}, {2, 32}, {32, 128}}
+	for r := 0; r <= 17; r++ {
+		for c := 0; c <= 17; c++ {
+			shapes = append(shapes, [2]int{r, c})
+		}
+	}
+	for _, sh := range shapes {
+		R, C := sh[0], sh[1]
+		a := randVec(rng, R*C)
+		want := make([]float64, R*C)
+		for i := 0; i < R; i++ {
+			for j := 0; j < C; j++ {
+				want[j*R+i] = a[i*C+j]
 			}
 		}
+		for _, k := range transposeTiers() {
+			off := (R + C) % 8
+			db, dv := placed(make([]float64, R*C), off)
+			k.run(dv, a, R, C)
+			checkPlaced(t, fmt.Sprintf("transpose %s %dx%d", k.name, R, C), db, off, want)
+		}
+	}
+}
+
+// BenchmarkTransposeInto is the training forward's per-sequence copy of
+// a Phase-2 layer's recurrent weights into the gate kernel's layout.
+func BenchmarkTransposeInto(b *testing.B) {
+	a := randMat(rand.New(rand.NewSource(3)), 128, 32)
+	at := New(32, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TransposeInto(at, a)
 	}
 }
 

@@ -9,11 +9,30 @@ func TransposeInto(dst, a *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != a.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, a.Rows))
 	}
-	n := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			dst.Data[j*dst.Cols+i] = v
+	R, C := a.Rows, a.Cols
+	switch {
+	case useAVX512:
+		transpose512(dst.Data, a.Data, R, C)
+		transposeRest(dst.Data, a.Data, R, C, R&^7, C&^7)
+	case useAVX2:
+		transpose256(dst.Data, a.Data, R, C)
+		transposeRest(dst.Data, a.Data, R, C, R&^3, C&^3)
+	default:
+		transposeRest(dst.Data, a.Data, R, C, 0, 0)
+	}
+}
+
+// transposeRest writes dst = aᵀ for the elements of the R x C matrix a
+// outside its leading r x c block, which the vector tiers transpose in
+// blocks: the first r rows from column c on, then every row from r on.
+func transposeRest(dst, a []float64, R, C, r, c int) {
+	for i := 0; i < R; i++ {
+		j0 := c
+		if i >= r {
+			j0 = 0
+		}
+		for j, v := range a[i*C+j0 : i*C+C] {
+			dst[(j0+j)*R+i] = v
 		}
 	}
 }

@@ -5,15 +5,17 @@ import (
 	"math"
 )
 
-// Training on the serving tiers. Phase-2 training spends its time in
-// three loops: the gate pre-activation (dot4, via GateMatVec), the four
-// row updates y += f·x of GateBackward (axpy4), and the RMSprop element
-// update. Each runs here on the widest assembly tier CPUID allows, and
-// each tier reproduces the scalar loop bit for bit: the gate kernel by
-// giving every output row its own lane (GateWeights), the two
-// element-wise kernels by giving every element its own lane, with each
-// operation separately rounded in the scalar order and never fused. So
-// a model trains to the same bits on every tier and under -tags purego.
+// Training on the serving tiers. Every frame of a Phase-2 step runs on
+// the widest assembly tier CPUID allows: the gate pre-activation (dot4,
+// via GateMatVecT), the cell with its tape (ActivateLSTMTape), the row
+// updates y += f·x of GateBackward (axpy4, one call a layer-step), the
+// clip decision (ClipGrads) and the RMSprop element update. Each tier
+// reproduces the scalar loop bit for bit: the gate kernel by giving every
+// output row its own lane (GateWeights), the activation by transcribing
+// the scalar functions per lane, the element-wise kernels by giving every
+// element its own lane, with each operation separately rounded in the
+// scalar order and never fused. So a model trains to the same bits on
+// every tier and under -tags purego.
 
 // GateTransposed reports whether GateMatVecT has a kernel for gates of
 // the given row count on this host and build: an assembly tier is

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,24 +14,36 @@ type trainTier struct {
 	name string
 	axpy func(f float64, x, y []float64)
 	rms  func(w, g, c []float64, lr, rho, eps float64)
+	back func(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64)
+	sq   func(acc *[8]float64, d []float64)
+}
+
+// gateBackServed is GateBackward over row-major weights, as the trainer
+// calls it.
+func gateBackServed(dz, x, wx, gwx, dx, h, wh, gwh, dh []float64) {
+	R := len(dz)
+	mat := func(cols int, d []float64) *Matrix { return &Matrix{Rows: R, Cols: cols, Data: d} }
+	GateBackward(dz, mat(len(x), wx), mat(len(x), gwx), mat(len(h), wh), mat(len(h), gwh), x, h, dx, dh)
 }
 
 // trainTiers lists every training kernel this host and build can run:
-// "served" is the dispatch (axpy, RMSpropStep) on whatever tier it picks,
+// "served" is the dispatch (axpy, RMSpropStep, GateBackward, addSquares)
+// on whatever tier it picks,
 // then each assembly tier, narrowest first. The parity tables and the
-// fuzz target hold each one to the Go loops (axpy4, rmsprop), so an
+// fuzz target hold each one to the Go loops (axpy4, rmsprop,
+// gateBackward, sumSquares), so an
 // AVX-512 host still tests the AVX2 kernels.
 func trainTiers() []trainTier {
-	t := []trainTier{{"served", axpy, RMSpropStep}}
+	t := []trainTier{{"served", axpy, RMSpropStep, gateBackServed, addSquares}}
 	if useAVX2 {
 		t = append(t, trainTier{"avx2", axpy256, func(w, g, c []float64, lr, rho, eps float64) {
 			rms256(w, g, c, lr, rho, 1-rho, eps)
-		}})
+		}, gateBack256, sumSquares256})
 	}
 	if useAVX512 {
 		t = append(t, trainTier{"avx512", axpy512, func(w, g, c []float64, lr, rho, eps float64) {
 			rms512(w, g, c, lr, rho, 1-rho, eps)
-		}})
+		}, gateBack512, sumSquares512})
 	}
 	return t
 }
@@ -105,6 +118,83 @@ func checkRMSParity(t *testing.T, w, g, c []float64, lr, rho, eps float64, off i
 	}
 }
 
+// checkGateBackParity runs one GateBackward step through the Go row loop
+// and every tier, each operand placed at its own offset from off, with
+// dx and dh holding stale values the step must overwrite, and fails on
+// the first gradient or output element that differs, on a write outside
+// an output, or on any write to an input.
+func checkGateBackParity(t *testing.T, dz, x, wx, gwx, h, wh, gwh []float64, off int) {
+	t.Helper()
+	nx, nh := len(x), len(h)
+	stale := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i) + 0.5
+		}
+		return v
+	}
+	wantGwx, wantGwh := append([]float64(nil), gwx...), append([]float64(nil), gwh...)
+	wantDx, wantDh := stale(nx), stale(nh)
+	gateBackward(dz, x, wx, wantGwx, wantDx, h, wh, wantGwh, wantDh)
+	for _, k := range trainTiers() {
+		o := func(i int) int { return (off + 3*i) % 8 }
+		dzb, dzv := placed(dz, o(0))
+		xb, xv := placed(x, o(1))
+		wxb, wxv := placed(wx, o(2))
+		gwxb, gwxv := placed(gwx, o(3))
+		dxb, dxv := placed(stale(nx), o(4))
+		hb, hv := placed(h, o(5))
+		whb, whv := placed(wh, o(6))
+		gwhb, gwhv := placed(gwh, o(7))
+		dhb, dhv := placed(stale(nh), o(8))
+		k.back(dzv, xv, wxv, gwxv, dxv, hv, whv, gwhv, dhv)
+		what := fmt.Sprintf("gate backward %s rows %d x/h %d/%d", k.name, len(dz), nx, nh)
+		checkPlaced(t, what+" gWx", gwxb, o(3), wantGwx)
+		checkPlaced(t, what+" gWh", gwhb, o(7), wantGwh)
+		checkPlaced(t, what+" dx", dxb, o(4), wantDx)
+		checkPlaced(t, what+" dh", dhb, o(8), wantDh)
+		checkPlaced(t, what+" dz", dzb, o(0), dz)
+		checkPlaced(t, what+" x", xb, o(1), x)
+		checkPlaced(t, what+" wx", wxb, o(2), wx)
+		checkPlaced(t, what+" h", hb, o(5), h)
+		checkPlaced(t, what+" wh", whb, o(6), wh)
+	}
+}
+
+// checkSquaresParity adds d's squares to the eight chains acc through
+// sumSquares and every tier and fails on the first chain that differs.
+func checkSquaresParity(t *testing.T, acc [8]float64, d []float64, off int) {
+	t.Helper()
+	want := acc
+	sumSquares(&want, d)
+	for _, k := range trainTiers() {
+		got := acc
+		_, dv := placed(d, off)
+		k.sq(&got, dv)
+		for i := range want {
+			if !sameGate(got[i], want[i]) {
+				t.Fatalf("sum of squares %s, %d elements at offset %d: chain %d = %x, Go loop %x",
+					k.name, len(d), off, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// gateBackDz is a dz for the gate backward tables: values of one family
+// with rows of +0 and -0, which every tier must skip whole.
+func gateBackDz(rng *rand.Rand, gen func(*rand.Rand, int) []float64, rows int) []float64 {
+	dz := gen(rng, rows)
+	for r := range dz {
+		switch r % 5 {
+		case 1:
+			dz[r] = 0
+		case 3:
+			dz[r] = math.Copysign(0, -1)
+		}
+	}
+	return dz
+}
+
 // gradKinds are the value families the parity tables feed the kernels:
 // ordinary, exact zeros, subnormals, magnitudes whose square overflows,
 // and ordinary values with NaNs at a few positions.
@@ -168,6 +258,49 @@ func TestAxpyKernelParity(t *testing.T) {
 	}
 }
 
+// TestGateBackwardKernelParity holds the fused GateBackward to its Go
+// row loop on every tier: input and hidden widths each through 0..67
+// (every block and tail of both tiers, paired three ways), the Phase-2
+// shapes 2/32 and 32/32 at 128 rows, rows of dz that are ±0, and every
+// gradient family in dz, the inputs, the weights and the gradients.
+func TestGateBackwardKernelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	type shape struct{ rows, nx, nh int }
+	var shapes []shape
+	for n := 0; n <= 67; n++ {
+		for _, m := range []int{n, 67 - n, (5*n + 3) % 68} {
+			shapes = append(shapes, shape{1 + (n+m)%9, n, m})
+		}
+	}
+	shapes = append(shapes, shape{128, 2, 32}, shape{128, 32, 32})
+	for i, sh := range shapes {
+		for j, kind := range gradKinds {
+			other := gradKinds[(i+j+1)%len(gradKinds)].gen
+			checkGateBackParity(t, gateBackDz(rng, kind.gen, sh.rows),
+				other(rng, sh.nx), kind.gen(rng, sh.rows*sh.nx), randVec(rng, sh.rows*sh.nx),
+				kind.gen(rng, sh.nh), other(rng, sh.rows*sh.nh), other(rng, sh.rows*sh.nh), i+j)
+		}
+	}
+}
+
+// TestSumSquaresKernelParity holds the clip decision's eight-chain sum of
+// squares to its Go loop on every tier: every length through 67 at every
+// offset, each gradient family, from chains that start at zero and from
+// chains already holding sums.
+func TestSumSquaresKernelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 8; off++ {
+			for _, kind := range gradKinds {
+				var acc [8]float64
+				checkSquaresParity(t, acc, kind.gen(rng, n), off)
+				copy(acc[:], absVec(rng, 8))
+				checkSquaresParity(t, acc, kind.gen(rng, n), off)
+			}
+		}
+	}
+}
+
 func TestRMSpropKernelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	hyper := []struct{ lr, rho, eps float64 }{{0.01, 0.9, 1e-8}, {0.01 / 16, 0.9, 1e-8}, {0.3, 0.5, 1e-3}}
@@ -195,9 +328,11 @@ func TestRMSpropStepPanicsOnShape(t *testing.T) {
 }
 
 // FuzzTrainKernelParity reinterprets arbitrary bytes as the operands and
-// hyperparameters of both element-wise training kernels — NaN payloads,
-// infinities, signed zeros and subnormals included — and holds every
-// tier to the Go loops' exact bits at the fuzzed length and alignment.
+// hyperparameters of the four training kernels — the two element-wise
+// ones, the clip decision's sum of squares, and the fused gate backward,
+// whose widths and row count it takes from n and off — NaN payloads, infinities, signed zeros and subnormals
+// included, and holds every tier to the Go loops' exact bits at the
+// fuzzed length and alignment.
 func FuzzTrainKernelParity(f *testing.F) {
 	pack := func(vs ...float64) []byte {
 		b := make([]byte, 8*len(vs))
@@ -218,6 +353,12 @@ func FuzzTrainKernelParity(f *testing.F) {
 		fx := floatsFrom(data, 3, 1)[0]
 		checkAxpyParity(t, fx, floatsFrom(data, 4, size), floatsFrom(data, 5, size), o, int(off/8%8))
 		checkRMSParity(t, floatsFrom(data, 6, size), floatsFrom(data, 7, size), floatsFrom(data, 8, size), lr, rho, eps, o)
+		var acc [8]float64
+		copy(acc[:], floatsFrom(data, 16, 8))
+		checkSquaresParity(t, acc, floatsFrom(data, 17, size), o)
+		rows, nh := 1+int(off%5), int(off)%68
+		checkGateBackParity(t, floatsFrom(data, 9, rows), floatsFrom(data, 10, size), floatsFrom(data, 11, rows*size),
+			floatsFrom(data, 12, rows*size), floatsFrom(data, 13, nh), floatsFrom(data, 14, rows*nh), floatsFrom(data, 15, rows*nh), o)
 	})
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -170,5 +171,135 @@ func TestClipNormNoop(t *testing.T) {
 	ClipNorm([]*Matrix{g}, 10)
 	if g.Data[0] != 0.3 || g.Data[1] != 0.4 {
 		t.Fatal("ClipNorm must not rescale below threshold")
+	}
+}
+
+// seqSquares is ClipNorm's sequential sum of squares.
+func seqSquares(grads []*Matrix) float64 {
+	total := 0.0
+	for _, g := range grads {
+		for _, v := range g.Data {
+			total += v * v
+		}
+	}
+	return total
+}
+
+func cloneGrads(grads []*Matrix) []*Matrix {
+	out := make([]*Matrix, len(grads))
+	for i, g := range grads {
+		out[i] = g.Clone()
+	}
+	return out
+}
+
+// checkClipGrads runs ClipGrads and ClipNorm on copies of grads and fails
+// unless they leave every element with the same bits.
+func checkClipGrads(t *testing.T, what string, grads []*Matrix, maxNorm float64) {
+	t.Helper()
+	got, want := cloneGrads(grads), cloneGrads(grads)
+	ClipGrads(got, maxNorm)
+	ClipNorm(want, maxNorm)
+	for k := range want {
+		for i, w := range want[k].Data {
+			if g := got[k].Data[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s, maxNorm %v: grad %d element %d = %x, ClipNorm %x", what, maxNorm, k, i, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// chainSplit finds gradients, at the Phase-2 trainer's parameter sizes,
+// whose eight-chain sum of squares rounds to a lower square root than
+// ClipNorm's sequential sum does, and returns them with the norm that
+// splits the two: ClipNorm clips at it, while the eight-chain sum alone
+// would not. Squares spread over twelve decades round differently in
+// every order.
+func chainSplit(t *testing.T) ([]*Matrix, float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(27))
+	for try := 0; try < 2000; try++ {
+		grads := []*Matrix{New(128, 2), New(128, 32), New(1, 128), New(2, 32)}
+		for _, g := range grads {
+			for i := range g.Data {
+				g.Data[i] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
+			}
+		}
+		var s [8]float64
+		at := 0
+		for _, g := range grads {
+			d := g.Data
+			for ; len(d) >= 8; d = d[8:] {
+				for k := range s {
+					s[k] += d[k] * d[k]
+				}
+			}
+			for _, v := range d {
+				s[0] += v * v
+			}
+			at += len(g.Data)
+		}
+		chains := ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+		if lo, hi := math.Sqrt(chains), math.Sqrt(seqSquares(grads)); lo < hi {
+			return grads, lo
+		}
+	}
+	t.Fatal("premise: no gradient set found whose eight-chain and sequential sums round to different norms")
+	return nil, 0
+}
+
+// TestClipGradsMatchesClipNorm holds ClipGrads to ClipNorm, bit for bit,
+// with maxNorm just below, at and just above the sequential norm, within
+// the error margin on either side, clear of it on either side, and at 0
+// and +Inf; on gradients holding NaN, ±Inf, squares that overflow and
+// squares that underflow; and at a norm where the eight-chain sum and the
+// sequential sum fall on either side of the limit, which only the margin
+// sends to ClipNorm.
+func TestClipGradsMatchesClipNorm(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sets := map[string][]*Matrix{
+		"ordinary":  {randMat(rng, 128, 2), randMat(rng, 128, 32), randMat(rng, 1, 128), New(0, 0), randMat(rng, 3, 1)},
+		"subnormal": {FromSlice(1, 3, []float64{5e-324, 1e-310, 1e-160}), randMat(rng, 2, 9)},
+		"tiny":      {FromSlice(1, 4, []float64{5e-324, 1e-320, 3e-170, 1e-200})},
+		"one":       {FromSlice(1, 1, []float64{-0.7})},
+		"empty":     {},
+	}
+	for name, grads := range sets {
+		norm := math.Sqrt(seqSquares(grads))
+		for _, m := range []float64{norm, math.Nextafter(norm, 0), math.Nextafter(norm, math.Inf(1)),
+			norm * (1 - 1e-13), norm * (1 + 1e-13), norm / 2, 2 * norm, 0, math.Inf(1), 5} {
+			checkClipGrads(t, name, grads, m)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e200} {
+		grads := []*Matrix{randMat(rng, 4, 8), randMat(rng, 1, 5)}
+		grads[1].Data[3] = bad
+		for _, m := range []float64{5, 1e300, math.Inf(1), math.MaxFloat64} {
+			checkClipGrads(t, fmt.Sprint("holding ", bad), grads, m)
+		}
+	}
+	grads, split := chainSplit(t)
+	checkClipGrads(t, "chain split", grads, split)
+}
+
+// TestWithinNormMargin pins the decision itself: a sum of squares that
+// both orders compute exactly (64 ones) is decided off the chain when the
+// limit is clear of it, and not when the limit lies inside the margin.
+func TestWithinNormMargin(t *testing.T) {
+	ones := New(8, 8)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	grads := []*Matrix{ones}
+	if !withinNorm(grads, 8*(1+1e-12)) {
+		t.Error("a norm of 8 against a limit of 8(1+1e-12): not decided off the chain")
+	}
+	for _, m := range []float64{8, 8 * (1 + 1e-15), math.Nextafter(8, 9)} {
+		if withinNorm(grads, m) {
+			t.Errorf("a norm of 8 against a limit of %v, inside the margin: decided off the chain", m)
+		}
+	}
+	if withinNorm([]*Matrix{FromSlice(1, 2, []float64{math.NaN(), 0})}, 5) {
+		t.Error("a NaN gradient: decided off the chain")
 	}
 }
