@@ -9,15 +9,14 @@ import (
 )
 
 // reserveWindow is how far ahead of the appends Reserve allocates: one
-// fallocate per window, not per append. It is small on purpose —
-// allocating a whole 64 MiB segment up front costs the cut back to the
-// appended length at every close, which a daemon that boots three WALs
-// and appends to one pays in milliseconds.
+// fallocate and one zero write per window, not per append. It is small
+// on purpose — allocating a whole 64 MiB segment up front costs the cut
+// back to the appended length at every close, which a daemon that boots
+// three WALs and appends to one pays in milliseconds.
 const reserveWindow = 1 << 20
 
-// madvPopulateWrite is MADV_POPULATE_WRITE (Linux 5.14), which package
-// syscall does not name.
-const madvPopulateWrite = 23
+// zeroWindow is the one buffer every Reserve writes its windows from.
+var zeroWindow [reserveWindow]byte
 
 // segment on Linux is a MAP_SHARED mapping of the file: a copy into it
 // is in the page cache when the copy ends, which outlives the process
@@ -41,10 +40,14 @@ func (f *osFile) Map(size int) error {
 }
 
 // Reserve allocates the blocks behind view[off:off+n] before handing
-// those bytes out, in whole windows past the furthest reservation. The
-// allocation also grows the file over them, so they read as zeros until
-// written: a process killed mid-segment leaves a zero tail of less than
-// one window.
+// those bytes out, in whole windows past the furthest reservation, and
+// writes zeros over each new window with write(2): the file grows over
+// them, and a process killed mid-segment leaves a zero tail of less
+// than one window. Written so, a window sits in the page cache as large
+// folios the appends map a folio per fault; left to the appends, it
+// costs a fault and a page_mkwrite per page. The zeros never start
+// below off: bytes the file held before (a segment reopened after its
+// records) are the file's, not the reservation's.
 func (f *osFile) Reserve(off, n int) ([]byte, error) {
 	end := off + n
 	if end > f.reserved {
@@ -52,30 +55,21 @@ func (f *osFile) Reserve(off, n int) ([]byte, error) {
 			return nil, fmt.Errorf("faultfs: reserve [%d,%d) past the %d-byte mapping of %s", off, end, len(f.view), f.Name())
 		}
 		to := min((end+reserveWindow-1)/reserveWindow*reserveWindow, len(f.view))
+		// The allocation turns a full disk into an error here, never a
+		// SIGBUS on a copy; a filesystem without fallocate reserves the
+		// blocks at the zero write instead.
 		err := syscall.Fallocate(int(f.Fd()), 0, int64(f.reserved), int64(to-f.reserved))
-		if err == syscall.EOPNOTSUPP {
-			// A filesystem without fallocate: grow the file instead. Its
-			// blocks are then found on first touch, and a full disk is a
-			// SIGBUS there rather than an error here.
-			err = f.grow(int64(to))
-		}
-		if err != nil {
+		if err != nil && err != syscall.EOPNOTSUPP {
 			return nil, &os.PathError{Op: "fallocate", Path: f.Name(), Err: err}
 		}
-		// A hint: fault the window in writable now, not page by page
-		// under the appends. Kernels before 5.14 answer EINVAL.
-		_ = syscall.Madvise(f.view[f.reserved:to], madvPopulateWrite)
+		for at := max(f.reserved, off); at < to; at += reserveWindow {
+			if _, err := f.WriteAt(zeroWindow[:min(reserveWindow, to-at)], int64(at)); err != nil {
+				return nil, err
+			}
+		}
 		f.reserved = to
 	}
 	return f.view[off:end:end], nil
-}
-
-func (f *osFile) grow(size int64) error {
-	st, err := f.File.Stat()
-	if err != nil || st.Size() >= size {
-		return err
-	}
-	return f.File.Truncate(size)
 }
 
 // Commit has nothing to do: the copy into the mapping was the write.
