@@ -363,10 +363,10 @@ func run() error {
 	}
 	snap := s.SnapshotMetrics()
 	fmt.Fprintf(os.Stderr,
-		"deshd: ingested %d (safe %d, malformed %d, oversized %d, dropped %d, quarantined %d), chains closed %d (quarantined %d), alerts fired %d (suppressed %d, undelivered %d), shard restarts %d, batch occupancy %.2f, precision %s (conversions %d), gate kernel %s, activation kernel %s, detect p50 %.0fµs p99 %.0fµs (%d stamped, 1 admitted event in %d)\n",
+		"deshd: ingested %d (safe %d, malformed %d, oversized %d, dropped %d, quarantined %d), chains closed %d (quarantined %d), alerts fired %d (suppressed %d, undelivered %d), shard panics %d, batch occupancy %.2f, precision %s (conversions %d), gate kernel %s, activation kernel %s, detect p50 %.0fµs p99 %.0fµs (%d stamped, 1 admitted event in %d)\n",
 		snap.Ingested, snap.SafeFiltered, snap.Malformed, snap.Oversized, snap.Dropped, snap.Quarantined,
 		snap.ChainsClosed, snap.ChainsQuarantined, snap.AlertsFired, snap.AlertsSuppressed, snap.AlertsDropped,
-		snap.ShardRestarts, snap.BatchOccupancy,
+		snap.ShardPanics, snap.BatchOccupancy,
 		snap.ModelPrecision, snap.PrecisionConversions, snap.GateKernel, snap.ActivationKernel,
 		snap.Detect.P50Micros, snap.Detect.P99Micros, snap.Detect.Count, snap.StampEvery)
 	fmt.Fprintf(os.Stderr,

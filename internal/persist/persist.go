@@ -44,8 +44,8 @@ const (
 	// RecAlert is one alert that was delivered to the subscriber — the
 	// ledger replay uses to suppress re-emission of already-sent alerts.
 	RecAlert byte = 2
-	// RecQuarantine marks an event the shard supervisor quarantined
-	// after repeated crash-loops; replay skips it without reprocessing.
+	// RecQuarantine marks an event a shard quarantined after it
+	// panicked repeatedly; replay skips it without reprocessing.
 	RecQuarantine byte = 3
 	// RecSwap is the durable commit point of a hot model swap: events
 	// before it score on the previous model, events after it on the

@@ -1,8 +1,7 @@
 // Package retry implements capped exponential backoff with full
 // jitter — the one retry discipline shared by every component that
-// re-attempts failed work: the shard supervisor's panic-restart loop,
-// the cluster router's per-peer forwarding, and the TCP ingest
-// client's reconnect loop.
+// re-attempts failed work: the cluster router's per-peer forwarding and
+// the TCP ingest client's reconnect loop.
 //
 // The schedule is the classic "full jitter" variant: retry attempt k
 // (0-based) sleeps a uniformly random duration in (0, min(Base<<k,
@@ -42,8 +41,8 @@ type Policy struct {
 	// stretch one delivery far past what the caller can tolerate.
 	MaxElapsed time.Duration
 	// Rand overrides the jitter source with a func returning a uniform
-	// value in [0, n) — the determinism seam for tests and for callers
-	// with their own seeded source (nil = the math/rand shared source).
+	// value in [0, n) — the determinism seam for tests (nil = the
+	// math/rand shared source).
 	Rand func(n int64) int64
 }
 

@@ -28,7 +28,6 @@ func TestComposedSchedules(t *testing.T) {
 			WithEarlyDetect(true),
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour),
-			fastRestart,
 			WithAllowedLateness(w),
 			WithReorderDepth(8192),
 			WithDedupWindow(1024),

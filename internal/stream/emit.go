@@ -87,8 +87,6 @@ func (sh *shard) observeBatch(c *stageClock) {
 	if hb.n > 0 {
 		sh.s.met.Detect.merge(&hb)
 	}
-	sh.buf = sh.buf[:0]
-	sh.bufNext, sh.counted = 0, 0
 }
 
 // ledger counts alerts that were delivered before the events now being

@@ -48,9 +48,9 @@ func TestEntryPointsLeaveEqualWindows(t *testing.T) {
 		s.mu.Lock()
 		replies := s.sendSnapBarrier()
 		s.mu.Unlock()
-		nodes, ok := s.gatherCaptures(replies, nil)
-		if !ok {
-			t.Fatal("capture raced shutdown")
+		nodes, err := s.gatherCaptures(replies, nil)
+		if err != nil {
+			t.Fatalf("capture: %v", err)
 		}
 		out := make(map[string][]byte, len(nodes))
 		held = 0

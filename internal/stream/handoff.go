@@ -122,11 +122,12 @@ func (s *Streamer) BeginHandoff(epoch uint64, target string, ranges []persist.Ha
 	}
 	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
-	nodes, ok := s.gatherCaptures(replies, func(node string) bool {
+	// A failed capture leaves the intent pending, as a failed rotate does.
+	nodes, err := s.gatherCaptures(replies, func(node string) bool {
 		return persist.RangesContain(ranges, persist.NodeHash(node))
 	})
-	if !ok {
-		return nil, ErrClosed
+	if err != nil {
+		return nil, err
 	}
 	s.encMu.RLock()
 	keys := s.enc.Keys()
@@ -299,12 +300,6 @@ func remapIDs(pn persistedNode, encKeys []string, idFor func(key string) int) pe
 	return pn
 }
 
-// applyDrop is the shard side of CompleteHandoff's barrier.
-func (sh *shard) applyDrop(b *dropBarrier) {
-	sh.s.met.HandoffNodesOut.Add(int64(sh.dropNodes(b.ranges)))
-	b.ack <- sh.id
-}
-
 // dropNodes deletes every node in the ranges from this shard,
 // unwinding its gauges, and reports how many were dropped. Called on
 // the shard goroutine (barrier) or single-threaded (boot replay).
@@ -329,23 +324,14 @@ func (sh *shard) dropNodes(ranges []persist.HashRange) int {
 // applyImport is the shard side of ImportState's barrier: install the
 // remapped nodes, then replay the pending tail — the same step boot
 // recovery takes — with the barrier's ledger suppressing alerts the
-// source already delivered. A panic outside an event (replay recovers
-// its own) is recovered here, because the barrier must ack or
-// ImportState deadlocks.
+// source already delivered. applyCtl answers the barrier.
 func (sh *shard) applyImport(b *importBarrier) {
 	sh.led, sh.arrival = b.led, time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			sh.s.met.Quarantined.Add(1)
-		}
-		sh.led = nil
-		b.ack <- sh.id
-	}()
+	defer func() { sh.led = nil }()
 	for node, pn := range b.nodes {
 		if err := sh.installNode(node, pn); err != nil {
-			// Unreachable in practice (config validated in New); counted
-			// rather than fatal.
-			sh.s.met.Quarantined.Add(1)
+			// Unreachable in practice (config validated in New).
+			sh.s.diagf("stream: import of node %s: %v", node, err)
 			continue
 		}
 		sh.s.met.HandoffNodesIn.Add(1)

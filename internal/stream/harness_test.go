@@ -385,10 +385,6 @@ func duplicated(events []logparse.Event) []logparse.Event {
 	return out
 }
 
-// fastRestart shrinks the supervisor's restart backoff so panic tests
-// finish quickly.
-func fastRestart(o *Options) { o.restartBackoff = time.Millisecond }
-
 // fullCircle is the canonical whole-keyspace range.
 var fullCircle = []persist.HashRange{{Lo: 0, Hi: 0}}
 

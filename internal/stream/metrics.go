@@ -202,12 +202,14 @@ type Metrics struct {
 	// Oversized counts ingest lines discarded for exceeding the line
 	// length cap.
 	Oversized atomic.Int64
-	// Quarantined counts poisoned events abandoned after three
-	// consecutive panics.
+	// Quarantined counts poisoned events: a live event abandoned on its
+	// third consecutive panic, a replayed one on its first. Only events
+	// are counted here.
 	Quarantined atomic.Int64
-	// ShardRestarts counts shard supervisor restarts after a recovered
-	// panic.
-	ShardRestarts atomic.Int64
+	// ShardPanics counts the panics a shard recovered: in an event, a
+	// barrier or a node's close-out. A chain's scoring has its own
+	// recover (ChainsQuarantined).
+	ShardPanics atomic.Int64
 	// Snapshots counts state snapshots successfully persisted.
 	Snapshots atomic.Int64
 	// SnapshotErrors counts snapshot attempts that failed.
@@ -336,7 +338,7 @@ type MetricsSnapshot struct {
 	Processed         int64 `json:"processed"`
 	Oversized         int64 `json:"oversized"`
 	Quarantined       int64 `json:"quarantined"`
-	ShardRestarts     int64 `json:"shard_restarts"`
+	ShardPanics       int64 `json:"shard_panics"`
 	Snapshots         int64 `json:"snapshots"`
 	SnapshotErrors    int64 `json:"snapshot_errors"`
 	WALErrors         int64 `json:"wal_errors"`
@@ -435,7 +437,7 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 		Processed:            s.met.Processed.Load(),
 		Oversized:            s.met.Oversized.Load(),
 		Quarantined:          s.met.Quarantined.Load(),
-		ShardRestarts:        s.met.ShardRestarts.Load(),
+		ShardPanics:          s.met.ShardPanics.Load(),
 		Snapshots:            s.met.Snapshots.Load(),
 		SnapshotErrors:       s.met.SnapshotErrors.Load(),
 		WALErrors:            s.met.WALErrors.Load(),

@@ -126,9 +126,9 @@ func TestPoisonedChainCountedOnce(t *testing.T) {
 	}
 
 	m := s.SnapshotMetrics()
-	if m.ChainsQuarantined != 2 || m.ChainsClosed != 1 || m.ShardRestarts != 0 || m.Quarantined != 0 {
-		t.Fatalf("chains_quarantined %d (want 2), chains_closed %d (want 1), shard_restarts %d (want 0), quarantined %d (want 0)",
-			m.ChainsQuarantined, m.ChainsClosed, m.ShardRestarts, m.Quarantined)
+	if m.ChainsQuarantined != 2 || m.ChainsClosed != 1 || m.ShardPanics != 0 || m.Quarantined != 0 {
+		t.Fatalf("chains_quarantined %d (want 2), chains_closed %d (want 1), shard_panics %d (want 0), quarantined %d (want 0)",
+			m.ChainsQuarantined, m.ChainsClosed, m.ShardPanics, m.Quarantined)
 	}
 	checkConservation(t, s)
 }

@@ -130,11 +130,8 @@ type Options struct {
 	Diag func(format string, args ...any)
 
 	// Fixed values, fields only so that tests can shrink them (an Option
-	// literal sets one): the base delay before a panicked shard restarts
-	// (10ms; doubles per consecutive crash, jittered, capped at 1s, reset
-	// by the first processed event), the ServeLines connection cap (256)
-	// and silence limit (5m), the HTTP ingest body bound (8 MiB).
-	restartBackoff  time.Duration
+	// literal sets one): the ServeLines connection cap (256) and silence
+	// limit (5m), the HTTP ingest body bound (8 MiB).
 	maxConns        int
 	connIdleTimeout time.Duration
 	maxBodyBytes    int64
@@ -152,8 +149,7 @@ type Options struct {
 	// seam used by the crash tests (default: the real OS).
 	fsys faultfs.FS
 	// panicHook, when set, runs before every event a shard processes —
-	// the deterministic panic-injection seam used by the supervisor
-	// tests.
+	// the deterministic panic-injection seam of the shard panic tests.
 	panicHook func(shardID int, ev logparse.EncodedEvent)
 	// swapHook, when set, runs at the two durability stages inside
 	// SwapModel; returning true aborts the swap there — the
@@ -267,7 +263,6 @@ func defaultOptions() Options {
 		MaxOpenWindow:   4096,
 		SnapshotEvery:   30 * time.Second,
 		WALSyncEvery:    64,
-		restartBackoff:  10 * time.Millisecond,
 		maxConns:        256,
 		connIdleTimeout: 5 * time.Minute,
 		maxBodyBytes:    8 << 20,

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -496,11 +497,14 @@ func (s *Streamer) snapshotNow() error {
 	ctl := s.ctl.clone()
 	replies := s.sendSnapBarrier()
 	s.mu.Unlock()
-	nodes, ok := s.gatherCaptures(replies, nil)
-	if !ok {
+	nodes, err := s.gatherCaptures(replies, nil)
+	if errors.Is(err, ErrClosed) {
 		// Abandon this snapshot — the graceful path takes its own final
 		// one, and the crash path recovers from the WAL.
 		return nil
+	}
+	if err != nil {
+		return err
 	}
 	snap := streamerSnapshot{EncKeys: keys, Nodes: nodes, ModelFile: modelFile, Control: ctl}
 	if err := s.pst.store.Save(boundary, snap); err != nil {
@@ -521,25 +525,34 @@ func (s *Streamer) sendSnapBarrier() <-chan map[string]persistedNode {
 	return replies
 }
 
+// errCapture fails a snapshot or a handoff capture one shard's capture
+// panicked in.
+var errCapture = errors.New("stream: a shard's state capture panicked")
+
 // gatherCaptures merges every shard's answer to a capture barrier,
-// keeping the nodes keep accepts (nil = all). ok is false when shutdown
-// (or a simulated crash) raced the barrier: a crashed shard exits
-// without replying. replies is buffered, so late repliers never block.
-func (s *Streamer) gatherCaptures(replies <-chan map[string]persistedNode, keep func(node string) bool) (nodes map[string]persistedNode, ok bool) {
-	nodes = make(map[string]persistedNode)
+// keeping the nodes keep accepts (nil = all). It fails with errCapture
+// on a shard whose capture panicked (a nil answer), and with ErrClosed
+// when shutdown (or a simulated crash) raced the barrier: a crashed
+// shard exits without replying. replies is buffered, so late repliers
+// never block.
+func (s *Streamer) gatherCaptures(replies <-chan map[string]persistedNode, keep func(node string) bool) (map[string]persistedNode, error) {
+	nodes := make(map[string]persistedNode)
 	for range s.shards {
 		select {
 		case m := <-replies:
+			if m == nil {
+				return nil, errCapture
+			}
 			for node, pn := range m {
 				if keep == nil || keep(node) {
 					nodes[node] = pn
 				}
 			}
 		case <-s.done:
-			return nil, false
+			return nil, ErrClosed
 		}
 	}
-	return nodes, true
+	return nodes, nil
 }
 
 // finalSnapshot persists the post-drain state during a graceful Close

@@ -37,7 +37,6 @@ func TestCrashRestartEquivalence(t *testing.T) {
 			WithEarlyDetect(true),
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour), // periodic loop stays out of the way
-			fastRestart,
 			// Event-time layer on: buffered events must ride snapshots and
 			// the WAL replay must re-derive watermarks deterministically.
 			WithAllowedLateness(10 * time.Second),
@@ -88,15 +87,14 @@ func TestGracefulRestartReplaysNothing(t *testing.T) {
 }
 
 // TestShardPanicRestartKeepsState: one injected panic mid-stream must
-// cost nothing — the supervisor restarts the shard, retries the event,
-// and the run's alerts match a run with no panic at all.
+// cost nothing — the shard recovers it, retries the event where it
+// stands, and the run's alerts match a run with no panic at all.
 func TestShardPanicRestartKeepsState(t *testing.T) {
 	events := fixture.Corpus(t, fixture.Config(12, 12, 8, 132)).Events
 	base := []Option{
 		WithShards(2),
 		WithQuietPeriod(time.Minute),
 		WithAlertBuffer(8192),
-		fastRestart,
 	}
 
 	sb, err := New(fixture.Model(t, fixture.Serving), base...)
@@ -131,8 +129,8 @@ func TestShardPanicRestartKeepsState(t *testing.T) {
 	got := fixture.Multiset(wait())
 
 	m := s.SnapshotMetrics()
-	if m.ShardRestarts != 1 || m.Quarantined != 0 {
-		t.Fatalf("restarts %d quarantined %d; want exactly 1 restart, 0 quarantines", m.ShardRestarts, m.Quarantined)
+	if m.ShardPanics != 1 || m.Quarantined != 0 {
+		t.Fatalf("panics %d quarantined %d; want exactly 1 panic, 0 quarantines", m.ShardPanics, m.Quarantined)
 	}
 	checkConservation(t, s)
 	fixture.Compare(t, "run with panic vs without", got, want)
@@ -179,7 +177,6 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 		return []Option{
 			WithShards(2),
 			WithStateDir(dir),
-			fastRestart,
 			WithSnapshotEvery(time.Hour),
 			WithAlertBuffer(8192),
 			withPanicHook(hook),
@@ -202,8 +199,8 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 	if m.Quarantined != 1 {
 		t.Fatalf("quarantined %d events, want 1", m.Quarantined)
 	}
-	if m.ShardRestarts != 3 {
-		t.Fatalf("shard restarted %d times, want 3 (maxEventRetries)", m.ShardRestarts)
+	if m.ShardPanics != 3 {
+		t.Fatalf("shard panicked %d times, want 3 (maxEventRetries)", m.ShardPanics)
 	}
 
 	// Recovery replays the WAL with the same poisoned event in it — and
@@ -214,8 +211,8 @@ func TestPoisonedEventQuarantinedAndSkippedOnReplay(t *testing.T) {
 	}
 	wait2 := fixture.Collect(s2.Alerts())
 	m2 := s2.SnapshotMetrics()
-	if m2.Quarantined != 0 || m2.ShardRestarts != 0 {
-		t.Fatalf("replay re-hit the poisoned event: quarantined %d, restarts %d", m2.Quarantined, m2.ShardRestarts)
+	if m2.Quarantined != 0 || m2.ShardPanics != 0 {
+		t.Fatalf("replay re-hit the poisoned event: quarantined %d, panics %d", m2.Quarantined, m2.ShardPanics)
 	}
 	if m2.ReplayedEvents != int64(nonSafe-1) {
 		t.Fatalf("replayed %d events, want %d (all non-Safe minus the quarantined one)", m2.ReplayedEvents, nonSafe-1)
@@ -249,7 +246,7 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 	}
 	victim := events[cut-1]
 	opts := func(extra ...Option) []Option {
-		return handoffOpts(append(extra, fastRestart, withPanicHook(func(_ int, ev logparse.EncodedEvent) {
+		return handoffOpts(append(extra, withPanicHook(func(_ int, ev logparse.EncodedEvent) {
 			if quarantineKeyOf(ev) == key(victim) {
 				panic("poisoned event")
 			}
@@ -295,8 +292,8 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 	if err := b.ImportState(6, "takeover:"+dirA, fullCircle, st); err != nil {
 		t.Fatal(err)
 	}
-	if m := b.SnapshotMetrics(); m.Quarantined != 1 || m.ShardRestarts != 0 {
-		t.Fatalf("import: quarantined %d, restarts %d; want 1 and 0 (no supervisor retry on a replayed event)", m.Quarantined, m.ShardRestarts)
+	if m := b.SnapshotMetrics(); m.Quarantined != 1 || m.ShardPanics != 1 {
+		t.Fatalf("import: quarantined %d, panics %d; want 1 and 1 (a replayed event is tried once, not retried)", m.Quarantined, m.ShardPanics)
 	}
 	journaled := 0
 	if _, err := persist.ReplayWAL(faultfs.OS(), dirB, 0, func(_ uint64, payload []byte) error {
@@ -331,8 +328,8 @@ func TestPoisonedEventInImportedTailQuarantinedAndSkipped(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAcrossRestarts: every incarnation — graceful or
-// crashed — must release all its goroutines (shards, supervisor
-// restarts, snapshot loop, idle flusher).
+// crashed — must release all its goroutines (shards, snapshot
+// loop, idle flusher).
 func TestNoGoroutineLeakAcrossRestarts(t *testing.T) {
 	events := fixture.Corpus(t, fixture.Config(6, 2, 2, 135)).Events
 	before := runtime.NumGoroutine()

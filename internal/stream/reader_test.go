@@ -169,7 +169,6 @@ func TestReaderBatchCrashEquivalence(t *testing.T) {
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour),
 			WithDedupWindow(1024),
-			fastRestart,
 		},
 		durable: true,
 		base:    []step{{reader: &chunkSource{}}},

@@ -1,13 +1,14 @@
 package stream
 
 // The shard loop, the middle of the three seams (DESIGN §9): shardMsgs in
-// — events and the control barriers that ride the same FIFO — run under
-// the panic supervisor through the event-time layer into the node's
-// chain tracker; each chain it closes is judged there by emit.go.
+// — events and the control barriers that ride the same FIFO — run
+// through the event-time layer into the node's chain tracker; each chain
+// it closes is judged there by emit.go. One panic boundary, catch, is
+// deferred around each unit of shard work: a wakeup's events, a replayed
+// event, a barrier, a node's close-out.
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"desh/internal/core"
 	"desh/internal/logparse"
 	"desh/internal/par"
-	"desh/internal/retry"
 )
 
 // shardMsg is one unit of shard work: an event to process, or — when
@@ -69,30 +69,12 @@ type shard struct {
 	pending atomic.Int64
 	wmNano  atomic.Int64
 
-	// Supervisor state, touched only by the shard goroutine and its
-	// restart bookkeeping. inflight marks a panic as the event's at
-	// buf[bufNext] rather than a barrier's.
-	inflight    bool
-	restarts    int // consecutive restarts, resets on progress
-	poisonKey   string
-	poisonCount int
-	rng         *rand.Rand
-
-	// Micro-batch state, shard-goroutine only. buf holds the events
-	// taken by the current wakeup and bufNext the first one not yet
-	// through its tracker — the in-flight one while an event runs — so a
-	// mid-batch panic restart retries that event and resumes the tail
-	// instead of dropping taken events; buf[:counted] are in Processed
-	// already. held is the control barrier that ended the take, answered
-	// once the events ahead of it are through (hasHeld).
-	buf     []shardMsg
-	bufNext int
-	counted int
-	held    shardMsg
-	hasHeld bool
+	// buf holds the events taken by the current wakeup (shard-goroutine
+	// only).
+	buf []shardMsg
 	// clk is the stage clock of a timed wakeup, one in ledgerEvery of
 	// those that hold a stamped event (stamped counts them): on from
-	// processBatch until the next take returns (runLoop).
+	// processBatch until the next take returns (run).
 	clk     stageClock
 	stamped int
 
@@ -109,40 +91,11 @@ type shard struct {
 	arrival time.Time
 }
 
-// run is the shard supervisor: it re-enters the processing loop after
-// every recovered panic with exponential backoff + jitter, retries the
-// in-flight event until its maxEventRetries-th panic quarantines it, and
-// only drains (flushes open episodes) on a graceful close.
+// run is the shard goroutine: it takes and handles messages until its
+// queue closes, then drains (flushes open episodes) unless the close
+// was a simulated crash.
 func (sh *shard) run() {
 	defer sh.s.wg.Done()
-	for sh.runLoop() {
-		sh.backoff()
-	}
-	if !sh.s.crashed.Load() {
-		sh.drain()
-	}
-}
-
-// runLoop processes messages until the queue closes (returns false) or
-// a panic escapes an event (returns true: restart wanted). The panic
-// is recovered here — one poisoned event never takes down the daemon —
-// and attributed to the in-flight event for quarantine accounting.
-func (sh *shard) runLoop() (panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			sh.clk = stageClock{}
-			sh.s.met.ShardRestarts.Add(1)
-			sh.restarts++
-			sh.notePanic()
-		}
-	}()
-	// Finish any micro-batch a panic interrupted before taking new work:
-	// the event it was on (unless notePanic gave up on it), the taken
-	// events behind it and the barrier that ended the take all precede
-	// everything still in the queue.
-	sh.processBatch()
-	sh.applyHeld()
 	for {
 		// An empty take leaves sh.buf untouched: a parked shard writes no
 		// shard state.
@@ -155,7 +108,10 @@ func (sh *shard) runLoop() (panicked bool) {
 		}
 		if len(buf) == 0 {
 			if closed {
-				return false
+				if !sh.s.crashed.Load() {
+					sh.drain()
+				}
+				return
 			}
 			sh.park()
 			continue
@@ -163,7 +119,7 @@ func (sh *shard) runLoop() (panicked bool) {
 		if sh.s.crashed.Load() {
 			// Simulated SIGKILL: abandon the batch mid-queue. The WAL holds
 			// every abandoned event.
-			return false
+			return
 		}
 		sh.buf = buf
 		sh.dispatch()
@@ -176,6 +132,17 @@ func (sh *shard) runLoop() (panicked bool) {
 			default:
 			}
 		}
+	}
+}
+
+// catch is the shard's one panic boundary, deferred around each unit of
+// shard work: it counts the panic, drops a timed wakeup's stage clock
+// (that wakeup's ledger row would hold the panic's unwinding) and lets
+// the shard go on. What the panic costs is the unit's to say.
+func (sh *shard) catch() {
+	if recover() != nil {
+		sh.s.met.ShardPanics.Add(1)
+		sh.clk = stageClock{}
 	}
 }
 
@@ -195,22 +162,14 @@ func (sh *shard) park() {
 // as it closes, and a control barrier that ended the take is answered
 // after them, so it observes every event ahead of it in the queue.
 func (sh *shard) dispatch() {
-	if last := len(sh.buf) - 1; isCtl(&sh.buf[last]) {
-		sh.held, sh.hasHeld = sh.buf[last], true
-		sh.buf = sh.buf[:last]
-	}
-	sh.processBatch()
-	sh.applyHeld()
-}
-
-// applyHeld answers the barrier that ended the current take, if any. It
-// is cleared first: a barrier whose own handling panics is not retried.
-func (sh *shard) applyHeld() {
-	if !sh.hasHeld {
+	last := len(sh.buf) - 1
+	if !isCtl(&sh.buf[last]) {
+		sh.processBatch()
 		return
 	}
-	m := sh.held
-	sh.held, sh.hasHeld = shardMsg{}, false
+	m := sh.buf[last]
+	sh.buf = sh.buf[:last]
+	sh.processBatch()
 	sh.applyCtl(&m)
 }
 
@@ -227,47 +186,93 @@ func (s *Streamer) awaitAcks(ack <-chan int) error {
 	return nil
 }
 
-// applyCtl answers one control barrier on the shard goroutine.
+// applyCtl applies one control barrier on the shard goroutine and
+// answers it, also when applying it panicked: a capture that panicked
+// answers nil, which fails the caller's gatherCaptures; no caller waits
+// for shutdown.
 func (sh *shard) applyCtl(m *shardMsg) {
+	snap := sh.applyBarrier(m)
 	switch {
 	case m.snap != nil:
-		m.snap <- sh.capture()
+		m.snap <- snap
 	case m.swap != nil:
-		sh.applySwap(m.swap)
+		m.swap.ack <- sh.id
 	case m.drop != nil:
-		sh.applyDrop(m.drop)
+		m.drop.ack <- sh.id
 	case m.imp != nil:
-		sh.applyImport(m.imp)
+		m.imp.ack <- sh.id
 	}
 }
 
-// processBatch runs the unprocessed tail of the taken micro-batch,
-// each event by reference where the wakeup took it, then stamps the
-// batch's metrics. The wall clock is read once per wakeup, and only
-// with IdleFlush on (it feeds nothing but the idle-flush clock, whose
-// granularity is seconds). A wakeup that holds no stamped event reads
-// no monotonic clock; one fresh wakeup in ledgerEvery of those that do
-// times its stages for the ledger. Processed moves once per wakeup: notePanic counts what an interrupted
-// one had finished, so the conservation equation holds whenever the
-// shard is not inside an event.
+// applyBarrier does a barrier's work under catch and returns a
+// capture's state (nil if it panicked).
+func (sh *shard) applyBarrier(m *shardMsg) (snap map[string]persistedNode) {
+	defer sh.catch()
+	switch {
+	case m.snap != nil:
+		return sh.capture()
+	case m.swap != nil:
+		sh.det = sh.s.mustDetector(m.swap.p)
+	case m.drop != nil:
+		sh.s.met.HandoffNodesOut.Add(int64(sh.dropNodes(m.drop.ranges)))
+	case m.imp != nil:
+		sh.applyImport(m.imp)
+	}
+	return nil
+}
+
+// processBatch runs the taken micro-batch, each event by reference where
+// the wakeup took it, then stamps the batch's metrics. The wall clock is
+// read once per wakeup, and only with IdleFlush on (it feeds nothing but
+// the idle-flush clock, whose granularity is seconds). A wakeup that
+// holds no stamped event reads no monotonic clock; one in ledgerEvery of
+// those that do times its stages for the ledger, unless an event
+// panics. An event that panics is retried where it stands, and
+// quarantined on its maxEventRetries-th panic; the events behind it run
+// either way. Processed moves once per wakeup, so the conservation
+// equation holds whenever the shard is between wakeups.
 func (sh *shard) processBatch() {
 	var now time.Time
 	if sh.s.opts.IdleFlush > 0 {
 		now = time.Now()
 	}
 	var c *stageClock
-	if sh.bufNext == 0 && sh.holdsStamp() {
+	if sh.holdsStamp() {
 		if sh.stamped++; sh.stamped%ledgerEvery == 0 {
 			c = &sh.clk
 			c.begin(sh.s)
 		}
 	}
-	for ; sh.bufNext < len(sh.buf); sh.bufNext++ {
-		sh.process(&sh.buf[sh.bufNext].ev, now, c)
+	from, tries, poisoned := 0, 0, 0
+	for {
+		at := sh.processFrom(from, now, c)
+		if at == len(sh.buf) {
+			break
+		}
+		c = nil // catch dropped the clock
+		if at != from {
+			tries = 0
+		}
+		from = at
+		if tries++; tries == maxEventRetries {
+			sh.quarantine(&sh.buf[at].ev)
+			from, tries = at+1, 0
+			poisoned++
+		}
 	}
 	c.lap(sh.s, stageChain, len(sh.buf))
-	sh.countProcessed()
+	sh.s.met.Processed.Add(int64(len(sh.buf) - poisoned))
 	sh.observeBatch(c)
+}
+
+// processFrom runs buf[from:] under one catch and returns len(buf), or
+// the index of the event that panicked.
+func (sh *shard) processFrom(from int, now time.Time, c *stageClock) (at int) {
+	defer sh.catch()
+	for at = from; at < len(sh.buf); at++ {
+		sh.process(&sh.buf[at].ev, now, c)
+	}
+	return at
 }
 
 // holdsStamp reports whether the taken micro-batch holds a stamped
@@ -281,17 +286,9 @@ func (sh *shard) holdsStamp() bool {
 	return false
 }
 
-// countProcessed adds the events finished since the last count.
-func (sh *shard) countProcessed() {
-	sh.s.met.Processed.Add(int64(sh.bufNext - sh.counted))
-	sh.counted = sh.bufNext
-}
-
-// process runs one event through the shard with crash attribution; now
-// is the arrival time handle stamps on the event's node, c the clock of
-// a timed wakeup.
+// process runs one event through the shard; now is the arrival time
+// handle stamps on the event's node, c the clock of a timed wakeup.
 func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time, c *stageClock) {
-	sh.inflight = true
 	if hook := sh.s.opts.panicHook; hook != nil {
 		hook(sh.id, *ev)
 	}
@@ -299,38 +296,42 @@ func (sh *shard) process(ev *logparse.EncodedEvent, now time.Time, c *stageClock
 		time.Sleep(d)
 	}
 	sh.handle(ev, now, c)
-	sh.inflight = false
-	sh.restarts = 0
 }
 
 // replay is process for an event that already had its chance somewhere
 // else — the boot-time WAL tail (single-threaded inside New) and an
 // imported range's pending tail (on the shard goroutine, inside the
-// import barrier). There is no supervisor to retry under, so a panic
-// quarantines the event at once. Chains judge as they close, as live
-// ones do, so replayed alert order matches live order. A replayed
-// event counts as admitted for the enqueue stamp's sampling, and only
-// one admission would have stamped is timed into Detect; its arrival is
-// the pass's one wall-clock reading (sh.arrival).
+// import barrier). It is tried once: a panic quarantines the event at
+// once. Chains judge as they close, as live ones do, so replayed alert
+// order matches live order. A replayed event counts as admitted for the
+// enqueue stamp's sampling, and only one admission would have stamped is
+// timed into Detect; its arrival is the pass's one wall-clock reading
+// (sh.arrival).
 func (sh *shard) replay(ev *logparse.EncodedEvent) {
 	var at int64
 	if sh.s.admittedCount(sh.s.met.Ingested.Add(1))&sh.s.stampMask == 0 {
 		at = sh.s.mono()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			sh.quarantine(ev)
-		}
-	}()
 	sh.s.met.ReplayedEvents.Add(1)
-	if hook := sh.s.opts.panicHook; hook != nil {
-		hook(sh.id, *ev)
+	if !sh.replayOnce(ev) {
+		sh.quarantine(ev)
+		return
 	}
-	sh.handle(ev, sh.arrival, nil)
 	sh.s.met.Processed.Add(1)
 	if at != 0 {
 		sh.s.met.Detect.Observe(time.Duration(sh.s.mono() - at))
 	}
+}
+
+// replayOnce runs one replayed event under catch, reporting whether it
+// got through.
+func (sh *shard) replayOnce(ev *logparse.EncodedEvent) (ok bool) {
+	defer sh.catch()
+	if hook := sh.s.opts.panicHook; hook != nil {
+		hook(sh.id, *ev)
+	}
+	sh.handle(ev, sh.arrival, nil)
+	return true
 }
 
 // quarantine gives up on a poisoned event: counted, and journaled so no
@@ -340,48 +341,6 @@ func (sh *shard) quarantine(ev *logparse.EncodedEvent) {
 	if sh.s.pst != nil {
 		sh.s.pst.appendQuarantine(sh.s, ev)
 	}
-}
-
-// notePanic counts the events the interrupted wakeup had finished, then
-// attributes the panic to the in-flight event and decides between retry
-// (runLoop resumes the batch at buf[bufNext]) and quarantine (stepped
-// over, never counted as processed).
-func (sh *shard) notePanic() {
-	sh.countProcessed()
-	if !sh.inflight {
-		// Panic outside event processing (a barrier); nothing to retry.
-		return
-	}
-	sh.inflight = false
-	ev := &sh.buf[sh.bufNext].ev
-	key := quarantineKeyOf(*ev)
-	if key == sh.poisonKey {
-		sh.poisonCount++
-	} else {
-		sh.poisonKey, sh.poisonCount = key, 1
-	}
-	if sh.poisonCount >= maxEventRetries {
-		sh.quarantine(ev)
-		sh.poisonKey, sh.poisonCount = "", 0
-		sh.bufNext++
-		sh.counted++
-	}
-}
-
-// backoff sleeps before a restart — capped exponential backoff with
-// full jitter via the shared retry policy, cut short by shutdown. The
-// shard keeps its own seeded source so restart timing stays
-// deterministic per shard under test.
-func (sh *shard) backoff() {
-	if sh.rng == nil {
-		sh.rng = rand.New(rand.NewSource(int64(sh.id)*7919 + 1))
-	}
-	p := retry.Policy{
-		Base: sh.s.opts.restartBackoff,
-		Max:  time.Second,
-		Rand: sh.rng.Int63n,
-	}
-	p.Wait(sh.s.done, sh.restarts-1)
 }
 
 // nodeState is one node's streaming state: its incremental chain
@@ -549,22 +508,25 @@ func (s *Streamer) idleFlushTick(now time.Time) {
 // without a terminal message still gets its final episode scored.
 func (sh *shard) idleFlush(now time.Time) {
 	for _, ns := range sh.nodes {
-		if now.Sub(ns.lastArrival) >= sh.s.opts.IdleFlush {
-			sh.closeOut(ns, now)
-		}
+		sh.closeOut(ns, now, sh.s.opts.IdleFlush)
 	}
 }
 
-// closeOut ends a node's open episode and scores it. A node that went
-// silent, or whose streamer is shutting down, will never see its
+// closeOut ends a node's open episode and scores it, if the node has
+// been silent for idle or longer (0: whatever its silence). A node that
+// went silent, or whose streamer is shutting down, will never see its
 // watermark advance again, so its reorder buffer drains into the tracker
 // first and the final episode includes the buffered tail; chains that
 // tail closes judge ahead of the final episode, in append order. From
 // idleFlush this is the one wall-clock-driven release path — with
 // IdleFlush off, release is purely event-driven and WAL replay is exact.
-// No stage clock runs here: idle-flush and drain work is in no ledger
-// row.
-func (sh *shard) closeOut(ns *nodeState, now time.Time) {
+// It runs under catch: a panic costs this node's close-out alone. No
+// stage clock runs here: idle-flush and drain work is in no ledger row.
+func (sh *shard) closeOut(ns *nodeState, now time.Time, idle time.Duration) {
+	defer sh.catch()
+	if idle > 0 && now.Sub(ns.lastArrival) < idle {
+		return
+	}
 	sh.flushReorder(ns, now)
 	ns.openAlerted = false
 	if ch, ok := ns.tracker.Flush(); ok {
@@ -592,7 +554,7 @@ func (sh *shard) flushReorder(ns *nodeState, now time.Time) {
 func (sh *shard) drain() {
 	now := time.Now()
 	for _, ns := range sh.nodes {
-		sh.closeOut(ns, now)
+		sh.closeOut(ns, now, 0)
 	}
 }
 

@@ -187,7 +187,7 @@ func New(p *core.Pipeline, options ...Option) (*Streamer, error) {
 	}
 	// Recovery runs before any goroutine starts: shard state is
 	// restored and the WAL tail replayed single-threaded, so the
-	// supervisor and ingest paths never observe a half-recovered
+	// shard goroutines and ingest paths never observe a half-recovered
 	// streamer.
 	if opts.StateDir != "" {
 		if err := s.recover(); err != nil {

@@ -176,15 +176,6 @@ func (s *Streamer) adoptBoot(cand *core.Pipeline, file string) {
 	}
 }
 
-// applySwap is the shard side of the barrier: rebuild the detector
-// from the new pipeline and ack. Deferred chains were flushed before
-// the barrier (dispatch breaks its drain on one), so nothing pending
-// scores on the wrong model.
-func (sh *shard) applySwap(b *swapBarrier) {
-	sh.det = sh.s.mustDetector(b.p)
-	b.ack <- sh.id
-}
-
 // replaySwap re-applies a journaled hot swap at its exact WAL
 // position: events already replayed scored on the previous model,
 // events after the record replay onto the new one — matching live

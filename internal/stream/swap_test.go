@@ -117,7 +117,6 @@ func runCrashDuringSwapEquivalence(t *testing.T, fixed ...Option) {
 			WithQuietPeriod(time.Minute),
 			WithAlertBuffer(8192),
 			WithSnapshotEvery(time.Hour),
-			fastRestart,
 		}, fixed...),
 	}
 	// Uninterrupted baselines: one run that never swaps, one that swaps
