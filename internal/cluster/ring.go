@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -25,8 +26,16 @@ const defaultVnodes = 64
 // member owning the first point clockwise from the id's hash. Builds
 // are deterministic: the same members and vnodes always produce the
 // same ring, so every tier that constructs one agrees on placement.
+//
+// Owner searches a bucket index instead of the whole ring: hashes holds
+// the points' hashes densely, and first[b] is the first point whose
+// hash's top bits are b or more, with about one point per bucket. A
+// lookup scans from its own bucket's first point to the next bucket's.
 type Ring struct {
 	points  []ringPoint // sorted by hash, deduplicated
+	hashes  []uint32    // points[i].h
+	first   []uint32    // first point of each top-bits bucket, and len(points) last
+	shift   uint        // 32 minus the bucket bits
 	members []string    // sorted, deduplicated
 	vnodes  int
 }
@@ -72,7 +81,28 @@ func NewRing(members []string, vnodes int) *Ring {
 		out = append(out, p)
 	}
 	r.points = out
+	r.index()
 	return r
+}
+
+// index builds the bucket index over the sorted points: 2^k buckets
+// for k the bit length of the point count, so a bucket averages at most
+// one point.
+func (r *Ring) index() {
+	k := uint(min(bits.Len(uint(len(r.points))), 16))
+	r.shift = 32 - k
+	r.hashes = make([]uint32, len(r.points))
+	r.first = make([]uint32, 1<<k+1)
+	for i, p := range r.points {
+		r.hashes[i] = p.h
+	}
+	i := 0
+	for b := range r.first {
+		for i < len(r.hashes) && uint64(r.hashes[i])>>r.shift < uint64(b) {
+			i++
+		}
+		r.first[b] = uint32(i)
+	}
 }
 
 // Members returns the ring's member names, sorted.
@@ -81,14 +111,29 @@ func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 // Owner returns the member owning hash h: the first ring point
 // strictly clockwise of h, wrapping ("" on an empty ring).
 func (r *Ring) Owner(h uint32) string {
-	if len(r.points) == 0 {
-		return ""
+	if i := r.owner(h); i >= 0 {
+		return r.points[i].member
 	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h > h })
-	if i == len(r.points) {
+	return ""
+}
+
+// owner is the index of the point owning h (-1 on an empty ring). Every
+// point below h's bucket hashes below h and every point past it above,
+// so the answer lies in [first[b], first[b+1]]: the bucket's own points,
+// or the next bucket's first.
+func (r *Ring) owner(h uint32) int {
+	if len(r.hashes) == 0 {
+		return -1
+	}
+	b := h >> r.shift
+	i, end := int(r.first[b]), int(r.first[b+1])
+	for i < end && r.hashes[i] <= h {
+		i++
+	}
+	if i == len(r.hashes) {
 		i = 0
 	}
-	return r.points[i].member
+	return i
 }
 
 // Ranges returns the arcs member owns, adjacent arcs merged. A member

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"desh/internal/persist"
@@ -166,4 +169,72 @@ func TestHandoffMovesExactlyTheGainedRanges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// searchOwner is Owner by binary search over the whole ring: the
+// reference the bucket index must agree with.
+func searchOwner(r *Ring, h uint32) string {
+	if len(r.points) == 0 {
+		return ""
+	}
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h > h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].member
+}
+
+// TestRingIndexMatchesOwner: the bucketed Owner returns what a binary
+// search over the points returns — for random hashes, at every point,
+// one below and one above it, and at both ends of the circle — on rings
+// of 1 to 16 members at sparse and default vnode counts, and on a ring
+// whose two members' points collide (member-1094#26..29 hash as
+// member-5795#28,29,26,27), so NewRing dropped points.
+func TestRingIndexMatchesOwner(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	var rings []*Ring
+	for n := 1; n <= 16; n++ {
+		members := make([]string, n)
+		for i := range members {
+			members[i] = fmt.Sprintf("inst-%d", i)
+		}
+		for _, vnodes := range []int{1, 3, 0} {
+			rings = append(rings, NewRing(members, vnodes))
+		}
+	}
+	collided := NewRing([]string{"member-1094", "member-5795"}, 0)
+	if len(collided.points) >= 2*defaultVnodes {
+		t.Fatalf("collision ring holds %d points, want fewer than %d", len(collided.points), 2*defaultVnodes)
+	}
+	rings = append(rings, collided)
+	for _, r := range rings {
+		probes := []uint32{0, 1, math.MaxUint32 - 1, math.MaxUint32}
+		for _, p := range r.points {
+			probes = append(probes, p.h-1, p.h, p.h+1)
+		}
+		for i := 0; i < 2000; i++ {
+			probes = append(probes, rng.Uint32())
+		}
+		for _, h := range probes {
+			if got, want := r.Owner(h), searchOwner(r, h); got != want {
+				t.Fatalf("%d members, %d points: Owner(%#x) = %q, binary search says %q", len(r.members), len(r.points), h, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRingOwner is one owner lookup on a two-member ring at the
+// default vnode count, the routed hop's shape.
+func BenchmarkRingOwner(b *testing.B) {
+	r := NewRing([]string{"i0", "i1"}, 0)
+	hs := make([]uint32, 1024)
+	for i := range hs {
+		hs[i] = persist.NodeHash(fmt.Sprintf("c%d-0c0s%dn%d", i/32, i/4%8, i%4))
+	}
+	b.ReportAllocs()
+	var sink string
+	for i := 0; i < b.N; i++ {
+		sink = r.Owner(hs[i&1023])
+	}
+	_ = sink
 }

@@ -172,10 +172,13 @@ type Router struct {
 	leaseClient *http.Client
 	fsys        faultfs.FS
 
-	mu    sync.RWMutex // ring, view, peers, gens
-	ring  *Ring
-	view  persist.ViewRecord
-	peers map[string]*peerState
+	mu   sync.RWMutex // ring, owners, view, peers, gens
+	ring *Ring
+	// owners[i] is the peer of the ring's i-th point, so route finds an
+	// owner by index and never looks up a member by name.
+	owners []*peerState
+	view   persist.ViewRecord
+	peers  map[string]*peerState
 	// gens holds the newest fencing generation each member reported in a
 	// lease reply; control posts to it are stamped with that.
 	gens map[string]uint64
@@ -331,24 +334,28 @@ func (r *Router) IngestLine(line string) error {
 	if ev.Node == "" { // blank
 		return nil
 	}
-	r.route(ev)
+	r.route(&ev)
 	return nil
 }
 
-// route enqueues an event for its owner's sender, spilling when the
+// route enqueues a copy of ev for its owner's sender, spilling when the
 // owner is unknown, unhealthy, or backlogged.
-func (r *Router) route(ev logparse.Event) {
+func (r *Router) route(ev *logparse.Event) {
 	r.outstanding.Add(1)
-	// Put under the read lock: a departing member leaves r.peers under the
+	// Put under the read lock: a departing member leaves r.owners under the
 	// write lock before stopPeer sweeps its queue, so nothing lands behind it.
 	r.mu.RLock()
-	ps := r.peers[r.ring.Owner(persist.NodeHash(ev.Node))]
-	if ps != nil && ps.healthy.Load() && ps.q.Put(ev, false) {
-		r.mu.RUnlock()
-		return
+	if i := r.ring.owner(persist.NodeHash(ev.Node)); i >= 0 {
+		ps := r.owners[i]
+		if ps.healthy.Load() {
+			if put, _ := ps.q.PutN(1, false, func(slot *logparse.Event) { *slot = *ev }); put == 1 {
+				r.mu.RUnlock()
+				return
+			}
+		}
 	}
 	r.mu.RUnlock()
-	r.spillRecord(persist.EncodeEvent(persist.RecordOf(ev)))
+	r.spillRecord(persist.EncodeEvent(persist.RecordOf(*ev)))
 	r.outstanding.Add(-1)
 }
 
@@ -412,7 +419,7 @@ func (r *Router) sender(ps *peerState) {
 				break
 			}
 			for i := range evs {
-				batch.Add(evs[i])
+				batch.Add(&evs[i])
 			}
 		}
 		if batch.Len() == 0 {
@@ -541,8 +548,8 @@ func (r *Router) drainSpill() {
 		r.met.SpillErrors.Add(1)
 		r.diagf("cluster: spill replay: %v", rerr)
 	}
-	for _, ev := range evs {
-		r.route(ev)
+	for i := range evs {
+		r.route(&evs[i])
 	}
 	_ = r.spill.RemoveSegmentsBelow(boundary)
 	r.met.Drained.Add(int64(len(evs)))
@@ -624,6 +631,11 @@ func (r *Router) installView(v persist.ViewRecord) bool {
 			delete(r.peers, name)
 			stopped = append(stopped, ps)
 		}
+	}
+	// Every ring member is a view member, so each point has its peer.
+	r.owners = make([]*peerState, len(r.ring.points))
+	for i, p := range r.ring.points {
+		r.owners[i] = r.peers[p.member]
 	}
 	r.mu.Unlock()
 	for _, ps := range started {

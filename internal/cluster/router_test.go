@@ -56,12 +56,18 @@ func newFakePeer() *fakePeer {
 			return
 		}
 		var batch []string
-		if err := persist.DecodeEventBatch(body, nil, func(ev logparse.Event, record []byte) {
-			rec, _ := persist.DecodeEvent(record[1:]) // the record carries the message
-			batch = append(batch, ev.Time.Format(logparse.TimeLayout)+" "+ev.Node+" "+rec.Message)
+		var records [][]byte
+		var ev logparse.Event
+		if err := persist.DecodeEventBatch(body, nil, func(record []byte, _ uint32) *logparse.Event {
+			records = append(records, record)
+			return &ev
 		}); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
+		}
+		for _, record := range records {
+			rec, _ := persist.DecodeEvent(record[1:]) // the record carries the message
+			batch = append(batch, time.Unix(0, rec.TimeNano).UTC().Format(logparse.TimeLayout)+" "+rec.Node+" "+rec.Message)
 		}
 		reply := ingestReply{}
 		if p.rejectAll.Load() {
@@ -516,4 +522,161 @@ func serveLines(s *stream.Streamer, body string) error {
 	}
 	ln.Close()
 	return <-served
+}
+
+// TestRouteFollowsViewChanges: once installView drops a member, no
+// routed event lands on its queue and its lines reach the member that
+// owns them now; once it adds one, routing reaches the newcomer. Every
+// line lands exactly once, on the owner the installed ring names.
+func TestRouteFollowsViewChanges(t *testing.T) {
+	peers := []*fakePeer{newFakePeer(), newFakePeer(), newFakePeer()}
+	for _, p := range peers {
+		defer p.srv.Close()
+	}
+	member := func(i int) persist.ViewMember {
+		return persist.ViewMember{Name: fmt.Sprintf("p%d", i), URL: peers[i].srv.URL, State: persist.StateIn}
+	}
+	cfg := fastRouterConfig([]Peer{{Name: "p0", URL: peers[0].srv.URL}, {Name: "p1", URL: peers[1].srv.URL}}, t.TempDir())
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	lines := testLines(t, 24, 48)
+	flushed := func(t *testing.T) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := r.Flush(ctx); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+	}
+	// sendAll routes every line and checks that each landed once, on
+	// the peer the ring of members names as its node's owner.
+	sendAll := func(t *testing.T, members ...int) {
+		t.Helper()
+		before := make([]map[string]int, len(peers))
+		for i, p := range peers {
+			before[i] = p.snapshot()
+		}
+		for _, line := range lines {
+			if err := r.IngestLine(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flushed(t)
+		var names []string
+		for _, i := range members {
+			names = append(names, fmt.Sprintf("p%d", i))
+		}
+		ring := NewRing(names, 0)
+		reached := make([]int, len(peers))
+		for _, line := range lines {
+			ev, err := parseLine(line)
+			if err != nil || ev.Node == "" {
+				continue
+			}
+			owner := ring.Owner(persist.NodeHash(ev.Node))
+			for i, p := range peers {
+				got := p.snapshot()[line] - before[i][line]
+				want := 0
+				if fmt.Sprintf("p%d", i) == owner {
+					want = 1
+				}
+				if got != want {
+					t.Fatalf("members %v: line for %s (owner %s) reached p%d %d times, want %d", members, ev.Node, owner, i, got, want)
+				}
+				reached[i] += got
+			}
+		}
+		for _, i := range members {
+			if reached[i] == 0 {
+				t.Fatalf("members %v: no line reached p%d", members, i)
+			}
+		}
+	}
+	sendAll(t, 0, 1)
+
+	r.mu.RLock()
+	dropped := r.peers["p1"]
+	r.mu.RUnlock()
+	if !r.installView(persist.ViewRecord{Epoch: 2, Members: []persist.ViewMember{member(0)}}) {
+		t.Fatal("epoch-2 view not installed")
+	}
+	for _, line := range lines {
+		if err := r.IngestLine(line); err != nil {
+			t.Fatal(err)
+		}
+		if n := dropped.q.Len(); n != 0 {
+			t.Fatalf("the dropped member's queue holds %d events", n)
+		}
+	}
+	flushed(t)
+	if n := dropped.q.Len(); n != 0 {
+		t.Fatalf("the dropped member's queue holds %d events after the flush", n)
+	}
+	sendAll(t, 0)
+
+	if !r.installView(persist.ViewRecord{Epoch: 3, Members: []persist.ViewMember{member(0), member(2)}}) {
+		t.Fatal("epoch-3 view not installed")
+	}
+	sendAll(t, 0, 2)
+}
+
+// stubTransport answers every request of a router in process: 200 and
+// an empty JSON object, with the request body read and counted.
+type stubTransport struct{ posts atomic.Int64 }
+
+func (s *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+		if req.Method == http.MethodPost {
+			s.posts.Add(1)
+		}
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(strings.NewReader("{}")),
+		Request:    req,
+	}, nil
+}
+
+// BenchmarkRouterIngestLine is one failstorm-shaped line through
+// Router.IngestLine into two peers a stub RoundTripper answers: the
+// parse, the owner lookup and the queue put per line, and the framing
+// and POST of each batch spread over its lines (allocs/op included).
+func BenchmarkRouterIngestLine(b *testing.B) {
+	cfg := fixture.Config(128, 2, 20, 1)
+	cfg.Profile.NoisePerNodeHour, cfg.Profile.StrayPerNodeHour = 0.2, 2.5
+	lines := fixture.Corpus(b, cfg).Lines
+	tr := &stubTransport{}
+	rc := fastRouterConfig([]Peer{{Name: "i0", URL: "http://i0.invalid"}, {Name: "i1", URL: "http://i1.invalid"}}, b.TempDir())
+	rc.Transport, rc.BatchMax, rc.HealthInterval, rc.DrainInterval = tr, 1024, time.Second, time.Second
+	r, err := NewRouter(rc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.IngestLine(lines[i%len(lines)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := r.Flush(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	m := r.Metrics()
+	if m.Forwarded != int64(b.N) {
+		b.Fatalf("forwarded %d of %d lines", m.Forwarded, b.N)
+	}
+	// A put that finds its peer's queue full spills, and the drain
+	// delivers it: counted here, as the backlog it is.
+	b.ReportMetric(float64(m.Spilled)/float64(b.N), "spilled/line")
 }

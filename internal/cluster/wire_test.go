@@ -31,7 +31,7 @@ func wireBody(t testing.TB, lines ...string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Add(ev)
+		b.Add(&ev)
 	}
 	return b.Bytes()
 }
@@ -423,7 +423,8 @@ func FuzzIngestRecords(f *testing.F) {
 	inst := newLeaseInstance(f, "")
 	f.Fuzz(func(t *testing.T, body []byte) {
 		records := 0
-		derr := persist.DecodeEventBatch(body, nil, func(logparse.Event, []byte) { records++ })
+		var slot logparse.Event
+		derr := persist.DecodeEventBatch(body, nil, func([]byte, uint32) *logparse.Event { records++; return &slot })
 		if derr != nil && !errors.Is(derr, persist.ErrCorrupt) {
 			t.Fatalf("untyped decode error %T: %v", derr, derr)
 		}

@@ -16,6 +16,7 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+	"time"
 )
 
 // ErrCrashed is returned by every mutating operation of a Fault FS once
@@ -31,7 +32,10 @@ var ErrCrashed = errors.New("faultfs: injected crash")
 // bytes have landed, and Unmap releases the segment before the file is
 // cut to what was appended. What a reserved byte is before its Commit
 // is the platform's business: on Linux it is already the file's, in a
-// shared mapping; elsewhere it is a heap byte Commit writes.
+// shared mapping; elsewhere it is a heap byte Commit writes. TakeFills
+// reports the reservation windows Reserve has filled with disk blocks
+// and zeros since the last call, and the time those fills took (none
+// off Linux).
 type File interface {
 	io.Reader
 	io.Writer
@@ -44,6 +48,7 @@ type File interface {
 	Reserve(off, n int) ([]byte, error)
 	Commit(off, n int) error
 	Unmap() error
+	TakeFills() (n int, d time.Duration)
 }
 
 // FS is the filesystem surface of the persistence layer. All paths are
@@ -268,6 +273,8 @@ func (ff *faultFile) Close() error               { return ff.inner.Close() }
 func (ff *faultFile) Stat() (fs.FileInfo, error) { return ff.inner.Stat() }
 func (ff *faultFile) Map(size int) error         { return ff.inner.Map(size) }
 func (ff *faultFile) Unmap() error               { return ff.inner.Unmap() }
+
+func (ff *faultFile) TakeFills() (int, time.Duration) { return ff.inner.TakeFills() }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
 	torn, err := ff.f.admit()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"syscall"
+	"time"
 )
 
 // reserveWindow is how far ahead of the appends Reserve allocates: one
@@ -25,6 +26,10 @@ var zeroWindow [reserveWindow]byte
 type segment struct {
 	view     []byte
 	reserved int // bytes of view with disk blocks behind them
+	// fills and fillTime count the windows Reserve filled, and the time
+	// their fallocate and zero writes took, since the last TakeFills.
+	fills    int
+	fillTime time.Duration
 }
 
 func (f *osFile) Map(size int) error {
@@ -54,6 +59,7 @@ func (f *osFile) Reserve(off, n int) ([]byte, error) {
 		if end > len(f.view) {
 			return nil, fmt.Errorf("faultfs: reserve [%d,%d) past the %d-byte mapping of %s", off, end, len(f.view), f.Name())
 		}
+		start := time.Now()
 		to := min((end+reserveWindow-1)/reserveWindow*reserveWindow, len(f.view))
 		// The allocation turns a full disk into an error here, never a
 		// SIGBUS on a copy; a filesystem without fallocate reserves the
@@ -66,10 +72,18 @@ func (f *osFile) Reserve(off, n int) ([]byte, error) {
 			if _, err := f.WriteAt(zeroWindow[:min(reserveWindow, to-at)], int64(at)); err != nil {
 				return nil, err
 			}
+			f.fills++
 		}
 		f.reserved = to
+		f.fillTime += time.Since(start)
 	}
 	return f.view[off:end:end], nil
+}
+
+func (f *osFile) TakeFills() (n int, d time.Duration) {
+	n, d = f.fills, f.fillTime
+	f.fills, f.fillTime = 0, 0
+	return n, d
 }
 
 // Commit has nothing to do: the copy into the mapping was the write.

@@ -127,11 +127,15 @@ func EncodeEvent(rec EventRecord) []byte {
 // AppendEvent appends EncodeEvent(rec) to dst — the allocation-free
 // form for callers that frame many records into one reused buffer.
 func AppendEvent(dst []byte, rec EventRecord) []byte {
+	return appendEvent(dst, rec.TimeNano, rec.Node, rec.Message, rec.Key)
+}
+
+func appendEvent(dst []byte, t int64, node, msg, key string) []byte {
 	dst = append(dst, RecEvent)
-	dst = binary.AppendVarint(dst, rec.TimeNano)
-	dst = appendString(dst, rec.Node)
-	dst = appendString(dst, rec.Message)
-	dst = appendString(dst, rec.Key)
+	dst = binary.AppendVarint(dst, t)
+	dst = appendString(dst, node)
+	dst = appendString(dst, msg)
+	dst = appendString(dst, key)
 	return dst
 }
 

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"desh/internal/persist/faultfs"
 )
@@ -68,6 +69,10 @@ type WAL struct {
 	unsynced    int
 	retainFloor uint64
 	closed      bool
+	// fills and fillTime total the reservation windows the segments had
+	// filled and the time that took (WindowFills).
+	fills    int64
+	fillTime time.Duration
 }
 
 func segPath(dir string, base uint64) string {
@@ -147,6 +152,7 @@ func (w *WAL) openSegment() error {
 // bytes appended (the reservation's zero tail goes), fsync and close. A
 // segment closed so is byte for byte what a write per append left.
 func (w *WAL) closeSegment() error {
+	w.takeFills()
 	err := w.f.Unmap()
 	if err == nil && w.mapped > 0 {
 		err = w.f.Truncate(int64(w.off))
@@ -158,6 +164,26 @@ func (w *WAL) closeSegment() error {
 		err = cerr
 	}
 	return err
+}
+
+// takeFills moves the live segment's window fills into the totals.
+func (w *WAL) takeFills() {
+	n, d := w.f.TakeFills()
+	w.fills += int64(n)
+	w.fillTime += d
+}
+
+// WindowFills reports how many reservation windows the WAL has filled
+// and the time the fills took. A fill comes once per window of appends
+// (1 MiB on Linux), too rarely for a sampled per-event ledger to see,
+// yet each costs an fallocate and a window-sized write.
+func (w *WAL) WindowFills() (n int64, d time.Duration) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.closed {
+		w.takeFills()
+	}
+	return w.fills, w.fillTime
 }
 
 // place makes room for n bytes of frames: a batch that does not fit
@@ -371,6 +397,7 @@ func (w *WAL) CloseCovered() error {
 	if w.retainFloor > 0 && w.retainFloor < w.seq {
 		return w.closeSegment()
 	}
+	w.takeFills()
 	err := w.f.Unmap()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -498,20 +499,20 @@ func TestEventRecordWire(t *testing.T) {
 		t.Fatalf("AppendEvent %x differs from EncodeEvent %x", got[6:], payload)
 	}
 	var b EventBatch
-	b.Add(ev2) // a reused batch must not leak its previous body
+	b.Add(&ev2) // a reused batch must not leak its previous body
 	b.Reset()
-	b.Add(ev)
-	b.Add(ev2)
+	b.Add(&ev)
+	b.Add(&ev2)
 	if b.Len() != 2 || !bytes.Equal(b.Record(0), payload) || !bytes.Equal(b.Record(1), EncodeEvent(RecordOf(ev2))) {
 		t.Fatalf("batch of 2: len %d, records %x / %x", b.Len(), b.Record(0), b.Record(1))
 	}
 	body := append([]byte(nil), b.Bytes()...)
 	var got []logparse.Event
 	var recs [][]byte
-	collect := func(ev logparse.Event, record []byte) { got, recs = append(got, ev), append(recs, record) }
+	collect := func(ev logparse.Event, record []byte, _ uint32) { got, recs = append(got, ev), append(recs, record) }
 	wev, wev2 := ev, ev2 // what the wire decode yields: the record carries the message
 	wev.Message, wev2.Message = "", ""
-	if err := DecodeEventBatch(body, nil, collect); err != nil || len(got) != 2 || got[0] != wev || got[1] != wev2 || !bytes.Equal(recs[0], payload) {
+	if err := decodeEach(body, nil, collect); err != nil || len(got) != 2 || got[0] != wev || got[1] != wev2 || !bytes.Equal(recs[0], payload) {
 		t.Fatalf("decode: %+v, %v", got, err)
 	}
 	for i := range body {
@@ -523,7 +524,7 @@ func TestEventRecordWire(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeEvent(payload[1:]) }); n > 1 {
 		t.Fatalf("DecodeEvent made %v allocations, want at most 1", n)
 	}
-	if err := DecodeEventBatch(nil, nil, collect); err != nil {
+	if err := decodeEach(nil, nil, collect); err != nil {
 		t.Fatalf("empty body: %v", err)
 	}
 	whole := b.Bytes()
@@ -537,7 +538,7 @@ func TestEventRecordWire(t *testing.T) {
 		"not an event":          {3, RecAlert, 1, 2},
 		"event cut short":       {2, RecEvent, 0x80},
 	} {
-		if err := DecodeEventBatch(bad, new(NodeTable), collect); !errors.Is(err, ErrCorrupt) {
+		if err := decodeEach(bad, new(NodeTable), collect); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("DecodeEventBatch(%s): %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -559,6 +560,33 @@ func BenchmarkWALAppendEvent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := w.AppendFunc(1, frame); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestWALCountsWindowFills: a fresh WAL that appends just over 3 MiB
+// reports the reservation windows it filled — four 1 MiB windows on
+// Linux, none where a segment is a heap buffer — and a time for them,
+// read after Close or CloseCovered ended the segment.
+func TestWALCountsWindowFills(t *testing.T) {
+	want := int64(0)
+	if runtime.GOOS == "linux" {
+		want = 4
+	}
+	for name, close := range map[string]func(*WAL) error{"Close": (*WAL).Close, "CloseCovered": (*WAL).CloseCovered} {
+		w, err := OpenWAL(faultfs.OS(), t.TempDir(), 1, 1<<30, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := make([]byte, 4096-walHeaderLen) // one 4 KiB frame each
+		for off := 0; off <= 3<<20; off += 4096 {
+			appendAll(t, w, rec)
+		}
+		if err := close(w); err != nil {
+			t.Fatal(err)
+		}
+		if n, d := w.WindowFills(); n != want || (want > 0) != (d > 0) {
+			t.Fatalf("3 MiB + 4 KiB, then %s: %d window fills in %v, want %d and a time for them", name, n, d, want)
 		}
 	}
 }

@@ -43,9 +43,28 @@ func wireCorpus(rng *rand.Rand, n int, nodes []string, unknown bool) []logparse.
 func wireBody(evs []logparse.Event) []byte {
 	var b EventBatch
 	for _, ev := range evs {
-		b.Add(ev)
+		b.Add(&ev)
 	}
 	return b.Bytes()
+}
+
+// decodeEach runs DecodeEventBatch and then hands fn each decoded event
+// with its record and carried node hash, in order (those before a
+// damaged frame too).
+func decodeEach(body []byte, table *NodeTable, fn func(ev logparse.Event, record []byte, h uint32)) error {
+	var (
+		evs  []logparse.Event
+		recs [][]byte
+		hs   []uint32
+	)
+	err := DecodeEventBatch(body, table, func(record []byte, h uint32) *logparse.Event {
+		evs, recs, hs = append(evs, logparse.Event{}), append(recs, record), append(hs, h)
+		return &evs[len(evs)-1]
+	})
+	for i := range evs {
+		fn(evs[i], recs[i], hs[i])
+	}
+	return err
 }
 
 // TestWireDecodeMatchesDecodeEvent: record for record, the in-place wire
@@ -62,7 +81,7 @@ func TestWireDecodeMatchesDecodeEvent(t *testing.T) {
 		var table NodeTable
 		shared := make(map[string]*byte)
 		i := 0
-		err := DecodeEventBatch(body, &table, func(ev logparse.Event, record []byte) {
+		err := decodeEach(body, &table, func(ev logparse.Event, record []byte, _ uint32) {
 			if !bytes.Equal(record, EncodeEvent(RecordOf(evs[i]))) {
 				t.Fatalf("round %d record %d: record %x, want the frame's bytes", round, i, record)
 			}
@@ -93,8 +112,9 @@ func TestWireDecodeMatchesDecodeEvent(t *testing.T) {
 
 	var table NodeTable
 	body := wireBody(wireCorpus(rng, 512, nodes, false))
+	var slot logparse.Event
 	decode := func() {
-		if err := DecodeEventBatch(body, &table, func(logparse.Event, []byte) {}); err != nil {
+		if err := DecodeEventBatch(body, &table, func([]byte, uint32) *logparse.Event { return &slot }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +139,7 @@ func TestNodeTableBound(t *testing.T) {
 	}
 	var table NodeTable
 	i := 0
-	if err := DecodeEventBatch(wireBody(evs), &table, func(ev logparse.Event, _ []byte) {
+	if err := decodeEach(wireBody(evs), &table, func(ev logparse.Event, _ []byte, _ uint32) {
 		if ev.Node != nodes[i] || ev.Time != evs[i].Time || ev.Key != evs[i].Key {
 			t.Fatalf("record %d: decoded %+v, want %+v", i, ev, evs[i])
 		}
@@ -133,8 +153,45 @@ func TestNodeTableBound(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { table.intern([]byte(nodes[0])) }); n != 0 {
 		t.Errorf("an id taken before the bound: %v allocations, want 0", n)
 	}
-	if got := table.intern([]byte(nodes[len(nodes)-1])); got != nodes[len(nodes)-1] || len(table.m) != maxNodeTable {
-		t.Errorf("an id past the bound: %q, table at %d", got, len(table.m))
+	if got := table.intern([]byte(nodes[len(nodes)-1])); got.node != nodes[len(nodes)-1] || len(table.m) != maxNodeTable {
+		t.Errorf("an id past the bound: %q, table at %d", got.node, len(table.m))
+	}
+}
+
+// TestWireDecodeCarriesNodeHash: the hash the decode hands over with
+// each record is NodeHash of the record's node, whether the node came
+// from the table, was interned on first sight, arrived past the table's
+// bound or was decoded with no table at all.
+func TestWireDecodeCarriesNodeHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	nodes := make([]string, maxNodeTable+300)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("c%d-0c1s0n%d", i/4, i%4)
+	}
+	nodes[0] = ""
+	// Every node once in order, so the table fills to its bound and the
+	// tail arrives past it, then a random draw over all of them twice.
+	evs := wireCorpus(rng, len(nodes)+2*len(nodes), nodes, true)
+	for i := range nodes {
+		evs[i].Node = nodes[i]
+	}
+	body := wireBody(evs)
+	for _, table := range []*NodeTable{new(NodeTable), nil} {
+		for pass := 0; pass < 2; pass++ {
+			i := 0
+			err := decodeEach(body, table, func(ev logparse.Event, _ []byte, h uint32) {
+				if ev.Node != evs[i].Node || h != NodeHash(ev.Node) {
+					t.Fatalf("table %t pass %d record %d: node %q hash %#x, want %q %#x", table != nil, pass, i, ev.Node, h, evs[i].Node, NodeHash(evs[i].Node))
+				}
+				i++
+			})
+			if err != nil || i != len(evs) {
+				t.Fatalf("table %t pass %d: decoded %d of %d records: %v", table != nil, pass, i, len(evs), err)
+			}
+		}
+		if table != nil && len(table.m) != maxNodeTable {
+			t.Fatalf("table holds %d ids, want its bound %d", len(table.m), maxNodeTable)
+		}
 	}
 }
 
@@ -154,7 +211,10 @@ func BenchmarkDecodeEventBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		evs = evs[:0]
-		if err := DecodeEventBatch(body, &table, func(ev logparse.Event, _ []byte) { evs = append(evs, ev) }); err != nil {
+		if err := DecodeEventBatch(body, &table, func([]byte, uint32) *logparse.Event {
+			evs = append(evs, logparse.Event{})
+			return &evs[len(evs)-1]
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

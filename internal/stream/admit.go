@@ -84,8 +84,9 @@ func (s *Streamer) IngestRecords(body []byte, batch []Admission) ([]Admission, u
 		c = s.arm(new(stageClock))
 	}
 	s.wireMu.Lock()
-	err := persist.DecodeEventBatch(body, &s.wireNodes, func(ev logparse.Event, record []byte) {
-		batch = append(batch, Admission{Event: ev, record: record})
+	err := persist.DecodeEventBatch(body, &s.wireNodes, func(record []byte, h uint32) *logparse.Event {
+		batch = append(batch, Admission{record: record, hash: h})
+		return &batch[len(batch)-1].Event
 	})
 	s.wireMu.Unlock()
 	if err != nil {
@@ -107,15 +108,27 @@ type Admission struct {
 	// range is frozen mid-handoff. Either way the event was neither
 	// counted nor journaled.
 	Refused bool
+	// admitted marks an event that passed every ingest filter; shard is
+	// then the index of its node's shard.
+	admitted bool
+	shard    int32
+	// hash, set with record, is persist.NodeHash(Event.Node), carried from
+	// the wire decode's node table so admission does not hash again.
+	hash uint32
 	// record, set by IngestRecords, is the event's persist.EncodeEvent
 	// payload as it arrived off the wire: the WAL takes these bytes as
 	// they are instead of encoding the event again, and they carry the
 	// message text the decoded event does not. Read only during the call.
 	record []byte
-	// admitted marks an event that passed every ingest filter; shard is
-	// then the index of its node's shard.
-	admitted bool
-	shard    int32
+}
+
+// nodeHash is persist.NodeHash(a.Event.Node): the hash a wire record
+// carries from the decode, else hashed here.
+func (a *Admission) nodeHash() uint32 {
+	if a.record != nil {
+		return a.hash
+	}
+	return persist.NodeHash(a.Event.Node)
 }
 
 // IngestBatch admits a batch of parsed events as one unit: the ingest
@@ -198,7 +211,7 @@ func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (
 		// double-deliver. The node is hashed once, for this and the shard.
 		var h uint32
 		if gated {
-			if h = persist.NodeHash(a.Event.Node); !ctl.admits(h) {
+			if h = a.nodeHash(); !ctl.admits(h) {
 				a.Refused = true
 				continue
 			}
@@ -235,7 +248,7 @@ func (s *Streamer) admitLocked(batch []Admission, inRange bool, c *stageClock) (
 			continue
 		}
 		if !gated {
-			h = persist.NodeHash(a.Event.Node)
+			h = a.nodeHash()
 		}
 		a.admitted = true
 		a.shard = int32(s.shardOfHash(h))

@@ -314,7 +314,7 @@ func BenchmarkStageLedger(b *testing.B) {
 				for i := 0; sh.records && i < n; i += 512 {
 					var wb persist.EventBatch
 					for _, ev := range log.Events[i:min(i+512, n)] {
-						wb.Add(ev)
+						wb.Add(&ev)
 					}
 					bodies = append(bodies, wb.Bytes())
 				}

@@ -95,8 +95,9 @@ func TestPanickingBarrierIsAnswered(t *testing.T) {
 
 // TestImportOverBrokenNodeConserves imports a node over a planted nil
 // node of the same name, so installing it panics inside the import
-// barrier. ImportState returns, the panic is counted in shard_panics,
-// and no event counter moves: the conservation equation holds.
+// barrier. ImportState reports that the range did not land, the panic is
+// counted in shard_panics, and no event counter moves: the conservation
+// equation holds.
 func TestImportOverBrokenNodeConserves(t *testing.T) {
 	p := fixture.Model(t, fixture.Serving)
 	chains := p.TrainedChains()
@@ -117,8 +118,8 @@ func TestImportOverBrokenNodeConserves(t *testing.T) {
 	sh.nodes["ghost"] = nil
 
 	st := &HandoffState{Nodes: map[string]persistedNode{"ghost": pn}}
-	if err := s.ImportState(1, "peer", fullCircle, st); err != nil {
-		t.Fatal(err)
+	if err := s.ImportState(1, "peer", fullCircle, st); !errors.Is(err, errImport) {
+		t.Fatalf("ImportState over a broken node: %v, want errImport", err)
 	}
 	checkConservation(t, s)
 	m := s.SnapshotMetrics()

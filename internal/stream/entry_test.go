@@ -90,7 +90,7 @@ func TestEntryPointsLeaveEqualWindows(t *testing.T) {
 			for i := 0; i < len(log.Events); i += 512 {
 				b.Reset()
 				for _, ev := range log.Events[i:min(i+512, len(log.Events))] {
-					b.Add(ev)
+					b.Add(&ev)
 				}
 				var err error
 				if batch, _, err = s.IngestRecords(b.Bytes(), batch[:0]); err != nil {

@@ -74,7 +74,7 @@ type HandoffState struct {
 // deletes its nodes inside the ranges at that exact queue position.
 type dropBarrier struct {
 	ranges []persist.HashRange
-	ack    chan int
+	ack    chan error
 }
 
 // importBarrier carries one shard's slice of an imported range:
@@ -84,7 +84,8 @@ type importBarrier struct {
 	nodes   map[string]persistedNode
 	pending []logparse.EncodedEvent
 	led     *ledger // the source's delivered alerts, shared by every shard's barrier
-	ack     chan int
+	// ack carries each shard's answer: nil, or why its part did not land.
+	ack chan error
 }
 
 // BeginHandoff opens an outbound handoff: journal the intent, freeze
@@ -148,7 +149,7 @@ func (s *Streamer) CompleteHandoff() error {
 		s.mu.Unlock()
 		return err
 	}
-	b := &dropBarrier{ranges: h.Ranges, ack: make(chan int, len(s.shards))}
+	b := &dropBarrier{ranges: h.Ranges, ack: make(chan error, len(s.shards))}
 	for _, sh := range s.shards {
 		sh.q.Put(shardMsg{drop: b}, true)
 	}
@@ -199,7 +200,11 @@ func (s *Streamer) resolveLocked(typ byte) (persist.HandoffRecord, error) {
 // ImportState installs a shipped range into this streamer: journal
 // RecHandoffIn with the full payload (the target-side commit point),
 // then install remapped node state and replay the pending tail at a
-// shard barrier, suppressing alerts the source already delivered.
+// shard barrier, suppressing alerts the source already delivered. A
+// shard whose install failed or panicked answers its barrier with an
+// error, which ImportState returns once every shard has answered: the
+// range did not land whole, so the source must not drop its copy. The
+// In record stays journaled; the next boot re-applies it.
 func (s *Streamer) ImportState(epoch uint64, source string, ranges []persist.HashRange, st *HandoffState) error {
 	if st == nil {
 		return fmt.Errorf("stream: nil handoff state")
@@ -250,7 +255,7 @@ func (s *Streamer) buildImport(st *HandoffState) []*importBarrier {
 	for k, n := range st.Ledger {
 		led.m[k] = n
 	}
-	ack := make(chan int, len(s.shards))
+	ack := make(chan error, len(s.shards))
 	out := make([]*importBarrier, len(s.shards))
 	for i := range out {
 		out[i] = &importBarrier{nodes: make(map[string]persistedNode), led: led, ack: ack}
@@ -321,17 +326,25 @@ func (sh *shard) dropNodes(ranges []persist.HashRange) int {
 	return dropped
 }
 
+// errImport answers an import barrier whose work panicked on a shard:
+// the nodes after the panicking one, and the pending tail, never landed.
+var errImport = errors.New("stream: a shard's import panicked")
+
 // applyImport is the shard side of ImportState's barrier: install the
 // remapped nodes, then replay the pending tail — the same step boot
 // recovery takes — with the barrier's ledger suppressing alerts the
-// source already delivered. applyCtl answers the barrier.
-func (sh *shard) applyImport(b *importBarrier) {
+// source already delivered. A node that fails to install is skipped and
+// the first such failure returned; applyCtl answers the barrier with it.
+func (sh *shard) applyImport(b *importBarrier) (err error) {
 	sh.led, sh.arrival = b.led, time.Now()
 	defer func() { sh.led = nil }()
 	for node, pn := range b.nodes {
-		if err := sh.installNode(node, pn); err != nil {
+		if ierr := sh.installNode(node, pn); ierr != nil {
 			// Unreachable in practice (config validated in New).
-			sh.s.diagf("stream: import of node %s: %v", node, err)
+			sh.s.diagf("stream: import of node %s: %v", node, ierr)
+			if err == nil {
+				err = fmt.Errorf("stream: import of node %s: %w", node, ierr)
+			}
 			continue
 		}
 		sh.s.met.HandoffNodesIn.Add(1)
@@ -339,6 +352,7 @@ func (sh *shard) applyImport(b *importBarrier) {
 	for i := range b.pending {
 		sh.replay(&b.pending[i])
 	}
+	return err
 }
 
 // replayHandoff moves the shard state one handoff record moved, at its

@@ -357,6 +357,12 @@ type MetricsSnapshot struct {
 	ReorderOverflow   int64 `json:"reorder_overflow"`
 	ReorderPending    int64 `json:"reorder_pending"`
 	BatchWakeups      int64 `json:"batch_wakeups"`
+	// WALWindowFills counts the reservation windows the WAL filled (an
+	// fallocate and a zero write each, about one per 1 MiB journaled) and
+	// WALWindowFillMicros the time they took: too rare for the sampled
+	// stage ledger, so counted whole.
+	WALWindowFills      int64 `json:"wal_window_fills"`
+	WALWindowFillMicros int64 `json:"wal_window_fill_us"`
 	// BatchOccupancy is the mean number of events drained per shard
 	// wakeup (0 before the first wakeup; 1.0 means no coalescing).
 	BatchOccupancy float64 `json:"batch_occupancy"`
@@ -491,6 +497,10 @@ func (s *Streamer) SnapshotMetrics() MetricsSnapshot {
 	}
 	if n := s.met.LeadErrCount.Load(); n > 0 {
 		snap.LeadErrMeanSeconds = float64(s.met.LeadErrMillis.Load()) / 1e3 / float64(n)
+	}
+	if s.pst != nil {
+		n, d := s.pst.wal.WindowFills()
+		snap.WALWindowFills, snap.WALWindowFillMicros = n, d.Microseconds()
 	}
 	snap.Stages = s.met.stages.snapshot(snap.Ingested, snap.Processed, snap.ChainsClosed)
 	snap.QueueDepths = make([]int, len(s.shards))

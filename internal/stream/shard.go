@@ -173,52 +173,58 @@ func (sh *shard) dispatch() {
 	sh.applyCtl(&m)
 }
 
-// awaitAcks waits for every shard to answer a control barrier; ErrClosed
-// when shutdown raced it.
-func (s *Streamer) awaitAcks(ack <-chan int) error {
+// awaitAcks waits for every shard to answer a control barrier and
+// returns the first error one answered with; ErrClosed when shutdown
+// raced it.
+func (s *Streamer) awaitAcks(ack <-chan error) (err error) {
 	for range s.shards {
 		select {
-		case <-ack:
+		case aerr := <-ack:
+			if err == nil {
+				err = aerr
+			}
 		case <-s.done:
 			return ErrClosed
 		}
 	}
-	return nil
+	return err
 }
 
 // applyCtl applies one control barrier on the shard goroutine and
 // answers it, also when applying it panicked: a capture that panicked
-// answers nil, which fails the caller's gatherCaptures; no caller waits
-// for shutdown.
+// answers nil, which fails the caller's gatherCaptures, and an import
+// that failed or panicked answers its error; no caller waits for
+// shutdown.
 func (sh *shard) applyCtl(m *shardMsg) {
-	snap := sh.applyBarrier(m)
+	snap, err := sh.applyBarrier(m)
 	switch {
 	case m.snap != nil:
 		m.snap <- snap
 	case m.swap != nil:
-		m.swap.ack <- sh.id
+		m.swap.ack <- nil
 	case m.drop != nil:
-		m.drop.ack <- sh.id
+		m.drop.ack <- nil
 	case m.imp != nil:
-		m.imp.ack <- sh.id
+		m.imp.ack <- err
 	}
 }
 
 // applyBarrier does a barrier's work under catch and returns a
-// capture's state (nil if it panicked).
-func (sh *shard) applyBarrier(m *shardMsg) (snap map[string]persistedNode) {
+// capture's state (nil if it panicked) and an import's failure.
+func (sh *shard) applyBarrier(m *shardMsg) (snap map[string]persistedNode, err error) {
 	defer sh.catch()
 	switch {
 	case m.snap != nil:
-		return sh.capture()
+		return sh.capture(), nil
 	case m.swap != nil:
 		sh.det = sh.s.mustDetector(m.swap.p)
 	case m.drop != nil:
 		sh.s.met.HandoffNodesOut.Add(int64(sh.dropNodes(m.drop.ranges)))
 	case m.imp != nil:
-		sh.applyImport(m.imp)
+		err = errImport // what a panic inside applyImport leaves returned
+		err = sh.applyImport(m.imp)
 	}
-	return nil
+	return nil, err
 }
 
 // processBatch runs the taken micro-batch, each event by reference where

@@ -34,7 +34,7 @@ var ErrSwapAborted = errors.New("stream: swap aborted by hook")
 // shard rebuilds its detector at the barrier position and acks.
 type swapBarrier struct {
 	p   *core.Pipeline
-	ack chan int
+	ack chan error
 }
 
 // SwapModel atomically replaces the serving model with cand, with no
@@ -94,7 +94,7 @@ func (s *Streamer) SwapModel(cand *core.Pipeline) error {
 		}
 	}
 	s.adoptModel(cand, file)
-	b := &swapBarrier{p: cand, ack: make(chan int, len(s.shards))}
+	b := &swapBarrier{p: cand, ack: make(chan error, len(s.shards))}
 	for _, sh := range s.shards {
 		sh.q.Put(shardMsg{swap: b}, true)
 	}
